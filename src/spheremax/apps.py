@@ -81,32 +81,6 @@ def _resolve_method(method: str, order: int) -> str:
     return method
 
 
-def _polish_slotwise(
-    form: MultilinearForm, point, sweeps: int = 500, tol: float = 1e-15
-) -> list[np.ndarray]:
-    """Cyclic slot-wise refinement of a point on the product of spheres.
-
-    Updating one slot to its normalized partial gradient maximizes the form
-    over that slot with the others held fixed, so the value is nondecreasing
-    and converges to a critical value.  Used to turn the best-effort point of
-    the joint iteration into a genuine (local) maximizer.
-    """
-    vecs = [np.asarray(v, dtype=float).copy() for v in point]
-    for _ in range(sweeps):
-        delta = 0.0
-        for j in range(len(vecs)):
-            g = multiform.partial_gradient(form, j, vecs)
-            n = float(np.linalg.norm(g))
-            if n == 0.0:
-                continue
-            g = g / n
-            delta = max(delta, float(np.abs(g - vecs[j]).max()))
-            vecs[j] = g
-        if delta <= tol:
-            break
-    return vecs
-
-
 def _max_only(form: MultilinearForm, method: str, seed: int) -> float:
     method = _resolve_method(method, form.order)
     if method == "power":
@@ -144,7 +118,7 @@ def closest_rank_one(
             vectors = [np.asarray(v, dtype=float) for v in result.point]
         else:
             result = poweriter.multilinear_iterate(form, seed=seed)
-            vectors = _polish_slotwise(form, result.point)
+            vectors = poweriter._polish(form, [result.point])[0]
     else:
         report = algsolver.solve_argmax(form, force=force, seed=seed)
         if not report.points:
@@ -206,12 +180,17 @@ def separable_max(rho: DensityState, method: str = "auto", seed: int = 0) -> flo
         raise NotAStateError("state decomposed to zero (all eigenvalues dropped)")
     method = _resolve_method(method, 3)
     if method == "power":
-        best = 0.0
-        for k in range(8):  # multistart: the maximum need not be attractive
-            result = poweriter.multilinear_iterate(form, seed=seed + 101 * k)
-            vecs = _polish_slotwise(form, result.point)
-            best = max(best, abs(multiform.evaluate(form, vecs)))
-        return best ** 2
+        # multistart, the 8 x 6 starts in one block: the maximum need not be
+        # attractive
+        results = poweriter._run_with_restarts(
+            form,
+            [seed + 101 * k for k in range(8)],
+            poweriter.DEFAULT_TOL,
+            poweriter.DEFAULT_MAX_ITERS,
+            poweriter.DEFAULT_RESTARTS,
+        )
+        polished = poweriter._polish(form, [r.point for r in results])
+        return max(abs(multiform.evaluate(form, vecs)) for vecs in polished) ** 2
     # Affine chart: its quotient has one point per extreme class (the sphere
     # chart multiplies the quotient dimension by 8 here and is far slower).
     # The z slot has the largest dimension, so the dimension-inequality

@@ -56,14 +56,15 @@ class RunConfig:
 
 def _sig10(x: float) -> float:
     """Round to 10 significant digits (the report formatting contract)."""
-    if x == 0.0 or not math.isfinite(x):
+    if x == 0.0:
         return x
     return float(f"{x:.10g}")
 
 
 def _jsonify(obj):
     if isinstance(obj, float):
-        return _sig10(obj)
+        # JSON has no NaN or infinity (e.g. a maximum with no real eigenvalue)
+        return _sig10(obj) if math.isfinite(obj) else None
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, dict):
@@ -141,7 +142,7 @@ def _parse_state(path: str) -> apps.DensityState:
 
 
 def _emit(report: dict, cfg: RunConfig):
-    text = json.dumps(_jsonify(report), indent=2, sort_keys=True)
+    text = json.dumps(_jsonify(report), indent=2, sort_keys=True, allow_nan=False)
     if cfg.output_path:
         try:
             with open(cfg.output_path, "w", encoding="utf-8") as fh:
@@ -162,15 +163,9 @@ def _points_json(points):
     ]
 
 
-def _resolved_method(cfg: RunConfig, order: int) -> str:
-    if cfg.method == "auto":
-        return "power" if order == 2 else "algebraic"
-    return cfg.method
-
-
 def cmd_maximize(cfg: RunConfig) -> int:
     form = _parse_form(cfg.input_path)
-    method = _resolved_method(cfg, form.order)
+    method = apps._resolve_method(cfg.method, form.order)
     t0 = time.perf_counter()
     report = {"method": method, "chart": None, "flags": []}
     if method == "power":
@@ -231,7 +226,7 @@ def cmd_rank1(cfg: RunConfig) -> int:
         form, method=cfg.method, seed=cfg.seed, force=cfg.force
     )
     report = {
-        "method": _resolved_method(cfg, form.order),
+        "method": apps._resolve_method(cfg.method, form.order),
         "factors": [[float(c) for c in v] for v in result.factors.factors],
         "maxValue": result.max_value,
         "distance": result.distance,
@@ -246,7 +241,7 @@ def cmd_norm2(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     value = apps.matrix_norm2(matrix, method=cfg.method, seed=cfg.seed)
     report = {
-        "method": _resolved_method(cfg, 2),
+        "method": apps._resolve_method(cfg.method, 2),
         "norm2": value,
         "timings": {"total": time.perf_counter() - t0},
     }
@@ -259,7 +254,7 @@ def cmd_separability(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     result = apps.entanglement_check(state, method=cfg.method, seed=cfg.seed)
     report = {
-        "method": _resolved_method(cfg, 3),
+        "method": apps._resolve_method(cfg.method, 3),
         "verdict": result.verdict,
         "selfOverlap": result.self_overlap,
         "sepMax": result.sep_max,
@@ -360,8 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
             default="auto",
             help="solver (auto: power for bilinear, algebraic otherwise)",
         )
-        p.add_argument("--tol", type=float, default=poweriter.DEFAULT_TOL)
-        p.add_argument("--max-iters", type=int, default=poweriter.DEFAULT_MAX_ITERS)
         p.add_argument("--seed", type=int, default=None, help="RNG seed (default: $SPHEREMAX_SEED or 0)")
         p.add_argument("--budget-reductions", type=int, default=algsolver.DEFAULT_REDUCTION_BUDGET)
         p.add_argument("--force", action="store_true", help="override solver preconditions")
@@ -369,6 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("maximize", help="maximum of |form| over the sphere product")
     add_common(p)
+    p.add_argument("--tol", type=float, default=poweriter.DEFAULT_TOL)
+    p.add_argument("--max-iters", type=int, default=poweriter.DEFAULT_MAX_ITERS)
     p.add_argument("--chart", choices=("sphere", "affine"), default="sphere")
     p.add_argument("--points", action="store_true", help="include critical points in the report")
 
@@ -434,7 +429,10 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage or --help
+        return EXIT_OK if exc.code == 0 else EXIT_IO
     try:
         cfg = _config_from_args(args)
         return _COMMANDS[cfg.command](cfg)

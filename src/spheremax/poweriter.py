@@ -1,35 +1,45 @@
-"""Projective power iteration.
+"""Projective power iteration, batched over starts.
 
-For a bilinear form the normalized-gradient map is linear and the absolute
-maximum is an attractive fixed point of the induced map on the product of
-projective spaces, so iterating q <- grad l(q) / ||grad l(q)|| from a generic
-start converges slot-wise and |l(x, y)| at the limit is the first singular
-value.  Convergence is checked projectively per slot: the joined vector
-always retains a period-2 artifact (the +sigma/-sigma eigenvector pair of the
-joined linear map), so "the points in projective space are equal" holds slot
-by slot, never jointly, for a generic start.
+Both kernels run a (B, n) block of starts side by side, one ``np.einsum``
+contraction of the coefficient tensor per slot and step; a start leaves the
+block when it ends.  A start's arithmetic does not depend on the others in
+its block, so it gets exactly the result it would get alone.
 
-For r >= 3 the iteration runs on the concatenated vector and the status
-reflects the joint projective dynamics, where the relative slot magnitudes
+Gauss-Seidel kernel (bilinear forms, and the polish used by the
+applications): a step replaces slot 1, then slot 2, ..., by its normalized
+partial gradient at the latest other slots.  Each update maximizes l over
+its slot, so |l| never decreases.  For x^T A y a step is the power method on
+A^T A, whose attractive fixed point is the first singular pair; tied top
+singular values are fixed points too, so the identity converges in two
+steps.  (Updating every slot at once, Jacobi-style, keeps a period-2
+artifact, the +sigma/-sigma pair of the joined linear map, and swaps the
+slots of the identity forever.)
+
+Joint kernel (r >= 3): the literal iteration q <- grad l(q) / ||grad l(q)||
+on the concatenated vector, the dynamics the paper studies.  Its status is
+judged in the joint projective space, where the relative slot magnitudes
 obey an exact period-2 involution (log-magnitudes map to minus themselves):
-generic runs report OSCILLATING even when the slot directions have settled on
-a critical point.  The final split-and-normalized point and its fixed-point
+generic runs report OSCILLATING even when the slot directions have settled
+on a critical point.  The split-and-normalized point and its fixed-point
 residual are always reported, so an oscillating run still identifies the
 critical point it circles; nothing is certified as the absolute maximum.
 
-The same iteration applied to a square matrix yields the spectral radius.
+The restarts (seeds seed, ..., seed + restarts) form one block and give the
+answer of a sequential run: the lowest seed that converges, once every
+lower seed has ended (later ones are dropped unfinished), else the
+best-valued start, lowest seed on ties.  A start that meets a zero gradient
+is discarded.
 """
 
 from __future__ import annotations
 
 import enum
+import string
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import multiform
-from .errors import NoConvergenceError, ZeroGradientError
-from .linalg import Matrix
+from .errors import ZeroGradientError
 from .multiform import MultilinearForm
 
 DEFAULT_TOL = 1e-14
@@ -37,6 +47,7 @@ DEFAULT_MAX_ITERS = 100_000
 DEFAULT_RESTARTS = 5
 
 _OSC_TOL = 1e-10
+_POLISH_SWEEPS = 500
 
 
 class Status(enum.Enum):
@@ -54,136 +65,287 @@ class IterationResult:
     residual: float       # max_i || dl/dx_i - l * x_i ||
 
 
-def _canonical_projective(q):
-    i = int(np.argmax(np.abs(q)))
-    return q if q[i] >= 0 else -q
+def _subscripts(order):
+    """einsum subscripts of each slot's partial gradient over a block of
+    points, batch axis b: 'acd,bc,bd->ba' is slot 0 of a trilinear form."""
+    axes = string.ascii_letters.replace("b", "")[:order]
+    return [
+        axes + "".join(",b" + c for c in axes[:i] + axes[i + 1 :]) + "->b" + axes[i]
+        for i in range(order)
+    ]
 
 
-def _random_slots(form, rng):
-    slots = []
-    for d in form.dims:
-        v = rng.standard_normal(d)
-        n = np.linalg.norm(v)
-        if n == 0.0:  # pragma: no cover - measure zero
-            raise ZeroGradientError("degenerate random start")
-        slots.append(v / n)
-    return slots
+def _partial(t, subs, slots, i):
+    return np.einsum(subs[i], t, *slots[:i], *slots[i + 1 :])
 
 
-def _split_normalized(q, dims):
-    slots = []
-    pos = 0
-    for d in dims:
-        piece = q[pos : pos + d]
-        pos += d
-        n = np.linalg.norm(piece)
-        if n == 0.0:
-            raise ZeroGradientError("slot collapsed to zero while splitting")
-        slots.append(piece / n)
-    return slots
+def _row_dots(a, b):
+    return np.einsum("bn,bn->b", a, b)
 
 
-def _value_and_residual(form, slots):
-    grads = multiform.gradient(form, slots)
-    value = float(np.dot(grads[0], slots[0]))  # Euler identity: = l(slots)
-    residual = 0.0
-    for g, s in zip(grads, slots):
-        residual = max(residual, float(np.linalg.norm(g - value * s)))
+def _row_norms(a):
+    return np.sqrt(_row_dots(a, a))
+
+
+def _normalize(g, keep):
+    """Rows of g over their norms, and the mask of rows that could be
+    normalized (zero or non-finite norm: the row is ``keep``'s instead)."""
+    norms = _row_norms(g)
+    if norms.min() > 0.0 and norms.max() < np.inf:  # False on NaN too
+        return g / norms[:, None], None
+    ok = (norms > 0.0) & np.isfinite(norms)
+    g = np.where(ok[:, None], g, keep)
+    return g / np.where(ok, norms, 1.0)[:, None], ok
+
+
+def _random_starts(form, seeds):
+    """One random point per seed, as per-slot (B, d_i) blocks of unit rows."""
+    blocks = [np.empty((len(seeds), d)) for d in form.dims]
+    for row, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        for block, d in zip(blocks, form.dims):
+            v = rng.standard_normal(d)
+            n = np.linalg.norm(v)
+            if n == 0.0:  # pragma: no cover - measure zero
+                raise ZeroGradientError("degenerate random start")
+            block[row] = v / n
+    return blocks
+
+
+def _assess(t, subs, slots):
+    """l (by the Euler identity) and the fixed-point residual of each row
+    of a block of points on the spheres."""
+    grads = [_partial(t, subs, slots, i) for i in range(len(slots))]
+    value = _row_dots(grads[0], slots[0])
+    residual = np.max(
+        [_row_norms(g - value[:, None] * s) for g, s in zip(grads, slots)], axis=0
+    )
     return value, residual
 
 
-def _finish(form, slots, iterations, status):
-    value, residual = _value_and_residual(form, slots)
-    return IterationResult(
-        point=tuple(slots),
-        value=abs(value),
-        iterations=iterations,
-        status=status,
-        residual=residual,
-    )
+class _Rows:
+    """Which starts of a block still run, and how the ended ones ended.
+
+    Row i of the block is restart i % group of problem i // group.  Within a
+    problem the answer is settled once its lowest converged row has ended
+    with every row before it, so rows after a converged one are dropped
+    unfinished (their outcome stays None).
+    """
+
+    def __init__(self, count, group):
+        self.group = group
+        self.outcomes = [None] * count
+        self.index = np.arange(count)          # block row of each active row
+        self.bound = np.repeat(np.arange(group, count + 1, group), group)
+
+    def end(self, pos, outcome):
+        i = int(self.index[pos])
+        self.outcomes[i] = outcome
+        if isinstance(outcome, IterationResult) and outcome.status is Status.CONVERGED:
+            first = i - i % self.group
+            self.bound[first : first + self.group] = np.minimum(
+                self.bound[first : first + self.group], i
+            )
+
+    def end_points(self, t, subs, positions, slots, iterations, status):
+        """End the given active rows at the points ``slots`` (one row each)."""
+        value, residual = _assess(t, subs, slots)
+        for k, pos in enumerate(positions):
+            point = tuple(s[k].copy() for s in slots)
+            self.end(pos, IterationResult(
+                point, abs(float(value[k])), iterations, status, float(residual[k])
+            ))
+
+    def prune(self, ended, *blocks):
+        """Drop the ended rows, and the rows no answer can need, from the
+        active blocks (the first axis of each array)."""
+        keep = np.ones(self.index.size, dtype=bool)
+        keep[ended] = False
+        keep &= self.index < self.bound[self.index]
+        self.index = self.index[keep]
+        return [b[keep] for b in blocks]
 
 
-def _iterate_slotwise(form, seed, tol, max_iters):
-    """r=2 path: stop when every slot's projective point is stationary and
-    the Lagrange fixed-point residual is small."""
-    rng = np.random.default_rng(seed)
-    slots = _random_slots(form, rng)
-    for it in range(1, max_iters + 1):
-        grads = multiform.gradient(form, slots)
-        value = float(np.dot(grads[0], slots[0]))
-        new_slots = []
-        cosine = 1.0
-        residual = 0.0
-        for g, s in zip(grads, slots):
-            norm = np.linalg.norm(g)
-            if norm == 0.0 or not np.isfinite(norm):
-                raise ZeroGradientError(f"zero gradient at iteration {it}")
-            residual = max(residual, float(np.linalg.norm(g - value * s)))
-            g = g / norm
-            cosine = min(cosine, abs(float(np.dot(g, s))))
-            new_slots.append(g)
-        if cosine >= 1.0 - tol and residual <= 10.0 * tol * (1.0 + abs(value)):
-            return slots, it, Status.CONVERGED
-        slots = new_slots
-    return slots, max_iters, Status.NON_CONVERGED
-
-
-def _iterate_joint(form, seed, tol, max_iters):
-    """r>=3 path: literal iteration on the concatenated vector; the status is
-    judged in the joint projective space, where short cycles are detected."""
-    rng = np.random.default_rng(seed)
-    q = np.concatenate(_random_slots(form, rng))
-    q /= np.linalg.norm(q)
-    dims = form.dims
-    history = []
-    offsets = np.cumsum((0,) + dims)
-    for it in range(1, max_iters + 1):
-        aux = q
-        raw_slots = [q[offsets[i] : offsets[i + 1]] for i in range(len(dims))]
-        q = np.concatenate(multiform.gradient(form, raw_slots))
-        norm = np.linalg.norm(q)
-        if norm == 0.0 or not np.isfinite(norm):
-            raise ZeroGradientError(f"zero gradient at iteration {it}")
-        q = q / norm
-        if abs(np.dot(q, aux)) >= 1.0 - tol:
-            slots = _split_normalized(q, dims)
-            _, residual = _value_and_residual(form, slots)
-            value = multiform.evaluate(form, slots)
-            if residual <= 10.0 * tol * (1.0 + abs(value)):
-                return slots, it, Status.CONVERGED
-        canon = _canonical_projective(q)
-        # Oscillation = revisiting a projective point at lag 2..4 while still
-        # moving (lag-1 distinct); a near-identical lag-1 iterate is slow
-        # convergence, handled by the stopping rule above.
-        if history and np.linalg.norm(canon - history[-1]) > _OSC_TOL:
-            for past in history[:-1]:
-                if np.linalg.norm(canon - past) <= _OSC_TOL:
-                    return _split_normalized(q, dims), it, Status.OSCILLATING
-        history.append(canon)
-        if len(history) > 4:  # detect periods 2..4
-            history.pop(0)
-    return _split_normalized(q, dims), max_iters, Status.NON_CONVERGED
-
-
-def _run_with_restarts(form, seed, tol, max_iters, restarts):
-    iterate = _iterate_slotwise if form.order == 2 else _iterate_joint
-    last_exc = None
+def _pick(outcomes):
+    """The restart rule: first converged start, else the best-valued one
+    (lowest seed on ties); raise when every start met a zero gradient."""
     best = None
-    for k in range(restarts + 1):
-        try:
-            slots, it, status = iterate(form, seed + k, tol, max_iters)
-        except ZeroGradientError as exc:
-            last_exc = exc
+    failure = None
+    for out in outcomes:
+        if isinstance(out, ZeroGradientError):
+            failure = out
+        elif out is None:
             continue
-        result = _finish(form, slots, it, status)
-        if status is Status.CONVERGED:
-            return result
-        # keep the best-valued non-converged candidate; lowest seed wins ties
-        if best is None or result.value > best.value:
-            best = result
+        elif out.status is Status.CONVERGED:
+            return out
+        elif best is None or out.value > best.value:
+            best = out
     if best is not None:
         return best
-    raise last_exc if last_exc is not None else ZeroGradientError("all restarts failed")
+    raise failure if failure is not None else ZeroGradientError("all restarts failed")
+
+
+def _gauss_seidel(form, starts, group, tol, max_iters):
+    """Slot-wise (Gauss-Seidel) ascent of every start of ``starts`` (per-slot
+    blocks of unit rows); returns the outcome of each row.
+
+    A step maps the point p to p'.  The start converges at p when every slot
+    of p' is parallel to p's within tol and the residual at p is small; the
+    gradients at p of the first slot (computed in the step) and of the last
+    (computed in the step before) come for free.
+    """
+    t, subs = form.tensor, _subscripts(form.order)
+    r = form.order
+    slots = list(starts)
+    last = _partial(t, subs, slots, r - 1)
+    rows = _Rows(len(slots[0]), group)
+    for it in range(1, max_iters + 1):
+        point = slots
+        slots = list(slots)
+        usable = True
+        for i in range(r):
+            g = _partial(t, subs, slots, i)
+            if i == 0:
+                first = g
+            slots[i], ok = _normalize(g, slots[i])
+            if ok is not None:
+                usable &= ok
+        ended = [] if usable is True else list(np.flatnonzero(~usable))
+        for pos in ended:
+            rows.end(pos, ZeroGradientError(f"zero gradient at iteration {it}"))
+        cosine = np.abs(_row_dots(slots[0], point[0]))
+        for a, b in zip(slots[1:], point[1:]):
+            cosine = np.minimum(cosine, np.abs(_row_dots(a, b)))
+        stationary = (cosine >= 1.0 - tol) & usable
+        if stationary.any():
+            near = np.flatnonzero(stationary)
+            at = [p[near] for p in point]
+            grads = [first[near]] + [_partial(t, subs, at, i) for i in range(1, r - 1)]
+            grads.append(last[near])
+            value = _row_dots(grads[0], at[0])
+            residual = np.max(
+                [_row_norms(g - value[:, None] * a) for g, a in zip(grads, at)], axis=0
+            )
+            done = residual <= 10.0 * tol * (1.0 + np.abs(value))
+            for k in np.flatnonzero(done):
+                rows.end(near[k], IterationResult(
+                    tuple(a[k].copy() for a in at), abs(float(value[k])), it,
+                    Status.CONVERGED, float(residual[k]),
+                ))
+            ended += list(near[done])
+        last = g
+        if ended:
+            *slots, last = rows.prune(ended, *slots, last)
+            if not rows.index.size:
+                break
+    else:
+        rows.end_points(t, subs, range(rows.index.size), slots, max_iters,
+                        Status.NON_CONVERGED)
+    return rows.outcomes
+
+
+def _split_unit(q, cuts):
+    """Split concatenated rows into per-slot unit rows; also flags the rows
+    with a zero slot."""
+    slots = np.split(q, cuts, axis=1)
+    norms = [_row_norms(s) for s in slots]
+    collapsed = np.any([n == 0.0 for n in norms], axis=0)
+    return [s / np.where(n == 0.0, 1.0, n)[:, None] for s, n in zip(slots, norms)], collapsed
+
+
+def _end_split(rows, t, subs, cuts, positions, q, iterations, status):
+    """End active rows at their split-and-normalized concatenated vectors."""
+    positions = np.asarray(positions)
+    slots, collapsed = _split_unit(q, cuts)
+    for pos in positions[collapsed]:
+        rows.end(pos, ZeroGradientError("slot collapsed to zero while splitting"))
+    whole = ~collapsed
+    rows.end_points(t, subs, positions[whole], [s[whole] for s in slots],
+                    iterations, status)
+
+
+def _joint(form, starts, group, tol, max_iters):
+    """Joint power iteration of every start of ``starts`` (per-slot blocks of
+    unit rows); returns the outcome of each row."""
+    t, subs = form.tensor, _subscripts(form.order)
+    offsets = np.cumsum((0,) + form.dims)
+    cuts = offsets[1:-1]
+    spans = list(zip(offsets[:-1], offsets[1:]))
+    q = np.concatenate(starts, axis=1)
+    q /= _row_norms(q)[:, None]
+    rows = _Rows(len(q), group)
+    history = np.empty((len(q), 0, q.shape[1]))  # last <= 4 canonical iterates
+    for it in range(1, max_iters + 1):
+        prev = q
+        raw = [q[:, a:b] for a, b in spans]
+        q = np.concatenate([_partial(t, subs, raw, i) for i in range(len(raw))], axis=1)
+        q, ok = _normalize(q, prev)
+        if ok is not None:
+            bad = np.flatnonzero(~ok)
+            for pos in bad:
+                rows.end(pos, ZeroGradientError(f"zero gradient at iteration {it}"))
+            q, prev, history = rows.prune(bad, q, prev, history)
+            if not rows.index.size:
+                break
+        ended = []
+        stationary = np.abs(_row_dots(q, prev)) >= 1.0 - tol
+        if stationary.any():
+            near = np.flatnonzero(stationary)
+            slots, collapsed = _split_unit(q[near], cuts)
+            value, residual = _assess(t, subs, slots)
+            done = near[collapsed | (residual <= 10.0 * tol * (1.0 + np.abs(value)))]
+            if done.size:
+                _end_split(rows, t, subs, cuts, done, q[done], it, Status.CONVERGED)
+                ended += list(done)
+        lead = np.argmax(np.abs(q), axis=1)
+        sign = np.where(q[np.arange(len(q)), lead] >= 0.0, 1.0, -1.0)
+        canon = q * sign[:, None]
+        if history.shape[1]:
+            # Oscillation = revisiting a projective point at lag 2..4 while
+            # still moving (lag-1 distinct); a near-identical lag-1 iterate is
+            # slow convergence, handled by the stopping rule above.
+            diff = canon[:, None, :] - history
+            dist = np.sqrt(np.einsum("bln,bln->bl", diff, diff))
+            cycling = (dist[:, -1] > _OSC_TOL) & np.any(dist[:, :-1] <= _OSC_TOL, axis=1)
+            cycling[ended] = False
+            if cycling.any():
+                positions = np.flatnonzero(cycling)
+                _end_split(rows, t, subs, cuts, positions, q[positions], it,
+                           Status.OSCILLATING)
+                ended += list(positions)
+        history = np.concatenate((history[:, -3:], canon[:, None, :]), axis=1)
+        if ended:
+            q, history = rows.prune(ended, q, history)
+            if not rows.index.size:
+                break
+    else:
+        _end_split(rows, t, subs, cuts, range(rows.index.size), q, max_iters,
+                   Status.NON_CONVERGED)
+    return rows.outcomes
+
+
+def _run_with_restarts(form, seeds, tol, max_iters, restarts):
+    """One result per base seed s, by the restart rule over the starts
+    s, s + 1, ..., s + restarts; every start runs in one block."""
+    kernel = _gauss_seidel if form.order == 2 else _joint
+    group = restarts + 1
+    if group < 1:
+        raise ZeroGradientError(f"no starts to run: restarts={restarts}")
+    starts = _random_starts(form, [s + k for s in seeds for k in range(group)])
+    outcomes = kernel(form, starts, group, tol, max_iters)
+    return [_pick(outcomes[k : k + group]) for k in range(0, len(outcomes), group)]
+
+
+def _polish(form, points):
+    """Gauss-Seidel ascent from each point (one unit vector per slot), all in
+    one block: a genuine (local) maximizer near each point.  A point whose
+    ascent meets a zero gradient is returned as given."""
+    starts = [np.stack(block) for block in zip(*points)]
+    outcomes = _gauss_seidel(form, starts, 1, DEFAULT_TOL, _POLISH_SWEEPS)
+    return [
+        list(point) if isinstance(out, ZeroGradientError) else list(out.point)
+        for point, out in zip(points, outcomes)
+    ]
 
 
 def bilinear_max(
@@ -197,13 +359,13 @@ def bilinear_max(
 
     Converges to the first singular value of the coefficient matrix for
     generic inputs (the absolute maximum is an attractive fixed point of the
-    induced linear map on the product of projective spaces).
+    Gauss-Seidel step), and also when the top singular value is repeated.
     """
     if form.order != 2:
         raise ZeroGradientError(f"bilinear_max needs r=2, got r={form.order}")
     if not np.any(form.coeffs):
         raise ZeroGradientError("zero form")
-    return _run_with_restarts(form, seed, tol, max_iters, restarts)
+    return _run_with_restarts(form, [seed], tol, max_iters, restarts)[0]
 
 
 def multilinear_iterate(
@@ -226,49 +388,4 @@ def multilinear_iterate(
         raise ZeroGradientError(f"multilinear_iterate needs r>=2, got r={form.order}")
     if not np.any(form.coeffs):
         raise ZeroGradientError("zero form")
-    return _run_with_restarts(form, seed, tol, max_iters, restarts)
-
-
-def spectral_radius(
-    m: Matrix,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> float:
-    """Spectral radius |lambda_max| via projective power iteration.
-
-    Raises NoConvergenceError when the iteration does not settle, e.g. for
-    tied dominant magnitudes (the projective sequence then oscillates).
-    """
-    if m.rows != m.cols:
-        raise NoConvergenceError("spectral_radius requires a square matrix")
-    a = m.array
-    if not np.any(a):
-        raise ZeroGradientError("zero matrix")
-    rng = np.random.default_rng(seed)
-    w = rng.standard_normal(m.rows)
-    w /= np.linalg.norm(w)
-    history = []
-    estimate = None
-    for it in range(1, max_iters + 1):
-        aw = a @ w
-        norm = float(np.linalg.norm(aw))
-        if norm == 0.0:
-            raise ZeroGradientError(f"iterate mapped to zero at step {it}")
-        nw = aw / norm
-        settled = abs(np.dot(nw, w)) >= 1.0 - tol
-        if settled and estimate is not None and abs(norm - estimate) <= tol * (1.0 + norm):
-            return norm
-        estimate = norm if settled else None
-        canon = _canonical_projective(nw)
-        if history and np.linalg.norm(canon - history[-1]) > _OSC_TOL:
-            for past in history[:-1]:
-                if np.linalg.norm(canon - past) <= _OSC_TOL:
-                    raise NoConvergenceError(
-                        f"projective iteration oscillates (period 2..4) at step {it}"
-                    )
-        history.append(canon)
-        if len(history) > 4:
-            history.pop(0)
-        w = nw
-    raise NoConvergenceError(f"no convergence after {max_iters} iterations")
+    return _run_with_restarts(form, [seed], tol, max_iters, restarts)[0]

@@ -1,5 +1,7 @@
 """Applications: matrix 2-norm, closest rank-one form, separability bound."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,14 @@ def test_norm2_known_matrix_both_methods(matrix_4x3):
 
 def test_norm2_zero_matrix():
     assert matrix_norm2(Matrix.from_array(np.zeros((3, 2)))) == 0.0
+
+
+def test_norm2_tied_singular_values():
+    for n in (2, 3):
+        t0 = time.perf_counter()
+        got = matrix_norm2(Matrix.from_array(np.eye(n)), method="power")
+        assert time.perf_counter() - t0 < 1.0
+        assert abs(got - 1.0) <= 1e-12
 
 
 def test_norm2_rejects_bad_method(matrix_4x3):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from spheremax import cli
+from spheremax.algsolver import SolveReport
 from spheremax.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER
 
 from conftest import (
@@ -215,3 +216,35 @@ def test_floats_rounded_to_ten_significant_digits(capsys, bilinear_file):
     text = repr(report["maxValue"])
     digits = text.replace("-", "").replace(".", "").lstrip("0")
     assert len(digits) <= 10
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_report_is_strict_json_without_real_eigenvalue(capsys, trilinear_file, monkeypatch):
+    nan_report = SolveReport(
+        quotient_dim=48,
+        eigenvalues=(1j, -1j),
+        max_value=float("nan"),
+        points=(),
+        genericity_flags=("no real eigenvalues within tolerance",),
+    )
+    monkeypatch.setattr(cli.algsolver, "solve_max", lambda form, budget: nan_report)
+    code, out = _run(capsys, ["maximize", trilinear_file, "--method", "algebraic"])
+    assert code == EXIT_OK
+    report = _strict_json(out)
+    assert report["maxValue"] is None
+    assert report["flags"] == ["no real eigenvalues within tolerance"]
+
+
+@pytest.mark.parametrize("command", ["norm2", "rank1", "separability"])
+def test_iteration_options_only_on_maximize(capsys, matrix_file, command):
+    code = cli.main([command, matrix_file, "--max-iters", "5"])
+    assert code == EXIT_IO
+    assert "unrecognized arguments" in capsys.readouterr().err
+    code = cli.main([command, matrix_file, "--tol", "1e-9"])
+    assert code == EXIT_IO

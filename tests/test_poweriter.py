@@ -1,23 +1,25 @@
 """Projective power iteration."""
 
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
 
 from spheremax import (
-    Matrix,
     MultilinearForm,
-    NoConvergenceError,
     Status,
     ZeroGradientError,
     bilinear_max,
     multilinear_iterate,
-    spectral_radius,
 )
+from spheremax import poweriter
 
 from conftest import (
+    QUADLINEAR_COEFFS,
     QUADLINEAR_MAX,
+    TRILINEAR_COEFFS,
     TRILINEAR_MAX,
     random_form,
 )
@@ -117,28 +119,6 @@ def test_multilinear_point_on_spheres(trilinear_form):
         assert float(np.linalg.norm(np.asarray(v))) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_spectral_radius_symmetric_random():
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        n = int(rng.integers(2, 6))
-        b = rng.standard_normal((n, n))
-        a = b + b.T
-        got = spectral_radius(Matrix.from_array(a))
-        expected = float(np.abs(np.linalg.eigvals(a)).max())
-        assert got == pytest.approx(expected, abs=1e-8 * (1 + expected))
-
-
-def test_spectral_radius_nonnormal():
-    got = spectral_radius(Matrix.from_array(np.array([[2.0, 1.0], [0.0, 1.0]])))
-    assert got == pytest.approx(2.0, abs=1e-10)
-
-
-def test_spectral_radius_rotation_raises():
-    c, s = math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3)
-    with pytest.raises(NoConvergenceError):
-        spectral_radius(Matrix.from_array(np.array([[c, -s], [s, c]])))
-
-
 def test_random_multilinear_value_is_a_critical_value():
     # whatever status is reported, the returned value equals the form
     # evaluated at the returned point
@@ -151,3 +131,78 @@ def test_random_multilinear_value_is_a_critical_value():
         assert result.value == pytest.approx(
             evaluate(form, result.point), abs=1e-10 * (1 + abs(result.value))
         )
+
+
+@pytest.mark.parametrize("diagonal", [[1, 1], [1, 1, 1], [3, 3, 1]])
+def test_tied_top_singular_value_converges(diagonal):
+    # a Jacobi update swaps the slots of the identity forever; the
+    # Gauss-Seidel step settles on the tied top singular subspace
+    a = np.diag(np.array(diagonal, dtype=float))
+    form = MultilinearForm(dims=a.shape, coeffs=a.reshape(-1))
+    t0 = time.perf_counter()
+    result = bilinear_max(form)
+    assert time.perf_counter() - t0 < 1.0
+    assert result.status is Status.CONVERGED
+    assert abs(result.value - max(diagonal)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        MultilinearForm(dims=(2, 2, 2), coeffs=TRILINEAR_COEFFS),
+        MultilinearForm(dims=(2, 2, 2, 2), coeffs=QUADLINEAR_COEFFS),
+        random_form(np.random.default_rng(7), (2, 2, 3)),
+    ],
+    ids=["trilinear", "quadlinear", "random-2x2x3"],
+)
+def test_batched_starts_match_single_starts(form):
+    seed, restarts = 11, 5
+    seeds = range(seed, seed + restarts + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        starts = poweriter._random_starts(form, seeds)
+        block = poweriter._joint(
+            form, starts, 1, poweriter.DEFAULT_TOL, poweriter.DEFAULT_MAX_ITERS
+        )
+        alone = [multilinear_iterate(form, seed=s, restarts=0) for s in seeds]
+        batched = multilinear_iterate(form, seed=seed, restarts=restarts)
+        # several problems in one block, as the separability multistart runs
+        grouped = poweriter._run_with_restarts(
+            form, [seed, seed + 101], poweriter.DEFAULT_TOL,
+            poweriter.DEFAULT_MAX_ITERS, restarts,
+        )
+        separate = multilinear_iterate(form, seed=seed + 101, restarts=restarts)
+    for k, (got, want) in enumerate(zip(block, alone)):
+        assert got.status is want.status, k
+        assert abs(got.value - want.value) <= 1e-12, k
+    # the batched call applies the sequential restart rule to those starts
+    converged = [r for r in alone if r.status is Status.CONVERGED]
+    expected = converged[0] if converged else max(alone, key=lambda r: r.value)
+    assert batched.status is expected.status
+    assert abs(batched.value - expected.value) <= 1e-12
+    for got, want in zip(grouped, (batched, separate)):
+        assert got.status is want.status
+        assert got.value == want.value and got.iterations == want.iterations
+
+
+def test_zero_gradient_start_is_discarded_from_its_block():
+    # e1 (x) e1 (x) ... has a zero gradient at (e2, e2, ...): that start ends
+    # with ZeroGradientError while the generic start beside it runs on
+    e1, e2 = np.eye(2)
+    for order, kernel in ((2, poweriter._gauss_seidel), (3, poweriter._joint)):
+        tensor = e1
+        for _ in range(order - 1):
+            tensor = np.multiply.outer(tensor, e1)
+        form = MultilinearForm(dims=(2,) * order, coeffs=tensor.reshape(-1))
+        generic = poweriter._random_starts(form, [0])
+        starts = [np.vstack([e2, g[0]]) for g in generic]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            outcomes = kernel(form, starts, 2, poweriter.DEFAULT_TOL, 1000)
+            stuck = poweriter._polish(form, [(e2,) * order])[0]
+        assert isinstance(outcomes[0], ZeroGradientError)
+        assert poweriter._pick(outcomes) is outcomes[1]
+        assert outcomes[1].value == pytest.approx(1.0, abs=1e-9)
+        with pytest.raises(ZeroGradientError):
+            poweriter._pick(outcomes[:1])
+        assert all(np.array_equal(v, e2) for v in stuck)
