@@ -18,8 +18,6 @@ from .algsolver import (
     mult_matrix,
     normal_set,
     rationalize,
-    reduce_poly,
-    s_polynomial,
     solve_argmax,
     solve_max,
     verify_buchberger_certificate,
@@ -46,14 +44,13 @@ from .errors import (
     DimensionMismatchError,
     NoConvergenceError,
     NotAStateError,
-    NotPSDError,
     NotSymmetricError,
     NotZeroDimensionalError,
     PreconditionViolatedError,
     SphereMaxError,
     ZeroGradientError,
 )
-from .linalg import EigenDecomposition, Matrix, cholesky, eig_general, eig_symmetric, svd
+from .linalg import Matrix, eig_symmetric
 from .multiform import (
     MultilinearForm,
     MultilinearMap,
@@ -81,7 +78,6 @@ __all__ = [
     "CriticalPoint",
     "DensityState",
     "DimensionMismatchError",
-    "EigenDecomposition",
     "EntanglementReport",
     "GroebnerBasis",
     "IterationResult",
@@ -92,7 +88,6 @@ __all__ = [
     "NoConvergenceError",
     "NormalSet",
     "NotAStateError",
-    "NotPSDError",
     "NotSymmetricError",
     "NotZeroDimensionalError",
     "PolySystem",
@@ -108,11 +103,9 @@ __all__ = [
     "bilinear_max",
     "build_critical_system",
     "canonical_signs",
-    "cholesky",
     "closest_rank_one",
     "count_extreme_classes",
     "count_fixed_points",
-    "eig_general",
     "eig_symmetric",
     "entanglement_check",
     "evaluate",
@@ -129,12 +122,9 @@ __all__ = [
     "partial_gradient",
     "rank_one_to_form",
     "rationalize",
-    "reduce_poly",
-    "s_polynomial",
     "self_overlap",
     "separable_max",
     "solve_argmax",
     "solve_max",
-    "svd",
     "verify_buchberger_certificate",
 ]

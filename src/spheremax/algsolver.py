@@ -18,7 +18,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 from decimal import Decimal
 
@@ -172,7 +173,6 @@ class GroebnerBasis:
     """Reduced, monic Groebner basis under grevlex."""
 
     basis: tuple
-    ordering: str
     variables: tuple
 
 
@@ -192,7 +192,6 @@ class CriticalPoint:
     vectors: tuple
     value: float
     residual: float
-    real: bool = True
 
 
 @dataclass(frozen=True)
@@ -202,6 +201,7 @@ class SolveReport:
     max_value: float
     points: tuple
     genericity_flags: tuple
+    timings: dict = field(default_factory=dict)  # seconds per stage
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +226,6 @@ class _Budget:
             raise BudgetExceededError(
                 f"reduction budget {self.limit} exhausted"
             )
-
-
-def _monic(p):
-    lm = max(p, key=grevlex_key)
-    lc = p[lm]
-    if lc != _ONE:
-        inv = _ONE / lc
-        p = {m: c * inv for m, c in p.items()}
-    return lm, p
 
 
 def _to_integer_primitive(terms):
@@ -463,16 +454,12 @@ class _Engine:
         return out
 
 
-def groebner(
-    system: PolySystem, ordering: str = "grevlex", budget: int = DEFAULT_REDUCTION_BUDGET
-) -> GroebnerBasis:
+def groebner(system: PolySystem, budget: int = DEFAULT_REDUCTION_BUDGET) -> GroebnerBasis:
     """Reduced Groebner basis of the system's ideal, exact arithmetic.
 
     Raises BudgetExceededError when the configured number of reduction steps
     is exhausted (the instance is too large).
     """
-    if ordering != "grevlex":
-        raise ValueError(f"unsupported monomial order {ordering!r}")
     variables = system.variables
     eng = _Engine(len(variables), _Budget(budget))
     polys = sorted(
@@ -484,74 +471,8 @@ def groebner(
     basis = eng.run()
     return GroebnerBasis(
         basis=tuple(RationalPoly(variables, p) for p in basis),
-        ordering="grevlex",
         variables=variables,
     )
-
-
-def s_polynomial(f: RationalPoly, g: RationalPoly) -> RationalPoly:
-    """Classical S-polynomial of the monic normalizations of f and g."""
-    lm_f, fd = _monic(dict(f.terms))
-    lm_g, gd = _monic(dict(g.terms))
-    l = _lcm(lm_f, lm_g)
-    sf = _sub(l, lm_f)
-    sg = _sub(l, lm_g)
-    out = {}
-    for m, c in fd.items():
-        out[_mul(m, sf)] = c
-    for m, c in gd.items():
-        mm = _mul(m, sg)
-        prev = out.get(mm, _ZERO)
-        nv = prev - c
-        if nv:
-            out[mm] = nv
-        elif mm in out:
-            del out[mm]
-    return RationalPoly(f.variables, out)
-
-
-def _exact_normal_form(terms, monic_reducers, budget):
-    """Exact rational full normal form; monic_reducers: (lm, tail) pairs."""
-    work = {m: _Q(c) for m, c in terms.items() if c}
-    heap = [(_heap_key(m), m) for m in work]
-    heapq.heapify(heap)
-    rem = {}
-    while heap:
-        _, m = heapq.heappop(heap)
-        c = work.pop(m, None)
-        if c is None:
-            continue
-        hit = None
-        for lm, tail in monic_reducers:
-            if _divides(lm, m):
-                hit = (lm, tail)
-                break
-        if hit is None:
-            rem[m] = c
-            continue
-        budget.spend()
-        lm, tail = hit
-        shift = _sub(m, lm)
-        for t, tc in tail.items():
-            mm = _mul(t, shift)
-            prev = work.get(mm)
-            if prev is None:
-                work[mm] = -c * tc
-                heapq.heappush(heap, (_heap_key(mm), mm))
-            else:
-                nv = prev - c * tc
-                if nv:
-                    work[mm] = nv
-                else:
-                    del work[mm]
-    return rem
-
-
-def reduce_poly(p: RationalPoly, gb: GroebnerBasis,
-                budget: int = DEFAULT_REDUCTION_BUDGET) -> RationalPoly:
-    """Normal form of p modulo the basis (exact rational arithmetic)."""
-    r = _exact_normal_form(p.terms, _monic_reducers(gb), _Budget(budget))
-    return RationalPoly(gb.variables, r)
 
 
 def verify_buchberger_certificate(gb: GroebnerBasis,
@@ -578,8 +499,9 @@ def _monic_reducers(gb: GroebnerBasis):
     """(leading monomial, monic tail) pairs, ascending leading monomial."""
     pairs = []
     for p in gb.basis:
-        lm, d = _monic(dict(p.terms))
-        pairs.append((lm, {m: c for m, c in d.items() if m != lm}))
+        lm = p.leading_monomial()
+        inv = _ONE / p.terms[lm]
+        pairs.append((lm, {m: c * inv for m, c in p.terms.items() if m != lm}))
     pairs.sort(key=lambda t: grevlex_key(t[0]))
     return pairs
 
@@ -677,17 +599,6 @@ class QuotientRing:
             stack.pop()
         return cache[m]
 
-    def poly_vector(self, p: RationalPoly) -> dict:
-        vec = {}
-        for m, c in p.terms.items():
-            for k, v in self.monomial_vector(m).items():
-                nv = vec.get(k, _ZERO) + c * v
-                if nv:
-                    vec[k] = nv
-                elif k in vec:
-                    del vec[k]
-        return vec
-
     def mult_matrix_exact(self, f: RationalPoly):
         """Columns of the multiplication-by-f map over the standard basis,
         exact, as a list of sparse column dicts."""
@@ -705,19 +616,22 @@ class QuotientRing:
         return cols
 
 
+def _float_matrix(cols) -> np.ndarray:
+    """Dense float matrix from exact sparse column dicts."""
+    out = np.zeros((len(cols), len(cols)))
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            out[i, j] = float(c)
+    return out
+
+
 def mult_matrix(f: RationalPoly, gb: GroebnerBasis, ns: NormalSet,
                 budget: int = DEFAULT_REDUCTION_BUDGET) -> Matrix:
     """Multiplication matrix of f on the quotient ring: column j holds the
     coordinates of NF(f * b_j) over the standard monomials.  Computed exactly,
     converted to floating point only here at the output."""
     ring = QuotientRing(gb, ns, budget)
-    cols = ring.mult_matrix_exact(f)
-    n = len(ns)
-    out = np.zeros((n, n))
-    for j, col in enumerate(cols):
-        for i, c in col.items():
-            out[i, j] = float(c)
-    return Matrix.from_array(out)
+    return Matrix.from_array(_float_matrix(ring.mult_matrix_exact(f)))
 
 
 # ---------------------------------------------------------------------------
@@ -846,6 +760,28 @@ def _point_residual(form: MultilinearForm, vectors) -> float:
     return res
 
 
+_STAGES = ("system", "groebner", "normalSet", "eigen")
+
+
+def _quotient(form: MultilinearForm, chart: str, budget: int):
+    """The chart's critical system, its Groebner basis and its normal set,
+    with the perf_counter marks taken before and after each stage."""
+    marks = [time.perf_counter()]
+    system = build_critical_system(form, chart=chart)
+    marks.append(time.perf_counter())
+    gb = groebner(system, budget=budget)
+    marks.append(time.perf_counter())
+    ns = normal_set(gb)
+    marks.append(time.perf_counter())
+    return system, gb, ns, marks
+
+
+def _stage_times(marks) -> dict:
+    """Seconds per stage of _STAGES; the last stage ends now."""
+    marks = marks + [time.perf_counter()]
+    return {s: b - a for s, a, b in zip(_STAGES, marks, marks[1:])}
+
+
 def solve_max(
     form: MultilinearForm,
     budget: int = DEFAULT_REDUCTION_BUDGET,
@@ -858,9 +794,7 @@ def solve_max(
     the critical points; the answer is the largest magnitude among the real
     ones.
     """
-    system = build_critical_system(form, chart="sphere")
-    gb = groebner(system, budget=budget)
-    ns = normal_set(gb)
+    _, gb, ns, marks = _quotient(form, "sphere", budget)
     lpoly = form_polynomial(form)
     m = mult_matrix(lpoly, gb, ns, budget=budget)
     eigenvalues = np.linalg.eigvals(m.array)
@@ -882,6 +816,7 @@ def solve_max(
         max_value=float(max_value),
         points=(),
         genericity_flags=tuple(flags),
+        timings=_stage_times(marks),
     )
 
 
@@ -898,9 +833,6 @@ def solve_argmax(
     residual_tol: float = RESIDUAL_TOL,
     force: bool = False,
     seed: int = 0,
-    system: PolySystem = None,
-    gb: GroebnerBasis = None,
-    ns: NormalSet = None,
 ) -> SolveReport:
     """Maximizing point(s) of |l| via the affine-chart pipeline.
 
@@ -918,12 +850,7 @@ def solve_argmax(
             f"dimension inequality 2*n_i <= sum(n_j) fails for dims {form.dims}; "
             "pass force=True to run the affine chart anyway"
         )
-    if system is None:
-        system = build_critical_system(form, chart="affine")
-    if gb is None:
-        gb = groebner(system, budget=budget)
-    if ns is None:
-        ns = normal_set(gb)
+    system, gb, ns, marks = _quotient(form, "affine", budget)
     ring = QuotientRing(gb, ns, budget)
     nvars = len(system.variables)
     flags = []
@@ -946,7 +873,6 @@ def solve_argmax(
 
     rng = np.random.default_rng(seed)
     dim = len(ns)
-    attempt_poly = None
     eigvals = eigvecs = None
     for attempt in range(4):
         if attempt == 0 and free_vars:
@@ -961,11 +887,7 @@ def solve_argmax(
             if not terms:
                 continue
             f = RationalPoly(system.variables, terms)
-        cols = ring.mult_matrix_exact(f)
-        marr = np.zeros((dim, dim))
-        for j, col in enumerate(cols):
-            for i, c in col.items():
-                marr[i, j] = float(c)
+        marr = _float_matrix(ring.mult_matrix_exact(f))
         vals, vecs = np.linalg.eig(marr.T)
         scale = 1.0 + float(np.abs(vals).max(initial=0.0))
         repeated = False
@@ -975,12 +897,11 @@ def solve_argmax(
                 repeated = True
                 break
         if not repeated:
-            attempt_poly = f
             eigvals, eigvecs = vals, vecs
             break
         flags.append(
             "repeated eigenvalue for multiplication matrix of "
-            f"{attempt_poly_desc(f)}; retrying with a random linear form"
+            f"{f}; retrying with a random linear form"
         )
     if eigvals is None:
         raise NotZeroDimensionalError(
@@ -1039,7 +960,6 @@ def solve_argmax(
                 vectors=tuple(np.asarray(w) for w in vectors),
                 value=float(value),
                 residual=float(residual),
-                real=True,
             )
         )
     if degenerate:
@@ -1056,8 +976,6 @@ def solve_argmax(
         max_value=float(max_value),
         points=tuple(points),
         genericity_flags=tuple(flags),
+        timings=_stage_times(marks),
     )
 
-
-def attempt_poly_desc(f: RationalPoly) -> str:
-    return str(f)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algsolver, linalg, multiform, poweriter
-from .errors import NotAStateError, PreconditionViolatedError
+from .errors import NoConvergenceError, NotAStateError, PreconditionViolatedError
 from .linalg import Matrix
 from .multiform import MultilinearForm, RankOneForm
 
@@ -68,36 +68,37 @@ class EntanglementReport:
     sep_max: float          # max over product states of <rho, xx^T (x) yy^T>
 
 
-def _check_method(method: str) -> str:
+def _resolve_method(method: str, order: int) -> str:
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
-    return method
-
-
-def _resolve_method(method: str, order: int) -> str:
-    _check_method(method)
     if method == "auto":
         return "power" if order == 2 else "algebraic"
     return method
 
 
-def _max_only(form: MultilinearForm, method: str, seed: int) -> float:
-    method = _resolve_method(method, form.order)
-    if method == "power":
-        if form.order == 2:
-            return poweriter.bilinear_max(form, seed=seed).value
-        return poweriter.multilinear_iterate(form, seed=seed).value
-    return algsolver.solve_max(form).max_value
+def _bilinear_power(form: MultilinearForm, seed: int) -> poweriter.IterationResult:
+    """bilinear_max, raising when the run ended without converging: the
+    value of such a run is not the maximum."""
+    result = poweriter.bilinear_max(form, seed=seed)
+    if result.status is poweriter.Status.NON_CONVERGED:
+        raise NoConvergenceError(
+            f"power iteration did not converge in {result.iterations} iterations "
+            f"(residual {result.residual:.3e})"
+        )
+    return result
 
 
 def matrix_norm2(a: Matrix, method: str = "auto", seed: int = 0) -> float:
-    """First singular value of a, as the maximum of x^T a y over unit x, y."""
-    _check_method(method)
+    """First singular value of a, as the maximum of x^T a y over unit x, y.
+    Raises NoConvergenceError when the power method does not converge."""
+    method = _resolve_method(method, 2)
     entries = a.array
     if not np.any(entries):
         return 0.0
     form = MultilinearForm(dims=(a.rows, a.cols), coeffs=entries.reshape(-1))
-    return _max_only(form, method, seed)
+    if method == "power":
+        return _bilinear_power(form, seed).value
+    return algsolver.solve_max(form).max_value
 
 
 def closest_rank_one(
@@ -107,14 +108,15 @@ def closest_rank_one(
 
     The factors are the argmax of |l| over the product of spheres with signs
     arranged so l(factors) = +max_value; then ||l - phi||^2 =
-    ||l||^2 + 1 - 2*max_value.
+    ||l||^2 + 1 - 2*max_value.  A bilinear power run that does not converge
+    raises NoConvergenceError.
     """
     if not np.any(form.coeffs):
         raise ValueError("closest_rank_one needs a nonzero form")
     method = _resolve_method(method, form.order)
     if method == "power":
         if form.order == 2:
-            result = poweriter.bilinear_max(form, seed=seed)
+            result = _bilinear_power(form, seed)
             vectors = [np.asarray(v, dtype=float) for v in result.point]
         else:
             result = poweriter.multilinear_iterate(form, seed=seed)
@@ -174,11 +176,10 @@ def _separability_form(rho: DensityState) -> MultilinearForm:
 def separable_max(rho: DensityState, method: str = "auto", seed: int = 0) -> float:
     """max over product states xx^T (x) yy^T of <rho, ->, the separability
     bound: <rho, rho> <= separable_max(rho) whenever rho is separable."""
-    _check_method(method)
+    method = _resolve_method(method, 3)
     form = _separability_form(rho)
     if not np.any(form.coeffs):
         raise NotAStateError("state decomposed to zero (all eigenvalues dropped)")
-    method = _resolve_method(method, 3)
     if method == "power":
         # multistart, the 8 x 6 starts in one block: the maximum need not be
         # attractive

@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,24 +33,6 @@ FULL_BENCH_ROWS = DEFAULT_BENCH_ROWS + ((3, 3, 3),)
 
 class InputError(Exception):
     """Malformed input file or arguments; maps to exit code 1."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input_path: str = None
-    method: str = "auto"
-    chart: str = "sphere"
-    tol: float = poweriter.DEFAULT_TOL
-    max_iters: int = poweriter.DEFAULT_MAX_ITERS
-    seed: int = 0
-    budget_reductions: int = algsolver.DEFAULT_REDUCTION_BUDGET
-    output_path: str = None
-    emit_points: bool = False
-    force: bool = False
-    dims: tuple = ()
-    rows: tuple = ()
-    extra: dict = field(default_factory=dict)
 
 
 def _sig10(x: float) -> float:
@@ -141,14 +122,14 @@ def _parse_state(path: str) -> apps.DensityState:
         raise InputError(f"{path}: not a valid state: {exc}") from exc
 
 
-def _emit(report: dict, cfg: RunConfig):
+def _emit(report: dict, args):
     text = json.dumps(_jsonify(report), indent=2, sort_keys=True, allow_nan=False)
-    if cfg.output_path:
+    if args.out:
         try:
-            with open(cfg.output_path, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            raise InputError(f"cannot write {cfg.output_path}: {exc}") from exc
+            raise InputError(f"cannot write {args.out}: {exc}") from exc
     print(text)
 
 
@@ -163,25 +144,25 @@ def _points_json(points):
     ]
 
 
-def cmd_maximize(cfg: RunConfig) -> int:
-    form = _parse_form(cfg.input_path)
-    method = apps._resolve_method(cfg.method, form.order)
+def cmd_maximize(args) -> int:
+    form = _parse_form(args.input)
+    method = apps._resolve_method(args.method, form.order)
     t0 = time.perf_counter()
-    report = {"method": method, "chart": None, "flags": []}
+    report = {"method": method, "chart": None, "flags": [], "timings": {}}
     if method == "power":
         if form.order == 2:
             result = poweriter.bilinear_max(
-                form, seed=cfg.seed, tol=cfg.tol, max_iters=cfg.max_iters
+                form, seed=args.seed, tol=args.tol, max_iters=args.max_iters
             )
         else:
             result = poweriter.multilinear_iterate(
-                form, seed=cfg.seed, tol=cfg.tol, max_iters=cfg.max_iters
+                form, seed=args.seed, tol=args.tol, max_iters=args.max_iters
             )
         report["maxValue"] = result.value
         report["flags"] = [result.status.value]
         report["iterations"] = result.iterations
         report["residual"] = result.residual
-        if cfg.emit_points:
+        if args.points:
             report["points"] = [
                 {
                     "vectors": [[float(c) for c in v] for v in result.point],
@@ -190,77 +171,79 @@ def cmd_maximize(cfg: RunConfig) -> int:
                 }
             ]
     else:
-        report["chart"] = cfg.chart
-        if cfg.chart == "affine" or cfg.emit_points:
+        report["chart"] = args.chart
+        if args.chart == "affine" or args.points:
             solved = algsolver.solve_argmax(
                 form,
-                budget=cfg.budget_reductions,
-                force=cfg.force,
-                seed=cfg.seed,
+                budget=args.budget_reductions,
+                force=args.force,
+                seed=args.seed,
             )
         else:
-            solved = algsolver.solve_max(form, budget=cfg.budget_reductions)
+            solved = algsolver.solve_max(form, budget=args.budget_reductions)
         report["maxValue"] = solved.max_value
         report["quotientDim"] = solved.quotient_dim
         report["flags"] = list(solved.genericity_flags)
-        if cfg.emit_points:
+        report["timings"].update(solved.timings)
+        if args.points:
             report["points"] = _points_json(solved.points)
-    report["timings"] = {"total": time.perf_counter() - t0}
-    _emit(report, cfg)
+    report["timings"]["total"] = time.perf_counter() - t0
+    _emit(report, args)
     return EXIT_OK
 
 
-def cmd_count(cfg: RunConfig) -> int:
-    if len(cfg.dims) < 2:
+def cmd_count(args) -> int:
+    dims = tuple(args.dims)
+    if len(dims) < 2:
         raise InputError("count needs at least two slot dimensions")
-    if any(d < 1 for d in cfg.dims):
-        raise InputError(f"slot dimensions must be positive, got {cfg.dims}")
-    print(chowcount.count_extreme_classes(cfg.dims))
+    if any(d < 1 for d in dims):
+        raise InputError(f"slot dimensions must be positive, got {dims}")
+    print(chowcount.count_extreme_classes(dims))
     return EXIT_OK
 
 
-def cmd_rank1(cfg: RunConfig) -> int:
-    form = _parse_form(cfg.input_path)
+def cmd_rank1(args) -> int:
+    form = _parse_form(args.input)
     t0 = time.perf_counter()
     result = apps.closest_rank_one(
-        form, method=cfg.method, seed=cfg.seed, force=cfg.force
+        form, method=args.method, seed=args.seed, force=args.force
     )
     report = {
-        "method": apps._resolve_method(cfg.method, form.order),
+        "method": apps._resolve_method(args.method, form.order),
         "factors": [[float(c) for c in v] for v in result.factors.factors],
         "maxValue": result.max_value,
         "distance": result.distance,
         "timings": {"total": time.perf_counter() - t0},
     }
-    _emit(report, cfg)
+    _emit(report, args)
     return EXIT_OK
 
 
-def cmd_norm2(cfg: RunConfig) -> int:
-    matrix = _parse_matrix(cfg.input_path)
+def cmd_norm2(args) -> int:
+    matrix = _parse_matrix(args.input)
     t0 = time.perf_counter()
-    value = apps.matrix_norm2(matrix, method=cfg.method, seed=cfg.seed)
+    value = apps.matrix_norm2(matrix, method=args.method, seed=args.seed)
     report = {
-        "method": apps._resolve_method(cfg.method, 2),
+        "method": apps._resolve_method(args.method, 2),
         "norm2": value,
         "timings": {"total": time.perf_counter() - t0},
     }
-    _emit(report, cfg)
+    _emit(report, args)
     return EXIT_OK
 
 
-def cmd_separability(cfg: RunConfig) -> int:
-    state = _parse_state(cfg.input_path)
+def cmd_separability(args) -> int:
+    state = _parse_state(args.input)
     t0 = time.perf_counter()
-    result = apps.entanglement_check(state, method=cfg.method, seed=cfg.seed)
+    result = apps.entanglement_check(state, method=args.method, seed=args.seed)
     report = {
-        "method": apps._resolve_method(cfg.method, 3),
+        "method": apps._resolve_method(args.method, 3),
         "verdict": result.verdict,
         "selfOverlap": result.self_overlap,
         "sepMax": result.sep_max,
         "timings": {"total": time.perf_counter() - t0},
     }
-    _emit(report, cfg)
+    _emit(report, args)
     return EXIT_OK
 
 
@@ -279,24 +262,16 @@ def bench_row(dims, seed: int, budget: int) -> dict:
     form = _random_integer_form(dims, rng)
     row = {"dims": list(dims), "expectedClasses": chowcount.count_extreme_classes(dims)}
     try:
-        t0 = time.perf_counter()
-        system = algsolver.build_critical_system(form, chart="affine")
-        t1 = time.perf_counter()
-        gb = algsolver.groebner(system, budget=budget)
-        ns = algsolver.normal_set(gb)
-        t2 = time.perf_counter()
-        solved = algsolver.solve_argmax(
-            form, budget=budget, force=True, seed=seed, system=system, gb=gb, ns=ns
-        )
-        t3 = time.perf_counter()
+        solved = algsolver.solve_argmax(form, budget=budget, force=True, seed=seed)
+        t = solved.timings
         row.update(
             quotientDim=solved.quotient_dim,
             maxValue=solved.max_value,
             timings={
-                "systemBuild": t1 - t0,
-                "groebnerNormalSet": t2 - t1,
-                "eigen": t3 - t2,
-                "total": t3 - t0,
+                "systemBuild": t["system"],
+                "groebnerNormalSet": t["groebner"] + t["normalSet"],
+                "eigen": t["eigen"],
+                "total": sum(t.values()),
             },
         )
     except SphereMaxError as exc:
@@ -304,10 +279,10 @@ def bench_row(dims, seed: int, budget: int) -> dict:
     return row
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    rows = cfg.rows
-    report = {"seed": cfg.seed, "rows": [bench_row(d, cfg.seed, cfg.budget_reductions) for d in rows]}
-    _emit(report, cfg)
+def cmd_bench(args) -> int:
+    rows = _parse_bench_rows(args.rows, args.full)
+    report = {"seed": args.seed, "rows": [bench_row(d, args.seed, args.budget_reductions) for d in rows]}
+    _emit(report, args)
     for row in report["rows"]:
         dims = "x".join(str(d) for d in row["dims"])
         if "error" in row:
@@ -396,27 +371,6 @@ def _default_seed() -> int:
         raise InputError(f"SPHEREMAX_SEED={raw!r} is not an integer") from exc
 
 
-def _config_from_args(args) -> RunConfig:
-    seed = args.seed if getattr(args, "seed", None) is not None else _default_seed()
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        method=getattr(args, "method", "auto"),
-        chart=getattr(args, "chart", "sphere"),
-        tol=getattr(args, "tol", poweriter.DEFAULT_TOL),
-        max_iters=getattr(args, "max_iters", poweriter.DEFAULT_MAX_ITERS),
-        seed=seed,
-        budget_reductions=getattr(args, "budget_reductions", algsolver.DEFAULT_REDUCTION_BUDGET),
-        output_path=getattr(args, "out", None),
-        emit_points=getattr(args, "points", False),
-        force=getattr(args, "force", False),
-        dims=tuple(getattr(args, "dims", ()) or ()),
-        rows=_parse_bench_rows(getattr(args, "rows", None), getattr(args, "full", False))
-        if args.command == "bench"
-        else (),
-    )
-
-
 _COMMANDS = {
     "maximize": cmd_maximize,
     "count": cmd_count,
@@ -434,8 +388,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse has printed the usage or --help
         return EXIT_OK if exc.code == 0 else EXIT_IO
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[cfg.command](cfg)
+        if getattr(args, "seed", None) is None:
+            args.seed = _default_seed()
+        return _COMMANDS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -13,10 +13,6 @@ class NotSymmetricError(SphereMaxError):
     pass
 
 
-class NotPSDError(SphereMaxError):
-    pass
-
-
 class NoConvergenceError(SphereMaxError):
     pass
 

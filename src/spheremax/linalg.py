@@ -1,9 +1,9 @@
-"""Dense linear-algebra kernel.
+"""Dense matrices at the library boundary.
 
-Thin contracts over LAPACK (via numpy) for the nonsymmetric and symmetric
-eigenproblems and the SVD, plus a hand-rolled semidefinite Cholesky.  Only
-the residual contracts are normative; the factorization backends are an
-implementation detail.
+``Matrix`` is the immutable matrix type of the 2-norm input, the density
+states and ``mult_matrix``'s output.  ``eig_symmetric`` checks symmetry
+before the spectral decomposition that builds the separability form.  All
+other dense steps call numpy directly.
 """
 
 from __future__ import annotations
@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NoConvergenceError,
-    NotPSDError,
-    NotSymmetricError,
-)
+from .errors import DimensionMismatchError, NotSymmetricError
 
 
 @dataclass(frozen=True)
@@ -49,36 +44,6 @@ class Matrix:
         return self.entries.reshape(self.rows, self.cols)
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Right eigenpairs, eigenvectors unit 2-norm, sorted by descending
-    magnitude of the eigenvalue (ties: descending real, then imaginary)."""
-
-    eigenvalues: tuple
-    eigenvectors: tuple
-
-
-def _eig_sort_key(lam: complex):
-    return (-abs(lam), -lam.real, -lam.imag)
-
-
-def eig_general(m: Matrix) -> EigenDecomposition:
-    """Full nonsymmetric eigendecomposition of a square matrix."""
-    a = m.array
-    if m.rows != m.cols:
-        raise DimensionMismatchError("eig_general requires a square matrix")
-    try:
-        vals, vecs = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(str(exc)) from exc
-    order = sorted(range(len(vals)), key=lambda i: _eig_sort_key(complex(vals[i])))
-    eigenvalues = tuple(complex(vals[i]) for i in order)
-    eigenvectors = tuple(
-        vecs[:, i] / np.linalg.norm(vecs[:, i]) for i in order
-    )
-    return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
-
-
 def eig_symmetric(m: Matrix, asym_tol: float = 1e-12):
     """Spectral decomposition of a symmetric matrix.
 
@@ -95,40 +60,3 @@ def eig_symmetric(m: Matrix, asym_tol: float = 1e-12):
     order = np.argsort(-vals)
     return vals[order], vecs[:, order]
 
-
-def svd(m: Matrix):
-    """Singular value decomposition M = U diag(s) V^T, s descending."""
-    try:
-        u, s, vt = np.linalg.svd(m.array, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(str(exc)) from exc
-    return u, s, vt.T
-
-
-def cholesky(m: Matrix, pivot_tol: float = 1e-12, neg_tol: float = 1e-10) -> Matrix:
-    """Cholesky factor of a symmetric positive-semidefinite matrix.
-
-    Returns lower-triangular L with L L^T = M.  Semidefinite inputs are
-    handled by zeroing columns whose pivot falls below ``pivot_tol`` (scaled);
-    a pivot below ``-neg_tol`` (scaled) raises :class:`NotPSDError`.
-    """
-    a = m.array
-    if m.rows != m.cols:
-        raise DimensionMismatchError("cholesky requires a square matrix")
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    if float(np.abs(a - a.T).max(initial=0.0)) > 1e-10 * scale:
-        raise NotSymmetricError("matrix is not symmetric within tolerance")
-    n = m.rows
-    L = np.zeros((n, n))
-    work = a.copy()
-    for k in range(n):
-        pivot = work[k, k] - np.dot(L[k, :k], L[k, :k])
-        if pivot < -neg_tol * scale:
-            raise NotPSDError(f"negative pivot {pivot} at index {k}")
-        if pivot <= pivot_tol * scale:
-            # semidefinite: the rest of this column must be (numerically) zero
-            continue
-        L[k, k] = np.sqrt(pivot)
-        for i in range(k + 1, n):
-            L[i, k] = (work[i, k] - np.dot(L[i, :k], L[k, :k])) / L[k, k]
-    return Matrix.from_array(L)

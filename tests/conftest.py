@@ -7,7 +7,7 @@ critical-point enumeration, the counting formula) before being asserted here.
 import numpy as np
 import pytest
 
-from spheremax import DensityState, Matrix, MultilinearForm
+from spheremax import DensityState, IterationResult, Matrix, MultilinearForm, Status
 
 # Trilinear form on S^1 x S^1 x S^1 whose maximum is NOT attractive for the
 # joint power iteration; its six critical values (up to sign) are known.
@@ -119,3 +119,9 @@ def sign_aligned_error(got, expected):
     return min(
         float(np.abs(got - expected).max()), float(np.abs(got + expected).max())
     )
+
+
+def non_converged_bilinear_max(form, seed=0, **_):
+    """Stand-in for poweriter.bilinear_max: a run that hit its cap."""
+    point = tuple(np.eye(d)[0] for d in form.dims)
+    return IterationResult(point, 0.5, 100_000, Status.NON_CONVERGED, 1e-3)

@@ -20,13 +20,19 @@ from spheremax import (
     mult_matrix,
     normal_set,
     rationalize,
-    reduce_poly,
-    s_polynomial,
     solve_argmax,
     solve_max,
     verify_buchberger_certificate,
 )
-from spheremax.algsolver import form_polynomial, grevlex_key
+from spheremax.algsolver import (
+    QuotientRing,
+    _Budget,
+    _normal_form,
+    _spoly,
+    _to_integer_primitive,
+    form_polynomial,
+    grevlex_key,
+)
 
 from conftest import (
     TRILINEAR_CRITICAL_VALUES,
@@ -163,13 +169,13 @@ def test_groebner_certificate_small_systems():
 
 
 def test_spolynomial_cancels_leading_terms():
-    v = ("x", "y")
-    f = _poly(v, {(2, 0): 2, (0, 1): 1})
-    g = _poly(v, {(1, 1): 3, (1, 0): 1})
-    s = s_polynomial(f, g)
+    # the integer S-polynomial that Buchberger's algorithm uses
+    f = {(2, 0): 2, (0, 1): 1}
+    g = {(1, 1): 3, (1, 0): 1}
+    s = _spoly((2, 0), f, (1, 1), g)
     lcm = (2, 1)
-    assert lcm not in s.terms
-    assert all(grevlex_key(m) < grevlex_key(lcm) for m in s.terms)
+    assert lcm not in s
+    assert all(grevlex_key(m) < grevlex_key(lcm) for m in s)
 
 
 def test_reduce_poly_exact_and_idempotent():
@@ -179,13 +185,30 @@ def test_reduce_poly_exact_and_idempotent():
         _poly(v, {(0, 1): 1, (1, 0): -1}),   # y = x
     ])
     gb = groebner(sys_)
-    p = _poly(v, {(3, 1): 1})  # x^3 y -> x^4 -> 4
-    nf = reduce_poly(p, gb)
-    assert nf.terms == {(0, 0): 4}
+    ns = normal_set(gb)
+    ring = QuotientRing(gb, ns)
+    # x^3 y -> x^4 -> 4, in the memoized quotient-ring loop ...
+    assert ring.monomial_vector((3, 1)) == {ns.monomials.index((0, 0)): 4}
+    # ... and in the integer loop Buchberger reduces with
+    reducers = []
+    for b in gb.basis:
+        ints = _to_integer_primitive(b.terms)
+        lm = max(ints, key=grevlex_key)
+        reducers.append((lm, ints[lm], {m: c for m, c in ints.items() if m != lm}))
+    budget = _Budget(10**6)
+    nf = _normal_form({(3, 1): 1}, reducers, budget)
+    assert nf == {(0, 0): 1}  # 4, up to a positive scalar
     # basis elements reduce to zero; normal forms are fixed points
     for b in gb.basis:
-        assert reduce_poly(b, gb).is_zero()
-    assert reduce_poly(nf, gb).terms == nf.terms
+        assert _normal_form(_to_integer_primitive(b.terms), reducers, budget) == {}
+        total = {}
+        for m, c in b.terms.items():
+            for k, x in ring.monomial_vector(m).items():
+                total[k] = total.get(k, 0) + c * x
+        assert all(x == 0 for x in total.values())
+    assert _normal_form(nf, reducers, budget) == nf
+    for i, m in enumerate(ns.monomials):
+        assert ring.monomial_vector(m) == {i: 1}
 
 
 def test_budget_exceeded_raises():
@@ -266,6 +289,28 @@ def test_solve_max_trilinear_instance(trilinear_form):
     )
     for cv in TRILINEAR_CRITICAL_VALUES:
         assert any(abs(cv - r) < 1e-5 for r in reals)
+
+
+def test_solve_max_sparse_trilinear_form():
+    # 1 at x1 y1 z1 and 2 at x2 y2 z2: critical points with a zero first
+    # coordinate, which the x_1 = 1 chart cannot see, carry the maximum
+    coeffs = np.zeros(8)
+    coeffs[0], coeffs[7] = 1.0, 2.0
+    report = solve_max(MultilinearForm(dims=(2, 2, 2), coeffs=coeffs))
+    assert report.max_value == pytest.approx(2.0, abs=1e-9)
+    assert not report.genericity_flags
+
+
+def test_solve_max_diagonal_matrix():
+    report = solve_max(MultilinearForm(dims=(2, 2), coeffs=[3, 0, 0, 2]))
+    assert report.max_value == pytest.approx(3.0, abs=1e-9)
+
+
+def test_solve_reports_stage_times(trilinear_form):
+    stages = {"system", "groebner", "normalSet", "eigen"}
+    for report in (solve_max(trilinear_form), solve_argmax(trilinear_form)):
+        assert set(report.timings) == stages
+        assert all(t >= 0.0 for t in report.timings.values())
 
 
 def test_solve_argmax_quadlinear_instance(quadlinear_form):

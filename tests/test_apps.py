@@ -9,6 +9,7 @@ from spheremax import (
     DensityState,
     Matrix,
     MultilinearForm,
+    NoConvergenceError,
     NotAStateError,
     NotZeroDimensionalError,
     RankOneForm,
@@ -16,6 +17,7 @@ from spheremax import (
     entanglement_check,
     form_norm,
     matrix_norm2,
+    poweriter,
     rank_one_to_form,
     self_overlap,
     separable_max,
@@ -29,6 +31,7 @@ from conftest import (
     STATE_ENTANGLED_OVERLAP,
     STATE_ENTANGLED_SEPMAX,
     STATE_SEPARABLE_SEPMAX,
+    non_converged_bilinear_max,
     random_form,
     sign_aligned_error,
 )
@@ -56,6 +59,18 @@ def test_norm2_tied_singular_values():
         got = matrix_norm2(Matrix.from_array(np.eye(n)), method="power")
         assert time.perf_counter() - t0 < 1.0
         assert abs(got - 1.0) <= 1e-12
+
+
+def test_norm2_power_not_converged_raises(matrix_4x3, monkeypatch):
+    monkeypatch.setattr(poweriter, "bilinear_max", non_converged_bilinear_max)
+    with pytest.raises(NoConvergenceError):
+        matrix_norm2(matrix_4x3, method="power")
+
+
+def test_rank_one_bilinear_power_not_converged_raises(form_3x2, monkeypatch):
+    monkeypatch.setattr(poweriter, "bilinear_max", non_converged_bilinear_max)
+    with pytest.raises(NoConvergenceError):
+        closest_rank_one(form_3x2, method="power")
 
 
 def test_norm2_rejects_bad_method(matrix_4x3):

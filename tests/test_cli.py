@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from spheremax import cli
+from spheremax import cli, poweriter
 from spheremax.algsolver import SolveReport
 from spheremax.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER
 
@@ -19,6 +19,7 @@ from conftest import (
     STATE_ENTANGLED_SEPMAX,
     TRILINEAR_COEFFS,
     TRILINEAR_MAX,
+    non_converged_bilinear_max,
 )
 
 
@@ -248,3 +249,20 @@ def test_iteration_options_only_on_maximize(capsys, matrix_file, command):
     assert "unrecognized arguments" in capsys.readouterr().err
     code = cli.main([command, matrix_file, "--tol", "1e-9"])
     assert code == EXIT_IO
+
+
+def test_norm2_power_not_converged_is_solver_error(capsys, matrix_file, monkeypatch):
+    monkeypatch.setattr(poweriter, "bilinear_max", non_converged_bilinear_max)
+    code = cli.main(["norm2", matrix_file, "--method", "power"])
+    captured = capsys.readouterr()
+    assert code == EXIT_SOLVER
+    assert captured.out == ""
+    assert "NoConvergenceError" in captured.err
+
+
+def test_maximize_algebraic_reports_stage_times(capsys, trilinear_file):
+    code, out = _run(capsys, ["maximize", trilinear_file, "--method", "algebraic"])
+    assert code == EXIT_OK
+    timings = json.loads(out)["timings"]
+    assert set(timings) == {"system", "groebner", "normalSet", "eigen", "total"}
+    assert sum(timings[k] for k in timings if k != "total") <= timings["total"]

@@ -3,15 +3,7 @@
 import numpy as np
 import pytest
 
-from spheremax import (
-    Matrix,
-    NotPSDError,
-    NotSymmetricError,
-    cholesky,
-    eig_general,
-    eig_symmetric,
-    svd,
-)
+from spheremax import Matrix, NotSymmetricError, eig_symmetric
 
 
 def test_matrix_roundtrip():
@@ -45,58 +37,3 @@ def test_eig_symmetric_roundtrip_random():
         vals, vecs = eig_symmetric(Matrix.from_array(a))
         assert np.allclose(vals, lam, atol=1e-10)
         assert np.allclose(vecs @ np.diag(vals) @ vecs.T, a, atol=1e-10)
-
-
-def test_eig_general_sorted_by_magnitude():
-    m = Matrix.from_array(np.array([[0.0, -2.0], [2.0, 0.0]]))
-    dec = eig_general(m)
-    mags = [abs(v) for v in dec.eigenvalues]
-    assert mags == sorted(mags, reverse=True)
-    got = sorted(dec.eigenvalues, key=lambda z: z.imag)
-    assert got[0] == pytest.approx(-2j, abs=1e-12)
-    assert got[1] == pytest.approx(2j, abs=1e-12)
-
-
-def test_eig_general_eigenpairs_random():
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        n = int(rng.integers(2, 6))
-        a = rng.standard_normal((n, n))
-        dec = eig_general(Matrix.from_array(a))
-        for lam, v in zip(dec.eigenvalues, dec.eigenvectors):
-            v = np.asarray(v)
-            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-            assert np.abs(a @ v - lam * v).max() < 1e-8 * (1 + np.abs(a).max())
-
-
-def test_svd_reconstruction_random():
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        r = int(rng.integers(2, 7))
-        c = int(rng.integers(2, 7))
-        a = rng.standard_normal((r, c))
-        u, s, v = svd(Matrix.from_array(a))
-        approx = u @ np.diag(s) @ v.T
-        assert np.abs(approx - a).max() < 1e-10 * (1 + np.abs(a).max())
-        assert list(s) == sorted(s, reverse=True)
-        assert all(x >= 0 for x in s)
-
-
-def test_cholesky_roundtrip_and_psd_check():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        n = int(rng.integers(2, 6))
-        b = rng.standard_normal((n, n))
-        a = b @ b.T
-        l = cholesky(Matrix.from_array(a)).array
-        assert np.allclose(l @ l.T, a, atol=1e-9 * (1 + np.abs(a).max()))
-    with pytest.raises(NotPSDError):
-        cholesky(Matrix.from_array(np.array([[1.0, 0.0], [0.0, -1.0]])))
-
-
-def test_cholesky_semidefinite():
-    # rank-deficient PSD input must still factor
-    v = np.array([[1.0], [2.0], [-1.0]])
-    a = v @ v.T
-    l = cholesky(Matrix.from_array(a)).array
-    assert np.allclose(l @ l.T, a, atol=1e-12)
