@@ -34,7 +34,6 @@ from .apps import (
 )
 from .chowcount import (
     MultidegreeProfile,
-    TruncatedClassPolynomial,
     count_extreme_classes,
     count_fixed_points,
     gradient_profile,
@@ -44,13 +43,12 @@ from .errors import (
     DimensionMismatchError,
     NoConvergenceError,
     NotAStateError,
-    NotSymmetricError,
     NotZeroDimensionalError,
     PreconditionViolatedError,
     SphereMaxError,
     ZeroGradientError,
 )
-from .linalg import Matrix, eig_symmetric
+from .linalg import Matrix
 from .multiform import (
     MultilinearForm,
     MultilinearMap,
@@ -88,7 +86,6 @@ __all__ = [
     "NoConvergenceError",
     "NormalSet",
     "NotAStateError",
-    "NotSymmetricError",
     "NotZeroDimensionalError",
     "PolySystem",
     "PreconditionViolatedError",
@@ -98,7 +95,6 @@ __all__ = [
     "SolveReport",
     "SphereMaxError",
     "Status",
-    "TruncatedClassPolynomial",
     "ZeroGradientError",
     "bilinear_max",
     "build_critical_system",
@@ -106,7 +102,6 @@ __all__ = [
     "closest_rank_one",
     "count_extreme_classes",
     "count_fixed_points",
-    "eig_symmetric",
     "entanglement_check",
     "evaluate",
     "flatten",

@@ -785,7 +785,6 @@ def _stage_times(marks) -> dict:
 def solve_max(
     form: MultilinearForm,
     budget: int = DEFAULT_REDUCTION_BUDGET,
-    realness_tol: float = REALNESS_TOL,
 ) -> SolveReport:
     """Certified maximum of |l| over the product of spheres (sphere-chart
     pipeline of the eigenvalue method).
@@ -802,7 +801,7 @@ def solve_max(
     real = [
         lam.real
         for lam in eigenvalues
-        if abs(lam.imag) <= realness_tol * (1.0 + abs(lam))
+        if abs(lam.imag) <= REALNESS_TOL * (1.0 + abs(lam))
     ]
     if not real:
         flags.append("no real eigenvalues within tolerance")
@@ -829,8 +828,6 @@ def _check_dimension_inequality(dims) -> bool:
 def solve_argmax(
     form: MultilinearForm,
     budget: int = DEFAULT_REDUCTION_BUDGET,
-    realness_tol: float = REALNESS_TOL,
-    residual_tol: float = RESIDUAL_TOL,
     force: bool = False,
     seed: int = 0,
 ) -> SolveReport:
@@ -941,7 +938,7 @@ def solve_argmax(
             for t, var in enumerate(svars[1:], start=1):
                 vec[t] = coords[var]
             norm = np.linalg.norm(vec)
-            if abs(vec.imag).max() > realness_tol * (1.0 + norm):
+            if abs(vec.imag).max() > REALNESS_TOL * (1.0 + norm):
                 ok = False
                 break
             vectors.append(vec.real / np.linalg.norm(vec.real))
@@ -950,7 +947,7 @@ def solve_argmax(
         vectors = multiform.canonical_signs(vectors)
         value = multiform.evaluate(form, vectors)
         residual = _point_residual(form, vectors)
-        if residual > residual_tol * (1.0 + abs(value)):
+        if residual > RESIDUAL_TOL * (1.0 + abs(value)):
             flags.append(
                 f"discarded point with residual {residual:.3e} above tolerance"
             )

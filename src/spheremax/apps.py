@@ -4,6 +4,10 @@ Three consumers of the solver modules: the matrix 2-norm (first singular
 value as the maximum of the bilinear form x^T A y), the closest unit rank-one
 tensor (from the argmax of |l|), and the separable-state maximum for a
 bipartite density matrix with its one-sided entanglement criterion.
+
+The power method of the two r >= 3 applications is a multistart of the
+monotone Gauss-Seidel ascent (``poweriter._ascend``): they need only the
+maximum, and the paper's joint iteration typically oscillates there.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algsolver, linalg, multiform, poweriter
+from . import algsolver, multiform, poweriter
 from .errors import NoConvergenceError, NotAStateError, PreconditionViolatedError
 from .linalg import Matrix
 from .multiform import MultilinearForm, RankOneForm
@@ -21,6 +25,9 @@ from .multiform import MultilinearForm, RankOneForm
 _EIGENVALUE_DROP = 1e-12
 _ENTANGLEMENT_MARGIN = 1e-9
 _METHODS = ("algebraic", "power", "auto")
+# Gauss-Seidel starts of the r >= 3 power method: its maximum need not
+# attract every start
+_ASCENTS = 48
 
 
 @dataclass(frozen=True)
@@ -108,8 +115,9 @@ def closest_rank_one(
 
     The factors are the argmax of |l| over the product of spheres with signs
     arranged so l(factors) = +max_value; then ||l - phi||^2 =
-    ||l||^2 + 1 - 2*max_value.  A bilinear power run that does not converge
-    raises NoConvergenceError.
+    ||l||^2 + 1 - 2*max_value.  For r >= 3 the power method takes the best
+    of _ASCENTS Gauss-Seidel ascents; a bilinear power run that does not
+    converge raises NoConvergenceError.
     """
     if not np.any(form.coeffs):
         raise ValueError("closest_rank_one needs a nonzero form")
@@ -119,8 +127,7 @@ def closest_rank_one(
             result = _bilinear_power(form, seed)
             vectors = [np.asarray(v, dtype=float) for v in result.point]
         else:
-            result = poweriter.multilinear_iterate(form, seed=seed)
-            vectors = poweriter._polish(form, [result.point])[0]
+            vectors = list(poweriter._ascend(form, seed, _ASCENTS).point)
     else:
         report = algsolver.solve_argmax(form, force=force, seed=seed)
         if not report.points:
@@ -162,10 +169,12 @@ def _separability_form(rho: DensityState) -> MultilinearForm:
     Its maximum over the three spheres is the square root of the separable
     maximum max over product states of <rho, xx^T (x) yy^T>.
     """
-    vals, vecs = linalg.eig_symmetric(rho.matrix)
+    a = rho.matrix.array
+    vals, vecs = np.linalg.eigh(0.5 * (a + a.T))  # DensityState checked symmetry
+    order = np.argsort(-vals)
     da, db = rho.dim_a, rho.dim_b
     tensor = np.zeros((da, db, da * db))
-    for lam, v in zip(vals, vecs.T):
+    for lam, v in zip(vals[order], vecs.T[order]):
         if lam < _EIGENVALUE_DROP:
             continue
         tensor += math.sqrt(lam) * np.multiply.outer(v.reshape(da, db), v)
@@ -175,23 +184,14 @@ def _separability_form(rho: DensityState) -> MultilinearForm:
 
 def separable_max(rho: DensityState, method: str = "auto", seed: int = 0) -> float:
     """max over product states xx^T (x) yy^T of <rho, ->, the separability
-    bound: <rho, rho> <= separable_max(rho) whenever rho is separable."""
+    bound: <rho, rho> <= separable_max(rho) whenever rho is separable.  The
+    power method takes the best of _ASCENTS Gauss-Seidel ascents."""
     method = _resolve_method(method, 3)
     form = _separability_form(rho)
     if not np.any(form.coeffs):
         raise NotAStateError("state decomposed to zero (all eigenvalues dropped)")
     if method == "power":
-        # multistart, the 8 x 6 starts in one block: the maximum need not be
-        # attractive
-        results = poweriter._run_with_restarts(
-            form,
-            [seed + 101 * k for k in range(8)],
-            poweriter.DEFAULT_TOL,
-            poweriter.DEFAULT_MAX_ITERS,
-            poweriter.DEFAULT_RESTARTS,
-        )
-        polished = poweriter._polish(form, [r.point for r in results])
-        return max(abs(multiform.evaluate(form, vecs)) for vecs in polished) ** 2
+        return poweriter._ascend(form, seed, _ASCENTS).value ** 2
     # Affine chart: its quotient has one point per extreme class (the sphere
     # chart multiplies the quotient dimension by 8 here and is far slower).
     # The z slot has the largest dimension, so the dimension-inequality

@@ -4,8 +4,10 @@ tuples) of a generic multilinear form.
 
 Arithmetic happens in the truncated integer polynomial ring
 Z[a_1, ..., a_k] / (a_1^{n_1+1}, ..., a_k^{n_k+1}): the Chow ring of the
-product of projective spaces.  The number of fixed points of a map with
-multidegree matrix (d_ij) is the coefficient of a_1^{n_1} ... a_k^{n_k} in
+product of projective spaces, whose elements are held as dicts from exponent
+tuples (e_1, ..., e_k), e_i <= n_i, to integers.  The number of fixed points
+of a map with multidegree matrix (d_ij) is the coefficient of
+a_1^{n_1} ... a_k^{n_k} in
 
     prod_j  sum_{i=0}^{n_j} (d_j1 a_1 + ... + d_jk a_k)^{n_j - i} a_j^i
 
@@ -23,103 +25,6 @@ from .errors import DimensionMismatchError
 
 
 @dataclass(frozen=True)
-class TruncatedClassPolynomial:
-    """Element of Z[a_1..a_k]/(a_i^{n_i+1}); coeffs maps exponent tuples
-    (e_1..e_k), e_i <= n_i, to integers."""
-
-    factor_dims: tuple
-    coeffs: dict
-
-    def __post_init__(self):
-        dims = tuple(int(n) for n in self.factor_dims)
-        if any(n < 0 for n in dims):
-            raise DimensionMismatchError(f"factor dims must be >= 0, got {dims}")
-        clean = {}
-        for exps, c in self.coeffs.items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != len(dims):
-                raise DimensionMismatchError(
-                    f"exponent tuple {exps} has wrong arity for dims {dims}"
-                )
-            if any(e < 0 for e in exps):
-                raise DimensionMismatchError(f"negative exponent in {exps}")
-            c = int(c)
-            if c and all(e <= n for e, n in zip(exps, dims)):
-                clean[exps] = clean.get(exps, 0) + c
-        object.__setattr__(self, "factor_dims", dims)
-        object.__setattr__(self, "coeffs", {e: c for e, c in clean.items() if c})
-
-    @classmethod
-    def zero(cls, factor_dims) -> "TruncatedClassPolynomial":
-        return cls(tuple(factor_dims), {})
-
-    @classmethod
-    def one(cls, factor_dims) -> "TruncatedClassPolynomial":
-        k = len(factor_dims)
-        return cls(tuple(factor_dims), {(0,) * k: 1})
-
-    @classmethod
-    def variable(cls, factor_dims, index: int) -> "TruncatedClassPolynomial":
-        """The hyperplane class a_{index} (0-based factor index)."""
-        k = len(factor_dims)
-        exps = tuple(1 if i == index else 0 for i in range(k))
-        return cls(tuple(factor_dims), {exps: 1})
-
-    def coefficient(self, exps) -> int:
-        return self.coeffs.get(tuple(exps), 0)
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return TruncatedClassPolynomial(self.factor_dims, out)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return TruncatedClassPolynomial(
-                self.factor_dims, {e: c * other for e, c in self.coeffs.items()}
-            )
-        return class_mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, p: int):
-        if p < 0:
-            raise ValueError("negative power")
-        result = TruncatedClassPolynomial.one(self.factor_dims)
-        base = self
-        while p:
-            if p & 1:
-                result = result * base
-            base = base * base if p > 1 else base
-            p >>= 1
-        return result
-
-    def _check(self, other):
-        if self.factor_dims != other.factor_dims:
-            raise DimensionMismatchError(
-                f"factor dims {self.factor_dims} != {other.factor_dims}"
-            )
-
-
-def class_mul(
-    a: TruncatedClassPolynomial, b: TruncatedClassPolynomial
-) -> TruncatedClassPolynomial:
-    """Product in the truncated ring; exponents exceeding n_i are dropped."""
-    a._check(b)
-    dims = a.factor_dims
-    out = {}
-    for ea, ca in a.coeffs.items():
-        for eb, cb in b.coeffs.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            if any(x > n for x, n in zip(e, dims)):
-                continue
-            out[e] = out.get(e, 0) + ca * cb
-    return TruncatedClassPolynomial(dims, out)
-
-
-@dataclass(frozen=True)
 class MultidegreeProfile:
     """Dimensions (n_1..n_k) of the projective factors and the k x k
     multidegree matrix of the self-map (row j = multidegree of F_j)."""
@@ -131,6 +36,8 @@ class MultidegreeProfile:
         dims = tuple(int(n) for n in self.dims)
         degs = tuple(tuple(int(d) for d in row) for row in self.degrees)
         k = len(dims)
+        if any(n < 0 for n in dims):
+            raise DimensionMismatchError(f"factor dims must be >= 0, got {dims}")
         if len(degs) != k or any(len(row) != k for row in degs):
             raise DimensionMismatchError(
                 f"degree matrix must be {k}x{k} for dims {dims}"
@@ -145,30 +52,38 @@ class MultidegreeProfile:
         return len(self.dims)
 
 
+def _product(a: dict, b: dict, dims) -> dict:
+    """Product in the truncated ring; exponents exceeding n_i are dropped."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if all(x <= n for x, n in zip(e, dims)):
+                out[e] = out.get(e, 0) + ca * cb
+    return out
+
+
 def count_fixed_points(profile: MultidegreeProfile) -> int:
     """Number of fixed points (over C) of a generic self-map with the given
     multidegree profile."""
     dims = profile.dims
-    total = TruncatedClassPolynomial.one(dims)
-    for j in range(profile.k):
-        linear = TruncatedClassPolynomial.zero(dims)
-        for l, d in enumerate(profile.degrees[j]):
-            if d:
-                linear = linear + d * TruncatedClassPolynomial.variable(dims, l)
-        aj = TruncatedClassPolynomial.variable(dims, j)
-        # G_j = sum_{i=0}^{n_j} linear^{n_j - i} * a_j^i
-        power = TruncatedClassPolynomial.one(dims)  # linear^0
-        terms = [power]
-        for _ in range(dims[j]):
-            power = power * linear
-            terms.append(power)
-        gj = TruncatedClassPolynomial.zero(dims)
-        ai = TruncatedClassPolynomial.one(dims)
-        for i in range(dims[j] + 1):
-            gj = gj + terms[dims[j] - i] * ai
-            ai = ai * aj
-        total = total * gj
-    return total.coefficient(dims)
+    k = profile.k
+
+    def monomial(j, e):  # a_j^e
+        return tuple(e if i == j else 0 for i in range(k))
+
+    total = {(0,) * k: 1}
+    for j, row in enumerate(profile.degrees):
+        linear = {monomial(l, 1): d for l, d in enumerate(row) if d}
+        # G_j = sum_{i=0}^{n_j} linear^{n_j - i} a_j^i by Horner's rule:
+        # G <- G * linear + a_j^m for m = 1, ..., n_j
+        gj = {(0,) * k: 1}
+        for m in range(1, dims[j] + 1):
+            gj = _product(gj, linear, dims)
+            e = monomial(j, m)
+            gj[e] = gj.get(e, 0) + 1
+        total = _product(total, gj, dims)
+    return total.get(dims, 0)
 
 
 def gradient_profile(form_dims) -> MultidegreeProfile:

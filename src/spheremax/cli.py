@@ -171,8 +171,9 @@ def cmd_maximize(args) -> int:
                 }
             ]
     else:
-        report["chart"] = args.chart
-        if args.chart == "affine" or args.points:
+        # points come from the affine chart, the maximum alone from the sphere
+        report["chart"] = "affine" if args.points else "sphere"
+        if args.points:
             solved = algsolver.solve_argmax(
                 form,
                 budget=args.budget_reductions,
@@ -321,9 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", help="input JSON file")
+    def add_budget(p):
+        p.add_argument("--budget-reductions", type=int, default=algsolver.DEFAULT_REDUCTION_BUDGET)
+
+    def add_force(p):
+        p.add_argument("--force", action="store_true", help="override solver preconditions")
+
+    def add_common(p):
+        p.add_argument("input", help="input JSON file")
         p.add_argument(
             "--method",
             choices=("algebraic", "power", "auto"),
@@ -331,22 +337,22 @@ def build_parser() -> argparse.ArgumentParser:
             help="solver (auto: power for bilinear, algebraic otherwise)",
         )
         p.add_argument("--seed", type=int, default=None, help="RNG seed (default: $SPHEREMAX_SEED or 0)")
-        p.add_argument("--budget-reductions", type=int, default=algsolver.DEFAULT_REDUCTION_BUDGET)
-        p.add_argument("--force", action="store_true", help="override solver preconditions")
         p.add_argument("--out", default=None, help="also write the JSON report to this file")
 
     p = sub.add_parser("maximize", help="maximum of |form| over the sphere product")
     add_common(p)
+    add_budget(p)
+    add_force(p)
     p.add_argument("--tol", type=float, default=poweriter.DEFAULT_TOL)
     p.add_argument("--max-iters", type=int, default=poweriter.DEFAULT_MAX_ITERS)
-    p.add_argument("--chart", choices=("sphere", "affine"), default="sphere")
-    p.add_argument("--points", action="store_true", help="include critical points in the report")
+    p.add_argument("--points", action="store_true", help="include critical points (affine chart)")
 
     p = sub.add_parser("count", help="number of extreme-point classes (exact)")
     p.add_argument("dims", type=int, nargs="+", help="slot dimensions, e.g. 3 3 3")
 
     p = sub.add_parser("rank1", help="closest unit rank-one form")
     add_common(p)
+    add_force(p)
 
     p = sub.add_parser("norm2", help="matrix 2-norm (first singular value)")
     add_common(p)
@@ -358,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", nargs="*", default=None, help='rows like "2,2,3" (empty for none)')
     p.add_argument("--full", action="store_true", help="include the 3,3,3 row")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--budget-reductions", type=int, default=algsolver.DEFAULT_REDUCTION_BUDGET)
+    add_budget(p)
     p.add_argument("--out", default=None)
     return parser
 

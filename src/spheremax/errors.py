@@ -9,10 +9,6 @@ class DimensionMismatchError(SphereMaxError):
     pass
 
 
-class NotSymmetricError(SphereMaxError):
-    pass
-
-
 class NoConvergenceError(SphereMaxError):
     pass
 

@@ -1,9 +1,8 @@
 """Dense matrices at the library boundary.
 
 ``Matrix`` is the immutable matrix type of the 2-norm input, the density
-states and ``mult_matrix``'s output.  ``eig_symmetric`` checks symmetry
-before the spectral decomposition that builds the separability form.  All
-other dense steps call numpy directly.
+states and ``mult_matrix``'s output.  Every dense step calls numpy
+directly.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotSymmetricError
+from .errors import DimensionMismatchError
 
 
 @dataclass(frozen=True)
@@ -42,21 +41,3 @@ class Matrix:
     @property
     def array(self) -> np.ndarray:
         return self.entries.reshape(self.rows, self.cols)
-
-
-def eig_symmetric(m: Matrix, asym_tol: float = 1e-12):
-    """Spectral decomposition of a symmetric matrix.
-
-    Returns ``(eigenvalues, eigenvectors)`` with real eigenvalues descending
-    and orthonormal eigenvectors as columns of a matrix.
-    """
-    a = m.array
-    if m.rows != m.cols:
-        raise DimensionMismatchError("eig_symmetric requires a square matrix")
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    if float(np.abs(a - a.T).max(initial=0.0)) > asym_tol * scale:
-        raise NotSymmetricError("matrix is not symmetric within tolerance")
-    vals, vecs = np.linalg.eigh(0.5 * (a + a.T))
-    order = np.argsort(-vals)
-    return vals[order], vecs[:, order]
-

@@ -5,10 +5,12 @@ contraction of the coefficient tensor per slot and step; a start leaves the
 block when it ends.  A start's arithmetic does not depend on the others in
 its block, so it gets exactly the result it would get alone.
 
-Gauss-Seidel kernel (bilinear forms, and the polish used by the
-applications): a step replaces slot 1, then slot 2, ..., by its normalized
-partial gradient at the latest other slots.  Each update maximizes l over
-its slot, so |l| never decreases.  For x^T A y a step is the power method on
+Gauss-Seidel kernel (bilinear forms, and the applications' multistart
+ascent for any r): a step replaces slot 1, then slot 2, ..., by its
+normalized partial gradient at the latest other slots.  Each update
+maximizes l over its slot, so |l| never decreases; for r >= 3 this is the
+higher-order power method of De Lathauwer, De Moor and Vandewalle (SIAM J.
+Matrix Anal. Appl. 2000).  For x^T A y a step is the power method on
 A^T A, whose attractive fixed point is the first singular pair; tied top
 singular values are fixed points too, so the identity converges in two
 steps.  (Updating every slot at once, Jacobi-style, keeps a period-2
@@ -23,12 +25,13 @@ generic runs report OSCILLATING even when the slot directions have settled
 on a critical point.  The split-and-normalized point and its fixed-point
 residual are always reported, so an oscillating run still identifies the
 critical point it circles; nothing is certified as the absolute maximum.
+Only ``multilinear_iterate`` runs it.
 
 The restarts (seeds seed, ..., seed + restarts) form one block and give the
 answer of a sequential run: the lowest seed that converges, once every
 lower seed has ended (later ones are dropped unfinished), else the
-best-valued start, lowest seed on ties.  A start that meets a zero gradient
-is discarded.
+best-valued start, lowest seed on ties; ``_ascend`` keeps the best value of
+all its starts.  A start that meets a zero gradient is discarded.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ DEFAULT_MAX_ITERS = 100_000
 DEFAULT_RESTARTS = 5
 
 _OSC_TOL = 1e-10
-_POLISH_SWEEPS = 500
+_ASCENT_SWEEPS = 500
 
 
 class Status(enum.Enum):
@@ -126,26 +129,23 @@ def _assess(t, subs, slots):
 class _Rows:
     """Which starts of a block still run, and how the ended ones ended.
 
-    Row i of the block is restart i % group of problem i // group.  Within a
-    problem the answer is settled once its lowest converged row has ended
-    with every row before it, so rows after a converged one are dropped
-    unfinished (their outcome stays None).
+    Under the sequential rule the answer is settled once the lowest
+    converged row has ended with every row before it, so rows after a
+    converged one are dropped unfinished (their outcome stays None).
     """
 
-    def __init__(self, count, group):
-        self.group = group
+    def __init__(self, count, sequential):
+        self.sequential = sequential
         self.outcomes = [None] * count
         self.index = np.arange(count)          # block row of each active row
-        self.bound = np.repeat(np.arange(group, count + 1, group), group)
+        self.bound = count                     # rows from here on are not needed
 
     def end(self, pos, outcome):
         i = int(self.index[pos])
         self.outcomes[i] = outcome
-        if isinstance(outcome, IterationResult) and outcome.status is Status.CONVERGED:
-            first = i - i % self.group
-            self.bound[first : first + self.group] = np.minimum(
-                self.bound[first : first + self.group], i
-            )
+        if (self.sequential and isinstance(outcome, IterationResult)
+                and outcome.status is Status.CONVERGED):
+            self.bound = min(self.bound, i)
 
     def end_points(self, t, subs, positions, slots, iterations, status):
         """End the given active rows at the points ``slots`` (one row each)."""
@@ -161,7 +161,7 @@ class _Rows:
         active blocks (the first axis of each array)."""
         keep = np.ones(self.index.size, dtype=bool)
         keep[ended] = False
-        keep &= self.index < self.bound[self.index]
+        keep &= self.index < self.bound
         self.index = self.index[keep]
         return [b[keep] for b in blocks]
 
@@ -185,7 +185,7 @@ def _pick(outcomes):
     raise failure if failure is not None else ZeroGradientError("all restarts failed")
 
 
-def _gauss_seidel(form, starts, group, tol, max_iters):
+def _gauss_seidel(form, starts, sequential, tol, max_iters):
     """Slot-wise (Gauss-Seidel) ascent of every start of ``starts`` (per-slot
     blocks of unit rows); returns the outcome of each row.
 
@@ -198,7 +198,7 @@ def _gauss_seidel(form, starts, group, tol, max_iters):
     r = form.order
     slots = list(starts)
     last = _partial(t, subs, slots, r - 1)
-    rows = _Rows(len(slots[0]), group)
+    rows = _Rows(len(slots[0]), sequential)
     for it in range(1, max_iters + 1):
         point = slots
         slots = list(slots)
@@ -264,7 +264,7 @@ def _end_split(rows, t, subs, cuts, positions, q, iterations, status):
                     iterations, status)
 
 
-def _joint(form, starts, group, tol, max_iters):
+def _joint(form, starts, sequential, tol, max_iters):
     """Joint power iteration of every start of ``starts`` (per-slot blocks of
     unit rows); returns the outcome of each row."""
     t, subs = form.tensor, _subscripts(form.order)
@@ -273,7 +273,7 @@ def _joint(form, starts, group, tol, max_iters):
     spans = list(zip(offsets[:-1], offsets[1:]))
     q = np.concatenate(starts, axis=1)
     q /= _row_norms(q)[:, None]
-    rows = _Rows(len(q), group)
+    rows = _Rows(len(q), sequential)
     history = np.empty((len(q), 0, q.shape[1]))  # last <= 4 canonical iterates
     for it in range(1, max_iters + 1):
         prev = q
@@ -324,28 +324,27 @@ def _joint(form, starts, group, tol, max_iters):
     return rows.outcomes
 
 
-def _run_with_restarts(form, seeds, tol, max_iters, restarts):
-    """One result per base seed s, by the restart rule over the starts
-    s, s + 1, ..., s + restarts; every start runs in one block."""
-    kernel = _gauss_seidel if form.order == 2 else _joint
-    group = restarts + 1
-    if group < 1:
+def _run_with_restarts(form, seed, tol, max_iters, restarts):
+    """The restart rule over the starts seed, seed + 1, ..., seed + restarts,
+    all in one block."""
+    if restarts < 0:
         raise ZeroGradientError(f"no starts to run: restarts={restarts}")
-    starts = _random_starts(form, [s + k for s in seeds for k in range(group)])
-    outcomes = kernel(form, starts, group, tol, max_iters)
-    return [_pick(outcomes[k : k + group]) for k in range(0, len(outcomes), group)]
+    kernel = _gauss_seidel if form.order == 2 else _joint
+    starts = _random_starts(form, range(seed, seed + restarts + 1))
+    return _pick(kernel(form, starts, True, tol, max_iters))
 
 
-def _polish(form, points):
-    """Gauss-Seidel ascent from each point (one unit vector per slot), all in
-    one block: a genuine (local) maximizer near each point.  A point whose
-    ascent meets a zero gradient is returned as given."""
-    starts = [np.stack(block) for block in zip(*points)]
-    outcomes = _gauss_seidel(form, starts, 1, DEFAULT_TOL, _POLISH_SWEEPS)
-    return [
-        list(point) if isinstance(out, ZeroGradientError) else list(out.point)
-        for point, out in zip(points, outcomes)
-    ]
+def _ascend(form, seed, count):
+    """Gauss-Seidel ascent from the random starts seed, ..., seed + count - 1,
+    all in one block, each until it converges or for _ASCENT_SWEEPS sweeps:
+    the best-valued result (lowest seed on ties).  Raises the
+    ZeroGradientError when every start meets a zero gradient."""
+    starts = _random_starts(form, range(seed, seed + count))
+    outcomes = _gauss_seidel(form, starts, False, DEFAULT_TOL, _ASCENT_SWEEPS)
+    results = [out for out in outcomes if isinstance(out, IterationResult)]
+    if not results:
+        raise outcomes[0]
+    return max(results, key=lambda r: r.value)
 
 
 def bilinear_max(
@@ -365,7 +364,7 @@ def bilinear_max(
         raise ZeroGradientError(f"bilinear_max needs r=2, got r={form.order}")
     if not np.any(form.coeffs):
         raise ZeroGradientError("zero form")
-    return _run_with_restarts(form, [seed], tol, max_iters, restarts)[0]
+    return _run_with_restarts(form, seed, tol, max_iters, restarts)
 
 
 def multilinear_iterate(
@@ -388,4 +387,4 @@ def multilinear_iterate(
         raise ZeroGradientError(f"multilinear_iterate needs r>=2, got r={form.order}")
     if not np.any(form.coeffs):
         raise ZeroGradientError("zero form")
-    return _run_with_restarts(form, [seed], tol, max_iters, restarts)[0]
+    return _run_with_restarts(form, seed, tol, max_iters, restarts)

@@ -28,9 +28,11 @@ from conftest import (
     MATRIX_3X2_Y,
     MATRIX_4X3_NORM2,
     QUADLINEAR_MAX,
+    STATE_ENTANGLED,
     STATE_ENTANGLED_OVERLAP,
     STATE_ENTANGLED_SEPMAX,
     STATE_SEPARABLE_SEPMAX,
+    TRILINEAR_MAX,
     non_converged_bilinear_max,
     random_form,
     sign_aligned_error,
@@ -126,6 +128,16 @@ def test_rank_one_quadlinear_algebraic(quadlinear_form):
     assert abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs))
 
 
+@pytest.mark.parametrize("fixture, expected", [
+    ("trilinear_form", TRILINEAR_MAX), ("quadlinear_form", QUADLINEAR_MAX),
+])
+def test_rank_one_power_reaches_algebraic_max(request, fixture, expected):
+    # the maximum of the trilinear form attracts no joint iterate; the
+    # Gauss-Seidel multistart still finds it
+    result = closest_rank_one(request.getfixturevalue(fixture), method="power")
+    assert result.max_value == pytest.approx(expected, abs=1e-6)
+
+
 def test_rank_one_rejects_zero_form():
     with pytest.raises(ValueError):
         closest_rank_one(MultilinearForm(dims=(2, 2), coeffs=[0, 0, 0, 0]))
@@ -198,6 +210,34 @@ def test_pure_product_state_saturates_bound():
     assert report.verdict == "separable-consistent"
     assert report.self_overlap == pytest.approx(1.0, abs=1e-12)
     assert report.sep_max == pytest.approx(1.0, abs=1e-9)
+
+
+def test_separable_max_power_on_slow_joint_state():
+    # the joint iteration never settles on this state's form; the
+    # alternating-eigenvector lower bound agrees to 1.3e-12
+    entries = [
+        0.1742064597067075, 0.027473136815481445, -0.2550184890697052,
+        -0.06625498986047401, 0.027473136815481445, 0.23743960700830552,
+        0.11702710579163142, -0.07473645759770703, -0.2550184890697052,
+        0.11702710579163142, 0.5276925758277413, 0.024356475458807692,
+        -0.06625498986047401, -0.07473645759770703, 0.024356475458807692,
+        0.060661357457245726,
+    ]
+    rho = DensityState(2, 2, Matrix.from_array(np.array(entries).reshape(4, 4)))
+    t0 = time.perf_counter()
+    got = separable_max(rho, method="power")
+    assert time.perf_counter() - t0 < 1.0
+    assert abs(got - 0.6612623230344918) <= 1e-12
+
+
+def test_state_within_symmetry_tolerance_is_solved():
+    # DensityState accepts an asymmetry up to 1e-10; the spectral
+    # decomposition must not refuse what the input check accepted
+    a = np.array(STATE_ENTANGLED)
+    a[0, 1] += 5e-11
+    report = entanglement_check(DensityState(2, 2, Matrix.from_array(a)), method="power")
+    assert report.verdict == "entangled"
+    assert report.sep_max == pytest.approx(STATE_ENTANGLED_SEPMAX, abs=1e-6)
 
 
 def test_self_overlap_is_trace_of_square(separable_state):

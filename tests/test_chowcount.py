@@ -3,13 +3,10 @@
 import time
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from spheremax import (
     DimensionMismatchError,
     MultidegreeProfile,
-    TruncatedClassPolynomial,
     count_extreme_classes,
     count_fixed_points,
     gradient_profile,
@@ -59,42 +56,14 @@ def test_count_validates_input():
         count_extreme_classes((0, 2))
 
 
-def test_truncation_kills_high_powers():
-    a = TruncatedClassPolynomial.variable((2, 1), 0)
-    assert (a ** 2).coefficient((2, 0)) == 1
-    assert (a ** 3).coeffs == {}
-    b = TruncatedClassPolynomial.variable((2, 1), 1)
-    assert (b * b).coeffs == {}
-
-
-def _random_poly(dims, entries):
-    coeffs = {}
-    it = iter(entries)
-    for e0 in range(dims[0] + 1):
-        for e1 in range(dims[1] + 1):
-            coeffs[(e0, e1)] = next(it)
-    return TruncatedClassPolynomial(dims, coeffs)
-
-
-_coeff = st.integers(-5, 5)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    xs=st.lists(_coeff, min_size=6, max_size=6),
-    ys=st.lists(_coeff, min_size=6, max_size=6),
-    zs=st.lists(_coeff, min_size=6, max_size=6),
-)
-def test_ring_laws(xs, ys, zs):
-    dims = (1, 2)
-    x = _random_poly(dims, xs)
-    y = _random_poly(dims, ys)
-    z = _random_poly(dims, zs)
-    assert (x * y).coeffs == (y * x).coeffs
-    assert ((x * y) * z).coeffs == (x * (y * z)).coeffs
-    assert (x * (y + z)).coeffs == ((x * y) + (x * z)).coeffs
-    one = TruncatedClassPolynomial.one(dims)
-    assert (x * one).coeffs == x.coeffs
+@pytest.mark.parametrize("dims, degrees, expected", [
+    ((1, 2), ((1, 2), (3, 0)), 8),
+    ((2, 1, 1), ((0, 1, 2), (1, 1, 0), (2, 0, 1)), 22),
+    ((2, 2), ((2, 1), (1, 2)), 75),
+])
+def test_mixed_profile_counts(dims, degrees, expected):
+    # degrees that differ from row to row and from slot to slot
+    assert count_fixed_points(MultidegreeProfile(dims=dims, degrees=degrees)) == expected
 
 
 def test_profile_validation():
@@ -102,3 +71,5 @@ def test_profile_validation():
         MultidegreeProfile(dims=(1, 1), degrees=((1,),))
     with pytest.raises(DimensionMismatchError):
         MultidegreeProfile(dims=(1,), degrees=((-1,),))
+    with pytest.raises(DimensionMismatchError):
+        MultidegreeProfile(dims=(-1,), degrees=((1,),))

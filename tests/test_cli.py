@@ -99,17 +99,20 @@ def test_maximize_algebraic_sphere_chart(capsys, trilinear_file):
 def test_maximize_algebraic_affine_points(capsys, trilinear_file):
     code, out = _run(
         capsys,
-        ["maximize", trilinear_file, "--method", "algebraic", "--chart", "affine",
-         "--points"],
+        ["maximize", trilinear_file, "--method", "algebraic", "--points"],
     )
     assert code == EXIT_OK
     report = json.loads(out)
+    assert report["chart"] == "affine"
     assert report["quotientDim"] == 6
     assert report["maxValue"] == pytest.approx(TRILINEAR_MAX, abs=1e-6)
     best = report["points"][0]
     assert abs(best["value"]) == pytest.approx(TRILINEAR_MAX, abs=1e-6)
     for v in best["vectors"]:
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-8)
+    # the affine chart runs exactly when --points is given
+    code = cli.main(["maximize", trilinear_file, "--method", "algebraic", "--chart", "affine"])
+    assert code == EXIT_IO
 
 
 def test_norm2_round_trip(capsys, matrix_file, tmp_path):
@@ -242,13 +245,35 @@ def test_report_is_strict_json_without_real_eigenvalue(capsys, trilinear_file, m
     assert report["flags"] == ["no real eigenvalues within tolerance"]
 
 
+_UNREAD_OPTIONS = {
+    "norm2": [["--budget-reductions", "1"], ["--force"]],
+    "rank1": [["--budget-reductions", "1"]],
+    "separability": [["--budget-reductions", "1"], ["--force"]],
+}
+
+
 @pytest.mark.parametrize("command", ["norm2", "rank1", "separability"])
 def test_iteration_options_only_on_maximize(capsys, matrix_file, command):
+    # each subcommand takes only the options it reads
     code = cli.main([command, matrix_file, "--max-iters", "5"])
     assert code == EXIT_IO
     assert "unrecognized arguments" in capsys.readouterr().err
     code = cli.main([command, matrix_file, "--tol", "1e-9"])
     assert code == EXIT_IO
+    for option in _UNREAD_OPTIONS[command]:
+        code = cli.main([command, matrix_file, "--method", "algebraic", *option])
+        assert code == EXIT_IO, option
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_state_within_symmetry_tolerance_is_solved(capsys, tmp_path):
+    entries = [e for row in STATE_ENTANGLED for e in row]
+    entries[1] += 5e-11  # rho[0, 1]: asymmetric by half the input tolerance
+    path = _write(tmp_path, "state.json", {
+        "dimA": 2, "dimB": 2, "matrix": {"rows": 4, "cols": 4, "entries": entries}})
+    code, out = _run(capsys, ["separability", path, "--method", "power"])
+    assert code == EXIT_OK
+    assert json.loads(out)["sepMax"] == pytest.approx(STATE_ENTANGLED_SEPMAX, abs=1e-6)
 
 
 def test_norm2_power_not_converged_is_solver_error(capsys, matrix_file, monkeypatch):
