@@ -616,9 +616,9 @@ class QuotientRing:
         return cols
 
 
-def _float_matrix(cols) -> np.ndarray:
+def _float_matrix(cols, rows: int) -> np.ndarray:
     """Dense float matrix from exact sparse column dicts."""
-    out = np.zeros((len(cols), len(cols)))
+    out = np.zeros((rows, len(cols)))
     for j, col in enumerate(cols):
         for i, c in col.items():
             out[i, j] = float(c)
@@ -631,7 +631,7 @@ def mult_matrix(f: RationalPoly, gb: GroebnerBasis, ns: NormalSet,
     coordinates of NF(f * b_j) over the standard monomials.  Computed exactly,
     converted to floating point only here at the output."""
     ring = QuotientRing(gb, ns, budget)
-    return Matrix.from_array(_float_matrix(ring.mult_matrix_exact(f)))
+    return Matrix.from_array(_float_matrix(ring.mult_matrix_exact(f), len(ns)))
 
 
 # ---------------------------------------------------------------------------
@@ -751,15 +751,6 @@ def build_critical_system(form: MultilinearForm, chart: str = "sphere") -> PolyS
 # solve pipelines
 # ---------------------------------------------------------------------------
 
-def _point_residual(form: MultilinearForm, vectors) -> float:
-    value = multiform.evaluate(form, vectors)
-    res = 0.0
-    for i in range(form.order):
-        g = multiform.partial_gradient(form, i, vectors)
-        res = max(res, float(np.linalg.norm(g - value * np.asarray(vectors[i]))))
-    return res
-
-
 _STAGES = ("system", "groebner", "normalSet", "eigen")
 
 
@@ -819,12 +810,6 @@ def solve_max(
     )
 
 
-def _check_dimension_inequality(dims) -> bool:
-    n = [d - 1 for d in dims]
-    total = sum(n)
-    return all(2 * ni <= total for ni in n)
-
-
 def solve_argmax(
     form: MultilinearForm,
     budget: int = DEFAULT_REDUCTION_BUDGET,
@@ -834,15 +819,17 @@ def solve_argmax(
     """Maximizing point(s) of |l| via the affine-chart pipeline.
 
     Builds the affine critical system (first coordinate of each slot set
-    to 1), takes the multiplication matrix of the first free variable, and
-    reads every solution off the eigenvectors: an eigenvector scaled to have
-    coordinate 1 at the constant monomial carries the values of all standard
-    monomials at one solution.  Missing variables (those not in the normal
-    set) are recovered by evaluating their normal forms.  Real solutions are
-    normalized back to the spheres and the point of maximum |l| is reported
-    first.
+    to 1) and takes the multiplication matrix of the first free variable,
+    or of a random integer combination of the free variables when its
+    eigenvalues repeat.  Its left eigenvectors, scaled to 1 at the constant
+    monomial, hold the values of the standard monomials at the solutions;
+    every coordinate of every solution is then one row of N @ V, where row v
+    of N is the exact normal form of the variable x_v.  Real solutions are
+    normalized back to the spheres, scored in one batch (value and
+    fixed-point residual), and reported by decreasing |l|.
     """
-    if not _check_dimension_inequality(form.dims) and not force:
+    n = [d - 1 for d in form.dims]
+    if not force and any(2 * ni > sum(n) for ni in n):
         raise PreconditionViolatedError(
             f"dimension inequality 2*n_i <= sum(n_j) fails for dims {form.dims}; "
             "pass force=True to run the affine chart anyway"
@@ -850,50 +837,28 @@ def solve_argmax(
     system, gb, ns, marks = _quotient(form, "affine", budget)
     ring = QuotientRing(gb, ns, budget)
     nvars = len(system.variables)
+    var_monomials = [tuple(int(i == v) for i in range(nvars)) for v in range(nvars)]
+    # the separating form's variables: all but each slot's chart coordinate
+    free_vars = [var_monomials[v] for svars in system.slot_vars for v in svars[1:]]
     flags = []
-    chart_vars = {sv[0] for sv in system.slot_vars}
-    free_vars = [v for v in range(nvars) if v not in chart_vars]
-
-    def var_monomial(v):
-        return tuple(1 if i == v else 0 for i in range(nvars))
-
-    in_basis = {}
-    for v in free_vars:
-        mono = var_monomial(v)
-        pos = ring.index.get(mono)
-        in_basis[v] = pos
-        if pos is None:
-            flags.append(
-                f"variable {system.variables[v]} missing from the normal set; "
-                "recovered from its normal form"
-            )
 
     rng = np.random.default_rng(seed)
     dim = len(ns)
     eigvals = eigvecs = None
     for attempt in range(4):
         if attempt == 0 and free_vars:
-            f = RationalPoly(system.variables, {var_monomial(free_vars[0]): _ONE})
+            f = RationalPoly(system.variables, {free_vars[0]: _ONE})
         else:
             coeffs = rng.integers(-9, 10, size=len(free_vars))
-            terms = {
-                var_monomial(v): _Q(int(c))
-                for v, c in zip(free_vars, coeffs)
-                if c
-            }
+            terms = {m: _Q(int(c)) for m, c in zip(free_vars, coeffs) if c}
             if not terms:
                 continue
             f = RationalPoly(system.variables, terms)
-        marr = _float_matrix(ring.mult_matrix_exact(f))
+        marr = _float_matrix(ring.mult_matrix_exact(f), dim)
         vals, vecs = np.linalg.eig(marr.T)
         scale = 1.0 + float(np.abs(vals).max(initial=0.0))
-        repeated = False
         sv = np.sort_complex(vals)
-        for a, b in zip(sv, sv[1:]):
-            if abs(a - b) <= 1e-7 * scale:
-                repeated = True
-                break
-        if not repeated:
+        if not np.any(np.abs(np.diff(sv)) <= 1e-7 * scale):
             eigvals, eigvecs = vals, vecs
             break
         flags.append(
@@ -906,59 +871,32 @@ def solve_argmax(
             "repeated eigenvalues after retries (non-generic form?)"
         )
 
-    const_idx = ring.index[(0,) * nvars]
-    # exact normal-form vectors for missing variables
-    missing_vecs = {}
-    for v in free_vars:
-        if in_basis[v] is None:
-            vec = ring.monomial_vector(var_monomial(v))
-            missing_vecs[v] = {k: float(c) for k, c in vec.items()}
-
-    points = []
-    degenerate = 0
-    for k in range(dim):
-        v = eigvecs[:, k]
-        v0 = v[const_idx]
-        if abs(v0) <= 1e-8 * np.linalg.norm(v):
-            degenerate += 1
-            continue
-        v = v / v0
-        coords = {}
-        for var in free_vars:
-            pos = in_basis[var]
-            if pos is not None:
-                coords[var] = v[pos]
-            else:
-                coords[var] = sum(c * v[i] for i, c in missing_vecs[var].items())
-        vectors = []
-        ok = True
-        for svars in system.slot_vars:
-            vec = np.empty(len(svars), dtype=complex)
-            vec[0] = 1.0
-            for t, var in enumerate(svars[1:], start=1):
-                vec[t] = coords[var]
-            norm = np.linalg.norm(vec)
-            if abs(vec.imag).max() > REALNESS_TOL * (1.0 + norm):
-                ok = False
-                break
-            vectors.append(vec.real / np.linalg.norm(vec.real))
-        if not ok:
-            continue
-        vectors = multiform.canonical_signs(vectors)
-        value = multiform.evaluate(form, vectors)
-        residual = _point_residual(form, vectors)
-        if residual > RESIDUAL_TOL * (1.0 + abs(value)):
-            flags.append(
-                f"discarded point with residual {residual:.3e} above tolerance"
-            )
-            continue
-        points.append(
-            CriticalPoint(
-                vectors=tuple(np.asarray(w) for w in vectors),
-                value=float(value),
-                residual=float(residual),
-            )
-        )
+    const = eigvecs[ring.index[(0,) * nvars]]
+    solved = np.abs(const) > 1e-8 * np.linalg.norm(eigvecs, axis=0)
+    nf = _float_matrix([ring.monomial_vector(m) for m in var_monomials], dim).T
+    coords = nf @ (eigvecs[:, solved] / const[solved])
+    blocks = [coords[list(svars)] for svars in system.slot_vars]
+    real = np.all([
+        np.abs(b.imag).max(axis=0) <= REALNESS_TOL * (1.0 + np.linalg.norm(b, axis=0))
+        for b in blocks
+    ], axis=0)
+    slots = [b.real[:, real].T for b in blocks]
+    for s in slots:  # unit rows, then multiform.canonical_signs row by row
+        s /= np.linalg.norm(s, axis=1)[:, None]
+        lead = s[np.arange(len(s)), np.argmax(s != 0.0, axis=1)]
+        s *= np.where(lead < 0.0, -1.0, 1.0)[:, None]
+    values, residuals = multiform._assess(
+        form.tensor, multiform._subscripts(form.order), slots
+    )
+    dropped = residuals > RESIDUAL_TOL * (1.0 + np.abs(values))
+    flags += [f"discarded point with residual {r:.3e} above tolerance"
+              for r in residuals[dropped]]
+    points = [
+        CriticalPoint(tuple(s[k].copy() for s in slots), float(values[k]),
+                      float(residuals[k]))
+        for k in np.flatnonzero(~dropped)
+    ]
+    degenerate = dim - int(solved.sum())
     if degenerate:
         flags.append(
             f"{degenerate} eigenvector(s) with near-zero constant coordinate skipped"
@@ -975,4 +913,3 @@ def solve_argmax(
         genericity_flags=tuple(flags),
         timings=_stage_times(marks),
     )
-

@@ -83,10 +83,9 @@ def _resolve_method(method: str, order: int) -> str:
     return method
 
 
-def _bilinear_power(form: MultilinearForm, seed: int) -> poweriter.IterationResult:
-    """bilinear_max, raising when the run ended without converging: the
-    value of such a run is not the maximum."""
-    result = poweriter.bilinear_max(form, seed=seed)
+def _converged(result: poweriter.IterationResult) -> poweriter.IterationResult:
+    """The power result, or NoConvergenceError when the run ended without
+    converging: the value of such a run is not the maximum."""
     if result.status is poweriter.Status.NON_CONVERGED:
         raise NoConvergenceError(
             f"power iteration did not converge in {result.iterations} iterations "
@@ -104,7 +103,7 @@ def matrix_norm2(a: Matrix, method: str = "auto", seed: int = 0) -> float:
         return 0.0
     form = MultilinearForm(dims=(a.rows, a.cols), coeffs=entries.reshape(-1))
     if method == "power":
-        return _bilinear_power(form, seed).value
+        return _converged(poweriter.bilinear_max(form, seed=seed)).value
     return algsolver.solve_max(form).max_value
 
 
@@ -116,18 +115,18 @@ def closest_rank_one(
     The factors are the argmax of |l| over the product of spheres with signs
     arranged so l(factors) = +max_value; then ||l - phi||^2 =
     ||l||^2 + 1 - 2*max_value.  For r >= 3 the power method takes the best
-    of _ASCENTS Gauss-Seidel ascents; a bilinear power run that does not
-    converge raises NoConvergenceError.
+    of _ASCENTS Gauss-Seidel ascents; a power result that did not converge
+    raises NoConvergenceError.
     """
     if not np.any(form.coeffs):
         raise ValueError("closest_rank_one needs a nonzero form")
     method = _resolve_method(method, form.order)
     if method == "power":
         if form.order == 2:
-            result = _bilinear_power(form, seed)
-            vectors = [np.asarray(v, dtype=float) for v in result.point]
+            result = poweriter.bilinear_max(form, seed=seed)
         else:
-            vectors = list(poweriter._ascend(form, seed, _ASCENTS).point)
+            result = poweriter._ascend(form, seed, _ASCENTS)
+        vectors = [np.asarray(v, dtype=float) for v in _converged(result).point]
     else:
         report = algsolver.solve_argmax(form, force=force, seed=seed)
         if not report.points:
@@ -163,41 +162,38 @@ def _round_significant(values: np.ndarray, digits: int = 12) -> np.ndarray:
 
 
 def _separability_form(rho: DensityState) -> MultilinearForm:
-    """The trilinear form l(x, y, z) = sum_i sqrt(lam_i) <v_i, x (x) y> <v_i, z>
-    from the spectral decomposition rho = sum_i lam_i v_i v_i^T.
+    """The trilinear form l(x, y, z) = sum_i sqrt(lam_i) <v_i, x (x) y> z_i
+    from the spectral decomposition rho = sum_i lam_i v_i v_i^T, with z in
+    the eigenbasis of rho: the z slot has one coordinate per eigenvalue
+    kept, so its dimension is the rank of rho.
 
     Its maximum over the three spheres is the square root of the separable
     maximum max over product states of <rho, xx^T (x) yy^T>.
     """
     a = rho.matrix.array
     vals, vecs = np.linalg.eigh(0.5 * (a + a.T))  # DensityState checked symmetry
-    order = np.argsort(-vals)
-    da, db = rho.dim_a, rho.dim_b
-    tensor = np.zeros((da, db, da * db))
-    for lam, v in zip(vals[order], vecs.T[order]):
-        if lam < _EIGENVALUE_DROP:
-            continue
-        tensor += math.sqrt(lam) * np.multiply.outer(v.reshape(da, db), v)
+    keep = np.argsort(-vals)
+    keep = keep[vals[keep] >= _EIGENVALUE_DROP]  # never empty: the trace is 1
+    tensor = vecs[:, keep] * np.sqrt(vals[keep])
     coeffs = _round_significant(tensor.reshape(-1))
-    return MultilinearForm(dims=(da, db, da * db), coeffs=coeffs)
+    return MultilinearForm(dims=(rho.dim_a, rho.dim_b, keep.size), coeffs=coeffs)
 
 
 def separable_max(rho: DensityState, method: str = "auto", seed: int = 0) -> float:
     """max over product states xx^T (x) yy^T of <rho, ->, the separability
     bound: <rho, rho> <= separable_max(rho) whenever rho is separable.  The
-    power method takes the best of _ASCENTS Gauss-Seidel ascents."""
+    power method takes the best of _ASCENTS Gauss-Seidel ascents and raises
+    NoConvergenceError when that one did not converge."""
     method = _resolve_method(method, 3)
     form = _separability_form(rho)
-    if not np.any(form.coeffs):
-        raise NotAStateError("state decomposed to zero (all eigenvalues dropped)")
     if method == "power":
-        return poweriter._ascend(form, seed, _ASCENTS).value ** 2
+        return _converged(poweriter._ascend(form, seed, _ASCENTS)).value ** 2
     # Affine chart: its quotient has one point per extreme class (the sphere
     # chart multiplies the quotient dimension by 8 here and is far slower).
-    # The z slot has the largest dimension, so the dimension-inequality
-    # heuristic fails by construction; the chart is still valid for these
-    # structured forms, hence force=True, and the result is cross-checked
-    # against the power path in the test suite.
+    # The z slot has dimension rank(rho), so the dimension inequality
+    # 2 n_i <= sum(n_j) fails only for a full-rank 2x2 state (n = 1, 1, 3);
+    # the chart is still valid for these structured forms, hence force=True,
+    # and the result is cross-checked against the power path in the tests.
     report = algsolver.solve_argmax(form, force=True, seed=seed)
     if not report.points:
         raise PreconditionViolatedError(

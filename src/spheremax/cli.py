@@ -150,14 +150,9 @@ def cmd_maximize(args) -> int:
     t0 = time.perf_counter()
     report = {"method": method, "chart": None, "flags": [], "timings": {}}
     if method == "power":
-        if form.order == 2:
-            result = poweriter.bilinear_max(
-                form, seed=args.seed, tol=args.tol, max_iters=args.max_iters
-            )
-        else:
-            result = poweriter.multilinear_iterate(
-                form, seed=args.seed, tol=args.tol, max_iters=args.max_iters
-            )
+        result = poweriter.multilinear_iterate(
+            form, seed=args.seed, tol=args.tol, max_iters=args.max_iters
+        )
         report["maxValue"] = result.value
         report["flags"] = [result.status.value]
         report["iterations"] = result.iterations

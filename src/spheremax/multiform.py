@@ -3,13 +3,17 @@
 A multilinear form ``l : R^{d_1} x ... x R^{d_r} -> R`` is stored as a dense
 coefficient tensor, flat and row-major in slot order (slot 1 slowest).
 Evaluation, slot-wise gradients, flattening of vector-valued maps and the
-tensor-space inner product all live here.  Everything is plain 64-bit
-floating point; exact arithmetic is the business of :mod:`.algsolver`.
+tensor-space inner product all live here, as does the batched check of a
+block of points (value and fixed-point residual, one ``np.einsum`` per
+slot) that the power kernels and ``algsolver.solve_argmax`` share.
+Everything is plain 64-bit floating point; exact arithmetic is the business
+of :mod:`.algsolver`.
 """
 
 from __future__ import annotations
 
 import math
+import string
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -142,6 +146,43 @@ def partial_gradient(form: MultilinearForm, slot: int, points: Sequence) -> np.n
 def gradient(form: MultilinearForm, points: Sequence) -> list:
     """All slot gradients at once."""
     return [partial_gradient(form, i, points) for i in range(form.order)]
+
+
+# ---------------------------------------------------------------------------
+# blocks of points: one (B, d_i) array of rows per slot, one row per point
+# ---------------------------------------------------------------------------
+
+def _subscripts(order):
+    """einsum subscripts of each slot's partial gradient over a block of
+    points, batch axis b: 'acd,bc,bd->ba' is slot 0 of a trilinear form."""
+    axes = string.ascii_letters.replace("b", "")[:order]
+    return [
+        axes + "".join(",b" + c for c in axes[:i] + axes[i + 1 :]) + "->b" + axes[i]
+        for i in range(order)
+    ]
+
+
+def _partial(t, subs, slots, i):
+    return np.einsum(subs[i], t, *slots[:i], *slots[i + 1 :])
+
+
+def _row_dots(a, b):
+    return np.einsum("bn,bn->b", a, b)
+
+
+def _row_norms(a):
+    return np.sqrt(_row_dots(a, a))
+
+
+def _assess(t, subs, slots):
+    """l (by the Euler identity) and the fixed-point residual of each row
+    of a block of points on the spheres."""
+    grads = [_partial(t, subs, slots, i) for i in range(len(slots))]
+    value = _row_dots(grads[0], slots[0])
+    residual = np.max(
+        [_row_norms(g - value[:, None] * s) for g, s in zip(grads, slots)], axis=0
+    )
+    return value, residual
 
 
 def flatten(mlmap: MultilinearMap) -> MultilinearForm:

@@ -37,13 +37,19 @@ all its starts.  A start that meets a zero gradient is discarded.
 from __future__ import annotations
 
 import enum
-import string
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ZeroGradientError
-from .multiform import MultilinearForm
+from .multiform import (
+    MultilinearForm,
+    _assess,
+    _partial,
+    _row_dots,
+    _row_norms,
+    _subscripts,
+)
 
 DEFAULT_TOL = 1e-14
 DEFAULT_MAX_ITERS = 100_000
@@ -66,28 +72,6 @@ class IterationResult:
     iterations: int
     status: Status
     residual: float       # max_i || dl/dx_i - l * x_i ||
-
-
-def _subscripts(order):
-    """einsum subscripts of each slot's partial gradient over a block of
-    points, batch axis b: 'acd,bc,bd->ba' is slot 0 of a trilinear form."""
-    axes = string.ascii_letters.replace("b", "")[:order]
-    return [
-        axes + "".join(",b" + c for c in axes[:i] + axes[i + 1 :]) + "->b" + axes[i]
-        for i in range(order)
-    ]
-
-
-def _partial(t, subs, slots, i):
-    return np.einsum(subs[i], t, *slots[:i], *slots[i + 1 :])
-
-
-def _row_dots(a, b):
-    return np.einsum("bn,bn->b", a, b)
-
-
-def _row_norms(a):
-    return np.sqrt(_row_dots(a, a))
 
 
 def _normalize(g, keep):
@@ -113,17 +97,6 @@ def _random_starts(form, seeds):
                 raise ZeroGradientError("degenerate random start")
             block[row] = v / n
     return blocks
-
-
-def _assess(t, subs, slots):
-    """l (by the Euler identity) and the fixed-point residual of each row
-    of a block of points on the spheres."""
-    grads = [_partial(t, subs, slots, i) for i in range(len(slots))]
-    value = _row_dots(grads[0], slots[0])
-    residual = np.max(
-        [_row_norms(g - value[:, None] * s) for g, s in zip(grads, slots)], axis=0
-    )
-    return value, residual
 
 
 class _Rows:

@@ -15,7 +15,9 @@ from spheremax import (
     PreconditionViolatedError,
     RationalPoly,
     build_critical_system,
+    canonical_signs,
     count_extreme_classes,
+    evaluate,
     groebner,
     mult_matrix,
     normal_set,
@@ -344,6 +346,10 @@ def test_solve_argmax_reports_unit_vectors_and_residuals(trilinear_form):
         for v in p.vectors:
             assert float(np.linalg.norm(v)) == pytest.approx(1.0, abs=1e-9)
         assert p.residual <= 1e-6 * (1 + abs(p.value))
+        # the batched scoring agrees with the pointwise calculus
+        assert p.value == pytest.approx(evaluate(trilinear_form, p.vectors), abs=1e-12)
+        for v, w in zip(p.vectors, canonical_signs(p.vectors)):
+            assert np.array_equal(v, w)
     # points sorted by decreasing |value|
     mags = [abs(p.value) for p in report.points]
     assert mags == sorted(mags, reverse=True)

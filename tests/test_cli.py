@@ -75,7 +75,10 @@ def test_count_rejects_single_dim(capsys):
     assert code == EXIT_IO
 
 
-def test_maximize_power_bilinear(capsys, bilinear_file):
+def test_maximize_power_bilinear(capsys, bilinear_file, monkeypatch):
+    # one power path for every order: multilinear_iterate runs the
+    # Gauss-Seidel block of bilinear_max for two slots
+    monkeypatch.delattr(poweriter, "bilinear_max")
     code, out = _run(capsys, ["maximize", bilinear_file, "--method", "power"])
     assert code == EXIT_OK
     report = json.loads(out)
@@ -291,3 +294,17 @@ def test_maximize_algebraic_reports_stage_times(capsys, trilinear_file):
     timings = json.loads(out)["timings"]
     assert set(timings) == {"system", "groebner", "normalSet", "eigen", "total"}
     assert sum(timings[k] for k in timings if k != "total") <= timings["total"]
+
+
+@pytest.mark.parametrize("command, fixture", [
+    ("rank1", "trilinear_file"), ("separability", "state_file"),
+])
+def test_power_ascent_not_converged_is_solver_error(capsys, request, monkeypatch,
+                                                    command, fixture):
+    monkeypatch.setattr(poweriter, "_ASCENT_SWEEPS", 1)
+    path = request.getfixturevalue(fixture)
+    code = cli.main([command, path, "--method", "power"])
+    captured = capsys.readouterr()
+    assert code == EXIT_SOLVER
+    assert captured.out == ""
+    assert "NoConvergenceError" in captured.err

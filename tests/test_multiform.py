@@ -158,3 +158,24 @@ def test_canonical_signs_first_nonzero_positive():
     out = canonical_signs([np.array([-1.0, 2.0]), np.array([0.0, -3.0])])
     assert out[0][0] > 0
     assert out[1][1] > 0
+
+
+def test_assess_block_matches_pointwise_calculus():
+    # value (Euler identity) and fixed-point residual of a block of points,
+    # the check shared by the power kernels and solve_argmax
+    from spheremax import multiform
+
+    rng = np.random.default_rng(4)
+    form = MultilinearForm(dims=(2, 3, 2), coeffs=rng.standard_normal(12))
+    slots = [rng.standard_normal((5, d)) for d in form.dims]
+    slots = [s / np.linalg.norm(s, axis=1)[:, None] for s in slots]
+    value, residual = multiform._assess(form.tensor, multiform._subscripts(3), slots)
+    for k in range(5):
+        point = [s[k] for s in slots]
+        v = evaluate(form, point)
+        res = max(
+            float(np.linalg.norm(partial_gradient(form, i, point) - v * point[i]))
+            for i in range(3)
+        )
+        assert value[k] == pytest.approx(v, abs=1e-12)
+        assert residual[k] == pytest.approx(res, abs=1e-12)
