@@ -9,12 +9,17 @@ ring, and multiplication matrices whose eigenvalues are the values of a
 polynomial at the solutions (Eigenvalue Theorem).  Floating point enters only
 at the eigenvalue stage.
 
-Rational arithmetic uses gmpy2.mpq when available and fractions.Fraction
-otherwise.
+The exact loops run on plain Python ints.  A monomial is one packed int (see
+_Monomials), Buchberger's algorithm reduces fraction-free integer
+polynomials, and the quotient ring keeps each normal form as an integer
+vector over one positive denominator.  Rationals (fractions.Fraction) appear
+only at the boundary: in RationalPoly, GroebnerBasis and the input
+coefficients.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -35,17 +40,14 @@ from .errors import (
 from .linalg import Matrix
 from .multiform import MultilinearForm
 
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    _Q = Fraction
-
+_Q = Fraction
 _ZERO = _Q(0)
 _ONE = _Q(1)
 
 DEFAULT_REDUCTION_BUDGET = 10**6
 REALNESS_TOL = 1e-8
 RESIDUAL_TOL = 1e-6
+_TIE_TOL = 1e-12
 
 _SLOT_LETTERS = "xyztuw"
 
@@ -58,11 +60,8 @@ def rationalize(value) -> "_Q":
     """
     if isinstance(value, (int, np.integer)):
         return _Q(int(value))
-    if isinstance(value, Fraction):
-        return _Q(value.numerator, value.denominator)
     if isinstance(value, float) or isinstance(value, np.floating):
-        f = Fraction(Decimal(repr(float(value))))
-        return _Q(f.numerator, f.denominator)
+        return _Q(Decimal(repr(float(value))))
     return _Q(value)
 
 
@@ -75,25 +74,85 @@ def grevlex_key(m):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
-def _heap_key(m):
-    """Min-heap key so the heap pops the grevlex-largest monomial first."""
-    return (-sum(m), tuple(reversed(m)))
-
-
 def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def _lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+# ---------------------------------------------------------------------------
+# packed monomials for the exact loops
+# ---------------------------------------------------------------------------
+
+_FIELD = 16                          # bits per exponent field
+_DEGREE_LIMIT = 1 << (_FIELD - 1)    # the field's top bit is its guard bit
 
 
-def _mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+class _Monomials:
+    """Monomials in ``nvars`` variables packed into one int.
+
+    x^e is K = deg(e) * 2^L - P(e), where P(e) holds the exponents in
+    16-bit fields, the last variable in the most significant one, and
+    L = 16 nvars.  Then:
+
+    - x^a x^b is K_a + K_b;
+    - grevlex compares like the ints: a higher degree wins, and at equal
+      degree the smaller P wins, i.e. the smaller exponent of the last
+      variable where the two differ;
+    - x^a | x^b iff no field of P_b - P_a borrows, which one subtraction and
+      a mask test on every field's guard bit decide (``divides``).
+
+    Every degree stays below the guard bit, 2^15, so no field can overflow:
+    ``pack`` checks the degree of each input monomial, ``lcm`` that of every
+    pair Buchberger's algorithm forms and QuotientRing.mult_matrix_exact
+    that of its products, and reduction never raises a degree.  Past the
+    limit they raise BudgetExceededError.
+    """
+
+    __slots__ = ("nvars", "shift", "mask", "ones", "guard")
+
+    def __init__(self, nvars):
+        self.nvars = nvars
+        self.shift = _FIELD * nvars
+        self.mask = (1 << self.shift) - 1
+        self.ones = sum(1 << (_FIELD * i) for i in range(nvars))  # 1 per field
+        self.guard = self.ones << (_FIELD - 1)
+
+    def pack(self, m) -> int:
+        deg = _checked_degree(sum(m))
+        p = 0
+        for e in reversed(m):
+            p = (p << _FIELD) | e
+        return (deg << self.shift) - p
+
+    def unpack(self, k) -> tuple:
+        p = -k & self.mask
+        field = (1 << _FIELD) - 1
+        return tuple((p >> (_FIELD * i)) & field for i in range(self.nvars))
+
+    def probe(self, a) -> int:
+        """x^a | x^b iff not (b - probe(a)) & guard."""
+        return a + self.guard + 1
+
+    def divides(self, a, b) -> bool:
+        return not (b - self.probe(a)) & self.guard
+
+    def lcm(self, a, b) -> int:
+        pa = -a & self.mask
+        pb = -b & self.mask
+        ge = ((pa | self.guard) - pb) & self.guard  # guard bit where e_a >= e_b
+        keep = ge - (ge >> (_FIELD - 1))            # exponent bits of those fields
+        p = (pa & keep) | (pb & ~keep)
+        # field nvars-1 of p * ones sums every field (each sum is < 2^16)
+        deg = (p * self.ones) >> (self.shift - _FIELD) & ((1 << _FIELD) - 1)
+        return (_checked_degree(deg) << self.shift) - p
 
 
-def _sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+def _checked_degree(deg):
+    if deg >= _DEGREE_LIMIT:
+        raise BudgetExceededError(
+            f"monomial degree {deg} exceeds the exact engine's limit "
+            f"{_DEGREE_LIMIT - 1}"
+        )
+    return deg
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +180,8 @@ class RationalPoly:
                 raise DimensionMismatchError(
                     f"exponent tuple {exps} does not match {nvars} variables"
                 )
+            if min(exps, default=0) < 0:
+                raise ValueError(f"negative exponent in {exps}")
             c = _Q(c)
             if c:
                 clean[exps] = c
@@ -205,12 +266,12 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# Buchberger engine.  Basis polynomials are kept as dicts {exps: int} with
-# integer coefficients, primitive (content 1) and positive leading
-# coefficient; reduction is fraction-free (pseudo-division with content
-# stripping), which keeps the classic coefficient swell of monic rational
-# reduction in check.  Exact rational normal forms against the final reduced
-# basis live in QuotientRing below.
+# Buchberger engine.  Basis polynomials are dicts {packed monomial: int},
+# primitive (content 1) with a positive leading coefficient; reduction is
+# fraction-free (pseudo-division with content stripping), which keeps the
+# classic coefficient swell of monic rational reduction in check.  Rationals
+# appear only where groebner() converts its input and its result.  Exact
+# normal forms against the final reduced basis live in QuotientRing below.
 # ---------------------------------------------------------------------------
 
 class _Budget:
@@ -228,14 +289,14 @@ class _Budget:
             )
 
 
-def _to_integer_primitive(terms):
-    """Clear denominators and strip content; leading coefficient positive."""
+def _to_integer_primitive(terms, mono):
+    """Packed integer polynomial from {exponent tuple: rational}: clear
+    denominators and strip content; leading coefficient positive."""
     if not terms:
         return {}
-    den = 1
-    for c in terms.values():
-        den = den * int(c.denominator) // math.gcd(den, int(c.denominator))
-    ints = {m: int(c.numerator) * (den // int(c.denominator)) for m, c in terms.items()}
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    ints = {mono.pack(m): c.numerator * (den // c.denominator)
+            for m, c in terms.items()}
     return _strip_content(ints)
 
 
@@ -247,8 +308,7 @@ def _strip_content(ints):
         g = math.gcd(g, c)
         if g == 1:
             break
-    lm = max(ints, key=grevlex_key)
-    if ints[lm] < 0:
+    if ints[max(ints)] < 0:
         g = -g
     if g not in (1, 0):
         ints = {m: c // g for m, c in ints.items()}
@@ -257,33 +317,39 @@ def _strip_content(ints):
     return ints
 
 
-def _normal_form(p, reducers, budget):
-    """Fraction-free full normal form of an integer dict-poly.
+def _reducer(p):
+    """(leading monomial, leading coefficient, tail) of an integer poly."""
+    lm = max(p)
+    return lm, p[lm], {m: c for m, c in p.items() if m != lm}
 
-    reducers: list of (lm, lc, tail) with integer primitive coefficients,
-    tail excluding the leading term.  The result equals the true normal form
-    up to a positive rational scalar; it is returned content-stripped.
+
+def _normal_form(p, reducers, mono, budget):
+    """Fraction-free full normal form of a packed integer polynomial.
+
+    reducers: list of _reducer triples with integer primitive coefficients;
+    the first whose leading monomial divides a term reduces it.  The result
+    equals the true normal form up to a positive rational scalar; it is
+    returned content-stripped.
     """
+    guard = mono.guard
+    probes = [(mono.probe(lm), lm, lc, tail) for lm, lc, tail in reducers]
     work = {m: c for m, c in p.items() if c}
-    heap = [(_heap_key(m), m) for m in work]
+    heap = [-m for m in work]  # pops the grevlex-largest monomial first
     heapq.heapify(heap)
     rem = {}
     steps = 0
     while heap:
-        _, m = heapq.heappop(heap)
+        m = -heapq.heappop(heap)
         c = work.pop(m, None)
         if c is None:
             continue
-        hit = None
-        for lm, lc, tail in reducers:
-            if _divides(lm, m):
-                hit = (lm, lc, tail)
+        for probe, lm, lc, tail in probes:
+            if not (m - probe) & guard:
                 break
-        if hit is None:
+        else:
             rem[m] = c
             continue
         budget.spend()
-        lm, lc, tail = hit
         g = math.gcd(c, lc)
         mult = lc // g
         fac = c // g
@@ -292,13 +358,13 @@ def _normal_form(p, reducers, budget):
                 work[k] *= mult
             for k in rem:
                 rem[k] *= mult
-        shift = _sub(m, lm)
+        shift = m - lm
         for t, tc in tail.items():
-            mm = _mul(t, shift)
+            mm = t + shift
             prev = work.get(mm)
             if prev is None:
                 work[mm] = -fac * tc
-                heapq.heappush(heap, (_heap_key(mm), mm))
+                heapq.heappush(heap, -mm)
             else:
                 nv = prev - fac * tc
                 if nv:
@@ -325,11 +391,11 @@ def _normal_form(p, reducers, budget):
     return _strip_content(rem)
 
 
-def _spoly(lm_f, f, lm_g, g):
-    """Integer S-polynomial of primitive integer polys f, g."""
-    l = _lcm(lm_f, lm_g)
-    sf = _sub(l, lm_f)
-    sg = _sub(l, lm_g)
+def _spoly(lm_f, f, lm_g, g, lcm):
+    """Integer S-polynomial of primitive integer polys f, g; lcm is the
+    packed lcm of their leading monomials."""
+    sf = lcm - lm_f
+    sg = lcm - lm_g
     lcf = f[lm_f]
     lcg = g[lm_g]
     d = math.gcd(lcf, lcg)
@@ -337,9 +403,9 @@ def _spoly(lm_f, f, lm_g, g):
     ag = lcf // d
     out = {}
     for m, c in f.items():
-        out[_mul(m, sf)] = af * c
+        out[m + sf] = af * c
     for m, c in g.items():
-        mm = _mul(m, sg)
+        mm = m + sg
         prev = out.get(mm)
         nv = (prev - ag * c) if prev is not None else -ag * c
         if nv:
@@ -349,85 +415,79 @@ def _spoly(lm_f, f, lm_g, g):
     return out
 
 
-def _coprime(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-
 class _Engine:
     """Buchberger with the Gebauer-Moeller pair criteria and normal
-    (minimal-lcm) selection.  All polynomials are primitive integer dicts."""
+    (minimal-lcm) selection.  All polynomials are primitive integer dicts
+    over packed monomials."""
 
-    def __init__(self, nvars, budget):
-        self.nvars = nvars
+    def __init__(self, mono, budget):
+        self.mono = mono
         self.budget = budget
         self.polys = []   # full primitive integer dicts
         self.lms = []
-        self.lcs = []
-        self.tails = []   # dicts excluding the leading term
+        self.reducers = []  # _reducer triple of each poly
         self.alive = []
-        self.pairs = []   # heap of (heap_key(lcm), lcm, i, j)
+        self.pairs = []   # heap of (lcm, i, j)
 
     def _reducers(self):
         idx = [i for i in range(len(self.polys)) if self.alive[i]]
-        idx.sort(key=lambda i: grevlex_key(self.lms[i]))
-        return [(self.lms[i], self.lcs[i], self.tails[i]) for i in idx]
+        idx.sort(key=self.lms.__getitem__)
+        return [self.reducers[i] for i in idx]
 
     def add(self, p):
-        r = _normal_form(p, self._reducers(), self.budget)
+        r = _normal_form(p, self._reducers(), self.mono, self.budget)
         if r:
             self._update(r)
 
     def _update(self, h):
-        lmh = max(h, key=grevlex_key)
+        mono = self.mono
+        guard = mono.guard
+        lmh = max(h)
         hidx = len(self.polys)
         self.polys.append(h)
         self.lms.append(lmh)
-        self.lcs.append(h[lmh])
-        self.tails.append({m: c for m, c in h.items() if m != lmh})
+        self.reducers.append(_reducer(h))
         self.alive.append(True)
         others = [i for i in range(hidx) if self.alive[i]]
         # Gebauer-Moeller: filter new pairs (h, g)
-        cand = [(_lcm(lmh, self.lms[g]), g) for g in others]
+        cand = [(mono.lcm(lmh, self.lms[g]), g) for g in others]
         kept = []
         for pos, (l, g) in enumerate(cand):
-            if _coprime(lmh, self.lms[g]):
+            if l == lmh + self.lms[g]:  # coprime leading monomials
                 kept.append((l, g, True))
                 continue
-            dominated = False
-            for pos2, (l2, g2) in enumerate(cand):
-                if pos2 == pos:
-                    continue
-                if _divides(l2, l) and l2 != l:
-                    dominated = True
-                    break
-                if l2 == l and pos2 < pos:
-                    dominated = True
-                    break
+            top = l - guard - 1  # l2 | l iff not (top - l2) & guard
+            dominated = any(
+                not (top - l2) & guard and (l2 != l or pos2 < pos)
+                for pos2, (l2, _) in enumerate(cand)
+                if pos2 != pos
+            )
             if not dominated:
                 kept.append((l, g, False))
         # filter old pairs against the new leading monomial
+        probe = mono.probe(lmh)
         newpairs = []
-        for key, l, i, j in self.pairs:
+        for l, i, j in self.pairs:
             if (
-                not _divides(lmh, l)
-                or _lcm(self.lms[i], lmh) == l
-                or _lcm(self.lms[j], lmh) == l
+                (l - probe) & guard
+                or mono.lcm(self.lms[i], lmh) == l
+                or mono.lcm(self.lms[j], lmh) == l
             ):
-                newpairs.append((key, l, i, j))
+                newpairs.append((l, i, j))
         for l, g, coprime_pair in kept:
             if not coprime_pair:
-                newpairs.append((grevlex_key(l), l, g, hidx))
+                newpairs.append((l, g, hidx))
         heapq.heapify(newpairs)
         self.pairs = newpairs
         for g in others:
-            if _divides(lmh, self.lms[g]):
+            if not (self.lms[g] - probe) & guard:
                 self.alive[g] = False
 
     def run(self):
         while self.pairs:
-            _, l, i, j = heapq.heappop(self.pairs)
-            s = _spoly(self.lms[i], self.polys[i], self.lms[j], self.polys[j])
-            r = _normal_form(s, self._reducers(), self.budget)
+            l, i, j = heapq.heappop(self.pairs)
+            s = _spoly(self.lms[i], self.polys[i], self.lms[j], self.polys[j], l)
+            r = _normal_form(s, self._reducers(), self.mono, self.budget)
             if r:
                 self._update(r)
         return self._interreduce()
@@ -436,21 +496,16 @@ class _Engine:
         idx = [i for i in range(len(self.polys)) if self.alive[i]]
         # drop redundant leading monomials
         minimal = []
-        for i in sorted(idx, key=lambda i: grevlex_key(self.lms[i])):
-            if not any(_divides(self.lms[j], self.lms[i]) for j in minimal):
+        for i in sorted(idx, key=self.lms.__getitem__):
+            if not any(self.mono.divides(self.lms[j], self.lms[i]) for j in minimal):
                 minimal.append(i)
         out = []
         for i in minimal:
-            others = [
-                (self.lms[j], self.lcs[j], self.tails[j])
-                for j in minimal
-                if j != i
-            ]
-            r = _normal_form(self.polys[i], others, self.budget)
-            lm = max(r, key=grevlex_key)
-            lc = r[lm]
-            out.append({m: _Q(c, lc) for m, c in r.items()})
-        out.sort(key=lambda p: grevlex_key(max(p, key=grevlex_key)))
+            others = [self.reducers[j] for j in minimal if j != i]
+            r = _normal_form(self.polys[i], others, self.mono, self.budget)
+            lc = r[max(r)]
+            out.append({m: Fraction(c, lc) for m, c in r.items()})
+        out.sort(key=max)
         return out
 
 
@@ -461,16 +516,19 @@ def groebner(system: PolySystem, budget: int = DEFAULT_REDUCTION_BUDGET) -> Groe
     is exhausted (the instance is too large).
     """
     variables = system.variables
-    eng = _Engine(len(variables), _Budget(budget))
+    mono = _Monomials(len(variables))
+    eng = _Engine(mono, _Budget(budget))
     polys = sorted(
-        (_to_integer_primitive(p.terms) for p in system.polys if not p.is_zero()),
-        key=lambda t: grevlex_key(max(t, key=grevlex_key)),
+        (_to_integer_primitive(p.terms, mono) for p in system.polys if not p.is_zero()),
+        key=max,
     )
     for t in polys:
         eng.add(t)
-    basis = eng.run()
     return GroebnerBasis(
-        basis=tuple(RationalPoly(variables, p) for p in basis),
+        basis=tuple(
+            RationalPoly(variables, {mono.unpack(m): c for m, c in p.items()})
+            for p in eng.run()
+        ),
         variables=variables,
     )
 
@@ -478,32 +536,18 @@ def groebner(system: PolySystem, budget: int = DEFAULT_REDUCTION_BUDGET) -> Groe
 def verify_buchberger_certificate(gb: GroebnerBasis,
                                   budget: int = DEFAULT_REDUCTION_BUDGET) -> bool:
     """Every S-polynomial of the basis reduces to zero (exact check)."""
-    int_polys = []
-    for p in gb.basis:
-        ints = _to_integer_primitive(p.terms)
-        int_polys.append((max(ints, key=grevlex_key), ints))
-    int_polys.sort(key=lambda t: grevlex_key(t[0]))
-    reducers = [
-        (lm, d[lm], {m: c for m, c in d.items() if m != lm})
-        for lm, d in int_polys
-    ]
+    mono = _Monomials(len(gb.variables))
+    int_polys = sorted(
+        (_to_integer_primitive(p.terms, mono) for p in gb.basis), key=max
+    )
+    reducers = [_reducer(p) for p in int_polys]
     b = _Budget(budget)
-    for (lm_f, f), (lm_g, g) in itertools.combinations(int_polys, 2):
-        s = _spoly(lm_f, f, lm_g, g)
-        if _normal_form(s, reducers, b):
+    for f, g in itertools.combinations(int_polys, 2):
+        lm_f, lm_g = max(f), max(g)
+        s = _spoly(lm_f, f, lm_g, g, mono.lcm(lm_f, lm_g))
+        if _normal_form(s, reducers, mono, b):
             return False
     return True
-
-
-def _monic_reducers(gb: GroebnerBasis):
-    """(leading monomial, monic tail) pairs, ascending leading monomial."""
-    pairs = []
-    for p in gb.basis:
-        lm = p.leading_monomial()
-        inv = _ONE / p.terms[lm]
-        pairs.append((lm, {m: c * inv for m, c in p.terms.items() if m != lm}))
-    pairs.sort(key=lambda t: grevlex_key(t[0]))
-    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -543,85 +587,109 @@ def normal_set(gb: GroebnerBasis) -> NormalSet:
 
 
 class QuotientRing:
-    """Quotient ring C[vars]/<gb> with memoized monomial normal forms,
-    expressed as coordinate vectors over the standard-monomial basis."""
+    """Quotient ring C[vars]/<gb> with memoized monomial normal forms.
+
+    A normal form is kept as an (integer vector, positive denominator) pair,
+    the vector a sparse {standard-monomial index: nonzero int} dict: the
+    coordinates are vector / denominator, with the common content of the
+    pair divided out."""
 
     def __init__(self, gb: GroebnerBasis, ns: NormalSet,
                  budget: int = DEFAULT_REDUCTION_BUDGET):
         self.gb = gb
         self.ns = ns
-        self.index = {m: i for i, m in enumerate(ns.monomials)}
-        self.reducers = _monic_reducers(gb)
+        self.mono = mono = _Monomials(len(gb.variables))
         self.budget = _Budget(budget)
-        self._cache = {}
+        self.standard = [mono.pack(m) for m in ns.monomials]
+        self._top_degree = max(map(sum, ns.monomials), default=0)
+        self._cache = {k: ({i: 1}, 1) for i, k in enumerate(self.standard)}
+        # (probe, leading monomial, denominator, [(monomial, -numerator)])
+        # per basis element, the monic tail over one denominator
+        self.reducers = []
+        for p in gb.basis:
+            lm = p.leading_monomial()
+            tail = {m: c / p.terms[lm] for m, c in p.terms.items() if m != lm}
+            den = math.lcm(*(c.denominator for c in tail.values()))
+            k = mono.pack(lm)
+            self.reducers.append((mono.probe(k), k, den, [
+                (mono.pack(m), -c.numerator * (den // c.denominator))
+                for m, c in tail.items()
+            ]))
+        self.reducers.sort(key=lambda r: r[1])
 
-    def monomial_vector(self, m) -> dict:
-        """NF(x^m) as a sparse {basis index: coefficient} dict."""
+    def monomial_vector(self, m) -> tuple:
+        """NF(x^m) as an (integer vector, positive denominator) pair."""
+        vec, den = self._vector(self.mono.pack(m))
+        return dict(vec), den
+
+    def _vector(self, k):
         cache = self._cache
-        idx = self.index
-        stack = [m]
+        guard = self.mono.guard
+        stack = [k]
         while stack:
             cur = stack[-1]
             if cur in cache:
                 stack.pop()
                 continue
-            i = idx.get(cur)
-            if i is not None:
-                cache[cur] = {i: _ONE}
-                stack.pop()
-                continue
-            hit = None
-            for lm, tail in self.reducers:
-                if _divides(lm, cur):
-                    hit = (lm, tail)
+            for probe, lm, den, tail in self.reducers:
+                if not (cur - probe) & guard:
                     break
-            if hit is None:  # pragma: no cover - gb/ns inconsistency
+            else:  # pragma: no cover - gb/ns inconsistency
                 raise NotZeroDimensionalError(
-                    f"monomial {cur} neither standard nor reducible"
+                    f"monomial {self.mono.unpack(cur)} neither standard nor reducible"
                 )
-            lm, tail = hit
-            shift = _sub(cur, lm)
-            children = [(_mul(t, shift), tc) for t, tc in tail.items()]
-            missing = [ch for ch, _ in children if ch not in cache]
+            shift = cur - lm
+            terms = [(t + shift, a) for t, a in tail]
+            missing = [t for t, _ in terms if t not in cache]
             if missing:
                 stack.extend(missing)
                 continue
             self.budget.spend()
-            vec = {}
-            for ch, tc in children:
-                for k, v in cache[ch].items():
-                    nv = vec.get(k, _ZERO) - tc * v
-                    if nv:
-                        vec[k] = nv
-                    elif k in vec:
-                        del vec[k]
-            cache[cur] = vec
+            cache[cur] = self._combine(terms, den)
             stack.pop()
-        return cache[m]
+        return cache[k]
+
+    def _combine(self, terms, den):
+        """sum(a NF(x^t)) / den over [(t, a)], every NF(x^t) cached."""
+        parts = [(a, self._cache[t]) for t, a in terms]
+        scale = math.lcm(*(d for _, (_, d) in parts))
+        acc = {}
+        for a, (vec, d) in parts:
+            f = a * (scale // d)
+            for i, v in vec.items():
+                acc[i] = acc.get(i, 0) + f * v
+        acc = {i: v for i, v in acc.items() if v}
+        den *= scale
+        g = math.gcd(den, *acc.values())
+        if g > 1:
+            acc = {i: v // g for i, v in acc.items()}
+            den //= g
+        return acc, den
 
     def mult_matrix_exact(self, f: RationalPoly):
         """Columns of the multiplication-by-f map over the standard basis,
-        exact, as a list of sparse column dicts."""
+        exact, as (integer vector, positive denominator) pairs."""
+        mono = self.mono
+        _checked_degree(max(map(sum, f.terms), default=0) + self._top_degree)
+        den = math.lcm(*(c.denominator for c in f.terms.values()))
+        terms = [(mono.pack(m), c.numerator * (den // c.denominator))
+                 for m, c in f.terms.items()]
         cols = []
-        for b in self.ns.monomials:
-            col = {}
-            for m, c in f.terms.items():
-                for k, v in self.monomial_vector(_mul(m, b)).items():
-                    nv = col.get(k, _ZERO) + c * v
-                    if nv:
-                        col[k] = nv
-                    elif k in col:
-                        del col[k]
-            cols.append(col)
+        for b in self.standard:
+            products = [(m + b, a) for m, a in terms]
+            for t, _ in products:
+                self._vector(t)
+            cols.append(self._combine(products, den))
         return cols
 
 
 def _float_matrix(cols, rows: int) -> np.ndarray:
-    """Dense float matrix from exact sparse column dicts."""
+    """Dense float matrix from exact (integer vector, denominator) columns.
+    int / int is correctly rounded, like float() of the reduced fraction."""
     out = np.zeros((rows, len(cols)))
-    for j, col in enumerate(cols):
-        for i, c in col.items():
-            out[i, j] = float(c)
+    for j, (vec, den) in enumerate(cols):
+        for i, x in vec.items():
+            out[i, j] = x / den
     return out
 
 
@@ -810,6 +878,18 @@ def solve_max(
     )
 
 
+def _point_order(a: CriticalPoint, b: CriticalPoint) -> int:
+    """Decreasing |value|; values equal within _TIE_TOL (1 + |value|) fall
+    back to the canonical vectors, compared lexicographically with the same
+    tolerance, so that tied points do not come out in rounding order."""
+    keys_a = (-abs(a.value), *itertools.chain.from_iterable(a.vectors))
+    keys_b = (-abs(b.value), *itertools.chain.from_iterable(b.vectors))
+    for x, y in zip(keys_a, keys_b):
+        if abs(x - y) > _TIE_TOL * (1.0 + abs(x)):
+            return -1 if x < y else 1
+    return 0
+
+
 def solve_argmax(
     form: MultilinearForm,
     budget: int = DEFAULT_REDUCTION_BUDGET,
@@ -826,7 +906,8 @@ def solve_argmax(
     every coordinate of every solution is then one row of N @ V, where row v
     of N is the exact normal form of the variable x_v.  Real solutions are
     normalized back to the spheres, scored in one batch (value and
-    fixed-point residual), and reported by decreasing |l|.
+    fixed-point residual), and reported by decreasing |l|, tied values in
+    the lexicographic order of their canonical vectors.
     """
     n = [d - 1 for d in form.dims]
     if not force and any(2 * ni > sum(n) for ni in n):
@@ -871,7 +952,7 @@ def solve_argmax(
             "repeated eigenvalues after retries (non-generic form?)"
         )
 
-    const = eigvecs[ring.index[(0,) * nvars]]
+    const = eigvecs[ns.monomials.index((0,) * nvars)]
     solved = np.abs(const) > 1e-8 * np.linalg.norm(eigvecs, axis=0)
     nf = _float_matrix([ring.monomial_vector(m) for m in var_monomials], dim).T
     coords = nf @ (eigvecs[:, solved] / const[solved])
@@ -901,7 +982,7 @@ def solve_argmax(
         flags.append(
             f"{degenerate} eigenvector(s) with near-zero constant coordinate skipped"
         )
-    points.sort(key=lambda p: -abs(p.value))
+    points.sort(key=functools.cmp_to_key(_point_order))
     max_value = abs(points[0].value) if points else float("nan")
     if not points:
         flags.append("no real critical points recovered")

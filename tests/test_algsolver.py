@@ -29,7 +29,10 @@ from spheremax import (
 from spheremax.algsolver import (
     QuotientRing,
     _Budget,
+    _divides,
+    _Monomials,
     _normal_form,
+    _reducer,
     _spoly,
     _to_integer_primitive,
     form_polynomial,
@@ -37,6 +40,7 @@ from spheremax.algsolver import (
 )
 
 from conftest import (
+    TRILINEAR_COEFFS,
     TRILINEAR_CRITICAL_VALUES,
     TRILINEAR_MAX,
     QUADLINEAR_FACTORS,
@@ -170,14 +174,69 @@ def test_groebner_certificate_small_systems():
         assert verify_buchberger_certificate(gb)
 
 
+# ---------------------------------------------------------------------------
+# packed monomials
+# ---------------------------------------------------------------------------
+
+_exponents = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(0, 60), min_size=n, max_size=n).map(tuple),
+        st.lists(st.integers(0, 60), min_size=n, max_size=n).map(tuple),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exponents)
+def test_packed_monomials_match_tuple_definitions(pair):
+    a, b = pair
+    mono = _Monomials(len(a))
+    ka, kb = mono.pack(a), mono.pack(b)
+    assert mono.unpack(ka) == a and mono.unpack(kb) == b
+    assert (ka < kb) == (grevlex_key(a) < grevlex_key(b))
+    assert (ka == kb) == (a == b)
+    assert ka + kb == mono.pack(tuple(x + y for x, y in zip(a, b)))
+    assert mono.divides(ka, kb) == _divides(a, b)
+    assert mono.divides(kb, ka) == _divides(b, a)
+    lcm = mono.lcm(ka, kb)
+    assert lcm == mono.pack(tuple(max(x, y) for x, y in zip(a, b)))
+    coprime = all(x == 0 or y == 0 for x, y in zip(a, b))
+    assert (lcm == ka + kb) == coprime
+
+
+def test_packed_degree_limit_raises():
+    mono = _Monomials(2)
+    top = 2**15 - 1
+    assert mono.unpack(mono.pack((top, 0))) == (top, 0)
+    with pytest.raises(BudgetExceededError):
+        mono.pack((top, 1))
+    # each factor fits; their lcm would carry a field into its guard bit
+    with pytest.raises(BudgetExceededError):
+        mono.lcm(mono.pack((2**14, 0)), mono.pack((0, 2**14)))
+    # a negative exponent is no monomial: refused, not packed
+    with pytest.raises(ValueError):
+        RationalPoly(("x", "y"), {(-1, 2): 1})
+    # Buchberger checks the lcm of every new pair
+    v = ("x", "y")
+    system = _system(v, [
+        _poly(v, {(2**14, 0): 1, (0, 0): -1}),
+        _poly(v, {(0, 2**14): 1, (0, 0): -1}),
+    ])
+    with pytest.raises(BudgetExceededError):
+        groebner(system)
+
+
 def test_spolynomial_cancels_leading_terms():
     # the integer S-polynomial that Buchberger's algorithm uses
-    f = {(2, 0): 2, (0, 1): 1}
-    g = {(1, 1): 3, (1, 0): 1}
-    s = _spoly((2, 0), f, (1, 1), g)
-    lcm = (2, 1)
+    mono = _Monomials(2)
+    f = {mono.pack((2, 0)): 2, mono.pack((0, 1)): 1}
+    g = {mono.pack((1, 1)): 3, mono.pack((1, 0)): 1}
+    lm_f, lm_g = mono.pack((2, 0)), mono.pack((1, 1))
+    lcm = mono.lcm(lm_f, lm_g)
+    assert lcm == mono.pack((2, 1))
+    s = _spoly(lm_f, f, lm_g, g, lcm)
     assert lcm not in s
-    assert all(grevlex_key(m) < grevlex_key(lcm) for m in s)
+    assert all(m < lcm for m in s)
 
 
 def test_reduce_poly_exact_and_idempotent():
@@ -189,28 +248,33 @@ def test_reduce_poly_exact_and_idempotent():
     gb = groebner(sys_)
     ns = normal_set(gb)
     ring = QuotientRing(gb, ns)
+
+    def coords(m):
+        vec, den = ring.monomial_vector(m)
+        assert den > 0
+        return {i: Fraction(x, den) for i, x in vec.items() if x}
+
     # x^3 y -> x^4 -> 4, in the memoized quotient-ring loop ...
-    assert ring.monomial_vector((3, 1)) == {ns.monomials.index((0, 0)): 4}
+    assert coords((3, 1)) == {ns.monomials.index((0, 0)): 4}
     # ... and in the integer loop Buchberger reduces with
-    reducers = []
-    for b in gb.basis:
-        ints = _to_integer_primitive(b.terms)
-        lm = max(ints, key=grevlex_key)
-        reducers.append((lm, ints[lm], {m: c for m, c in ints.items() if m != lm}))
+    mono = _Monomials(2)
+    reducers = [_reducer(_to_integer_primitive(b.terms, mono)) for b in gb.basis]
+    reducers.sort()
     budget = _Budget(10**6)
-    nf = _normal_form({(3, 1): 1}, reducers, budget)
-    assert nf == {(0, 0): 1}  # 4, up to a positive scalar
+    nf = _normal_form({mono.pack((3, 1)): 1}, reducers, mono, budget)
+    assert nf == {mono.pack((0, 0)): 1}  # 4, up to a positive scalar
     # basis elements reduce to zero; normal forms are fixed points
     for b in gb.basis:
-        assert _normal_form(_to_integer_primitive(b.terms), reducers, budget) == {}
+        ints = _to_integer_primitive(b.terms, mono)
+        assert _normal_form(ints, reducers, mono, budget) == {}
         total = {}
         for m, c in b.terms.items():
-            for k, x in ring.monomial_vector(m).items():
+            for k, x in coords(m).items():
                 total[k] = total.get(k, 0) + c * x
         assert all(x == 0 for x in total.values())
-    assert _normal_form(nf, reducers, budget) == nf
+    assert _normal_form(nf, reducers, mono, budget) == nf
     for i, m in enumerate(ns.monomials):
-        assert ring.monomial_vector(m) == {i: 1}
+        assert coords(m) == {i: 1}
 
 
 def test_budget_exceeded_raises():
@@ -220,6 +284,30 @@ def test_budget_exceeded_raises():
     system = build_critical_system(form, chart="sphere")
     with pytest.raises(BudgetExceededError):
         groebner(system, budget=50)
+
+
+@pytest.mark.parametrize("chart, reductions", [("affine", 105), ("sphere", 1732)])
+def test_groebner_reduction_count_is_pinned(chart, reductions):
+    # the exact number of reduction steps Buchberger's algorithm takes on
+    # the trilinear form: a change to pair selection, the criteria or the
+    # reducer choice moves it
+    system = build_critical_system(
+        MultilinearForm(dims=(2, 2, 2), coeffs=TRILINEAR_COEFFS), chart=chart
+    )
+    groebner(system, budget=reductions)
+    with pytest.raises(BudgetExceededError):
+        groebner(system, budget=reductions - 1)
+
+
+@pytest.mark.parametrize("chart, reductions", [("affine", 84), ("sphere", 415)])
+def test_mult_matrix_reduction_count_is_pinned(chart, reductions):
+    form = MultilinearForm(dims=(2, 2, 2), coeffs=TRILINEAR_COEFFS)
+    gb = groebner(build_critical_system(form, chart=chart))
+    ns = normal_set(gb)
+    lpoly = form_polynomial(form)
+    mult_matrix(lpoly, gb, ns, budget=reductions)
+    with pytest.raises(BudgetExceededError):
+        mult_matrix(lpoly, gb, ns, budget=reductions - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +441,19 @@ def test_solve_argmax_reports_unit_vectors_and_residuals(trilinear_form):
     # points sorted by decreasing |value|
     mags = [abs(p.value) for p in report.points]
     assert mags == sorted(mags, reverse=True)
+
+
+def test_solve_argmax_orders_tied_points_by_vectors():
+    # four critical points share |value| 2/sqrt(5) up to rounding; they
+    # come out in the lexicographic order of their canonical vectors
+    coeffs = np.zeros(8)
+    coeffs[0], coeffs[7] = 1.0, 2.0
+    report = solve_argmax(MultilinearForm(dims=(2, 2, 2), coeffs=coeffs))
+    tied = [p for p in report.points
+            if abs(abs(p.value) - 2 / np.sqrt(5)) <= 1e-12]
+    assert len(tied) == 4
+    signs = [tuple(int(np.sign(v[1])) for v in p.vectors) for p in tied]
+    assert signs == [(-1, -1, 1), (-1, 1, -1), (1, -1, -1), (1, 1, 1)]
 
 
 def test_solve_argmax_precondition():
