@@ -30,13 +30,8 @@ from decimal import Decimal
 
 import numpy as np
 
-from . import multiform
-from .errors import (
-    BudgetExceededError,
-    DimensionMismatchError,
-    NotZeroDimensionalError,
-    PreconditionViolatedError,
-)
+from . import chowcount, multiform
+from .errors import BudgetExceededError, DimensionMismatchError, NotZeroDimensionalError
 from .linalg import Matrix
 from .multiform import MultilinearForm
 
@@ -194,16 +189,6 @@ class RationalPoly:
     def leading_monomial(self):
         return max(self.terms, key=grevlex_key)
 
-    def evaluate(self, values: dict):
-        total = _ZERO
-        for exps, c in self.terms.items():
-            t = c
-            for name, e in zip(self.variables, exps):
-                if e:
-                    t = t * values[name] ** e
-            total += t
-        return total
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -221,10 +206,9 @@ class RationalPoly:
 
 @dataclass(frozen=True)
 class PolySystem:
-    """Critical system plus chart closure; chart is 'sphere' or 'affine'."""
+    """Critical system plus one chart closure equation per slot."""
 
     polys: tuple
-    chart: str
     variables: tuple
     slot_vars: tuple  # per slot, tuple of variable indices
 
@@ -810,9 +794,7 @@ def build_critical_system(form: MultilinearForm, chart: str = "sphere") -> PolyS
             polys.append(
                 RationalPoly(names, {tuple(e): _ONE, (0,) * nvars: -_ONE})
             )
-    return PolySystem(
-        polys=tuple(polys), chart=chart, variables=names, slot_vars=slot_vars
-    )
+    return PolySystem(polys=tuple(polys), variables=names, slot_vars=slot_vars)
 
 
 # ---------------------------------------------------------------------------
@@ -908,23 +890,30 @@ def solve_argmax(
     normalized back to the spheres, scored in one batch (value and
     fixed-point residual), and reported by decreasing |l|, tied values in
     the lexicographic order of their canonical vectors.
+
+    The chart's one guard is the paper's count: for a generic form the
+    quotient dimension is count_extreme_classes(dims) in every format
+    (Friedland and Ottaviani, 2014).  When it differs (a non-generic form,
+    e.g. with critical points at x_1 = 0), a flag names both numbers, since
+    points and the true maximum may be missing.  ``force`` is ignored; it
+    stays because perfbench/workloads.py passes force=True.
     """
-    n = [d - 1 for d in form.dims]
-    if not force and any(2 * ni > sum(n) for ni in n):
-        raise PreconditionViolatedError(
-            f"dimension inequality 2*n_i <= sum(n_j) fails for dims {form.dims}; "
-            "pass force=True to run the affine chart anyway"
-        )
     system, gb, ns, marks = _quotient(form, "affine", budget)
+    dim = len(ns)
+    flags = []
+    classes = chowcount.count_extreme_classes(form.dims)
+    if dim != classes:
+        flags.append(
+            f"quotient dimension {dim} differs from the extreme-class count "
+            f"{classes}: non-generic form, critical points may be missing"
+        )
     ring = QuotientRing(gb, ns, budget)
     nvars = len(system.variables)
     var_monomials = [tuple(int(i == v) for i in range(nvars)) for v in range(nvars)]
     # the separating form's variables: all but each slot's chart coordinate
     free_vars = [var_monomials[v] for svars in system.slot_vars for v in svars[1:]]
-    flags = []
 
     rng = np.random.default_rng(seed)
-    dim = len(ns)
     eigvals = eigvecs = None
     for attempt in range(4):
         if attempt == 0 and free_vars:

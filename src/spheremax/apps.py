@@ -108,7 +108,7 @@ def matrix_norm2(a: Matrix, method: str = "auto", seed: int = 0) -> float:
 
 
 def closest_rank_one(
-    form: MultilinearForm, method: str = "auto", seed: int = 0, force: bool = False
+    form: MultilinearForm, method: str = "auto", seed: int = 0
 ) -> RankOneApproximation:
     """Closest unit rank-one form phi = <x_1 (x) ... (x) x_r, -> to l.
 
@@ -116,7 +116,9 @@ def closest_rank_one(
     arranged so l(factors) = +max_value; then ||l - phi||^2 =
     ||l||^2 + 1 - 2*max_value.  For r >= 3 the power method takes the best
     of _ASCENTS Gauss-Seidel ascents; a power result that did not converge
-    raises NoConvergenceError.
+    raises NoConvergenceError.  The algebraic method takes the best point of
+    algsolver.solve_argmax in every format, square or not; it raises
+    PreconditionViolatedError when no real critical point is recovered.
     """
     if not np.any(form.coeffs):
         raise ValueError("closest_rank_one needs a nonzero form")
@@ -128,7 +130,7 @@ def closest_rank_one(
             result = poweriter._ascend(form, seed, _ASCENTS)
         vectors = [np.asarray(v, dtype=float) for v in _converged(result).point]
     else:
-        report = algsolver.solve_argmax(form, force=force, seed=seed)
+        report = algsolver.solve_argmax(form, seed=seed)
         if not report.points:
             raise PreconditionViolatedError(
                 "no real critical point recovered: " + "; ".join(report.genericity_flags)
@@ -188,13 +190,7 @@ def separable_max(rho: DensityState, method: str = "auto", seed: int = 0) -> flo
     form = _separability_form(rho)
     if method == "power":
         return _converged(poweriter._ascend(form, seed, _ASCENTS)).value ** 2
-    # Affine chart: its quotient has one point per extreme class (the sphere
-    # chart multiplies the quotient dimension by 8 here and is far slower).
-    # The z slot has dimension rank(rho), so the dimension inequality
-    # 2 n_i <= sum(n_j) fails only for a full-rank 2x2 state (n = 1, 1, 3);
-    # the chart is still valid for these structured forms, hence force=True,
-    # and the result is cross-checked against the power path in the tests.
-    report = algsolver.solve_argmax(form, force=True, seed=seed)
+    report = algsolver.solve_argmax(form, seed=seed)
     if not report.points:
         raise PreconditionViolatedError(
             "no real critical point recovered: " + "; ".join(report.genericity_flags)

@@ -69,14 +69,25 @@ def _require(data: dict, key: str, path: str):
     return data[key]
 
 
+def _is_number(x, integral: bool = False) -> bool:
+    """A JSON number that is finite as a float, and an int when integral.
+    JSON true and false are not numbers, although bool subclasses int."""
+    if isinstance(x, bool) or not isinstance(x, int if integral else (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _parse_form(path: str) -> MultilinearForm:
     data = _load_json(path)
     dims = _require(data, "dims", path)
     coeffs = _require(data, "coeffs", path)
-    if not isinstance(dims, list) or not all(isinstance(d, int) and d > 0 for d in dims):
+    if not isinstance(dims, list) or not all(_is_number(d, True) and d > 0 for d in dims):
         raise InputError(f"{path}: dims must be a list of positive integers")
-    if not isinstance(coeffs, list) or not all(isinstance(c, (int, float)) for c in coeffs):
-        raise InputError(f"{path}: coeffs must be a list of numbers")
+    if not isinstance(coeffs, list) or not all(map(_is_number, coeffs)):
+        raise InputError(f"{path}: coeffs must be a list of finite numbers")
     if len(coeffs) != math.prod(dims):
         raise InputError(
             f"{path}: coeffs length mismatch (got {len(coeffs)}, "
@@ -89,10 +100,10 @@ def _parse_matrix_obj(data: dict, path: str) -> Matrix:
     rows = _require(data, "rows", path)
     cols = _require(data, "cols", path)
     entries = _require(data, "entries", path)
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    if not all(_is_number(n, True) and n > 0 for n in (rows, cols)):
         raise InputError(f"{path}: rows and cols must be positive integers")
-    if not isinstance(entries, list) or not all(isinstance(c, (int, float)) for c in entries):
-        raise InputError(f"{path}: entries must be a list of numbers")
+    if not isinstance(entries, list) or not all(map(_is_number, entries)):
+        raise InputError(f"{path}: entries must be a list of finite numbers")
     if len(entries) != rows * cols:
         raise InputError(
             f"{path}: entries length mismatch (got {len(entries)}, "
@@ -110,7 +121,7 @@ def _parse_state(path: str) -> apps.DensityState:
     dim_a = _require(data, "dimA", path)
     dim_b = _require(data, "dimB", path)
     matrix = _require(data, "matrix", path)
-    if not isinstance(dim_a, int) or not isinstance(dim_b, int):
+    if not (_is_number(dim_a, True) and _is_number(dim_b, True)):
         raise InputError(f"{path}: dimA and dimB must be integers")
     if not isinstance(matrix, dict):
         raise InputError(f"{path}: matrix must be a JSON object")
@@ -158,22 +169,15 @@ def cmd_maximize(args) -> int:
         report["iterations"] = result.iterations
         report["residual"] = result.residual
         if args.points:
-            report["points"] = [
-                {
-                    "vectors": [[float(c) for c in v] for v in result.point],
-                    "value": result.value,
-                    "residual": result.residual,
-                }
-            ]
+            report["points"] = _points_json(
+                [algsolver.CriticalPoint(result.point, result.value, result.residual)]
+            )
     else:
         # points come from the affine chart, the maximum alone from the sphere
         report["chart"] = "affine" if args.points else "sphere"
         if args.points:
             solved = algsolver.solve_argmax(
-                form,
-                budget=args.budget_reductions,
-                force=args.force,
-                seed=args.seed,
+                form, budget=args.budget_reductions, seed=args.seed
             )
         else:
             solved = algsolver.solve_max(form, budget=args.budget_reductions)
@@ -201,9 +205,7 @@ def cmd_count(args) -> int:
 def cmd_rank1(args) -> int:
     form = _parse_form(args.input)
     t0 = time.perf_counter()
-    result = apps.closest_rank_one(
-        form, method=args.method, seed=args.seed, force=args.force
-    )
+    result = apps.closest_rank_one(form, method=args.method, seed=args.seed)
     report = {
         "method": apps._resolve_method(args.method, form.order),
         "factors": [[float(c) for c in v] for v in result.factors.factors],
@@ -258,7 +260,7 @@ def bench_row(dims, seed: int, budget: int) -> dict:
     form = _random_integer_form(dims, rng)
     row = {"dims": list(dims), "expectedClasses": chowcount.count_extreme_classes(dims)}
     try:
-        solved = algsolver.solve_argmax(form, budget=budget, force=True, seed=seed)
+        solved = algsolver.solve_argmax(form, budget=budget, seed=seed)
         t = solved.timings
         row.update(
             quotientDim=solved.quotient_dim,
@@ -320,9 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_budget(p):
         p.add_argument("--budget-reductions", type=int, default=algsolver.DEFAULT_REDUCTION_BUDGET)
 
-    def add_force(p):
-        p.add_argument("--force", action="store_true", help="override solver preconditions")
-
     def add_common(p):
         p.add_argument("input", help="input JSON file")
         p.add_argument(
@@ -337,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("maximize", help="maximum of |form| over the sphere product")
     add_common(p)
     add_budget(p)
-    add_force(p)
     p.add_argument("--tol", type=float, default=poweriter.DEFAULT_TOL)
     p.add_argument("--max-iters", type=int, default=poweriter.DEFAULT_MAX_ITERS)
     p.add_argument("--points", action="store_true", help="include critical points (affine chart)")
@@ -347,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank1", help="closest unit rank-one form")
     add_common(p)
-    add_force(p)
 
     p = sub.add_parser("norm2", help="matrix 2-norm (first singular value)")
     add_common(p)

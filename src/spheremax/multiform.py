@@ -217,16 +217,16 @@ def rank_one_to_form(r1: RankOneForm) -> MultilinearForm:
     return MultilinearForm(dims=r1.dims, coeffs=t.reshape(-1))
 
 
-def canonical_signs(vectors, tol: float = 0.0) -> list:
-    """Flip each vector so its first coordinate of magnitude > tol is
-    positive.  Extreme points come in sign classes (+-x_1, ..., +-x_r); this
-    picks a deterministic representative."""
+def canonical_signs(vectors) -> list:
+    """Flip each vector so its first nonzero coordinate is positive.
+    Extreme points come in sign classes (+-x_1, ..., +-x_r); this picks a
+    deterministic representative."""
     out = []
     for v in vectors:
         v = np.asarray(v, dtype=float)
         sign = 1.0
         for c in v:
-            if abs(c) > tol:
+            if abs(c) > 0.0:
                 sign = 1.0 if c > 0 else -1.0
                 break
         out.append(sign * v)

@@ -12,7 +12,6 @@ from spheremax import (
     MultilinearForm,
     NotZeroDimensionalError,
     PolySystem,
-    PreconditionViolatedError,
     RationalPoly,
     build_critical_system,
     canonical_signs,
@@ -116,12 +115,7 @@ def _poly(variables, terms):
 
 
 def _system(variables, polys):
-    return PolySystem(
-        polys=tuple(polys),
-        chart="affine",
-        variables=variables,
-        slot_vars=((0,),),
-    )
+    return PolySystem(polys=tuple(polys), variables=variables, slot_vars=((0,),))
 
 
 def test_groebner_univariate_gcd():
@@ -355,17 +349,23 @@ def test_critical_system_shapes():
 
 
 def test_form_polynomial_evaluates_like_form():
-    rng = np.random.default_rng(1)
-    form = random_form(rng, (2, 3))
+    # one term per nonzero entry: entry (i, j) is the exact coefficient of
+    # x_{i+1} y_{j+1}
+    form = MultilinearForm(dims=(2, 3), coeffs=[0.5, 0, -3, 1.25, 7, -0.1])
     poly = form_polynomial(form)
-    x = rng.standard_normal(2)
-    y = rng.standard_normal(3)
-    values = dict(zip(poly.variables, [rationalize(float(c)) for c in (*x, *y)]))
-    from spheremax import evaluate
-
-    assert float(poly.evaluate(values)) == pytest.approx(
-        evaluate(form, [x, y]), abs=1e-9
-    )
+    assert poly.variables == ("x1", "x2", "y1", "y2", "y3")
+    expected = {}
+    for (i, j), c in np.ndenumerate(form.tensor):
+        if c:
+            exps = tuple(int(k == i) for k in range(2)) + tuple(int(k == j) for k in range(3))
+            expected[exps] = Fraction(str(c))
+    assert poly.terms == expected
+    # so the polynomial takes the form's values
+    rng = np.random.default_rng(1)
+    x, y = rng.standard_normal(2), rng.standard_normal(3)
+    point = np.concatenate([x, y])
+    value = sum(float(c) * np.prod(point ** np.array(m)) for m, c in poly.terms.items())
+    assert value == pytest.approx(evaluate(form, [x, y]), abs=1e-12)
 
 
 def test_solve_max_trilinear_instance(trilinear_form):
@@ -406,6 +406,7 @@ def test_solve_reports_stage_times(trilinear_form):
 def test_solve_argmax_quadlinear_instance(quadlinear_form):
     report = solve_argmax(quadlinear_form)
     assert report.quotient_dim == count_extreme_classes((2, 2, 2, 2))
+    assert report.genericity_flags == ()
     assert report.max_value == pytest.approx(QUADLINEAR_MAX, abs=1e-6)
     best = report.points[0]
     assert best.residual <= 1e-6 * (1 + abs(best.value))
@@ -428,6 +429,7 @@ def test_solve_argmax_bilinear_matches_svd():
 def test_solve_argmax_reports_unit_vectors_and_residuals(trilinear_form):
     report = solve_argmax(trilinear_form)
     assert report.points, "expected real critical points"
+    assert report.genericity_flags == ()
     values = sorted(abs(p.value) for p in report.points)
     assert values == pytest.approx(sorted(TRILINEAR_CRITICAL_VALUES), abs=1e-6)
     for p in report.points:
@@ -456,15 +458,38 @@ def test_solve_argmax_orders_tied_points_by_vectors():
     assert signs == [(-1, -1, 1), (-1, 1, -1), (1, -1, -1), (1, 1, 1)]
 
 
-def test_solve_argmax_precondition():
-    form = MultilinearForm(dims=(4, 2), coeffs=np.arange(8, dtype=float) + 1)
-    with pytest.raises(PreconditionViolatedError):
-        solve_argmax(form)
-    # force runs the affine chart anyway and still matches the SVD
-    a = np.arange(8, dtype=float).reshape(4, 2) + 1
-    s1 = float(np.linalg.svd(a, compute_uv=False)[0])
-    report = solve_argmax(form, force=True)
-    assert report.max_value == pytest.approx(s1, abs=1e-8)
+def test_solve_argmax_non_square_matches_svd():
+    # no dimension precondition: a non-square matrix fails 2 n_i <= sum n_j,
+    # yet its min(m, n) singular pairs, the class count, all lie on the chart
+    rng = np.random.default_rng(4)
+    forms = [MultilinearForm(dims=(4, 2), coeffs=np.arange(8, dtype=float) + 1)]
+    forms += [random_form(rng, dims) for dims in [(3, 2), (2, 3), (4, 2), (5, 3)]]
+    for form in forms:
+        s1 = float(np.linalg.svd(form.tensor, compute_uv=False)[0])
+        report = solve_argmax(form)
+        assert report.quotient_dim == count_extreme_classes(form.dims) == min(form.dims)
+        assert report.max_value == pytest.approx(s1, abs=1e-8)
+        assert report.genericity_flags == ()
+    # force is accepted and ignored
+    assert solve_argmax(form, force=True).eigenvalues == report.eigenvalues
+
+
+@pytest.mark.parametrize("dims, coeffs, quotient", [
+    ((2, 2, 2), [1, 0, 0, 0, 0, 0, 0, 2], 5),  # the maximum 2 sits at x_1 = 0
+    ((2, 2), [0, 0, 0, 1], 1),  # e2 (x) e2
+    ((2, 2), [3, 0, 0, 2], 1),  # diag(3, 2)
+], ids=["sparse-2x2x2", "e2xe2", "diag-3-2"])
+def test_solve_argmax_flags_quotient_below_class_count(dims, coeffs, quotient):
+    # a non-generic form whose critical points leave the x_1 = 1 chart: the
+    # answer is flagged, never refused
+    report = solve_argmax(MultilinearForm(dims=dims, coeffs=coeffs))
+    classes = count_extreme_classes(dims)
+    assert report.quotient_dim == quotient < classes
+    assert report.genericity_flags[0] == (
+        f"quotient dimension {quotient} differs from the extreme-class count "
+        f"{classes}: non-generic form, critical points may be missing"
+    )
+    assert sum("extreme-class count" in f for f in report.genericity_flags) == 1
 
 
 def test_quotient_dimension_matches_class_count():

@@ -87,8 +87,8 @@ def test_norm2_rejects_bad_method(matrix_4x3):
 def test_rank_one_bilinear_matches_svd_pair(form_3x2):
     a = form_3x2.tensor
     u, s, vt = np.linalg.svd(a)
-    for kwargs in ({"method": "power"}, {"method": "algebraic", "force": True}):
-        result = closest_rank_one(form_3x2, **kwargs)
+    for method in ("power", "algebraic"):
+        result = closest_rank_one(form_3x2, method=method)
         y, x = result.factors.factors
         assert sign_aligned_error(y, u[:, 0]) < 1e-6
         assert sign_aligned_error(x, vt[0]) < 1e-6

@@ -86,6 +86,11 @@ def test_maximize_power_bilinear(capsys, bilinear_file, monkeypatch):
     assert report["maxValue"] == pytest.approx(math.sqrt(20), abs=1e-8)
     assert report["flags"] == ["converged"]
     assert report["residual"] <= 1e-8
+    code, out = _run(capsys, ["maximize", bilinear_file, "--method", "power", "--points"])
+    assert code == EXIT_OK
+    (point,) = json.loads(out)["points"]
+    assert point["value"] == report["maxValue"] and point["residual"] == report["residual"]
+    assert [np.linalg.norm(v) for v in point["vectors"]] == pytest.approx([1.0, 1.0])
 
 
 def test_maximize_algebraic_sphere_chart(capsys, trilinear_file):
@@ -126,6 +131,20 @@ def test_norm2_round_trip(capsys, matrix_file, tmp_path):
     assert report["norm2"] == pytest.approx(MATRIX_4X3_NORM2, abs=1e-6)
     with open(out_path) as fh:
         assert json.load(fh) == report
+
+
+def test_rank1_algebraic_on_2x2x4_form(capsys, tmp_path):
+    # n = (1, 1, 3) fails 2 n_i <= sum n_j; the affine chart still holds
+    # one point per extreme class and the answer beats every power ascent
+    coeffs = np.random.default_rng(7).integers(-9, 10, size=16).tolist()
+    path = _write(tmp_path, "form.json", {"dims": [2, 2, 4], "coeffs": coeffs})
+    code, out = _run(capsys, ["rank1", path])
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["method"] == "algebraic"
+    code, out = _run(capsys, ["rank1", path, "--method", "power"])
+    assert code == EXIT_OK
+    assert report["maxValue"] >= json.loads(out)["maxValue"] - 1e-8
 
 
 def test_rank1_power(capsys, trilinear_file):
@@ -206,6 +225,29 @@ def test_solver_budget_exhaustion_is_solver_error(capsys, trilinear_file):
     assert code == EXIT_SOLVER
 
 
+_STATE_MATRIX = {"rows": 4, "cols": 4, "entries": [e for row in STATE_ENTANGLED for e in row]}
+
+
+@pytest.mark.parametrize("argv, obj", [
+    # JSON true is a bool, which Python counts as the int 1
+    (["maximize"], {"dims": [True, 2], "coeffs": [1, 2]}),
+    (["norm2"], {"rows": True, "cols": 2, "entries": [1, 2]}),
+    (["separability", "--method", "power"],
+     {"dimA": True, "dimB": 4, "matrix": _STATE_MATRIX}),
+    (["maximize", "--method", "power"], {"dims": [2, 2], "coeffs": [1, True, 3, 4]}),
+    (["maximize", "--method", "power"], {"dims": [2, 2], "coeffs": [1, math.nan, 3, 4]}),
+    (["maximize", "--method", "algebraic"], {"dims": [2, 2], "coeffs": [1, math.nan, 3, 4]}),
+    (["maximize", "--method", "power"], {"dims": [2, 2], "coeffs": [1, math.inf, 3, 4]}),
+    (["maximize", "--method", "algebraic"], {"dims": [2, 2], "coeffs": [1, -math.inf, 3, 4]}),
+    (["norm2"], {"rows": 2, "cols": 2, "entries": [1, math.inf, 3, 4]}),
+], ids=["bool-dims", "bool-rows", "bool-dimA", "bool-coeff", "nan-power", "nan-algebraic",
+        "inf-power", "-inf-algebraic", "inf-entry"])
+def test_non_finite_or_boolean_number_is_io_error(capsys, tmp_path, argv, obj):
+    p = _write(tmp_path, "input.json", obj)
+    code, _ = _run(capsys, [argv[0], p, *argv[1:]])
+    assert code == EXIT_IO
+
+
 def test_invalid_state_is_io_error(capsys, tmp_path):
     p = _write(
         tmp_path,
@@ -248,23 +290,34 @@ def test_report_is_strict_json_without_real_eigenvalue(capsys, trilinear_file, m
     assert report["flags"] == ["no real eigenvalues within tolerance"]
 
 
-_UNREAD_OPTIONS = {
-    "norm2": [["--budget-reductions", "1"], ["--force"]],
-    "rank1": [["--budget-reductions", "1"]],
-    "separability": [["--budget-reductions", "1"], ["--force"]],
-}
-
-
 @pytest.mark.parametrize("command", ["norm2", "rank1", "separability"])
 def test_iteration_options_only_on_maximize(capsys, matrix_file, command):
-    # each subcommand takes only the options it reads
     code = cli.main([command, matrix_file, "--max-iters", "5"])
     assert code == EXIT_IO
     assert "unrecognized arguments" in capsys.readouterr().err
     code = cli.main([command, matrix_file, "--tol", "1e-9"])
     assert code == EXIT_IO
+
+
+_UNREAD_OPTIONS = {
+    "maximize": [["--force"]],
+    "count": [["--force"]],
+    "rank1": [["--budget-reductions", "1"], ["--force"]],
+    "norm2": [["--budget-reductions", "1"], ["--force"]],
+    "separability": [["--budget-reductions", "1"], ["--force"]],
+    "bench": [["--force"]],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_UNREAD_OPTIONS))
+def test_unread_options_are_rejected(capsys, matrix_file, command):
+    # each subcommand takes only the options it reads; no solver
+    # precondition is left for a --force to override
+    argv = {"count": ["count", "2", "2"], "bench": ["bench", "--rows"]}.get(
+        command, [command, matrix_file, "--method", "algebraic"]
+    )
     for option in _UNREAD_OPTIONS[command]:
-        code = cli.main([command, matrix_file, "--method", "algebraic", *option])
+        code = cli.main([*argv, *option])
         assert code == EXIT_IO, option
         assert "unrecognized arguments" in capsys.readouterr().err
 
