@@ -4,8 +4,9 @@
 Covers every entry point: exact extreme-class counting, power iteration for
 bilinear forms, the exact algebraic maximum/argmax for higher-order forms,
 matrix 2-norms, the closest unit rank-one form, and the separability bound
-with its entanglement verdict.  Runs in about a minute; most of the time is
-the sphere-chart Groebner basis of the 4-linear instance.
+with its entanglement verdict.  Runs in about a second (1.1 s on a 2-core
+x86_64 VM); about half of that is solve_argmax's affine-chart solve of the
+4-linear instance.  tests/test_showcase.py runs it as a smoke test.
 """
 
 import time

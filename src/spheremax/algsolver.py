@@ -273,15 +273,18 @@ class _Budget:
             )
 
 
+def _clear_denominators(terms, mono):
+    """(den, {packed monomial: int}) from {exponent tuple: rational}, den the
+    least common denominator: the one step from rationals to integers."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return den, {mono.pack(m): c.numerator * (den // c.denominator)
+                 for m, c in terms.items()}
+
+
 def _to_integer_primitive(terms, mono):
     """Packed integer polynomial from {exponent tuple: rational}: clear
     denominators and strip content; leading coefficient positive."""
-    if not terms:
-        return {}
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    ints = {mono.pack(m): c.numerator * (den // c.denominator)
-            for m, c in terms.items()}
-    return _strip_content(ints)
+    return _strip_content(_clear_denominators(terms, mono)[1])
 
 
 def _strip_content(ints):
@@ -593,12 +596,10 @@ class QuotientRing:
         for p in gb.basis:
             lm = p.leading_monomial()
             tail = {m: c / p.terms[lm] for m, c in p.terms.items() if m != lm}
-            den = math.lcm(*(c.denominator for c in tail.values()))
+            den, ints = _clear_denominators(tail, mono)
             k = mono.pack(lm)
-            self.reducers.append((mono.probe(k), k, den, [
-                (mono.pack(m), -c.numerator * (den // c.denominator))
-                for m, c in tail.items()
-            ]))
+            self.reducers.append(
+                (mono.probe(k), k, den, [(m, -a) for m, a in ints.items()]))
         self.reducers.sort(key=lambda r: r[1])
 
     def monomial_vector(self, m) -> tuple:
@@ -655,12 +656,10 @@ class QuotientRing:
         exact, as (integer vector, positive denominator) pairs."""
         mono = self.mono
         _checked_degree(max(map(sum, f.terms), default=0) + self._top_degree)
-        den = math.lcm(*(c.denominator for c in f.terms.values()))
-        terms = [(mono.pack(m), c.numerator * (den // c.denominator))
-                 for m, c in f.terms.items()]
+        den, terms = _clear_denominators(f.terms, mono)
         cols = []
         for b in self.standard:
-            products = [(m + b, a) for m, a in terms]
+            products = [(m + b, a) for m, a in terms.items()]
             for t, _ in products:
                 self._vector(t)
             cols.append(self._combine(products, den))

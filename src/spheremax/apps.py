@@ -61,11 +61,13 @@ class DensityState:
 
 @dataclass(frozen=True)
 class RankOneApproximation:
-    """Closest unit rank-one form to l: factors, l at the factors, distance."""
+    """Closest unit rank-one form to l: factors, l at the factors, distance,
+    and the algebraic solve's genericity flags (none for the power method)."""
 
     factors: RankOneForm
     max_value: float
     distance: float
+    flags: tuple
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,7 @@ class EntanglementReport:
     verdict: str            # "entangled" | "separable-consistent"
     self_overlap: float     # <rho, rho>
     sep_max: float          # max over product states of <rho, xx^T (x) yy^T>
+    flags: tuple            # the algebraic solve's genericity flags; () for power
 
 
 def _resolve_method(method: str, order: int) -> str:
@@ -92,6 +95,16 @@ def _converged(result: poweriter.IterationResult) -> poweriter.IterationResult:
             f"(residual {result.residual:.3e})"
         )
     return result
+
+
+def _argmax(form: MultilinearForm, seed: int) -> algsolver.SolveReport:
+    """solve_argmax's report; PreconditionViolatedError if it has no point."""
+    report = algsolver.solve_argmax(form, seed=seed)
+    if not report.points:
+        raise PreconditionViolatedError(
+            "no real critical point recovered: " + "; ".join(report.genericity_flags)
+        )
+    return report
 
 
 def matrix_norm2(a: Matrix, method: str = "auto", seed: int = 0) -> float:
@@ -123,6 +136,7 @@ def closest_rank_one(
     if not np.any(form.coeffs):
         raise ValueError("closest_rank_one needs a nonzero form")
     method = _resolve_method(method, form.order)
+    flags = ()
     if method == "power":
         if form.order == 2:
             result = poweriter.bilinear_max(form, seed=seed)
@@ -130,12 +144,9 @@ def closest_rank_one(
             result = poweriter._ascend(form, seed, _ASCENTS)
         vectors = [np.asarray(v, dtype=float) for v in _converged(result).point]
     else:
-        report = algsolver.solve_argmax(form, seed=seed)
-        if not report.points:
-            raise PreconditionViolatedError(
-                "no real critical point recovered: " + "; ".join(report.genericity_flags)
-            )
+        report = _argmax(form, seed)
         vectors = [np.asarray(v, dtype=float) for v in report.points[0].vectors]
+        flags = report.genericity_flags
     value = multiform.evaluate(form, vectors)
     if value < 0.0:
         vectors[-1] = -vectors[-1]
@@ -146,6 +157,7 @@ def closest_rank_one(
         factors=RankOneForm(factors=tuple(vectors)),
         max_value=float(value),
         distance=math.sqrt(distance_sq),
+        flags=flags,
     )
 
 
@@ -181,21 +193,22 @@ def _separability_form(rho: DensityState) -> MultilinearForm:
     return MultilinearForm(dims=(rho.dim_a, rho.dim_b, keep.size), coeffs=coeffs)
 
 
+def _separable_max(rho: DensityState, method: str, seed: int):
+    """separable_max, and the flags of its algebraic solve (() for power)."""
+    method = _resolve_method(method, 3)
+    form = _separability_form(rho)
+    if method == "power":
+        return _converged(poweriter._ascend(form, seed, _ASCENTS)).value ** 2, ()
+    report = _argmax(form, seed)
+    return report.max_value ** 2, report.genericity_flags
+
+
 def separable_max(rho: DensityState, method: str = "auto", seed: int = 0) -> float:
     """max over product states xx^T (x) yy^T of <rho, ->, the separability
     bound: <rho, rho> <= separable_max(rho) whenever rho is separable.  The
     power method takes the best of _ASCENTS Gauss-Seidel ascents and raises
     NoConvergenceError when that one did not converge."""
-    method = _resolve_method(method, 3)
-    form = _separability_form(rho)
-    if method == "power":
-        return _converged(poweriter._ascend(form, seed, _ASCENTS)).value ** 2
-    report = algsolver.solve_argmax(form, seed=seed)
-    if not report.points:
-        raise PreconditionViolatedError(
-            "no real critical point recovered: " + "; ".join(report.genericity_flags)
-        )
-    return report.max_value ** 2
+    return _separable_max(rho, method, seed)[0]
 
 
 def self_overlap(rho: DensityState) -> float:
@@ -211,6 +224,6 @@ def entanglement_check(
     <rho, rho> <= separable_max(rho).  A violation certifies entanglement;
     the converse is never claimed ("separable-consistent")."""
     overlap = self_overlap(rho)
-    sep = separable_max(rho, method=method, seed=seed)
+    sep, flags = _separable_max(rho, method, seed)
     verdict = "entangled" if overlap > sep + _ENTANGLEMENT_MARGIN else "separable-consistent"
-    return EntanglementReport(verdict=verdict, self_overlap=overlap, sep_max=sep)
+    return EntanglementReport(verdict=verdict, self_overlap=overlap, sep_max=sep, flags=flags)

@@ -4,6 +4,8 @@ Subcommands: maximize, count, rank1, norm2, separability, bench.  Inputs are
 JSON files (tensor: {"dims": [...], "coeffs": [...]}, matrix: {"rows": ...,
 "cols": ..., "entries": [...]}, state: {"dimA": ..., "dimB": ...,
 "matrix": {...}}); reports are JSON with numbers at 10 significant digits.
+The CLI checks only what JSON can get wrong (types, booleans, non-finite
+numbers); every other input rule is the library type's that owns it.
 Exit codes: 0 success, 1 input/output error, 2 solver error.
 """
 
@@ -28,7 +30,6 @@ EXIT_IO = 1
 EXIT_SOLVER = 2
 
 DEFAULT_BENCH_ROWS = ((2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 5), (2, 3, 3))
-FULL_BENCH_ROWS = DEFAULT_BENCH_ROWS + ((3, 3, 3),)
 
 
 class InputError(Exception):
@@ -64,6 +65,8 @@ def _load_json(path: str) -> dict:
 
 
 def _require(data: dict, key: str, path: str):
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: expected a JSON object, got {type(data).__name__}")
     if key not in data:
         raise InputError(f"{path}: missing field {key!r}")
     return data[key]
@@ -80,57 +83,45 @@ def _is_number(x, integral: bool = False) -> bool:
         return False
 
 
+def _build(path: str, make, **fields):
+    """make(**fields); the library type's refusal becomes an InputError
+    that names the file."""
+    try:
+        return make(**fields)
+    except SphereMaxError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 def _parse_form(path: str) -> MultilinearForm:
     data = _load_json(path)
     dims = _require(data, "dims", path)
     coeffs = _require(data, "coeffs", path)
-    if not isinstance(dims, list) or not all(_is_number(d, True) and d > 0 for d in dims):
-        raise InputError(f"{path}: dims must be a list of positive integers")
+    if not isinstance(dims, list) or not all(_is_number(d, True) for d in dims):
+        raise InputError(f"{path}: dims must be a list of integers")
     if not isinstance(coeffs, list) or not all(map(_is_number, coeffs)):
         raise InputError(f"{path}: coeffs must be a list of finite numbers")
-    if len(coeffs) != math.prod(dims):
-        raise InputError(
-            f"{path}: coeffs length mismatch (got {len(coeffs)}, "
-            f"dims {dims} require {math.prod(dims)})"
-        )
-    return MultilinearForm(dims=tuple(dims), coeffs=coeffs)
+    return _build(path, MultilinearForm, dims=tuple(dims), coeffs=coeffs)
 
 
-def _parse_matrix_obj(data: dict, path: str) -> Matrix:
+def _parse_matrix(data: dict, path: str) -> Matrix:
     rows = _require(data, "rows", path)
     cols = _require(data, "cols", path)
     entries = _require(data, "entries", path)
-    if not all(_is_number(n, True) and n > 0 for n in (rows, cols)):
-        raise InputError(f"{path}: rows and cols must be positive integers")
+    if not (_is_number(rows, True) and _is_number(cols, True)):
+        raise InputError(f"{path}: rows and cols must be integers")
     if not isinstance(entries, list) or not all(map(_is_number, entries)):
         raise InputError(f"{path}: entries must be a list of finite numbers")
-    if len(entries) != rows * cols:
-        raise InputError(
-            f"{path}: entries length mismatch (got {len(entries)}, "
-            f"{rows}x{cols} requires {rows * cols})"
-        )
-    return Matrix(rows=rows, cols=cols, entries=entries)
-
-
-def _parse_matrix(path: str) -> Matrix:
-    return _parse_matrix_obj(_load_json(path), path)
+    return _build(path, Matrix, rows=rows, cols=cols, entries=entries)
 
 
 def _parse_state(path: str) -> apps.DensityState:
     data = _load_json(path)
     dim_a = _require(data, "dimA", path)
     dim_b = _require(data, "dimB", path)
-    matrix = _require(data, "matrix", path)
     if not (_is_number(dim_a, True) and _is_number(dim_b, True)):
         raise InputError(f"{path}: dimA and dimB must be integers")
-    if not isinstance(matrix, dict):
-        raise InputError(f"{path}: matrix must be a JSON object")
-    try:
-        return apps.DensityState(
-            dim_a=dim_a, dim_b=dim_b, matrix=_parse_matrix_obj(matrix, path)
-        )
-    except SphereMaxError as exc:
-        raise InputError(f"{path}: not a valid state: {exc}") from exc
+    matrix = _parse_matrix(_require(data, "matrix", path), path)
+    return _build(path, apps.DensityState, dim_a=dim_a, dim_b=dim_b, matrix=matrix)
 
 
 def _emit(report: dict, args):
@@ -193,12 +184,7 @@ def cmd_maximize(args) -> int:
 
 
 def cmd_count(args) -> int:
-    dims = tuple(args.dims)
-    if len(dims) < 2:
-        raise InputError("count needs at least two slot dimensions")
-    if any(d < 1 for d in dims):
-        raise InputError(f"slot dimensions must be positive, got {dims}")
-    print(chowcount.count_extreme_classes(dims))
+    print(chowcount.count_extreme_classes(tuple(args.dims)))
     return EXIT_OK
 
 
@@ -211,6 +197,7 @@ def cmd_rank1(args) -> int:
         "factors": [[float(c) for c in v] for v in result.factors.factors],
         "maxValue": result.max_value,
         "distance": result.distance,
+        "flags": list(result.flags),
         "timings": {"total": time.perf_counter() - t0},
     }
     _emit(report, args)
@@ -218,7 +205,7 @@ def cmd_rank1(args) -> int:
 
 
 def cmd_norm2(args) -> int:
-    matrix = _parse_matrix(args.input)
+    matrix = _parse_matrix(_load_json(args.input), args.input)
     t0 = time.perf_counter()
     value = apps.matrix_norm2(matrix, method=args.method, seed=args.seed)
     report = {
@@ -239,6 +226,7 @@ def cmd_separability(args) -> int:
         "verdict": result.verdict,
         "selfOverlap": result.self_overlap,
         "sepMax": result.sep_max,
+        "flags": list(result.flags),
         "timings": {"total": time.perf_counter() - t0},
     }
     _emit(report, args)
@@ -254,23 +242,18 @@ def _random_integer_form(dims, rng) -> MultilinearForm:
 
 def bench_row(dims, seed: int, budget: int) -> dict:
     """One benchmark row: seeded random integer form, affine-chart pipeline,
-    per-stage wall clock.  The affine quotient dimension of a generic form
-    equals the extreme-class count."""
+    the seconds of each stage of SolveReport.timings plus their total.  The
+    affine quotient dimension of a generic form equals the extreme-class
+    count."""
     rng = np.random.default_rng(seed)
     form = _random_integer_form(dims, rng)
     row = {"dims": list(dims), "expectedClasses": chowcount.count_extreme_classes(dims)}
     try:
         solved = algsolver.solve_argmax(form, budget=budget, seed=seed)
-        t = solved.timings
         row.update(
             quotientDim=solved.quotient_dim,
             maxValue=solved.max_value,
-            timings={
-                "systemBuild": t["system"],
-                "groebnerNormalSet": t["groebner"] + t["normalSet"],
-                "eigen": t["eigen"],
-                "total": sum(t.values()),
-            },
+            timings={**solved.timings, "total": sum(solved.timings.values())},
         )
     except SphereMaxError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
@@ -278,38 +261,24 @@ def bench_row(dims, seed: int, budget: int) -> dict:
 
 
 def cmd_bench(args) -> int:
-    rows = _parse_bench_rows(args.rows, args.full)
-    report = {"seed": args.seed, "rows": [bench_row(d, args.seed, args.budget_reductions) for d in rows]}
-    _emit(report, args)
-    for row in report["rows"]:
-        dims = "x".join(str(d) for d in row["dims"])
-        if "error" in row:
-            print(f"# {dims}: {row['error']}", file=sys.stderr)
-        else:
-            t = row["timings"]
-            print(
-                f"# {dims}: quotientDim={row['quotientDim']} "
-                f"groebner={t['groebnerNormalSet']:.3f}s total={t['total']:.3f}s",
-                file=sys.stderr,
-            )
+    rows = DEFAULT_BENCH_ROWS if args.rows is None else _parse_bench_rows(args.rows)
+    rows = [bench_row(d, args.seed, args.budget_reductions) for d in rows]
+    _emit({"seed": args.seed, "rows": rows}, args)
     return EXIT_OK
 
 
-def _parse_bench_rows(values, full: bool):
-    if values is None:
-        return FULL_BENCH_ROWS if full else DEFAULT_BENCH_ROWS
+def _parse_bench_rows(values):
+    """Every --rows entry as a dims tuple, checked by the class count
+    before the first solve runs."""
     rows = []
     for item in values:
         try:
             dims = tuple(int(p) for p in item.split(","))
-        except ValueError as exc:
+            chowcount.count_extreme_classes(dims)
+        except (ValueError, DimensionMismatchError) as exc:
             raise InputError(f"bad --rows entry {item!r}: {exc}") from exc
-        if len(dims) < 2 or any(d < 1 for d in dims):
-            raise InputError(f"bad --rows entry {item!r}: need >=2 positive dims")
         rows.append(dims)
-    if full:
-        rows.append((3, 3, 3))
-    return tuple(rows)
+    return rows
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="timing sweep of the algebraic pipeline")
     p.add_argument("--rows", nargs="*", default=None, help='rows like "2,2,3" (empty for none)')
-    p.add_argument("--full", action="store_true", help="include the 3,3,3 row")
     p.add_argument("--seed", type=int, default=None)
     add_budget(p)
     p.add_argument("--out", default=None)
@@ -389,10 +357,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is None:
             args.seed = _default_seed()
         return _COMMANDS[args.command](args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (DimensionMismatchError, ValueError) as exc:
+    except (InputError, DimensionMismatchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except SphereMaxError as exc:

@@ -23,6 +23,8 @@ class Matrix:
     entries: np.ndarray
 
     def __post_init__(self):
+        if self.rows < 1 or self.cols < 1:
+            raise DimensionMismatchError(f"need rows, cols >= 1, got {self.rows}x{self.cols}")
         arr = np.array(self.entries, dtype=float).reshape(-1)
         if arr.size != self.rows * self.cols:
             raise DimensionMismatchError(

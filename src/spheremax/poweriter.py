@@ -27,7 +27,7 @@ residual are always reported, so an oscillating run still identifies the
 critical point it circles; nothing is certified as the absolute maximum.
 Only ``multilinear_iterate`` runs it.
 
-The restarts (seeds seed, ..., seed + restarts) form one block and give the
+The _STARTS starts (seeds seed, seed + 1, ...) form one block and give the
 answer of a sequential run: the lowest seed that converges, once every
 lower seed has ended (later ones are dropped unfinished), else the
 best-valued start, lowest seed on ties; ``_ascend`` keeps the best value of
@@ -53,8 +53,8 @@ from .multiform import (
 
 DEFAULT_TOL = 1e-14
 DEFAULT_MAX_ITERS = 100_000
-DEFAULT_RESTARTS = 5
 
+_STARTS = 6
 _OSC_TOL = 1e-10
 _ASCENT_SWEEPS = 500
 
@@ -297,13 +297,11 @@ def _joint(form, starts, sequential, tol, max_iters):
     return rows.outcomes
 
 
-def _run_with_restarts(form, seed, tol, max_iters, restarts):
-    """The restart rule over the starts seed, seed + 1, ..., seed + restarts,
-    all in one block."""
-    if restarts < 0:
-        raise ZeroGradientError(f"no starts to run: restarts={restarts}")
+def _run_with_restarts(form, seed, tol, max_iters):
+    """The restart rule over the _STARTS starts seed, seed + 1, ..., all in
+    one block."""
     kernel = _gauss_seidel if form.order == 2 else _joint
-    starts = _random_starts(form, range(seed, seed + restarts + 1))
+    starts = _random_starts(form, range(seed, seed + _STARTS))
     return _pick(kernel(form, starts, True, tol, max_iters))
 
 
@@ -325,7 +323,6 @@ def bilinear_max(
     seed: int = 0,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    restarts: int = DEFAULT_RESTARTS,
 ) -> IterationResult:
     """Maximum of |l| over S^n x S^m for a bilinear form.
 
@@ -337,7 +334,7 @@ def bilinear_max(
         raise ZeroGradientError(f"bilinear_max needs r=2, got r={form.order}")
     if not np.any(form.coeffs):
         raise ZeroGradientError("zero form")
-    return _run_with_restarts(form, seed, tol, max_iters, restarts)
+    return _run_with_restarts(form, seed, tol, max_iters)
 
 
 def multilinear_iterate(
@@ -345,7 +342,6 @@ def multilinear_iterate(
     seed: int = 0,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    restarts: int = DEFAULT_RESTARTS,
 ) -> IterationResult:
     """Normalized-gradient iteration for r >= 2 (best-effort for r >= 3).
 
@@ -360,4 +356,4 @@ def multilinear_iterate(
         raise ZeroGradientError(f"multilinear_iterate needs r>=2, got r={form.order}")
     if not np.any(form.coeffs):
         raise ZeroGradientError("zero form")
-    return _run_with_restarts(form, seed, tol, max_iters, restarts)
+    return _run_with_restarts(form, seed, tol, max_iters)

@@ -54,6 +54,19 @@ STATE_ENTANGLED = [
 STATE_ENTANGLED_OVERLAP = 0.6620536187
 STATE_ENTANGLED_SEPMAX = 0.4862909489
 
+# Non-generic inputs whose affine-chart quotient falls short of the class
+# count, so every algebraic answer on them carries the class-count flag:
+# (dims, coeffs) of the sparse form with 1 at 000 and 2 at 111 (its maximum
+# 2 sits at x_1 = 0) and of e2 (x) e2, and the pure product state
+# e1 (x) (0.6, 0.8), whose separability form is 2x2x1.
+NON_GENERIC_FORMS = {
+    "sparse-2x2x2": ((2, 2, 2), [1, 0, 0, 0, 0, 0, 0, 2]),
+    "e2xe2": ((2, 2), [0, 0, 0, 1]),
+}
+_PRODUCT = np.kron([1.0, 0.0], [0.6, 0.8])
+STATE_PURE_PRODUCT = np.outer(_PRODUCT, _PRODUCT).tolist()
+CLASS_COUNT_FLAG = "differs from the extreme-class count"
+
 # Extreme-point class counts, frozen from the counting formula.
 CLASS_COUNTS = {
     (2, 2): 2,

@@ -24,6 +24,9 @@ from spheremax import (
 )
 
 from conftest import (
+    CLASS_COUNT_FLAG,
+    NON_GENERIC_FORMS,
+    STATE_PURE_PRODUCT,
     MATRIX_3X2_X,
     MATRIX_3X2_Y,
     MATRIX_4X3_NORM2,
@@ -147,6 +150,24 @@ def test_power_ascent_not_converged_raises(trilinear_form, entangled_state, monk
         separable_max(entangled_state, method="power")
 
 
+@pytest.mark.parametrize("name", sorted(NON_GENERIC_FORMS))
+def test_rank_one_algebraic_passes_on_the_class_count_flag(name):
+    # the affine chart misses the maximum of these forms (the sparse form's
+    # answer is 1, not 2; e2 (x) e2 is its own closest rank-one form, yet the
+    # distance comes out sqrt(2)): the short answer says so
+    dims, coeffs = NON_GENERIC_FORMS[name]
+    form = MultilinearForm(dims=dims, coeffs=coeffs)
+    flags = closest_rank_one(form, method="algebraic").flags
+    assert sum(CLASS_COUNT_FLAG in f for f in flags) == 1
+    # a power answer carries no flags: a non-converged one raises
+    assert closest_rank_one(form, method="power").flags == ()
+
+
+def test_rank_one_algebraic_on_generic_forms_has_no_flags(trilinear_form, quadlinear_form):
+    for form in (trilinear_form, quadlinear_form):
+        assert closest_rank_one(form, method="algebraic").flags == ()
+
+
 def test_rank_one_rejects_zero_form():
     with pytest.raises(ValueError):
         closest_rank_one(MultilinearForm(dims=(2, 2), coeffs=[0, 0, 0, 0]))
@@ -219,6 +240,16 @@ def test_pure_product_state_saturates_bound():
     assert report.verdict == "separable-consistent"
     assert report.self_overlap == pytest.approx(1.0, abs=1e-12)
     assert report.sep_max == pytest.approx(1.0, abs=1e-9)
+
+
+def test_entanglement_check_passes_on_the_algebraic_flags(entangled_state):
+    # the pure product state's separability form is 2x2x1, one class short
+    product = DensityState(2, 2, Matrix.from_array(np.array(STATE_PURE_PRODUCT)))
+    report = entanglement_check(product, method="algebraic")
+    assert report.sep_max == pytest.approx(1.0, abs=1e-9)
+    assert sum(CLASS_COUNT_FLAG in f for f in report.flags) == 1
+    assert entanglement_check(product, method="power").flags == ()
+    assert entanglement_check(entangled_state, method="algebraic").flags == ()
 
 
 def test_separable_max_power_on_slow_joint_state():

@@ -11,7 +11,11 @@ from spheremax.algsolver import SolveReport
 from spheremax.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER
 
 from conftest import (
+    CLASS_COUNT_FLAG,
     CLASS_COUNTS,
+    NON_GENERIC_FORMS,
+    QUADLINEAR_COEFFS,
+    STATE_PURE_PRODUCT,
     MATRIX_4X3,
     MATRIX_4X3_NORM2,
     STATE_ENTANGLED,
@@ -72,6 +76,8 @@ def test_count_exact(capsys):
 
 def test_count_rejects_single_dim(capsys):
     code, _ = _run(capsys, ["count", "3"])
+    assert code == EXIT_IO
+    code, _ = _run(capsys, ["count", "2", "0"])
     assert code == EXIT_IO
 
 
@@ -165,6 +171,36 @@ def test_separability_entangled(capsys, state_file):
     assert report["sepMax"] == pytest.approx(STATE_ENTANGLED_SEPMAX, abs=1e-6)
 
 
+def _state_obj(rows):
+    entries = [e for row in rows for e in row]
+    return {"dimA": 2, "dimB": 2, "matrix": {"rows": 4, "cols": 4, "entries": entries}}
+
+
+_SPARSE_DIMS, _SPARSE_COEFFS = NON_GENERIC_FORMS["sparse-2x2x2"]
+_E2E2_DIMS, _E2E2_COEFFS = NON_GENERIC_FORMS["e2xe2"]
+
+
+@pytest.mark.parametrize("command, obj, flagged", [
+    ("rank1", {"dims": _SPARSE_DIMS, "coeffs": _SPARSE_COEFFS}, True),
+    ("rank1", {"dims": _E2E2_DIMS, "coeffs": _E2E2_COEFFS}, True),
+    ("separability", _state_obj(STATE_PURE_PRODUCT), True),
+    ("rank1", {"dims": [2, 2, 2], "coeffs": TRILINEAR_COEFFS}, False),
+    ("rank1", {"dims": [2, 2, 2, 2], "coeffs": QUADLINEAR_COEFFS}, False),
+    ("separability", _state_obj(STATE_ENTANGLED), False),
+], ids=["sparse-2x2x2", "e2xe2", "pure-product", "trilinear", "quadlinear", "entangled"])
+def test_rank1_and_separability_report_flags(capsys, tmp_path, command, obj, flagged):
+    # the algebraic solve's flags reach the report, as in `maximize`: the
+    # non-generic inputs carry the class-count flag, the generic ones none
+    path = _write(tmp_path, "input.json", obj)
+    code, out = _run(capsys, [command, path, "--method", "algebraic"])
+    assert code == EXIT_OK
+    flags = json.loads(out)["flags"]
+    if flagged:
+        assert sum(CLASS_COUNT_FLAG in f for f in flags) == 1
+    else:
+        assert flags == []
+
+
 def test_bench_single_row(capsys):
     code, out = _run(capsys, ["bench", "--rows", "2,2,2"])
     assert code == EXIT_OK
@@ -172,7 +208,10 @@ def test_bench_single_row(capsys):
     row = report["rows"][0]
     assert row["dims"] == [2, 2, 2]
     assert row["quotientDim"] == row["expectedClasses"] == 6
-    assert set(row["timings"]) == {"systemBuild", "groebnerNormalSet", "eigen", "total"}
+    # the stage names of SolveReport.timings, as `maximize` reports them
+    assert set(row["timings"]) == {"system", "groebner", "normalSet", "eigen", "total"}
+    # stdout holds the whole report; nothing is echoed beside it
+    assert capsys.readouterr().err == ""
 
 
 def test_determinism_same_command_same_output(capsys, trilinear_file):
@@ -190,6 +229,24 @@ def test_seed_env_default(capsys, trilinear_file, monkeypatch):
     r1, r2 = json.loads(out1), json.loads(out2)
     r1.pop("timings"), r2.pop("timings")
     assert r1 == r2
+    monkeypatch.setenv("SPHEREMAX_SEED", "seven")
+    code, out = _run(capsys, ["maximize", trilinear_file, "--method", "power"])
+    assert code == EXIT_IO and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--rows", "2,x"],
+    ["bench", "--rows", "3"],
+    ["bench", "--rows", "2,0"],
+], ids=["rows-not-int", "rows-one-slot", "rows-zero-dim"])
+def test_bad_bench_rows_are_io_error_before_any_solve(capsys, monkeypatch, argv):
+    def solve(*args, **kwargs):
+        raise AssertionError("a bad --rows entry must fail before the first solve")
+
+    monkeypatch.setattr(cli, "bench_row", solve)
+    code, out = _run(capsys, argv)
+    assert code == EXIT_IO
+    assert out == ""
 
 
 def test_missing_file_is_io_error(capsys, tmp_path):
@@ -229,7 +286,8 @@ _STATE_MATRIX = {"rows": 4, "cols": 4, "entries": [e for row in STATE_ENTANGLED 
 
 
 @pytest.mark.parametrize("argv, obj", [
-    # JSON true is a bool, which Python counts as the int 1
+    # what JSON can get wrong, checked by the CLI: JSON true is a bool, which
+    # Python counts as the int 1, and NaN/Infinity are not JSON numbers
     (["maximize"], {"dims": [True, 2], "coeffs": [1, 2]}),
     (["norm2"], {"rows": True, "cols": 2, "entries": [1, 2]}),
     (["separability", "--method", "power"],
@@ -240,12 +298,26 @@ _STATE_MATRIX = {"rows": 4, "cols": 4, "entries": [e for row in STATE_ENTANGLED 
     (["maximize", "--method", "power"], {"dims": [2, 2], "coeffs": [1, math.inf, 3, 4]}),
     (["maximize", "--method", "algebraic"], {"dims": [2, 2], "coeffs": [1, -math.inf, 3, 4]}),
     (["norm2"], {"rows": 2, "cols": 2, "entries": [1, math.inf, 3, 4]}),
+    (["norm2"], 5),
+    (["separability"], {"dimA": 2, "dimB": 2, "matrix": [1, 0, 0, 1]}),
+    # what the library types refuse, named by their file
+    (["norm2"], {"rows": 2, "cols": 2, "entries": [1, 2, 3]}),
+    (["norm2"], {"rows": 0, "cols": 0, "entries": []}),
+    (["norm2"], {"rows": -1, "cols": -1, "entries": [1]}),
+    (["maximize"], {"dims": [0, 2], "coeffs": []}),
+    (["separability"], {"dimA": 2, "dimB": 2,
+                        "matrix": {"rows": 4, "cols": 4, "entries": [1, 2]}}),
+    (["separability"], {"dimA": 2, "dimB": 2,
+                        "matrix": {"rows": 0, "cols": 4, "entries": []}}),
 ], ids=["bool-dims", "bool-rows", "bool-dimA", "bool-coeff", "nan-power", "nan-algebraic",
-        "inf-power", "-inf-algebraic", "inf-entry"])
+        "inf-power", "-inf-algebraic", "inf-entry", "top-level-not-object",
+        "state-matrix-not-object", "entries-length", "rows-zero", "rows-negative",
+        "dims-zero", "state-entries-length", "state-rows-zero"])
 def test_non_finite_or_boolean_number_is_io_error(capsys, tmp_path, argv, obj):
     p = _write(tmp_path, "input.json", obj)
-    code, _ = _run(capsys, [argv[0], p, *argv[1:]])
+    code = cli.main([argv[0], p, *argv[1:]])
     assert code == EXIT_IO
+    assert p in capsys.readouterr().err
 
 
 def test_invalid_state_is_io_error(capsys, tmp_path):

@@ -1,8 +1,9 @@
 """The dense matrix type."""
 
 import numpy as np
+import pytest
 
-from spheremax import Matrix
+from spheremax import DimensionMismatchError, Matrix
 
 
 def test_matrix_roundtrip():
@@ -11,3 +12,12 @@ def test_matrix_roundtrip():
     assert m.rows == 2 and m.cols == 3
     assert np.array_equal(m.array, a)
     assert list(m.entries) == [1, 2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("rows, cols, entries", [
+    (0, 0, []), (-1, -1, [1.0]), (0, 3, []), (2, 2, [1.0, 2.0, 3.0]),
+])
+def test_matrix_refuses_empty_or_mismatched_shape(rows, cols, entries):
+    # rows = cols = -1 matches one entry; the shape is still refused
+    with pytest.raises(DimensionMismatchError):
+        Matrix(rows=rows, cols=cols, entries=entries)

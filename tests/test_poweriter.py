@@ -156,16 +156,19 @@ def test_tied_top_singular_value_converges(diagonal):
     ids=["trilinear", "quadlinear", "random-2x2x3"],
 )
 def test_batched_starts_match_single_starts(form):
-    seed, restarts = 11, 5
-    seeds = range(seed, seed + restarts + 1)
+    seed = 11
+    seeds = range(seed, seed + poweriter._STARTS)
+    tol, max_iters = poweriter.DEFAULT_TOL, poweriter.DEFAULT_MAX_ITERS
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         starts = poweriter._random_starts(form, seeds)
-        block = poweriter._joint(
-            form, starts, False, poweriter.DEFAULT_TOL, poweriter.DEFAULT_MAX_ITERS
-        )
-        alone = [multilinear_iterate(form, seed=s, restarts=0) for s in seeds]
-        batched = multilinear_iterate(form, seed=seed, restarts=restarts)
+        block = poweriter._joint(form, starts, False, tol, max_iters)
+        alone = [
+            poweriter._pick(poweriter._joint(
+                form, poweriter._random_starts(form, [s]), True, tol, max_iters))
+            for s in seeds
+        ]
+        batched = multilinear_iterate(form, seed=seed)
     for k, (got, want) in enumerate(zip(block, alone)):
         assert got.status is want.status, k
         assert abs(got.value - want.value) <= 1e-12, k
@@ -174,6 +177,29 @@ def test_batched_starts_match_single_starts(form):
     expected = converged[0] if converged else max(alone, key=lambda r: r.value)
     assert batched.status is expected.status
     assert abs(batched.value - expected.value) <= 1e-12
+
+
+def test_joint_converges_at_once_on_a_rank_one_form():
+    # e1 (x) e1 (x) e1 from (e1, e1, e1): the first step is stationary and
+    # the fixed-point residual is exactly 0
+    e1 = np.eye(2)[0]
+    form = MultilinearForm(dims=(2, 2, 2), coeffs=np.multiply.outer(np.outer(e1, e1), e1))
+    starts = [e1[None, :].copy() for _ in range(3)]
+    (result,) = poweriter._joint(form, starts, True, poweriter.DEFAULT_TOL, 10)
+    assert result.status is Status.CONVERGED
+    assert result.iterations == 1
+    assert result.residual == 0.0
+    assert result.value == 1.0
+
+
+def test_joint_iteration_cap_ends_non_converged(trilinear_form):
+    # one step is not enough to settle: the run ends at its cap with unit
+    # vectors and a finite residual
+    result = multilinear_iterate(trilinear_form, max_iters=1)
+    assert result.status is Status.NON_CONVERGED
+    assert result.iterations == 1
+    assert [np.linalg.norm(v) for v in result.point] == pytest.approx([1.0] * 3, abs=1e-12)
+    assert math.isfinite(result.residual) and result.residual > 0.0
 
 
 def test_zero_gradient_start_is_discarded_from_its_block():
