@@ -15,6 +15,15 @@ polynomials, and the quotient ring keeps each normal form as an integer
 vector over one positive denominator.  Rationals (fractions.Fraction) appear
 only at the boundary: in RationalPoly, GroebnerBasis and the input
 coefficients.
+
+Once the basis coefficients pass _ZERO_TEST_BITS bits, Buchberger's
+algorithm first reduces each S-polynomial modulo one 61-bit prime and skips
+the exact reduction of those that vanish there (Traverso's trace idea).
+The result is then certified exactly, once: every S-pair of the final basis
+that survives the Gebauer-Moeller criteria, and every input, reduces to
+zero (the verify-once step of Arnold's modular algorithms).  A failed
+certificate sends the skipped pairs back through exact reduction, so the
+basis is always the exact one.
 """
 
 from __future__ import annotations
@@ -256,7 +265,20 @@ class SolveReport:
 # classic coefficient swell of monic rational reduction in check.  Rationals
 # appear only where groebner() converts its input and its result.  Exact
 # normal forms against the final reduced basis live in QuotientRing below.
+#
+# Most S-pairs reduce to zero, and on the heavy forms the intermediate basis
+# holds ~3,600-bit coefficients against ~300 bits in the final one, so those
+# zero reductions are most of the time.  Past _ZERO_TEST_BITS a pair is
+# first reduced mod _PRIME, against monic images of the basis and with the
+# exact reducer choice; a zero there skips the exact reduction.  Skipping a
+# true zero changes nothing, since a zero remainder adds no basis element;
+# a false zero (a nonzero remainder divisible by _PRIME) is caught by the
+# exact certificate in groebner().  The line is the measured break-even:
+# below ~2,000 bits the mod-p pass costs about what it saves.
 # ---------------------------------------------------------------------------
+
+_PRIME = 2**61 - 1        # modulus of the zero test
+_ZERO_TEST_BITS = 2048    # basis coefficient bit length that starts it
 
 class _Budget:
     __slots__ = ("limit", "used")
@@ -405,7 +427,8 @@ def _spoly(lm_f, f, lm_g, g, lcm):
 class _Engine:
     """Buchberger with the Gebauer-Moeller pair criteria and normal
     (minimal-lcm) selection.  All polynomials are primitive integer dicts
-    over packed monomials."""
+    over packed monomials.  Past ``line`` basis coefficient bits, run()
+    skips the pairs that vanish mod _PRIME and keeps them in ``skipped``."""
 
     def __init__(self, mono, budget):
         self.mono = mono
@@ -415,11 +438,18 @@ class _Engine:
         self.reducers = []  # _reducer triple of each poly
         self.alive = []
         self.pairs = []   # heap of (lcm, i, j)
+        self.bits = 0     # peak coefficient bit length of the basis
+        self.line = _ZERO_TEST_BITS
+        self.images = {}  # poly index -> _image, built at its first use
+        self.skipped = []  # pairs whose S-polynomial vanished mod _PRIME
+
+    def _alive(self):
+        """Indices of the live polys by leading monomial: reducer order."""
+        return sorted((i for i in range(len(self.polys)) if self.alive[i]),
+                      key=self.lms.__getitem__)
 
     def _reducers(self):
-        idx = [i for i in range(len(self.polys)) if self.alive[i]]
-        idx.sort(key=self.lms.__getitem__)
-        return [self.reducers[i] for i in idx]
+        return [self.reducers[i] for i in self._alive()]
 
     def add(self, p):
         r = _normal_form(p, self._reducers(), self.mono, self.budget)
@@ -435,6 +465,7 @@ class _Engine:
         self.lms.append(lmh)
         self.reducers.append(_reducer(h))
         self.alive.append(True)
+        self.bits = max(self.bits, max(map(abs, h.values())).bit_length())
         others = [i for i in range(hidx) if self.alive[i]]
         # Gebauer-Moeller: filter new pairs (h, g)
         cand = [(mono.lcm(lmh, self.lms[g]), g) for g in others]
@@ -473,34 +504,126 @@ class _Engine:
     def run(self):
         while self.pairs:
             l, i, j = heapq.heappop(self.pairs)
+            if self.bits > self.line and self._vanishes_mod_p(l, i, j):
+                self.skipped.append((l, i, j))
+                continue
             s = _spoly(self.lms[i], self.polys[i], self.lms[j], self.polys[j], l)
             r = _normal_form(s, self._reducers(), self.mono, self.budget)
             if r:
                 self._update(r)
         return self._interreduce()
 
+    def resume(self):
+        """Reduce the skipped pairs exactly, with the zero test off, and
+        run on to a basis that needs no certificate."""
+        self.line = math.inf
+        self.pairs, self.skipped = self.skipped, []
+        heapq.heapify(self.pairs)
+        return self.run()
+
+    def _image(self, i):
+        """Tail of the monic image of poly i mod _PRIME, negated, as
+        [(monomial, -c / lc)] without the terms that vanish; None when its
+        leading coefficient vanishes mod _PRIME."""
+        if i not in self.images:
+            p, lm = self.polys[i], self.lms[i]
+            lc = p[lm] % _PRIME
+            if lc:
+                inv = pow(lc, -1, _PRIME)
+                self.images[i] = [(m, -c * inv % _PRIME)
+                                  for m, c in p.items() if m != lm and c % _PRIME]
+            else:
+                self.images[i] = None
+        return self.images[i]
+
+    def _vanishes_mod_p(self, l, i, j) -> bool:
+        """Whether the S-polynomial of pair (i, j) reduces to zero mod
+        _PRIME, with the reducer choice of _normal_form.  False also when
+        a leading coefficient on the way vanishes mod _PRIME."""
+        fi, fj = self._image(i), self._image(j)
+        if fi is None or fj is None:
+            return False
+        guard = self.mono.guard
+        si, sj = l - self.lms[i], l - self.lms[j]
+        work = {m + si: -c for m, c in fi}  # the monic leading terms cancel
+        for m, c in fj:
+            v = (work.get(m + sj, 0) + c) % _PRIME
+            if v:
+                work[m + sj] = v
+            else:
+                work.pop(m + sj, None)
+        heap = [-m for m in work]
+        heapq.heapify(heap)
+        probes = [(self.mono.probe(self.lms[k]), self.lms[k], k)
+                  for k in self._alive()]
+        while heap:
+            m = -heapq.heappop(heap)
+            c = work.pop(m, None)
+            if c is None:
+                continue
+            for probe, lm, k in probes:
+                if not (m - probe) & guard:
+                    break
+            else:
+                return False
+            tail = self._image(k)
+            if tail is None:
+                return False
+            self.budget.spend()
+            shift = m - lm
+            for t, tc in tail:
+                mm = t + shift
+                prev = work.get(mm)
+                if prev is None:
+                    work[mm] = c * tc % _PRIME
+                    heapq.heappush(heap, -mm)
+                else:
+                    v = (prev + c * tc) % _PRIME
+                    if v:
+                        work[mm] = v
+                    else:
+                        del work[mm]
+        return True
+
     def _interreduce(self):
-        idx = [i for i in range(len(self.polys)) if self.alive[i]]
+        """The reduced basis as primitive integer polys, ascending by
+        leading monomial."""
         # drop redundant leading monomials
         minimal = []
-        for i in sorted(idx, key=self.lms.__getitem__):
+        for i in self._alive():
             if not any(self.mono.divides(self.lms[j], self.lms[i]) for j in minimal):
                 minimal.append(i)
         out = []
         for i in minimal:
             others = [self.reducers[j] for j in minimal if j != i]
-            r = _normal_form(self.polys[i], others, self.mono, self.budget)
-            lc = r[max(r)]
-            out.append({m: Fraction(c, lc) for m, c in r.items()})
+            out.append(_normal_form(self.polys[i], others, self.mono, self.budget))
         out.sort(key=max)
         return out
+
+
+def _certify(basis, inputs, mono, budget) -> bool:
+    """Exact check that the primitive integer polys ``basis`` are a Groebner
+    basis: every S-pair that survives the Gebauer-Moeller criteria reduces
+    to zero; and that every poly of ``inputs`` reduces to zero, i.e. lies
+    in the basis's ideal."""
+    eng = _Engine(mono, budget)
+    for g in sorted(basis, key=max):
+        eng._update(g)
+    reducers = eng._reducers()
+    pairs = (_spoly(eng.lms[i], eng.polys[i], eng.lms[j], eng.polys[j], l)
+             for l, i, j in eng.pairs)
+    return not any(_normal_form(p, reducers, mono, budget)
+                   for p in itertools.chain(pairs, inputs))
 
 
 def groebner(system: PolySystem, budget: int = DEFAULT_REDUCTION_BUDGET) -> GroebnerBasis:
     """Reduced Groebner basis of the system's ideal, exact arithmetic.
 
     Raises BudgetExceededError when the configured number of reduction steps
-    is exhausted (the instance is too large).
+    is exhausted (the instance is too large).  When the engine skipped
+    pairs by their zero test mod p, the basis is certified exactly before it
+    is returned (every surviving S-pair and every input reduces to zero);
+    if it fails, the skipped pairs are reduced exactly and the run goes on.
     """
     variables = system.variables
     mono = _Monomials(len(variables))
@@ -511,30 +634,24 @@ def groebner(system: PolySystem, budget: int = DEFAULT_REDUCTION_BUDGET) -> Groe
     )
     for t in polys:
         eng.add(t)
-    return GroebnerBasis(
-        basis=tuple(
-            RationalPoly(variables, {mono.unpack(m): c for m, c in p.items()})
-            for p in eng.run()
-        ),
-        variables=variables,
-    )
+    basis = eng.run()
+    if eng.skipped and not _certify(basis, polys, mono, eng.budget):
+        basis = eng.resume()
+    monic = []
+    for p in basis:
+        lc = p[max(p)]
+        monic.append(RationalPoly(variables, {mono.unpack(m): Fraction(c, lc)
+                                              for m, c in p.items()}))
+    return GroebnerBasis(basis=tuple(monic), variables=variables)
 
 
 def verify_buchberger_certificate(gb: GroebnerBasis,
                                   budget: int = DEFAULT_REDUCTION_BUDGET) -> bool:
-    """Every S-polynomial of the basis reduces to zero (exact check)."""
+    """Every S-pair of the basis that survives the Gebauer-Moeller criteria
+    reduces to zero (exact check): the certificate groebner() runs."""
     mono = _Monomials(len(gb.variables))
-    int_polys = sorted(
-        (_to_integer_primitive(p.terms, mono) for p in gb.basis), key=max
-    )
-    reducers = [_reducer(p) for p in int_polys]
-    b = _Budget(budget)
-    for f, g in itertools.combinations(int_polys, 2):
-        lm_f, lm_g = max(f), max(g)
-        s = _spoly(lm_f, f, lm_g, g, mono.lcm(lm_f, lm_g))
-        if _normal_form(s, reducers, mono, b):
-            return False
-    return True
+    basis = [_to_integer_primitive(p.terms, mono) for p in gb.basis]
+    return _certify(basis, (), mono, _Budget(budget))
 
 
 # ---------------------------------------------------------------------------

@@ -354,7 +354,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse has printed the usage or --help
         return EXIT_OK if exc.code == 0 else EXIT_IO
     try:
-        if getattr(args, "seed", None) is None:
+        if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
         return _COMMANDS[args.command](args)
     except (InputError, DimensionMismatchError, ValueError) as exc:

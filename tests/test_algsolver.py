@@ -1,6 +1,9 @@
 """Exact algebraic pipeline: Groebner bases, quotient rings, eigen-solving."""
 
+import itertools
+import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +12,9 @@ from hypothesis import strategies as st
 
 from spheremax import (
     BudgetExceededError,
+    DensityState,
+    GroebnerBasis,
+    Matrix,
     MultilinearForm,
     NotZeroDimensionalError,
     PolySystem,
@@ -25,6 +31,8 @@ from spheremax import (
     solve_max,
     verify_buchberger_certificate,
 )
+from spheremax import algsolver
+from spheremax.apps import _separability_form
 from spheremax.algsolver import (
     QuotientRing,
     _Budget,
@@ -71,8 +79,6 @@ def test_rationalize_roundtrip(x):
 # ---------------------------------------------------------------------------
 
 def _all_monomials(nvars, maxdeg):
-    import itertools
-
     return [
         m
         for m in itertools.product(range(maxdeg + 1), repeat=nvars)
@@ -507,3 +513,168 @@ def test_certificate_on_critical_system(trilinear_form):
     system = build_critical_system(trilinear_form, chart="affine")
     gb = groebner(system)
     assert verify_buchberger_certificate(gb)
+
+
+# ---------------------------------------------------------------------------
+# the zero test mod p and its exact certificate
+# ---------------------------------------------------------------------------
+
+def _all_pairs_certificate(gb):
+    """Reference: every S-polynomial of the basis, no pair pruned, reduces
+    to zero."""
+    mono = _Monomials(len(gb.variables))
+    polys = [_to_integer_primitive(p.terms, mono) for p in gb.basis]
+    reducers = sorted((_reducer(p) for p in polys), key=lambda r: r[0])
+    budget = _Budget(10**7)
+    for f, g in itertools.combinations(polys, 2):
+        lm_f, lm_g = max(f), max(g)
+        s = _spoly(lm_f, f, lm_g, g, mono.lcm(lm_f, lm_g))
+        if _normal_form(s, reducers, mono, budget):
+            return False
+    return True
+
+
+def _certificate_bases():
+    """Reduced bases of small systems, each also with one element dropped
+    and with one tail coefficient changed."""
+    rng = np.random.default_rng(11)
+    v = ("x", "y", "z")
+    monomials = _all_monomials(3, 2)
+    bases = []
+    for k in range(40):
+        if k % 2:
+            dims = [(2, 2), (2, 3), (2, 2, 2)][k % 3]
+            system = build_critical_system(random_form(rng, dims), chart="affine")
+        else:
+            coeffs = rng.integers(-3, 4, size=(3, len(monomials)))
+            polys = [_poly(v, {m: int(c) for m, c in zip(monomials, row)}) for row in coeffs]
+            system = _system(v, [p for p in polys if not p.is_zero()])
+        gb = groebner(system)
+        bases.append(gb)
+        if len(gb.basis) > 1:
+            drop = int(rng.integers(len(gb.basis)))
+            bases.append(GroebnerBasis(gb.basis[:drop] + gb.basis[drop + 1:], gb.variables))
+        tailed = [i for i, p in enumerate(gb.basis) if len(p.terms) > 1]
+        if tailed:
+            i = tailed[int(rng.integers(len(tailed)))]
+            p = gb.basis[i]
+            m = sorted(p.terms, key=grevlex_key)[int(rng.integers(len(p.terms) - 1))]
+            changed = _poly(p.variables, {**p.terms, m: p.terms[m] + 1})
+            bases.append(GroebnerBasis(gb.basis[:i] + (changed,) + gb.basis[i + 1:], gb.variables))
+    return bases
+
+
+def test_certificate_agrees_with_all_pairs_reference():
+    bases = _certificate_bases()
+    verdicts = [verify_buchberger_certificate(gb) for gb in bases]
+    assert verdicts == [_all_pairs_certificate(gb) for gb in bases]
+    assert len(bases) >= 100
+    assert 20 <= verdicts.count(False) <= len(bases) - 20
+
+
+def _terms(gb):
+    """Every basis element's terms, in dict order."""
+    return [list(p.terms.items()) for p in gb.basis]
+
+
+def _exact(system):
+    """The basis with the zero test never started."""
+    with mock.patch.object(algsolver, "_ZERO_TEST_BITS", math.inf):
+        return groebner(system)
+
+
+def _recording_certificate():
+    verdicts = []
+    certify = algsolver._certify
+
+    def record(*args):
+        verdicts.append(certify(*args))
+        return verdicts[-1]
+
+    return verdicts, mock.patch.object(algsolver, "_certify", record)
+
+
+def test_false_zero_is_caught_by_the_certificate(quadlinear_form):
+    # the zero test, started at once, reports the first S-pair that does
+    # not vanish mod p as zero: the certificate rejects the basis and the
+    # skipped pairs are reduced exactly
+    system = build_critical_system(quadlinear_form, chart="affine")
+    reference = _exact(system)
+    vanishes = algsolver._Engine._vanishes_mod_p
+    lied = []
+
+    def lie_once(self, l, i, j):
+        if vanishes(self, l, i, j):
+            return True
+        lied.append((l, i, j))
+        return len(lied) == 1
+
+    verdicts, recording = _recording_certificate()
+    with recording, mock.patch.object(algsolver, "_ZERO_TEST_BITS", 0), \
+            mock.patch.object(algsolver._Engine, "_vanishes_mod_p", lie_once):
+        gb = groebner(system)
+    assert verdicts == [False]
+    assert _terms(gb) == _terms(reference)
+
+
+def _separability_rank4():
+    g = np.random.default_rng(4).standard_normal((4, 4))
+    rho = g @ g.T
+    return _separability_form(DensityState(2, 2, Matrix.from_array(rho / np.trace(rho))))
+
+
+@pytest.mark.parametrize("form, chart", [
+    (random_form(np.random.default_rng(1), (2, 3, 3)), "affine"),
+    (random_form(np.random.default_rng(2), (2, 2, 2, 2)), "affine"),
+    (random_form(np.random.default_rng(2), (2, 2, 3)), "sphere"),
+    (_separability_rank4(), "affine"),
+], ids=["2x3x3-affine", "2x2x2x2-affine", "2x2x3-sphere", "separability-rank4"])
+def test_zero_test_leaves_heavy_bases_unchanged(form, chart):
+    # forms whose basis coefficients pass the line: pairs are skipped, the
+    # certificate passes, and the basis is the exact run's, term for term
+    system = build_critical_system(form, chart=chart)
+    verdicts, recording = _recording_certificate()
+    with recording:
+        gb = groebner(system)
+    assert verdicts == [True]
+    assert _terms(gb) == _terms(_exact(system))
+
+
+def test_budget_covers_the_zero_test(quadlinear_form):
+    # a heavy form's run, zero test and certificate included, spends its
+    # whole budget; one step less raises
+    system = build_critical_system(quadlinear_form, chart="affine")
+    budgets = []
+
+    class Recording(_Budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            budgets.append(self)
+
+    with mock.patch.object(algsolver, "_Budget", Recording):
+        groebner(system)
+    used = budgets[0].used
+    groebner(system, budget=used)
+    with pytest.raises(BudgetExceededError):
+        groebner(system, budget=used - 1)
+
+
+_small_forms = st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3)]).flatmap(
+    lambda dims: st.tuples(
+        st.just(dims),
+        st.lists(st.integers(-4, 4), min_size=math.prod(dims), max_size=math.prod(dims))
+        .filter(any),
+        st.sampled_from(["affine", "sphere"]),
+    )
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_small_forms)
+def test_zero_test_on_every_pair_matches_exact_run(case):
+    # with the line at 0 every S-pair goes through the mod-p test first
+    dims, coeffs, chart = case
+    system = build_critical_system(MultilinearForm(dims=dims, coeffs=coeffs), chart=chart)
+    with mock.patch.object(algsolver, "_ZERO_TEST_BITS", 0):
+        gb = groebner(system)
+    assert _terms(gb) == _terms(_exact(system))

@@ -234,6 +234,15 @@ def test_seed_env_default(capsys, trilinear_file, monkeypatch):
     assert code == EXIT_IO and out == ""
 
 
+def test_seed_env_ignored_without_seed_option(capsys, trilinear_file, monkeypatch):
+    # count takes no --seed, so it never reads SPHEREMAX_SEED
+    monkeypatch.setenv("SPHEREMAX_SEED", "x")
+    code, out = _run(capsys, ["count", "2", "2"])
+    assert code == EXIT_OK and out.strip() == "2"
+    code, out = _run(capsys, ["maximize", trilinear_file, "--method", "power"])
+    assert code == EXIT_IO and out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["bench", "--rows", "2,x"],
     ["bench", "--rows", "3"],
