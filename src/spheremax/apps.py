@@ -24,6 +24,10 @@ from .multiform import MultilinearForm, RankOneForm
 
 _EIGENVALUE_DROP = 1e-12
 _ENTANGLEMENT_MARGIN = 1e-9
+_UNCERTIFIED_VERDICT = (
+    "entangled verdict not certified: the power method's separable maximum "
+    "is a lower bound"
+)
 _METHODS = ("algebraic", "power", "auto")
 # Gauss-Seidel starts of the r >= 3 power method: its maximum need not
 # attract every start
@@ -75,7 +79,8 @@ class EntanglementReport:
     verdict: str            # "entangled" | "separable-consistent"
     self_overlap: float     # <rho, rho>
     sep_max: float          # max over product states of <rho, xx^T (x) yy^T>
-    flags: tuple            # the algebraic solve's genericity flags; () for power
+    flags: tuple            # the algebraic solve's genericity flags; for power,
+                            # one flag on an "entangled" verdict
 
 
 def _resolve_method(method: str, order: int) -> str:
@@ -222,8 +227,12 @@ def entanglement_check(
 ) -> EntanglementReport:
     """One-sided criterion: a separable state satisfies
     <rho, rho> <= separable_max(rho).  A violation certifies entanglement;
-    the converse is never claimed ("separable-consistent")."""
+    the converse is never claimed ("separable-consistent").  The power
+    method's separable maximum is a lower bound, so its "entangled" verdict
+    is not certified and carries a flag saying so."""
     overlap = self_overlap(rho)
     sep, flags = _separable_max(rho, method, seed)
     verdict = "entangled" if overlap > sep + _ENTANGLEMENT_MARGIN else "separable-consistent"
+    if verdict == "entangled" and _resolve_method(method, 3) == "power":
+        flags = (_UNCERTIFIED_VERDICT,)
     return EntanglementReport(verdict=verdict, self_overlap=overlap, sep_max=sep, flags=flags)

@@ -66,6 +66,9 @@ NON_GENERIC_FORMS = {
 _PRODUCT = np.kron([1.0, 0.0], [0.6, 0.8])
 STATE_PURE_PRODUCT = np.outer(_PRODUCT, _PRODUCT).tolist()
 CLASS_COUNT_FLAG = "differs from the extreme-class count"
+# Substring of the flag on a power "entangled" verdict, which compares
+# <rho, rho> with a lower bound on the separable maximum.
+UNCERTIFIED_FLAG = "not certified"
 
 # Extreme-point class counts, frozen from the counting formula.
 CLASS_COUNTS = {

@@ -36,6 +36,7 @@ from conftest import (
     STATE_ENTANGLED_SEPMAX,
     STATE_SEPARABLE_SEPMAX,
     TRILINEAR_MAX,
+    UNCERTIFIED_FLAG,
     non_converged_bilinear_max,
     random_form,
     sign_aligned_error,
@@ -52,6 +53,15 @@ def test_norm2_known_matrix_both_methods(matrix_4x3):
         got = matrix_norm2(matrix_4x3, method=method)
         assert got == pytest.approx(MATRIX_4X3_NORM2, abs=1e-6)
         assert got == pytest.approx(s1, abs=1e-8)
+
+
+def test_norm2_near_tied_top_singular_values():
+    # sigma_2 / sigma_1 = 1 - 1e-6: one block step spans both singular pairs
+    a = np.diag([1.0, 1.0 - 1e-6])
+    t0 = time.perf_counter()
+    got = matrix_norm2(Matrix.from_array(a), method="power")
+    assert time.perf_counter() - t0 < 0.05
+    assert abs(got - float(np.linalg.svd(a, compute_uv=False)[0])) <= 1e-12
 
 
 def test_norm2_zero_matrix():
@@ -219,6 +229,18 @@ def test_entangled_state_detected_both_methods(entangled_state):
             STATE_ENTANGLED_OVERLAP, abs=1e-8
         )
         assert report.sep_max == pytest.approx(STATE_ENTANGLED_SEPMAX, abs=1e-6)
+
+
+def test_power_entangled_verdict_is_flagged_uncertified(entangled_state, separable_state):
+    # the power method's separable maximum is a lower bound: its
+    # "entangled" verdict is flagged, its "separable-consistent" one is not
+    report = entanglement_check(entangled_state, method="power")
+    assert report.verdict == "entangled"
+    assert len(report.flags) == 1 and UNCERTIFIED_FLAG in report.flags[0]
+    assert entanglement_check(entangled_state, method="algebraic").flags == ()
+    report = entanglement_check(separable_state, method="power")
+    assert report.verdict == "separable-consistent"
+    assert report.flags == ()
 
 
 def test_maximally_mixed_state():

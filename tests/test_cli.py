@@ -21,8 +21,10 @@ from conftest import (
     STATE_ENTANGLED,
     STATE_ENTANGLED_OVERLAP,
     STATE_ENTANGLED_SEPMAX,
+    STATE_SEPARABLE,
     TRILINEAR_COEFFS,
     TRILINEAR_MAX,
+    UNCERTIFIED_FLAG,
     non_converged_bilinear_max,
 )
 
@@ -169,6 +171,30 @@ def test_separability_entangled(capsys, state_file):
     assert report["verdict"] == "entangled"
     assert report["selfOverlap"] == pytest.approx(STATE_ENTANGLED_OVERLAP, abs=1e-8)
     assert report["sepMax"] == pytest.approx(STATE_ENTANGLED_SEPMAX, abs=1e-6)
+
+
+def test_separability_power_verdicts_carry_the_uncertified_flag(capsys, tmp_path, state_file):
+    # only an "entangled" power verdict rests on a lower bound
+    code, out = _run(capsys, ["separability", state_file, "--method", "power"])
+    assert code == EXIT_OK
+    flags = json.loads(out)["flags"]
+    assert len(flags) == 1 and UNCERTIFIED_FLAG in flags[0]
+    path = _write(tmp_path, "separable.json", _state_obj(STATE_SEPARABLE))
+    code, out = _run(capsys, ["separability", path, "--method", "power"])
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["verdict"] == "separable-consistent"
+    assert report["flags"] == []
+
+
+def test_norm2_near_tied_top_singular_values(capsys, tmp_path):
+    path = _write(tmp_path, "near-tie.json",
+                  {"rows": 2, "cols": 2, "entries": [1.0, 0.0, 0.0, 1.0 - 1e-6]})
+    code, out = _run(capsys, ["norm2", path])
+    assert code == EXIT_OK
+    report = _strict_json(out)
+    assert report["method"] == "power"
+    assert report["norm2"] == pytest.approx(1.0, abs=1e-12)
 
 
 def _state_obj(rows):

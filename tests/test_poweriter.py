@@ -146,6 +146,76 @@ def test_tied_top_singular_value_converges(diagonal):
     assert abs(result.value - max(diagonal)) <= 1e-12
 
 
+def _non_generic_matrices():
+    rng = np.random.default_rng(12)
+    return {
+        "rank-1-6x6": np.outer(rng.standard_normal(6), rng.standard_normal(6)),
+        "rank-2-6x6": rng.standard_normal((6, 2)) @ rng.standard_normal((2, 6)),
+        "1x7": rng.standard_normal((1, 7)),
+        "7x1": rng.standard_normal((7, 1)),
+        "I_10": np.eye(10),
+        "diag-3-3-1": np.diag([3.0, 3.0, 1.0]),
+        "scales-1e-8-to-1e8": rng.standard_normal((8, 8)) * 10.0 ** rng.uniform(-8, 8, (8, 8)),
+        "tall-200x150": rng.standard_normal((200, 150)),
+        "wide-150x200": rng.standard_normal((150, 200)),
+    }
+
+
+_NON_GENERIC = _non_generic_matrices()
+
+
+@pytest.mark.parametrize("name", list(_NON_GENERIC))
+def test_block_kernel_matches_svd_on_non_generic_matrices(name):
+    # rank below the block width, a block of width 1, tied and spread-out
+    # singular values, large shapes: the top Ritz pair is the SVD's, and
+    # no zero or rank-deficient block gives a RuntimeWarning (an error here)
+    a = _NON_GENERIC[name]
+    form = MultilinearForm(dims=a.shape, coeffs=a.reshape(-1))
+    result = bilinear_max(form)
+    s1 = float(np.linalg.svd(a, compute_uv=False)[0])
+    assert result.status is Status.CONVERGED
+    assert abs(result.value - s1) <= 1e-12 * s1
+    x, y = result.point
+    assert [np.linalg.norm(x), np.linalg.norm(y)] == pytest.approx([1.0, 1.0], abs=1e-12)
+    assert np.linalg.norm(a @ y - result.value * x) <= 1e-12 * s1
+    assert np.linalg.norm(a.T @ x - result.value * y) <= 1e-12 * s1
+
+
+def test_block_starts_in_the_null_space_raise(monkeypatch):
+    # A = e1 e1^T: every y start with a zero first entry gives A Y = 0
+    a = np.zeros((6, 6))
+    a[0, 0] = 1.0
+    form = MultilinearForm(dims=(6, 6), coeffs=a.reshape(-1))
+    null = np.random.default_rng(0).standard_normal((poweriter._STARTS, 6))
+    null[:, 0] = 0.0
+    monkeypatch.setattr(poweriter, "_random_starts", lambda form, seeds: [
+        np.tile(np.eye(6)[0], (len(seeds), 1)), null[:len(seeds)]])
+    with pytest.raises(ZeroGradientError):
+        bilinear_max(form)
+
+
+@pytest.mark.parametrize("a, max_iters", [
+    (np.random.default_rng(13).standard_normal((30, 30)), 1),
+    # seven singular values within 6e-6, one more than the block holds
+    (np.diag([1.0, 1 - 1e-6, 1 - 2e-6, 1 - 3e-6, 1 - 4e-6, 1 - 5e-6, 1 - 6e-6, 0.5]), 500),
+], ids=["generic-30x30", "cluster-8x8"])
+def test_block_iteration_cap_ends_non_converged(a, max_iters):
+    form = MultilinearForm(dims=a.shape, coeffs=a.reshape(-1))
+    result = bilinear_max(form, max_iters=max_iters)
+    assert result.status is Status.NON_CONVERGED
+    assert result.iterations == max_iters
+    assert [np.linalg.norm(v) for v in result.point] == pytest.approx([1.0, 1.0], abs=1e-12)
+    assert math.isfinite(result.residual) and result.residual > 0.0
+    assert result.value <= float(np.linalg.svd(a, compute_uv=False)[0]) * (1 + 1e-15)
+
+
+def test_iteration_cap_below_one_is_refused():
+    form = MultilinearForm(dims=(2, 2), coeffs=[1.0, 2.0, 3.0, 4.0])
+    for call in (bilinear_max, multilinear_iterate):
+        with pytest.raises(ValueError):
+            call(form, max_iters=0)
+
+
 @pytest.mark.parametrize(
     "form",
     [
