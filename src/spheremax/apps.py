@@ -167,17 +167,18 @@ def closest_rank_one(
 
 
 def _round_significant(values: np.ndarray, digits: int = 12) -> np.ndarray:
-    """Round each entry to `digits` significant decimal digits.
+    """Round the entries onto one decimal grid n * 10^e, with e set so that
+    the largest |entry| keeps `digits` significant digits: e =
+    floor(log10 max|c|) - (digits - 1), n an integer with |n| <= 10^digits.
 
-    Keeps the exact rationalization of the coefficients (used by the
-    algebraic path) at a manageable size; the induced maximum shift is far
-    below the reported precision.
+    Each entry is the float written "{n}e{e}", so its repr is n * 10^e and
+    ``algsolver.rationalize`` reads it as n / 10^-e: the exact solve gets
+    integers of at most 40 bits (digits = 12) over one power of ten, not the
+    17-digit repr of a float rounded in binary.  Each entry moves by at most
+    10^e / 2 <= 5e-12 max|c| (digits = 12).
     """
-    out = np.zeros_like(values)
-    nz = values != 0.0
-    mags = np.floor(np.log10(np.abs(values[nz])))
-    out[nz] = np.round(values[nz] / 10.0 ** mags, digits - 1) * 10.0 ** mags
-    return out
+    e = math.floor(math.log10(np.abs(values).max())) - (digits - 1)
+    return np.array([float(f"{round(c / 10.0 ** e)}e{e}") for c in values.tolist()])
 
 
 def _separability_form(rho: DensityState) -> MultilinearForm:
@@ -188,6 +189,13 @@ def _separability_form(rho: DensityState) -> MultilinearForm:
 
     Its maximum over the three spheres is the square root of the separable
     maximum max over product states of <rho, xx^T (x) yy^T>.
+
+    The coefficients lie on one 12-digit decimal grid (_round_significant),
+    which keeps the exact solve's rationals small.  Each of the N
+    coefficients moves by at most 10^e / 2, so the maximum l_max of the form
+    moves by at most 10^e sqrt(N) / 2 (the spectral norm of the change is at
+    most its Frobenius norm), and the separable maximum l_max^2 by about
+    twice l_max times that.
     """
     a = rho.matrix.array
     vals, vecs = np.linalg.eigh(0.5 * (a + a.T))  # DensityState checked symmetry

@@ -11,6 +11,8 @@ half-step (x <- A y, then y <- A^T x, each normalized) polishes it.  The
 pair converges at rate sigma_(k+1) / sigma_1, where one vector converges at
 sigma_2 / sigma_1: ties and near-ties among the top k singular values cost
 nothing, and a matrix of rank or size at most k is answered in one step.
+A cluster of top singular values wider than the block widens it to
+min(n, m), where the Rayleigh-Ritz step is an exact SVD (``_subspace``).
 ``iterations`` counts block steps.
 
 The two kernels for r >= 3 run a (B, n) block of starts side by side, one
@@ -316,32 +318,46 @@ def _unit(v):
 
 def _ritz_pair(a, y, r, iterations, tol):
     """The top Ritz pair of the block (X, Y), where X^T A Y = R^T, after one
-    Gauss-Seidel half-step, scored by its fixed-point residual.  The step
-    x <- A y / |A y|, y <- A^T x / |A^T x| replaces the Ritz x, so only the
-    Ritz y = Y v_1 is formed."""
-    y = y @ np.linalg.svd(r.T)[2][0]
+    Gauss-Seidel half-step, scored by its fixed-point residual; also the
+    ratio sigma_k / sigma_1 of the block's last and first Ritz values.  The
+    step x <- A y / |A y|, y <- A^T x / |A^T x| replaces the Ritz x, so only
+    the Ritz y = Y v_1 is formed."""
+    _, sigma, vt = np.linalg.svd(r.T)
+    y = y @ vt[0]
     x = _unit(a @ y)
     y = _unit(a.T @ x)
     value, residual = _assess(a, _subscripts(2), [x[None, :], y[None, :]])
     value, residual = abs(float(value[0])), float(residual[0])
     done = residual <= 10.0 * tol * (1.0 + value)
     status = Status.CONVERGED if done else Status.NON_CONVERGED
-    return IterationResult((x, y), value, iterations, status, residual)
+    ratio = float(sigma[-1] / sigma[0])
+    return IterationResult((x, y), value, iterations, status, residual), ratio
 
 
-def _subspace(form, y, tol, max_iters):
-    """Block power (subspace) iteration for x^T A y from the block Y of k
-    columns: the polished top Ritz pair, CONVERGED at the first check it
-    passes, else NON_CONVERGED at the cap; ZeroGradientError if A Y = 0.
+def _subspace(form, seed, tol, max_iters):
+    """Block power (subspace) iteration for x^T A y from the y slots of the
+    random starts seed, seed + 1, ... (k = min(_STARTS, n, m) of them): the
+    polished top Ritz pair, CONVERGED at the first check it passes, else
+    NON_CONVERGED at the cap; ZeroGradientError if A Y = 0.
 
     A step is X = qr(A Y), then (Y, R) = qr(A^T X): span Y is span((A^T A)^t
     Y_0), and the Ritz pair converges at rate sigma_(k+1) / sigma_1.  The
     pair is checked at steps 1 to 4, then each time the step count has
     grown by a quarter, and at the cap.  A check costs about one step, so
-    the checks add a few percent to a converging run and about 50 checks to
-    a run of 10^5 steps.
+    the checks add a few percent to a converging run.
+
+    A check that fails with (sigma_k / sigma_1)^(max_iters - it) > tol
+    finds every Ritz value of the block so close to sigma_1 that, should
+    sigma_(k+1) be as close, the steps left could not reach tol: the y
+    slots of the next seeds then widen the block to min(n, m).  A block
+    that wide spans the smaller side, so the next Rayleigh-Ritz step is an
+    exact SVD.  Gaussian matrices never widen: their sigma_6 / sigma_1 is
+    far below tol^(1 / max_iters).
     """
     a = form.tensor
+    width = min(a.shape)
+    k = min(_STARTS, width)
+    y = _random_starts(form, range(seed, seed + k))[1].T
     due = 1
     for it in range(1, max_iters + 1):
         z = a @ y
@@ -350,10 +366,13 @@ def _subspace(form, y, tol, max_iters):
         x = np.linalg.qr(z)[0]
         y, r = np.linalg.qr(a.T @ x)
         if it >= due or it == max_iters:
-            result = _ritz_pair(a, y, r, it, tol)
+            result, ratio = _ritz_pair(a, y, r, it, tol)
             if result.status is Status.CONVERGED:
                 return result
             due = it + 1 + it // 4
+            if k < width and it < max_iters and ratio ** (max_iters - it) > tol:
+                y = np.hstack([y, _random_starts(form, range(seed + k, seed + width))[1].T])
+                k, due = width, it + 1
     return result
 
 
@@ -364,9 +383,7 @@ def _run_with_restarts(form, seed, tol, max_iters):
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     if form.order == 2:
-        k = min(_STARTS, *form.dims)
-        return _subspace(form, _random_starts(form, range(seed, seed + k))[1].T,
-                         tol, max_iters)
+        return _subspace(form, seed, tol, max_iters)
     starts = _random_starts(form, range(seed, seed + _STARTS))
     return _pick(_joint(form, starts, True, tol, max_iters))
 
@@ -397,6 +414,8 @@ def bilinear_max(
     step multiplies it by A^T A and a Rayleigh-Ritz step picks the best pair
     in it, so the value converges at rate sigma_(k+1) / sigma_1 for a block
     of width k, repeated or nearly repeated top singular values included.
+    When every Ritz value of the block sits too close to sigma_1 to resolve
+    a wider cluster in the steps left, the block widens to min(n, m).
     ``max_iters`` counts block steps; a run that reaches it is NON_CONVERGED.
     """
     if form.order != 2:

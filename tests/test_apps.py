@@ -1,6 +1,7 @@
 """Applications: matrix 2-norm, closest rank-one form, separability bound."""
 
 import time
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -19,9 +20,11 @@ from spheremax import (
     matrix_norm2,
     poweriter,
     rank_one_to_form,
+    rationalize,
     self_overlap,
     separable_max,
 )
+from spheremax.apps import _separability_form
 
 from conftest import (
     CLASS_COUNT_FLAG,
@@ -58,6 +61,16 @@ def test_norm2_known_matrix_both_methods(matrix_4x3):
 def test_norm2_near_tied_top_singular_values():
     # sigma_2 / sigma_1 = 1 - 1e-6: one block step spans both singular pairs
     a = np.diag([1.0, 1.0 - 1e-6])
+    t0 = time.perf_counter()
+    got = matrix_norm2(Matrix.from_array(a), method="power")
+    assert time.perf_counter() - t0 < 0.05
+    assert abs(got - float(np.linalg.svd(a, compute_uv=False)[0])) <= 1e-12
+
+
+def test_norm2_cluster_wider_than_the_block():
+    # seven top singular values within 6e-6, one more than the first block
+    # holds: the block widens to 8 columns and the next step is an exact SVD
+    a = np.diag([1.0, 1 - 1e-6, 1 - 2e-6, 1 - 3e-6, 1 - 4e-6, 1 - 5e-6, 1 - 6e-6, 0.5])
     t0 = time.perf_counter()
     got = matrix_norm2(Matrix.from_array(a), method="power")
     assert time.perf_counter() - t0 < 0.05
@@ -303,6 +316,46 @@ def test_separable_max_methods_agree_on_every_rank(rank):
         rho = DensityState(2, 2, Matrix.from_array(g @ g.T / np.sum(g * g)))
         power = separable_max(rho, method="power")
         assert separable_max(rho, method="algebraic") == pytest.approx(power, abs=1e-9)
+
+
+def _random_rank_state(rng, rank):
+    g = rng.standard_normal((4, rank))
+    return DensityState(2, 2, Matrix.from_array(g @ g.T / np.sum(g * g)))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_separability_form_lies_on_one_decimal_grid(rank):
+    # every coefficient's repr is n * 10^e, one e per form and |n| <= 10^12,
+    # so the exact solve reads integers of at most 40 bits over one power
+    # of ten (a float rounded in binary has a 17-digit repr)
+    rng = np.random.default_rng(20 + rank)
+    for _ in range(5):
+        form = _separability_form(_random_rank_state(rng, rank))
+        coeffs = [Decimal(repr(c)) for c in form.coeffs.tolist()]
+        e = min(c.as_tuple().exponent for c in coeffs if c)
+        for c in coeffs:
+            n = c.scaleb(-e)
+            assert n == n.to_integral_value() and abs(n) <= 10 ** 12
+            assert rationalize(float(c)).numerator.bit_length() <= 40
+
+
+# (seed, rank, separable maximum) of states from default_rng(300 + seed),
+# computed before the coefficients shared one decimal grid
+_PINNED_SEPARABLE_MAX = [
+    (0, 1, 0.9982240315877211),
+    (1, 2, 0.6370916238396394),
+    (2, 3, 0.7718670227932908),
+    (3, 4, 0.42342920247400473),
+    (4, 4, 0.8392376458751022),
+]
+
+
+@pytest.mark.parametrize("seed, rank, pinned", _PINNED_SEPARABLE_MAX)
+def test_separable_max_keeps_its_pinned_value(seed, rank, pinned):
+    # the grid moves each coefficient by at most 5e-13 here: far below 1e-11
+    rho = _random_rank_state(np.random.default_rng(300 + seed), rank)
+    for method in ("power", "algebraic"):
+        assert abs(separable_max(rho, method=method) - pinned) <= 1e-11
 
 
 def test_state_within_symmetry_tolerance_is_solved():

@@ -84,8 +84,8 @@ def test_count_rejects_single_dim(capsys):
 
 
 def test_maximize_power_bilinear(capsys, bilinear_file, monkeypatch):
-    # one power path for every order: multilinear_iterate runs the
-    # Gauss-Seidel block of bilinear_max for two slots
+    # one power path for every order: multilinear_iterate runs the block
+    # (subspace) iteration of bilinear_max for two slots
     monkeypatch.delattr(poweriter, "bilinear_max")
     code, out = _run(capsys, ["maximize", bilinear_file, "--method", "power"])
     assert code == EXIT_OK
@@ -190,6 +190,19 @@ def test_separability_power_verdicts_carry_the_uncertified_flag(capsys, tmp_path
 def test_norm2_near_tied_top_singular_values(capsys, tmp_path):
     path = _write(tmp_path, "near-tie.json",
                   {"rows": 2, "cols": 2, "entries": [1.0, 0.0, 0.0, 1.0 - 1e-6]})
+    code, out = _run(capsys, ["norm2", path])
+    assert code == EXIT_OK
+    report = _strict_json(out)
+    assert report["method"] == "power"
+    assert report["norm2"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_norm2_cluster_wider_than_the_block(capsys, tmp_path):
+    # seven top singular values within 6e-6, one more than the power
+    # method's first block holds: the block widens and the run converges
+    sigma = [1.0, 1 - 1e-6, 1 - 2e-6, 1 - 3e-6, 1 - 4e-6, 1 - 5e-6, 1 - 6e-6, 0.5]
+    path = _write(tmp_path, "cluster.json",
+                  {"rows": 8, "cols": 8, "entries": np.diag(sigma).reshape(-1).tolist()})
     code, out = _run(capsys, ["norm2", path])
     assert code == EXIT_OK
     report = _strict_json(out)

@@ -135,8 +135,8 @@ def test_random_multilinear_value_is_a_critical_value():
 
 @pytest.mark.parametrize("diagonal", [[1, 1], [1, 1, 1], [3, 3, 1]])
 def test_tied_top_singular_value_converges(diagonal):
-    # a Jacobi update swaps the slots of the identity forever; the
-    # Gauss-Seidel step settles on the tied top singular subspace
+    # a Jacobi update swaps the slots of the identity forever; a block at
+    # least as wide as the tie spans the tied top singular subspace at once
     a = np.diag(np.array(diagonal, dtype=float))
     form = MultilinearForm(dims=a.shape, coeffs=a.reshape(-1))
     t0 = time.perf_counter()
@@ -144,6 +144,12 @@ def test_tied_top_singular_value_converges(diagonal):
     assert time.perf_counter() - t0 < 1.0
     assert result.status is Status.CONVERGED
     assert abs(result.value - max(diagonal)) <= 1e-12
+
+
+def _with_singular_values(rng, n, m, sigma):
+    u = np.linalg.qr(rng.standard_normal((n, m)))[0]
+    v = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    return (u * sigma) @ v.T
 
 
 def _non_generic_matrices():
@@ -158,6 +164,10 @@ def _non_generic_matrices():
         "scales-1e-8-to-1e8": rng.standard_normal((8, 8)) * 10.0 ** rng.uniform(-8, 8, (8, 8)),
         "tall-200x150": rng.standard_normal((200, 150)),
         "wide-150x200": rng.standard_normal((150, 200)),
+        # ten top singular values within 1e-7, more than the block holds:
+        # the block widens to the smaller side
+        "cluster-of-10-in-60x50": _with_singular_values(
+            rng, 60, 50, np.r_[1.0 - 1e-8 * np.arange(10), np.linspace(0.5, 0.1, 40)]),
     }
 
 
@@ -196,8 +206,9 @@ def test_block_starts_in_the_null_space_raise(monkeypatch):
 
 @pytest.mark.parametrize("a, max_iters", [
     (np.random.default_rng(13).standard_normal((30, 30)), 1),
-    # seven singular values within 6e-6, one more than the block holds
-    (np.diag([1.0, 1 - 1e-6, 1 - 2e-6, 1 - 3e-6, 1 - 4e-6, 1 - 5e-6, 1 - 6e-6, 0.5]), 500),
+    # seven singular values within 6e-6, one more than the block holds: a
+    # cap of one step ends the run before the block can widen
+    (np.diag([1.0, 1 - 1e-6, 1 - 2e-6, 1 - 3e-6, 1 - 4e-6, 1 - 5e-6, 1 - 6e-6, 0.5]), 1),
 ], ids=["generic-30x30", "cluster-8x8"])
 def test_block_iteration_cap_ends_non_converged(a, max_iters):
     form = MultilinearForm(dims=a.shape, coeffs=a.reshape(-1))
