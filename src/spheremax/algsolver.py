@@ -12,9 +12,11 @@ at the eigenvalue stage.
 The exact loops run on plain Python ints.  A monomial is one packed int (see
 _Monomials), Buchberger's algorithm reduces fraction-free integer
 polynomials, and the quotient ring keeps each normal form as an integer
-vector over one positive denominator.  Rationals (fractions.Fraction) appear
-only at the boundary: in RationalPoly, GroebnerBasis and the input
-coefficients.
+vector over one positive denominator.  A basis element has one layout, the
+reducer record (probe, leading monomial, leading coefficient, tail), which
+Buchberger's loop, its zero test and certificate, the normal set and the
+quotient ring all read.  Rationals (fractions.Fraction) appear only at the
+boundary: in RationalPoly, GroebnerBasis and the input coefficients.
 
 Once the basis coefficients pass _ZERO_TEST_BITS bits, Buchberger's
 algorithm first reduces each S-polynomial modulo one 61-bit prime and skips
@@ -28,6 +30,7 @@ basis is always the exact one.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import itertools
@@ -260,7 +263,9 @@ class SolveReport:
 
 # ---------------------------------------------------------------------------
 # Buchberger engine.  Basis polynomials are dicts {packed monomial: int},
-# primitive (content 1) with a positive leading coefficient; reduction is
+# primitive (content 1) with a positive leading coefficient, each laid out
+# once as its _reducer record (probe, leading monomial, leading coefficient,
+# tail); every exact reduction reads that record.  Reduction is
 # fraction-free (pseudo-division with content stripping), which keeps the
 # classic coefficient swell of monic rational reduction in check.  Rationals
 # appear only where groebner() converts its input and its result.  Exact
@@ -326,22 +331,29 @@ def _strip_content(ints):
     return ints
 
 
-def _reducer(p):
-    """(leading monomial, leading coefficient, tail) of an integer poly."""
+def _reducer(p, mono):
+    """The record (probe, leading monomial, leading coefficient, tail) of a
+    primitive integer poly: the one layout every exact reduction reads."""
     lm = max(p)
-    return lm, p[lm], {m: c for m, c in p.items() if m != lm}
+    return mono.probe(lm), lm, p[lm], {m: c for m, c in p.items() if m != lm}
+
+
+def _records(gb, mono):
+    """The _reducer records of a GroebnerBasis, ascending by leading
+    monomial."""
+    records = (_reducer(_to_integer_primitive(p.terms, mono), mono) for p in gb.basis)
+    return sorted(records, key=lambda r: r[1])
 
 
 def _normal_form(p, reducers, mono, budget):
     """Fraction-free full normal form of a packed integer polynomial.
 
-    reducers: list of _reducer triples with integer primitive coefficients;
-    the first whose leading monomial divides a term reduces it.  The result
+    reducers: _reducer records with integer primitive coefficients; the
+    first whose leading monomial divides a term reduces it.  The result
     equals the true normal form up to a positive rational scalar; it is
     returned content-stripped.
     """
     guard = mono.guard
-    probes = [(mono.probe(lm), lm, lc, tail) for lm, lc, tail in reducers]
     work = {m: c for m, c in p.items() if c}
     heap = [-m for m in work]  # pops the grevlex-largest monomial first
     heapq.heapify(heap)
@@ -352,7 +364,7 @@ def _normal_form(p, reducers, mono, budget):
         c = work.pop(m, None)
         if c is None:
             continue
-        for probe, lm, lc, tail in probes:
+        for probe, lm, lc, tail in reducers:
             if not (m - probe) & guard:
                 break
         else:
@@ -400,20 +412,18 @@ def _normal_form(p, reducers, mono, budget):
     return _strip_content(rem)
 
 
-def _spoly(lm_f, f, lm_g, g, lcm):
-    """Integer S-polynomial of primitive integer polys f, g; lcm is the
-    packed lcm of their leading monomials."""
+def _spoly(f, g, lcm):
+    """Integer S-polynomial of the records f, g, formed from the tails (the
+    leading terms cancel); lcm is the packed lcm of their leading monomials."""
+    _, lm_f, lcf, tail_f = f
+    _, lm_g, lcg, tail_g = g
     sf = lcm - lm_f
     sg = lcm - lm_g
-    lcf = f[lm_f]
-    lcg = g[lm_g]
     d = math.gcd(lcf, lcg)
     af = lcg // d
     ag = lcf // d
-    out = {}
-    for m, c in f.items():
-        out[m + sf] = af * c
-    for m, c in g.items():
+    out = {m + sf: af * c for m, c in tail_f.items()}
+    for m, c in tail_g.items():
         mm = m + sg
         prev = out.get(mm)
         nv = (prev - ag * c) if prev is not None else -ag * c
@@ -426,52 +436,40 @@ def _spoly(lm_f, f, lm_g, g, lcm):
 
 class _Engine:
     """Buchberger with the Gebauer-Moeller pair criteria and normal
-    (minimal-lcm) selection.  All polynomials are primitive integer dicts
-    over packed monomials.  Past ``line`` basis coefficient bits, run()
+    (minimal-lcm) selection.  Past ``line`` basis coefficient bits, run()
     skips the pairs that vanish mod _PRIME and keeps them in ``skipped``."""
 
     def __init__(self, mono, budget):
         self.mono = mono
         self.budget = budget
-        self.polys = []   # full primitive integer dicts
-        self.lms = []
-        self.reducers = []  # _reducer triple of each poly
-        self.alive = []
+        self.records = []  # _reducer record of each poly, by index
+        self.live = []     # indices no later leading monomial divides, by lm
+        self.reducers = []  # their records, in that order
         self.pairs = []   # heap of (lcm, i, j)
         self.bits = 0     # peak coefficient bit length of the basis
         self.line = _ZERO_TEST_BITS
         self.images = {}  # poly index -> _image, built at its first use
         self.skipped = []  # pairs whose S-polynomial vanished mod _PRIME
 
-    def _alive(self):
-        """Indices of the live polys by leading monomial: reducer order."""
-        return sorted((i for i in range(len(self.polys)) if self.alive[i]),
-                      key=self.lms.__getitem__)
-
-    def _reducers(self):
-        return [self.reducers[i] for i in self._alive()]
-
     def add(self, p):
-        r = _normal_form(p, self._reducers(), self.mono, self.budget)
+        r = _normal_form(p, self.reducers, self.mono, self.budget)
         if r:
-            self._update(r)
+            self._update(_reducer(r, self.mono))
 
-    def _update(self, h):
+    def _update(self, rec):
         mono = self.mono
         guard = mono.guard
-        lmh = max(h)
-        hidx = len(self.polys)
-        self.polys.append(h)
-        self.lms.append(lmh)
-        self.reducers.append(_reducer(h))
-        self.alive.append(True)
-        self.bits = max(self.bits, max(map(abs, h.values())).bit_length())
-        others = [i for i in range(hidx) if self.alive[i]]
+        records = self.records
+        probe, lmh, lc, tail = rec
+        hidx = len(records)
+        records.append(rec)
+        self.bits = max(self.bits, max([lc, *map(abs, tail.values())]).bit_length())
+        others = sorted(self.live)  # by index: of equal lcms, the first pair stays
         # Gebauer-Moeller: filter new pairs (h, g)
-        cand = [(mono.lcm(lmh, self.lms[g]), g) for g in others]
+        cand = [(mono.lcm(lmh, records[g][1]), g) for g in others]
         kept = []
         for pos, (l, g) in enumerate(cand):
-            if l == lmh + self.lms[g]:  # coprime leading monomials
+            if l == lmh + records[g][1]:  # coprime leading monomials
                 kept.append((l, g, True))
                 continue
             top = l - guard - 1  # l2 | l iff not (top - l2) & guard
@@ -483,13 +481,12 @@ class _Engine:
             if not dominated:
                 kept.append((l, g, False))
         # filter old pairs against the new leading monomial
-        probe = mono.probe(lmh)
         newpairs = []
         for l, i, j in self.pairs:
             if (
                 (l - probe) & guard
-                or mono.lcm(self.lms[i], lmh) == l
-                or mono.lcm(self.lms[j], lmh) == l
+                or mono.lcm(records[i][1], lmh) == l
+                or mono.lcm(records[j][1], lmh) == l
             ):
                 newpairs.append((l, i, j))
         for l, g, coprime_pair in kept:
@@ -497,9 +494,9 @@ class _Engine:
                 newpairs.append((l, g, hidx))
         heapq.heapify(newpairs)
         self.pairs = newpairs
-        for g in others:
-            if not (self.lms[g] - probe) & guard:
-                self.alive[g] = False
+        self.live = [g for g in self.live if (records[g][1] - probe) & guard]
+        bisect.insort(self.live, hidx, key=lambda g: records[g][1])
+        self.reducers = [records[g] for g in self.live]
 
     def run(self):
         while self.pairs:
@@ -507,10 +504,7 @@ class _Engine:
             if self.bits > self.line and self._vanishes_mod_p(l, i, j):
                 self.skipped.append((l, i, j))
                 continue
-            s = _spoly(self.lms[i], self.polys[i], self.lms[j], self.polys[j], l)
-            r = _normal_form(s, self._reducers(), self.mono, self.budget)
-            if r:
-                self._update(r)
+            self.add(_spoly(self.records[i], self.records[j], l))
         return self._interreduce()
 
     def resume(self):
@@ -526,12 +520,12 @@ class _Engine:
         [(monomial, -c / lc)] without the terms that vanish; None when its
         leading coefficient vanishes mod _PRIME."""
         if i not in self.images:
-            p, lm = self.polys[i], self.lms[i]
-            lc = p[lm] % _PRIME
+            _, _, lc, tail = self.records[i]
+            lc %= _PRIME
             if lc:
                 inv = pow(lc, -1, _PRIME)
                 self.images[i] = [(m, -c * inv % _PRIME)
-                                  for m, c in p.items() if m != lm and c % _PRIME]
+                                  for m, c in tail.items() if c % _PRIME]
             else:
                 self.images[i] = None
         return self.images[i]
@@ -543,8 +537,9 @@ class _Engine:
         fi, fj = self._image(i), self._image(j)
         if fi is None or fj is None:
             return False
+        records = self.records
         guard = self.mono.guard
-        si, sj = l - self.lms[i], l - self.lms[j]
+        si, sj = l - records[i][1], l - records[j][1]
         work = {m + si: -c for m, c in fi}  # the monic leading terms cancel
         for m, c in fj:
             v = (work.get(m + sj, 0) + c) % _PRIME
@@ -554,14 +549,13 @@ class _Engine:
                 work.pop(m + sj, None)
         heap = [-m for m in work]
         heapq.heapify(heap)
-        probes = [(self.mono.probe(self.lms[k]), self.lms[k], k)
-                  for k in self._alive()]
         while heap:
             m = -heapq.heappop(heap)
             c = work.pop(m, None)
             if c is None:
                 continue
-            for probe, lm, k in probes:
+            for k in self.live:
+                probe, lm, _, _ = records[k]
                 if not (m - probe) & guard:
                     break
             else:
@@ -586,33 +580,31 @@ class _Engine:
         return True
 
     def _interreduce(self):
-        """The reduced basis as primitive integer polys, ascending by
-        leading monomial."""
+        """The reduced basis as records, ascending by leading monomial."""
         # drop redundant leading monomials
         minimal = []
-        for i in self._alive():
-            if not any(self.mono.divides(self.lms[j], self.lms[i]) for j in minimal):
-                minimal.append(i)
+        for rec in self.reducers:
+            if not any(self.mono.divides(r[1], rec[1]) for r in minimal):
+                minimal.append(rec)
         out = []
-        for i in minimal:
-            others = [self.reducers[j] for j in minimal if j != i]
-            out.append(_normal_form(self.polys[i], others, self.mono, self.budget))
-        out.sort(key=max)
+        for rec in minimal:
+            _, lm, lc, tail = rec
+            others = [r for r in minimal if r is not rec]
+            nf = _normal_form({lm: lc, **tail}, others, self.mono, self.budget)
+            out.append(_reducer(nf, self.mono))
         return out
 
 
 def _certify(basis, inputs, mono, budget) -> bool:
-    """Exact check that the primitive integer polys ``basis`` are a Groebner
-    basis: every S-pair that survives the Gebauer-Moeller criteria reduces
-    to zero; and that every poly of ``inputs`` reduces to zero, i.e. lies
-    in the basis's ideal."""
+    """Exact check that the records ``basis``, ascending by leading
+    monomial, are a Groebner basis: every S-pair that survives the
+    Gebauer-Moeller criteria reduces to zero; and that every poly of
+    ``inputs`` reduces to zero, i.e. lies in the basis's ideal."""
     eng = _Engine(mono, budget)
-    for g in sorted(basis, key=max):
-        eng._update(g)
-    reducers = eng._reducers()
-    pairs = (_spoly(eng.lms[i], eng.polys[i], eng.lms[j], eng.polys[j], l)
-             for l, i, j in eng.pairs)
-    return not any(_normal_form(p, reducers, mono, budget)
+    for rec in basis:
+        eng._update(rec)
+    pairs = (_spoly(eng.records[i], eng.records[j], l) for l, i, j in eng.pairs)
+    return not any(_normal_form(p, eng.reducers, mono, budget)
                    for p in itertools.chain(pairs, inputs))
 
 
@@ -637,11 +629,11 @@ def groebner(system: PolySystem, budget: int = DEFAULT_REDUCTION_BUDGET) -> Groe
     basis = eng.run()
     if eng.skipped and not _certify(basis, polys, mono, eng.budget):
         basis = eng.resume()
-    monic = []
-    for p in basis:
-        lc = p[max(p)]
-        monic.append(RationalPoly(variables, {mono.unpack(m): Fraction(c, lc)
-                                              for m, c in p.items()}))
+    monic = [
+        RationalPoly(variables, {mono.unpack(m): Fraction(c, lc)
+                                 for m, c in {lm: lc, **tail}.items()})
+        for _, lm, lc, tail in basis
+    ]
     return GroebnerBasis(basis=tuple(monic), variables=variables)
 
 
@@ -650,8 +642,7 @@ def verify_buchberger_certificate(gb: GroebnerBasis,
     """Every S-pair of the basis that survives the Gebauer-Moeller criteria
     reduces to zero (exact check): the certificate groebner() runs."""
     mono = _Monomials(len(gb.variables))
-    basis = [_to_integer_primitive(p.terms, mono) for p in gb.basis]
-    return _certify(basis, (), mono, _Budget(budget))
+    return _certify(_records(gb, mono), (), mono, _Budget(budget))
 
 
 # ---------------------------------------------------------------------------
@@ -663,31 +654,33 @@ def normal_set(gb: GroebnerBasis) -> NormalSet:
     under grevlex, constant monomial first.  Raises NotZeroDimensionalError
     when the quotient ring is infinite-dimensional."""
     nvars = len(gb.variables)
-    lms = [p.leading_monomial() for p in gb.basis]
-    for v in range(nvars):
-        if not any(
-            lm[v] > 0 and all(lm[w] == 0 for w in range(nvars) if w != v)
-            for lm in lms
-        ):
+    mono = _Monomials(nvars)
+    guard = mono.guard
+    records = _records(gb, mono)
+    probes = [r[0] for r in records]
+    units = [mono.pack(tuple(int(i == v) for i in range(nvars))) for v in range(nvars)]
+    for v, unit in enumerate(units):
+        # a leading monomial other than 1 divides x_v^top iff it is a power of x_v
+        top = (_DEGREE_LIMIT - 1) * unit
+        if not any(lm and not (top - probe) & guard for probe, lm, _, _ in records):
             raise NotZeroDimensionalError(
                 f"no pure power of {gb.variables[v]} among leading terms"
             )
-    one = (0,) * nvars
-    seen = {one}
+    seen = {0}
     standard = []
-    queue = [one]
+    queue = [0]  # the constant monomial
     while queue:
         m = queue.pop()
-        if any(_divides(lm, m) for lm in lms):
+        if any(not (m - probe) & guard for probe in probes):
             continue
         standard.append(m)
-        for v in range(nvars):
-            child = tuple(e + 1 if i == v else e for i, e in enumerate(m))
+        for unit in units:
+            child = m + unit
             if child not in seen:
                 seen.add(child)
                 queue.append(child)
-    standard.sort(key=grevlex_key)
-    return NormalSet(monomials=tuple(standard), variables=gb.variables)
+    standard.sort()
+    return NormalSet(monomials=tuple(map(mono.unpack, standard)), variables=gb.variables)
 
 
 class QuotientRing:
@@ -696,28 +689,17 @@ class QuotientRing:
     A normal form is kept as an (integer vector, positive denominator) pair,
     the vector a sparse {standard-monomial index: nonzero int} dict: the
     coordinates are vector / denominator, with the common content of the
-    pair divided out."""
+    pair divided out.  A basis element's _reducer record gives NF(x^lm) =
+    -tail / lc: lc is the monic element's least common denominator."""
 
     def __init__(self, gb: GroebnerBasis, ns: NormalSet,
                  budget: int = DEFAULT_REDUCTION_BUDGET):
-        self.gb = gb
-        self.ns = ns
         self.mono = mono = _Monomials(len(gb.variables))
         self.budget = _Budget(budget)
         self.standard = [mono.pack(m) for m in ns.monomials]
         self._top_degree = max(map(sum, ns.monomials), default=0)
         self._cache = {k: ({i: 1}, 1) for i, k in enumerate(self.standard)}
-        # (probe, leading monomial, denominator, [(monomial, -numerator)])
-        # per basis element, the monic tail over one denominator
-        self.reducers = []
-        for p in gb.basis:
-            lm = p.leading_monomial()
-            tail = {m: c / p.terms[lm] for m, c in p.terms.items() if m != lm}
-            den, ints = _clear_denominators(tail, mono)
-            k = mono.pack(lm)
-            self.reducers.append(
-                (mono.probe(k), k, den, [(m, -a) for m, a in ints.items()]))
-        self.reducers.sort(key=lambda r: r[1])
+        self.reducers = _records(gb, mono)
 
     def monomial_vector(self, m) -> tuple:
         """NF(x^m) as an (integer vector, positive denominator) pair."""
@@ -733,7 +715,7 @@ class QuotientRing:
             if cur in cache:
                 stack.pop()
                 continue
-            for probe, lm, den, tail in self.reducers:
+            for probe, lm, lc, tail in self.reducers:
                 if not (cur - probe) & guard:
                     break
             else:  # pragma: no cover - gb/ns inconsistency
@@ -741,13 +723,13 @@ class QuotientRing:
                     f"monomial {self.mono.unpack(cur)} neither standard nor reducible"
                 )
             shift = cur - lm
-            terms = [(t + shift, a) for t, a in tail]
+            terms = [(t + shift, -c) for t, c in tail.items()]
             missing = [t for t, _ in terms if t not in cache]
             if missing:
                 stack.extend(missing)
                 continue
             self.budget.spend()
-            cache[cur] = self._combine(terms, den)
+            cache[cur] = self._combine(terms, lc)
             stack.pop()
         return cache[k]
 

@@ -53,6 +53,8 @@ class DensityState:
                 f"got {self.matrix.rows}x{self.matrix.cols}"
             )
         a = self.matrix.array
+        if not np.isfinite(a).all():  # every check below is False on NaN
+            raise NotAStateError("state matrix has a non-finite entry")
         if float(np.abs(a - a.T).max(initial=0.0)) > 1e-10:
             raise NotAStateError("state matrix is not symmetric within 1e-10")
         if float(np.linalg.eigvalsh(0.5 * (a + a.T)).min()) < -1e-10:

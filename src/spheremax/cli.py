@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 input/output error, 2 solver error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -281,7 +282,10 @@ def _parse_bench_rows(values):
     return rows
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it
+    unchanged, so every call of main shares it)."""
     parser = argparse.ArgumentParser(
         prog="spheremax",
         description="Maxima of multilinear forms over products of unit spheres.",

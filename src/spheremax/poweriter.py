@@ -48,11 +48,12 @@ is discarded.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroGradientError
+from .errors import DimensionMismatchError, ZeroGradientError
 from .multiform import (
     MultilinearForm,
     _assess,
@@ -174,24 +175,18 @@ def _gauss_seidel(form, starts, sequential, tol, max_iters):
     blocks of unit rows); returns the outcome of each row.
 
     A step maps the point p to p'.  The start converges at p when every slot
-    of p' is parallel to p's within tol and the residual at p is small; the
-    gradients at p of the first slot (computed in the step) and of the last
-    (computed in the step before) come for free.
+    of p' is parallel to p's within tol and the residual at p is small.
     """
     t, subs = form.tensor, _subscripts(form.order)
     r = form.order
     slots = list(starts)
-    last = _partial(t, subs, slots, r - 1)
     rows = _Rows(len(slots[0]), sequential)
     for it in range(1, max_iters + 1):
         point = slots
         slots = list(slots)
         usable = True
         for i in range(r):
-            g = _partial(t, subs, slots, i)
-            if i == 0:
-                first = g
-            slots[i], ok = _normalize(g, slots[i])
+            slots[i], ok = _normalize(_partial(t, subs, slots, i), slots[i])
             if ok is not None:
                 usable &= ok
         ended = [] if usable is True else list(np.flatnonzero(~usable))
@@ -204,12 +199,7 @@ def _gauss_seidel(form, starts, sequential, tol, max_iters):
         if stationary.any():
             near = np.flatnonzero(stationary)
             at = [p[near] for p in point]
-            grads = [first[near]] + [_partial(t, subs, at, i) for i in range(1, r - 1)]
-            grads.append(last[near])
-            value = _row_dots(grads[0], at[0])
-            residual = np.max(
-                [_row_norms(g - value[:, None] * a) for g, a in zip(grads, at)], axis=0
-            )
+            value, residual = _assess(t, subs, at)
             done = residual <= 10.0 * tol * (1.0 + np.abs(value))
             for k in np.flatnonzero(done):
                 rows.end(near[k], IterationResult(
@@ -217,9 +207,8 @@ def _gauss_seidel(form, starts, sequential, tol, max_iters):
                     Status.CONVERGED, float(residual[k]),
                 ))
             ended += list(near[done])
-        last = g
         if ended:
-            *slots, last = rows.prune(ended, *slots, last)
+            slots = rows.prune(ended, *slots)
             if not rows.index.size:
                 break
     else:
@@ -382,6 +371,8 @@ def _run_with_restarts(form, seed, tol, max_iters):
     starts seed, seed + 1, ..., all in one block."""
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    if not 0.0 < tol < math.inf:  # False on NaN too
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if form.order == 2:
         return _subspace(form, seed, tol, max_iters)
     starts = _random_starts(form, range(seed, seed + _STARTS))
@@ -393,6 +384,8 @@ def _ascend(form, seed, count):
     all in one block, each until it converges or for _ASCENT_SWEEPS sweeps:
     the best-valued result (lowest seed on ties).  Raises the
     ZeroGradientError when every start meets a zero gradient."""
+    if form.order < 2:
+        raise DimensionMismatchError(f"the ascent needs r>=2, got r={form.order}")
     starts = _random_starts(form, range(seed, seed + count))
     outcomes = _gauss_seidel(form, starts, False, DEFAULT_TOL, _ASCENT_SWEEPS)
     results = [out for out in outcomes if isinstance(out, IterationResult)]
@@ -419,7 +412,7 @@ def bilinear_max(
     ``max_iters`` counts block steps; a run that reaches it is NON_CONVERGED.
     """
     if form.order != 2:
-        raise ZeroGradientError(f"bilinear_max needs r=2, got r={form.order}")
+        raise DimensionMismatchError(f"bilinear_max needs r=2, got r={form.order}")
     if not np.any(form.coeffs):
         raise ZeroGradientError("zero form")
     return _run_with_restarts(form, seed, tol, max_iters)
@@ -441,7 +434,7 @@ def multilinear_iterate(
     residual).
     """
     if form.order < 2:
-        raise ZeroGradientError(f"multilinear_iterate needs r>=2, got r={form.order}")
+        raise DimensionMismatchError(f"multilinear_iterate needs r>=2, got r={form.order}")
     if not np.any(form.coeffs):
         raise ZeroGradientError("zero form")
     return _run_with_restarts(form, seed, tol, max_iters)

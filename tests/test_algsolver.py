@@ -234,7 +234,7 @@ def test_spolynomial_cancels_leading_terms():
     lm_f, lm_g = mono.pack((2, 0)), mono.pack((1, 1))
     lcm = mono.lcm(lm_f, lm_g)
     assert lcm == mono.pack((2, 1))
-    s = _spoly(lm_f, f, lm_g, g, lcm)
+    s = _spoly(_reducer(f, mono), _reducer(g, mono), lcm)
     assert lcm not in s
     assert all(m < lcm for m in s)
 
@@ -258,7 +258,7 @@ def test_reduce_poly_exact_and_idempotent():
     assert coords((3, 1)) == {ns.monomials.index((0, 0)): 4}
     # ... and in the integer loop Buchberger reduces with
     mono = _Monomials(2)
-    reducers = [_reducer(_to_integer_primitive(b.terms, mono)) for b in gb.basis]
+    reducers = [_reducer(_to_integer_primitive(b.terms, mono), mono) for b in gb.basis]
     reducers.sort()
     budget = _Budget(10**6)
     nf = _normal_form({mono.pack((3, 1)): 1}, reducers, mono, budget)
@@ -523,12 +523,11 @@ def _all_pairs_certificate(gb):
     """Reference: every S-polynomial of the basis, no pair pruned, reduces
     to zero."""
     mono = _Monomials(len(gb.variables))
-    polys = [_to_integer_primitive(p.terms, mono) for p in gb.basis]
-    reducers = sorted((_reducer(p) for p in polys), key=lambda r: r[0])
+    records = [_reducer(_to_integer_primitive(p.terms, mono), mono) for p in gb.basis]
+    reducers = sorted(records, key=lambda r: r[1])
     budget = _Budget(10**7)
-    for f, g in itertools.combinations(polys, 2):
-        lm_f, lm_g = max(f), max(g)
-        s = _spoly(lm_f, f, lm_g, g, mono.lcm(lm_f, lm_g))
+    for f, g in itertools.combinations(records, 2):
+        s = _spoly(f, g, mono.lcm(f[1], g[1]))
         if _normal_form(s, reducers, mono, budget):
             return False
     return True

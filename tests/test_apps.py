@@ -8,6 +8,7 @@ import pytest
 
 from spheremax import (
     DensityState,
+    DimensionMismatchError,
     Matrix,
     MultilinearForm,
     NoConvergenceError,
@@ -196,6 +197,12 @@ def test_rank_one_rejects_zero_form():
         closest_rank_one(MultilinearForm(dims=(2, 2), coeffs=[0, 0, 0, 0]))
 
 
+@pytest.mark.parametrize("method", ["power", "algebraic"])
+def test_rank_one_needs_two_slots(method):
+    with pytest.raises(DimensionMismatchError):
+        closest_rank_one(MultilinearForm(dims=(3,), coeffs=[1.0, 2.0, 2.0]), method=method)
+
+
 def test_rank_one_value_sign_convention(trilinear_form):
     # the reported factors always evaluate to +max_value
     from spheremax import evaluate
@@ -222,6 +229,17 @@ def test_state_validation():
         DensityState(2, 2, Matrix.from_array(np.diag([0.6, 0.6, -0.1, -0.1])))
     with pytest.raises(NotAStateError):
         DensityState(2, 2, Matrix.from_array(np.eye(4)))  # trace 4
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_state_with_a_non_finite_entry_is_refused(entry):
+    # the symmetry, eigenvalue and trace checks are comparisons that are
+    # False on NaN: this state was accepted, and its power separable
+    # maximum read 0.25
+    rho = np.eye(4) / 4
+    rho[0, 1] = rho[1, 0] = entry
+    with pytest.raises(NotAStateError):
+        DensityState(2, 2, Matrix.from_array(rho))
 
 
 def test_separable_state_sepmax_both_methods(separable_state):

@@ -368,6 +368,26 @@ def test_non_finite_or_boolean_number_is_io_error(capsys, tmp_path, argv, obj):
     assert p in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["maximize", "rank1"])
+@pytest.mark.parametrize("method", ["power", "algebraic"])
+def test_one_slot_form_is_io_error_on_both_methods(capsys, tmp_path, command, method):
+    p = _write(tmp_path, "one-slot.json", {"dims": [3], "coeffs": [1, 2, 2]})
+    code = cli.main([command, p, "--method", method])
+    assert code == EXIT_IO
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("dims, tol", [
+    ([2, 2], "nan"), ([2, 2], "inf"), ([2, 2], "0"), ([2, 2, 2], "-1"),
+], ids=["nan", "inf", "zero", "negative"])
+def test_tol_that_is_not_finite_and_positive_is_io_error(capsys, tmp_path, dims, tol):
+    coeffs = list(range(1, 1 + math.prod(dims)))
+    p = _write(tmp_path, "form.json", {"dims": dims, "coeffs": coeffs})
+    code = cli.main(["maximize", p, "--method", "power", "--tol", tol])
+    assert code == EXIT_IO
+    assert "tol" in capsys.readouterr().err
+
+
 def test_invalid_state_is_io_error(capsys, tmp_path):
     p = _write(
         tmp_path,

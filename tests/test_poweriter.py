@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spheremax import (
+    DimensionMismatchError,
     MultilinearForm,
     Status,
     ZeroGradientError,
@@ -83,8 +84,12 @@ def test_zero_form_raises():
 
 
 def test_bilinear_requires_two_slots(trilinear_form):
-    with pytest.raises(Exception):
-        bilinear_max(trilinear_form)
+    # a wrong slot count is an input error, as on the algebraic path
+    one_slot = MultilinearForm(dims=(3,), coeffs=[1.0, 2.0, 2.0])
+    for call, form in [(bilinear_max, trilinear_form), (bilinear_max, one_slot),
+                       (multilinear_iterate, one_slot)]:
+        with pytest.raises(DimensionMismatchError):
+            call(form)
 
 
 def test_multilinear_delegates_to_bilinear_for_two_slots():
@@ -225,6 +230,16 @@ def test_iteration_cap_below_one_is_refused():
     for call in (bilinear_max, multilinear_iterate):
         with pytest.raises(ValueError):
             call(form, max_iters=0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_tol_that_is_not_finite_and_positive_is_refused(tol):
+    # NaN ran every step to the cap, a negative tol ended "oscillating"
+    for call, dims in [(bilinear_max, (2, 2)), (multilinear_iterate, (2, 2)),
+                       (multilinear_iterate, (2, 2, 2))]:
+        form = MultilinearForm(dims=dims, coeffs=np.arange(1.0, 1.0 + math.prod(dims)))
+        with pytest.raises(ValueError, match="tol"):
+            call(form, tol=tol)
 
 
 @pytest.mark.parametrize(
