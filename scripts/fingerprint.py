@@ -1,0 +1,234 @@
+#!/usr/bin/env python3
+"""Bitwise fingerprint of the power and exact outputs of this checkout.
+
+Runs a fixed set of cases and prints one sha256 per case, then the sha256
+of all of them (``total``).  Two checkouts whose totals agree return the
+same outputs bit for bit: every float is hashed by its bytes, every error
+by its repr.  Cases marked ``scaled`` (forms multiplied by huge or tiny
+powers of two) are printed after the total and left out of it.
+
+    python3 scripts/fingerprint.py
+
+It imports ``src/`` beside this script, takes no options, and runs in well
+under a minute on one core.
+
+Power cases: ``multilinear_iterate``, the joint kernel on its six starts
+without the sequential rule (``_joint(sequential=False)``), ``bilinear_max``
+and the Gauss-Seidel ascent ``_ascend`` on the test fixtures and seeded
+Gaussian forms, 2x2x2 to 4x4x4 and 2x2x2x2, over several seeds and
+iteration caps.  Exact cases: the affine-chart Groebner basis (terms in
+order), its certificate, the normal set, the ``mult_matrix_exact`` columns
+of l and of each variable, and the ``solve_argmax`` report of small integer
+forms, plus the sphere chart's ``solve_max`` on the smallest ones.
+"""
+
+import hashlib
+import math
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from spheremax import MultilinearForm, algsolver, poweriter  # noqa: E402
+
+TRILINEAR = [6, -14, -6, -11, 3, -15, 16, 8]
+QUADLINEAR = [4, 2, -5, -9, 1, -7, -5, -6, 6, -3, -6, -9, 7, 9, 0, 8]
+MULTI_SHAPES = ((2, 2, 2), (2, 2, 3), (2, 2, 4), (3, 3, 3), (2, 3, 4), (4, 4, 4),
+                (2, 2, 2, 2))
+MATRIX_SHAPES = ((2, 2), (3, 2), (4, 3), (8, 8), (20, 15), (50, 40))
+EXACT_SHAPES = ((2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3), (2, 2, 2, 2))
+SEEDS = (0, 7, 123)
+CAP = 2000
+TOL = poweriter.DEFAULT_TOL
+
+
+def _digest(obj):
+    h = hashlib.sha256()
+
+    def feed(x):
+        if isinstance(x, np.ndarray):
+            h.update(str(x.shape).encode() + x.tobytes())
+        elif isinstance(x, float):
+            h.update(x.hex().encode())
+        elif isinstance(x, (tuple, list)):
+            h.update(b"(")
+            for y in x:
+                feed(y)
+            h.update(b")")
+        elif isinstance(x, dict):
+            feed(list(x.items()))
+        else:
+            h.update(repr(x).encode())
+        h.update(b";")
+
+    feed(obj)
+    return h.hexdigest()
+
+
+def _outcome(res):
+    if isinstance(res, Exception):
+        return repr(res)
+    if res is None:
+        return None
+    return (res.value, res.iterations, res.status.value, res.residual,
+            [np.asarray(v, dtype=float) for v in res.point])
+
+
+def _call(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # an error is an outcome too
+        return exc
+
+
+def _multi_forms():
+    forms = {"trilinear": MultilinearForm((2, 2, 2), TRILINEAR),
+             "quadlinear": MultilinearForm((2, 2, 2, 2), QUADLINEAR)}
+    for k in range(42):
+        dims = MULTI_SHAPES[k % len(MULTI_SHAPES)]
+        rng = np.random.default_rng(100 + k)
+        forms[f"gauss-{'x'.join(map(str, dims))}-{k}"] = MultilinearForm(
+            dims, rng.standard_normal(math.prod(dims)))
+    for k in range(18):
+        dims = MULTI_SHAPES[k % 3]
+        forms[f"int-{'x'.join(map(str, dims))}-{k}"] = _integer_form(
+            np.random.default_rng(200 + k), dims)
+    for k in range(9):  # forms on which the joint iteration converges
+        dims = MULTI_SHAPES[k % 3]
+        rng = np.random.default_rng(400 + k)
+        t = np.array(1.0)
+        for d in dims:
+            t = np.multiply.outer(t, rng.standard_normal(d))
+        forms[f"rank-one-{k}"] = MultilinearForm(dims, t.reshape(-1))
+        noise = rng.standard_normal(t.size) * 10.0 ** -(k % 3 + 2)
+        forms[f"near-rank-one-{k}"] = MultilinearForm(dims, t.reshape(-1) + noise)
+        forms[f"sparse-{k}"] = MultilinearForm(dims, rng.integers(-1, 2, t.size) * (
+            rng.random(t.size) < 0.3) + (np.arange(t.size) == 0))
+    return forms
+
+
+def _crafted_joint_cases():
+    """The joint kernel from starts that meet a zero gradient, converge at
+    once or converge one after another."""
+    e1, e2 = np.eye(2)
+    form = MultilinearForm((2, 2, 2), np.multiply.outer(np.outer(e1, e1), e1).reshape(-1))
+    generic = poweriter._random_starts(form, [0, 1])
+    for name, starts in {
+        "zero-gradient": [np.vstack([e2, g]) for g in generic],
+        "rank-one-at-once": [np.vstack([e1, g]) for g in generic],
+        "zero-slot": [np.vstack([g[:1], g]) for g in generic[:2]] + [
+            np.vstack([e2, generic[2]])],
+    }.items():
+        for sequential in (True, False):
+            out = _call(poweriter._joint, form, starts, sequential, TOL, 100)
+            yield f"joint crafted {name} {sequential}", (
+                _outcome(out) if isinstance(out, Exception) else [_outcome(o) for o in out])
+    # a symmetric form from equal slots stays balanced and converges, one
+    # row after another (the symmetric higher-order power method)
+    for k, d in enumerate((2, 3, 3, 4)):
+        rng = np.random.default_rng(500 + k)
+        t = sum(w * np.multiply.outer(np.outer(v, v), v)
+                for w, v in zip(rng.standard_normal(d), rng.standard_normal((d, d))))
+        form = MultilinearForm((d,) * 3, t.reshape(-1))
+        start = poweriter._random_starts(form, range(k, k + 7))[0]
+        for sequential in (True, False):
+            out = _call(poweriter._joint, form, [start] * 3, sequential, TOL, CAP)
+            yield f"joint symmetric {k} {sequential}", [_outcome(o) for o in out]
+
+
+def power_cases():
+    yield from _crafted_joint_cases()
+    for name, form in _multi_forms().items():
+        for seed in SEEDS:
+            yield f"iterate {name} seed {seed}", _outcome(
+                _call(poweriter.multilinear_iterate, form, seed=seed, max_iters=CAP))
+            starts = poweriter._random_starts(form, range(seed, seed + poweriter._STARTS))
+            out = _call(poweriter._joint, form, starts, False, TOL, CAP)
+            yield f"joint {name} seed {seed}", (
+                _outcome(out) if isinstance(out, Exception) else [_outcome(o) for o in out])
+        yield f"ascend {name}", _outcome(_call(poweriter._ascend, form, 3, 48))
+        for cap in (1, 2, 15, 16, 17, 31, 32, 33, 63, 65):
+            yield f"iterate {name} cap {cap}", _outcome(
+                _call(poweriter.multilinear_iterate, form, seed=1, max_iters=cap))
+    yield "iterate trilinear default cap", _outcome(
+        _call(poweriter.multilinear_iterate, MultilinearForm((2, 2, 2), TRILINEAR), seed=5))
+    for k in range(12):
+        dims = MATRIX_SHAPES[k % len(MATRIX_SHAPES)]
+        rng = np.random.default_rng(300 + k)
+        form = MultilinearForm(dims, rng.standard_normal(math.prod(dims)))
+        for seed in SEEDS:
+            yield f"bilinear {'x'.join(map(str, dims))}-{k} seed {seed}", _outcome(
+                _call(poweriter.bilinear_max, form, seed=seed))
+
+
+def scaled_cases():
+    for k, dims in enumerate(((2, 2), (2, 2, 2), (2, 2, 3))):
+        coeffs = np.random.default_rng(3 + k).standard_normal(math.prod(dims))
+        for e in (-560, -530, 530, 560):
+            form = MultilinearForm(dims, np.ldexp(coeffs, e))
+            tag = f"{'x'.join(map(str, dims))} 2^{e}"
+            yield f"scaled iterate {tag}", _outcome(
+                _call(poweriter.multilinear_iterate, form, seed=0, max_iters=CAP))
+            yield f"scaled ascend {tag}", _outcome(_call(poweriter._ascend, form, 0, 12))
+
+
+def _integer_form(rng, dims):
+    while True:
+        coeffs = rng.integers(-9, 10, size=math.prod(dims)).astype(float)
+        if np.any(coeffs):
+            return MultilinearForm(dims, coeffs)
+
+
+def _report(rep):
+    return (rep.quotient_dim, [repr(x) for x in rep.eigenvalues], rep.max_value,
+            [(p.vectors, p.value, p.residual) for p in rep.points], rep.genericity_flags)
+
+
+def exact_cases():
+    forms = {"trilinear": MultilinearForm((2, 2, 2), TRILINEAR)}
+    for k in range(20):
+        dims = EXACT_SHAPES[k % len(EXACT_SHAPES)]
+        forms[f"int-{'x'.join(map(str, dims))}-{k}"] = _integer_form(
+            np.random.default_rng(7000 + k), dims)
+    for name, form in forms.items():
+        system = algsolver.build_critical_system(form, chart="affine")
+        gb = algsolver.groebner(system)
+        ns = algsolver.normal_set(gb)
+        ring = algsolver.QuotientRing(gb, ns)
+        nvars = len(system.variables)
+        polys = [algsolver.form_polynomial(form)] + [
+            algsolver.RationalPoly(system.variables, {
+                tuple(int(i == v) for i in range(nvars)): algsolver._ONE})
+            for v in range(nvars)]
+        yield f"exact {name}", (
+            [list(p.terms.items()) for p in gb.basis],
+            algsolver.verify_buchberger_certificate(gb),
+            ns.monomials,
+            [[(sorted(vec.items()), den) for vec, den in ring.mult_matrix_exact(f)]
+             for f in polys],
+            _report(algsolver.solve_argmax(form)),
+        )
+        if form.dims in ((2, 2), (2, 3), (2, 2, 2)):
+            yield f"sphere {name}", _report(algsolver.solve_max(form))
+
+
+def main():
+    warnings.simplefilter("error", RuntimeWarning)
+    total = hashlib.sha256()
+    count = 0
+    for group in (power_cases, exact_cases):
+        for name, obj in group():
+            digest = _digest(obj)
+            total.update(f"{name}:{digest}\n".encode())
+            count += 1
+            print(f"{digest[:16]}  {name}")
+    print(f"total {total.hexdigest()} over {count} cases")
+    for name, obj in scaled_cases():
+        print(f"{_digest(obj)[:16]}  {name}")
+
+
+if __name__ == "__main__":
+    main()

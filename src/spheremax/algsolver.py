@@ -227,10 +227,13 @@ class PolySystem:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced, monic Groebner basis under grevlex."""
+    """Reduced, monic Groebner basis under grevlex.  groebner() also keeps
+    the basis's _reducer records, which the normal set, the quotient ring
+    and the certificate read; a basis built any other way has none."""
 
     basis: tuple
     variables: tuple
+    _records: tuple = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -340,7 +343,9 @@ def _reducer(p, mono):
 
 def _records(gb, mono):
     """The _reducer records of a GroebnerBasis, ascending by leading
-    monomial."""
+    monomial: those groebner() kept, else built from the basis."""
+    if gb._records is not None:
+        return list(gb._records)
     records = (_reducer(_to_integer_primitive(p.terms, mono), mono) for p in gb.basis)
     return sorted(records, key=lambda r: r[1])
 
@@ -634,7 +639,9 @@ def groebner(system: PolySystem, budget: int = DEFAULT_REDUCTION_BUDGET) -> Groe
                                  for m, c in {lm: lc, **tail}.items()})
         for _, lm, lc, tail in basis
     ]
-    return GroebnerBasis(basis=tuple(monic), variables=variables)
+    gb = GroebnerBasis(basis=tuple(monic), variables=variables)
+    object.__setattr__(gb, "_records", tuple(basis))
+    return gb
 
 
 def verify_buchberger_certificate(gb: GroebnerBasis,

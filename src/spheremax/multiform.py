@@ -162,8 +162,8 @@ def _subscripts(order):
     ]
 
 
-def _partial(t, subs, slots, i):
-    return np.einsum(subs[i], t, *slots[:i], *slots[i + 1 :])
+def _partial(t, subs, slots, i, out=None):
+    return np.einsum(subs[i], t, *slots[:i], *slots[i + 1 :], out=out)
 
 
 def _row_dots(a, b):

@@ -16,10 +16,15 @@ min(n, m), where the Rayleigh-Ritz step is an exact SVD (``_subspace``).
 ``iterations`` counts block steps.
 
 The two kernels for r >= 3 run a (B, n) block of starts side by side, one
-``np.einsum`` contraction of the coefficient tensor per slot and step; a
-start leaves the block when it ends.  A start's arithmetic does not depend
-on the others in its block, so it gets exactly the result it would get
-alone.
+``np.einsum`` contraction of the coefficient tensor per slot and step.  A
+start's arithmetic does not depend on the others in its block, so it gets
+exactly the result it would get alone.  The Gauss-Seidel kernel judges
+every step and drops a start when it ends; the joint kernel advances
+_BLOCK steps at a time and then judges them all at once (``_joint``).
+
+A form whose largest coefficient lies outside 2^(+-_SAFE_EXP) runs scaled
+by a power of two (``_scaled``), so that no squared norm overflows or
+underflows; value and residual are scaled back exactly.
 
 Gauss-Seidel kernel (the applications' multistart ascent): a step replaces
 slot 1, then slot 2, ..., by its normalized partial gradient at the latest
@@ -49,7 +54,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,6 +73,8 @@ DEFAULT_MAX_ITERS = 100_000
 
 _STARTS = 6
 _OSC_TOL = 1e-10
+_BLOCK = 32            # joint steps advanced between two judgements
+_SAFE_EXP = 400        # forms with max |c| within 2^-400..2^400 run as given
 _ASCENT_SWEEPS = 500
 
 
@@ -95,6 +102,23 @@ def _normalize(g, keep):
     ok = (norms > 0.0) & np.isfinite(norms)
     g = np.where(ok[:, None], g, keep)
     return g / np.where(ok, norms, 1.0)[:, None], ok
+
+
+def _scaled(form):
+    """The form the kernels run on, t 2^-k, and k.  k = 0 unless max |c| lies
+    outside 2^(+-_SAFE_EXP), where squared gradients and residuals overflow or
+    underflow; then max |c| 2^-k lies in [0.5, 1).  The kernels' stop tests
+    read their own value and residual, so t 2^j runs as t 2^-k for any j."""
+    k = math.frexp(float(np.abs(form.coeffs).max()))[1]
+    if abs(k) <= _SAFE_EXP:
+        return form, 0
+    return MultilinearForm(form.dims, np.ldexp(form.coeffs, -k)), k
+
+
+def _unscaled(result, k):
+    """A result of the form t 2^-k as one of t: value and residual times 2^k."""
+    return replace(result, value=math.ldexp(result.value, k),
+                   residual=math.ldexp(result.residual, k))
 
 
 def _random_starts(form, seeds):
@@ -140,6 +164,10 @@ class _Rows:
             self.end(pos, IterationResult(
                 point, abs(float(value[k])), iterations, status, float(residual[k])
             ))
+
+    def active(self, rows):
+        """Which of the given rows still run."""
+        return np.array([self.outcomes[i] is None and i < self.bound for i in rows])
 
     def prune(self, ended, *blocks):
         """Drop the ended rows, and the rows no answer can need, from the
@@ -226,20 +254,27 @@ def _split_unit(q, cuts):
     return [s / np.where(n == 0.0, 1.0, n)[:, None] for s, n in zip(slots, norms)], collapsed
 
 
-def _end_split(rows, t, subs, cuts, positions, q, iterations, status):
-    """End active rows at their split-and-normalized concatenated vectors."""
-    positions = np.asarray(positions)
+def _split_ends(t, subs, cuts, q, iterations, statuses):
+    """The outcome of ending each row of q, after iterations[k] steps with
+    statuses[k], at its split-and-normalized point; ZeroGradientError when a
+    slot collapsed to zero."""
     slots, collapsed = _split_unit(q, cuts)
-    for pos in positions[collapsed]:
-        rows.end(pos, ZeroGradientError("slot collapsed to zero while splitting"))
-    whole = ~collapsed
-    rows.end_points(t, subs, positions[whole], [s[whole] for s in slots],
-                    iterations, status)
+    value, residual = _assess(t, subs, slots)
+    return [ZeroGradientError("slot collapsed to zero while splitting") if collapsed[k]
+            else IterationResult(tuple(s[k].copy() for s in slots), abs(float(value[k])),
+                                 int(iterations[k]), statuses[k], float(residual[k]))
+            for k in range(len(q))]
 
 
 def _joint(form, starts, sequential, tol, max_iters):
     """Joint power iteration of every start of ``starts`` (per-slot blocks of
-    unit rows); returns the outcome of each row."""
+    unit rows); returns the outcome of each row.
+
+    The active rows advance _BLOCK steps (fewer at the cap) into one buffer,
+    each slot's partial written in place; the steps are then judged all at
+    once, and those that hold an event are replayed in step order, so rows
+    end exactly as in a step-by-step run.  Rows that end inside a block
+    leave at its end."""
     t, subs = form.tensor, _subscripts(form.order)
     offsets = np.cumsum((0,) + form.dims)
     cuts = offsets[1:-1]
@@ -247,53 +282,69 @@ def _joint(form, starts, sequential, tol, max_iters):
     q = np.concatenate(starts, axis=1)
     q /= _row_norms(q)[:, None]
     rows = _Rows(len(q), sequential)
-    history = np.empty((len(q), 0, q.shape[1]))  # last <= 4 canonical iterates
-    for it in range(1, max_iters + 1):
-        prev = q
-        raw = [q[:, a:b] for a, b in spans]
-        q = np.concatenate([_partial(t, subs, raw, i) for i in range(len(raw))], axis=1)
-        q, ok = _normalize(q, prev)
-        if ok is not None:
-            bad = np.flatnonzero(~ok)
-            for pos in bad:
-                rows.end(pos, ZeroGradientError(f"zero gradient at iteration {it}"))
-            q, prev, history = rows.prune(bad, q, prev, history)
-            if not rows.index.size:
-                break
-        ended = []
-        stationary = np.abs(_row_dots(q, prev)) >= 1.0 - tol
-        if stationary.any():
-            near = np.flatnonzero(stationary)
+    history = np.full((4, *q.shape), np.nan)  # last 4 canonical iterates, oldest first
+    base = 0                                  # steps taken before this block
+    while base < max_iters and rows.index.size:
+        steps = min(_BLOCK, max_iters - base)
+        width, n = q.shape
+        buf = np.empty((steps + 1, width, n))
+        buf[0] = q
+        bad = np.zeros((steps, width), dtype=bool)
+        views = [buf[:, :, a:b] for a, b in spans]
+        for k in range(steps):
+            raw = [v[k] for v in views]
+            for i, v in enumerate(views):
+                _partial(t, subs, raw, i, out=v[k + 1])
+            norms = _row_norms(buf[k + 1])
+            if norms.min() > 0.0 and norms.max() < np.inf:  # False on NaN too
+                buf[k + 1] /= norms[:, None]
+            else:
+                buf[k + 1], ok = _normalize(buf[k + 1], buf[k])
+                bad[k] = ~ok
+        q = buf[1:].reshape(-1, n)
+        done = np.abs(_row_dots(q, buf[:-1].reshape(-1, n))) >= 1.0 - tol
+        near = np.flatnonzero(done)
+        if near.size:
             slots, collapsed = _split_unit(q[near], cuts)
             value, residual = _assess(t, subs, slots)
-            done = near[collapsed | (residual <= 10.0 * tol * (1.0 + np.abs(value)))]
-            if done.size:
-                _end_split(rows, t, subs, cuts, done, q[done], it, Status.CONVERGED)
-                ended += list(done)
+            done[near] = collapsed | (residual <= 10.0 * tol * (1.0 + np.abs(value)))
         lead = np.argmax(np.abs(q), axis=1)
-        sign = np.where(q[np.arange(len(q)), lead] >= 0.0, 1.0, -1.0)
-        canon = q * sign[:, None]
-        if history.shape[1]:
-            # Oscillation = revisiting a projective point at lag 2..4 while
-            # still moving (lag-1 distinct); a near-identical lag-1 iterate is
-            # slow convergence, handled by the stopping rule above.
-            diff = canon[:, None, :] - history
-            dist = np.sqrt(np.einsum("bln,bln->bl", diff, diff))
-            cycling = (dist[:, -1] > _OSC_TOL) & np.any(dist[:, :-1] <= _OSC_TOL, axis=1)
-            cycling[ended] = False
-            if cycling.any():
-                positions = np.flatnonzero(cycling)
-                _end_split(rows, t, subs, cuts, positions, q[positions], it,
-                           Status.OSCILLATING)
-                ended += list(positions)
-        history = np.concatenate((history[:, -3:], canon[:, None, :]), axis=1)
-        if ended:
-            q, history = rows.prune(ended, q, history)
+        canon = q * np.where(q[np.arange(len(q)), lead] >= 0.0, 1.0, -1.0)[:, None]
+        canon = np.concatenate((history, canon.reshape(steps, width, n)))
+        # Oscillation = revisiting a projective point at lag 2..4 while still
+        # moving (lag-1 distinct); a near-identical lag-1 iterate is slow
+        # convergence, handled by the stopping rule above.  A lag reaching
+        # before step 1 reads NaN, which compares False.
+        diff = canon[4:] - np.stack([canon[4 - lag:4 - lag + steps] for lag in range(1, 5)])
+        dist = np.sqrt(np.einsum("lkbn,lkbn->lkb", diff, diff))  # by lag 1..4
+        cycling = (dist[0] > _OSC_TOL) & (dist[1:] <= _OSC_TOL).any(axis=0)
+        done = done.reshape(steps, width)
+        cycling &= ~done
+        events = bad | done | cycling           # a row ends at its first event
+        ends = np.flatnonzero(events.any(axis=0))
+        first = events.argmax(axis=0)[ends]
+        outs = _split_ends(t, subs, cuts, buf[first + 1, ends], base + first + 1, [
+            Status.CONVERGED if d else Status.OSCILLATING for d in done[first, ends]
+        ]) if ends.size else []
+        block = rows.index                      # the row of each block row
+        for k in sorted(set(first.tolist())):
+            live = rows.active(block)
+            pos = np.searchsorted(rows.index, block)
+            for e in np.flatnonzero((first == k) & live[ends]):
+                zero = ZeroGradientError(f"zero gradient at iteration {base + k + 1}")
+                rows.end(pos[ends[e]], zero if bad[k, ends[e]] else outs[e])
+            rows.prune(pos[events[k] & live])
             if not rows.index.size:
                 break
-    else:
-        _end_split(rows, t, subs, cuts, range(rows.index.size), q, max_iters,
-                   Status.NON_CONVERGED)
+        live = rows.active(block)
+        q, history = buf[-1][live], canon[-4:][:, live]
+        base += steps
+    if rows.index.size:
+        count = rows.index.size
+        outs = _split_ends(t, subs, cuts, q, [max_iters] * count,
+                           [Status.NON_CONVERGED] * count)
+        for pos, out in enumerate(outs):
+            rows.end(pos, out)
     return rows.outcomes
 
 
@@ -373,10 +424,11 @@ def _run_with_restarts(form, seed, tol, max_iters):
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     if not 0.0 < tol < math.inf:  # False on NaN too
         raise ValueError(f"tol must be finite and positive, got {tol}")
+    form, k = _scaled(form)
     if form.order == 2:
-        return _subspace(form, seed, tol, max_iters)
+        return _unscaled(_subspace(form, seed, tol, max_iters), k)
     starts = _random_starts(form, range(seed, seed + _STARTS))
-    return _pick(_joint(form, starts, True, tol, max_iters))
+    return _unscaled(_pick(_joint(form, starts, True, tol, max_iters)), k)
 
 
 def _ascend(form, seed, count):
@@ -386,12 +438,13 @@ def _ascend(form, seed, count):
     ZeroGradientError when every start meets a zero gradient."""
     if form.order < 2:
         raise DimensionMismatchError(f"the ascent needs r>=2, got r={form.order}")
+    form, k = _scaled(form)
     starts = _random_starts(form, range(seed, seed + count))
     outcomes = _gauss_seidel(form, starts, False, DEFAULT_TOL, _ASCENT_SWEEPS)
     results = [out for out in outcomes if isinstance(out, IterationResult)]
     if not results:
         raise outcomes[0]
-    return max(results, key=lambda r: r.value)
+    return _unscaled(max(results, key=lambda r: r.value), k)
 
 
 def bilinear_max(

@@ -338,6 +338,27 @@ def test_mult_matrix_eigenvalues_are_roots():
     assert vals == pytest.approx([2.0, 3.0], abs=1e-10)
 
 
+@pytest.mark.parametrize("chart", ["affine", "sphere"])
+def test_normal_set_and_quotient_ring_read_the_records_groebner_kept(chart):
+    # groebner() keeps its integer records on the basis, so the normal set
+    # and the quotient ring do not clear the basis's denominators again; a
+    # basis built by hand has none and rebuilds them, to the same answers
+    form = MultilinearForm(dims=(2, 2, 2), coeffs=TRILINEAR_COEFFS)
+    gb = groebner(build_critical_system(form, chart=chart))
+    bare = GroebnerBasis(gb.basis, gb.variables)
+    assert bare == gb and repr(bare) == repr(gb)
+    lpoly = form_polynomial(form)
+    with mock.patch.object(algsolver, "_to_integer_primitive",
+                           wraps=_to_integer_primitive) as rebuild:
+        ns = normal_set(gb)
+        kept = QuotientRing(gb, ns).mult_matrix_exact(lpoly)
+        assert verify_buchberger_certificate(gb)
+        assert rebuild.call_count == 0
+        assert normal_set(bare) == ns
+        assert QuotientRing(bare, ns).mult_matrix_exact(lpoly) == kept
+        assert rebuild.call_count == 2 * len(gb.basis)
+
+
 # ---------------------------------------------------------------------------
 # critical systems and solve pipelines
 # ---------------------------------------------------------------------------

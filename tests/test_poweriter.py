@@ -333,3 +333,120 @@ def test_ascent_raises_when_every_start_meets_zero_gradient(monkeypatch):
     monkeypatch.setattr(poweriter, "_random_starts", lambda form, seeds: [
         np.vstack([np.tile(e2, (len(seeds) - 1, 1)), g]) for g in generic])
     assert poweriter._ascend(form, 0, 4).value == pytest.approx(1.0, abs=1e-9)
+
+
+# (status, iterations) and value of multilinear_iterate for seeds 0-9, as
+# the step-by-step joint kernel returned them
+_JOINT_PINS = {
+    "trilinear": [(28, 21.955582366933964)] + [(30, 21.955582366933967)] * 6
+    + [(27, 21.955582366933967)] * 3,
+    "quadlinear": [(35, 16.71262551612544)] * 4 + [(35, 16.712625516125435)] * 2
+    + [(34, 16.712625516125435)] * 2 + [(49, 15.537021957568351), (36, 16.712625516125435)],
+    "random-2x2x3": [(35, 12.984628299332215)] * 2 + [(36, 12.984628299332215)] * 2
+    + [(38, 12.984628299332213)] * 2 + [(35, 12.984628299332215)] * 4,
+}
+_JOINT_FORMS = {
+    "trilinear": MultilinearForm(dims=(2, 2, 2), coeffs=TRILINEAR_COEFFS),
+    "quadlinear": MultilinearForm(dims=(2, 2, 2, 2), coeffs=QUADLINEAR_COEFFS),
+    "random-2x2x3": random_form(np.random.default_rng(7), (2, 2, 3)),
+}
+
+
+def _same_outcome(got, want):
+    return (type(got) is type(want) and (
+        repr(got) == repr(want) if isinstance(want, Exception) else
+        (got.status, got.iterations, got.value, got.residual) ==
+        (want.status, want.iterations, want.value, want.residual)
+        and all(np.asarray(a).tobytes() == np.asarray(b).tobytes()
+                for a, b in zip(got.point, want.point))))
+
+
+@pytest.mark.parametrize("name", list(_JOINT_FORMS))
+def test_joint_outcomes_keep_their_pins(name):
+    # the block driver judges a block of steps at once; every run still
+    # ends at the step, with the status, the step-by-step loop gave it
+    for seed, (iterations, value) in enumerate(_JOINT_PINS[name]):
+        result = multilinear_iterate(_JOINT_FORMS[name], seed=seed)
+        assert (result.status, result.iterations) == (Status.OSCILLATING, iterations), seed
+        assert abs(result.value - value) <= 1e-12, seed
+
+
+@pytest.mark.parametrize("name", list(_JOINT_FORMS))
+def test_joint_cap_inside_and_at_block_edges(name):
+    # rows that end by the cap are untouched by it; the others end at the
+    # cap, NON_CONVERGED, whether it falls inside a block or at its edge
+    form, block = _JOINT_FORMS[name], poweriter._BLOCK
+    starts = poweriter._random_starts(form, range(3, 3 + poweriter._STARTS))
+    free = poweriter._joint(form, starts, False, poweriter.DEFAULT_TOL, 10**5)
+    for cap in (1, block - 1, block, block + 1, 2 * block + 1):
+        capped = poweriter._joint(form, starts, False, poweriter.DEFAULT_TOL, cap)
+        for k, (got, want) in enumerate(zip(capped, free)):
+            if want.iterations <= cap:
+                assert _same_outcome(got, want), (cap, k)
+            else:
+                assert (got.status, got.iterations) == (Status.NON_CONVERGED, cap), (cap, k)
+    end = max(r.iterations for r in free)  # the step the last start ends
+    uncapped = multilinear_iterate(form, seed=3)
+    for cap in (end, end + 1, 2 * block + 1):
+        if cap >= end:
+            assert _same_outcome(multilinear_iterate(form, seed=3, max_iters=cap), uncapped)
+
+
+def test_row_converged_at_step_one_drops_later_rows_only_when_sequential():
+    # e1 (x) e1 (x) e1 from (e1, e1, e1) converges at step 1, inside the
+    # first block: under the sequential rule the generic row after it is
+    # dropped unfinished; without it that row runs to its own end
+    e1 = np.eye(2)[0]
+    form = MultilinearForm(dims=(2, 2, 2), coeffs=np.multiply.outer(np.outer(e1, e1), e1))
+    generic = poweriter._random_starts(form, [4])
+    starts = [np.vstack([e1, g]) for g in generic]
+    tol = poweriter.DEFAULT_TOL
+    first, second = poweriter._joint(form, starts, True, tol, 100)
+    assert (first.status, first.iterations) == (Status.CONVERGED, 1)
+    assert second is None
+    first, second = poweriter._joint(form, starts, False, tol, 100)
+    (alone,) = poweriter._joint(form, generic, True, tol, 100)
+    assert (first.status, first.iterations) == (Status.CONVERGED, 1)
+    assert alone.iterations > 1 and _same_outcome(second, alone)
+
+
+def _power_of_two_form(dims, seed):
+    # a Gaussian form times the power of two that puts max |c| in [0.5, 1)
+    c = np.random.default_rng(seed).standard_normal(math.prod(dims))
+    return np.ldexp(c, -math.frexp(np.abs(c).max())[1])
+
+
+@pytest.mark.parametrize("exp", [-560, -530, 530, 560])
+@pytest.mark.parametrize("dims", [(8, 7), (2, 2, 2), (2, 2, 3)],
+                         ids=["8x7", "2x2x2", "2x2x3"])
+def test_form_times_a_huge_or_tiny_power_of_two_runs_as_the_form(dims, exp):
+    # squared gradients of such forms overflow or underflow: the kernels
+    # run on the form scaled back by a power of two and scale value and
+    # residual exactly, so status, steps and point are the form's own
+    c = _power_of_two_form(dims, 3)
+    calls = [lambda f: multilinear_iterate(f, seed=2), lambda f: poweriter._ascend(f, 0, 8)]
+    for call in calls:
+        want = call(MultilinearForm(dims=dims, coeffs=c))
+        got = call(MultilinearForm(dims=dims, coeffs=np.ldexp(c, exp)))
+        assert got.value == math.ldexp(want.value, exp)
+        assert got.residual == math.ldexp(want.residual, exp)
+        assert (got.status, got.iterations) == (want.status, want.iterations)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.point, want.point))
+
+
+@pytest.mark.parametrize("exp", [-300, -170, -160, 155, 300])
+def test_badly_scaled_forms_keep_their_relative_accuracy(exp):
+    # these raised ZeroGradientError, or (at 1e-160) returned a value off
+    # by 2e-5 with residual 0.0, from overflow or underflow in row norms
+    a = np.random.default_rng(3).standard_normal((8, 7))
+    result = bilinear_max(MultilinearForm(dims=a.shape, coeffs=a * 10.0**exp))
+    s1 = float(np.linalg.svd(a, compute_uv=False)[0])
+    assert result.status is Status.CONVERGED
+    assert result.value / 10.0**exp == pytest.approx(s1, rel=1e-12)
+    assert 0.0 < result.residual <= 1e-12 * result.value
+    c = np.random.default_rng(3).standard_normal(8)
+    form = MultilinearForm(dims=(2, 2, 2), coeffs=c)
+    scaled = MultilinearForm(dims=(2, 2, 2), coeffs=c * 10.0**exp)
+    calls = [lambda f: multilinear_iterate(f, seed=0), lambda f: poweriter._ascend(f, 0, 48)]
+    for call in calls:
+        assert call(scaled).value / 10.0**exp == pytest.approx(call(form).value, rel=1e-12)
