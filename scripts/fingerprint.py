@@ -12,8 +12,8 @@ powers of two) are printed after the total and left out of it.
 It imports ``src/`` beside this script, takes no options, and runs in well
 under a minute on one core.
 
-Power cases: ``multilinear_iterate``, the joint kernel on its six starts
-without the sequential rule (``_joint(sequential=False)``), ``bilinear_max``
+Power cases: ``multilinear_iterate``, the outcome of each of the joint
+kernel's six starts under the restart rule (``_joint``), ``bilinear_max``
 and the Gauss-Seidel ascent ``_ascend`` on the test fixtures and seeded
 Gaussian forms, 2x2x2 to 4x4x4 and 2x2x2x2, over several seeds and
 iteration caps.  Exact cases: the affine-chart Groebner basis (terms in
@@ -122,10 +122,9 @@ def _crafted_joint_cases():
         "zero-slot": [np.vstack([g[:1], g]) for g in generic[:2]] + [
             np.vstack([e2, generic[2]])],
     }.items():
-        for sequential in (True, False):
-            out = _call(poweriter._joint, form, starts, sequential, TOL, 100)
-            yield f"joint crafted {name} {sequential}", (
-                _outcome(out) if isinstance(out, Exception) else [_outcome(o) for o in out])
+        out = _call(poweriter._joint, form, starts, TOL, 100)
+        yield f"joint crafted {name}", (
+            _outcome(out) if isinstance(out, Exception) else [_outcome(o) for o in out])
     # a symmetric form from equal slots stays balanced and converges, one
     # row after another (the symmetric higher-order power method)
     for k, d in enumerate((2, 3, 3, 4)):
@@ -134,9 +133,8 @@ def _crafted_joint_cases():
                 for w, v in zip(rng.standard_normal(d), rng.standard_normal((d, d))))
         form = MultilinearForm((d,) * 3, t.reshape(-1))
         start = poweriter._random_starts(form, range(k, k + 7))[0]
-        for sequential in (True, False):
-            out = _call(poweriter._joint, form, [start] * 3, sequential, TOL, CAP)
-            yield f"joint symmetric {k} {sequential}", [_outcome(o) for o in out]
+        out = _call(poweriter._joint, form, [start] * 3, TOL, CAP)
+        yield f"joint symmetric {k}", [_outcome(o) for o in out]
 
 
 def power_cases():
@@ -146,7 +144,7 @@ def power_cases():
             yield f"iterate {name} seed {seed}", _outcome(
                 _call(poweriter.multilinear_iterate, form, seed=seed, max_iters=CAP))
             starts = poweriter._random_starts(form, range(seed, seed + poweriter._STARTS))
-            out = _call(poweriter._joint, form, starts, False, TOL, CAP)
+            out = _call(poweriter._joint, form, starts, TOL, CAP)
             yield f"joint {name} seed {seed}", (
                 _outcome(out) if isinstance(out, Exception) else [_outcome(o) for o in out])
         yield f"ascend {name}", _outcome(_call(poweriter._ascend, form, 3, 48))

@@ -295,8 +295,8 @@ class _Budget:
         self.limit = limit
         self.used = 0
 
-    def spend(self, n=1):
-        self.used += n
+    def spend(self):
+        self.used += 1
         if self.used > self.limit:
             raise BudgetExceededError(
                 f"reduction budget {self.limit} exhausted"

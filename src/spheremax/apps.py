@@ -24,6 +24,7 @@ from .multiform import MultilinearForm, RankOneForm
 
 _EIGENVALUE_DROP = 1e-12
 _ENTANGLEMENT_MARGIN = 1e-9
+_DIGITS = 12           # significant digits of the separability form's grid
 _UNCERTIFIED_VERDICT = (
     "entangled verdict not certified: the power method's separable maximum "
     "is a lower bound"
@@ -168,18 +169,18 @@ def closest_rank_one(
     )
 
 
-def _round_significant(values: np.ndarray, digits: int = 12) -> np.ndarray:
+def _round_significant(values: np.ndarray) -> np.ndarray:
     """Round the entries onto one decimal grid n * 10^e, with e set so that
-    the largest |entry| keeps `digits` significant digits: e =
-    floor(log10 max|c|) - (digits - 1), n an integer with |n| <= 10^digits.
+    the largest |entry| keeps _DIGITS = 12 significant digits: e =
+    floor(log10 max|c|) - 11, n an integer with |n| <= 10^12.
 
     Each entry is the float written "{n}e{e}", so its repr is n * 10^e and
     ``algsolver.rationalize`` reads it as n / 10^-e: the exact solve gets
-    integers of at most 40 bits (digits = 12) over one power of ten, not the
-    17-digit repr of a float rounded in binary.  Each entry moves by at most
-    10^e / 2 <= 5e-12 max|c| (digits = 12).
+    integers of at most 40 bits over one power of ten, not the 17-digit
+    repr of a float rounded in binary.  Each entry moves by at most
+    10^e / 2 <= 5e-12 max|c|.
     """
-    e = math.floor(math.log10(np.abs(values).max())) - (digits - 1)
+    e = math.floor(math.log10(np.abs(values).max())) - (_DIGITS - 1)
     return np.array([float(f"{round(c / 10.0 ** e)}e{e}") for c in values.tolist()])
 
 

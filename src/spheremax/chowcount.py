@@ -105,7 +105,10 @@ def count_extreme_classes(form_dims) -> int:
     For a non-generic form with finitely many extreme classes this is an
     upper bound, not the exact count.
     """
-    form_dims = tuple(int(d) for d in form_dims)
+    given = tuple(form_dims)
+    form_dims = tuple(int(d) for d in given)
+    if form_dims != given:
+        raise DimensionMismatchError(f"slot dims must be integers, got {given}")
     if len(form_dims) < 2:
         raise DimensionMismatchError("need at least two slots")
     if any(d < 1 for d in form_dims):

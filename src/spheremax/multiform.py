@@ -22,8 +22,8 @@ import numpy as np
 from .errors import DimensionMismatchError
 
 
-def _frozen_array(values, shape=None) -> np.ndarray:
-    arr = np.array(values, dtype=float).reshape(-1 if shape is None else shape)
+def _frozen_array(values) -> np.ndarray:
+    arr = np.array(values, dtype=float).reshape(-1)
     arr.flags.writeable = False
     return arr
 
@@ -33,14 +33,19 @@ class MultilinearForm:
     """A real multilinear form given by its dense coefficient tensor.
 
     ``dims`` lists the ambient dimension of each slot and ``coeffs`` holds
-    ``prod(dims)`` coefficients, row-major with slot 1 slowest.
+    ``prod(dims)`` coefficients, row-major with slot 1 slowest.  A dim that
+    is not a positive integer raises DimensionMismatchError, a coefficient
+    that is NaN or infinite ValueError.
     """
 
     dims: tuple
     coeffs: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        given = tuple(self.dims)
+        dims = tuple(int(d) for d in given)
+        if dims != given:
+            raise DimensionMismatchError(f"dims must be integers, got {given}")
         if not dims or any(d < 1 for d in dims):
             raise DimensionMismatchError(f"dims must be positive, got {dims}")
         coeffs = _frozen_array(self.coeffs)
@@ -48,6 +53,8 @@ class MultilinearForm:
             raise DimensionMismatchError(
                 f"coeffs length {coeffs.size} != prod(dims) {math.prod(dims)}"
             )
+        if not np.isfinite(coeffs).all():
+            raise ValueError("coeffs must be finite, got NaN or infinity")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "coeffs", coeffs)
 

@@ -44,8 +44,8 @@ Only ``multilinear_iterate`` runs it.
 
 The joint kernel's _STARTS starts (seeds seed, seed + 1, ...) form one
 block and give the answer of a sequential run: the lowest seed that
-converges, once every lower seed has ended (later ones are dropped
-unfinished), else the best-valued start, lowest seed on ties; ``_ascend``
+converges, else the best-valued start, lowest seed on ties.  A start is
+dropped once a lower seed has converged at an earlier step.  ``_ascend``
 keeps the best value of all its starts.  A start that meets a zero gradient
 is discarded.
 """
@@ -135,48 +135,21 @@ def _random_starts(form, seeds):
     return blocks
 
 
-class _Rows:
-    """Which starts of a block still run, and how the ended ones ended.
+def _stopped(value, residual, tol):
+    """The stop rule: the fixed-point residual is small against |l|."""
+    return residual <= 10.0 * tol * (1.0 + np.abs(value))
 
-    Under the sequential rule the answer is settled once the lowest
-    converged row has ended with every row before it, so rows after a
-    converged one are dropped unfinished (their outcome stays None).
-    """
 
-    def __init__(self, count, sequential):
-        self.sequential = sequential
-        self.outcomes = [None] * count
-        self.index = np.arange(count)          # block row of each active row
-        self.bound = count                     # rows from here on are not needed
-
-    def end(self, pos, outcome):
-        i = int(self.index[pos])
-        self.outcomes[i] = outcome
-        if (self.sequential and isinstance(outcome, IterationResult)
-                and outcome.status is Status.CONVERGED):
-            self.bound = min(self.bound, i)
-
-    def end_points(self, t, subs, positions, slots, iterations, status):
-        """End the given active rows at the points ``slots`` (one row each)."""
-        value, residual = _assess(t, subs, slots)
-        for k, pos in enumerate(positions):
-            point = tuple(s[k].copy() for s in slots)
-            self.end(pos, IterationResult(
-                point, abs(float(value[k])), iterations, status, float(residual[k])
-            ))
-
-    def active(self, rows):
-        """Which of the given rows still run."""
-        return np.array([self.outcomes[i] is None and i < self.bound for i in rows])
-
-    def prune(self, ended, *blocks):
-        """Drop the ended rows, and the rows no answer can need, from the
-        active blocks (the first axis of each array)."""
-        keep = np.ones(self.index.size, dtype=bool)
-        keep[ended] = False
-        keep &= self.index < self.bound
-        self.index = self.index[keep]
-        return [b[keep] for b in blocks]
+def _results(t, subs, slots, iterations, statuses):
+    """The outcome of ending each row of a block of points (per-slot unit
+    rows) after iterations[k] steps with statuses[k]; ZeroGradientError for
+    a row whose slot collapsed to zero."""
+    value, residual = _assess(t, subs, slots)
+    collapsed = np.any([_row_norms(s) == 0.0 for s in slots], axis=0)
+    return [ZeroGradientError("slot collapsed to zero while splitting") if collapsed[k]
+            else IterationResult(tuple(s[k].copy() for s in slots), abs(float(value[k])),
+                                 int(iterations[k]), statuses[k], float(residual[k]))
+            for k in range(len(value))]
 
 
 def _pick(outcomes):
@@ -198,7 +171,7 @@ def _pick(outcomes):
     raise failure if failure is not None else ZeroGradientError("all restarts failed")
 
 
-def _gauss_seidel(form, starts, sequential, tol, max_iters):
+def _gauss_seidel(form, starts, tol, max_iters):
     """Slot-wise (Gauss-Seidel) ascent of every start of ``starts`` (per-slot
     blocks of unit rows); returns the outcome of each row.
 
@@ -208,7 +181,8 @@ def _gauss_seidel(form, starts, sequential, tol, max_iters):
     t, subs = form.tensor, _subscripts(form.order)
     r = form.order
     slots = list(starts)
-    rows = _Rows(len(slots[0]), sequential)
+    outcomes = [None] * len(slots[0])
+    index = np.arange(len(outcomes))        # the start of each active row
     for it in range(1, max_iters + 1):
         point = slots
         slots = list(slots)
@@ -219,7 +193,7 @@ def _gauss_seidel(form, starts, sequential, tol, max_iters):
                 usable &= ok
         ended = [] if usable is True else list(np.flatnonzero(~usable))
         for pos in ended:
-            rows.end(pos, ZeroGradientError(f"zero gradient at iteration {it}"))
+            outcomes[index[pos]] = ZeroGradientError(f"zero gradient at iteration {it}")
         cosine = np.abs(_row_dots(slots[0], point[0]))
         for a, b in zip(slots[1:], point[1:]):
             cosine = np.minimum(cosine, np.abs(_row_dots(a, b)))
@@ -228,21 +202,25 @@ def _gauss_seidel(form, starts, sequential, tol, max_iters):
             near = np.flatnonzero(stationary)
             at = [p[near] for p in point]
             value, residual = _assess(t, subs, at)
-            done = residual <= 10.0 * tol * (1.0 + np.abs(value))
+            done = _stopped(value, residual, tol)
             for k in np.flatnonzero(done):
-                rows.end(near[k], IterationResult(
+                outcomes[index[near[k]]] = IterationResult(
                     tuple(a[k].copy() for a in at), abs(float(value[k])), it,
                     Status.CONVERGED, float(residual[k]),
-                ))
+                )
             ended += list(near[done])
         if ended:
-            slots = rows.prune(ended, *slots)
-            if not rows.index.size:
+            keep = np.ones(index.size, dtype=bool)
+            keep[ended] = False
+            index, slots = index[keep], [s[keep] for s in slots]
+            if not index.size:
                 break
     else:
-        rows.end_points(t, subs, range(rows.index.size), slots, max_iters,
-                        Status.NON_CONVERGED)
-    return rows.outcomes
+        count = index.size
+        for i, out in zip(index, _results(t, subs, slots, [max_iters] * count,
+                                          [Status.NON_CONVERGED] * count)):
+            outcomes[i] = out
+    return outcomes
 
 
 def _split_unit(q, cuts):
@@ -254,37 +232,29 @@ def _split_unit(q, cuts):
     return [s / np.where(n == 0.0, 1.0, n)[:, None] for s, n in zip(slots, norms)], collapsed
 
 
-def _split_ends(t, subs, cuts, q, iterations, statuses):
-    """The outcome of ending each row of q, after iterations[k] steps with
-    statuses[k], at its split-and-normalized point; ZeroGradientError when a
-    slot collapsed to zero."""
-    slots, collapsed = _split_unit(q, cuts)
-    value, residual = _assess(t, subs, slots)
-    return [ZeroGradientError("slot collapsed to zero while splitting") if collapsed[k]
-            else IterationResult(tuple(s[k].copy() for s in slots), abs(float(value[k])),
-                                 int(iterations[k]), statuses[k], float(residual[k]))
-            for k in range(len(q))]
-
-
-def _joint(form, starts, sequential, tol, max_iters):
+def _joint(form, starts, tol, max_iters):
     """Joint power iteration of every start of ``starts`` (per-slot blocks of
-    unit rows); returns the outcome of each row.
+    unit rows) under the restart rule; returns the outcome of each row, None
+    for a row dropped unfinished.
 
     The active rows advance _BLOCK steps (fewer at the cap) into one buffer,
-    each slot's partial written in place; the steps are then judged all at
-    once, and those that hold an event are replayed in step order, so rows
-    end exactly as in a step-by-step run.  Rows that end inside a block
-    leave at its end."""
+    each slot's partial written in place, and the steps are then judged all
+    at once.  A row ends at its first event: a zero gradient, convergence
+    or oscillation; a row with a slot collapsed to zero ends with a zero
+    gradient.  A row is dropped once a lower row has converged at an
+    earlier step, read off the running minimum, over the rows in order, of
+    the step each converged at.  Rows leave at the block's end."""
     t, subs = form.tensor, _subscripts(form.order)
     offsets = np.cumsum((0,) + form.dims)
     cuts = offsets[1:-1]
     spans = list(zip(offsets[:-1], offsets[1:]))
     q = np.concatenate(starts, axis=1)
     q /= _row_norms(q)[:, None]
-    rows = _Rows(len(q), sequential)
+    outcomes = [None] * len(q)
+    index = np.arange(len(q))                 # the start of each active row
     history = np.full((4, *q.shape), np.nan)  # last 4 canonical iterates, oldest first
     base = 0                                  # steps taken before this block
-    while base < max_iters and rows.index.size:
+    while base < max_iters and index.size:
         steps = min(_BLOCK, max_iters - base)
         width, n = q.shape
         buf = np.empty((steps + 1, width, n))
@@ -307,7 +277,7 @@ def _joint(form, starts, sequential, tol, max_iters):
         if near.size:
             slots, collapsed = _split_unit(q[near], cuts)
             value, residual = _assess(t, subs, slots)
-            done[near] = collapsed | (residual <= 10.0 * tol * (1.0 + np.abs(value)))
+            done[near] = collapsed | _stopped(value, residual, tol)
         lead = np.argmax(np.abs(q), axis=1)
         canon = q * np.where(q[np.arange(len(q)), lead] >= 0.0, 1.0, -1.0)[:, None]
         canon = np.concatenate((history, canon.reshape(steps, width, n)))
@@ -320,32 +290,33 @@ def _joint(form, starts, sequential, tol, max_iters):
         cycling = (dist[0] > _OSC_TOL) & (dist[1:] <= _OSC_TOL).any(axis=0)
         done = done.reshape(steps, width)
         cycling &= ~done
-        events = bad | done | cycling           # a row ends at its first event
-        ends = np.flatnonzero(events.any(axis=0))
-        first = events.argmax(axis=0)[ends]
-        outs = _split_ends(t, subs, cuts, buf[first + 1, ends], base + first + 1, [
-            Status.CONVERGED if d else Status.OSCILLATING for d in done[first, ends]
-        ]) if ends.size else []
-        block = rows.index                      # the row of each block row
-        for k in sorted(set(first.tolist())):
-            live = rows.active(block)
-            pos = np.searchsorted(rows.index, block)
-            for e in np.flatnonzero((first == k) & live[ends]):
-                zero = ZeroGradientError(f"zero gradient at iteration {base + k + 1}")
-                rows.end(pos[ends[e]], zero if bad[k, ends[e]] else outs[e])
-            rows.prune(pos[events[k] & live])
-            if not rows.index.size:
-                break
-        live = rows.active(block)
-        q, history = buf[-1][live], canon[-4:][:, live]
+        events = bad | done | cycling
+        hit = events.any(axis=0)
+        q, history = buf[-1], canon[-4:]
+        if hit.any():
+            first = np.where(hit, events.argmax(axis=0), steps)  # steps: no event
+            ends = np.flatnonzero(hit)
+            at = first[ends]
+            slots, collapsed = _split_unit(buf[at + 1, ends], cuts)
+            converged = done[at, ends] & ~bad[at, ends] & ~collapsed
+            step = np.full(width, steps)      # the step each row converged at
+            step[ends[converged]] = at[converged]
+            dropped = np.minimum.accumulate(np.concatenate(([steps], step[:-1]))) < first
+            outs = _results(t, subs, slots, base + at + 1, [
+                Status.CONVERGED if c else Status.OSCILLATING for c in converged])
+            for e, k, out in zip(ends, at, outs):
+                if not dropped[e]:
+                    outcomes[index[e]] = ZeroGradientError(
+                        f"zero gradient at iteration {base + k + 1}") if bad[k, e] else out
+            live = ~(hit | dropped)
+            q, history, index = q[live], history[:, live], index[live]
         base += steps
-    if rows.index.size:
-        count = rows.index.size
-        outs = _split_ends(t, subs, cuts, q, [max_iters] * count,
-                           [Status.NON_CONVERGED] * count)
-        for pos, out in enumerate(outs):
-            rows.end(pos, out)
-    return rows.outcomes
+    count = index.size
+    if count:
+        for i, out in zip(index, _results(t, subs, _split_unit(q, cuts)[0],
+                                          [max_iters] * count, [Status.NON_CONVERGED] * count)):
+            outcomes[i] = out
+    return outcomes
 
 
 def _unit(v):
@@ -368,8 +339,7 @@ def _ritz_pair(a, y, r, iterations, tol):
     y = _unit(a.T @ x)
     value, residual = _assess(a, _subscripts(2), [x[None, :], y[None, :]])
     value, residual = abs(float(value[0])), float(residual[0])
-    done = residual <= 10.0 * tol * (1.0 + value)
-    status = Status.CONVERGED if done else Status.NON_CONVERGED
+    status = Status.CONVERGED if _stopped(value, residual, tol) else Status.NON_CONVERGED
     ratio = float(sigma[-1] / sigma[0])
     return IterationResult((x, y), value, iterations, status, residual), ratio
 
@@ -428,7 +398,7 @@ def _run_with_restarts(form, seed, tol, max_iters):
     if form.order == 2:
         return _unscaled(_subspace(form, seed, tol, max_iters), k)
     starts = _random_starts(form, range(seed, seed + _STARTS))
-    return _unscaled(_pick(_joint(form, starts, True, tol, max_iters)), k)
+    return _unscaled(_pick(_joint(form, starts, tol, max_iters)), k)
 
 
 def _ascend(form, seed, count):
@@ -440,7 +410,7 @@ def _ascend(form, seed, count):
         raise DimensionMismatchError(f"the ascent needs r>=2, got r={form.order}")
     form, k = _scaled(form)
     starts = _random_starts(form, range(seed, seed + count))
-    outcomes = _gauss_seidel(form, starts, False, DEFAULT_TOL, _ASCENT_SWEEPS)
+    outcomes = _gauss_seidel(form, starts, DEFAULT_TOL, _ASCENT_SWEEPS)
     results = [out for out in outcomes if isinstance(out, IterationResult)]
     if not results:
         raise outcomes[0]

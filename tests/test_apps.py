@@ -15,15 +15,18 @@ from spheremax import (
     NotAStateError,
     NotZeroDimensionalError,
     RankOneForm,
+    bilinear_max,
     closest_rank_one,
     entanglement_check,
     form_norm,
     matrix_norm2,
+    multilinear_iterate,
     poweriter,
     rank_one_to_form,
     rationalize,
     self_overlap,
     separable_max,
+    solve_argmax,
 )
 from spheremax.apps import _separability_form
 
@@ -240,6 +243,30 @@ def test_state_with_a_non_finite_entry_is_refused(entry):
     rho[0, 1] = rho[1, 0] = entry
     with pytest.raises(NotAStateError):
         DensityState(2, 2, Matrix.from_array(rho))
+
+
+_NON_FINITE_CALLS = {
+    "bilinear_max": lambda c: bilinear_max(MultilinearForm(dims=(2, 2), coeffs=c[:4])),
+    "matrix_norm2": lambda c: matrix_norm2(Matrix(rows=2, cols=2, entries=c[:4])),
+    "solve_argmax": lambda c: solve_argmax(MultilinearForm(dims=(2, 2, 2), coeffs=c)),
+    "multilinear_iterate": lambda c: multilinear_iterate(
+        MultilinearForm(dims=(2, 2, 2), coeffs=c)),
+    "closest_rank_one": lambda c: closest_rank_one(
+        MultilinearForm(dims=(2, 2, 2), coeffs=c), method="power"),
+    "ascend": lambda c: poweriter._ascend(MultilinearForm(dims=(2, 2, 2), coeffs=c), 0, 4),
+}
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", list(_NON_FINITE_CALLS))
+def test_non_finite_coefficient_is_refused(call, entry):
+    # one NaN or infinity made the SVD fail to converge (bilinear_max,
+    # matrix_norm2), Fraction raise (solve_argmax) or the Gauss-Seidel and
+    # joint kernels report a zero gradient at iteration 1
+    coeffs = np.arange(1.0, 9.0)
+    coeffs[1] = entry
+    with pytest.raises(ValueError, match="finite"):
+        _NON_FINITE_CALLS[call](coeffs)
 
 
 def test_separable_state_sepmax_both_methods(separable_state):

@@ -2,6 +2,7 @@
 
 import time
 
+import numpy as np
 import pytest
 
 from spheremax import (
@@ -54,6 +55,10 @@ def test_count_validates_input():
         count_extreme_classes((3,))
     with pytest.raises(DimensionMismatchError):
         count_extreme_classes((0, 2))
+    # (3.9, 3) returned 3, the count of (3, 3)
+    with pytest.raises(DimensionMismatchError, match="integers"):
+        count_extreme_classes((3.9, 3))
+    assert count_extreme_classes((3.0, np.int64(3))) == count_extreme_classes((3, 3))
 
 
 @pytest.mark.parametrize("dims, degrees, expected", [

@@ -54,6 +54,12 @@ def test_dims_mismatch_raises():
         evaluate(form, [np.ones(3), np.ones(2)])
     with pytest.raises(DimensionMismatchError):
         MultilinearForm(dims=(2, 2), coeffs=[1, 2, 3])
+    # a non-integral dim was truncated: (2.7, 2) read as (2, 2)
+    for dims in [(2.7, 2), (2, 1.5), (np.float64(3.9), 3)]:
+        with pytest.raises(DimensionMismatchError, match="integers"):
+            MultilinearForm(dims=dims, coeffs=np.ones(math.prod(int(d) for d in dims)))
+    form = MultilinearForm(dims=(2.0, np.int64(3)), coeffs=np.ones(6))
+    assert form.dims == (2, 3) and all(type(d) is int for d in form.dims)
 
 
 @settings(max_examples=50, deadline=None)

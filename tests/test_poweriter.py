@@ -258,10 +258,10 @@ def test_batched_starts_match_single_starts(form):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         starts = poweriter._random_starts(form, seeds)
-        block = poweriter._joint(form, starts, False, tol, max_iters)
+        block = poweriter._joint(form, starts, tol, max_iters)
         alone = [
             poweriter._pick(poweriter._joint(
-                form, poweriter._random_starts(form, [s]), True, tol, max_iters))
+                form, poweriter._random_starts(form, [s]), tol, max_iters))
             for s in seeds
         ]
         batched = multilinear_iterate(form, seed=seed)
@@ -281,7 +281,7 @@ def test_joint_converges_at_once_on_a_rank_one_form():
     e1 = np.eye(2)[0]
     form = MultilinearForm(dims=(2, 2, 2), coeffs=np.multiply.outer(np.outer(e1, e1), e1))
     starts = [e1[None, :].copy() for _ in range(3)]
-    (result,) = poweriter._joint(form, starts, True, poweriter.DEFAULT_TOL, 10)
+    (result,) = poweriter._joint(form, starts, poweriter.DEFAULT_TOL, 10)
     assert result.status is Status.CONVERGED
     assert result.iterations == 1
     assert result.residual == 0.0
@@ -311,7 +311,7 @@ def test_zero_gradient_start_is_discarded_from_its_block():
         starts = [np.vstack([e2, g[0]]) for g in generic]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            outcomes = kernel(form, starts, True, poweriter.DEFAULT_TOL, 1000)
+            outcomes = kernel(form, starts, poweriter.DEFAULT_TOL, 1000)
         assert isinstance(outcomes[0], ZeroGradientError)
         assert poweriter._pick(outcomes) is outcomes[1]
         assert outcomes[1].value == pytest.approx(1.0, abs=1e-9)
@@ -377,9 +377,9 @@ def test_joint_cap_inside_and_at_block_edges(name):
     # cap, NON_CONVERGED, whether it falls inside a block or at its edge
     form, block = _JOINT_FORMS[name], poweriter._BLOCK
     starts = poweriter._random_starts(form, range(3, 3 + poweriter._STARTS))
-    free = poweriter._joint(form, starts, False, poweriter.DEFAULT_TOL, 10**5)
+    free = poweriter._joint(form, starts, poweriter.DEFAULT_TOL, 10**5)
     for cap in (1, block - 1, block, block + 1, 2 * block + 1):
-        capped = poweriter._joint(form, starts, False, poweriter.DEFAULT_TOL, cap)
+        capped = poweriter._joint(form, starts, poweriter.DEFAULT_TOL, cap)
         for k, (got, want) in enumerate(zip(capped, free)):
             if want.iterations <= cap:
                 assert _same_outcome(got, want), (cap, k)
@@ -392,22 +392,38 @@ def test_joint_cap_inside_and_at_block_edges(name):
             assert _same_outcome(multilinear_iterate(form, seed=3, max_iters=cap), uncapped)
 
 
-def test_row_converged_at_step_one_drops_later_rows_only_when_sequential():
+def test_row_converged_at_step_one_drops_later_rows():
     # e1 (x) e1 (x) e1 from (e1, e1, e1) converges at step 1, inside the
-    # first block: under the sequential rule the generic row after it is
-    # dropped unfinished; without it that row runs to its own end
+    # first block: the generic row after it, which runs on past step 1
+    # alone, is dropped unfinished
     e1 = np.eye(2)[0]
     form = MultilinearForm(dims=(2, 2, 2), coeffs=np.multiply.outer(np.outer(e1, e1), e1))
     generic = poweriter._random_starts(form, [4])
     starts = [np.vstack([e1, g]) for g in generic]
     tol = poweriter.DEFAULT_TOL
-    first, second = poweriter._joint(form, starts, True, tol, 100)
+    first, second = poweriter._joint(form, starts, tol, 100)
     assert (first.status, first.iterations) == (Status.CONVERGED, 1)
     assert second is None
-    first, second = poweriter._joint(form, starts, False, tol, 100)
-    (alone,) = poweriter._joint(form, generic, True, tol, 100)
-    assert (first.status, first.iterations) == (Status.CONVERGED, 1)
-    assert alone.iterations > 1 and _same_outcome(second, alone)
+    (alone,) = poweriter._joint(form, generic, tol, 100)
+    assert alone.iterations > 1
+
+
+def test_row_ending_at_the_step_a_lower_row_converges_keeps_its_outcome():
+    # e1 (x) e1 (x) e1: (e1, e1, e1) converges at step 1 and (e2, e2, e2)
+    # meets a zero gradient at step 1.  A row is dropped only once a lower
+    # row has converged at a strictly earlier step, so both keep their
+    # outcomes in either order, and the generic row after them is dropped
+    e1, e2 = np.eye(2)
+    form = MultilinearForm(dims=(2, 2, 2), coeffs=np.multiply.outer(np.outer(e1, e1), e1))
+    generic = poweriter._random_starts(form, [4])
+    zero = "ZeroGradientError('zero gradient at iteration 1')"
+    for rows, converged in (([e1, e2], 0), ([e2, e1], 1)):
+        starts = [np.vstack(rows + [g[0]]) for g in generic]
+        outcomes = poweriter._joint(form, starts, poweriter.DEFAULT_TOL, 100)
+        assert (outcomes[converged].status, outcomes[converged].iterations) == (
+            Status.CONVERGED, 1)
+        assert repr(outcomes[1 - converged]) == zero
+        assert outcomes[2] is None
 
 
 def _power_of_two_form(dims, seed):
