@@ -16,7 +16,8 @@ Power cases: ``multilinear_iterate``, the outcome of each of the joint
 kernel's six starts under the restart rule (``_joint``), ``bilinear_max``
 and the Gauss-Seidel ascent ``_ascend`` on the test fixtures and seeded
 Gaussian forms, 2x2x2 to 4x4x4 and 2x2x2x2, over several seeds and
-iteration caps.  Exact cases: the affine-chart Groebner basis (terms in
+iteration caps.  Exact cases: the critical system on both charts (each
+polynomial's terms sorted), the affine-chart Groebner basis (terms in
 order), its certificate, the normal set, the ``mult_matrix_exact`` columns
 of l and of each variable, and the ``solve_argmax`` report of small integer
 forms, plus the sphere chart's ``solve_max`` on the smallest ones.
@@ -192,7 +193,13 @@ def exact_cases():
         forms[f"int-{'x'.join(map(str, dims))}-{k}"] = _integer_form(
             np.random.default_rng(7000 + k), dims)
     for name, form in forms.items():
-        system = algsolver.build_critical_system(form, chart="affine")
+        systems = {chart: algsolver.build_critical_system(form, chart=chart)
+                   for chart in ("sphere", "affine")}
+        for chart, system in systems.items():
+            yield f"system {chart} {name}", (
+                system.variables, system.slot_vars,
+                [sorted(p.terms.items()) for p in system.polys])
+        system = systems["affine"]
         gb = algsolver.groebner(system)
         ns = algsolver.normal_set(gb)
         ring = algsolver.QuotientRing(gb, ns)

@@ -48,7 +48,6 @@ from .linalg import Matrix
 from .multiform import MultilinearForm
 
 _Q = Fraction
-_ZERO = _Q(0)
 _ONE = _Q(1)
 
 DEFAULT_REDUCTION_BUDGET = 10**6
@@ -825,38 +824,6 @@ def form_polynomial(form: MultilinearForm) -> RationalPoly:
     return RationalPoly(names, terms)
 
 
-def _partial_terms(poly_terms, var):
-    """d/dvar of a multilinear polynomial (exponents are 0/1)."""
-    out = {}
-    for exps, c in poly_terms.items():
-        if exps[var]:
-            e = list(exps)
-            e[var] = 0
-            out[tuple(e)] = c
-    return out
-
-
-def _times_var(terms, var):
-    out = {}
-    for exps, c in terms.items():
-        e = list(exps)
-        e[var] += 1
-        out[tuple(e)] = c
-    return out
-
-
-def _poly_sub(a, b):
-    out = dict(a)
-    for m, c in b.items():
-        prev = out.get(m)
-        nv = (prev - c) if prev is not None else -c
-        if nv:
-            out[m] = nv
-        elif prev is not None:
-            del out[m]
-    return out
-
-
 def build_critical_system(form: MultilinearForm, chart: str = "sphere") -> PolySystem:
     """The exact critical system of the form.
 
@@ -865,6 +832,12 @@ def build_critical_system(form: MultilinearForm, chart: str = "sphere") -> PolyS
     ||x||^2 = 1 ('sphere' chart) or the first coordinate x_1 = 1 ('affine'
     chart).  Coefficients are rationalized exactly from their decimal
     representation.
+
+    Each term of l holds exactly one variable of each slot, so the minor of
+    x_i and x_j is the terms of l that hold x_i or x_j, with the exponents
+    of x_i and x_j swapped, signed + for x_i and - for x_j.  The two sets
+    of monomials never meet, so nothing cancels; a minor with no terms (no
+    term of l holds x_i or x_j) is left out.
     """
     if form.order < 2:
         raise DimensionMismatchError("critical system needs r >= 2 slots")
@@ -874,31 +847,23 @@ def build_critical_system(form: MultilinearForm, chart: str = "sphere") -> PolyS
         raise ValueError(f"unknown chart {chart!r}")
     names, slot_vars = _variable_layout(form.dims)
     nvars = len(names)
-    lpoly = form_polynomial(form)
-    partials = [_partial_terms(lpoly.terms, v) for v in range(nvars)]
+    lterms = form_polynomial(form).terms
     polys = []
-    for s, svars in enumerate(slot_vars):
+    for svars in slot_vars:
         for a, b in itertools.combinations(svars, 2):
-            minor = _poly_sub(
-                _times_var(partials[a], b), _times_var(partials[b], a)
-            )
+            minor = {}
+            for exps, c in lterms.items():
+                if exps[a] or exps[b]:
+                    e = list(exps)
+                    e[a], e[b] = e[b], e[a]
+                    minor[tuple(e)] = c if exps[a] else -c
             if minor:
                 polys.append(RationalPoly(names, minor))
-    for s, svars in enumerate(slot_vars):
-        if chart == "sphere":
-            terms = {}
-            for v in svars:
-                e = [0] * nvars
-                e[v] = 2
-                terms[tuple(e)] = _ONE
-            terms[(0,) * nvars] = terms.get((0,) * nvars, _ZERO) - _ONE
-            polys.append(RationalPoly(names, terms))
-        else:
-            e = [0] * nvars
-            e[svars[0]] = 1
-            polys.append(
-                RationalPoly(names, {tuple(e): _ONE, (0,) * nvars: -_ONE})
-            )
+    for svars in slot_vars:
+        power, closed = (2, svars) if chart == "sphere" else (1, svars[:1])
+        closure = {tuple(power * (i == v) for i in range(nvars)): _ONE for v in closed}
+        closure[(0,) * nvars] = -_ONE
+        polys.append(RationalPoly(names, closure))
     return PolySystem(polys=tuple(polys), variables=names, slot_vars=slot_vars)
 
 
@@ -986,15 +951,17 @@ def solve_argmax(
     """Maximizing point(s) of |l| via the affine-chart pipeline.
 
     Builds the affine critical system (first coordinate of each slot set
-    to 1) and takes the multiplication matrix of the first free variable,
-    or of a random integer combination of the free variables when its
-    eigenvalues repeat.  Its left eigenvectors, scaled to 1 at the constant
-    monomial, hold the values of the standard monomials at the solutions;
-    every coordinate of every solution is then one row of N @ V, where row v
-    of N is the exact normal form of the variable x_v.  Real solutions are
-    normalized back to the spheres, scored in one batch (value and
-    fixed-point residual), and reported by decreasing |l|, tied values in
-    the lexicographic order of their canonical vectors.
+    to 1) and takes the multiplication matrix of the first free variable
+    (of the constant 1 when every slot has dimension 1: the quotient is
+    then one point), or of a random integer combination of the free
+    variables when its eigenvalues repeat.  Its left eigenvectors, scaled
+    to 1 at the constant monomial, hold the values of the standard
+    monomials at the solutions; every coordinate of every solution is then
+    one row of N @ V, where row v of N is the exact normal form of the
+    variable x_v.  Real solutions are normalized back to the spheres,
+    scored in one batch (value and fixed-point residual), and reported by
+    decreasing |l|, tied values in the lexicographic order of their
+    canonical vectors.
 
     The chart's one guard is the paper's count: for a generic form the
     quotient dimension is count_extreme_classes(dims) in every format
@@ -1021,8 +988,9 @@ def solve_argmax(
     rng = np.random.default_rng(seed)
     eigvals = eigvecs = None
     for attempt in range(4):
-        if attempt == 0 and free_vars:
-            f = RationalPoly(system.variables, {free_vars[0]: _ONE})
+        if attempt == 0:
+            first = free_vars[0] if free_vars else (0,) * nvars
+            f = RationalPoly(system.variables, {first: _ONE})
         else:
             coeffs = rng.integers(-9, 10, size=len(free_vars))
             terms = {m: _Q(int(c)) for m, c in zip(free_vars, coeffs) if c}

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algsolver, multiform, poweriter
-from .errors import NoConvergenceError, NotAStateError, PreconditionViolatedError
+from .errors import NoConvergenceError, NotAStateError, PreconditionViolatedError, integers
 from .linalg import Matrix
 from .multiform import MultilinearForm, RankOneForm
 
@@ -44,7 +44,7 @@ class DensityState:
     matrix: Matrix
 
     def __post_init__(self):
-        da, db = int(self.dim_a), int(self.dim_b)
+        da, db = integers((self.dim_a, self.dim_b), "factor dimensions", NotAStateError)
         if da < 1 or db < 1:
             raise NotAStateError(f"factor dimensions must be positive, got {da}x{db}")
         n = da * db

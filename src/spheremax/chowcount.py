@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, integers
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,8 @@ class MultidegreeProfile:
     degrees: tuple
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.dims)
-        degs = tuple(tuple(int(d) for d in row) for row in self.degrees)
+        dims = integers(self.dims, "factor dims")
+        degs = tuple(integers(row, "multidegrees") for row in self.degrees)
         k = len(dims)
         if any(n < 0 for n in dims):
             raise DimensionMismatchError(f"factor dims must be >= 0, got {dims}")
@@ -90,7 +90,7 @@ def gradient_profile(form_dims) -> MultidegreeProfile:
     """Multidegree profile of the gradient self-map of a generic multilinear
     form with slot dimensions form_dims = (n_1+1, ..., n_r+1): row i is 0 in
     position i and 1 elsewhere."""
-    dims = tuple(int(d) - 1 for d in form_dims)
+    dims = tuple(d - 1 for d in integers(form_dims, "slot dims"))
     k = len(dims)
     degrees = tuple(
         tuple(0 if l == j else 1 for l in range(k)) for j in range(k)
@@ -105,10 +105,7 @@ def count_extreme_classes(form_dims) -> int:
     For a non-generic form with finitely many extreme classes this is an
     upper bound, not the exact count.
     """
-    given = tuple(form_dims)
-    form_dims = tuple(int(d) for d in given)
-    if form_dims != given:
-        raise DimensionMismatchError(f"slot dims must be integers, got {given}")
+    form_dims = integers(form_dims, "slot dims")
     if len(form_dims) < 2:
         raise DimensionMismatchError("need at least two slots")
     if any(d < 1 for d in form_dims):

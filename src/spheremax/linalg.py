@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, integers
 
 
 @dataclass(frozen=True)
@@ -23,14 +23,17 @@ class Matrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise DimensionMismatchError(f"need rows, cols >= 1, got {self.rows}x{self.cols}")
+        rows, cols = integers((self.rows, self.cols), "rows, cols")
+        if rows < 1 or cols < 1:
+            raise DimensionMismatchError(f"need rows, cols >= 1, got {rows}x{cols}")
         arr = np.array(self.entries, dtype=float).reshape(-1)
-        if arr.size != self.rows * self.cols:
+        if arr.size != rows * cols:
             raise DimensionMismatchError(
-                f"entries length {arr.size} != rows*cols {self.rows * self.cols}"
+                f"entries length {arr.size} != rows*cols {rows * cols}"
             )
         arr.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", arr)
 
     @classmethod

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, integers
 
 
 def _frozen_array(values) -> np.ndarray:
@@ -42,10 +42,7 @@ class MultilinearForm:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        given = tuple(self.dims)
-        dims = tuple(int(d) for d in given)
-        if dims != given:
-            raise DimensionMismatchError(f"dims must be integers, got {given}")
+        dims = integers(self.dims, "dims")
         if not dims or any(d < 1 for d in dims):
             raise DimensionMismatchError(f"dims must be positive, got {dims}")
         coeffs = _frozen_array(self.coeffs)
@@ -79,11 +76,12 @@ class MultilinearMap:
     component_forms: tuple
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.domain_dims)
+        dims = integers(self.domain_dims, "domain dims")
+        (codomain_dim,) = integers((self.codomain_dim,), "codomain dim")
         comps = tuple(self.component_forms)
-        if len(comps) != self.codomain_dim:
+        if len(comps) != codomain_dim:
             raise DimensionMismatchError(
-                f"expected {self.codomain_dim} component forms, got {len(comps)}"
+                f"expected {codomain_dim} component forms, got {len(comps)}"
             )
         for f in comps:
             if f.dims != dims:
@@ -91,6 +89,7 @@ class MultilinearMap:
                     f"component form dims {f.dims} != domain dims {dims}"
                 )
         object.__setattr__(self, "domain_dims", dims)
+        object.__setattr__(self, "codomain_dim", codomain_dim)
         object.__setattr__(self, "component_forms", comps)
 
 

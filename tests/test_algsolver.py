@@ -26,6 +26,7 @@ from spheremax import (
     groebner,
     mult_matrix,
     normal_set,
+    partial_gradient,
     rationalize,
     solve_argmax,
     solve_max,
@@ -375,6 +376,50 @@ def test_critical_system_shapes():
         build_critical_system(form, chart="cylinder")
 
 
+def _oracle_form(rng, dims, kind):
+    n = math.prod(dims)
+    if kind == "sparse":  # most entries zero, so some minors vanish
+        coeffs = rng.integers(-3, 4, n) * (rng.random(n) < 0.3)
+        coeffs[0] = coeffs[0] or 1
+    elif kind == "decimal":
+        coeffs = rng.integers(-999, 1000, n) / 100
+    else:
+        coeffs = rng.integers(-9, 10, n)
+    return MultilinearForm(dims=dims, coeffs=coeffs)
+
+
+@pytest.mark.parametrize("chart", ["affine", "sphere"])
+@pytest.mark.parametrize("dims, kind", [
+    ((2, 3), "dense"), ((3, 3), "sparse"), ((2, 3, 3), "sparse"), ((2, 2, 2, 2), "sparse"),
+    ((1, 3), "dense"), ((2, 1, 3), "dense"), ((3, 1), "sparse"),
+    ((2, 2, 3), "decimal"), ((3, 4), "decimal"),
+])
+def test_critical_system_evaluates_like_its_definition(dims, kind, chart):
+    # each minor is x_j dl/dx_i - x_i dl/dx_j of a slot (by partial_gradient,
+    # in floats), one per index pair i < j that some term of l holds, and
+    # each closure ||x||^2 - 1 or x_1 - 1; the polynomials are evaluated
+    # exactly at random rational points, then rounded
+    rng = np.random.default_rng([*dims, len(kind)])
+    form = _oracle_form(rng, dims, kind)
+    system = build_critical_system(form, chart=chart)
+    for _ in range(3):
+        point = [Fraction(int(n), 8) for n in rng.integers(-16, 17, len(system.variables))]
+        got = [
+            float(sum(c * math.prod(x ** e for x, e in zip(point, exps))
+                      for exps, c in p.terms.items()))
+            for p in system.polys
+        ]
+        vecs = [np.array([float(point[v]) for v in svars]) for svars in system.slot_vars]
+        expected = []
+        for s, x in enumerate(vecs):
+            g = partial_gradient(form, s, vecs)
+            for i, j in itertools.combinations(range(dims[s]), 2):
+                if np.any(np.take(form.tensor, [i, j], axis=s)):
+                    expected.append(x[j] * g[i] - x[i] * g[j])
+        expected += [x @ x - 1 if chart == "sphere" else x[0] - 1 for x in vecs]
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-9)
+
+
 def test_form_polynomial_evaluates_like_form():
     # one term per nonzero entry: entry (i, j) is the exact coefficient of
     # x_{i+1} y_{j+1}
@@ -470,6 +515,17 @@ def test_solve_argmax_reports_unit_vectors_and_residuals(trilinear_form):
     # points sorted by decreasing |value|
     mags = [abs(p.value) for p in report.points]
     assert mags == sorted(mags, reverse=True)
+
+
+@pytest.mark.parametrize("dims, c", [((1, 1), 3.0), ((1, 1, 1), -2.0), ((1, 1, 1, 1), 0.25)])
+def test_solve_argmax_with_every_slot_of_dimension_one(dims, c):
+    # no free variable to separate the one solution: the constant 1 does
+    report = solve_argmax(MultilinearForm(dims=dims, coeffs=[c]))
+    assert report.quotient_dim == 1 and report.genericity_flags == ()
+    assert report.max_value == abs(c)
+    (point,) = report.points
+    assert point.value == c and point.residual == 0.0
+    assert [v.tolist() for v in point.vectors] == [[1.0]] * len(dims)
 
 
 def test_solve_argmax_orders_tied_points_by_vectors():

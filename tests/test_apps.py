@@ -1,5 +1,6 @@
 """Applications: matrix 2-norm, closest rank-one form, separability bound."""
 
+import math
 import time
 from decimal import Decimal
 
@@ -195,6 +196,14 @@ def test_rank_one_algebraic_on_generic_forms_has_no_flags(trilinear_form, quadli
         assert closest_rank_one(form, method="algebraic").flags == ()
 
 
+@pytest.mark.parametrize("dims, c", [((1, 1), 3.0), ((1, 1, 1), -2.0), ((1, 1, 1, 1), 0.25)])
+def test_rank_one_algebraic_with_every_slot_of_dimension_one(dims, c):
+    # l = c x_1 ... x_r on a product of 0-spheres: max |c| at (1, ..., 1)
+    approx = closest_rank_one(MultilinearForm(dims=dims, coeffs=[c]), method="algebraic")
+    assert approx.max_value == abs(c) and approx.flags == ()
+    assert approx.distance == pytest.approx(math.sqrt(c * c + 1 - 2 * abs(c)))
+
+
 def test_rank_one_rejects_zero_form():
     with pytest.raises(ValueError):
         closest_rank_one(MultilinearForm(dims=(2, 2), coeffs=[0, 0, 0, 0]))
@@ -232,6 +241,13 @@ def test_state_validation():
         DensityState(2, 2, Matrix.from_array(np.diag([0.6, 0.6, -0.1, -0.1])))
     with pytest.raises(NotAStateError):
         DensityState(2, 2, Matrix.from_array(np.eye(4)))  # trace 4
+
+
+@pytest.mark.parametrize("dim_a, dim_b", [(2.7, 2), (2, 2.5), (np.nan, 2), (2, np.inf)])
+def test_state_refuses_non_integral_factor_dims(dim_a, dim_b, separable_state):
+    # 2.7 was truncated, so a 4x4 state was read as a 2x2 one
+    with pytest.raises(NotAStateError, match="integers"):
+        DensityState(dim_a, dim_b, separable_state.matrix)
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf])

@@ -78,3 +78,27 @@ def test_profile_validation():
         MultidegreeProfile(dims=(1,), degrees=((-1,),))
     with pytest.raises(DimensionMismatchError):
         MultidegreeProfile(dims=(-1,), degrees=((1,),))
+
+
+@pytest.mark.parametrize("dims, degrees", [
+    ((1.5, 1), ((0, 1), (1, 0))),
+    ((1, 1), ((0, 1.5), (1, 0))),
+    ((np.nan,), ((1,),)),
+    ((1,), ((np.inf,),)),
+])
+def test_profile_refuses_non_integral_entries(dims, degrees):
+    # 1.5 was truncated to 1
+    with pytest.raises(DimensionMismatchError, match="integers"):
+        MultidegreeProfile(dims=dims, degrees=degrees)
+
+
+@pytest.mark.parametrize("dims", [(2.5, 3), (np.nan, 2), (2, np.inf)])
+def test_gradient_profile_refuses_non_integral_dims(dims):
+    with pytest.raises(DimensionMismatchError, match="integers"):
+        gradient_profile(dims)
+
+
+@pytest.mark.parametrize("dims", [(np.nan, 2), (2, np.inf), (-np.inf, 3)])
+def test_count_refuses_non_finite_dims(dims):
+    with pytest.raises(DimensionMismatchError, match="integers"):
+        count_extreme_classes(dims)

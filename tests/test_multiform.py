@@ -62,6 +62,29 @@ def test_dims_mismatch_raises():
     assert form.dims == (2, 3) and all(type(d) is int for d in form.dims)
 
 
+@pytest.mark.parametrize("dims", [(np.nan, 2), (2, np.inf), (-np.inf, 2)])
+def test_form_refuses_non_finite_dims(dims):
+    with pytest.raises(DimensionMismatchError, match="integers"):
+        MultilinearForm(dims=dims, coeffs=np.ones(4))
+
+
+@pytest.mark.parametrize("domain_dims, codomain_dim", [
+    ((2.5, 2), 1), ((2, 2.5), 2), ((np.nan, 2), 1), ((2, 2), np.inf),
+])
+def test_map_refuses_non_integral_dims(domain_dims, codomain_dim):
+    # (2.5, 2) was truncated to the component forms' (2, 2)
+    form = MultilinearForm(dims=(2, 2), coeffs=np.ones(4))
+    with pytest.raises(DimensionMismatchError, match="integers"):
+        MultilinearMap(domain_dims, codomain_dim, (form,) * 2)
+
+
+def test_map_stores_integral_dims_as_ints():
+    form = MultilinearForm(dims=(2, 2), coeffs=np.ones(4))
+    m = MultilinearMap((2.0, np.int64(2)), 1.0, (form,))
+    assert m.domain_dims == (2, 2) and m.codomain_dim == 1
+    assert all(type(d) is int for d in (*m.domain_dims, m.codomain_dim))
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     data=st.lists(
