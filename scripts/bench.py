@@ -1,0 +1,234 @@
+#!/usr/bin/env python3
+"""Stage CPU times and exact counters of the heavy exact solves.
+
+Runs a fixed list of heavy cases, each a whole solve (``solve_argmax`` on
+the affine chart, ``solve_max`` on the sphere chart), and splits its CPU
+time into stages by wrapping functions of ``algsolver`` from here; the
+library has no hooks for it:
+
+- ``run``: Buchberger's loop (``_Engine.run``, its interreduction left out);
+- ``interreduce``: ``_Engine._interreduce``;
+- ``certificate``: ``_certify``, the exact check after a zero-tested run;
+- ``normal_set``: ``normal_set``;
+- ``ring_and_eigen``: from the end of ``normal_set`` to the end of the
+  solve (the quotient ring, its multiplication matrices, the eigenvalues
+  and the point recovery);
+- ``other``: the rest of ``total`` (the critical system, and the basis
+  turned into rationals).
+
+Counters per solve: the reduction budget spent by Groebner (``budget_used``)
+and by the quotient ring (``ring_budget_used``), the S-pairs the mod-p zero
+test skipped, the certificate's verdicts, the quotient dimension and the
+maximum.  They are checked to repeat exactly over every repeat.
+
+Times are CPU seconds of this process (``time.process_time``), not scaled by
+any host calibration: the median and quartiles over ``--repeats`` solves.
+This checkout's rows are labelled ``change``.  With ``--against NAME=SRC``
+the ``spheremax`` package under another checkout's ``src/`` is loaded
+beside this one in the same process, its rows labelled NAME, and each
+repeat solves every case with both, in alternating order, so the two rows
+of a case are paired; ``paired_ratio`` on the ``change`` row is its total
+over the other one's, per repeat.  The JSON goes to standard output, one
+line per row to standard error:
+
+    python3 scripts/bench.py --against parent=../parent/src --repeats 9 > BENCH_16.json
+
+BLAS threads are pinned to 1, so CPU time is one core's time.
+"""
+
+import argparse
+import gc
+import importlib
+import importlib.util
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+STAGES = ("run", "interreduce", "certificate", "normal_set", "ring_and_eigen", "other",
+          "total")
+
+
+def _load(name, src):
+    """The spheremax package under ``src`` imported as module ``name``."""
+    init = Path(src).resolve() / "spheremax" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def cases(sm):
+    """(name, form, chart) of each heavy case, built with package ``sm``:
+    the four forms whose bases pass the zero test's line in
+    tests/test_algsolver.py, and the 3x3x3 row of ``spheremax bench``."""
+    integer_form = importlib.import_module(f"{sm.__name__}.cli")._random_integer_form
+    g = np.random.default_rng(4).standard_normal((4, 4))
+    rho = g @ g.T
+    state = sm.DensityState(2, 2, sm.Matrix.from_array(rho / np.trace(rho)))
+    return [
+        ("2x3x3-affine", integer_form((2, 3, 3), np.random.default_rng(1)), "affine"),
+        ("2x2x2x2-affine", integer_form((2, 2, 2, 2), np.random.default_rng(2)), "affine"),
+        ("2x2x3-sphere", integer_form((2, 2, 3), np.random.default_rng(2)), "sphere"),
+        ("separability-rank4", sm.apps._separability_form(state), "affine"),
+        ("3x3x3-affine", integer_form((3, 3, 3), np.random.default_rng(0)), "affine"),
+    ]
+
+
+class Probe:
+    """Stage clocks and counters of one package's ``algsolver``, by
+    wrapping its functions; ``solve`` runs and measures one case."""
+
+    def __init__(self, sm):
+        self.sm = sm
+        self.alg = alg = sm.algsolver
+        self.rec = {}
+        self.budgets = []
+        self._wrap(alg._Engine, "run", "run", self._count_skipped)
+        self._wrap(alg._Engine, "_interreduce", "interreduce")
+        self._wrap(alg, "_certify", "certificate", self._verdict)
+        self._wrap(alg, "normal_set", "normal_set", self._normal_set_end)
+        budgets = self.budgets
+
+        class Recording(alg._Budget):
+            def __init__(self, limit):
+                super().__init__(limit)
+                budgets.append(self)
+
+        alg._Budget = Recording
+
+    def _wrap(self, owner, name, stage, after=None):
+        fn = getattr(owner, name)
+        rec = self.rec
+
+        def wrapper(*args, **kwargs):
+            t = time.process_time()
+            try:
+                out = fn(*args, **kwargs)
+            finally:
+                rec[stage] = rec.get(stage, 0.0) + time.process_time() - t
+            if after is not None:
+                after(args, out)
+            return out
+
+        setattr(owner, name, wrapper)
+
+    def _count_skipped(self, args, out):
+        self.rec["pairs_skipped"] = self.rec.get("pairs_skipped", 0) + len(args[0].skipped)
+
+    def _verdict(self, args, out):
+        self.rec.setdefault("verdicts", []).append(out)
+
+    def _normal_set_end(self, args, out):
+        self.rec["normal_set_end"] = time.process_time()
+
+    def solve(self, form, chart):
+        """(stage seconds, counters) of one solve."""
+        self.rec.clear()
+        self.budgets.clear()
+        gc.collect()
+        solve = self.alg.solve_argmax if chart == "affine" else self.alg.solve_max
+        t = time.process_time()
+        report = solve(form)
+        end = time.process_time()
+        rec = self.rec
+        stages = {s: rec.get(s, 0.0) for s in ("run", "interreduce", "certificate",
+                                                "normal_set")}
+        stages["run"] -= stages["interreduce"]  # run() calls _interreduce
+        stages["ring_and_eigen"] = end - rec["normal_set_end"]
+        stages["total"] = end - t
+        stages["other"] = stages["total"] - sum(stages[s] for s in STAGES[:5])
+        counters = {
+            "budget_used": self.budgets[0].used,
+            "ring_budget_used": sum(b.used for b in self.budgets[1:]),
+            "pairs_skipped": rec.get("pairs_skipped", 0),
+            "certificate": rec.get("verdicts", []),
+            "quotient_dim": report.quotient_dim,
+            "max_value": report.max_value.hex(),
+        }
+        return stages, counters
+
+
+def _spread(values):
+    if len(values) == 1:
+        return dict.fromkeys(("median", "q1", "q3"), values[0])
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def machine():
+    model = platform.processor()
+    try:
+        with open("/proc/cpuinfo") as f:
+            model = next((line.split(":", 1)[1].strip() for line in f
+                          if line.startswith("model name")), model)
+    except OSError:
+        pass
+    return {"cpu": model, "nproc": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__, "platform": platform.platform()}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--against", metavar="NAME=SRC",
+                        help="also time the spheremax package under SRC, labelled NAME")
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+
+    trees = [("change", _load("spheremax", SRC))]
+    if args.against:
+        name, _, src = args.against.partition("=")
+        if not name or not src or name == "change":
+            parser.error("--against takes NAME=SRC, NAME not 'change'")
+        trees.append((name, _load("spheremax_against", src)))
+    probes = {name: Probe(sm) for name, sm in trees}
+    built = {name: cases(sm) for name, sm in trees}
+    rows = []
+    for k, (case, _, chart) in enumerate(built["change"]):
+        runs = {name: [] for name, _ in trees}
+        for rep in range(args.repeats):
+            for name, _ in (trees if rep % 2 == 0 else trees[::-1]):
+                runs[name].append(probes[name].solve(built[name][k][1], chart))
+        for name, _ in trees:
+            counters = [c for _, c in runs[name]]
+            if any(c != counters[0] for c in counters):
+                raise SystemExit(f"{name} {case}: counters differ between repeats {counters}")
+            row = {"tree": name, "case": case, "chart": chart,
+                   "stages": {s: _spread([st[s] for st, _ in runs[name]]) for s in STAGES},
+                   "counters": counters[0]}
+            if name == "change" and len(trees) > 1:
+                row["paired_ratio"] = _spread([
+                    this["total"] / other["total"]
+                    for (this, _), (other, _) in zip(runs[name], runs[trees[1][0]])])
+            rows.append(row)
+            stages = row["stages"]
+            print(f"{name:>8} {case:<20} total {stages['total']['median']:7.3f} s, "
+                  f"certificate {stages['certificate']['median']:6.3f} s, "
+                  f"interreduce {stages['interreduce']['median']:6.3f} s", file=sys.stderr)
+
+    out = {
+        "clock": "time.process_time per solve, in process, unscaled; median and "
+                 "quartiles over the repeats",
+        "repeats": args.repeats,
+        "machine": machine(),
+        "trees": [name for name, _ in trees],
+        "rows": rows,
+    }
+    print(json.dumps(out, indent=1))
+
+
+if __name__ == "__main__":
+    main()

@@ -21,11 +21,12 @@ boundary: in RationalPoly, GroebnerBasis and the input coefficients.
 Once the basis coefficients pass _ZERO_TEST_BITS bits, Buchberger's
 algorithm first reduces each S-polynomial modulo one 61-bit prime and skips
 the exact reduction of those that vanish there (Traverso's trace idea).
-The result is then certified exactly, once: every S-pair of the final basis
-that survives the Gebauer-Moeller criteria, and every input, reduces to
-zero (the verify-once step of Arnold's modular algorithms).  A failed
-certificate sends the skipped pairs back through exact reduction, so the
-basis is always the exact one.
+The result is interreduced by ascending leading monomial and certified
+exactly, once: every S-pair of the final basis that survives the
+Gebauer-Moeller criteria, and every input, reduces to zero (the verify-once
+step of Arnold's modular algorithms), read by linearity from the memoized
+normal forms of its monomials.  A failed certificate sends the skipped pairs
+back through exact reduction, so the basis is always the exact one.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from decimal import Decimal
 import numpy as np
 
 from . import chowcount, multiform
-from .errors import BudgetExceededError, DimensionMismatchError, NotZeroDimensionalError
+from .errors import BudgetExceededError, DimensionMismatchError, NotZeroDimensionalError, integers
 from .linalg import Matrix
 from .multiform import MultilinearForm
 
@@ -181,7 +182,7 @@ class RationalPoly:
         nvars = len(variables)
         clean = {}
         for exps, c in self.terms.items():
-            exps = tuple(int(e) for e in exps)
+            exps = integers(exps, "exponents", ValueError)
             if len(exps) != nvars:
                 raise DimensionMismatchError(
                     f"exponent tuple {exps} does not match {nvars} variables"
@@ -282,6 +283,14 @@ class SolveReport:
 # a false zero (a nonzero remainder divisible by _PRIME) is caught by the
 # exact certificate in groebner().  The line is the measured break-even:
 # below ~2,000 bits the mod-p pass costs about what it saves.
+# _interreduce reduces the minimal elements in ascending order, each against
+# those already reduced (a reducer of a tail term t has lm <= t), so the wide
+# unreduced ones never enter.  _certify passes sum(c x^t) when
+# sum(c NF(x^t)) = 0, NF memoized per monomial: each x^t - NF(x^t) is a sum
+# of basis multiples with leading monomials <= t, so a passing S-pair has a
+# standard representation below its lcm (Buchberger's criterion,
+# Cox-Little-O'Shea 2.9); on a Groebner basis NF is unique and linear, so
+# every pair passes.
 # ---------------------------------------------------------------------------
 
 _PRIME = 2**61 - 1        # modulus of the zero test
@@ -585,30 +594,25 @@ class _Engine:
 
     def _interreduce(self):
         """The reduced basis as records, ascending by leading monomial."""
-        # drop redundant leading monomials
-        minimal = []
-        for rec in self.reducers:
-            if not any(self.mono.divides(r[1], rec[1]) for r in minimal):
-                minimal.append(rec)
         out = []
-        for rec in minimal:
-            _, lm, lc, tail = rec
-            others = [r for r in minimal if r is not rec]
-            nf = _normal_form({lm: lc, **tail}, others, self.mono, self.budget)
-            out.append(_reducer(nf, self.mono))
+        for _, lm, lc, tail in self.reducers:
+            if not any(self.mono.divides(r[1], lm) for r in out):
+                nf = _normal_form({lm: lc, **tail}, out, self.mono, self.budget)
+                out.append(_reducer(nf, self.mono))
         return out
 
 
 def _certify(basis, inputs, mono, budget) -> bool:
     """Exact check that the records ``basis``, ascending by leading
-    monomial, are a Groebner basis: every S-pair that survives the
-    Gebauer-Moeller criteria reduces to zero; and that every poly of
-    ``inputs`` reduces to zero, i.e. lies in the basis's ideal."""
+    monomial, are a Groebner basis (every S-pair that survives the
+    Gebauer-Moeller criteria reduces to zero) whose ideal holds every poly
+    of ``inputs``; both read by linearity from _NormalForms."""
     eng = _Engine(mono, budget)
     for rec in basis:
         eng._update(rec)
+    forms = _NormalForms(eng.reducers, mono, budget)
     pairs = (_spoly(eng.records[i], eng.records[j], l) for l, i, j in eng.pairs)
-    return not any(_normal_form(p, eng.reducers, mono, budget)
+    return not any(forms._poly_vector(list(p.items()), 1)[0]
                    for p in itertools.chain(pairs, inputs))
 
 
@@ -689,28 +693,22 @@ def normal_set(gb: GroebnerBasis) -> NormalSet:
     return NormalSet(monomials=tuple(map(mono.unpack, standard)), variables=gb.variables)
 
 
-class QuotientRing:
-    """Quotient ring C[vars]/<gb> with memoized monomial normal forms.
+class _NormalForms:
+    """Memoized normal forms of monomials against reducer records.
 
-    A normal form is kept as an (integer vector, positive denominator) pair,
-    the vector a sparse {standard-monomial index: nonzero int} dict: the
-    coordinates are vector / denominator, with the common content of the
-    pair divided out.  A basis element's _reducer record gives NF(x^lm) =
-    -tail / lc: lc is the monic element's least common denominator."""
+    A normal form is an (integer vector, positive denominator) pair, the
+    vector a sparse {key: nonzero int} dict, the pair's common content
+    divided out.  NF(x^t) comes from t's first divisor: a record gives
+    NF(x^lm) = -tail / lc.  ``seeds`` hold the standard monomials; without
+    them a monomial no reducer divides is its own normal form, keyed by
+    itself.  Each new entry spends one unit of the budget."""
 
-    def __init__(self, gb: GroebnerBasis, ns: NormalSet,
-                 budget: int = DEFAULT_REDUCTION_BUDGET):
-        self.mono = mono = _Monomials(len(gb.variables))
-        self.budget = _Budget(budget)
-        self.standard = [mono.pack(m) for m in ns.monomials]
-        self._top_degree = max(map(sum, ns.monomials), default=0)
-        self._cache = {k: ({i: 1}, 1) for i, k in enumerate(self.standard)}
-        self.reducers = _records(gb, mono)
-
-    def monomial_vector(self, m) -> tuple:
-        """NF(x^m) as an (integer vector, positive denominator) pair."""
-        vec, den = self._vector(self.mono.pack(m))
-        return dict(vec), den
+    def __init__(self, reducers, mono, budget, seeds=None):
+        self.reducers = reducers
+        self.mono = mono
+        self.budget = budget
+        self._open = seeds is None
+        self._cache = dict(seeds or {})
 
     def _vector(self, k):
         cache = self._cache
@@ -724,10 +722,13 @@ class QuotientRing:
             for probe, lm, lc, tail in self.reducers:
                 if not (cur - probe) & guard:
                     break
-            else:  # pragma: no cover - gb/ns inconsistency
-                raise NotZeroDimensionalError(
-                    f"monomial {self.mono.unpack(cur)} neither standard nor reducible"
-                )
+            else:
+                if not self._open:  # pragma: no cover - gb/ns inconsistency
+                    raise NotZeroDimensionalError(f"monomial {self.mono.unpack(cur)} "
+                                                  "neither standard nor reducible")
+                self.budget.spend()
+                cache[cur] = ({cur: 1}, 1)
+                continue
             shift = cur - lm
             terms = [(t + shift, -c) for t, c in tail.items()]
             missing = [t for t, _ in terms if t not in cache]
@@ -756,19 +757,38 @@ class QuotientRing:
             den //= g
         return acc, den
 
+    def _poly_vector(self, terms, den):
+        """NF(sum(a x^t)) / den over [(t, a)], by linearity."""
+        for t, _ in terms:
+            self._vector(t)
+        return self._combine(terms, den)
+
+
+class QuotientRing(_NormalForms):
+    """Quotient ring C[vars]/<gb>: normal forms keyed by standard-monomial
+    index, lc of a record being its monic element's least common denominator."""
+
+    def __init__(self, gb: GroebnerBasis, ns: NormalSet,
+                 budget: int = DEFAULT_REDUCTION_BUDGET):
+        mono = _Monomials(len(gb.variables))
+        self.standard = [mono.pack(m) for m in ns.monomials]
+        self._top_degree = max(map(sum, ns.monomials), default=0)
+        super().__init__(_records(gb, mono), mono, _Budget(budget),
+                         {k: ({i: 1}, 1) for i, k in enumerate(self.standard)})
+
+    def monomial_vector(self, m) -> tuple:
+        """NF(x^m) as an (integer vector, positive denominator) pair."""
+        vec, den = self._vector(self.mono.pack(m))
+        return dict(vec), den
+
     def mult_matrix_exact(self, f: RationalPoly):
         """Columns of the multiplication-by-f map over the standard basis,
         exact, as (integer vector, positive denominator) pairs."""
         mono = self.mono
         _checked_degree(max(map(sum, f.terms), default=0) + self._top_degree)
         den, terms = _clear_denominators(f.terms, mono)
-        cols = []
-        for b in self.standard:
-            products = [(m + b, a) for m, a in terms.items()]
-            for t, _ in products:
-                self._vector(t)
-            cols.append(self._combine(products, den))
-        return cols
+        return [self._poly_vector([(m + b, a) for m, a in terms.items()], den)
+                for b in self.standard]
 
 
 def _float_matrix(cols, rows: int) -> np.ndarray:

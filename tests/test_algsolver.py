@@ -1,5 +1,6 @@
 """Exact algebraic pipeline: Groebner bases, quotient rings, eigen-solving."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -225,6 +226,17 @@ def test_packed_degree_limit_raises():
     ])
     with pytest.raises(BudgetExceededError):
         groebner(system)
+
+
+def test_rational_poly_refuses_non_integral_exponents():
+    # an exponent is an integer: 1.5 is refused, not truncated to x^1
+    for exps in [(1.5, 0), (0.9, 1), (math.nan, 0), (1, math.inf), ("1", 0)]:
+        with pytest.raises(ValueError):
+            RationalPoly(("x", "y"), {exps: 2})
+    # integral floats and numpy ints are exponents, stored as ints
+    p = RationalPoly(("x", "y"), {(2.0, np.int64(1)): 3})
+    assert p.terms == {(2, 1): 3}
+    assert all(type(e) is int for e in next(iter(p.terms)))
 
 
 def test_spolynomial_cancels_leading_terms():
@@ -699,12 +711,22 @@ def _separability_rank4():
     return _separability_form(DensityState(2, 2, Matrix.from_array(rho / np.trace(rho))))
 
 
-@pytest.mark.parametrize("form, chart", [
-    (random_form(np.random.default_rng(1), (2, 3, 3)), "affine"),
-    (random_form(np.random.default_rng(2), (2, 2, 2, 2)), "affine"),
-    (random_form(np.random.default_rng(2), (2, 2, 3)), "sphere"),
-    (_separability_rank4(), "affine"),
-], ids=["2x3x3-affine", "2x2x2x2-affine", "2x2x3-sphere", "separability-rank4"])
+# forms whose basis coefficients pass the zero test's line, with their chart
+_HEAVY = {
+    "2x3x3-affine": (random_form(np.random.default_rng(1), (2, 3, 3)), "affine"),
+    "2x2x2x2-affine": (random_form(np.random.default_rng(2), (2, 2, 2, 2)), "affine"),
+    "2x2x3-sphere": (random_form(np.random.default_rng(2), (2, 2, 3)), "sphere"),
+    "separability-rank4": (_separability_rank4(), "affine"),
+}
+
+
+@functools.cache
+def _heavy_basis(name):
+    form, chart = _HEAVY[name]
+    return groebner(build_critical_system(form, chart=chart))
+
+
+@pytest.mark.parametrize("form, chart", list(_HEAVY.values()), ids=list(_HEAVY))
 def test_zero_test_leaves_heavy_bases_unchanged(form, chart):
     # forms whose basis coefficients pass the line: pairs are skipped, the
     # certificate passes, and the basis is the exact run's, term for term
@@ -714,6 +736,35 @@ def test_zero_test_leaves_heavy_bases_unchanged(form, chart):
         gb = groebner(system)
     assert verdicts == [True]
     assert _terms(gb) == _terms(_exact(system))
+
+
+@pytest.mark.parametrize("name", list(_HEAVY))
+def test_heavy_bases_are_reduced(name):
+    # the ascending interreduction leaves every element monic and no tail
+    # term divisible by any leading monomial
+    gb = _heavy_basis(name)
+    lms = [p.leading_monomial() for p in gb.basis]
+    for p, lm in zip(gb.basis, lms):
+        assert p.terms[lm] == 1
+        assert not any(_divides(q, m) for m in p.terms if m != lm for q in lms)
+
+
+def test_certificate_rejects_damaged_heavy_bases():
+    # heavy negative controls: a heavy reduced basis with one element
+    # dropped, and with 1 added to one tail coefficient, is no Groebner
+    # basis; the certificate by linearity says so, like the term-wise
+    # reference
+    for name in ("2x3x3-affine", "separability-rank4"):
+        gb = _heavy_basis(name)
+        i = len(gb.basis) // 2
+        p = gb.basis[i]
+        m = sorted(p.terms, key=grevlex_key)[-2]  # the largest tail term
+        changed = _poly(p.variables, {**p.terms, m: p.terms[m] + 1})
+        for damaged in (gb.basis[:i] + gb.basis[i + 1:],
+                        gb.basis[:i] + (changed,) + gb.basis[i + 1:]):
+            bad = GroebnerBasis(damaged, gb.variables)
+            assert verify_buchberger_certificate(bad) is False
+            assert _all_pairs_certificate(bad) is False
 
 
 def test_separability_basis_coefficient_bits_are_pinned():
