@@ -28,10 +28,11 @@ the ``spheremax`` package under another checkout's ``src/`` is loaded
 beside this one in the same process, its rows labelled NAME, and each
 repeat solves every case with both, in alternating order, so the two rows
 of a case are paired; ``paired_ratio`` on the ``change`` row is its total
-over the other one's, per repeat.  The JSON goes to standard output, one
-line per row to standard error:
+over the other one's, per repeat, and ``counters_match`` says whether its
+counters equal the other one's.  The JSON goes to standard output, one line
+per row to standard error:
 
-    python3 scripts/bench.py --against parent=../parent/src --repeats 9 > BENCH_16.json
+    python3 scripts/bench.py --against parent=../parent/src --repeats 9 > BENCH_18.json
 
 BLAS threads are pinned to 1, so CPU time is one core's time.
 """
@@ -202,17 +203,22 @@ def main(argv=None):
         for rep in range(args.repeats):
             for name, _ in (trees if rep % 2 == 0 else trees[::-1]):
                 runs[name].append(probes[name].solve(built[name][k][1], chart))
+        counters = {}
         for name, _ in trees:
-            counters = [c for _, c in runs[name]]
-            if any(c != counters[0] for c in counters):
-                raise SystemExit(f"{name} {case}: counters differ between repeats {counters}")
+            seen = [c for _, c in runs[name]]
+            if any(c != seen[0] for c in seen):
+                raise SystemExit(f"{name} {case}: counters differ between repeats {seen}")
+            counters[name] = seen[0]
+        for name, _ in trees:
             row = {"tree": name, "case": case, "chart": chart,
                    "stages": {s: _spread([st[s] for st, _ in runs[name]]) for s in STAGES},
-                   "counters": counters[0]}
+                   "counters": counters[name]}
             if name == "change" and len(trees) > 1:
+                other = trees[1][0]
+                row["counters_match"] = counters[name] == counters[other]
                 row["paired_ratio"] = _spread([
-                    this["total"] / other["total"]
-                    for (this, _), (other, _) in zip(runs[name], runs[trees[1][0]])])
+                    this["total"] / that["total"]
+                    for (this, _), (that, _) in zip(runs[name], runs[other])])
             rows.append(row)
             stages = row["stages"]
             print(f"{name:>8} {case:<20} total {stages['total']['median']:7.3f} s, "

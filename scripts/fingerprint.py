@@ -33,7 +33,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from spheremax import MultilinearForm, algsolver, poweriter  # noqa: E402
+from spheremax import MultilinearForm, algsolver, cli, poweriter  # noqa: E402
 
 TRILINEAR = [6, -14, -6, -11, 3, -15, 16, 8]
 QUADLINEAR = [4, 2, -5, -9, 1, -7, -5, -6, 6, -3, -6, -9, 7, 9, 0, 8]
@@ -95,8 +95,8 @@ def _multi_forms():
             dims, rng.standard_normal(math.prod(dims)))
     for k in range(18):
         dims = MULTI_SHAPES[k % 3]
-        forms[f"int-{'x'.join(map(str, dims))}-{k}"] = _integer_form(
-            np.random.default_rng(200 + k), dims)
+        forms[f"int-{'x'.join(map(str, dims))}-{k}"] = cli._random_integer_form(
+            dims, np.random.default_rng(200 + k))
     for k in range(9):  # forms on which the joint iteration converges
         dims = MULTI_SHAPES[k % 3]
         rng = np.random.default_rng(400 + k)
@@ -174,13 +174,6 @@ def scaled_cases():
             yield f"scaled ascend {tag}", _outcome(_call(poweriter._ascend, form, 0, 12))
 
 
-def _integer_form(rng, dims):
-    while True:
-        coeffs = rng.integers(-9, 10, size=math.prod(dims)).astype(float)
-        if np.any(coeffs):
-            return MultilinearForm(dims, coeffs)
-
-
 def _report(rep):
     return (rep.quotient_dim, [repr(x) for x in rep.eigenvalues], rep.max_value,
             [(p.vectors, p.value, p.residual) for p in rep.points], rep.genericity_flags)
@@ -190,8 +183,8 @@ def exact_cases():
     forms = {"trilinear": MultilinearForm((2, 2, 2), TRILINEAR)}
     for k in range(20):
         dims = EXACT_SHAPES[k % len(EXACT_SHAPES)]
-        forms[f"int-{'x'.join(map(str, dims))}-{k}"] = _integer_form(
-            np.random.default_rng(7000 + k), dims)
+        forms[f"int-{'x'.join(map(str, dims))}-{k}"] = cli._random_integer_form(
+            dims, np.random.default_rng(7000 + k))
     for name, form in forms.items():
         systems = {chart: algsolver.build_critical_system(form, chart=chart)
                    for chart in ("sphere", "affine")}

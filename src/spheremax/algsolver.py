@@ -19,14 +19,16 @@ quotient ring all read.  Rationals (fractions.Fraction) appear only at the
 boundary: in RationalPoly, GroebnerBasis and the input coefficients.
 
 Once the basis coefficients pass _ZERO_TEST_BITS bits, Buchberger's
-algorithm first reduces each S-polynomial modulo one 61-bit prime and skips
-the exact reduction of those that vanish there (Traverso's trace idea).
-The result is interreduced by ascending leading monomial and certified
-exactly, once: every S-pair of the final basis that survives the
-Gebauer-Moeller criteria, and every input, reduces to zero (the verify-once
-step of Arnold's modular algorithms), read by linearity from the memoized
-normal forms of its monomials.  A failed certificate sends the skipped pairs
-back through exact reduction, so the basis is always the exact one.
+algorithm first reduces each S-polynomial modulo one 61-bit prime, in the
+mod-p mode of the same _normal_form loop (no content strip there: p may
+divide the content of unreduced coefficients), and skips the exact reduction
+of those that vanish (Traverso's trace idea).  The result is interreduced by
+ascending leading monomial and certified exactly, once: every S-pair of the
+final basis that survives the Gebauer-Moeller criteria, and every input,
+reduces to zero (the verify-once step of Arnold's modular algorithms), read
+by linearity from the memoized normal forms of its monomials.  A failed
+certificate sends the skipped pairs back through exact reduction, so the
+basis is always the exact one.
 """
 
 from __future__ import annotations
@@ -277,8 +279,10 @@ class SolveReport:
 # Most S-pairs reduce to zero, and on the heavy forms the intermediate basis
 # holds ~3,600-bit coefficients against ~300 bits in the final one, so those
 # zero reductions are most of the time.  Past _ZERO_TEST_BITS a pair is
-# first reduced mod _PRIME, against monic images of the basis and with the
-# exact reducer choice; a zero there skips the exact reduction.  Skipping a
+# first reduced mod _PRIME by _normal_form itself, against the monic images
+# of the live polys: the same loop, heap order, reducer choice and budget
+# spend, minus the content strip (p may divide the content of the lazily
+# reduced coefficients).  A zero there skips the exact reduction.  Skipping a
 # true zero changes nothing, since a zero remainder adds no basis element;
 # a false zero (a nonzero remainder divisible by _PRIME) is caught by the
 # exact certificate in groebner().  The line is the measured break-even:
@@ -358,13 +362,20 @@ def _records(gb, mono):
     return sorted(records, key=lambda r: r[1])
 
 
-def _normal_form(p, reducers, mono, budget):
+def _normal_form(p, reducers, mono, budget, modulus=0):
     """Fraction-free full normal form of a packed integer polynomial.
 
     reducers: _reducer records with integer primitive coefficients; the
     first whose leading monomial divides a term reduces it.  The result
     equals the true normal form up to a positive rational scalar; it is
     returned content-stripped.
+
+    With a prime ``modulus`` and monic reducers it is the zero test mod p:
+    each popped coefficient is reduced mod p, a term that vanishes there is
+    dropped unspent, and the first term no reducer divides is returned
+    alone, so the result is nonzero iff the normal form mod p is.  The
+    content strip is off then: p can divide the content of the lazily
+    reduced coefficients, and dividing it out would make zeros nonzero.
     """
     guard = mono.guard
     work = {m: c for m, c in p.items() if c}
@@ -374,13 +385,17 @@ def _normal_form(p, reducers, mono, budget):
     steps = 0
     while heap:
         m = -heapq.heappop(heap)
-        c = work.pop(m, None)
-        if c is None:
+        c = work.pop(m, 0)
+        if modulus:
+            c %= modulus
+        if not c:
             continue
         for probe, lm, lc, tail in reducers:
             if not (m - probe) & guard:
                 break
         else:
+            if modulus:
+                return {m: c}
             rem[m] = c
             continue
         budget.spend()
@@ -406,7 +421,7 @@ def _normal_form(p, reducers, mono, budget):
                 else:
                     del work[mm]
         steps += 1
-        if steps % 32 == 0 and work:
+        if steps % 32 == 0 and work and not modulus:
             g = 0
             for c2 in work.values():
                 g = math.gcd(g, c2)
@@ -529,68 +544,28 @@ class _Engine:
         return self.run()
 
     def _image(self, i):
-        """Tail of the monic image of poly i mod _PRIME, negated, as
-        [(monomial, -c / lc)] without the terms that vanish; None when its
-        leading coefficient vanishes mod _PRIME."""
+        """The monic image of poly i mod _PRIME as a _reducer record
+        (probe, lm, 1, tail), the tail without the terms that vanish; None
+        when its leading coefficient vanishes mod _PRIME."""
         if i not in self.images:
-            _, _, lc, tail = self.records[i]
-            lc %= _PRIME
-            if lc:
+            probe, lm, lc, tail = self.records[i]
+            self.images[i] = None
+            if lc % _PRIME:
                 inv = pow(lc, -1, _PRIME)
-                self.images[i] = [(m, -c * inv % _PRIME)
-                                  for m, c in tail.items() if c % _PRIME]
-            else:
-                self.images[i] = None
+                tail = {m: c * inv % _PRIME for m, c in tail.items() if c % _PRIME}
+                self.images[i] = (probe, lm, 1, tail)
         return self.images[i]
 
     def _vanishes_mod_p(self, l, i, j) -> bool:
         """Whether the S-polynomial of pair (i, j) reduces to zero mod
-        _PRIME, with the reducer choice of _normal_form.  False also when
-        a leading coefficient on the way vanishes mod _PRIME."""
-        fi, fj = self._image(i), self._image(j)
-        if fi is None or fj is None:
+        _PRIME: _normal_form mod _PRIME over the images of the live polys.
+        False, i.e. reduce exactly, when a leading coefficient among them
+        vanishes mod _PRIME."""
+        images = [self._image(k) for k in (i, j, *self.live)]
+        if None in images:
             return False
-        records = self.records
-        guard = self.mono.guard
-        si, sj = l - records[i][1], l - records[j][1]
-        work = {m + si: -c for m, c in fi}  # the monic leading terms cancel
-        for m, c in fj:
-            v = (work.get(m + sj, 0) + c) % _PRIME
-            if v:
-                work[m + sj] = v
-            else:
-                work.pop(m + sj, None)
-        heap = [-m for m in work]
-        heapq.heapify(heap)
-        while heap:
-            m = -heapq.heappop(heap)
-            c = work.pop(m, None)
-            if c is None:
-                continue
-            for k in self.live:
-                probe, lm, _, _ = records[k]
-                if not (m - probe) & guard:
-                    break
-            else:
-                return False
-            tail = self._image(k)
-            if tail is None:
-                return False
-            self.budget.spend()
-            shift = m - lm
-            for t, tc in tail:
-                mm = t + shift
-                prev = work.get(mm)
-                if prev is None:
-                    work[mm] = c * tc % _PRIME
-                    heapq.heappush(heap, -mm)
-                else:
-                    v = (prev + c * tc) % _PRIME
-                    if v:
-                        work[mm] = v
-                    else:
-                        del work[mm]
-        return True
+        s = _spoly(images[0], images[1], l)
+        return not _normal_form(s, images[2:], self.mono, self.budget, _PRIME)
 
     def _interreduce(self):
         """The reduced basis as records, ascending by leading monomial."""

@@ -726,15 +726,36 @@ def _heavy_basis(name):
     return groebner(build_critical_system(form, chart=chart))
 
 
-@pytest.mark.parametrize("form, chart", list(_HEAVY.values()), ids=list(_HEAVY))
-def test_zero_test_leaves_heavy_bases_unchanged(form, chart):
+# the budget each heavy run spends, zero test and certificate included
+_HEAVY_BUDGET = {"2x3x3-affine": 3332, "2x2x2x2-affine": 2297, "2x2x3-sphere": 8978,
+                 "separability-rank4": 1214}
+
+
+def _recording_budgets():
+    budgets = []
+
+    class Recording(_Budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            budgets.append(self)
+
+    return budgets, mock.patch.object(algsolver, "_Budget", Recording)
+
+
+@pytest.mark.parametrize("form, chart, used",
+                         [(*_HEAVY[k], _HEAVY_BUDGET[k]) for k in _HEAVY], ids=list(_HEAVY))
+def test_zero_test_leaves_heavy_bases_unchanged(form, chart, used):
     # forms whose basis coefficients pass the line: pairs are skipped, the
-    # certificate passes, and the basis is the exact run's, term for term
+    # certificate passes, and the basis is the exact run's, term for term;
+    # a zero test that calls true zeros nonzero returns the same basis too,
+    # so the budget it spends is pinned
     system = build_critical_system(form, chart=chart)
     verdicts, recording = _recording_certificate()
-    with recording:
+    budgets, recording_budgets = _recording_budgets()
+    with recording, recording_budgets:
         gb = groebner(system)
     assert verdicts == [True]
+    assert budgets[0].used == used
     assert _terms(gb) == _terms(_exact(system))
 
 
@@ -815,3 +836,30 @@ def test_zero_test_on_every_pair_matches_exact_run(case):
     with mock.patch.object(algsolver, "_ZERO_TEST_BITS", 0):
         gb = groebner(system)
     assert _terms(gb) == _terms(_exact(system))
+
+
+def test_zero_test_with_a_small_prime_matches_exact_run():
+    # with p = 2 or 5 and the line at 0, leading coefficients vanish mod p
+    # (the pair goes to exact reduction) and false zeros fail the
+    # certificate (the run resumes): every basis is still the exact run's
+    rng = np.random.default_rng(5)
+    forms = [random_form(rng, dims, -4, 4) for dims in [(2, 2), (2, 3), (3, 3), (2, 2, 2)] * 2]
+    systems = [build_critical_system(f, chart=c) for f in forms for c in ("affine", "sphere")]
+    reference = [_terms(_exact(system)) for system in systems]
+    image = algsolver._Engine._image
+    vanished = []
+
+    def recording_image(self, i):
+        out = image(self, i)
+        vanished.append(out is None)
+        return out
+
+    verdicts, recording = _recording_certificate()
+    for prime in (2, 5):
+        with recording, mock.patch.object(algsolver, "_PRIME", prime), \
+                mock.patch.object(algsolver, "_ZERO_TEST_BITS", 0), \
+                mock.patch.object(algsolver._Engine, "_image", recording_image):
+            bases = [groebner(system) for system in systems]
+        assert [_terms(gb) for gb in bases] == reference
+    assert any(vanished)
+    assert False in verdicts
