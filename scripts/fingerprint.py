@@ -4,8 +4,9 @@
 Runs a fixed set of cases and prints one sha256 per case, then the sha256
 of all of them (``total``).  Two checkouts whose totals agree return the
 same outputs bit for bit: every float is hashed by its bytes, every error
-by its repr.  Cases marked ``scaled`` (forms multiplied by huge or tiny
-powers of two) are printed after the total and left out of it.
+by its repr.  Cases marked ``scaled`` run forms multiplied by huge or tiny
+powers of two; every form runs at unit scale, so they take the same path
+as the others and count in the total.
 
     python3 scripts/fingerprint.py
 
@@ -217,15 +218,13 @@ def main():
     warnings.simplefilter("error", RuntimeWarning)
     total = hashlib.sha256()
     count = 0
-    for group in (power_cases, exact_cases):
+    for group in (power_cases, scaled_cases, exact_cases):
         for name, obj in group():
             digest = _digest(obj)
             total.update(f"{name}:{digest}\n".encode())
             count += 1
             print(f"{digest[:16]}  {name}")
     print(f"total {total.hexdigest()} over {count} cases")
-    for name, obj in scaled_cases():
-        print(f"{_digest(obj)[:16]}  {name}")
 
 
 if __name__ == "__main__":

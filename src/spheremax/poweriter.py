@@ -22,9 +22,12 @@ exactly the result it would get alone.  The Gauss-Seidel kernel judges
 every step and drops a start when it ends; the joint kernel advances
 _BLOCK steps at a time and then judges them all at once (``_joint``).
 
-A form whose largest coefficient lies outside 2^(+-_SAFE_EXP) runs scaled
-by a power of two (``_scaled``), so that no squared norm overflows or
-underflows; value and residual are scaled back exactly.
+Every form runs at unit scale: scaled by the power of two that puts its
+largest coefficient in [0.5, 1) (``_scaled``), with value and residual
+scaled back exactly.  Scaling by a power of two is exact and leaves every
+normalized iterate unchanged, so no squared norm overflows or underflows,
+and the absolute stop test on the scaled form reads as one relative to the
+form's own scale: t 2^j returns 2^j times the answer for t, for every j.
 
 Gauss-Seidel kernel (the applications' multistart ascent): a step replaces
 slot 1, then slot 2, ..., by its normalized partial gradient at the latest
@@ -58,7 +61,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ZeroGradientError
+from .errors import DimensionMismatchError, ZeroGradientError, integers
 from .multiform import (
     MultilinearForm,
     _assess,
@@ -74,7 +77,6 @@ DEFAULT_MAX_ITERS = 100_000
 _STARTS = 6
 _OSC_TOL = 1e-10
 _BLOCK = 32            # joint steps advanced between two judgements
-_SAFE_EXP = 400        # forms with max |c| within 2^-400..2^400 run as given
 _ASCENT_SWEEPS = 500
 
 
@@ -94,24 +96,25 @@ class IterationResult:
 
 
 def _normalize(g, keep):
-    """Rows of g over their norms, and the mask of rows that could be
-    normalized (zero or non-finite norm: the row is ``keep``'s instead)."""
+    """Divide the rows of g by their norms in place, a zero row replaced by
+    ``keep``'s; returns the mask of the rows that were not zero.  The forms
+    run at unit scale (max |c| < 1) on rows of norm at most 1, so every
+    norm is finite."""
     norms = _row_norms(g)
-    if norms.min() > 0.0 and norms.max() < np.inf:  # False on NaN too
-        return g / norms[:, None], None
-    ok = (norms > 0.0) & np.isfinite(norms)
-    g = np.where(ok[:, None], g, keep)
-    return g / np.where(ok, norms, 1.0)[:, None], ok
+    ok = norms > 0.0
+    if not ok.all():
+        g[~ok], norms[~ok] = keep[~ok], 1.0
+    g /= norms[:, None]
+    return ok
 
 
 def _scaled(form):
-    """The form the kernels run on, t 2^-k, and k.  k = 0 unless max |c| lies
-    outside 2^(+-_SAFE_EXP), where squared gradients and residuals overflow or
-    underflow; then max |c| 2^-k lies in [0.5, 1).  The kernels' stop tests
-    read their own value and residual, so t 2^j runs as t 2^-k for any j."""
+    """The form the kernels run on, t 2^-k, and k, where max |c| 2^-k lies in
+    [0.5, 1): every form runs at unit scale.  No squared gradient or residual
+    overflows or underflows there, and the stop test, absolute in the scaled
+    form's units, reads residual <= 10 tol (2^k + |value|) in t's, so t 2^j
+    runs as t for every j."""
     k = math.frexp(float(np.abs(form.coeffs).max()))[1]
-    if abs(k) <= _SAFE_EXP:
-        return form, 0
     return MultilinearForm(form.dims, np.ldexp(form.coeffs, -k)), k
 
 
@@ -186,12 +189,11 @@ def _gauss_seidel(form, starts, tol, max_iters):
     for it in range(1, max_iters + 1):
         point = slots
         slots = list(slots)
-        usable = True
+        usable = np.ones(index.size, dtype=bool)
         for i in range(r):
-            slots[i], ok = _normalize(_partial(t, subs, slots, i), slots[i])
-            if ok is not None:
-                usable &= ok
-        ended = [] if usable is True else list(np.flatnonzero(~usable))
+            slots[i] = _partial(t, subs, slots, i)
+            usable &= _normalize(slots[i], point[i])
+        ended = list(np.flatnonzero(~usable))
         for pos in ended:
             outcomes[index[pos]] = ZeroGradientError(f"zero gradient at iteration {it}")
         cosine = np.abs(_row_dots(slots[0], point[0]))
@@ -265,12 +267,7 @@ def _joint(form, starts, tol, max_iters):
             raw = [v[k] for v in views]
             for i, v in enumerate(views):
                 _partial(t, subs, raw, i, out=v[k + 1])
-            norms = _row_norms(buf[k + 1])
-            if norms.min() > 0.0 and norms.max() < np.inf:  # False on NaN too
-                buf[k + 1] /= norms[:, None]
-            else:
-                buf[k + 1], ok = _normalize(buf[k + 1], buf[k])
-                bad[k] = ~ok
+            bad[k] = ~_normalize(buf[k + 1], buf[k])
         q = buf[1:].reshape(-1, n)
         done = np.abs(_row_dots(q, buf[:-1].reshape(-1, n))) >= 1.0 - tol
         near = np.flatnonzero(done)
@@ -390,6 +387,7 @@ def _run_with_restarts(form, seed, tol, max_iters):
     """r = 2: the y slots of the starts seed, seed + 1, ... (at most _STARTS,
     n or m of them) as one block.  r >= 3: the restart rule over the _STARTS
     starts seed, seed + 1, ..., all in one block."""
+    (max_iters,) = integers((max_iters,), "max_iters", ValueError)
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     if not 0.0 < tol < math.inf:  # False on NaN too

@@ -82,6 +82,14 @@ def test_norm2_cluster_wider_than_the_block():
     assert abs(got - float(np.linalg.svd(a, compute_uv=False)[0])) <= 1e-12
 
 
+def test_norm2_of_a_tiny_matrix_is_relatively_accurate():
+    # an absolute stop test ended the power run at step 1, 2.4e-5 short
+    a = np.random.default_rng(3).standard_normal((8, 7))
+    got = matrix_norm2(Matrix.from_array(1e-12 * a), method="power")
+    s1 = float(np.linalg.svd(a, compute_uv=False)[0])
+    assert abs(got / (1e-12 * s1) - 1.0) <= 1e-12
+
+
 def test_norm2_zero_matrix():
     assert matrix_norm2(Matrix.from_array(np.zeros((3, 2)))) == 0.0
 

@@ -15,7 +15,7 @@ from spheremax import (
     bilinear_max,
     multilinear_iterate,
 )
-from spheremax import poweriter
+from spheremax import cli, poweriter
 
 from conftest import (
     QUADLINEAR_COEFFS,
@@ -226,10 +226,23 @@ def test_block_iteration_cap_ends_non_converged(a, max_iters):
 
 
 def test_iteration_cap_below_one_is_refused():
-    form = MultilinearForm(dims=(2, 2), coeffs=[1.0, 2.0, 3.0, 4.0])
-    for call in (bilinear_max, multilinear_iterate):
-        with pytest.raises(ValueError):
-            call(form, max_iters=0)
+    # a cap that is not a whole number is refused like one below one
+    for call, dims in [(bilinear_max, (2, 2)), (multilinear_iterate, (2, 2)),
+                       (multilinear_iterate, (2, 2, 2))]:
+        form = MultilinearForm(dims=dims, coeffs=np.arange(1.0, 1.0 + math.prod(dims)))
+        for max_iters in (0, 2.5, "100"):
+            with pytest.raises(ValueError, match="max_iters"):
+                call(form, max_iters=max_iters)
+
+
+def test_integral_float_iteration_cap_is_read_as_an_int():
+    # 1e9 raised TypeError from range() for r = 2
+    for call, dims in [(bilinear_max, (2, 2)), (multilinear_iterate, (2, 2)),
+                       (multilinear_iterate, (2, 2, 2))]:
+        form = MultilinearForm(dims=dims, coeffs=np.arange(1.0, 1.0 + math.prod(dims)))
+        got, want = call(form, max_iters=1e9), call(form)
+        assert (got.value, got.iterations, got.status) == (
+            want.value, want.iterations, want.status)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
@@ -429,31 +442,44 @@ def test_row_ending_at_the_step_a_lower_row_converges_keeps_its_outcome():
 def _power_of_two_form(dims, seed):
     # a Gaussian form times the power of two that puts max |c| in [0.5, 1)
     c = np.random.default_rng(seed).standard_normal(math.prod(dims))
-    return np.ldexp(c, -math.frexp(np.abs(c).max())[1])
+    return MultilinearForm(dims=dims, coeffs=np.ldexp(c, -math.frexp(np.abs(c).max())[1]))
 
 
-@pytest.mark.parametrize("exp", [-560, -530, 530, 560])
-@pytest.mark.parametrize("dims", [(8, 7), (2, 2, 2), (2, 2, 3)],
-                         ids=["8x7", "2x2x2", "2x2x3"])
-def test_form_times_a_huge_or_tiny_power_of_two_runs_as_the_form(dims, exp):
-    # squared gradients of such forms overflow or underflow: the kernels
-    # run on the form scaled back by a power of two and scale value and
-    # residual exactly, so status, steps and point are the form's own
-    c = _power_of_two_form(dims, 3)
+_BASE_FORMS = {
+    "8x7": lambda: _power_of_two_form((8, 7), 3),
+    "2x2x2": lambda: _power_of_two_form((2, 2, 2), 3),
+    "2x2x3": lambda: _power_of_two_form((2, 2, 3), 3),
+    "8x7-gauss": lambda: MultilinearForm(
+        dims=(8, 7), coeffs=np.random.default_rng(3).standard_normal(56)),
+    "2x2x2-int": lambda: cli._random_integer_form((2, 2, 2), np.random.default_rng(0)),
+    "2x2x3-int": lambda: cli._random_integer_form((2, 2, 3), np.random.default_rng(1)),
+}
+
+
+@pytest.mark.parametrize("exp", [-560, -530, -40, -1, 1, 40, 530, 560])
+@pytest.mark.parametrize("base", list(_BASE_FORMS))
+def test_form_times_a_huge_or_tiny_power_of_two_runs_as_the_form(base, exp):
+    # every form runs scaled by the power of two that puts max |c| in
+    # [0.5, 1), with value and residual scaled back exactly, so status,
+    # steps and point are the form's own at any power of two, and squared
+    # gradients never overflow or underflow
+    form = _BASE_FORMS[base]()
     calls = [lambda f: multilinear_iterate(f, seed=2), lambda f: poweriter._ascend(f, 0, 8)]
     for call in calls:
-        want = call(MultilinearForm(dims=dims, coeffs=c))
-        got = call(MultilinearForm(dims=dims, coeffs=np.ldexp(c, exp)))
+        want = call(form)
+        got = call(MultilinearForm(dims=form.dims, coeffs=np.ldexp(form.coeffs, exp)))
         assert got.value == math.ldexp(want.value, exp)
         assert got.residual == math.ldexp(want.residual, exp)
         assert (got.status, got.iterations) == (want.status, want.iterations)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got.point, want.point))
 
 
-@pytest.mark.parametrize("exp", [-300, -170, -160, 155, 300])
+@pytest.mark.parametrize("exp", [-300, -170, -160, -100, -20, -12, 155, 300])
 def test_badly_scaled_forms_keep_their_relative_accuracy(exp):
     # these raised ZeroGradientError, or (at 1e-160) returned a value off
-    # by 2e-5 with residual 0.0, from overflow or underflow in row norms
+    # by 2e-5 with residual 0.0, from overflow or underflow in row norms;
+    # at 1e-12 to 1e-100 an absolute stop test ended the run at step 1,
+    # 2.4e-5 short of sigma_1
     a = np.random.default_rng(3).standard_normal((8, 7))
     result = bilinear_max(MultilinearForm(dims=a.shape, coeffs=a * 10.0**exp))
     s1 = float(np.linalg.svd(a, compute_uv=False)[0])
