@@ -21,7 +21,9 @@ iteration caps.  Exact cases: the critical system on both charts (each
 polynomial's terms sorted), the affine-chart Groebner basis (terms in
 order), its certificate, the normal set, the ``mult_matrix_exact`` columns
 of l and of each variable, and the ``solve_argmax`` report of small integer
-forms, plus the sphere chart's ``solve_max`` on the smallest ones.
+forms, plus the sphere chart's ``solve_max`` on the smallest ones, and both
+reports of two 2x2x2 integer forms times 2^-45 and 2^40, which the exact
+solvers judge at the form's unit scale.
 """
 
 import hashlib
@@ -212,6 +214,12 @@ def exact_cases():
         )
         if form.dims in ((2, 2), (2, 3), (2, 2, 2)):
             yield f"sphere {name}", _report(algsolver.solve_max(form))
+    for seed in (2, 32):
+        form = cli._random_integer_form((2, 2, 2), np.random.default_rng(seed))
+        for e in (-45, 40):
+            scaled = MultilinearForm(form.dims, np.ldexp(form.coeffs, e))
+            for solve in (algsolver.solve_argmax, algsolver.solve_max):
+                yield f"scaled {solve.__name__} int-2x2x2-{seed} 2^{e}", _report(solve(scaled))
 
 
 def main():

@@ -107,7 +107,7 @@ class _Monomials:
       degree the smaller P wins, i.e. the smaller exponent of the last
       variable where the two differ;
     - x^a | x^b iff no field of P_b - P_a borrows, which one subtraction and
-      a mask test on every field's guard bit decide (``divides``).
+      a mask test on every field's guard bit decide (``probe``).
 
     Every degree stays below the guard bit, 2^15, so no field can overflow:
     ``pack`` checks the degree of each input monomial, ``lcm`` that of every
@@ -140,9 +140,6 @@ class _Monomials:
     def probe(self, a) -> int:
         """x^a | x^b iff not (b - probe(a)) & guard."""
         return a + self.guard + 1
-
-    def divides(self, a, b) -> bool:
-        return not (b - self.probe(a)) & self.guard
 
     def lcm(self, a, b) -> int:
         pa = -a & self.mask
@@ -199,9 +196,6 @@ class RationalPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def leading_monomial(self):
-        return max(self.terms, key=grevlex_key)
 
     def __str__(self):
         if not self.terms:
@@ -329,20 +323,25 @@ def _to_integer_primitive(terms, mono):
     return _strip_content(_clear_denominators(terms, mono)[1])
 
 
+def _content(*polys):
+    """The gcd of every coefficient of the packed polys, stopping at 1."""
+    g = 0
+    for p in polys:
+        for c in p.values():
+            g = math.gcd(g, c)
+            if g == 1:
+                return 1
+    return g
+
+
 def _strip_content(ints):
     if not ints:
         return {}
-    g = 0
-    for c in ints.values():
-        g = math.gcd(g, c)
-        if g == 1:
-            break
+    g = _content(ints)
     if ints[max(ints)] < 0:
         g = -g
-    if g not in (1, 0):
+    if g != 1:
         ints = {m: c // g for m, c in ints.items()}
-    elif g == -1:
-        ints = {m: -c for m, c in ints.items()}
     return ints
 
 
@@ -422,16 +421,7 @@ def _normal_form(p, reducers, mono, budget, modulus=0):
                     del work[mm]
         steps += 1
         if steps % 32 == 0 and work and not modulus:
-            g = 0
-            for c2 in work.values():
-                g = math.gcd(g, c2)
-                if g == 1:
-                    break
-            if g > 1:
-                for c2 in rem.values():
-                    g = math.gcd(g, c2)
-                    if g == 1:
-                        break
+            g = _content(work, rem)
             if g > 1:
                 for k in work:
                     work[k] //= g
@@ -493,21 +483,6 @@ class _Engine:
         records.append(rec)
         self.bits = max(self.bits, max([lc, *map(abs, tail.values())]).bit_length())
         others = sorted(self.live)  # by index: of equal lcms, the first pair stays
-        # Gebauer-Moeller: filter new pairs (h, g)
-        cand = [(mono.lcm(lmh, records[g][1]), g) for g in others]
-        kept = []
-        for pos, (l, g) in enumerate(cand):
-            if l == lmh + records[g][1]:  # coprime leading monomials
-                kept.append((l, g, True))
-                continue
-            top = l - guard - 1  # l2 | l iff not (top - l2) & guard
-            dominated = any(
-                not (top - l2) & guard and (l2 != l or pos2 < pos)
-                for pos2, (l2, _) in enumerate(cand)
-                if pos2 != pos
-            )
-            if not dominated:
-                kept.append((l, g, False))
         # filter old pairs against the new leading monomial
         newpairs = []
         for l, i, j in self.pairs:
@@ -517,8 +492,18 @@ class _Engine:
                 or mono.lcm(records[j][1], lmh) == l
             ):
                 newpairs.append((l, i, j))
-        for l, g, coprime_pair in kept:
-            if not coprime_pair:
+        # Gebauer-Moeller: filter new pairs (h, g)
+        cand = [(mono.lcm(lmh, records[g][1]), g) for g in others]
+        for pos, (l, g) in enumerate(cand):
+            if l == lmh + records[g][1]:  # coprime: no pair, but its lcm dominates
+                continue
+            top = l - guard - 1  # l2 | l iff not (top - l2) & guard
+            dominated = any(
+                not (top - l2) & guard and (l2 != l or pos2 < pos)
+                for pos2, (l2, _) in enumerate(cand)
+                if pos2 != pos
+            )
+            if not dominated:
                 newpairs.append((l, g, hidx))
         heapq.heapify(newpairs)
         self.pairs = newpairs
@@ -568,12 +553,13 @@ class _Engine:
         return not _normal_form(s, images[2:], self.mono, self.budget, _PRIME)
 
     def _interreduce(self):
-        """The reduced basis as records, ascending by leading monomial."""
+        """The reduced basis as records, ascending by leading monomial.  No
+        live leading monomial divides another (add reduces fully, then _update
+        drops the live ones the new one divides), so only tails reduce."""
         out = []
         for _, lm, lc, tail in self.reducers:
-            if not any(self.mono.divides(r[1], lm) for r in out):
-                nf = _normal_form({lm: lc, **tail}, out, self.mono, self.budget)
-                out.append(_reducer(nf, self.mono))
+            nf = _normal_form({lm: lc, **tail}, out, self.mono, self.budget)
+            out.append(_reducer(nf, self.mono))
         return out
 
 
@@ -897,17 +883,19 @@ def solve_max(
 
     The eigenvalues of the multiplication-by-l matrix are the values of l at
     the critical points; the answer is the largest magnitude among the real
-    ones.
+    ones, realness judged at the form's unit scale 2^k (multiform's
+    _unit_exponent): |Im lambda| <= REALNESS_TOL (2^k + |lambda|).
     """
     _, gb, ns, marks = _quotient(form, "sphere", budget)
     lpoly = form_polynomial(form)
     m = mult_matrix(lpoly, gb, ns, budget=budget)
     eigenvalues = np.linalg.eigvals(m.array)
     flags = []
+    unit = math.ldexp(1.0, multiform._unit_exponent(form.coeffs))
     real = [
         lam.real
         for lam in eigenvalues
-        if abs(lam.imag) <= REALNESS_TOL * (1.0 + abs(lam))
+        if abs(lam.imag) <= REALNESS_TOL * (unit + abs(lam))
     ]
     if not real:
         flags.append("no real eigenvalues within tolerance")
@@ -954,9 +942,9 @@ def solve_argmax(
     monomials at the solutions; every coordinate of every solution is then
     one row of N @ V, where row v of N is the exact normal form of the
     variable x_v.  Real solutions are normalized back to the spheres,
-    scored in one batch (value and fixed-point residual), and reported by
-    decreasing |l|, tied values in the lexicographic order of their
-    canonical vectors.
+    scored in one batch at the form's unit scale (value and fixed-point
+    residual), and reported by decreasing |l|, tied values in the
+    lexicographic order of their canonical vectors.
 
     The chart's one guard is the paper's count: for a generic form the
     quotient dimension is count_extreme_classes(dims) in every format
@@ -1009,7 +997,7 @@ def solve_argmax(
             "repeated eigenvalues after retries (non-generic form?)"
         )
 
-    const = eigvecs[ns.monomials.index((0,) * nvars)]
+    const = eigvecs[0]  # the constant packs to 0, first in the ascending normal set
     solved = np.abs(const) > 1e-8 * np.linalg.norm(eigvecs, axis=0)
     nf = _float_matrix([ring.monomial_vector(m) for m in var_monomials], dim).T
     coords = nf @ (eigvecs[:, solved] / const[solved])
@@ -1023,23 +1011,27 @@ def solve_argmax(
         s /= np.linalg.norm(s, axis=1)[:, None]
         lead = s[np.arange(len(s)), np.argmax(s != 0.0, axis=1)]
         s *= np.where(lead < 0.0, -1.0, 1.0)[:, None]
+    # scored on the form at unit scale, t 2^-k (exact), so that the drop test
+    # and the ties read the form's own scale; reported times 2^k
+    k = multiform._unit_exponent(form.coeffs)
     values, residuals = multiform._assess(
-        form.tensor, multiform._subscripts(form.order), slots
+        np.ldexp(form.tensor, -k), multiform._subscripts(form.order), slots
     )
     dropped = residuals > RESIDUAL_TOL * (1.0 + np.abs(values))
-    flags += [f"discarded point with residual {r:.3e} above tolerance"
+    flags += [f"discarded point with residual {math.ldexp(r, k):.3e} above tolerance"
               for r in residuals[dropped]]
-    points = [
-        CriticalPoint(tuple(s[k].copy() for s in slots), float(values[k]),
-                      float(residuals[k]))
-        for k in np.flatnonzero(~dropped)
-    ]
+    points = sorted((
+        CriticalPoint(tuple(s[j].copy() for s in slots), float(values[j]),
+                      float(residuals[j]))
+        for j in np.flatnonzero(~dropped)
+    ), key=functools.cmp_to_key(_point_order))
+    points = [CriticalPoint(p.vectors, math.ldexp(p.value, k), math.ldexp(p.residual, k))
+              for p in points]
     degenerate = dim - int(solved.sum())
     if degenerate:
         flags.append(
             f"{degenerate} eigenvector(s) with near-zero constant coordinate skipped"
         )
-    points.sort(key=functools.cmp_to_key(_point_order))
     max_value = abs(points[0].value) if points else float("nan")
     if not points:
         flags.append("no real critical points recovered")

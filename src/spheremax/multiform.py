@@ -180,6 +180,12 @@ def _row_norms(a):
     return np.sqrt(_row_dots(a, a))
 
 
+def _unit_exponent(coeffs):
+    """k with max |c| 2^-k in [0.5, 1): the power of two that brings a
+    nonzero form to unit scale, exactly."""
+    return math.frexp(float(np.abs(coeffs).max()))[1]
+
+
 def _assess(t, subs, slots):
     """l (by the Euler identity) and the fixed-point residual of each row
     of a block of points on the spheres."""

@@ -69,6 +69,7 @@ from .multiform import (
     _row_dots,
     _row_norms,
     _subscripts,
+    _unit_exponent,
 )
 
 DEFAULT_TOL = 1e-14
@@ -114,7 +115,7 @@ def _scaled(form):
     overflows or underflows there, and the stop test, absolute in the scaled
     form's units, reads residual <= 10 tol (2^k + |value|) in t's, so t 2^j
     runs as t for every j."""
-    k = math.frexp(float(np.abs(form.coeffs).max()))[1]
+    k = _unit_exponent(form.coeffs)
     return MultilinearForm(form.dims, np.ldexp(form.coeffs, -k)), k
 
 
@@ -146,10 +147,12 @@ def _stopped(value, residual, tol):
 def _results(t, subs, slots, iterations, statuses):
     """The outcome of ending each row of a block of points (per-slot unit
     rows) after iterations[k] steps with statuses[k]; ZeroGradientError for
-    a row whose slot collapsed to zero."""
+    a row with status None (a zero gradient) or whose slot collapsed to zero."""
     value, residual = _assess(t, subs, slots)
     collapsed = np.any([_row_norms(s) == 0.0 for s in slots], axis=0)
-    return [ZeroGradientError("slot collapsed to zero while splitting") if collapsed[k]
+    return [ZeroGradientError(f"zero gradient at iteration {iterations[k]}")
+            if statuses[k] is None
+            else ZeroGradientError("slot collapsed to zero while splitting") if collapsed[k]
             else IterationResult(tuple(s[k].copy() for s in slots), abs(float(value[k])),
                                  int(iterations[k]), statuses[k], float(residual[k]))
             for k in range(len(value))]
@@ -163,8 +166,6 @@ def _pick(outcomes):
     for out in outcomes:
         if isinstance(out, ZeroGradientError):
             failure = out
-        elif out is None:
-            continue
         elif out.status is Status.CONVERGED:
             return out
         elif best is None or out.value > best.value:
@@ -300,11 +301,11 @@ def _joint(form, starts, tol, max_iters):
             step[ends[converged]] = at[converged]
             dropped = np.minimum.accumulate(np.concatenate(([steps], step[:-1]))) < first
             outs = _results(t, subs, slots, base + at + 1, [
-                Status.CONVERGED if c else Status.OSCILLATING for c in converged])
-            for e, k, out in zip(ends, at, outs):
+                None if b else Status.CONVERGED if c else Status.OSCILLATING
+                for b, c in zip(bad[at, ends], converged)])
+            for e, out in zip(ends, outs):
                 if not dropped[e]:
-                    outcomes[index[e]] = ZeroGradientError(
-                        f"zero gradient at iteration {base + k + 1}") if bad[k, e] else out
+                    outcomes[index[e]] = out
             live = ~(hit | dropped)
             q, history, index = q[live], history[:, live], index[live]
         base += steps
@@ -316,14 +317,6 @@ def _joint(form, starts, tol, max_iters):
     return outcomes
 
 
-def _unit(v):
-    """v over its norm; ZeroGradientError when v is zero."""
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        raise ZeroGradientError("zero gradient at the Ritz pair")
-    return v / n
-
-
 def _ritz_pair(a, y, r, iterations, tol):
     """The top Ritz pair of the block (X, Y), where X^T A Y = R^T, after one
     Gauss-Seidel half-step, scored by its fixed-point residual; also the
@@ -332,8 +325,10 @@ def _ritz_pair(a, y, r, iterations, tol):
     the Ritz y = Y v_1 is formed."""
     _, sigma, vt = np.linalg.svd(r.T)
     y = y @ vt[0]
-    x = _unit(a @ y)
-    y = _unit(a.T @ x)
+    x = a @ y  # not zero: A Y != 0, so sigma_1 > 0 and A y != 0, A^T x != 0
+    x /= np.linalg.norm(x)
+    y = a.T @ x
+    y /= np.linalg.norm(y)
     value, residual = _assess(a, _subscripts(2), [x[None, :], y[None, :]])
     value, residual = abs(float(value[0])), float(residual[0])
     status = Status.CONVERGED if _stopped(value, residual, tol) else Status.NON_CONVERGED
@@ -392,6 +387,8 @@ def _run_with_restarts(form, seed, tol, max_iters):
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     if not 0.0 < tol < math.inf:  # False on NaN too
         raise ValueError(f"tol must be finite and positive, got {tol}")
+    if not np.any(form.coeffs):
+        raise ZeroGradientError("zero form")
     form, k = _scaled(form)
     if form.order == 2:
         return _unscaled(_subspace(form, seed, tol, max_iters), k)
@@ -434,8 +431,6 @@ def bilinear_max(
     """
     if form.order != 2:
         raise DimensionMismatchError(f"bilinear_max needs r=2, got r={form.order}")
-    if not np.any(form.coeffs):
-        raise ZeroGradientError("zero form")
     return _run_with_restarts(form, seed, tol, max_iters)
 
 
@@ -456,6 +451,4 @@ def multilinear_iterate(
     """
     if form.order < 2:
         raise DimensionMismatchError(f"multilinear_iterate needs r>=2, got r={form.order}")
-    if not np.any(form.coeffs):
-        raise ZeroGradientError("zero form")
     return _run_with_restarts(form, seed, tol, max_iters)

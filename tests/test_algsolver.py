@@ -22,6 +22,7 @@ from spheremax import (
     RationalPoly,
     build_critical_system,
     canonical_signs,
+    closest_rank_one,
     count_extreme_classes,
     evaluate,
     groebner,
@@ -33,9 +34,10 @@ from spheremax import (
     solve_max,
     verify_buchberger_certificate,
 )
-from spheremax import algsolver
+from spheremax import algsolver, cli
 from spheremax.apps import _separability_form
 from spheremax.algsolver import (
+    RESIDUAL_TOL,
     QuotientRing,
     _Budget,
     _divides,
@@ -146,13 +148,13 @@ def test_groebner_is_monic_and_reduced():
     ])
     gb = groebner(sys_)
     for p in gb.basis:
-        lm = p.leading_monomial()
+        lm = max(p.terms, key=grevlex_key)
         assert p.terms[lm] == 1
         # no term of any basis element is divisible by another leading term
         for q in gb.basis:
             if q is p:
                 continue
-            qlm = q.leading_monomial()
+            qlm = max(q.terms, key=grevlex_key)
             for m in p.terms:
                 assert any(m[i] < qlm[i] for i in range(len(m)))
 
@@ -198,8 +200,8 @@ def test_packed_monomials_match_tuple_definitions(pair):
     assert (ka < kb) == (grevlex_key(a) < grevlex_key(b))
     assert (ka == kb) == (a == b)
     assert ka + kb == mono.pack(tuple(x + y for x, y in zip(a, b)))
-    assert mono.divides(ka, kb) == _divides(a, b)
-    assert mono.divides(kb, ka) == _divides(b, a)
+    assert (not (kb - mono.probe(ka)) & mono.guard) == _divides(a, b)
+    assert (not (ka - mono.probe(kb)) & mono.guard) == _divides(b, a)
     lcm = mono.lcm(ka, kb)
     assert lcm == mono.pack(tuple(max(x, y) for x, y in zip(a, b)))
     coprime = all(x == 0 or y == 0 for x, y in zip(a, b))
@@ -587,6 +589,58 @@ def test_solve_argmax_flags_quotient_below_class_count(dims, coeffs, quotient):
     assert sum("extreme-class count" in f for f in report.genericity_flags) == 1
 
 
+def test_solve_argmax_refuses_a_form_it_cannot_separate():
+    # the diagonal 3x3x3 form: every multiplication matrix, of the first
+    # free variable and of the random combinations after it, repeats an
+    # eigenvalue
+    coeffs = np.zeros(27)
+    coeffs[[0, 13, 26]] = 1.0
+    form = MultilinearForm(dims=(3, 3, 3), coeffs=coeffs)
+    for call in (solve_argmax, functools.partial(closest_rank_one, method="algebraic")):
+        with pytest.raises(NotZeroDimensionalError, match="could not separate"):
+            call(form)
+
+
+def _integer_form(seed):
+    return cli._random_integer_form((2, 2, 2), np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("scale", [1e-9, 2.0**-40], ids=["1e-9", "2^-40"])
+def test_solve_max_judges_realness_at_the_forms_scale(scale):
+    # a complex critical value of this form has real part 13.92, above the
+    # maximum 10.81; an absolute realness tolerance read it as real once
+    # the form was scaled down
+    form = _integer_form(32)
+    want = solve_max(form).max_value
+    got = solve_max(MultilinearForm(form.dims, form.coeffs * scale))
+    assert got.max_value == pytest.approx(scale * want, rel=1e-9)
+    assert got.genericity_flags == ()
+
+
+@pytest.mark.parametrize("scale", [2.0**-40, 2.0**-45, 1e-12],
+                         ids=["2^-40", "2^-45", "1e-12"])
+def test_solve_argmax_scores_points_at_the_forms_scale(scale):
+    # an absolute tie tolerance counted every value of the scaled form as a
+    # tie, so the points came out in the order of their vectors and the
+    # reported maximum was whichever came first (10.00 or 2.20, not 10.77)
+    form = _integer_form(2)
+    want = solve_argmax(form)
+    small = MultilinearForm(form.dims, form.coeffs * scale)
+    got = solve_argmax(small)
+    assert got.max_value == pytest.approx(scale * want.max_value, rel=1e-9)
+    assert got.genericity_flags == want.genericity_flags == ()
+    assert len(got.points) == len(want.points)
+    for p, q in zip(got.points, want.points):
+        assert p.value == pytest.approx(scale * q.value, rel=1e-9)
+        assert p.residual <= RESIDUAL_TOL * (scale + abs(p.value))
+    for u, v in zip(got.points[0].vectors, want.points[0].vectors):
+        assert sign_aligned_error(u, v) < 1e-9
+    r1 = closest_rank_one(small, method="algebraic")
+    assert r1.max_value == pytest.approx(scale * want.max_value, rel=1e-9)
+    for u, v in zip(r1.factors.factors, want.points[0].vectors):
+        assert sign_aligned_error(u, v) < 1e-9
+
+
 def test_quotient_dimension_matches_class_count():
     rng = np.random.default_rng(3)
     for dims in [(2, 2), (3, 3), (2, 2, 2)]:
@@ -764,7 +818,7 @@ def test_heavy_bases_are_reduced(name):
     # the ascending interreduction leaves every element monic and no tail
     # term divisible by any leading monomial
     gb = _heavy_basis(name)
-    lms = [p.leading_monomial() for p in gb.basis]
+    lms = [max(p.terms, key=grevlex_key) for p in gb.basis]
     for p, lm in zip(gb.basis, lms):
         assert p.terms[lm] == 1
         assert not any(_divides(q, m) for m in p.terms if m != lm for q in lms)

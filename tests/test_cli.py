@@ -112,6 +112,19 @@ def test_maximize_algebraic_sphere_chart(capsys, trilinear_file):
     assert report["quotientDim"] == 48
 
 
+def test_maximize_algebraic_reads_a_tiny_form_at_its_scale(capsys, tmp_path):
+    # a complex critical value (real part 13.92) of this form once passed
+    # for real at scale 1e-9 and came out as the maximum, unflagged
+    form = cli._random_integer_form((2, 2, 2), np.random.default_rng(32))
+    path = _write(tmp_path, "tiny.json", {"dims": [2, 2, 2],
+                                          "coeffs": (form.coeffs * 1e-9).tolist()})
+    code, out = _run(capsys, ["maximize", path, "--method", "algebraic"])
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["maxValue"] == pytest.approx(10.80988359680519e-9, rel=1e-9)
+    assert report["flags"] == []
+
+
 def test_maximize_algebraic_affine_points(capsys, trilinear_file):
     code, out = _run(
         capsys,

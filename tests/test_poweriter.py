@@ -83,6 +83,19 @@ def test_zero_form_raises():
         bilinear_max(MultilinearForm(dims=(2, 2), coeffs=[0, 0, 0, 0]))
 
 
+def test_zero_form_raises_in_both_entries():
+    # one check in the shared entry refuses a zero form of any order; an
+    # invalid tol is refused first
+    for dims in [(2, 2), (2, 2, 2)]:
+        zero = MultilinearForm(dims=dims, coeffs=np.zeros(math.prod(dims)))
+        calls = [multilinear_iterate] + [bilinear_max] * (len(dims) == 2)
+        for call in calls:
+            with pytest.raises(ZeroGradientError, match="zero form"):
+                call(zero)
+            with pytest.raises(ValueError, match="tol"):
+                call(zero, tol=0.0)
+
+
 def test_bilinear_requires_two_slots(trilinear_form):
     # a wrong slot count is an input error, as on the algebraic path
     one_slot = MultilinearForm(dims=(3,), coeffs=[1.0, 2.0, 2.0])
