@@ -21,9 +21,11 @@ iteration caps.  Exact cases: the critical system on both charts (each
 polynomial's terms sorted), the affine-chart Groebner basis (terms in
 order), its certificate, the normal set, the ``mult_matrix_exact`` columns
 of l and of each variable, and the ``solve_argmax`` report of small integer
-forms, plus the sphere chart's ``solve_max`` on the smallest ones, and both
-reports of two 2x2x2 integer forms times 2^-45 and 2^40, which the exact
-solvers judge at the form's unit scale.
+forms, plus the sphere chart's ``solve_max`` on the smallest ones, both
+reports of four 2x2x2 integer forms times powers of two (2^-45 and 2^40,
+2^-30 and 2^-40), which the exact solvers run at the form's unit scale, and
+``solve_max`` of the ``default_rng(16)`` one times 1e-9 and 0.1, whose
+spurious real eigenvalues above ||l||_F it drops.
 """
 
 import hashlib
@@ -178,6 +180,8 @@ def scaled_cases():
 
 
 def _report(rep):
+    if isinstance(rep, Exception):
+        return repr(rep)
     return (rep.quotient_dim, [repr(x) for x in rep.eigenvalues], rep.max_value,
             [(p.vectors, p.value, p.residual) for p in rep.points], rep.genericity_flags)
 
@@ -214,12 +218,18 @@ def exact_cases():
         )
         if form.dims in ((2, 2), (2, 3), (2, 2, 2)):
             yield f"sphere {name}", _report(algsolver.solve_max(form))
-    for seed in (2, 32):
-        form = cli._random_integer_form((2, 2, 2), np.random.default_rng(seed))
-        for e in (-45, 40):
-            scaled = MultilinearForm(form.dims, np.ldexp(form.coeffs, e))
-            for solve in (algsolver.solve_argmax, algsolver.solve_max):
-                yield f"scaled {solve.__name__} int-2x2x2-{seed} 2^{e}", _report(solve(scaled))
+    for seeds, exps in (((2, 32), (-45, 40)), ((9, 16), (-30, -40))):
+        for seed in seeds:
+            form = cli._random_integer_form((2, 2, 2), np.random.default_rng(seed))
+            for e in exps:
+                scaled = MultilinearForm(form.dims, np.ldexp(form.coeffs, e))
+                for solve in (algsolver.solve_argmax, algsolver.solve_max):
+                    yield f"scaled {solve.__name__} int-2x2x2-{seed} 2^{e}", _report(
+                        _call(solve, scaled))
+    form = cli._random_integer_form((2, 2, 2), np.random.default_rng(16))
+    for scale in (1e-9, 0.1):
+        yield f"solve_max int-2x2x2-16 times {scale!r}", _report(_call(
+            algsolver.solve_max, MultilinearForm(form.dims, form.coeffs * scale)))
 
 
 def main():

@@ -57,6 +57,7 @@ DEFAULT_REDUCTION_BUDGET = 10**6
 REALNESS_TOL = 1e-8
 RESIDUAL_TOL = 1e-6
 _TIE_TOL = 1e-12
+_NORM_TOL = 1e-9
 
 _SLOT_LETTERS = "xyztuw"
 
@@ -81,10 +82,6 @@ def rationalize(value) -> "_Q":
 def grevlex_key(m):
     """Sort key; larger key = larger monomial in grevlex."""
     return (sum(m), tuple(-e for e in reversed(m)))
-
-
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -878,30 +875,34 @@ def solve_max(
     form: MultilinearForm,
     budget: int = DEFAULT_REDUCTION_BUDGET,
 ) -> SolveReport:
-    """Certified maximum of |l| over the product of spheres (sphere-chart
-    pipeline of the eigenvalue method).
+    """Maximum of |l| over the product of spheres (sphere-chart pipeline
+    of the eigenvalue method).
 
     The eigenvalues of the multiplication-by-l matrix are the values of l at
     the critical points; the answer is the largest magnitude among the real
-    ones, realness judged at the form's unit scale 2^k (multiform's
-    _unit_exponent): |Im lambda| <= REALNESS_TOL (2^k + |lambda|).
+    ones within ||l||_F (1 + _NORM_TOL): |l(x)| <= ||l||_F (Frobenius) on
+    the spheres by Cauchy-Schwarz, so a real eigenvalue above it is the
+    value of no real critical point; those are dropped, and a flag counts
+    them.  Nothing else backs the value.  The system is built from the form
+    at unit scale, t 2^-k (multiform._scaled), and the matrix scaled back by
+    2^k is exactly that of t, so realness reads |Im lambda| <= REALNESS_TOL
+    (2^k + |lambda|).
     """
+    form, k = multiform._scaled(form)
     _, gb, ns, marks = _quotient(form, "sphere", budget)
-    lpoly = form_polynomial(form)
-    m = mult_matrix(lpoly, gb, ns, budget=budget)
-    eigenvalues = np.linalg.eigvals(m.array)
+    m = mult_matrix(form_polynomial(form), gb, ns, budget=budget)
+    eigenvalues = np.linalg.eigvals(np.ldexp(m.array, k))
     flags = []
-    unit = math.ldexp(1.0, multiform._unit_exponent(form.coeffs))
-    real = [
-        lam.real
-        for lam in eigenvalues
-        if abs(lam.imag) <= REALNESS_TOL * (unit + abs(lam))
-    ]
-    if not real:
+    unit, norm = math.ldexp(1.0, k), math.ldexp(multiform.form_norm(form), k)
+    real = [abs(lam.real) for lam in eigenvalues
+            if abs(lam.imag) <= REALNESS_TOL * (unit + abs(lam))]
+    reachable = [v for v in real if v <= norm * (1.0 + _NORM_TOL)]
+    if len(reachable) < len(real):
+        flags.append(f"{len(real) - len(reachable)} real eigenvalue(s) above "
+                     f"||l||_F = {norm:.6e} dropped: no real point reaches them")
+    if not reachable:
         flags.append("no real eigenvalues within tolerance")
-        max_value = float("nan")
-    else:
-        max_value = max(abs(v) for v in real)
+    max_value = max(reachable, default=float("nan"))
     order = np.argsort(-np.abs(eigenvalues))
     return SolveReport(
         quotient_dim=len(ns),
@@ -934,16 +935,16 @@ def solve_argmax(
     """Maximizing point(s) of |l| via the affine-chart pipeline.
 
     Builds the affine critical system (first coordinate of each slot set
-    to 1) and takes the multiplication matrix of the first free variable
-    (of the constant 1 when every slot has dimension 1: the quotient is
-    then one point), or of a random integer combination of the free
-    variables when its eigenvalues repeat.  Its left eigenvectors, scaled
-    to 1 at the constant monomial, hold the values of the standard
-    monomials at the solutions; every coordinate of every solution is then
-    one row of N @ V, where row v of N is the exact normal form of the
-    variable x_v.  Real solutions are normalized back to the spheres,
-    scored in one batch at the form's unit scale (value and fixed-point
-    residual), and reported by decreasing |l|, tied values in the
+    to 1) of the form at unit scale, t 2^-k (multiform._scaled), and takes
+    the multiplication matrix of the first free variable (of the constant 1
+    when every slot has dimension 1: the quotient is then one point), or of
+    a random integer combination of the free variables when its eigenvalues
+    repeat.  Its left eigenvectors, scaled to 1 at the constant monomial,
+    hold the values of the standard monomials at the solutions; every
+    coordinate of every solution is then one row of N @ V, where row v of N
+    is the exact normal form of the variable x_v.  Real solutions are normalized back to the spheres,
+    scored in one batch at that scale (value and fixed-point residual),
+    and reported times 2^k by decreasing |l|, tied values in the
     lexicographic order of their canonical vectors.
 
     The chart's one guard is the paper's count: for a generic form the
@@ -953,6 +954,7 @@ def solve_argmax(
     points and the true maximum may be missing.  ``force`` is ignored; it
     stays because perfbench/workloads.py passes force=True.
     """
+    form, k = multiform._scaled(form)
     system, gb, ns, marks = _quotient(form, "affine", budget)
     dim = len(ns)
     flags = []
@@ -1011,12 +1013,8 @@ def solve_argmax(
         s /= np.linalg.norm(s, axis=1)[:, None]
         lead = s[np.arange(len(s)), np.argmax(s != 0.0, axis=1)]
         s *= np.where(lead < 0.0, -1.0, 1.0)[:, None]
-    # scored on the form at unit scale, t 2^-k (exact), so that the drop test
-    # and the ties read the form's own scale; reported times 2^k
-    k = multiform._unit_exponent(form.coeffs)
-    values, residuals = multiform._assess(
-        np.ldexp(form.tensor, -k), multiform._subscripts(form.order), slots
-    )
+    subs = multiform._subscripts(form.order)
+    values, residuals = multiform._assess(form.tensor, subs, slots)
     dropped = residuals > RESIDUAL_TOL * (1.0 + np.abs(values))
     flags += [f"discarded point with residual {math.ldexp(r, k):.3e} above tolerance"
               for r in residuals[dropped]]

@@ -5,9 +5,9 @@ coefficient tensor, flat and row-major in slot order (slot 1 slowest).
 Evaluation, slot-wise gradients, flattening of vector-valued maps and the
 tensor-space inner product all live here, as does the batched check of a
 block of points (value and fixed-point residual, one ``np.einsum`` per
-slot) that the power kernels and ``algsolver.solve_argmax`` share.
-Everything is plain 64-bit floating point; exact arithmetic is the business
-of :mod:`.algsolver`.
+slot) that the power kernels and ``algsolver.solve_argmax`` share, and
+the unit scale every solver runs at (``_scaled``).  Everything is plain
+64-bit floating point; exact arithmetic is the business of :mod:`.algsolver`.
 """
 
 from __future__ import annotations
@@ -180,10 +180,11 @@ def _row_norms(a):
     return np.sqrt(_row_dots(a, a))
 
 
-def _unit_exponent(coeffs):
-    """k with max |c| 2^-k in [0.5, 1): the power of two that brings a
-    nonzero form to unit scale, exactly."""
-    return math.frexp(float(np.abs(coeffs).max()))[1]
+def _scaled(form):
+    """The form every solver runs on, t 2^-k with max |c| 2^-k in [0.5, 1),
+    and k: exact, so a tolerance in its units is relative to t's scale."""
+    k = math.frexp(float(np.abs(form.coeffs).max()))[1]
+    return MultilinearForm(form.dims, np.ldexp(form.coeffs, -k)), k
 
 
 def _assess(t, subs, slots):

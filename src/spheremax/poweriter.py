@@ -23,11 +23,11 @@ every step and drops a start when it ends; the joint kernel advances
 _BLOCK steps at a time and then judges them all at once (``_joint``).
 
 Every form runs at unit scale: scaled by the power of two that puts its
-largest coefficient in [0.5, 1) (``_scaled``), with value and residual
-scaled back exactly.  Scaling by a power of two is exact and leaves every
-normalized iterate unchanged, so no squared norm overflows or underflows,
-and the absolute stop test on the scaled form reads as one relative to the
-form's own scale: t 2^j returns 2^j times the answer for t, for every j.
+largest coefficient in [0.5, 1) (``multiform._scaled``), with value and
+residual scaled back exactly.  Scaling by a power of two is exact and
+leaves every normalized iterate unchanged, so no squared norm overflows or
+underflows, and the absolute stop test on the scaled form reads as one
+relative to the form's own scale: t 2^j answers as t, for every j.
 
 Gauss-Seidel kernel (the applications' multistart ascent): a step replaces
 slot 1, then slot 2, ..., by its normalized partial gradient at the latest
@@ -68,8 +68,8 @@ from .multiform import (
     _partial,
     _row_dots,
     _row_norms,
+    _scaled,
     _subscripts,
-    _unit_exponent,
 )
 
 DEFAULT_TOL = 1e-14
@@ -107,16 +107,6 @@ def _normalize(g, keep):
         g[~ok], norms[~ok] = keep[~ok], 1.0
     g /= norms[:, None]
     return ok
-
-
-def _scaled(form):
-    """The form the kernels run on, t 2^-k, and k, where max |c| 2^-k lies in
-    [0.5, 1): every form runs at unit scale.  No squared gradient or residual
-    overflows or underflows there, and the stop test, absolute in the scaled
-    form's units, reads residual <= 10 tol (2^k + |value|) in t's, so t 2^j
-    runs as t for every j."""
-    k = _unit_exponent(form.coeffs)
-    return MultilinearForm(form.dims, np.ldexp(form.coeffs, -k)), k
 
 
 def _unscaled(result, k):

@@ -40,7 +40,6 @@ from spheremax.algsolver import (
     RESIDUAL_TOL,
     QuotientRing,
     _Budget,
-    _divides,
     _Monomials,
     _normal_form,
     _reducer,
@@ -59,6 +58,11 @@ from conftest import (
     random_form,
     sign_aligned_error,
 )
+
+
+def _divides(a, b):
+    """x^a | x^b on exponent tuples: the reference for packed divisibility."""
+    return all(x <= y for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +482,12 @@ def test_solve_max_sparse_trilinear_form():
 
 
 def test_solve_max_diagonal_matrix():
-    report = solve_max(MultilinearForm(dims=(2, 2), coeffs=[3, 0, 0, 2]))
-    assert report.max_value == pytest.approx(3.0, abs=1e-9)
+    # diag(0, 1) = e2 (x) e2 has its maximum at ||l||_F, the bound on |l|
+    # above which solve_max drops real eigenvalues
+    for coeffs, want in (([3, 0, 0, 2], 3.0), ([0, 0, 0, 1], 1.0)):
+        report = solve_max(MultilinearForm(dims=(2, 2), coeffs=coeffs))
+        assert report.max_value == pytest.approx(want, abs=1e-9)
+        assert report.genericity_flags == ()
 
 
 def test_solve_reports_stage_times(trilinear_form):
@@ -605,38 +613,70 @@ def _integer_form(seed):
     return cli._random_integer_form((2, 2, 2), np.random.default_rng(seed))
 
 
-@pytest.mark.parametrize("scale", [1e-9, 2.0**-40], ids=["1e-9", "2^-40"])
-def test_solve_max_judges_realness_at_the_forms_scale(scale):
-    # a complex critical value of this form has real part 13.92, above the
-    # maximum 10.81; an absolute realness tolerance read it as real once
-    # the form was scaled down
-    form = _integer_form(32)
+@pytest.mark.parametrize("seed, scale, rel", [
+    pytest.param(32, 1e-9, 1e-9, id="1e-9"),
+    pytest.param(32, 2.0**-40, 1e-9, id="2^-40"),
+    pytest.param(16, 2.0**-30, 4e-16, id="16-2^-30"),
+    pytest.param(16, 2.0**-40, 4e-16, id="16-2^-40"),
+    pytest.param(16, 2.0**-45, 4e-16, id="16-2^-45"),
+])
+def test_solve_max_judges_realness_at_the_forms_scale(seed, scale, rel):
+    # seed 32: a complex critical value has real part 13.92, above the
+    # maximum 10.81; an absolute realness tolerance read it as real once the
+    # form was scaled down.  Seed 16: the 17-digit reprs of c 2^-j made a
+    # perturbed system whose real eigenvalues reached 8797.5 (2^-30) and
+    # 44.25 (2^-40) against 9.9756; the unit-scaled form reads c 2^-k exactly
+    form = _integer_form(seed)
     want = solve_max(form).max_value
     got = solve_max(MultilinearForm(form.dims, form.coeffs * scale))
-    assert got.max_value == pytest.approx(scale * want, rel=1e-9)
+    assert got.max_value == pytest.approx(scale * want, rel=rel, abs=0.0)
     assert got.genericity_flags == ()
 
 
-@pytest.mark.parametrize("scale", [2.0**-40, 2.0**-45, 1e-12],
-                         ids=["2^-40", "2^-45", "1e-12"])
-def test_solve_argmax_scores_points_at_the_forms_scale(scale):
-    # an absolute tie tolerance counted every value of the scaled form as a
-    # tie, so the points came out in the order of their vectors and the
-    # reported maximum was whichever came first (10.00 or 2.20, not 10.77)
-    form = _integer_form(2)
+@pytest.mark.parametrize("scale", [0.1, 1e-9], ids=["0.1", "1e-9"])
+def test_solve_max_drops_eigenvalues_no_point_reaches(scale):
+    # neither scale is a power of two, so the decimal reprs perturb the
+    # system; the spurious real eigenvalues (2354.3 and 4744.9 times the
+    # scale against 9.9756) lie above ||l||_F, which bounds |l| on the spheres
+    form = _integer_form(16)
+    small = MultilinearForm(form.dims, form.coeffs * scale)
+    got = solve_max(small)
+    assert got.max_value == pytest.approx(solve_argmax(small).max_value, rel=1e-6, abs=0.0)
+    assert any("above ||l||_F" in f for f in got.genericity_flags)
+
+
+@pytest.mark.parametrize("seed, scale", [
+    pytest.param(2, 2.0**-40, id="2^-40"),
+    pytest.param(2, 2.0**-45, id="2^-45"),
+    pytest.param(2, 1e-12, id="1e-12"),
+    pytest.param(2, 2.0**-30, id="2-2^-30"),
+    pytest.param(9, 2.0**-30, id="9-2^-30"),
+    pytest.param(9, 2.0**-40, id="9-2^-40"),
+    pytest.param(9, 2.0**-45, id="9-2^-45"),
+])
+def test_solve_argmax_scores_points_at_the_forms_scale(seed, scale):
+    # seed 2: an absolute tie tolerance counted every value of the scaled
+    # form as a tie, so the points came out in the order of their vectors
+    # and the reported maximum was whichever came first (10.00 or 2.20, not
+    # 10.77).  Seed 9: the 17-digit reprs of c 2^-j made a perturbed system
+    # whose eigenvalues could not be separated.  A power of two scales the
+    # unit-scaled form not at all, so the report is the unscaled one times it
+    form = _integer_form(seed)
     want = solve_argmax(form)
     small = MultilinearForm(form.dims, form.coeffs * scale)
     got = solve_argmax(small)
-    assert got.max_value == pytest.approx(scale * want.max_value, rel=1e-9)
+    exact = math.frexp(scale)[0] == 0.5
+    rel = 0.0 if exact else 1e-9
+    assert got.max_value == pytest.approx(scale * want.max_value, rel=rel, abs=0.0)
     assert got.genericity_flags == want.genericity_flags == ()
     assert len(got.points) == len(want.points)
     for p, q in zip(got.points, want.points):
-        assert p.value == pytest.approx(scale * q.value, rel=1e-9)
+        assert p.value == pytest.approx(scale * q.value, rel=rel, abs=0.0)
         assert p.residual <= RESIDUAL_TOL * (scale + abs(p.value))
     for u, v in zip(got.points[0].vectors, want.points[0].vectors):
         assert sign_aligned_error(u, v) < 1e-9
     r1 = closest_rank_one(small, method="algebraic")
-    assert r1.max_value == pytest.approx(scale * want.max_value, rel=1e-9)
+    assert r1.max_value == pytest.approx(scale * want.max_value, rel=1e-9, abs=0.0)
     for u, v in zip(r1.factors.factors, want.points[0].vectors):
         assert sign_aligned_error(u, v) < 1e-9
 

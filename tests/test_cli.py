@@ -121,8 +121,22 @@ def test_maximize_algebraic_reads_a_tiny_form_at_its_scale(capsys, tmp_path):
     code, out = _run(capsys, ["maximize", path, "--method", "algebraic"])
     assert code == EXIT_OK
     report = json.loads(out)
-    assert report["maxValue"] == pytest.approx(10.80988359680519e-9, rel=1e-9)
+    assert report["maxValue"] == pytest.approx(10.80988359680519e-9, rel=1e-9, abs=0.0)
     assert report["flags"] == []
+
+
+def test_maximize_algebraic_drops_eigenvalues_above_the_frobenius_norm(capsys, tmp_path):
+    # the decimal reprs of this form times 0.1 perturb its exact system, and
+    # spurious real eigenvalues up to 235.4 came out as the maximum, unflagged
+    form = cli._random_integer_form((2, 2, 2), np.random.default_rng(16))
+    path = _write(tmp_path, "tenth.json", {"dims": [2, 2, 2],
+                                           "coeffs": (form.coeffs * 0.1).tolist()})
+    code, out = _run(capsys, ["maximize", path, "--method", "algebraic"])
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["maxValue"] == pytest.approx(0.9975584812060896, rel=1e-6, abs=0.0)
+    assert len(report["flags"]) == 1
+    assert "above ||l||_F" in report["flags"][0]
 
 
 def test_maximize_algebraic_affine_points(capsys, trilinear_file):
