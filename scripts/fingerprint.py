@@ -11,7 +11,9 @@ as the others and count in the total.
     python3 scripts/fingerprint.py
 
 It imports ``src/`` beside this script, takes no options, and runs in well
-under a minute on one core.
+under a minute on one core.  ``scripts/fingerprint.total`` holds the
+expected ``total`` line, and CI fails when either hash seed prints another;
+a change that moves an output on purpose commits the new line with it.
 
 Power cases: ``multilinear_iterate``, the outcome of each of the joint
 kernel's six starts under the restart rule (``_joint``), ``bilinear_max``

@@ -1009,10 +1009,7 @@ def solve_argmax(
         for b in blocks
     ], axis=0)
     slots = [b.real[:, real].T for b in blocks]
-    for s in slots:  # unit rows, then multiform.canonical_signs row by row
-        s /= np.linalg.norm(s, axis=1)[:, None]
-        lead = s[np.arange(len(s)), np.argmax(s != 0.0, axis=1)]
-        s *= np.where(lead < 0.0, -1.0, 1.0)[:, None]
+    slots = [multiform.canonical_signs(s / np.linalg.norm(s, axis=1)[:, None]) for s in slots]
     subs = multiform._subscripts(form.order)
     values, residuals = multiform._assess(form.tensor, subs, slots)
     dropped = residuals > RESIDUAL_TOL * (1.0 + np.abs(values))

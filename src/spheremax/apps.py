@@ -13,12 +13,13 @@ maximum, and the paper's joint iteration typically oscillates there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import algsolver, multiform, poweriter
-from .errors import NoConvergenceError, NotAStateError, PreconditionViolatedError, integers
+from . import algsolver, chowcount, multiform, poweriter
+from .errors import (NoConvergenceError, NotAStateError, NotZeroDimensionalError,
+                     PreconditionViolatedError, integers)
 from .linalg import Matrix
 from .multiform import MultilinearForm, RankOneForm
 
@@ -115,6 +116,26 @@ def _argmax(form: MultilinearForm, seed: int) -> algsolver.SolveReport:
     return report
 
 
+def _exact_max(form: MultilinearForm, seed: int,
+               budget: int = algsolver.DEFAULT_REDUCTION_BUDGET):
+    """(chart, report) of the exact maximum.  The affine chart answers when
+    it scored a point and its quotient holds every critical class: for a
+    generic form the quotient dimension is the class count (Friedland and
+    Ottaviani, 2014), so every class is among its solutions.  Otherwise the
+    sphere chart answers (solve_max), its report carrying the affine points
+    and, first, the affine flags or refusal, which say why."""
+    try:
+        affine = algsolver.solve_argmax(form, budget=budget, seed=seed)
+        points, flags = affine.points, affine.genericity_flags
+        if points and affine.quotient_dim == chowcount.count_extreme_classes(form.dims):
+            return "affine", affine
+    except NotZeroDimensionalError as exc:
+        points, flags = (), (f"affine chart refused: {exc}",)
+    sphere = algsolver.solve_max(form, budget=budget)
+    return "sphere", replace(sphere, points=points,
+                             genericity_flags=flags + sphere.genericity_flags)
+
+
 def matrix_norm2(a: Matrix, method: str = "auto", seed: int = 0) -> float:
     """First singular value of a, as the maximum of x^T a y over unit x, y.
     Raises NoConvergenceError when the power method does not converge."""
@@ -125,7 +146,7 @@ def matrix_norm2(a: Matrix, method: str = "auto", seed: int = 0) -> float:
     form = MultilinearForm(dims=(a.rows, a.cols), coeffs=entries.reshape(-1))
     if method == "power":
         return _converged(poweriter.bilinear_max(form, seed=seed)).value
-    return algsolver.solve_max(form).max_value
+    return _exact_max(form, seed)[1].max_value
 
 
 def closest_rank_one(

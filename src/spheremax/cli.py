@@ -160,25 +160,16 @@ def cmd_maximize(args) -> int:
         report["flags"] = [result.status.value]
         report["iterations"] = result.iterations
         report["residual"] = result.residual
-        if args.points:
-            report["points"] = _points_json(
-                [algsolver.CriticalPoint(result.point, result.value, result.residual)]
-            )
+        points = [algsolver.CriticalPoint(result.point, result.value, result.residual)]
     else:
-        # points come from the affine chart, the maximum alone from the sphere
-        report["chart"] = "affine" if args.points else "sphere"
-        if args.points:
-            solved = algsolver.solve_argmax(
-                form, budget=args.budget_reductions, seed=args.seed
-            )
-        else:
-            solved = algsolver.solve_max(form, budget=args.budget_reductions)
+        report["chart"], solved = apps._exact_max(form, args.seed, args.budget_reductions)
         report["maxValue"] = solved.max_value
         report["quotientDim"] = solved.quotient_dim
         report["flags"] = list(solved.genericity_flags)
         report["timings"].update(solved.timings)
-        if args.points:
-            report["points"] = _points_json(solved.points)
+        points = solved.points
+    if args.points:
+        report["points"] = _points_json(points)
     report["timings"]["total"] = time.perf_counter() - t0
     _emit(report, args)
     return EXIT_OK
@@ -311,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_budget(p)
     p.add_argument("--tol", type=float, default=poweriter.DEFAULT_TOL)
     p.add_argument("--max-iters", type=int, default=poweriter.DEFAULT_MAX_ITERS)
-    p.add_argument("--points", action="store_true", help="include critical points (affine chart)")
+    p.add_argument("--points", action="store_true", help="include critical points")
 
     p = sub.add_parser("count", help="number of extreme-point classes (exact)")
     p.add_argument("dims", type=int, nargs="+", help="slot dimensions, e.g. 3 3 3")

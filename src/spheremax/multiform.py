@@ -230,17 +230,10 @@ def rank_one_to_form(r1: RankOneForm) -> MultilinearForm:
     return MultilinearForm(dims=r1.dims, coeffs=t.reshape(-1))
 
 
-def canonical_signs(vectors) -> list:
-    """Flip each vector so its first nonzero coordinate is positive.
+def canonical_signs(rows) -> np.ndarray:
+    """Flip each row of a 2-d array so its first nonzero entry is positive.
     Extreme points come in sign classes (+-x_1, ..., +-x_r); this picks a
-    deterministic representative."""
-    out = []
-    for v in vectors:
-        v = np.asarray(v, dtype=float)
-        sign = 1.0
-        for c in v:
-            if abs(c) > 0.0:
-                sign = 1.0 if c > 0 else -1.0
-                break
-        out.append(sign * v)
-    return out
+    deterministic representative of each slot's vectors."""
+    rows = np.asarray(rows, dtype=float)
+    lead = rows[np.arange(len(rows)), np.argmax(rows != 0.0, axis=1)]
+    return rows * np.where(lead < 0.0, -1.0, 1.0)[:, None]

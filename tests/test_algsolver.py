@@ -532,8 +532,8 @@ def test_solve_argmax_reports_unit_vectors_and_residuals(trilinear_form):
         assert p.residual <= 1e-6 * (1 + abs(p.value))
         # the batched scoring agrees with the pointwise calculus
         assert p.value == pytest.approx(evaluate(trilinear_form, p.vectors), abs=1e-12)
-        for v, w in zip(p.vectors, canonical_signs(p.vectors)):
-            assert np.array_equal(v, w)
+        for v in p.vectors:
+            assert np.array_equal(v, canonical_signs(v[None])[0])
     # points sorted by decreasing |value|
     mags = [abs(p.value) for p in report.points]
     assert mags == sorted(mags, reverse=True)

@@ -102,6 +102,16 @@ def test_norm2_tied_singular_values():
         assert abs(got - 1.0) <= 1e-12
 
 
+def test_norm2_algebraic_falls_back_to_the_sphere_chart():
+    # e2 lies off the affine chart, so its quotient misses a class: the
+    # sphere chart answers; I_2's tied singular values leave every chart
+    # positive-dimensional
+    assert matrix_norm2(Matrix.from_array(np.diag([3.0, 2.0])), "algebraic") == pytest.approx(
+        3.0, abs=1e-12)
+    with pytest.raises(NotZeroDimensionalError):
+        matrix_norm2(Matrix.from_array(np.eye(2)), "algebraic")
+
+
 def test_norm2_power_not_converged_raises(matrix_4x3, monkeypatch):
     monkeypatch.setattr(poweriter, "bilinear_max", non_converged_bilinear_max)
     with pytest.raises(NoConvergenceError):

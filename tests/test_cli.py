@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from spheremax import cli, poweriter
+from spheremax import (MultilinearForm, NotZeroDimensionalError, cli, count_extreme_classes,
+                       poweriter, solve_max)
 from spheremax.algsolver import SolveReport
+from spheremax.apps import _separability_form
 from spheremax.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER
 
 from conftest import (
@@ -22,6 +24,7 @@ from conftest import (
     STATE_ENTANGLED_OVERLAP,
     STATE_ENTANGLED_SEPMAX,
     STATE_SEPARABLE,
+    STATE_SEPARABLE_SEPMAX,
     TRILINEAR_COEFFS,
     TRILINEAR_MAX,
     UNCERTIFIED_FLAG,
@@ -101,15 +104,101 @@ def test_maximize_power_bilinear(capsys, bilinear_file, monkeypatch):
     assert [np.linalg.norm(v) for v in point["vectors"]] == pytest.approx([1.0, 1.0])
 
 
-def test_maximize_algebraic_sphere_chart(capsys, trilinear_file):
+def test_maximize_algebraic_generic_form_affine_chart(capsys, trilinear_file):
+    # the affine quotient of a generic form holds all 6 classes, so the
+    # affine chart answers without --points
     code, out = _run(
         capsys, ["maximize", trilinear_file, "--method", "algebraic"]
     )
     assert code == EXIT_OK
     report = json.loads(out)
-    assert report["chart"] == "sphere"
+    assert report["chart"] == "affine"
     assert report["maxValue"] == pytest.approx(TRILINEAR_MAX, abs=1e-6)
-    assert report["quotientDim"] == 48
+    assert report["quotientDim"] == 6
+
+
+@pytest.fixture
+def full_precision(monkeypatch):
+    """Reports keep every digit of their floats, not 10 significant ones."""
+    monkeypatch.setattr(cli, "_sig10", float)
+
+
+def _form_file(tmp_path, form, scale=1.0):
+    return _write(tmp_path, "form.json",
+                  {"dims": list(form.dims), "coeffs": (form.coeffs * scale).tolist()})
+
+
+def _maximize_algebraic(capsys, path):
+    code, out = _run(capsys, ["maximize", path, "--method", "algebraic"])
+    assert code == EXIT_OK
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3), (3, 3)], ids=["2x2x2", "2x3", "3x3"])
+def test_maximize_algebraic_generic_forms_answer_from_the_affine_chart(
+        capsys, tmp_path, full_precision, dims):
+    form = cli._random_integer_form(dims, np.random.default_rng(0))
+    report = _maximize_algebraic(capsys, _form_file(tmp_path, form))
+    assert (report["chart"], report["flags"]) == ("affine", [])
+    assert report["quotientDim"] == count_extreme_classes(dims)
+    assert report["maxValue"] == pytest.approx(solve_max(form).max_value, rel=1e-12, abs=0.0)
+
+
+def test_maximize_algebraic_separability_form_answers_from_the_affine_chart(
+        capsys, tmp_path, separable_state):
+    # the sphere chart did not finish on this form in 300 s
+    form = _separability_form(separable_state)
+    report = _maximize_algebraic(capsys, _form_file(tmp_path, form))
+    assert (report["chart"], report["flags"]) == ("affine", [])
+    assert report["maxValue"] ** 2 == pytest.approx(STATE_SEPARABLE_SEPMAX, abs=1e-6)
+
+
+_AFFINE_REFUSAL = "affine chart refused"
+
+
+@pytest.mark.parametrize("dims, coeffs, first_flag", [
+    pytest.param(*NON_GENERIC_FORMS["sparse-2x2x2"], CLASS_COUNT_FLAG, id="sparse-2x2x2"),
+    pytest.param((2, 2, 3), [1, 0, 0, 0, -2, 0, 0, 0, 0, 0, 0, 3], CLASS_COUNT_FLAG,
+                 id="sparse-2x2x3"),
+    pytest.param(*NON_GENERIC_FORMS["e2xe2"], CLASS_COUNT_FLAG, id="e2xe2"),
+    # its affine chart cannot separate the solutions
+    pytest.param((3, 3, 3), [float(i in (0, 13, 26)) for i in range(27)], _AFFINE_REFUSAL,
+                 id="diagonal-3x3x3"),
+    pytest.param((2, 2), [3, 0, 0, 2], CLASS_COUNT_FLAG, id="diag(3,2)"),
+])
+def test_maximize_algebraic_non_generic_forms_answer_from_the_sphere_chart(
+        capsys, tmp_path, full_precision, dims, coeffs, first_flag):
+    # the affine quotient misses a class (or the chart refuses): solve_max's
+    # value, bit for bit, after the flag that says why the sphere answered
+    form = MultilinearForm(dims=dims, coeffs=coeffs)
+    report = _maximize_algebraic(capsys, _form_file(tmp_path, form))
+    sphere = solve_max(form)
+    assert report["chart"] == "sphere"
+    assert report["maxValue"] == sphere.max_value
+    assert report["quotientDim"] == sphere.quotient_dim
+    assert first_flag in report["flags"][0]
+
+
+def test_maximize_algebraic_falls_back_on_the_affine_refusal(capsys, tmp_path, full_precision):
+    form = cli._random_integer_form((2, 2, 2), np.random.default_rng(9))
+    report = _maximize_algebraic(capsys, _form_file(tmp_path, form, 1e-9))
+    assert report["chart"] == "sphere"
+    assert report["flags"][0].startswith(_AFFINE_REFUSAL)
+    assert report["maxValue"] == pytest.approx(11.31196502654238e-9, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("dims, coeffs", [
+    ((2, 2, 2), [0, 0, 0, 0, 0, 0, 0, 1]),
+    ((2, 2, 2), [1] * 8),
+    ((2, 2), [1, 0, 0, 1]),
+    ((3, 3), [3, 0, 0, 0, 3, 0, 0, 0, 1]),
+], ids=["e2xe2xe2", "all-ones-2x2x2", "I_2", "diag(3,3,1)"])
+def test_maximize_algebraic_positive_dimensional_form_is_solver_error(
+        capsys, tmp_path, dims, coeffs):
+    path = _form_file(tmp_path, MultilinearForm(dims=dims, coeffs=coeffs))
+    code = cli.main(["maximize", path, "--method", "algebraic"])
+    assert code == EXIT_SOLVER
+    assert "NotZeroDimensionalError" in capsys.readouterr().err
 
 
 def test_maximize_algebraic_reads_a_tiny_form_at_its_scale(capsys, tmp_path):
@@ -125,18 +214,16 @@ def test_maximize_algebraic_reads_a_tiny_form_at_its_scale(capsys, tmp_path):
     assert report["flags"] == []
 
 
-def test_maximize_algebraic_drops_eigenvalues_above_the_frobenius_norm(capsys, tmp_path):
-    # the decimal reprs of this form times 0.1 perturb its exact system, and
-    # spurious real eigenvalues up to 235.4 came out as the maximum, unflagged
+@pytest.mark.parametrize("scale", [0.1, 1e-9])
+def test_maximize_algebraic_scaled_forms_are_exact(capsys, tmp_path, full_precision, scale):
+    # the decimal reprs of this form times 0.1 perturb its exact system: on
+    # the sphere chart spurious real eigenvalues up to 235.4 came out as the
+    # maximum, unflagged, and then 5.3e-8 off once dropped, flagged; the
+    # affine chart holds every class of it
     form = cli._random_integer_form((2, 2, 2), np.random.default_rng(16))
-    path = _write(tmp_path, "tenth.json", {"dims": [2, 2, 2],
-                                           "coeffs": (form.coeffs * 0.1).tolist()})
-    code, out = _run(capsys, ["maximize", path, "--method", "algebraic"])
-    assert code == EXIT_OK
-    report = json.loads(out)
-    assert report["maxValue"] == pytest.approx(0.9975584812060896, rel=1e-6, abs=0.0)
-    assert len(report["flags"]) == 1
-    assert "above ||l||_F" in report["flags"][0]
+    report = _maximize_algebraic(capsys, _form_file(tmp_path, form, scale))
+    assert (report["chart"], report["flags"]) == ("affine", [])
+    assert report["maxValue"] == pytest.approx(9.975584812060896 * scale, rel=1e-12, abs=0.0)
 
 
 def test_maximize_algebraic_affine_points(capsys, trilinear_file):
@@ -153,7 +240,7 @@ def test_maximize_algebraic_affine_points(capsys, trilinear_file):
     assert abs(best["value"]) == pytest.approx(TRILINEAR_MAX, abs=1e-6)
     for v in best["vectors"]:
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-8)
-    # the affine chart runs exactly when --points is given
+    # the code picks the chart; no option does
     code = cli.main(["maximize", trilinear_file, "--method", "algebraic", "--chart", "affine"])
     assert code == EXIT_IO
 
@@ -449,12 +536,22 @@ def test_report_is_strict_json_without_real_eigenvalue(capsys, trilinear_file, m
         points=(),
         genericity_flags=("no real eigenvalues within tolerance",),
     )
+
+    def refuse(form, budget, seed):
+        raise NotZeroDimensionalError("no pure power of x2 among leading terms")
+
+    # the affine chart refuses, and the sphere chart finds no real value
+    monkeypatch.setattr(cli.algsolver, "solve_argmax", refuse)
     monkeypatch.setattr(cli.algsolver, "solve_max", lambda form, budget: nan_report)
     code, out = _run(capsys, ["maximize", trilinear_file, "--method", "algebraic"])
     assert code == EXIT_OK
     report = _strict_json(out)
+    assert report["chart"] == "sphere"
     assert report["maxValue"] is None
-    assert report["flags"] == ["no real eigenvalues within tolerance"]
+    assert report["flags"] == [
+        f"{_AFFINE_REFUSAL}: no pure power of x2 among leading terms",
+        "no real eigenvalues within tolerance",
+    ]
 
 
 @pytest.mark.parametrize("command", ["norm2", "rank1", "separability"])

@@ -184,9 +184,8 @@ def test_rank_one_roundtrip():
 
 
 def test_canonical_signs_first_nonzero_positive():
-    out = canonical_signs([np.array([-1.0, 2.0]), np.array([0.0, -3.0])])
-    assert out[0][0] > 0
-    assert out[1][1] > 0
+    out = canonical_signs(np.array([[-1.0, 2.0], [0.0, -3.0], [0.0, 0.0]]))
+    assert out.tolist() == [[1.0, -2.0], [0.0, 3.0], [0.0, 0.0]]
 
 
 def test_assess_block_matches_pointwise_calculus():
