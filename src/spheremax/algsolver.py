@@ -29,6 +29,20 @@ reduces to zero (the verify-once step of Arnold's modular algorithms), read
 by linearity from the memoized normal forms of its monomials.  A failed
 certificate sends the skipped pairs back through exact reduction, so the
 basis is always the exact one.
+
+The solvers also pass groebner() the quotient dimension D of a generic
+form's system (the class count of Friedland and Ottaviani, 2^r times it on
+the sphere chart).  Once a run owes the certificate, it stops as soon as
+its live leading monomials leave exactly D standard monomials, and the
+pairs still queued join the skipped ones, unreduced (the Hilbert-driven
+stop of Traverso, 1996).  That is sound: every basis element is an exact
+reduction, so the basis lies in the ideal, and the certificate checks every
+surviving pair and every input, so a passing one proves a Groebner basis.
+For a generic form the leading ideal is then complete, as a smaller one
+would leave more than D standard monomials, and the certificate passes; a
+non-generic form can meet D early, fail it and resume.  A run below the
+zero-test line owes no certificate, and a stop there would add one that
+costs about what the stop saves, so it runs to the end.
 """
 
 from __future__ import annotations
@@ -60,6 +74,10 @@ _TIE_TOL = 1e-12
 _NORM_TOL = 1e-9
 
 _SLOT_LETTERS = "xyztuw"
+
+# the prefix of each solve_argmax flag that says a solution went unscored
+SKIPPED_EIGENVECTORS = "eigenvectors with near-zero constant coordinate skipped"
+DISCARDED_POINT = "discarded point with residual"
 
 
 def rationalize(value) -> "_Q":
@@ -449,14 +467,39 @@ def _spoly(f, g, lcm):
     return out
 
 
+def _new_pairs(lmh, others, mono):
+    """The pairs (g, h) of a new leading monomial lmh that survive the
+    Gebauer-Moeller criteria, as [(lcm, g)] in the order of ``others``, the
+    (g, lm_g) of the live polys.  Walked in (lcm, g) order, a pair is
+    dominated iff the lcm of an earlier undominated pair divides its lcm: a
+    divisor of an lcm sorts before it in grevlex, and of equal lcms the
+    lowest g stays.  A coprime pair is never kept, but its lcm dominates."""
+    guard = mono.guard
+    cand = [(mono.lcm(lmh, lm), g, lm) for g, lm in others]
+    undominated = []
+    keep = set()
+    for l, g, lm in sorted(cand):
+        top = l - guard - 1  # l2 | l iff not (top - l2) & guard
+        if any(not (top - l2) & guard for l2 in undominated):
+            continue
+        undominated.append(l)
+        if l != lmh + lm:
+            keep.add(g)
+    return [(l, g) for l, g, _ in cand if g in keep]
+
+
 class _Engine:
     """Buchberger with the Gebauer-Moeller pair criteria and normal
     (minimal-lcm) selection.  Past ``line`` basis coefficient bits, run()
-    skips the pairs that vanish mod _PRIME and keeps them in ``skipped``."""
+    skips the pairs that vanish mod _PRIME and keeps them in ``skipped``.
+    Given the quotient dimension of a generic system, run() stops once a
+    pair was skipped and the live leading monomials leave exactly that many
+    standard monomials; the pairs still queued join ``skipped``."""
 
-    def __init__(self, mono, budget):
+    def __init__(self, mono, budget, quotient_dim=None):
         self.mono = mono
         self.budget = budget
+        self.quotient_dim = quotient_dim
         self.records = []  # _reducer record of each poly, by index
         self.live = []     # indices no later leading monomial divides, by lm
         self.reducers = []  # their records, in that order
@@ -464,6 +507,7 @@ class _Engine:
         self.bits = 0     # peak coefficient bit length of the basis
         self.line = _ZERO_TEST_BITS
         self.images = {}  # poly index -> _image, built at its first use
+        self.live_images = None  # _image of each live poly, built at first use
         self.skipped = []  # pairs whose S-polynomial vanished mod _PRIME
 
     def add(self, p):
@@ -479,7 +523,6 @@ class _Engine:
         hidx = len(records)
         records.append(rec)
         self.bits = max(self.bits, max([lc, *map(abs, tail.values())]).bit_length())
-        others = sorted(self.live)  # by index: of equal lcms, the first pair stays
         # filter old pairs against the new leading monomial
         newpairs = []
         for l, i, j in self.pairs:
@@ -489,27 +532,27 @@ class _Engine:
                 or mono.lcm(records[j][1], lmh) == l
             ):
                 newpairs.append((l, i, j))
-        # Gebauer-Moeller: filter new pairs (h, g)
-        cand = [(mono.lcm(lmh, records[g][1]), g) for g in others]
-        for pos, (l, g) in enumerate(cand):
-            if l == lmh + records[g][1]:  # coprime: no pair, but its lcm dominates
-                continue
-            top = l - guard - 1  # l2 | l iff not (top - l2) & guard
-            dominated = any(
-                not (top - l2) & guard and (l2 != l or pos2 < pos)
-                for pos2, (l2, _) in enumerate(cand)
-                if pos2 != pos
-            )
-            if not dominated:
-                newpairs.append((l, g, hidx))
+        # by index: the order the new pairs join the heap in
+        others = [(g, records[g][1]) for g in sorted(self.live)]
+        newpairs += [(l, g, hidx) for l, g in _new_pairs(lmh, others, mono)]
         heapq.heapify(newpairs)
         self.pairs = newpairs
         self.live = [g for g in self.live if (records[g][1] - probe) & guard]
         bisect.insort(self.live, hidx, key=lambda g: records[g][1])
         self.reducers = [records[g] for g in self.live]
+        self.live_images = None
 
     def run(self):
+        counted = None  # the record count at the last count of the live set
         while self.pairs:
+            if self.skipped and self.quotient_dim and counted != len(self.records):
+                counted = len(self.records)
+                missing, standard = _standard_monomials(self.reducers, self.mono,
+                                                        self.quotient_dim)
+                if missing is None and len(standard) == self.quotient_dim:
+                    self.skipped += self.pairs
+                    self.pairs = []
+                    break
             l, i, j = heapq.heappop(self.pairs)
             if self.bits > self.line and self._vanishes_mod_p(l, i, j):
                 self.skipped.append((l, i, j))
@@ -543,11 +586,13 @@ class _Engine:
         _PRIME: _normal_form mod _PRIME over the images of the live polys.
         False, i.e. reduce exactly, when a leading coefficient among them
         vanishes mod _PRIME."""
-        images = [self._image(k) for k in (i, j, *self.live)]
-        if None in images:
+        if self.live_images is None:
+            self.live_images = [self._image(k) for k in self.live]
+        fi, fj = self._image(i), self._image(j)
+        if fi is None or fj is None or None in self.live_images:
             return False
-        s = _spoly(images[0], images[1], l)
-        return not _normal_form(s, images[2:], self.mono, self.budget, _PRIME)
+        s = _spoly(fi, fj, l)
+        return not _normal_form(s, self.live_images, self.mono, self.budget, _PRIME)
 
     def _interreduce(self):
         """The reduced basis as records, ascending by leading monomial.  No
@@ -574,7 +619,8 @@ def _certify(basis, inputs, mono, budget) -> bool:
                    for p in itertools.chain(pairs, inputs))
 
 
-def groebner(system: PolySystem, budget: int = DEFAULT_REDUCTION_BUDGET) -> GroebnerBasis:
+def groebner(system: PolySystem, budget: int = DEFAULT_REDUCTION_BUDGET,
+             quotient_dim: int | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the system's ideal, exact arithmetic.
 
     Raises BudgetExceededError when the configured number of reduction steps
@@ -582,10 +628,22 @@ def groebner(system: PolySystem, budget: int = DEFAULT_REDUCTION_BUDGET) -> Groe
     pairs by their zero test mod p, the basis is certified exactly before it
     is returned (every surviving S-pair and every input reduces to zero);
     if it fails, the skipped pairs are reduced exactly and the run goes on.
+
+    ``quotient_dim`` is the quotient dimension the system has when it is
+    generic.  Once the run owes the certificate and its live leading
+    monomials leave exactly that many standard monomials, it stops, and
+    the pairs still queued join the skipped ones.  The certificate makes
+    that sound: the basis lies in the ideal, and a passing certificate
+    proves it a Groebner basis.  On a generic system the leading ideal is
+    then complete, every queued pair reduces to zero, and the certificate
+    passes.  On any other it may fail, and the run resumes as above, so
+    the basis is always the exact one.  A positive-dimensional ideal
+    leaves infinitely many standard monomials, so its run never stops
+    early.
     """
     variables = system.variables
     mono = _Monomials(len(variables))
-    eng = _Engine(mono, _Budget(budget))
+    eng = _Engine(mono, _Budget(budget), quotient_dim)
     polys = sorted(
         (_to_integer_primitive(p.terms, mono) for p in system.polys if not p.is_zero()),
         key=max,
@@ -617,27 +675,24 @@ def verify_buchberger_certificate(gb: GroebnerBasis,
 # normal set and multiplication matrices
 # ---------------------------------------------------------------------------
 
-def normal_set(gb: GroebnerBasis) -> NormalSet:
-    """Standard monomials (those outside the leading-term ideal), ascending
-    under grevlex, constant monomial first.  Raises NotZeroDimensionalError
-    when the quotient ring is infinite-dimensional."""
-    nvars = len(gb.variables)
-    mono = _Monomials(nvars)
+def _standard_monomials(records, mono, cap=math.inf):
+    """(v, None) when no leading monomial of the _reducer ``records`` is a
+    power of variable v, so the standard monomials are infinitely many;
+    else (None, the standard monomials packed, unordered), the walk cut off
+    once it holds more than ``cap`` of them."""
     guard = mono.guard
-    records = _records(gb, mono)
-    probes = [r[0] for r in records]
+    nvars = mono.nvars
     units = [mono.pack(tuple(int(i == v) for i in range(nvars))) for v in range(nvars)]
     for v, unit in enumerate(units):
         # a leading monomial other than 1 divides x_v^top iff it is a power of x_v
         top = (_DEGREE_LIMIT - 1) * unit
         if not any(lm and not (top - probe) & guard for probe, lm, _, _ in records):
-            raise NotZeroDimensionalError(
-                f"no pure power of {gb.variables[v]} among leading terms"
-            )
+            return v, None
+    probes = [r[0] for r in records]
     seen = {0}
     standard = []
     queue = [0]  # the constant monomial
-    while queue:
+    while queue and len(standard) <= cap:
         m = queue.pop()
         if any(not (m - probe) & guard for probe in probes):
             continue
@@ -647,6 +702,19 @@ def normal_set(gb: GroebnerBasis) -> NormalSet:
             if child not in seen:
                 seen.add(child)
                 queue.append(child)
+    return None, standard
+
+
+def normal_set(gb: GroebnerBasis) -> NormalSet:
+    """Standard monomials (those outside the leading-term ideal), ascending
+    under grevlex, constant monomial first.  Raises NotZeroDimensionalError
+    when the quotient ring is infinite-dimensional."""
+    mono = _Monomials(len(gb.variables))
+    missing, standard = _standard_monomials(_records(gb, mono), mono)
+    if missing is not None:
+        raise NotZeroDimensionalError(
+            f"no pure power of {gb.variables[missing]} among leading terms"
+        )
     standard.sort()
     return NormalSet(monomials=tuple(map(mono.unpack, standard)), variables=gb.variables)
 
@@ -854,15 +922,20 @@ _STAGES = ("system", "groebner", "normalSet", "eigen")
 
 def _quotient(form: MultilinearForm, chart: str, budget: int):
     """The chart's critical system, its Groebner basis and its normal set,
-    with the perf_counter marks taken before and after each stage."""
+    the quotient dimension of a generic form (the class count on the affine
+    chart, 2^r times it on the sphere chart, one point per sign pattern),
+    and the perf_counter marks taken before and after each stage."""
     marks = [time.perf_counter()]
     system = build_critical_system(form, chart=chart)
+    generic_dim = chowcount.count_extreme_classes(form.dims)
+    if chart == "sphere":
+        generic_dim <<= form.order
     marks.append(time.perf_counter())
-    gb = groebner(system, budget=budget)
+    gb = groebner(system, budget=budget, quotient_dim=generic_dim)
     marks.append(time.perf_counter())
     ns = normal_set(gb)
     marks.append(time.perf_counter())
-    return system, gb, ns, marks
+    return system, gb, ns, generic_dim, marks
 
 
 def _stage_times(marks) -> dict:
@@ -889,7 +962,7 @@ def solve_max(
     (2^k + |lambda|).
     """
     form, k = multiform._scaled(form)
-    _, gb, ns, marks = _quotient(form, "sphere", budget)
+    _, gb, ns, _, marks = _quotient(form, "sphere", budget)
     m = mult_matrix(form_polynomial(form), gb, ns, budget=budget)
     eigenvalues = np.linalg.eigvals(np.ldexp(m.array, k))
     flags = []
@@ -955,10 +1028,9 @@ def solve_argmax(
     stays because perfbench/workloads.py passes force=True.
     """
     form, k = multiform._scaled(form)
-    system, gb, ns, marks = _quotient(form, "affine", budget)
+    system, gb, ns, classes, marks = _quotient(form, "affine", budget)
     dim = len(ns)
     flags = []
-    classes = chowcount.count_extreme_classes(form.dims)
     if dim != classes:
         flags.append(
             f"quotient dimension {dim} differs from the extreme-class count "
@@ -1013,7 +1085,7 @@ def solve_argmax(
     subs = multiform._subscripts(form.order)
     values, residuals = multiform._assess(form.tensor, subs, slots)
     dropped = residuals > RESIDUAL_TOL * (1.0 + np.abs(values))
-    flags += [f"discarded point with residual {math.ldexp(r, k):.3e} above tolerance"
+    flags += [f"{DISCARDED_POINT} {math.ldexp(r, k):.3e} above tolerance"
               for r in residuals[dropped]]
     points = sorted((
         CriticalPoint(tuple(s[j].copy() for s in slots), float(values[j]),
@@ -1024,9 +1096,7 @@ def solve_argmax(
               for p in points]
     degenerate = dim - int(solved.sum())
     if degenerate:
-        flags.append(
-            f"{degenerate} eigenvector(s) with near-zero constant coordinate skipped"
-        )
+        flags.append(f"{SKIPPED_EIGENVECTORS}: {degenerate}")
     max_value = abs(points[0].value) if points else float("nan")
     if not points:
         flags.append("no real critical points recovered")

@@ -853,6 +853,105 @@ def test_zero_test_leaves_heavy_bases_unchanged(form, chart, used):
     assert _terms(gb) == _terms(_exact(system))
 
 
+# the budget each heavy run spends when it stops at the generic quotient
+# dimension: the mod-p tests of the pairs left then are not run
+_HEAVY_STOP_BUDGET = {"2x3x3-affine": 882, "2x2x2x2-affine": 1015, "2x2x3-sphere": 2884,
+                      "separability-rank4": 513}
+
+
+def _generic_dim(form, chart):
+    """The quotient dimension of a generic form's critical system: the class
+    count, times 2^r on the sphere chart."""
+    return count_extreme_classes(form.dims) << (form.order if chart == "sphere" else 0)
+
+
+@pytest.mark.parametrize("name", list(_HEAVY))
+def test_stop_at_the_generic_quotient_dim_leaves_heavy_bases_unchanged(name):
+    # _quotient passes the generic dimension to groebner, whose run stops
+    # once the live leading monomials leave that many standard monomials:
+    # the certificate passes, the basis is the full run's, term for term,
+    # and the budget falls to its pin
+    form, chart = _HEAVY[name]
+    verdicts, recording = _recording_certificate()
+    budgets, recording_budgets = _recording_budgets()
+    with recording, recording_budgets:
+        _, gb, ns, dim, _ = algsolver._quotient(form, chart, algsolver.DEFAULT_REDUCTION_BUDGET)
+    assert dim == len(ns) == _generic_dim(form, chart)
+    assert verdicts == [True]
+    assert budgets[0].used == _HEAVY_STOP_BUDGET[name] < _HEAVY_BUDGET[name]
+    assert _terms(gb) == _terms(_heavy_basis(name))
+
+
+def test_stop_at_a_count_passed_early_fails_the_certificate_and_resumes():
+    # the count of standard monomials falls through 71 ... 65 to 64 on
+    # this run; told 71, the run stops before its basis is complete, the
+    # certificate fails once, and the resumed run returns the exact basis
+    form, chart = _HEAVY["2x2x3-sphere"]
+    system = build_critical_system(form, chart=chart)
+    counts = []
+    standard_monomials = algsolver._standard_monomials
+
+    def recording(records, mono, cap=math.inf):
+        missing, standard = standard_monomials(records, mono, cap)
+        if missing is None:
+            counts.append(len(standard))
+        return missing, standard
+
+    with mock.patch.object(algsolver, "_standard_monomials", recording):
+        groebner(system, quotient_dim=10**6)
+    assert counts[-1] == _generic_dim(form, chart) < counts[0]
+    verdicts, recording_certificate = _recording_certificate()
+    with recording_certificate:
+        gb = groebner(system, quotient_dim=counts[0])
+    assert verdicts == [False]
+    assert _terms(gb) == _terms(_heavy_basis("2x2x3-sphere"))
+
+
+def _quadratic_new_pairs(lmh, others, mono):
+    """Reference: the Gebauer-Moeller filter of the new pairs that tests
+    every candidate lcm against every other one."""
+    guard = mono.guard
+    cand = [(mono.lcm(lmh, lm), g, lm) for g, lm in others]
+    kept = []
+    for pos, (l, g, lm) in enumerate(cand):
+        if l == lmh + lm:
+            continue
+        top = l - guard - 1
+        if not any(not (top - l2) & guard and (l2 != l or pos2 < pos)
+                   for pos2, (l2, _, _) in enumerate(cand) if pos2 != pos):
+            kept.append((l, g))
+    return kept
+
+
+def test_lcm_ordered_pair_filter_keeps_the_quadratic_rules_pairs_on_heavy_runs():
+    new_pairs = algsolver._new_pairs
+    calls = []
+
+    def compared(lmh, others, mono):
+        kept = new_pairs(lmh, others, mono)
+        calls.append(kept == _quadratic_new_pairs(lmh, others, mono))
+        return kept
+
+    with mock.patch.object(algsolver, "_new_pairs", compared):
+        for form, chart in _HEAVY.values():
+            groebner(build_critical_system(form, chart=chart))
+    assert len(calls) > 100 and all(calls)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.tuples(*[st.integers(0, 3)] * n),
+    st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=12, unique=True),
+)))
+def test_lcm_ordered_pair_filter_keeps_the_quadratic_rules_pairs(case):
+    # small exponents, so that lcms often tie and divide one another
+    h, lms = case
+    mono = _Monomials(len(h))
+    others = [(g, mono.pack(m)) for g, m in enumerate(lms)]
+    lmh = mono.pack(h)
+    assert algsolver._new_pairs(lmh, others, mono) == _quadratic_new_pairs(lmh, others, mono)
+
+
 @pytest.mark.parametrize("name", list(_HEAVY))
 def test_heavy_bases_are_reduced(name):
     # the ascending interreduction leaves every element monic and no tail

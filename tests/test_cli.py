@@ -2,12 +2,13 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from spheremax import (MultilinearForm, NotZeroDimensionalError, cli, count_extreme_classes,
-                       poweriter, solve_max)
+from spheremax import (MultilinearForm, NotZeroDimensionalError, algsolver, cli,
+                       count_extreme_classes, poweriter, solve_argmax, solve_max)
 from spheremax.algsolver import SolveReport
 from spheremax.apps import _separability_form
 from spheremax.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER
@@ -177,6 +178,33 @@ def test_maximize_algebraic_non_generic_forms_answer_from_the_sphere_chart(
     assert report["maxValue"] == sphere.max_value
     assert report["quotientDim"] == sphere.quotient_dim
     assert first_flag in report["flags"][0]
+    # the stages account for the affine attempt too, so they add up to at
+    # most the total
+    timings = report["timings"]
+    affine = {"affine.refused"} if first_flag == _AFFINE_REFUSAL else {
+        f"affine.{stage}" for stage in sphere.timings}
+    assert {k for k in timings if k.startswith("affine.")} == affine
+    assert sum(t for k, t in timings.items() if k != "total") <= timings["total"]
+
+
+@pytest.mark.parametrize("unscored", [
+    f"{algsolver.SKIPPED_EIGENVECTORS}: 1",
+    f"{algsolver.DISCARDED_POINT} 1.000e-03 above tolerance",
+], ids=["skipped-eigenvector", "discarded-point"])
+def test_maximize_algebraic_falls_back_when_a_solution_went_unscored(
+        capsys, monkeypatch, trilinear_file, full_precision, unscored):
+    # the affine quotient holds every class, but one solution was not
+    # scored, so the maximum may be missing from its points: the sphere
+    # chart answers, after the flag that says why
+    form = MultilinearForm((2, 2, 2), TRILINEAR_COEFFS)
+    retry = "repeated eigenvalue for multiplication matrix of 1*y2; retrying"
+    affine = replace(solve_argmax(form), genericity_flags=(retry, unscored))
+    monkeypatch.setattr(cli.algsolver, "solve_argmax", lambda form, budget, seed: affine)
+    report = _maximize_algebraic(capsys, trilinear_file)
+    sphere = solve_max(form)
+    assert report["chart"] == "sphere"
+    assert report["maxValue"] == sphere.max_value
+    assert report["flags"] == [unscored, retry, *sphere.genericity_flags]
 
 
 def test_maximize_algebraic_falls_back_on_the_affine_refusal(capsys, tmp_path, full_precision):
