@@ -29,8 +29,9 @@ beside this one in the same process, its rows labelled NAME, and each
 repeat solves every case with both, in alternating order, so the two rows
 of a case are paired; ``paired_ratio`` on the ``change`` row is its total
 over the other one's, per repeat, and ``counters_match`` says whether its
-counters equal the other one's.  The JSON goes to standard output, one line
-per row to standard error:
+counters other than ``budget_used`` equal the other one's (a change may
+lower the budget on purpose; each row keeps its own).  The JSON goes to
+standard output, one line per row to standard error:
 
     python3 scripts/bench.py --against parent=../parent/src --repeats 9 > BENCH_18.json
 
@@ -215,7 +216,9 @@ def main(argv=None):
                    "counters": counters[name]}
             if name == "change" and len(trees) > 1:
                 other = trees[1][0]
-                row["counters_match"] = counters[name] == counters[other]
+                row["counters_match"] = all(
+                    counters[name][c] == counters[other][c]
+                    for c in counters[name] if c != "budget_used")
                 row["paired_ratio"] = _spread([
                     this["total"] / that["total"]
                     for (this, _), (that, _) in zip(runs[name], runs[other])])

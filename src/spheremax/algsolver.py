@@ -53,7 +53,7 @@ import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from decimal import Decimal
 
@@ -74,10 +74,6 @@ _TIE_TOL = 1e-12
 _NORM_TOL = 1e-9
 
 _SLOT_LETTERS = "xyztuw"
-
-# the prefix of each solve_argmax flag that says a solution went unscored
-SKIPPED_EIGENVECTORS = "eigenvectors with near-zero constant coordinate skipped"
-DISCARDED_POINT = "discarded point with residual"
 
 
 def rationalize(value) -> "_Q":
@@ -1027,6 +1023,12 @@ def solve_argmax(
     points and the true maximum may be missing.  ``force`` is ignored; it
     stays because perfbench/workloads.py passes force=True.
     """
+    return _solve_argmax(form, budget, seed)[0]
+
+
+def _solve_argmax(form: MultilinearForm, budget: int, seed: int):
+    """solve_argmax's report, the flags of the solutions it did not score
+    (skipped eigenvectors, discarded points) and the class count."""
     form, k = multiform._scaled(form)
     system, gb, ns, classes, marks = _quotient(form, "affine", budget)
     dim = len(ns)
@@ -1085,8 +1087,8 @@ def solve_argmax(
     subs = multiform._subscripts(form.order)
     values, residuals = multiform._assess(form.tensor, subs, slots)
     dropped = residuals > RESIDUAL_TOL * (1.0 + np.abs(values))
-    flags += [f"{DISCARDED_POINT} {math.ldexp(r, k):.3e} above tolerance"
-              for r in residuals[dropped]]
+    unscored = [f"discarded point with residual {math.ldexp(r, k):.3e} above tolerance"
+                for r in residuals[dropped]]
     points = sorted((
         CriticalPoint(tuple(s[j].copy() for s in slots), float(values[j]),
                       float(residuals[j]))
@@ -1096,7 +1098,8 @@ def solve_argmax(
               for p in points]
     degenerate = dim - int(solved.sum())
     if degenerate:
-        flags.append(f"{SKIPPED_EIGENVECTORS}: {degenerate}")
+        unscored.append(f"eigenvectors with near-zero constant coordinate skipped: {degenerate}")
+    flags += unscored
     max_value = abs(points[0].value) if points else float("nan")
     if not points:
         flags.append("no real critical points recovered")
@@ -1107,4 +1110,31 @@ def solve_argmax(
         points=tuple(points),
         genericity_flags=tuple(flags),
         timings=_stage_times(marks),
-    )
+    ), tuple(unscored), classes
+
+
+def _exact_max(form: MultilinearForm, seed: int, budget: int = DEFAULT_REDUCTION_BUDGET):
+    """(chart, report) of the exact maximum.  The affine chart answers when
+    its quotient holds every critical class and every solution was scored:
+    for a generic form the quotient dimension is the class count (Friedland
+    and Ottaviani, 2014), so every class is among its solutions.  Otherwise
+    the sphere chart answers (solve_max), its report carrying the affine
+    points and, first, the affine flags or refusal, which say why: the
+    flags of unscored solutions lead.  Its timings hold the affine stages
+    too, as "affine.<stage>", or "affine.refused" for a refused attempt."""
+    start = time.perf_counter()
+    try:
+        affine, unscored, classes = _solve_argmax(form, budget, seed)
+    except NotZeroDimensionalError as exc:
+        points, flags = (), (f"affine chart refused: {exc}",)
+        timings = {"affine.refused": time.perf_counter() - start}
+    else:
+        if affine.points and not unscored and affine.quotient_dim == classes:
+            return "affine", affine
+        points = affine.points
+        flags = unscored + tuple(f for f in affine.genericity_flags if f not in unscored)
+        timings = {f"affine.{stage}": t for stage, t in affine.timings.items()}
+    sphere = solve_max(form, budget=budget)
+    return "sphere", replace(sphere, points=points,
+                             genericity_flags=flags + sphere.genericity_flags,
+                             timings={**timings, **sphere.timings})

@@ -13,14 +13,12 @@ maximum, and the paper's joint iteration typically oscillates there.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import algsolver, chowcount, multiform, poweriter
-from .errors import (NoConvergenceError, NotAStateError, NotZeroDimensionalError,
-                     PreconditionViolatedError, integers)
+from . import algsolver, multiform, poweriter
+from .errors import NoConvergenceError, NotAStateError, PreconditionViolatedError, integers
 from .linalg import Matrix
 from .multiform import MultilinearForm, RankOneForm
 
@@ -32,8 +30,6 @@ _UNCERTIFIED_VERDICT = (
     "is a lower bound"
 )
 _METHODS = ("algebraic", "power", "auto")
-# the affine flags that say a solution was not scored
-_UNSCORED = (algsolver.SKIPPED_EIGENVECTORS, algsolver.DISCARDED_POINT)
 # Gauss-Seidel starts of the r >= 3 power method: its maximum need not
 # attract every start
 _ASCENTS = 48
@@ -119,36 +115,6 @@ def _argmax(form: MultilinearForm, seed: int) -> algsolver.SolveReport:
     return report
 
 
-def _exact_max(form: MultilinearForm, seed: int,
-               budget: int = algsolver.DEFAULT_REDUCTION_BUDGET):
-    """(chart, report) of the exact maximum.  The affine chart answers when
-    its quotient holds every critical class and every solution was scored:
-    for a generic form the quotient dimension is the class count (Friedland
-    and Ottaviani, 2014), so every class is among its solutions.  Otherwise
-    the sphere chart answers (solve_max), its report carrying the affine
-    points and, first, the affine flags or refusal, which say why: the
-    flags of unscored solutions lead.  Its timings hold the affine stages
-    too, as "affine.<stage>", or "affine.refused" for a refused attempt."""
-    start = time.perf_counter()
-    try:
-        affine = algsolver.solve_argmax(form, budget=budget, seed=seed)
-    except NotZeroDimensionalError as exc:
-        points, flags = (), (f"affine chart refused: {exc}",)
-        timings = {"affine.refused": time.perf_counter() - start}
-    else:
-        unscored = tuple(f for f in affine.genericity_flags if f.startswith(_UNSCORED))
-        if (affine.points and not unscored
-                and affine.quotient_dim == chowcount.count_extreme_classes(form.dims)):
-            return "affine", affine
-        points = affine.points
-        flags = unscored + tuple(f for f in affine.genericity_flags if f not in unscored)
-        timings = {f"affine.{stage}": t for stage, t in affine.timings.items()}
-    sphere = algsolver.solve_max(form, budget=budget)
-    return "sphere", replace(sphere, points=points,
-                             genericity_flags=flags + sphere.genericity_flags,
-                             timings={**timings, **sphere.timings})
-
-
 def matrix_norm2(a: Matrix, method: str = "auto", seed: int = 0) -> float:
     """First singular value of a, as the maximum of x^T a y over unit x, y.
     Raises NoConvergenceError when the power method does not converge."""
@@ -159,7 +125,7 @@ def matrix_norm2(a: Matrix, method: str = "auto", seed: int = 0) -> float:
     form = MultilinearForm(dims=(a.rows, a.cols), coeffs=entries.reshape(-1))
     if method == "power":
         return _converged(poweriter.bilinear_max(form, seed=seed)).value
-    return _exact_max(form, seed)[1].max_value
+    return algsolver._exact_max(form, seed)[1].max_value
 
 
 def closest_rank_one(

@@ -162,7 +162,7 @@ def cmd_maximize(args) -> int:
         report["residual"] = result.residual
         points = [algsolver.CriticalPoint(result.point, result.value, result.residual)]
     else:
-        report["chart"], solved = apps._exact_max(form, args.seed, args.budget_reductions)
+        report["chart"], solved = algsolver._exact_max(form, args.seed, args.budget_reductions)
         report["maxValue"] = solved.max_value
         report["quotientDim"] = solved.quotient_dim
         report["flags"] = list(solved.genericity_flags)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spheremax import (MultilinearForm, NotZeroDimensionalError, algsolver, cli,
+from spheremax import (MultilinearForm, NotZeroDimensionalError, cli,
                        count_extreme_classes, poweriter, solve_argmax, solve_max)
 from spheremax.algsolver import SolveReport
 from spheremax.apps import _separability_form
@@ -188,8 +188,8 @@ def test_maximize_algebraic_non_generic_forms_answer_from_the_sphere_chart(
 
 
 @pytest.mark.parametrize("unscored", [
-    f"{algsolver.SKIPPED_EIGENVECTORS}: 1",
-    f"{algsolver.DISCARDED_POINT} 1.000e-03 above tolerance",
+    "eigenvectors with near-zero constant coordinate skipped: 1",
+    "discarded point with residual 1.000e-03 above tolerance",
 ], ids=["skipped-eigenvector", "discarded-point"])
 def test_maximize_algebraic_falls_back_when_a_solution_went_unscored(
         capsys, monkeypatch, trilinear_file, full_precision, unscored):
@@ -199,12 +199,28 @@ def test_maximize_algebraic_falls_back_when_a_solution_went_unscored(
     form = MultilinearForm((2, 2, 2), TRILINEAR_COEFFS)
     retry = "repeated eigenvalue for multiplication matrix of 1*y2; retrying"
     affine = replace(solve_argmax(form), genericity_flags=(retry, unscored))
-    monkeypatch.setattr(cli.algsolver, "solve_argmax", lambda form, budget, seed: affine)
+    monkeypatch.setattr(cli.algsolver, "_solve_argmax", lambda form, budget, seed: (
+        affine, (unscored,), count_extreme_classes(form.dims)))
     report = _maximize_algebraic(capsys, trilinear_file)
     sphere = solve_max(form)
     assert report["chart"] == "sphere"
     assert report["maxValue"] == sphere.max_value
     assert report["flags"] == [unscored, retry, *sphere.genericity_flags]
+
+
+def test_maximize_algebraic_keeps_the_affine_answer_after_a_separation_retry(
+        capsys, tmp_path, full_precision):
+    # a retried separating form scores every solution, so the affine chart
+    # still answers: the retry flag alone sends nothing to the sphere chart
+    form = cli._random_integer_form((2, 2, 2), np.random.default_rng(63))
+    affine = solve_argmax(form)
+    assert affine.quotient_dim == count_extreme_classes((2, 2, 2)) == len(affine.points) == 6
+    assert len(affine.genericity_flags) == 1
+    assert affine.genericity_flags[0].startswith("repeated eigenvalue")
+    report = _maximize_algebraic(capsys, _form_file(tmp_path, form))
+    assert report["chart"] == "affine"
+    assert report["flags"] == list(affine.genericity_flags)
+    assert report["maxValue"] == affine.max_value
 
 
 def test_maximize_algebraic_falls_back_on_the_affine_refusal(capsys, tmp_path, full_precision):
@@ -569,7 +585,7 @@ def test_report_is_strict_json_without_real_eigenvalue(capsys, trilinear_file, m
         raise NotZeroDimensionalError("no pure power of x2 among leading terms")
 
     # the affine chart refuses, and the sphere chart finds no real value
-    monkeypatch.setattr(cli.algsolver, "solve_argmax", refuse)
+    monkeypatch.setattr(cli.algsolver, "_solve_argmax", refuse)
     monkeypatch.setattr(cli.algsolver, "solve_max", lambda form, budget: nan_report)
     code, out = _run(capsys, ["maximize", trilinear_file, "--method", "algebraic"])
     assert code == EXIT_OK
