@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Stage CPU times and exact counters of the heavy exact solves.
+"""Stage CPU times and exact counters of the heavy exact solves, and the
+iterations and cost per iteration of the power kernels.
 
-Runs a fixed list of heavy cases, each a whole solve (``solve_argmax`` on
-the affine chart, ``solve_max`` on the sphere chart), and splits its CPU
+Runs a fixed list of heavy exact cases, each a whole solve (``solve_argmax``
+on the affine chart, ``solve_max`` on the sphere chart), and splits its CPU
 time into stages by wrapping functions of ``algsolver`` from here; the
 library has no hooks for it:
 
@@ -21,6 +22,15 @@ and by the quotient ring (``ring_budget_used``), the S-pairs the mod-p zero
 test skipped, the certificate's verdicts, the quotient dimension and the
 maximum.  They are checked to repeat exactly over every repeat.
 
+Power rows (``kind: power``; the exact rows read ``kind: exact``) time the
+two power kernels as iterations x cost per iteration: the joint iteration's
+six starts (``poweriter._joint``, capped at 2000 steps) on a 2x2x3 integer
+form on which no start settles and on the 2x2x2x2 form of the exact rows,
+and block power iteration (``bilinear_max``) on Gaussian 50x40 and 20x15
+matrices.  Their counters are the steps taken (the last start's, for the
+joint rows) and the value, hex, and ``us_per_step`` is the CPU time over
+the steps.
+
 Times are CPU seconds of this process (``time.process_time``), not scaled by
 any host calibration: the median and quartiles over ``--repeats`` solves.
 This checkout's rows are labelled ``change``.  With ``--against NAME=SRC``
@@ -33,7 +43,7 @@ counters other than ``budget_used`` equal the other one's (a change may
 lower the budget on purpose; each row keeps its own).  The JSON goes to
 standard output, one line per row to standard error:
 
-    python3 scripts/bench.py --against parent=../parent/src --repeats 9 > BENCH_18.json
+    python3 scripts/bench.py --against parent=../parent/src --repeats 9 > BENCH_25.json
 
 BLAS threads are pinned to 1, so CPU time is one core's time.
 """
@@ -43,11 +53,13 @@ import gc
 import importlib
 import importlib.util
 import json
+import math
 import os
 import platform
 import statistics
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -58,6 +70,7 @@ import numpy as np  # noqa: E402
 SRC = Path(__file__).resolve().parents[1] / "src"
 STAGES = ("run", "interreduce", "certificate", "normal_set", "ring_and_eigen", "other",
           "total")
+POWER_STAGES = ("total", "us_per_step")
 
 
 def _load(name, src):
@@ -86,6 +99,45 @@ def cases(sm):
         ("separability-rank4", sm.apps._separability_form(state), "affine"),
         ("3x3x3-affine", integer_form((3, 3, 3), np.random.default_rng(0)), "affine"),
     ]
+
+
+def power_cases(sm):
+    """(name, call) of each power case, built with package ``sm``; call()
+    runs it and returns the steps it took and its value."""
+    integer_form = importlib.import_module(f"{sm.__name__}.cli")._random_integer_form
+    pw = sm.poweriter
+
+    def joint(form):
+        form = pw._scaled(form)[0]
+        starts = pw._random_starts(form, range(pw._STARTS))
+        return lambda: max((out.iterations, out.value) for out in pw._joint(
+            form, starts, pw.DEFAULT_TOL, 2000))
+
+    def subspace(shape):
+        form = sm.MultilinearForm(shape, np.random.default_rng(0).standard_normal(
+            math.prod(shape)))
+
+        def call():
+            result = pw.bilinear_max(form)
+            return result.iterations, result.value
+        return call
+
+    return [
+        ("joint-2x2x3-unsettled", joint(integer_form((2, 2, 3), np.random.default_rng(9)))),
+        ("joint-2x2x2x2", joint(integer_form((2, 2, 2, 2), np.random.default_rng(2)))),
+        ("subspace-50x40", subspace((50, 40))),
+        ("subspace-20x15", subspace((20, 15))),
+    ]
+
+
+def time_power(call):
+    """(CPU seconds and us per step, counters) of one power run."""
+    gc.collect()
+    t = time.process_time()
+    steps, value = call()
+    total = time.process_time() - t
+    return ({"total": total, "us_per_step": total / steps * 1e6},
+            {"iterations": steps, "value": value.hex()})
 
 
 class Probe:
@@ -197,13 +249,18 @@ def main(argv=None):
             parser.error("--against takes NAME=SRC, NAME not 'change'")
         trees.append((name, _load("spheremax_against", src)))
     probes = {name: Probe(sm) for name, sm in trees}
-    built = {name: cases(sm) for name, sm in trees}
+    built = {name: [(case, {"kind": "exact", "chart": chart}, STAGES,
+                     partial(probes[name].solve, form, chart))
+                    for case, form, chart in cases(sm)]
+             + [(case, {"kind": "power"}, POWER_STAGES, partial(time_power, call))
+                for case, call in power_cases(sm)]
+             for name, sm in trees}
     rows = []
-    for k, (case, _, chart) in enumerate(built["change"]):
+    for k, (case, tags, stage_names, _) in enumerate(built["change"]):
         runs = {name: [] for name, _ in trees}
         for rep in range(args.repeats):
             for name, _ in (trees if rep % 2 == 0 else trees[::-1]):
-                runs[name].append(probes[name].solve(built[name][k][1], chart))
+                runs[name].append(built[name][k][3]())
         counters = {}
         for name, _ in trees:
             seen = [c for _, c in runs[name]]
@@ -211,8 +268,8 @@ def main(argv=None):
                 raise SystemExit(f"{name} {case}: counters differ between repeats {seen}")
             counters[name] = seen[0]
         for name, _ in trees:
-            row = {"tree": name, "case": case, "chart": chart,
-                   "stages": {s: _spread([st[s] for st, _ in runs[name]]) for s in STAGES},
+            row = {"tree": name, "case": case, **tags,
+                   "stages": {s: _spread([st[s] for st, _ in runs[name]]) for s in stage_names},
                    "counters": counters[name]}
             if name == "change" and len(trees) > 1:
                 other = trees[1][0]
@@ -223,14 +280,17 @@ def main(argv=None):
                     this["total"] / that["total"]
                     for (this, _), (that, _) in zip(runs[name], runs[other])])
             rows.append(row)
-            stages = row["stages"]
-            print(f"{name:>8} {case:<20} total {stages['total']['median']:7.3f} s, "
-                  f"certificate {stages['certificate']['median']:6.3f} s, "
-                  f"interreduce {stages['interreduce']['median']:6.3f} s", file=sys.stderr)
+            stages = {s: spread["median"] for s, spread in row["stages"].items()}
+            detail = (f"{counters[name]['iterations']} steps, "
+                      f"{stages['us_per_step']:6.1f} us/step" if tags["kind"] == "power" else
+                      f"certificate {stages['certificate']:6.3f} s, "
+                      f"interreduce {stages['interreduce']:6.3f} s")
+            print(f"{name:>8} {case:<22} total {stages['total']:7.3f} s, {detail}",
+                  file=sys.stderr)
 
     out = {
-        "clock": "time.process_time per solve, in process, unscaled; median and "
-                 "quartiles over the repeats",
+        "clock": "time.process_time per solve or power run, in process, unscaled; "
+                 "median and quartiles over the repeats",
         "repeats": args.repeats,
         "machine": machine(),
         "trees": [name for name, _ in trees],

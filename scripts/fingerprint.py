@@ -2,18 +2,23 @@
 """Bitwise fingerprint of the power and exact outputs of this checkout.
 
 Runs a fixed set of cases and prints one sha256 per case, then the sha256
-of all of them (``total``).  Two checkouts whose totals agree return the
-same outputs bit for bit: every float is hashed by its bytes, every error
-by its repr.  Cases marked ``scaled`` run forms multiplied by huge or tiny
-powers of two; every form runs at unit scale, so they take the same path
-as the others and count in the total.
+of all of them (``total``) and of each half: ``total exact`` over the exact
+cases (the critical systems, Groebner bases, ``solve_argmax`` and
+``solve_max`` reports, scaled ones included) and ``total power`` over the
+power cases (``multilinear_iterate``, ``_joint``, ``bilinear_max`` and
+``_ascend``, scaled ones included).  Two checkouts whose totals agree
+return the same outputs bit for bit: every float is hashed by its bytes,
+every error by its repr.  Cases marked ``scaled`` run forms multiplied by
+huge or tiny powers of two; every form runs at unit scale, so they take the
+same path as the others and count in the totals.
 
     python3 scripts/fingerprint.py
 
 It imports ``src/`` beside this script, takes no options, and runs in well
-under a minute on one core.  ``scripts/fingerprint.total`` holds the
-expected ``total`` line, and CI fails when either hash seed prints another;
-a change that moves an output on purpose commits the new line with it.
+under a minute on one core.  ``scripts/fingerprint.total`` holds the three
+expected ``total`` lines, and CI fails when either hash seed prints others;
+a change that moves an output on purpose commits the new lines with it, and
+one that changes only one path leaves the other half's line as it was.
 
 Power cases: ``multilinear_iterate``, the outcome of each of the joint
 kernel's six starts under the restart rule (``_joint``), ``bilinear_max``
@@ -236,15 +241,18 @@ def exact_cases():
 
 def main():
     warnings.simplefilter("error", RuntimeWarning)
-    total = hashlib.sha256()
-    count = 0
-    for group in (power_cases, scaled_cases, exact_cases):
+    totals = {key: hashlib.sha256() for key in ("total", "total exact", "total power")}
+    counts = dict.fromkeys(totals, 0)
+    for part, group in (("total power", power_cases), ("total power", scaled_cases),
+                        ("total exact", exact_cases)):
         for name, obj in group():
             digest = _digest(obj)
-            total.update(f"{name}:{digest}\n".encode())
-            count += 1
+            for key in ("total", part):
+                totals[key].update(f"{name}:{digest}\n".encode())
+                counts[key] += 1
             print(f"{digest[:16]}  {name}")
-    print(f"total {total.hexdigest()} over {count} cases")
+    for key, h in totals.items():
+        print(f"{key} {h.hexdigest()} over {counts[key]} cases")
 
 
 if __name__ == "__main__":

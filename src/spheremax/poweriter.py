@@ -5,7 +5,8 @@ r = 2) run block power (subspace) iteration with a Rayleigh-Ritz step
 (Golub and Van Loan, Matrix Computations, sect. 8.2.4; Halko, Martinsson
 and Tropp, SIAM Rev. 2011).  The y slots of the random starts seed, ...,
 seed + k - 1, k = min(_STARTS, n, m), are the columns of one block Y, and a
-step is X = qr(A Y), then (Y, R) = qr(A^T X).  The top singular pair of the
+step is Y = qr(A^T (A Y)), one QR.  A step that checks the Ritz pair takes
+X = qr(A Y), then (Y, R) = qr(A^T X) instead: the top singular pair of the
 k x k matrix R^T = X^T A Y gives the Ritz pair, and one Gauss-Seidel
 half-step (x <- A y, then y <- A^T x, each normalized) polishes it.  The
 pair converges at rate sigma_(k+1) / sigma_1, where one vector converges at
@@ -15,12 +16,15 @@ A cluster of top singular values wider than the block widens it to
 min(n, m), where the Rayleigh-Ritz step is an exact SVD (``_subspace``).
 ``iterations`` counts block steps.
 
-The two kernels for r >= 3 run a (B, n) block of starts side by side, one
-``np.einsum`` contraction of the coefficient tensor per slot and step.  A
+The two kernels for r >= 3 run a (B, n) block of starts side by side.  The
+Gauss-Seidel kernel contracts the coefficient tensor once per slot and
+step, with one ``np.einsum``, judges every step and drops a start when it
+ends.  The joint kernel forms every slot's partial gradient in one
+``np.einsum`` per step, the Khatri-Rao products of the other slots times a
+block-diagonal unfolding of the tensor (``_steps``), advances _BLOCK steps
+at a time and then judges them all at once (``_joint``).  In both, a
 start's arithmetic does not depend on the others in its block, so it gets
-exactly the result it would get alone.  The Gauss-Seidel kernel judges
-every step and drops a start when it ends; the joint kernel advances
-_BLOCK steps at a time and then judges them all at once (``_joint``).
+exactly the result it would get alone.
 
 Every form runs at unit scale: scaled by the power of two that puts its
 largest coefficient in [0.5, 1) (``multiform._scaled``), with value and
@@ -225,22 +229,68 @@ def _split_unit(q, cuts):
     return [s / np.where(n == 0.0, 1.0, n)[:, None] for s, n in zip(slots, norms)], collapsed
 
 
+def _unfolding(t):
+    """The block-diagonal unfolding W of t, slot i's block the rows of
+    ``np.moveaxis(t, i, -1)``: a (B, K) row of the other slots' Khatri-Rao
+    products, slot by slot, times W is every slot's partial gradient at
+    once, the MTTKRP of Kolda and Bader (SIAM Rev. 2009)."""
+    sizes = [t.size // d for d in t.shape]
+    w = np.zeros((sum(sizes), sum(t.shape)))
+    rows, cols = np.cumsum((0,) + tuple(sizes)), np.cumsum((0,) + t.shape)
+    for i, d in enumerate(t.shape):
+        w[rows[i]:rows[i + 1], cols[i]:cols[i + 1]] = np.moveaxis(t, i, -1).reshape(-1, d)
+    return w
+
+
+def _steps(w, dims, buf, norms):
+    """The fused joint step, r >= 3: buf[k + 1] = grad l(buf[k]) / ||grad
+    l(buf[k])|| for each (B, sum(dims)) slice of buf in turn, norms[k] the
+    gradient norm of each row.  Each slot's Khatri-Rao block of one (B, K)
+    buffer is formed by r - 2 products, and one ``np.einsum`` contracts it
+    with W (``_unfolding``): that einsum sums each row on its own, where a
+    BLAS product may not, so a row's bits do not depend on the block.  A
+    zero gradient reads norm 0 and leaves its row non-finite from there on."""
+    offsets = np.cumsum((0,) + dims)
+    slots = [buf[:, :, a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+    kr = np.empty((buf.shape[1], w.shape[0]))
+    plan, start = [], 0
+    for i in range(len(dims)):
+        others = [j for j in range(len(dims)) if j != i]
+        shape = [dims[j] for j in others]
+        size = math.prod(shape)
+        view = kr[:, start:start + size].reshape(-1, *shape)
+        # the p-th other slot on axis p + 1 of the view, broadcast on the rest
+        factors = [np.expand_dims(slots[j], tuple(2 + o for o in range(len(others)) if o != p))
+                   for p, j in enumerate(others)]
+        plan.append((view, factors))
+        start += size
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for k in range(len(buf) - 1):
+            for view, (first, second, *rest) in plan:
+                np.multiply(first[k], second[k], out=view)
+                for f in rest:
+                    np.multiply(view, f[k], out=view)
+            g = np.einsum("bk,kn->bn", kr, w, out=buf[k + 1])
+            norm = norms[k]
+            np.sqrt(np.einsum("bn,bn->b", g, g, out=norm), out=norm)
+            np.divide(g, norm[:, None], out=g)
+
+
 def _joint(form, starts, tol, max_iters):
     """Joint power iteration of every start of ``starts`` (per-slot blocks of
-    unit rows) under the restart rule; returns the outcome of each row, None
-    for a row dropped unfinished.
+    unit rows, r >= 3) under the restart rule; returns the outcome of each
+    row, None for a row dropped unfinished.
 
-    The active rows advance _BLOCK steps (fewer at the cap) into one buffer,
-    each slot's partial written in place, and the steps are then judged all
-    at once.  A row ends at its first event: a zero gradient, convergence
-    or oscillation; a row with a slot collapsed to zero ends with a zero
+    The active rows advance _BLOCK steps (fewer at the cap) into one buffer
+    by the fused step (``_steps``), and the steps are then judged all at
+    once.  A row ends at its first event: a zero gradient, convergence or
+    oscillation; a row with a slot collapsed to zero ends with a zero
     gradient.  A row is dropped once a lower row has converged at an
     earlier step, read off the running minimum, over the rows in order, of
     the step each converged at.  Rows leave at the block's end."""
     t, subs = form.tensor, _subscripts(form.order)
-    offsets = np.cumsum((0,) + form.dims)
-    cuts = offsets[1:-1]
-    spans = list(zip(offsets[:-1], offsets[1:]))
+    w = _unfolding(t)
+    cuts = np.cumsum(form.dims)[:-1]
     q = np.concatenate(starts, axis=1)
     q /= _row_norms(q)[:, None]
     outcomes = [None] * len(q)
@@ -252,13 +302,11 @@ def _joint(form, starts, tol, max_iters):
         width, n = q.shape
         buf = np.empty((steps + 1, width, n))
         buf[0] = q
-        bad = np.zeros((steps, width), dtype=bool)
-        views = [buf[:, :, a:b] for a, b in spans]
-        for k in range(steps):
-            raw = [v[k] for v in views]
-            for i, v in enumerate(views):
-                _partial(t, subs, raw, i, out=v[k + 1])
-            bad[k] = ~_normalize(buf[k + 1], buf[k])
+        norms = np.empty((steps, width))
+        _steps(w, form.dims, buf, norms)
+        bad = ~(norms > 0.0)  # a zero gradient, or a row past one
+        if bad.any():         # zero such rows: no judgement below warns on them
+            buf[1:][bad] = 0.0
         q = buf[1:].reshape(-1, n)
         done = np.abs(_row_dots(q, buf[:-1].reshape(-1, n))) >= 1.0 - tol
         near = np.flatnonzero(done)
@@ -332,11 +380,14 @@ def _subspace(form, seed, tol, max_iters):
     polished top Ritz pair, CONVERGED at the first check it passes, else
     NON_CONVERGED at the cap; ZeroGradientError if A Y = 0.
 
-    A step is X = qr(A Y), then (Y, R) = qr(A^T X): span Y is span((A^T A)^t
-    Y_0), and the Ritz pair converges at rate sigma_(k+1) / sigma_1.  The
-    pair is checked at steps 1 to 4, then each time the step count has
-    grown by a quarter, and at the cap.  A check costs about one step, so
-    the checks add a few percent to a converging run.
+    A step is Y = qr(A^T (A Y)): span Y is span((A^T A)^t Y_0), and the
+    Ritz pair converges at rate sigma_(k+1) / sigma_1.  The pair is checked
+    at steps 1 to 4, then each time the step count has grown by a quarter,
+    and at the cap; a check step takes X = qr(A Y), then (Y, R) = qr(A^T
+    X), whose R gives the Ritz values, so checks, widening and iterations
+    read as with two QRs on every step.  A check adds a QR, a k x k SVD
+    and a residual to its step; a Gaussian 50x40 run makes 14 checks in 59
+    steps.
 
     A check that fails with (sigma_k / sigma_1)^(max_iters - it) > tol
     finds every Ritz value of the block so close to sigma_1 that, should
@@ -355,9 +406,10 @@ def _subspace(form, seed, tol, max_iters):
         z = a @ y
         if not z.any():
             raise ZeroGradientError(f"A Y = 0 at iteration {it}")
-        x = np.linalg.qr(z)[0]
-        y, r = np.linalg.qr(a.T @ x)
-        if it >= due or it == max_iters:
+        if it < due and it < max_iters:
+            y = np.linalg.qr(a.T @ z)[0]
+        else:
+            y, r = np.linalg.qr(a.T @ np.linalg.qr(z)[0])
             result, ratio = _ritz_pair(a, y, r, it, tol)
             if result.status is Status.CONVERGED:
                 return result

@@ -301,6 +301,22 @@ def test_batched_starts_match_single_starts(form):
     assert abs(batched.value - expected.value) <= 1e-12
 
 
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3), (2, 2, 4), (3, 3, 3), (2, 2, 2, 2),
+                                  (2, 3, 4)])
+def test_block_rows_match_lone_starts_bit_for_bit(dims):
+    # each row of a block takes exactly the steps it takes alone: a BLAS
+    # product in the fused step sums a row differently by block width
+    for k in range(15):
+        form = MultilinearForm(dims=dims, coeffs=np.random.default_rng(k).standard_normal(
+            math.prod(dims)))
+        starts = poweriter._random_starts(form, range(poweriter._STARTS))
+        block = poweriter._joint(form, starts, poweriter.DEFAULT_TOL, 500)
+        for row, got in enumerate(block):
+            (alone,) = poweriter._joint(form, [s[row:row + 1] for s in starts],
+                                        poweriter.DEFAULT_TOL, 500)
+            assert _same_outcome(got, alone), (k, row)
+
+
 def test_joint_converges_at_once_on_a_rank_one_form():
     # e1 (x) e1 (x) e1 from (e1, e1, e1): the first step is stationary and
     # the fixed-point residual is exactly 0
@@ -345,6 +361,21 @@ def test_zero_gradient_start_is_discarded_from_its_block():
             poweriter._pick(outcomes[:1])
 
 
+def test_gradient_whose_squared_norm_underflows_is_a_zero_gradient():
+    # (e2, e2, e2) meets the gradient (1e-200, 1e-200, 0, 0, 0, 0): its squared
+    # norm is 0, so the step leaves that row infinite, and no RuntimeWarning
+    # comes of judging or splitting it
+    e1, e2 = np.eye(2)
+    t = np.multiply.outer(np.outer(e1, e1), e1) + 1e-200 * np.multiply.outer(
+        np.outer(e1 + e2, e2), e2)
+    form = MultilinearForm(dims=(2, 2, 2), coeffs=t.reshape(-1))
+    generic = poweriter._random_starts(form, [0])
+    starts = [np.vstack([e2, g[0]]) for g in generic]
+    outcomes = poweriter._joint(form, starts, poweriter.DEFAULT_TOL, 1000)
+    assert repr(outcomes[0]) == "ZeroGradientError('zero gradient at iteration 1')"
+    assert outcomes[1].value == pytest.approx(1.0, abs=1e-9)
+
+
 def test_ascent_raises_when_every_start_meets_zero_gradient(monkeypatch):
     # e1 (x) e1 (x) e1 has a zero gradient at (e2, e2, e2); a generic start
     # beside such starts still gives the ascent its answer
@@ -362,14 +393,15 @@ def test_ascent_raises_when_every_start_meets_zero_gradient(monkeypatch):
 
 
 # (status, iterations) and value of multilinear_iterate for seeds 0-9, as
-# the step-by-step joint kernel returned them
+# the step-by-step joint kernel returned them (``_plain_joint``)
 _JOINT_PINS = {
     "trilinear": [(28, 21.955582366933964)] + [(30, 21.955582366933967)] * 6
-    + [(27, 21.955582366933967)] * 3,
-    "quadlinear": [(35, 16.71262551612544)] * 4 + [(35, 16.712625516125435)] * 2
-    + [(34, 16.712625516125435)] * 2 + [(49, 15.537021957568351), (36, 16.712625516125435)],
-    "random-2x2x3": [(35, 12.984628299332215)] * 2 + [(36, 12.984628299332215)] * 2
-    + [(38, 12.984628299332213)] * 2 + [(35, 12.984628299332215)] * 4,
+    + [(29, 21.955582366933967)] * 3,
+    "quadlinear": [(37, 16.71262551612544)] * 2 + [(35, 16.71262551612544)] * 2
+    + [(35, 16.712625516125435)] * 2 + [(34, 16.712625516125435)] * 2
+    + [(43, 15.537021957568351), (36, 16.712625516125435)],
+    "random-2x2x3": [(36, 12.984628299332215)] * 4 + [(38, 12.984628299332213)] * 2
+    + [(38, 12.984628299332215)] * 2 + [(35, 12.984628299332215)] * 2,
 }
 _JOINT_FORMS = {
     "trilinear": MultilinearForm(dims=(2, 2, 2), coeffs=TRILINEAR_COEFFS),
@@ -395,6 +427,84 @@ def test_joint_outcomes_keep_their_pins(name):
         result = multilinear_iterate(_JOINT_FORMS[name], seed=seed)
         assert (result.status, result.iterations) == (Status.OSCILLATING, iterations), seed
         assert abs(result.value - value) <= 1e-12, seed
+
+
+def _plain_joint(form, starts, tol, max_iters):
+    """``_joint`` one step at a time: each step of the fused step function
+    is judged before the next (zero gradient, convergence, oscillation at
+    lag 2..4), and a row is dropped once a lower row has converged at an
+    earlier step."""
+    t, subs = form.tensor, poweriter._subscripts(form.order)
+    w, cuts = poweriter._unfolding(t), np.cumsum(form.dims)[:-1]
+    q = np.concatenate(starts, axis=1)
+    q /= poweriter._row_norms(q)[:, None]
+    outcomes, live = [None] * len(q), list(range(len(q)))
+    history = [[] for _ in q]
+    converged = [math.inf] * len(q)  # the step each row converged at
+    for it in range(1, max_iters + 2):
+        live = [k for k in live if min(converged[:k], default=math.inf) >= it]
+        if it > max_iters or not live:
+            break
+        buf, norms = np.empty((2, *q.shape)), np.empty((1, len(q)))
+        buf[0] = q
+        poweriter._steps(w, form.dims, buf, norms)
+        for k in list(live):
+            row, status = buf[1, k:k + 1], None
+            if not norms[0, k] > 0.0:
+                outcomes[k] = ZeroGradientError(f"zero gradient at iteration {it}")
+                live.remove(k)
+                continue
+            slots, collapsed = poweriter._split_unit(row, cuts)
+            if abs(poweriter._row_dots(row, q[k:k + 1])[0]) >= 1.0 - tol:
+                value, residual = poweriter._assess(t, subs, slots)
+                if collapsed[0] or poweriter._stopped(value, residual, tol)[0]:
+                    status = Status.OSCILLATING if collapsed[0] else Status.CONVERGED
+            canon = row[0] * (1.0 if row[0, np.argmax(np.abs(row[0]))] >= 0.0 else -1.0)
+            dist = [np.linalg.norm(canon - past) for past in history[k][::-1]]
+            if status is None and dist and dist[0] > poweriter._OSC_TOL and any(
+                    d <= poweriter._OSC_TOL for d in dist[1:]):
+                status = Status.OSCILLATING
+            history[k] = (history[k] + [canon])[-4:]
+            if status is not None:
+                (outcomes[k],) = poweriter._results(t, subs, slots, [it], [status])
+                converged[k] = it if status is Status.CONVERGED and not collapsed[0] else math.inf
+                live.remove(k)
+        q = buf[1]
+    for k in live:
+        (outcomes[k],) = poweriter._results(t, subs, poweriter._split_unit(q[k:k + 1], cuts)[0],
+                                            [max_iters], [Status.NON_CONVERGED])
+    return outcomes
+
+
+def _symmetric_case(seed, d):
+    # a symmetric form from equal slots: rows converge, one after another,
+    # and a row is dropped once a lower one has converged
+    rng = np.random.default_rng(seed)
+    t = sum(w * np.multiply.outer(np.outer(v, v), v)
+            for w, v in zip(rng.standard_normal(d), rng.standard_normal((d, d))))
+    form = MultilinearForm(dims=(d,) * 3, coeffs=t.reshape(-1))
+    return form, [poweriter._random_starts(form, range(7))[0]] * 3
+
+
+_STEPWISE_CASES = {
+    # the starts of seeds 0-9, as the pins run them
+    **{name: (form, poweriter._random_starts(form, range(10 + poweriter._STARTS - 1)))
+       for name, form in _JOINT_FORMS.items()},
+    "symmetric-3x3x3": _symmetric_case(501, 3),
+    "symmetric-4x4x4": _symmetric_case(503, 4),
+}
+
+
+@pytest.mark.parametrize("name", list(_STEPWISE_CASES))
+def test_block_judgement_matches_the_step_by_step_loop(name):
+    # _BLOCK steps judged at once end every row where judging each step
+    # before the next does, with the same outcome, at every cap
+    form, starts = _STEPWISE_CASES[name]
+    for cap in (1, poweriter._BLOCK - 1, poweriter._BLOCK, poweriter._BLOCK + 1, 2000):
+        got = poweriter._joint(form, starts, poweriter.DEFAULT_TOL, cap)
+        want = _plain_joint(form, starts, poweriter.DEFAULT_TOL, cap)
+        for k, (a, b) in enumerate(zip(got, want)):
+            assert a is b is None or _same_outcome(a, b), (cap, k)
 
 
 @pytest.mark.parametrize("name", list(_JOINT_FORMS))
