@@ -27,9 +27,13 @@ two power kernels as iterations x cost per iteration: the joint iteration's
 six starts (``poweriter._joint``, capped at 2000 steps) on a 2x2x3 integer
 form on which no start settles and on the 2x2x2x2 form of the exact rows,
 and block power iteration (``bilinear_max``) on Gaussian 50x40 and 20x15
-matrices.  Their counters are the steps taken (the last start's, for the
-joint rows) and the value, hex, and ``us_per_step`` is the CPU time over
-the steps.
+matrices.  Two rows where the fixed cost of a call dominates time whole
+calls: ``multilinear_iterate`` (starts included, capped at 2000 steps) on a
+2x2x2 integer form whose six starts all end within two blocks of the joint
+kernel, and ``bilinear_max`` on a Gaussian 8x8 matrix that converges in 6
+steps, 5 of them Ritz checks.  Their counters are the steps taken (the last
+start's, for the ``joint`` rows; the answer's, for the whole calls) and the
+value, hex, and ``us_per_step`` is the CPU time over the steps.
 
 Times are CPU seconds of this process (``time.process_time``), not scaled by
 any host calibration: the median and quartiles over ``--repeats`` solves.
@@ -43,7 +47,7 @@ counters other than ``budget_used`` equal the other one's (a change may
 lower the budget on purpose; each row keeps its own).  The JSON goes to
 standard output, one line per row to standard error:
 
-    python3 scripts/bench.py --against parent=../parent/src --repeats 9 > BENCH_25.json
+    python3 scripts/bench.py --against parent=../parent/src --repeats 9 > BENCH_26.json
 
 BLAS threads are pinned to 1, so CPU time is one core's time.
 """
@@ -113,20 +117,24 @@ def power_cases(sm):
         return lambda: max((out.iterations, out.value) for out in pw._joint(
             form, starts, pw.DEFAULT_TOL, 2000))
 
-    def subspace(shape):
-        form = sm.MultilinearForm(shape, np.random.default_rng(0).standard_normal(
-            math.prod(shape)))
-
+    def whole(run, form):
         def call():
-            result = pw.bilinear_max(form)
+            result = run(form)
             return result.iterations, result.value
         return call
+
+    def gaussian(shape, seed=0):
+        return sm.MultilinearForm(shape, np.random.default_rng(seed).standard_normal(
+            math.prod(shape)))
 
     return [
         ("joint-2x2x3-unsettled", joint(integer_form((2, 2, 3), np.random.default_rng(9)))),
         ("joint-2x2x2x2", joint(integer_form((2, 2, 2, 2), np.random.default_rng(2)))),
-        ("subspace-50x40", subspace((50, 40))),
-        ("subspace-20x15", subspace((20, 15))),
+        ("multilinear-2x2x2", whole(partial(pw.multilinear_iterate, max_iters=2000),
+                                    integer_form((2, 2, 2), np.random.default_rng(0)))),
+        ("subspace-50x40", whole(pw.bilinear_max, gaussian((50, 40)))),
+        ("subspace-20x15", whole(pw.bilinear_max, gaussian((20, 15)))),
+        ("subspace-8x8", whole(pw.bilinear_max, gaussian((8, 8), seed=1))),
     ]
 
 

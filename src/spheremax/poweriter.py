@@ -21,10 +21,12 @@ Gauss-Seidel kernel contracts the coefficient tensor once per slot and
 step, with one ``np.einsum``, judges every step and drops a start when it
 ends.  The joint kernel forms every slot's partial gradient in one
 ``np.einsum`` per step, the Khatri-Rao products of the other slots times a
-block-diagonal unfolding of the tensor (``_steps``), advances _BLOCK steps
-at a time and then judges them all at once (``_joint``).  In both, a
-start's arithmetic does not depend on the others in its block, so it gets
-exactly the result it would get alone.
+block-diagonal unfolding of the tensor (``_steps``).  One column gather of
+the iterate, by an index built once per call (``_gather_index``), lines up
+the factors of every product, and r - 2 products multiply them in slot
+order.  It advances _BLOCK steps at a time and then judges them all at
+once (``_joint``).  In both, a start's arithmetic does not depend on the
+others in its block, so it gets exactly the result it would get alone.
 
 Every form runs at unit scale: scaled by the power of two that puts its
 largest coefficient in [0.5, 1) (``multiform._scaled``), with value and
@@ -60,6 +62,7 @@ is discarded.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -83,6 +86,7 @@ _STARTS = 6
 _OSC_TOL = 1e-10
 _BLOCK = 32            # joint steps advanced between two judgements
 _ASCENT_SWEEPS = 500
+_PAIR = tuple(_subscripts(2))  # the einsum subscripts of a bilinear form's slots
 
 
 class Status(enum.Enum):
@@ -120,16 +124,18 @@ def _unscaled(result, k):
 
 
 def _random_starts(form, seeds):
-    """One random point per seed, as per-slot (B, d_i) blocks of unit rows."""
+    """One random point per seed, as per-slot (B, d_i) blocks of unit rows:
+    one standard normal draw of sum(dims) entries per seed, cut into slots."""
+    offsets = np.cumsum((0,) + form.dims).tolist()
     blocks = [np.empty((len(seeds), d)) for d in form.dims]
     for row, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        for block, d in zip(blocks, form.dims):
-            v = rng.standard_normal(d)
-            n = np.linalg.norm(v)
+        v = np.random.default_rng(seed).standard_normal(offsets[-1])
+        for block, a, b in zip(blocks, offsets, offsets[1:]):
+            s = v[a:b]
+            n = math.sqrt(s.dot(s))  # what np.linalg.norm computes
             if n == 0.0:  # pragma: no cover - measure zero
                 raise ZeroGradientError("degenerate random start")
-            block[row] = v / n
+            np.divide(s, n, out=block[row])
     return blocks
 
 
@@ -220,10 +226,10 @@ def _gauss_seidel(form, starts, tol, max_iters):
     return outcomes
 
 
-def _split_unit(q, cuts):
-    """Split concatenated rows into per-slot unit rows; also flags the rows
-    with a zero slot."""
-    slots = np.split(q, cuts, axis=1)
+def _split_unit(q, offsets):
+    """Split concatenated rows at ``offsets`` (0, d_1, d_1 + d_2, ...,
+    sum(dims)) into per-slot unit rows; also flags the rows with a zero slot."""
+    slots = [q[:, a:b] for a, b in zip(offsets, offsets[1:])]
     norms = [_row_norms(s) for s in slots]
     collapsed = np.any([n == 0.0 for n in norms], axis=0)
     return [s / np.where(n == 0.0, 1.0, n)[:, None] for s, n in zip(slots, norms)], collapsed
@@ -242,38 +248,40 @@ def _unfolding(t):
     return w
 
 
-def _steps(w, dims, buf, norms):
+def _gather_index(offsets):
+    """The (r - 1, K) columns of a concatenated point that make up its
+    Khatri-Rao row, ``offsets`` as in ``_split_unit``: column c of slot i's
+    block (the row order of ``_unfolding``) is the product, in slot order,
+    of one coordinate of each other slot, and row p holds the p-th."""
+    spans = [range(a, b) for a, b in zip(offsets, offsets[1:])]
+    cols = [c for i in range(len(spans))
+            for c in itertools.product(*spans[:i], *spans[i + 1:])]
+    return np.array(cols, dtype=np.intp).T.copy()  # take() copies a strided index
+
+
+def _steps(w, gather, buf, norms):
     """The fused joint step, r >= 3: buf[k + 1] = grad l(buf[k]) / ||grad
     l(buf[k])|| for each (B, sum(dims)) slice of buf in turn, norms[k] the
-    gradient norm of each row.  Each slot's Khatri-Rao block of one (B, K)
-    buffer is formed by r - 2 products, and one ``np.einsum`` contracts it
-    with W (``_unfolding``): that einsum sums each row on its own, where a
-    BLAS product may not, so a row's bits do not depend on the block.  A
-    zero gradient reads norm 0 and leaves its row non-finite from there on."""
-    offsets = np.cumsum((0,) + dims)
-    slots = [buf[:, :, a:b] for a, b in zip(offsets[:-1], offsets[1:])]
-    kr = np.empty((buf.shape[1], w.shape[0]))
-    plan, start = [], 0
-    for i in range(len(dims)):
-        others = [j for j in range(len(dims)) if j != i]
-        shape = [dims[j] for j in others]
-        size = math.prod(shape)
-        view = kr[:, start:start + size].reshape(-1, *shape)
-        # the p-th other slot on axis p + 1 of the view, broadcast on the rest
-        factors = [np.expand_dims(slots[j], tuple(2 + o for o in range(len(others)) if o != p))
-                   for p, j in enumerate(others)]
-        plan.append((view, factors))
-        start += size
+    gradient norm of each row.  One gather of buf[k]'s columns by ``gather``
+    (``_gather_index``) puts the r - 1 factors of every Khatri-Rao product
+    side by side, r - 2 products multiply them, in slot order, into one
+    (B, K) buffer, and one ``np.einsum`` contracts it with W
+    (``_unfolding``): that einsum sums each row on its own, where a BLAS
+    product may not, so a row's bits do not depend on the block.  A zero
+    gradient reads norm 0 and leaves its row non-finite from there on."""
+    width = buf.shape[1]
+    factors = np.empty((width, *gather.shape))
+    kr = np.empty((width, gather.shape[1]))
+    first, second, *rest = factors.transpose(1, 0, 2)
     with np.errstate(invalid="ignore", divide="ignore"):
-        for k in range(len(buf) - 1):
-            for view, (first, second, *rest) in plan:
-                np.multiply(first[k], second[k], out=view)
-                for f in rest:
-                    np.multiply(view, f[k], out=view)
-            g = np.einsum("bk,kn->bn", kr, w, out=buf[k + 1])
-            norm = norms[k]
+        for q, g, norm, column in zip(buf[:-1], buf[1:], norms, norms[..., None]):
+            q.take(gather, axis=1, out=factors, mode="clip")
+            np.multiply(first, second, out=kr)
+            for f in rest:
+                np.multiply(kr, f, out=kr)
+            np.einsum("bk,kn->bn", kr, w, out=g)
             np.sqrt(np.einsum("bn,bn->b", g, g, out=norm), out=norm)
-            np.divide(g, norm[:, None], out=g)
+            np.divide(g, column, out=g)
 
 
 def _joint(form, starts, tol, max_iters):
@@ -289,8 +297,8 @@ def _joint(form, starts, tol, max_iters):
     earlier step, read off the running minimum, over the rows in order, of
     the step each converged at.  Rows leave at the block's end."""
     t, subs = form.tensor, _subscripts(form.order)
-    w = _unfolding(t)
-    cuts = np.cumsum(form.dims)[:-1]
+    offsets = np.cumsum((0,) + form.dims).tolist()
+    w, gather = _unfolding(t), _gather_index(offsets)
     q = np.concatenate(starts, axis=1)
     q /= _row_norms(q)[:, None]
     outcomes = [None] * len(q)
@@ -303,7 +311,7 @@ def _joint(form, starts, tol, max_iters):
         buf = np.empty((steps + 1, width, n))
         buf[0] = q
         norms = np.empty((steps, width))
-        _steps(w, form.dims, buf, norms)
+        _steps(w, gather, buf, norms)
         bad = ~(norms > 0.0)  # a zero gradient, or a row past one
         if bad.any():         # zero such rows: no judgement below warns on them
             buf[1:][bad] = 0.0
@@ -311,7 +319,7 @@ def _joint(form, starts, tol, max_iters):
         done = np.abs(_row_dots(q, buf[:-1].reshape(-1, n))) >= 1.0 - tol
         near = np.flatnonzero(done)
         if near.size:
-            slots, collapsed = _split_unit(q[near], cuts)
+            slots, collapsed = _split_unit(q[near], offsets)
             value, residual = _assess(t, subs, slots)
             done[near] = collapsed | _stopped(value, residual, tol)
         lead = np.argmax(np.abs(q), axis=1)
@@ -333,7 +341,7 @@ def _joint(form, starts, tol, max_iters):
             first = np.where(hit, events.argmax(axis=0), steps)  # steps: no event
             ends = np.flatnonzero(hit)
             at = first[ends]
-            slots, collapsed = _split_unit(buf[at + 1, ends], cuts)
+            slots, collapsed = _split_unit(buf[at + 1, ends], offsets)
             converged = done[at, ends] & ~bad[at, ends] & ~collapsed
             step = np.full(width, steps)      # the step each row converged at
             step[ends[converged]] = at[converged]
@@ -349,7 +357,7 @@ def _joint(form, starts, tol, max_iters):
         base += steps
     count = index.size
     if count:
-        for i, out in zip(index, _results(t, subs, _split_unit(q, cuts)[0],
+        for i, out in zip(index, _results(t, subs, _split_unit(q, offsets)[0],
                                           [max_iters] * count, [Status.NON_CONVERGED] * count)):
             outcomes[i] = out
     return outcomes
@@ -364,10 +372,10 @@ def _ritz_pair(a, y, r, iterations, tol):
     _, sigma, vt = np.linalg.svd(r.T)
     y = y @ vt[0]
     x = a @ y  # not zero: A Y != 0, so sigma_1 > 0 and A y != 0, A^T x != 0
-    x /= np.linalg.norm(x)
+    x /= math.sqrt(x.dot(x))  # np.linalg.norm(x), without its checks
     y = a.T @ x
-    y /= np.linalg.norm(y)
-    value, residual = _assess(a, _subscripts(2), [x[None, :], y[None, :]])
+    y /= math.sqrt(y.dot(y))
+    value, residual = _assess(a, _PAIR, [x[None, :], y[None, :]])
     value, residual = abs(float(value[0])), float(residual[0])
     status = Status.CONVERGED if _stopped(value, residual, tol) else Status.NON_CONVERGED
     ratio = float(sigma[-1] / sigma[0])
@@ -404,7 +412,7 @@ def _subspace(form, seed, tol, max_iters):
     due = 1
     for it in range(1, max_iters + 1):
         z = a @ y
-        if not z.any():
+        if not np.count_nonzero(z):  # z.any(), at a third of its cost
             raise ZeroGradientError(f"A Y = 0 at iteration {it}")
         if it < due and it < max_iters:
             y = np.linalg.qr(a.T @ z)[0]

@@ -301,6 +301,19 @@ def test_batched_starts_match_single_starts(form):
     assert abs(batched.value - expected.value) <= 1e-12
 
 
+@pytest.mark.parametrize("dims", [(2, 3, 4), (50, 40)])
+def test_random_starts_are_slot_by_slot_normal_draws(dims):
+    # one draw of sum(dims) normals per seed, cut into slots, is the stream
+    # of one draw per slot, and each slot is normalized as np.linalg.norm does
+    form = MultilinearForm(dims=dims, coeffs=np.ones(math.prod(dims)))
+    blocks = poweriter._random_starts(form, range(50))
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        for block, d in zip(blocks, dims):
+            v = rng.standard_normal(d)
+            assert block[seed].tobytes() == (v / np.linalg.norm(v)).tobytes(), seed
+
+
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3), (2, 2, 4), (3, 3, 3), (2, 2, 2, 2),
                                   (2, 3, 4)])
 def test_block_rows_match_lone_starts_bit_for_bit(dims):
@@ -435,7 +448,8 @@ def _plain_joint(form, starts, tol, max_iters):
     lag 2..4), and a row is dropped once a lower row has converged at an
     earlier step."""
     t, subs = form.tensor, poweriter._subscripts(form.order)
-    w, cuts = poweriter._unfolding(t), np.cumsum(form.dims)[:-1]
+    offsets = np.cumsum((0,) + form.dims).tolist()
+    w, gather = poweriter._unfolding(t), poweriter._gather_index(offsets)
     q = np.concatenate(starts, axis=1)
     q /= poweriter._row_norms(q)[:, None]
     outcomes, live = [None] * len(q), list(range(len(q)))
@@ -447,14 +461,14 @@ def _plain_joint(form, starts, tol, max_iters):
             break
         buf, norms = np.empty((2, *q.shape)), np.empty((1, len(q)))
         buf[0] = q
-        poweriter._steps(w, form.dims, buf, norms)
+        poweriter._steps(w, gather, buf, norms)
         for k in list(live):
             row, status = buf[1, k:k + 1], None
             if not norms[0, k] > 0.0:
                 outcomes[k] = ZeroGradientError(f"zero gradient at iteration {it}")
                 live.remove(k)
                 continue
-            slots, collapsed = poweriter._split_unit(row, cuts)
+            slots, collapsed = poweriter._split_unit(row, offsets)
             if abs(poweriter._row_dots(row, q[k:k + 1])[0]) >= 1.0 - tol:
                 value, residual = poweriter._assess(t, subs, slots)
                 if collapsed[0] or poweriter._stopped(value, residual, tol)[0]:
@@ -471,9 +485,55 @@ def _plain_joint(form, starts, tol, max_iters):
                 live.remove(k)
         q = buf[1]
     for k in live:
-        (outcomes[k],) = poweriter._results(t, subs, poweriter._split_unit(q[k:k + 1], cuts)[0],
+        (outcomes[k],) = poweriter._results(t, subs, poweriter._split_unit(q[k:k + 1], offsets)[0],
                                             [max_iters], [Status.NON_CONVERGED])
     return outcomes
+
+
+def _chain_khatri_rao(q, dims):
+    """Each slot's Khatri-Rao block of the rows of q by its own chain of
+    broadcast products of the other slots, in slot order: the fused step's
+    (B, K) buffer as it was formed before the one-gather rule."""
+    offsets = np.cumsum((0,) + dims)
+    slots = [q[:, a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+    blocks = []
+    for i in range(len(dims)):
+        others = [j for j in range(len(dims)) if j != i]
+        # the p-th other slot on axis p + 1, broadcast on the rest
+        first, second, *rest = [
+            np.expand_dims(slots[j], tuple(1 + o for o in range(len(others)) if o != p))
+            for p, j in enumerate(others)]
+        block = np.empty((len(q), *[dims[j] for j in others]))
+        np.multiply(first, second, out=block)
+        for f in rest:
+            np.multiply(block, f, out=block)
+        blocks.append(block.reshape(len(q), -1))
+    return np.concatenate(blocks, axis=1)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 3), (3, 2, 4), (2, 2, 2, 2), (2, 3, 2, 2, 2),
+                                  (2, 1, 3)])
+def test_gathered_khatri_rao_buffer_matches_the_per_slot_chain(dims):
+    # one gather of the iterate's columns and r - 2 products in slot order
+    # give the per-slot chains' buffer bit for bit, and so the fused step
+    # gives that buffer's step
+    form = random_form(np.random.default_rng(11), dims)
+    q = np.concatenate(poweriter._random_starts(form, range(poweriter._STARTS)), axis=1)
+    gather = poweriter._gather_index(np.cumsum((0,) + dims).tolist())
+    factors = q.take(gather, axis=1)
+    kr = factors[:, 0] * factors[:, 1]
+    for p in range(2, len(dims) - 1):
+        kr *= factors[:, p]
+    chain = _chain_khatri_rao(q, dims)
+    assert kr.tobytes() == chain.tobytes()
+    w = poweriter._unfolding(form.tensor)
+    g = np.einsum("bk,kn->bn", chain, w)
+    norm = np.sqrt(np.einsum("bn,bn->b", g, g))
+    buf, norms = np.empty((2, *q.shape)), np.empty((1, len(q)))
+    buf[0] = q
+    poweriter._steps(w, gather, buf, norms)
+    assert norms[0].tobytes() == norm.tobytes()
+    assert buf[1].tobytes() == (g / norm[:, None]).tobytes()
 
 
 def _symmetric_case(seed, d):
@@ -615,3 +675,18 @@ def test_badly_scaled_forms_keep_their_relative_accuracy(exp):
     calls = [lambda f: multilinear_iterate(f, seed=0), lambda f: poweriter._ascend(f, 0, 48)]
     for call in calls:
         assert call(scaled).value / 10.0**exp == pytest.approx(call(form).value, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-12, 1e-20, 1e-100])
+def test_small_forms_stop_as_the_unscaled_form(scale):
+    # the stop test reads relative to the form's own scale: a Gaussian 8x7
+    # times a small factor ended at step 1, 2.4e-5 below sigma_1, when the
+    # test was absolute; now it takes the unscaled run's 8 steps
+    a = np.random.default_rng(0).standard_normal((8, 7))
+    s1 = float(np.linalg.svd(a, compute_uv=False)[0])
+    want = bilinear_max(MultilinearForm(dims=a.shape, coeffs=a.reshape(-1)))
+    got = bilinear_max(MultilinearForm(dims=a.shape, coeffs=a.reshape(-1) * scale))
+    assert (got.status, got.iterations) == (want.status, want.iterations) == (
+        Status.CONVERGED, 8)
+    assert abs(got.value / scale - s1) <= 4e-16 * s1
+    assert got.residual <= 1e-13 * got.value
