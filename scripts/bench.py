@@ -9,18 +9,23 @@ library has no hooks for it:
 
 - ``run``: Buchberger's loop (``_Engine.run``, its interreduction left out);
 - ``interreduce``: ``_Engine._interreduce``;
-- ``certificate``: ``_certify``, the exact check after a zero-tested run;
+- ``certificate``: whichever proof of the basis ran: ``_prove_points``,
+  the Krawczyk boxes around the solutions of an affine run stopped at the
+  class count, and ``_certify``, the exact S-pair check it falls back to
+  and the sphere chart's check after a zero-tested run;
 - ``normal_set``: ``normal_set``;
-- ``ring_and_eigen``: from the end of ``normal_set`` to the end of the
-  solve (the quotient ring, its multiplication matrices, the eigenvalues
-  and the point recovery);
-- ``other``: the rest of ``total`` (the critical system, and the basis
-  turned into rationals).
+- ``ring_and_eigen``: from the end of the last ``normal_set`` to the end of
+  the solve (the quotient ring, its multiplication matrices, the
+  eigenvalues and the point recovery), point proofs left out;
+- ``other``: the rest of ``total`` (the critical system, the class count).
 
 Counters per solve: the reduction budget spent by Groebner (``budget_used``)
 and by the quotient ring (``ring_budget_used``), the S-pairs the mod-p zero
-test skipped, the certificate's verdicts, the quotient dimension and the
-maximum.  They are checked to repeat exactly over every repeat.
+test skipped or the count stop left queued, the certificate's verdicts as
+``[proof, verdict]`` pairs in the order they ran (``points`` for
+``_prove_points``, ``pairs`` for ``_certify``; the last one decided), the
+quotient dimension and the maximum.  They are checked to repeat exactly
+over every repeat.
 
 Power rows (``kind: power``; the exact rows read ``kind: exact``) time the
 two power kernels as iterations x cost per iteration: the joint iteration's
@@ -43,11 +48,12 @@ beside this one in the same process, its rows labelled NAME, and each
 repeat solves every case with both, in alternating order, so the two rows
 of a case are paired; ``paired_ratio`` on the ``change`` row is its total
 over the other one's, per repeat, and ``counters_match`` says whether its
-counters other than ``budget_used`` equal the other one's (a change may
-lower the budget on purpose; each row keeps its own).  The JSON goes to
-standard output, one line per row to standard error:
+answer counters (all but the path counters ``budget_used``,
+``pairs_skipped`` and ``certificate``, which a change may move on purpose;
+each row keeps its own) equal the other one's.  The JSON goes to standard
+output, one line per row to standard error:
 
-    python3 scripts/bench.py --against parent=../parent/src --repeats 9 > BENCH_26.json
+    python3 scripts/bench.py --against parent=../parent/src --repeats 9 > BENCH_27.json
 
 BLAS threads are pinned to 1, so CPU time is one core's time.
 """
@@ -75,6 +81,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 STAGES = ("run", "interreduce", "certificate", "normal_set", "ring_and_eigen", "other",
           "total")
 POWER_STAGES = ("total", "us_per_step")
+PATH_COUNTERS = ("budget_used", "pairs_skipped", "certificate")
 
 
 def _load(name, src):
@@ -159,7 +166,9 @@ class Probe:
         self.budgets = []
         self._wrap(alg._Engine, "run", "run", self._count_skipped)
         self._wrap(alg._Engine, "_interreduce", "interreduce")
-        self._wrap(alg, "_certify", "certificate", self._verdict)
+        self._wrap(alg, "_certify", "certificate", partial(self._verdict, "pairs"))
+        if hasattr(alg, "_prove_points"):  # a tree without it has no point proof
+            self._wrap(alg, "_prove_points", "points", partial(self._verdict, "points"))
         self._wrap(alg, "normal_set", "normal_set", self._normal_set_end)
         budgets = self.budgets
 
@@ -180,6 +189,7 @@ class Probe:
                 out = fn(*args, **kwargs)
             finally:
                 rec[stage] = rec.get(stage, 0.0) + time.process_time() - t
+                rec.setdefault("calls", []).append((stage, t, time.process_time() - t))
             if after is not None:
                 after(args, out)
             return out
@@ -189,8 +199,8 @@ class Probe:
     def _count_skipped(self, args, out):
         self.rec["pairs_skipped"] = self.rec.get("pairs_skipped", 0) + len(args[0].skipped)
 
-    def _verdict(self, args, out):
-        self.rec.setdefault("verdicts", []).append(out)
+    def _verdict(self, proof, args, out):
+        self.rec.setdefault("verdicts", []).append([proof, out])
 
     def _normal_set_end(self, args, out):
         self.rec["normal_set_end"] = time.process_time()
@@ -208,7 +218,12 @@ class Probe:
         stages = {s: rec.get(s, 0.0) for s in ("run", "interreduce", "certificate",
                                                 "normal_set")}
         stages["run"] -= stages["interreduce"]  # run() calls _interreduce
-        stages["ring_and_eigen"] = end - rec["normal_set_end"]
+        stages["certificate"] += rec.get("points", 0.0)
+        # a point proof runs after the normal set of the basis it proves, and
+        # a certificate after a failed one
+        stages["ring_and_eigen"] = end - rec["normal_set_end"] - sum(
+            d for stage, t, d in rec["calls"]
+            if stage in ("points", "certificate") and t >= rec["normal_set_end"])
         stages["total"] = end - t
         stages["other"] = stages["total"] - sum(stages[s] for s in STAGES[:5])
         counters = {
@@ -283,7 +298,7 @@ def main(argv=None):
                 other = trees[1][0]
                 row["counters_match"] = all(
                     counters[name][c] == counters[other][c]
-                    for c in counters[name] if c != "budget_used")
+                    for c in counters[name] if c not in PATH_COUNTERS)
                 row["paired_ratio"] = _spread([
                     this["total"] / that["total"]
                     for (this, _), (that, _) in zip(runs[name], runs[other])])

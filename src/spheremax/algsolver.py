@@ -7,7 +7,8 @@ by affine chart equations x_first = 1.  The system is solved exactly: a
 reduced Groebner basis over Q, the standard-monomial basis of the quotient
 ring, and multiplication matrices whose eigenvalues are the values of a
 polynomial at the solutions (Eigenvalue Theorem).  Floating point enters only
-at the eigenvalue stage.
+at the eigenvalue stage, and in the affine chart's point proof, whose every
+rounding is bounded.
 
 The exact loops run on plain Python ints.  A monomial is one packed int (see
 _Monomials), Buchberger's algorithm reduces fraction-free integer
@@ -40,9 +41,18 @@ reduction, so the basis lies in the ideal, and the certificate checks every
 surviving pair and every input, so a passing one proves a Groebner basis.
 For a generic form the leading ideal is then complete, as a smaller one
 would leave more than D standard monomials, and the certificate passes; a
-non-generic form can meet D early, fail it and resume.  A run below the
-zero-test line owes no certificate, and a stop there would add one that
-costs about what the stop saves, so it runs to the end.
+non-generic form can meet D early, fail it and resume.
+
+On the affine chart (solve_argmax) every run stops at D, zero-tested or
+not, and its solutions prove the basis in place of the certificate: the
+eigen-solve of the candidate basis yields D points, and Krawczyk's test
+boxes each in its own polydisc around a zero of the chart's square
+subsystem, so the ideal has at least D zeros and a quotient of dimension
+at least D = |std(G)|, and the leading ideals agree (see _prove_points).
+A failed proof runs the certificate, and a failed certificate resumes the
+run.  On the sphere chart a run below the zero-test line owes no
+certificate, and a stop there would add one that costs about what the
+stop saves, so it runs to the end.
 """
 
 from __future__ import annotations
@@ -60,7 +70,8 @@ from decimal import Decimal
 import numpy as np
 
 from . import chowcount, multiform
-from .errors import BudgetExceededError, DimensionMismatchError, NotZeroDimensionalError, integers
+from .errors import (BudgetExceededError, DimensionMismatchError, NotZeroDimensionalError,
+                     SphereMaxError, integers)
 from .linalg import Matrix
 from .multiform import MultilinearForm
 
@@ -127,7 +138,7 @@ class _Monomials:
     limit they raise BudgetExceededError.
     """
 
-    __slots__ = ("nvars", "shift", "mask", "ones", "guard")
+    __slots__ = ("nvars", "shift", "mask", "ones", "guard", "units")
 
     def __init__(self, nvars):
         self.nvars = nvars
@@ -135,6 +146,8 @@ class _Monomials:
         self.mask = (1 << self.shift) - 1
         self.ones = sum(1 << (_FIELD * i) for i in range(nvars))  # 1 per field
         self.guard = self.ones << (_FIELD - 1)
+        # each variable packed: degree 1, a 1 in its field
+        self.units = [(1 << self.shift) - (1 << (_FIELD * v)) for v in range(nvars)]
 
     def pack(self, m) -> int:
         deg = _checked_degree(sum(m))
@@ -232,15 +245,43 @@ class PolySystem:
     slot_vars: tuple  # per slot, tuple of variable indices
 
 
-@dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced, monic Groebner basis under grevlex.  groebner() also keeps
-    the basis's _reducer records, which the normal set, the quotient ring
-    and the certificate read; a basis built any other way has none."""
+    """Reduced, monic Groebner basis under grevlex.  groebner() keeps the
+    basis's _reducer records, which the normal set, the quotient ring and
+    the certificate read, and builds the monic rational ``basis`` from them
+    only when it is first read; a basis built any other way has no records."""
 
-    basis: tuple
-    variables: tuple
-    _records: tuple = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("_basis", "variables", "_records")
+    __hash__ = None
+
+    def __init__(self, basis, variables):
+        self._basis = basis
+        self.variables = variables
+        self._records = None
+
+    @classmethod
+    def _from_records(cls, records, variables):
+        gb = cls(None, variables)
+        gb._records = tuple(records)
+        return gb
+
+    @property
+    def basis(self) -> tuple:
+        if self._basis is None:
+            mono = _Monomials(len(self.variables))
+            self._basis = tuple(
+                RationalPoly(self.variables, {mono.unpack(m): Fraction(c, lc)
+                                              for m, c in {lm: lc, **tail}.items()})
+                for _, lm, lc, tail in self._records)
+        return self._basis
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.basis, self.variables) == (other.basis, other.variables)
+
+    def __repr__(self):
+        return f"GroebnerBasis(basis={self.basis!r}, variables={self.variables!r})"
 
 
 @dataclass(frozen=True)
@@ -488,14 +529,16 @@ class _Engine:
     """Buchberger with the Gebauer-Moeller pair criteria and normal
     (minimal-lcm) selection.  Past ``line`` basis coefficient bits, run()
     skips the pairs that vanish mod _PRIME and keeps them in ``skipped``.
-    Given the quotient dimension of a generic system, run() stops once a
-    pair was skipped and the live leading monomials leave exactly that many
-    standard monomials; the pairs still queued join ``skipped``."""
+    Given the quotient dimension of a generic system, run() stops once the
+    live leading monomials leave exactly that many standard monomials, if a
+    pair was skipped or the run is ``eager`` (its caller can prove the basis
+    without the certificate); the pairs still queued join ``skipped``."""
 
-    def __init__(self, mono, budget, quotient_dim=None):
+    def __init__(self, mono, budget, quotient_dim=None, eager=False):
         self.mono = mono
         self.budget = budget
         self.quotient_dim = quotient_dim
+        self.eager = eager
         self.records = []  # _reducer record of each poly, by index
         self.live = []     # indices no later leading monomial divides, by lm
         self.reducers = []  # their records, in that order
@@ -541,7 +584,8 @@ class _Engine:
     def run(self):
         counted = None  # the record count at the last count of the live set
         while self.pairs:
-            if self.skipped and self.quotient_dim and counted != len(self.records):
+            if ((self.skipped or self.eager) and self.quotient_dim
+                    and counted != len(self.records)):
                 counted = len(self.records)
                 missing, standard = _standard_monomials(self.reducers, self.mono,
                                                         self.quotient_dim)
@@ -557,9 +601,10 @@ class _Engine:
         return self._interreduce()
 
     def resume(self):
-        """Reduce the skipped pairs exactly, with the zero test off, and
-        run on to a basis that needs no certificate."""
+        """Reduce the skipped pairs exactly, with the zero test and the
+        count stop off, and run on to a basis that needs no certificate."""
         self.line = math.inf
+        self.quotient_dim = None
         self.pairs, self.skipped = self.skipped, []
         heapq.heapify(self.pairs)
         return self.run()
@@ -616,7 +661,7 @@ def _certify(basis, inputs, mono, budget) -> bool:
 
 
 def groebner(system: PolySystem, budget: int = DEFAULT_REDUCTION_BUDGET,
-             quotient_dim: int | None = None) -> GroebnerBasis:
+             quotient_dim: int | None = None, *, _proof=None) -> GroebnerBasis:
     """Reduced Groebner basis of the system's ideal, exact arithmetic.
 
     Raises BudgetExceededError when the configured number of reduction steps
@@ -636,27 +681,41 @@ def groebner(system: PolySystem, budget: int = DEFAULT_REDUCTION_BUDGET,
     the basis is always the exact one.  A positive-dimensional ideal
     leaves infinitely many standard monomials, so its run never stops
     early.
+
+    ``_proof`` is solve_argmax's point proof (see _quotient): a callable
+    that takes the candidate basis and returns True only if it proves it a
+    Groebner basis.  With it the run stops at the count whether or not it
+    owes the certificate, and the proof is tried before the certificate;
+    a solver error, a singular matrix or a float out of range in it counts
+    as a failure (_proves).
     """
     variables = system.variables
     mono = _Monomials(len(variables))
-    eng = _Engine(mono, _Budget(budget), quotient_dim)
+    eng = _Engine(mono, _Budget(budget), quotient_dim, eager=_proof is not None)
     polys = sorted(
         (_to_integer_primitive(p.terms, mono) for p in system.polys if not p.is_zero()),
         key=max,
     )
     for t in polys:
         eng.add(t)
-    basis = eng.run()
-    if eng.skipped and not _certify(basis, polys, mono, eng.budget):
-        basis = eng.resume()
-    monic = [
-        RationalPoly(variables, {mono.unpack(m): Fraction(c, lc)
-                                 for m, c in {lm: lc, **tail}.items()})
-        for _, lm, lc, tail in basis
-    ]
-    gb = GroebnerBasis(basis=tuple(monic), variables=variables)
-    object.__setattr__(gb, "_records", tuple(basis))
+    gb = GroebnerBasis._from_records(eng.run(), variables)
+    if (eng.skipped and not _proves(_proof, gb)
+            and not _certify(list(gb._records), polys, mono, eng.budget)):
+        gb = GroebnerBasis._from_records(eng.resume(), variables)
     return gb
+
+
+def _proves(proof, gb) -> bool:
+    """Whether ``proof``, if any, proves the candidate basis ``gb``.  A
+    solver error (an infinite normal set, inseparable eigenvalues, the
+    ring's budget), a singular matrix or a float out of range is no
+    proof."""
+    if proof is None:
+        return False
+    try:
+        return proof(gb) is True
+    except (SphereMaxError, np.linalg.LinAlgError, ArithmeticError, ValueError):
+        return False
 
 
 def verify_buchberger_certificate(gb: GroebnerBasis,
@@ -677,8 +736,7 @@ def _standard_monomials(records, mono, cap=math.inf):
     else (None, the standard monomials packed, unordered), the walk cut off
     once it holds more than ``cap`` of them."""
     guard = mono.guard
-    nvars = mono.nvars
-    units = [mono.pack(tuple(int(i == v) for i in range(nvars))) for v in range(nvars)]
+    units = mono.units
     for v, unit in enumerate(units):
         # a leading monomial other than 1 divides x_v^top iff it is a power of x_v
         top = (_DEGREE_LIMIT - 1) * unit
@@ -866,6 +924,19 @@ def form_polynomial(form: MultilinearForm) -> RationalPoly:
     return RationalPoly(names, terms)
 
 
+def _minor(lterms, a, b) -> dict:
+    """The terms of x_b dl/dx_a - x_a dl/dx_b, l given by its terms: those
+    of l that hold x_a or x_b, exponents of x_a and x_b swapped, signed +
+    for x_a and - for x_b."""
+    minor = {}
+    for exps, c in lterms.items():
+        if exps[a] or exps[b]:
+            e = list(exps)
+            e[a], e[b] = e[b], e[a]
+            minor[tuple(e)] = c if exps[a] else -c
+    return minor
+
+
 def build_critical_system(form: MultilinearForm, chart: str = "sphere") -> PolySystem:
     """The exact critical system of the form.
 
@@ -893,12 +964,7 @@ def build_critical_system(form: MultilinearForm, chart: str = "sphere") -> PolyS
     polys = []
     for svars in slot_vars:
         for a, b in itertools.combinations(svars, 2):
-            minor = {}
-            for exps, c in lterms.items():
-                if exps[a] or exps[b]:
-                    e = list(exps)
-                    e[a], e[b] = e[b], e[a]
-                    minor[tuple(e)] = c if exps[a] else -c
+            minor = _minor(lterms, a, b)
             if minor:
                 polys.append(RationalPoly(names, minor))
     for svars in slot_vars:
@@ -910,28 +976,213 @@ def build_critical_system(form: MultilinearForm, chart: str = "sphere") -> PolyS
 
 
 # ---------------------------------------------------------------------------
+# the affine chart's point proof.  A run that stops at the class count D
+# holds a basis G of exact reductions, so G lies in the ideal I and leaves
+# |std(G)| >= dim Q[x]/I standard monomials.  If |std(G)| = D and D
+# pairwise disjoint polydiscs each hold a zero of the chart's square
+# subsystem (whose zeros, with x_first = 1, are V(I)), then
+# dim Q[x]/I >= |V(I)| >= D = |std(G)|, so the leading ideals agree and G,
+# interreduced, is the reduced Groebner basis.  Each polydisc is proved by
+# Krawczyk's test (Krawczyk, Computing 4, 1969; Rump, Acta Numerica 19,
+# 2010) in complex midpoint-radius arithmetic: with Y an approximate inverse
+# of the Jacobian at the center m and every rounding bounded outward,
+#     |Y F(m)| + |I - Y J(X)| rho < rho, componentwise,
+# maps the polydisc X = {|x_i - m_i| <= rho_i} into its interior under
+# x -> x - Y F(x), so (Brouwer) X holds a zero of F, Y being nonsingular.
+#
+# Rounding model: every complex +, -, *, abs of floats has relative error
+# at most 2^-51, four units of roundoff (a complex product by the standard
+# formula stays within sqrt 5, by the fused one within 2; Brent, Percival
+# and Zimmermann, Math. Comp. 76, 2007), so a value reached by a path of N
+# operations is within gamma = N 2^-50 of its exact value, relative to the
+# same evaluation in absolute values (Higham, Accuracy and Stability of
+# Numerical Algorithms, ch. 3).  A zero coefficient adds an exact zero, so
+# a sum's path counts its nonzero terms only.
+# Underflow adds at most 2^-1072 per operation; with every point coordinate
+# below 2^32, every coefficient below 2^64 and degrees at most 8, it stays
+# below _UNDERFLOW.  Coefficients are the exact rationals of the system,
+# each read as its correctly rounded float (relative error <= 2^-53), the
+# subnormal range refused.
+# ---------------------------------------------------------------------------
+
+_UNDERFLOW = 2.0**-600   # absolute slack for underflow in every radius
+_ROUND_UP = 1 + 2.0**-30  # covers the roundings of the final comparisons
+
+
+def _chart_square(form, system):
+    """The affine chart's square subsystem in its free variables (all but
+    each slot's first): per slot, the minor of (first, b) for each free b,
+    every first coordinate set to 1, as {free exponents: exact rational}.
+    With x_first = 1 they generate the chart's ideal, since
+    x_first minor(a, b) = x_a minor(first, b) - x_b minor(first, a).
+    Each term of a minor holds one variable of each slot, so its free
+    exponents name it: setting the first coordinates to 1 merges no terms."""
+    lterms = form_polynomial(form).terms
+    free = [v for svars in system.slot_vars for v in svars[1:]]
+    polys = []
+    for svars in system.slot_vars:
+        for b in svars[1:]:
+            minor = _minor(lterms, svars[0], b)
+            polys.append({tuple(e[v] for v in free): c for e, c in minor.items()})
+            if len(polys[-1]) != len(minor):  # pragma: no cover - see above
+                raise ValueError("chart substitution merged terms")
+    return polys, free
+
+
+def _jacobian(polys, n):
+    """dp/dx_v of each poly p and variable v < n, row-major; distinct
+    monomials have distinct derivatives, so no terms merge."""
+    return [{e[:v] + (e[v] - 1,) + e[v + 1:]: c * e[v] if e[v] > 1 else c
+             for e, c in p.items() if e[v]}
+            for p in polys for v in range(n)]
+
+
+class _Discs:
+    """Exact polynomials {exponents: rational} in n variables, evaluated as
+    discs (center, radius) that hold their values over polydiscs.  The
+    coefficients form one float matrix over the distinct monomials, so each
+    evaluation is one monomial table and one product; ``sound`` is False
+    when a coefficient or degree leaves the range the rounding model
+    covers."""
+
+    def __init__(self, polys, n):
+        polys = [{e: c for e, c in p.items() if c} for p in polys]
+        monomials = sorted({e for p in polys for e in p})
+        col = {e: j for j, e in enumerate(monomials)}
+        self.coeffs = np.zeros((len(polys), len(monomials)))
+        for i, p in enumerate(polys):
+            for e, c in p.items():
+                self.coeffs[i, col[e]] = float(c)
+        self.abs_coeffs = np.abs(self.coeffs)
+        exps = np.array(monomials, dtype=int).reshape(len(monomials), n)
+        # x^e is the product over the factors (v, k), k <= max e_v, of x_v
+        # where e_v >= k and of an exact 1 elsewhere
+        factors = np.array([(v, k) for v in range(n)
+                            for k in range(1, exps[:, v].max(initial=0) + 1)],
+                           dtype=int).reshape(-1, 2)
+        self.factors = factors[:, 0]
+        self.uses = (exps[:, self.factors] >= factors[:, 1])[:, :, None]
+        degree = int(exps.sum(axis=1).max(initial=0))
+        nonzero = self.abs_coeffs[self.coeffs != 0]
+        self.sound = (degree <= 8 and len(nonzero) == sum(map(len, polys))
+                      and bool(np.all((nonzero >= 2.0**-1000) & (nonzero < 2.0**64))))
+        # the longest chain of roundings: a monomial, its coefficient, the
+        # sum over a poly's terms, the absolute values and the shift by rho
+        self.gamma = (degree + max(map(len, polys), default=0) + 4) * 2.0**-50
+
+    def _monomials(self, x):
+        return np.where(self.uses, x[self.factors], 1).prod(axis=1)
+
+    def center(self, x):
+        """The values at each column of x, in floating point."""
+        return self.coeffs @ self._monomials(x)
+
+    def discs(self, x, rho):
+        """(center, radius), one column per column of x: discs holding every
+        value over the polydisc of radii rho (shaped like x, or one per
+        column) around it.
+        |p(y) - p(x)| <= P(|x| + rho) - P(|x|), P the polynomial of the
+        absolute coefficients, and 4 gamma (P(|x| + rho) + P(|x|)) covers
+        the roundings of the center, of both P and of their difference."""
+        ax = np.abs(x)
+        lo = self.abs_coeffs @ self._monomials(ax)
+        hi = self.abs_coeffs @ self._monomials(ax + rho)
+        return self.center(x), (hi - lo) + 4 * self.gamma * (hi + lo) + _UNDERFLOW
+
+
+def _krawczyk(f, jac, x) -> bool:
+    """Whether disjoint polydiscs around the columns of x, each moved by one
+    Newton step, each hold a zero of f (Krawczyk's test); jac holds f's
+    Jacobian, row-major.  Each coordinate gets its own radius, twice its
+    bound on |Y F(m)|: a solution far out on the chart has one coordinate
+    in the thousands, and one radius for all would inflate every other one
+    to that coordinate's rounding error."""
+    n, count = x.shape
+    step = np.linalg.solve(jac.center(x).T.reshape(count, n, n), f.center(x).T[..., None])
+    x = x - step[..., 0].T
+    if not np.all(np.abs(x) < 2.0**32):
+        return False
+    y = np.linalg.inv(jac.center(x).T.reshape(count, n, n))
+    ay = np.abs(y)
+    gamma = (n + 2) * 2.0**-50  # the products with Y and I - Y J
+    fc, fr = (a.T[..., None] for a in f.discs(x, 0.0))
+    # |Y F(m)|, bounded above, per point and coordinate
+    e = (np.abs(y @ fc) + ay @ fr + gamma * (ay @ np.abs(fc)))[..., 0] + _UNDERFLOW
+    rho = 2 * e
+    jc, jr = (a.T.reshape(count, n, n) for a in jac.discs(x, rho.T))
+    c = np.eye(n) - y @ jc
+    r = ay @ jr + gamma * (ay @ np.abs(jc) + np.abs(c)) + _UNDERFLOW
+    k = e + ((np.abs(c) + r) @ rho[..., None])[..., 0]
+    if not np.all(k * _ROUND_UP < rho):
+        return False
+    # two polydiscs are disjoint when their discs in one coordinate are
+    reach = rho.T[:, :, None] + rho.T[:, None, :]
+    apart = (np.abs(x[:, :, None] - x[:, None, :]) / _ROUND_UP > reach * _ROUND_UP).any(axis=0)
+    np.fill_diagonal(apart, True)
+    return bool(apart.all())
+
+
+def _prove_points(form, system, coords, dim, classes) -> bool:
+    """The point proof of a basis that leaves ``dim`` standard monomials on
+    the affine chart of ``form``: its eigen-solve found ``coords`` (one
+    column per solution, one row per variable), and dim, the class count
+    and the number of solutions must agree, and Krawczyk's test must box
+    every solution of the square subsystem, disjointly."""
+    if not dim == classes == coords.shape[1]:
+        return False
+    polys, free = _chart_square(form, system)
+    f = _Discs(polys, len(free))
+    jac = _Discs(_jacobian(polys, len(free)), len(free))
+    if not (f.sound and jac.sound):
+        return False
+    with np.errstate(all="ignore"):
+        return _krawczyk(f, jac, coords[free])
+
+
+# ---------------------------------------------------------------------------
 # solve pipelines
 # ---------------------------------------------------------------------------
 
 _STAGES = ("system", "groebner", "normalSet", "eigen")
 
 
-def _quotient(form: MultilinearForm, chart: str, budget: int):
+def _quotient(form: MultilinearForm, chart: str, budget: int, seed: int = 0):
     """The chart's critical system, its Groebner basis and its normal set,
     the quotient dimension of a generic form (the class count on the affine
     chart, 2^r times it on the sphere chart, one point per sign pattern),
-    and the perf_counter marks taken before and after each stage."""
+    the perf_counter marks taken before and after each stage, and on the
+    affine chart the solutions of the quotient (_affine_solutions, with
+    ``seed``), else None.
+
+    On the affine chart the solutions prove the basis: groebner()'s run
+    stops at the class count, and the normal set and solutions of its
+    candidate basis go to _prove_points before the certificate would run.
+    The solutions returned are those of the basis groebner() returns, found
+    again only when it is not the candidate."""
     marks = [time.perf_counter()]
     system = build_critical_system(form, chart=chart)
     generic_dim = chowcount.count_extreme_classes(form.dims)
     if chart == "sphere":
         generic_dim <<= form.order
     marks.append(time.perf_counter())
-    gb = groebner(system, budget=budget, quotient_dim=generic_dim)
-    marks.append(time.perf_counter())
-    ns = normal_set(gb)
-    marks.append(time.perf_counter())
-    return system, gb, ns, generic_dim, marks
+    found = []  # (basis, its normal set, marks and solutions) of each proof
+
+    def solve(gb):
+        start = time.perf_counter()
+        ns = normal_set(gb)
+        done = time.perf_counter()
+        solutions = _affine_solutions(system, gb, ns, budget, seed) if chart == "affine" else None
+        return ns, [start, done], solutions
+
+    def proof(gb):
+        found.append((gb, solve(gb)))
+        ns, _, (_, coords, _) = found[-1][1]
+        return _prove_points(form, system, coords, len(ns), generic_dim)
+
+    gb = groebner(system, budget=budget, quotient_dim=generic_dim,
+                  _proof=proof if chart == "affine" else None)
+    ns, stages, solutions = found[-1][1] if found and found[-1][0] is gb else solve(gb)
+    return system, gb, ns, generic_dim, marks + stages, solutions
 
 
 def _stage_times(marks) -> dict:
@@ -958,7 +1209,7 @@ def solve_max(
     (2^k + |lambda|).
     """
     form, k = multiform._scaled(form)
-    _, gb, ns, _, marks = _quotient(form, "sphere", budget)
+    _, gb, ns, _, marks, _ = _quotient(form, "sphere", budget)
     m = mult_matrix(form_polynomial(form), gb, ns, budget=budget)
     eigenvalues = np.linalg.eigvals(np.ldexp(m.array, k))
     flags = []
@@ -1026,18 +1277,14 @@ def solve_argmax(
     return _solve_argmax(form, budget, seed)[0]
 
 
-def _solve_argmax(form: MultilinearForm, budget: int, seed: int):
-    """solve_argmax's report, the flags of the solutions it did not score
-    (skipped eigenvectors, discarded points) and the class count."""
-    form, k = multiform._scaled(form)
-    system, gb, ns, classes, marks = _quotient(form, "affine", budget)
+def _affine_solutions(system, gb, ns, budget, seed):
+    """The eigen-solve of the affine chart's quotient: the eigenvalues of
+    the separating form's multiplication matrix, the solutions' coordinates
+    (one row per variable, one column per left eigenvector whose constant
+    coordinate is not near zero) and the flags of the separating form's
+    retries.  See solve_argmax."""
     dim = len(ns)
     flags = []
-    if dim != classes:
-        flags.append(
-            f"quotient dimension {dim} differs from the extreme-class count "
-            f"{classes}: non-generic form, critical points may be missing"
-        )
     ring = QuotientRing(gb, ns, budget)
     nvars = len(system.variables)
     var_monomials = [tuple(int(i == v) for i in range(nvars)) for v in range(nvars)]
@@ -1076,7 +1323,23 @@ def _solve_argmax(form: MultilinearForm, budget: int, seed: int):
     const = eigvecs[0]  # the constant packs to 0, first in the ascending normal set
     solved = np.abs(const) > 1e-8 * np.linalg.norm(eigvecs, axis=0)
     nf = _float_matrix([ring.monomial_vector(m) for m in var_monomials], dim).T
-    coords = nf @ (eigvecs[:, solved] / const[solved])
+    return eigvals, nf @ (eigvecs[:, solved] / const[solved]), flags
+
+
+def _solve_argmax(form: MultilinearForm, budget: int, seed: int):
+    """solve_argmax's report, the flags of the solutions it did not score
+    (skipped eigenvectors, discarded points) and the class count."""
+    form, k = multiform._scaled(form)
+    system, gb, ns, classes, marks, (eigvals, coords, retries) = _quotient(
+        form, "affine", budget, seed)
+    dim = len(ns)
+    flags = []
+    if dim != classes:
+        flags.append(
+            f"quotient dimension {dim} differs from the extreme-class count "
+            f"{classes}: non-generic form, critical points may be missing"
+        )
+    flags += retries
     blocks = [coords[list(svars)] for svars in system.slot_vars]
     real = np.all([
         np.abs(b.imag).max(axis=0) <= REALNESS_TOL * (1.0 + np.linalg.norm(b, axis=0))
@@ -1096,7 +1359,7 @@ def _solve_argmax(form: MultilinearForm, budget: int, seed: int):
     ), key=functools.cmp_to_key(_point_order))
     points = [CriticalPoint(p.vectors, math.ldexp(p.value, k), math.ldexp(p.residual, k))
               for p in points]
-    degenerate = dim - int(solved.sum())
+    degenerate = dim - coords.shape[1]
     if degenerate:
         unscored.append(f"eigenvectors with near-zero constant coordinate skipped: {degenerate}")
     flags += unscored

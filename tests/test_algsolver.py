@@ -765,15 +765,17 @@ def _exact(system):
         return groebner(system)
 
 
-def _recording_certificate():
+def _recording(name="_certify"):
+    """The verdicts of algsolver.<name> (by default the certificate), and
+    the patch that records them."""
     verdicts = []
-    certify = algsolver._certify
+    check = getattr(algsolver, name)
 
     def record(*args):
-        verdicts.append(certify(*args))
+        verdicts.append(check(*args))
         return verdicts[-1]
 
-    return verdicts, mock.patch.object(algsolver, "_certify", record)
+    return verdicts, mock.patch.object(algsolver, name, record)
 
 
 def test_false_zero_is_caught_by_the_certificate(quadlinear_form):
@@ -791,7 +793,7 @@ def test_false_zero_is_caught_by_the_certificate(quadlinear_form):
         lied.append((l, i, j))
         return len(lied) == 1
 
-    verdicts, recording = _recording_certificate()
+    verdicts, recording = _recording()
     with recording, mock.patch.object(algsolver, "_ZERO_TEST_BITS", 0), \
             mock.patch.object(algsolver._Engine, "_vanishes_mod_p", lie_once):
         gb = groebner(system)
@@ -844,7 +846,7 @@ def test_zero_test_leaves_heavy_bases_unchanged(form, chart, used):
     # a zero test that calls true zeros nonzero returns the same basis too,
     # so the budget it spends is pinned
     system = build_critical_system(form, chart=chart)
-    verdicts, recording = _recording_certificate()
+    verdicts, recording = _recording()
     budgets, recording_budgets = _recording_budgets()
     with recording, recording_budgets:
         gb = groebner(system)
@@ -854,9 +856,11 @@ def test_zero_test_leaves_heavy_bases_unchanged(form, chart, used):
 
 
 # the budget each heavy run spends when it stops at the generic quotient
-# dimension: the mod-p tests of the pairs left then are not run
-_HEAVY_STOP_BUDGET = {"2x3x3-affine": 882, "2x2x2x2-affine": 1015, "2x2x3-sphere": 2884,
-                      "separability-rank4": 513}
+# dimension: the mod-p tests of the pairs left then are not run.  The
+# affine runs stop at the count whether or not a pair was skipped, and
+# their points prove the basis, so no certificate runs
+_HEAVY_STOP_BUDGET = {"2x3x3-affine": 776, "2x2x2x2-affine": 893, "2x2x3-sphere": 2884,
+                      "separability-rank4": 455}
 
 
 def _generic_dim(form, chart):
@@ -869,15 +873,18 @@ def _generic_dim(form, chart):
 def test_stop_at_the_generic_quotient_dim_leaves_heavy_bases_unchanged(name):
     # _quotient passes the generic dimension to groebner, whose run stops
     # once the live leading monomials leave that many standard monomials:
-    # the certificate passes, the basis is the full run's, term for term,
-    # and the budget falls to its pin
+    # the point proof passes on the affine chart (the certificate never
+    # runs), the certificate on the sphere chart, the basis is the full
+    # run's, term for term, and the budget falls to its pin
     form, chart = _HEAVY[name]
-    verdicts, recording = _recording_certificate()
+    verdicts, recording = _recording()
+    proofs, recording_proofs = _recording("_prove_points")
     budgets, recording_budgets = _recording_budgets()
-    with recording, recording_budgets:
-        _, gb, ns, dim, _ = algsolver._quotient(form, chart, algsolver.DEFAULT_REDUCTION_BUDGET)
+    with recording, recording_proofs, recording_budgets:
+        _, gb, ns, dim, _, _ = algsolver._quotient(form, chart,
+                                                   algsolver.DEFAULT_REDUCTION_BUDGET)
     assert dim == len(ns) == _generic_dim(form, chart)
-    assert verdicts == [True]
+    assert (proofs, verdicts) == (([True], []) if chart == "affine" else ([], [True]))
     assert budgets[0].used == _HEAVY_STOP_BUDGET[name] < _HEAVY_BUDGET[name]
     assert _terms(gb) == _terms(_heavy_basis(name))
 
@@ -900,11 +907,177 @@ def test_stop_at_a_count_passed_early_fails_the_certificate_and_resumes():
     with mock.patch.object(algsolver, "_standard_monomials", recording):
         groebner(system, quotient_dim=10**6)
     assert counts[-1] == _generic_dim(form, chart) < counts[0]
-    verdicts, recording_certificate = _recording_certificate()
+    verdicts, recording_certificate = _recording()
     with recording_certificate:
         gb = groebner(system, quotient_dim=counts[0])
     assert verdicts == [False]
     assert _terms(gb) == _terms(_heavy_basis("2x2x3-sphere"))
+
+
+# ---------------------------------------------------------------------------
+# the affine chart's point proof
+# ---------------------------------------------------------------------------
+
+def _fallback_run(form):
+    """The affine _quotient of ``form``, the verdicts groebner() took from
+    the point proof (an exception in it reads False) and the certificate's."""
+    proofs, recording_proofs = _recording("_proves")
+    verdicts, recording = _recording()
+    with recording_proofs, recording:
+        out = algsolver._quotient(form, "affine", algsolver.DEFAULT_REDUCTION_BUDGET)
+    return out, proofs, verdicts
+
+
+def test_point_proof_falls_back_on_a_form_that_meets_the_count_early():
+    # a sparse 2x2x3 form with 7 solutions on the chart against 8 classes:
+    # its run leaves 8 standard monomials before its basis is complete, so
+    # its points cannot be boxed, the certificate fails and the resumed run
+    # returns the full run's basis
+    form = MultilinearForm((2, 2, 3), [2, -2, 1, 0, 0, 0, 0, 0, 1, 1, 1, -1])
+    (system, gb, ns, classes, _, _), proofs, verdicts = _fallback_run(form)
+    assert (proofs, verdicts) == ([False], [False])
+    assert len(ns) == 7 < classes == 8
+    assert _terms(gb) == _terms(_exact(system))
+    assert solve_argmax(form).quotient_dim == 7
+
+
+def _damaging_interreduce(damage):
+    """_Engine._interreduce whose first result goes through ``damage``."""
+    interreduce = algsolver._Engine._interreduce
+    calls = []
+
+    def damaged(self):
+        out = interreduce(self)
+        calls.append(len(calls))
+        return damage(out) if len(calls) == 1 else out
+
+    return mock.patch.object(algsolver._Engine, "_interreduce", damaged)
+
+
+def _drop_middle(records):
+    return records[:len(records) // 2] + records[len(records) // 2 + 1:]
+
+
+def _shift_largest_tail_term(records):
+    probe, lm, lc, tail = records[len(records) // 2]
+    m = max(tail)
+    changed = (probe, lm, lc, {**tail, m: tail[m] + lc})  # monic coefficient + 1
+    return records[:len(records) // 2] + [changed] + records[len(records) // 2 + 1:]
+
+
+@pytest.mark.parametrize("damage", [_drop_middle, _shift_largest_tail_term],
+                         ids=["drop", "tail"])
+@pytest.mark.parametrize("name", ["2x3x3-affine", "separability-rank4"])
+def test_point_proof_rejects_damaged_candidates(name, damage):
+    # mutation check: a candidate basis with one element dropped, or one
+    # tail coefficient moved, is not proved by its points; the certificate
+    # rejects it too, and the resumed run returns the exact basis
+    form, _ = _HEAVY[name]
+    with _damaging_interreduce(damage):
+        (_, gb, ns, classes, _, _), proofs, verdicts = _fallback_run(form)
+    assert (proofs, verdicts) == ([False], [False])
+    assert len(ns) == classes
+    assert _terms(gb) == _terms(_heavy_basis(name))
+
+
+def test_point_proof_is_taken_by_every_exact_solver(quadlinear_form):
+    # solve_argmax, _exact_max and the apps reach the affine chart through
+    # _quotient, so each takes the point proof; solve_max never does
+    for call in (solve_argmax, functools.partial(algsolver._exact_max, seed=0),
+                 functools.partial(closest_rank_one, method="algebraic")):
+        proofs, recording_proofs = _recording("_proves")
+        verdicts, recording = _recording()
+        with recording_proofs, recording:
+            call(quadlinear_form)
+        assert (proofs, verdicts) == ([True], [])
+    proofs, recording_proofs = _recording("_proves")
+    with recording_proofs:
+        solve_max(MultilinearForm((2, 2), [3.0, 1.0, -2.0, 4.0]))
+    assert proofs == []
+
+
+def test_point_proof_needs_one_point_per_class(trilinear_form):
+    # the proof counts: the normal set, the class count and the solutions
+    # must agree, so one point short, or one class more, proves nothing
+    system, _, ns, classes, _, (_, coords, _) = algsolver._quotient(
+        trilinear_form, "affine", algsolver.DEFAULT_REDUCTION_BUDGET)
+    prove = functools.partial(algsolver._prove_points, trilinear_form, system)
+    assert prove(coords, len(ns), classes)
+    assert not prove(coords[:, 1:], len(ns), classes)
+    assert not prove(coords, len(ns) + 1, classes)
+    assert not prove(coords, len(ns), classes + 1)
+
+
+@pytest.mark.parametrize("points, proved", [
+    ([1.0001, -0.9999, 2e-4], True),   # near the three zeros
+    ([1.0, 1.0 + 1e-9, -1.0], False),  # two boxes around one zero
+    ([10.0, -10.0], False),            # far from every zero, boxes disjoint
+])
+def test_krawczyk_boxes_distinct_zeros_only(points, proved):
+    # x^3 - x has the zeros -1, 0, 1.  From 10 and -10 one Newton step
+    # leaves boxes of radius about 4.4 around +-6.69, far apart but with no
+    # zero inside: only the contraction test refuses them; the near-equal
+    # pair passes it, and only the disjointness test refuses it
+    polys = [{(3,): Fraction(1), (1,): Fraction(-1)}]
+    f = algsolver._Discs(polys, 1)
+    jac = algsolver._Discs(algsolver._jacobian(polys, 1), 1)
+    x = np.array([points], dtype=complex)
+    assert algsolver._krawczyk(f, jac, x) is proved
+
+
+def _dyadic(k):
+    """Rationals n 2^-k, |n| < 2^12."""
+    return st.integers(-2**12 + 1, 2**12 - 1).map(lambda n: Fraction(n, 2**k))
+
+
+_decimal12 = st.integers(-10**12 + 1, 10**12 - 1).map(lambda n: Fraction(n, 10**12))
+
+
+def _disc_case(coeff):
+    """(polys, center, radius, a point inside as unit-disc offsets): up to
+    3 polys in 2 or 3 variables of degree <= 3, exponents <= 2."""
+    return st.integers(2, 3).flatmap(lambda n: st.tuples(
+        st.lists(st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * n).filter(lambda e: sum(e) <= 3),
+            coeff, min_size=1, max_size=6), min_size=1, max_size=3),
+        st.lists(st.tuples(_dyadic(6), _dyadic(6)), min_size=n, max_size=n),
+        st.sampled_from([0.0, 2.0**-20, 1e-6, 0.125]),
+        st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)), min_size=n, max_size=n),
+    ))
+
+
+def _exact_value(poly, point):
+    """p(point) exactly, complex numbers as (re, im) Fraction pairs."""
+    re = im = Fraction(0)
+    for e, c in poly.items():
+        mr, mi = c, Fraction(0)
+        for (xr, xi), k in zip(point, e):
+            for _ in range(k):
+                mr, mi = mr * xr - mi * xi, mr * xi + mi * xr
+        re, im = re + mr, im + mi
+    return re, im
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(_disc_case(_dyadic(10)), _disc_case(_decimal12)))
+def test_discs_hold_the_exact_values_over_the_polydisc(case):
+    # the discs of F at a center (radius 0) and of F and its Jacobian over
+    # a polydisc hold the exact rational values at rational points inside
+    polys, center, rho, offsets = case
+    n = len(center)
+    x = np.array([[complex(float(a), float(b))] for a, b in center])
+    scale = Fraction(rho) / 8 / 2  # |offset| <= 8 sqrt 2 < 16 per coordinate
+    point = [(a + p * scale, b + q * scale) for (a, b), (p, q) in zip(center, offsets)]
+    assert all((p * scale) ** 2 + (q * scale) ** 2 <= Fraction(rho) ** 2 for p, q in offsets)
+    for table in (polys, algsolver._jacobian(polys, n)):
+        discs = algsolver._Discs(table, n)
+        assert discs.sound
+        for at, r in ((center, 0.0), (point, rho)):
+            mid, radius = discs.discs(x, np.array([r]))
+            for p, m, rad in zip(table, mid[:, 0], radius[:, 0]):
+                vr, vi = _exact_value(p, at)
+                dr, di = vr - Fraction(m.real), vi - Fraction(m.imag)
+                assert dr * dr + di * di <= Fraction(rad) ** 2
 
 
 def _quadratic_new_pairs(lmh, others, mono):
@@ -1047,7 +1220,7 @@ def test_zero_test_with_a_small_prime_matches_exact_run():
         vanished.append(out is None)
         return out
 
-    verdicts, recording = _recording_certificate()
+    verdicts, recording = _recording()
     for prime in (2, 5):
         with recording, mock.patch.object(algsolver, "_PRIME", prime), \
                 mock.patch.object(algsolver, "_ZERO_TEST_BITS", 0), \
