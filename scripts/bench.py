@@ -10,9 +10,9 @@ library has no hooks for it:
 - ``run``: Buchberger's loop (``_Engine.run``, its interreduction left out);
 - ``interreduce``: ``_Engine._interreduce``;
 - ``certificate``: whichever proof of the basis ran: ``_prove_points``,
-  the Krawczyk boxes around the solutions of an affine run stopped at the
-  class count, and ``_certify``, the exact S-pair check it falls back to
-  and the sphere chart's check after a zero-tested run;
+  the Krawczyk boxes around the solutions of a run stopped at the generic
+  quotient dimension, and ``_certify``, the exact S-pair check it falls
+  back to;
 - ``normal_set``: ``normal_set``;
 - ``ring_and_eigen``: from the end of the last ``normal_set`` to the end of
   the solve (the quotient ring, its multiplication matrices, the
@@ -49,11 +49,11 @@ repeat solves every case with both, in alternating order, so the two rows
 of a case are paired; ``paired_ratio`` on the ``change`` row is its total
 over the other one's, per repeat, and ``counters_match`` says whether its
 answer counters (all but the path counters ``budget_used``,
-``pairs_skipped`` and ``certificate``, which a change may move on purpose;
-each row keeps its own) equal the other one's.  The JSON goes to standard
+``ring_budget_used``, ``pairs_skipped`` and ``certificate``, which a change
+may move on purpose; each row keeps its own) equal the other one's.  The JSON goes to standard
 output, one line per row to standard error:
 
-    python3 scripts/bench.py --against parent=../parent/src --repeats 9 > BENCH_27.json
+    python3 scripts/bench.py --against parent=../parent/src --repeats 9 > BENCH_28.json
 
 BLAS threads are pinned to 1, so CPU time is one core's time.
 """
@@ -81,7 +81,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 STAGES = ("run", "interreduce", "certificate", "normal_set", "ring_and_eigen", "other",
           "total")
 POWER_STAGES = ("total", "us_per_step")
-PATH_COUNTERS = ("budget_used", "pairs_skipped", "certificate")
+PATH_COUNTERS = ("budget_used", "ring_budget_used", "pairs_skipped", "certificate")
 
 
 def _load(name, src):

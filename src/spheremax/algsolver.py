@@ -7,7 +7,7 @@ by affine chart equations x_first = 1.  The system is solved exactly: a
 reduced Groebner basis over Q, the standard-monomial basis of the quotient
 ring, and multiplication matrices whose eigenvalues are the values of a
 polynomial at the solutions (Eigenvalue Theorem).  Floating point enters only
-at the eigenvalue stage, and in the affine chart's point proof, whose every
+at the eigenvalue stage, and in the point proof of the basis, whose every
 rounding is bounded.
 
 The exact loops run on plain Python ints.  A monomial is one packed int (see
@@ -43,16 +43,15 @@ For a generic form the leading ideal is then complete, as a smaller one
 would leave more than D standard monomials, and the certificate passes; a
 non-generic form can meet D early, fail it and resume.
 
-On the affine chart (solve_argmax) every run stops at D, zero-tested or
-not, and its solutions prove the basis in place of the certificate: the
-eigen-solve of the candidate basis yields D points, and Krawczyk's test
-boxes each in its own polydisc around a zero of the chart's square
-subsystem, so the ideal has at least D zeros and a quotient of dimension
-at least D = |std(G)|, and the leading ideals agree (see _prove_points).
-A failed proof runs the certificate, and a failed certificate resumes the
-run.  On the sphere chart a run below the zero-test line owes no
-certificate, and a stop there would add one that costs about what the
-stop saves, so it runs to the end.
+The solvers' runs (solve_argmax on the affine chart, solve_max on the
+sphere chart) stop at D, zero-tested or not, and their solutions prove the
+basis in place of the certificate: the eigen-solve of the candidate basis
+yields D points, and Krawczyk's test boxes each in its own polydisc around
+a zero of the chart's square subsystem that is a zero of the ideal (on the
+sphere chart each box keeps every slot's first coordinate away from zero),
+so the ideal has at least D zeros and a quotient of dimension at least
+D = |std(G)|, and the leading ideals agree (see _prove_points).  A failed
+proof runs the certificate, and a failed certificate resumes the run.
 """
 
 from __future__ import annotations
@@ -85,6 +84,7 @@ _TIE_TOL = 1e-12
 _NORM_TOL = 1e-9
 
 _SLOT_LETTERS = "xyztuw"
+_NONZERO_DIGITS = [c for c in range(-9, 10) if c]
 
 
 def rationalize(value) -> "_Q":
@@ -138,7 +138,7 @@ class _Monomials:
     limit they raise BudgetExceededError.
     """
 
-    __slots__ = ("nvars", "shift", "mask", "ones", "guard", "units")
+    __slots__ = ("nvars", "shift", "mask", "ones", "guard", "units", "tops")
 
     def __init__(self, nvars):
         self.nvars = nvars
@@ -148,6 +148,9 @@ class _Monomials:
         self.guard = self.ones << (_FIELD - 1)
         # each variable packed: degree 1, a 1 in its field
         self.units = [(1 << self.shift) - (1 << (_FIELD * v)) for v in range(nvars)]
+        # x_v to the top degree: a monomial other than 1 divides it iff it is
+        # a power of x_v
+        self.tops = [(_DEGREE_LIMIT - 1) * unit for unit in self.units]
 
     def pack(self, m) -> int:
         deg = _checked_degree(sum(m))
@@ -548,6 +551,9 @@ class _Engine:
         self.images = {}  # poly index -> _image, built at its first use
         self.live_images = None  # _image of each live poly, built at first use
         self.skipped = []  # pairs whose S-polynomial vanished mod _PRIME
+        self.counted = 0   # the record count at the last count of the live set
+        self.standard = None  # an eager run's standard set, once a walk ends
+        self.unbounded = list(range(mono.nvars))  # variables with no pure power lm
 
     def add(self, p):
         r = _normal_form(p, self.reducers, self.mono, self.budget)
@@ -582,23 +588,51 @@ class _Engine:
         self.live_images = None
 
     def run(self):
-        counted = None  # the record count at the last count of the live set
         while self.pairs:
             if ((self.skipped or self.eager) and self.quotient_dim
-                    and counted != len(self.records)):
-                counted = len(self.records)
-                missing, standard = _standard_monomials(self.reducers, self.mono,
-                                                        self.quotient_dim)
-                if missing is None and len(standard) == self.quotient_dim:
-                    self.skipped += self.pairs
-                    self.pairs = []
-                    break
+                    and self.counted != len(self.records) and self._meets_count()):
+                self.skipped += self.pairs
+                self.pairs = []
+                break
             l, i, j = heapq.heappop(self.pairs)
             if self.bits > self.line and self._vanishes_mod_p(l, i, j):
                 self.skipped.append((l, i, j))
                 continue
             self.add(_spoly(self.records[i], self.records[j], l))
         return self._interreduce()
+
+    def _meets_count(self):
+        """Whether the live leading monomials leave exactly quotient_dim
+        standard monomials.  A new leading monomial removes its multiples
+        from the standard set and adds none, so once a walk of an eager run
+        ends within twice quotient_dim (the first finite walk of the
+        generic runs measured held at most 1.2 times it), the run keeps
+        that set and filters it by each new leading monomial, and once the
+        set is smaller than quotient_dim it stops counting.  A run that owes the
+        certificate counts only after it skipped a pair, and walks each
+        time."""
+        dim = self.quotient_dim
+        new = self.records[self.counted:]
+        self.counted = len(self.records)
+        guard = self.mono.guard
+        if self.standard is None:
+            # a variable that no leading monomial bounds by a pure power
+            # leaves infinitely many standard monomials, and stays bounded
+            tops = self.mono.tops
+            self.unbounded = [v for v in self.unbounded if not any(
+                lm and not (tops[v] - probe) & guard for probe, lm, _, _ in new)]
+            if self.unbounded:
+                return False
+            _, standard = _standard_monomials(self.reducers, self.mono, 2 * dim)
+            if self.eager and len(standard) <= 2 * dim:
+                self.standard = standard
+        else:
+            for probe, _, _, _ in new:
+                self.standard = [m for m in self.standard if (m - probe) & guard]
+            standard = self.standard
+        if self.standard is not None and len(standard) < dim:
+            self.quotient_dim = None
+        return len(standard) == dim
 
     def resume(self):
         """Reduce the skipped pairs exactly, with the zero test and the
@@ -682,7 +716,7 @@ def groebner(system: PolySystem, budget: int = DEFAULT_REDUCTION_BUDGET,
     leaves infinitely many standard monomials, so its run never stops
     early.
 
-    ``_proof`` is solve_argmax's point proof (see _quotient): a callable
+    ``_proof`` is the solvers' point proof (see _quotient): a callable
     that takes the candidate basis and returns True only if it proves it a
     Groebner basis.  With it the run stops at the count whether or not it
     owes the certificate, and the proof is tried before the certificate;
@@ -737,9 +771,7 @@ def _standard_monomials(records, mono, cap=math.inf):
     once it holds more than ``cap`` of them."""
     guard = mono.guard
     units = mono.units
-    for v, unit in enumerate(units):
-        # a leading monomial other than 1 divides x_v^top iff it is a power of x_v
-        top = (_DEGREE_LIMIT - 1) * unit
+    for v, top in enumerate(mono.tops):
         if not any(lm and not (top - probe) & guard for probe, lm, _, _ in records):
             return v, None
     probes = [r[0] for r in records]
@@ -976,11 +1008,12 @@ def build_critical_system(form: MultilinearForm, chart: str = "sphere") -> PolyS
 
 
 # ---------------------------------------------------------------------------
-# the affine chart's point proof.  A run that stops at the class count D
+# the point proof.  A run that stops at the generic quotient dimension D
 # holds a basis G of exact reductions, so G lies in the ideal I and leaves
 # |std(G)| >= dim Q[x]/I standard monomials.  If |std(G)| = D and D
 # pairwise disjoint polydiscs each hold a zero of the chart's square
-# subsystem (whose zeros, with x_first = 1, are V(I)), then
+# subsystem that is a zero of I (with x_first = 1 on the affine chart; on
+# the sphere chart each polydisc excludes x_first = 0, slot by slot), then
 # dim Q[x]/I >= |V(I)| >= D = |std(G)|, so the leading ideals agree and G,
 # interreduced, is the reduced Groebner basis.  Each polydisc is proved by
 # Krawczyk's test (Krawczyk, Computing 4, 1969; Rump, Acta Numerica 19,
@@ -1009,16 +1042,20 @@ _UNDERFLOW = 2.0**-600   # absolute slack for underflow in every radius
 _ROUND_UP = 1 + 2.0**-30  # covers the roundings of the final comparisons
 
 
-def _chart_square(form, system):
-    """The affine chart's square subsystem in its free variables (all but
-    each slot's first): per slot, the minor of (first, b) for each free b,
-    every first coordinate set to 1, as {free exponents: exact rational}.
-    With x_first = 1 they generate the chart's ideal, since
+def _square_subsystem(form, system, chart):
+    """The chart's square subsystem as {exponents: exact rational} over its
+    variables, those variables, and the indices among them of the
+    coordinates its boxes must keep away from zero.  Per slot: the minor of
+    (first, b) for each other b, and on the sphere chart ||x_s||^2 - 1.  On
+    the affine chart every first coordinate is set to 1 and is no variable;
+    on the sphere chart the first coordinates must stay away from zero.
+    Either way, a zero of it is a zero of the chart's ideal, since
     x_first minor(a, b) = x_a minor(first, b) - x_b minor(first, a).
     Each term of a minor holds one variable of each slot, so its free
     exponents name it: setting the first coordinates to 1 merges no terms."""
     lterms = form_polynomial(form).terms
-    free = [v for svars in system.slot_vars for v in svars[1:]]
+    sphere = chart == "sphere"
+    free = [v for svars in system.slot_vars for v in svars[not sphere:]]
     polys = []
     for svars in system.slot_vars:
         for b in svars[1:]:
@@ -1026,7 +1063,11 @@ def _chart_square(form, system):
             polys.append({tuple(e[v] for v in free): c for e, c in minor.items()})
             if len(polys[-1]) != len(minor):  # pragma: no cover - see above
                 raise ValueError("chart substitution merged terms")
-    return polys, free
+        if sphere:
+            polys.append({tuple(2 * (v == w) for w in free): _ONE for v in svars})
+            polys[-1][(0,) * len(free)] = -_ONE
+    away = [free.index(svars[0]) for svars in system.slot_vars] if sphere else []
+    return polys, free, away
 
 
 def _jacobian(polys, n):
@@ -1090,13 +1131,14 @@ class _Discs:
         return self.center(x), (hi - lo) + 4 * self.gamma * (hi + lo) + _UNDERFLOW
 
 
-def _krawczyk(f, jac, x) -> bool:
+def _krawczyk(f, jac, x, away=()) -> bool:
     """Whether disjoint polydiscs around the columns of x, each moved by one
-    Newton step, each hold a zero of f (Krawczyk's test); jac holds f's
-    Jacobian, row-major.  Each coordinate gets its own radius, twice its
-    bound on |Y F(m)|: a solution far out on the chart has one coordinate
-    in the thousands, and one radius for all would inflate every other one
-    to that coordinate's rounding error."""
+    Newton step, each hold a zero of f (Krawczyk's test) and exclude zero
+    in the coordinates ``away``; jac holds f's Jacobian, row-major.  Each
+    coordinate gets its own radius, twice its bound on |Y F(m)|: a solution
+    far out on the chart has one coordinate in the thousands, and one
+    radius for all would inflate every other one to that coordinate's
+    rounding error."""
     n, count = x.shape
     step = np.linalg.solve(jac.center(x).T.reshape(count, n, n), f.center(x).T[..., None])
     x = x - step[..., 0].T
@@ -1115,6 +1157,9 @@ def _krawczyk(f, jac, x) -> bool:
     k = e + ((np.abs(c) + r) @ rho[..., None])[..., 0]
     if not np.all(k * _ROUND_UP < rho):
         return False
+    away = list(away)
+    if not np.all(np.abs(x[away]) / _ROUND_UP > rho.T[away] * _ROUND_UP):
+        return False
     # two polydiscs are disjoint when their discs in one coordinate are
     reach = rho.T[:, :, None] + rho.T[:, None, :]
     apart = (np.abs(x[:, :, None] - x[:, None, :]) / _ROUND_UP > reach * _ROUND_UP).any(axis=0)
@@ -1122,21 +1167,22 @@ def _krawczyk(f, jac, x) -> bool:
     return bool(apart.all())
 
 
-def _prove_points(form, system, coords, dim, classes) -> bool:
+def _prove_points(form, system, coords, dim, generic_dim, chart="affine") -> bool:
     """The point proof of a basis that leaves ``dim`` standard monomials on
-    the affine chart of ``form``: its eigen-solve found ``coords`` (one
-    column per solution, one row per variable), and dim, the class count
-    and the number of solutions must agree, and Krawczyk's test must box
-    every solution of the square subsystem, disjointly."""
-    if not dim == classes == coords.shape[1]:
+    the chart of ``form``: its eigen-solve found ``coords`` (one column per
+    solution, one row per variable), and dim, the generic quotient
+    dimension and the number of solutions must agree, and Krawczyk's test
+    must box every solution of the square subsystem, disjointly, each box
+    clear of the zeros of the first coordinates it keeps."""
+    if not dim == generic_dim == coords.shape[1]:
         return False
-    polys, free = _chart_square(form, system)
+    polys, free, away = _square_subsystem(form, system, chart)
     f = _Discs(polys, len(free))
     jac = _Discs(_jacobian(polys, len(free)), len(free))
     if not (f.sound and jac.sound):
         return False
     with np.errstate(all="ignore"):
-        return _krawczyk(f, jac, coords[free])
+        return _krawczyk(f, jac, coords[free], away)
 
 
 # ---------------------------------------------------------------------------
@@ -1151,38 +1197,43 @@ def _quotient(form: MultilinearForm, chart: str, budget: int, seed: int = 0):
     the quotient dimension of a generic form (the class count on the affine
     chart, 2^r times it on the sphere chart, one point per sign pattern),
     the perf_counter marks taken before and after each stage, and on the
-    affine chart the solutions of the quotient (_affine_solutions, with
-    ``seed``), else None.
+    affine chart the solutions of the quotient (the eigenvalues, the
+    coordinates of the solutions scored and the retry flags of _solutions,
+    with ``seed``), on the sphere chart its QuotientRing.
 
-    On the affine chart the solutions prove the basis: groebner()'s run
-    stops at the class count, and the normal set and solutions of its
+    The solutions prove the basis on both charts: groebner()'s run stops at
+    the generic dimension, and the normal set and solutions of its
     candidate basis go to _prove_points before the certificate would run.
-    The solutions returned are those of the basis groebner() returns, found
-    again only when it is not the candidate."""
+    The ring and solutions returned are those of the basis groebner()
+    returns, found again only when it is not the candidate; the sphere
+    chart then needs no solutions."""
     marks = [time.perf_counter()]
     system = build_critical_system(form, chart=chart)
     generic_dim = chowcount.count_extreme_classes(form.dims)
     if chart == "sphere":
         generic_dim <<= form.order
     marks.append(time.perf_counter())
-    found = []  # (basis, its normal set, marks and solutions) of each proof
+    found = []  # (basis, its normal set, marks, ring and solutions) of each proof
 
-    def solve(gb):
+    def solve(gb, points):
         start = time.perf_counter()
         ns = normal_set(gb)
         done = time.perf_counter()
-        solutions = _affine_solutions(system, gb, ns, budget, seed) if chart == "affine" else None
-        return ns, [start, done], solutions
+        ring = QuotientRing(gb, ns, budget)
+        return ns, [start, done], ring, _solutions(system, chart, ring, seed) if points else None
 
     def proof(gb):
-        found.append((gb, solve(gb)))
-        ns, _, (_, coords, _) = found[-1][1]
-        return _prove_points(form, system, coords, len(ns), generic_dim)
+        found.append((gb, solve(gb, True)))
+        ns, _, _, (_, coords, _, _) = found[-1][1]
+        return _prove_points(form, system, coords, len(ns), generic_dim, chart)
 
-    gb = groebner(system, budget=budget, quotient_dim=generic_dim,
-                  _proof=proof if chart == "affine" else None)
-    ns, stages, solutions = found[-1][1] if found and found[-1][0] is gb else solve(gb)
-    return system, gb, ns, generic_dim, marks + stages, solutions
+    gb = groebner(system, budget=budget, quotient_dim=generic_dim, _proof=proof)
+    ns, stages, ring, solutions = (found[-1][1] if found and found[-1][0] is gb
+                                   else solve(gb, chart == "affine"))
+    if chart == "sphere":
+        return system, gb, ns, generic_dim, marks + stages, ring
+    eigvals, _, scored, retries = solutions
+    return system, gb, ns, generic_dim, marks + stages, (eigvals, scored, retries)
 
 
 def _stage_times(marks) -> dict:
@@ -1203,15 +1254,16 @@ def solve_max(
     ones within ||l||_F (1 + _NORM_TOL): |l(x)| <= ||l||_F (Frobenius) on
     the spheres by Cauchy-Schwarz, so a real eigenvalue above it is the
     value of no real critical point; those are dropped, and a flag counts
-    them.  Nothing else backs the value.  The system is built from the form
+    them.  The basis is proved by its points (see _quotient), but nothing
+    else backs the value.  The system is built from the form
     at unit scale, t 2^-k (multiform._scaled), and the matrix scaled back by
     2^k is exactly that of t, so realness reads |Im lambda| <= REALNESS_TOL
     (2^k + |lambda|).
     """
     form, k = multiform._scaled(form)
-    _, gb, ns, _, marks, _ = _quotient(form, "sphere", budget)
-    m = mult_matrix(form_polynomial(form), gb, ns, budget=budget)
-    eigenvalues = np.linalg.eigvals(np.ldexp(m.array, k))
+    _, _, ns, _, marks, ring = _quotient(form, "sphere", budget)
+    m = _float_matrix(ring.mult_matrix_exact(form_polynomial(form)), len(ns))
+    eigenvalues = np.linalg.eigvals(np.ldexp(m, k))
     flags = []
     unit, norm = math.ldexp(1.0, k), math.ldexp(multiform.form_norm(form), k)
     real = [abs(lam.real) for lam in eigenvalues
@@ -1277,29 +1329,43 @@ def solve_argmax(
     return _solve_argmax(form, budget, seed)[0]
 
 
-def _affine_solutions(system, gb, ns, budget, seed):
-    """The eigen-solve of the affine chart's quotient: the eigenvalues of
-    the separating form's multiplication matrix, the solutions' coordinates
-    (one row per variable, one column per left eigenvector whose constant
-    coordinate is not near zero) and the flags of the separating form's
-    retries.  See solve_argmax."""
-    dim = len(ns)
+def _solutions(system, chart, ring, seed):
+    """The eigen-solve of the chart's quotient ring: the eigenvalues of the
+    separating form's multiplication matrix, the coordinates of every
+    solution (one row per variable, one column per left eigenvector, scaled
+    to 1 at the constant monomial), the coordinates of the solutions scored
+    (those whose eigenvector's constant coordinate is not near zero),
+    computed from their columns alone, and the flags of the separating
+    form's retries.
+
+    On the affine chart the separating form is the first free variable, or
+    a random integer combination of the free variables when its
+    eigenvalues repeat (see solve_argmax).  On the sphere chart it is a
+    combination of each slot's first variable with random nonzero integer
+    coefficients: a form with no term in slot s takes one value at two
+    points that differ by the sign of x_s, and l itself one value at two
+    points that differ by the signs of two slots."""
+    dim = len(ring.standard)
     flags = []
-    ring = QuotientRing(gb, ns, budget)
     nvars = len(system.variables)
     var_monomials = [tuple(int(i == v) for i in range(nvars)) for v in range(nvars)]
-    # the separating form's variables: all but each slot's chart coordinate
-    free_vars = [var_monomials[v] for svars in system.slot_vars for v in svars[1:]]
+    # the separating form's variables: on the affine chart all but each
+    # slot's chart coordinate, on the sphere chart each slot's first one
+    if chart == "affine":
+        free = [var_monomials[v] for svars in system.slot_vars for v in svars[1:]]
+    else:
+        free = [var_monomials[svars[0]] for svars in system.slot_vars]
 
     rng = np.random.default_rng(seed)
     eigvals = eigvecs = None
     for attempt in range(4):
-        if attempt == 0:
-            first = free_vars[0] if free_vars else (0,) * nvars
+        if attempt == 0 and chart == "affine":
+            first = free[0] if free else (0,) * nvars
             f = RationalPoly(system.variables, {first: _ONE})
         else:
-            coeffs = rng.integers(-9, 10, size=len(free_vars))
-            terms = {m: _Q(int(c)) for m, c in zip(free_vars, coeffs) if c}
+            coeffs = (rng.integers(-9, 10, size=len(free)) if chart == "affine"
+                      else rng.choice(_NONZERO_DIGITS, size=len(free)))
+            terms = {m: _Q(int(c)) for m, c in zip(free, coeffs) if c}
             if not terms:
                 continue
             f = RationalPoly(system.variables, terms)
@@ -1323,7 +1389,9 @@ def _affine_solutions(system, gb, ns, budget, seed):
     const = eigvecs[0]  # the constant packs to 0, first in the ascending normal set
     solved = np.abs(const) > 1e-8 * np.linalg.norm(eigvecs, axis=0)
     nf = _float_matrix([ring.monomial_vector(m) for m in var_monomials], dim).T
-    return eigvals, nf @ (eigvecs[:, solved] / const[solved]), flags
+    with np.errstate(all="ignore"):  # a zero constant coordinate: the proof refuses it
+        points = nf @ (eigvecs / const)
+    return eigvals, points, nf @ (eigvecs[:, solved] / const[solved]), flags
 
 
 def _solve_argmax(form: MultilinearForm, budget: int, seed: int):

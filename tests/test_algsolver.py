@@ -856,10 +856,10 @@ def test_zero_test_leaves_heavy_bases_unchanged(form, chart, used):
 
 
 # the budget each heavy run spends when it stops at the generic quotient
-# dimension: the mod-p tests of the pairs left then are not run.  The
-# affine runs stop at the count whether or not a pair was skipped, and
-# their points prove the basis, so no certificate runs
-_HEAVY_STOP_BUDGET = {"2x3x3-affine": 776, "2x2x2x2-affine": 893, "2x2x3-sphere": 2884,
+# dimension: the mod-p tests of the pairs left then are not run.  The runs
+# stop at the count whether or not a pair was skipped, and their points
+# prove the basis, so no certificate runs
+_HEAVY_STOP_BUDGET = {"2x3x3-affine": 776, "2x2x2x2-affine": 893, "2x2x3-sphere": 2534,
                       "separability-rank4": 455}
 
 
@@ -873,9 +873,9 @@ def _generic_dim(form, chart):
 def test_stop_at_the_generic_quotient_dim_leaves_heavy_bases_unchanged(name):
     # _quotient passes the generic dimension to groebner, whose run stops
     # once the live leading monomials leave that many standard monomials:
-    # the point proof passes on the affine chart (the certificate never
-    # runs), the certificate on the sphere chart, the basis is the full
-    # run's, term for term, and the budget falls to its pin
+    # the point proof passes on both charts (the certificate never runs),
+    # the basis is the full run's, term for term, and the budget falls to
+    # its pin
     form, chart = _HEAVY[name]
     verdicts, recording = _recording()
     proofs, recording_proofs = _recording("_prove_points")
@@ -884,9 +884,39 @@ def test_stop_at_the_generic_quotient_dim_leaves_heavy_bases_unchanged(name):
         _, gb, ns, dim, _, _ = algsolver._quotient(form, chart,
                                                    algsolver.DEFAULT_REDUCTION_BUDGET)
     assert dim == len(ns) == _generic_dim(form, chart)
-    assert (proofs, verdicts) == (([True], []) if chart == "affine" else ([], [True]))
+    assert (proofs, verdicts) == ([True], [])
     assert budgets[0].used == _HEAVY_STOP_BUDGET[name] < _HEAVY_BUDGET[name]
     assert _terms(gb) == _terms(_heavy_basis(name))
+
+
+@pytest.mark.parametrize("name", list(_HEAVY))
+def test_kept_standard_set_is_the_fresh_walks(name):
+    # an eager run walks the staircase once every variable has a pure power
+    # among its leading monomials, keeps the set once a walk ends within
+    # twice the generic dimension, and then filters it by each new leading
+    # monomial: at every count the kept set is what a fresh walk of the
+    # live leading monomials finds, and these runs walk once
+    form, chart = _HEAVY[name]
+    meets_count = algsolver._Engine._meets_count
+    standard_monomials = algsolver._standard_monomials
+    kept, walks = [], []
+
+    def checked(self):
+        out = meets_count(self)
+        if self.standard is not None:
+            _, fresh = standard_monomials(self.reducers, self.mono)
+            kept.append(sorted(self.standard) == sorted(fresh))
+        return out
+
+    def walk(records, mono, cap=math.inf):
+        walks.append(cap)
+        return standard_monomials(records, mono, cap)
+
+    with mock.patch.object(algsolver._Engine, "_meets_count", checked), \
+            mock.patch.object(algsolver, "_standard_monomials", walk):
+        algsolver._quotient(form, chart, algsolver.DEFAULT_REDUCTION_BUDGET)
+    assert kept and all(kept)
+    assert [cap for cap in walks if cap < math.inf] == [2 * _generic_dim(form, chart)]
 
 
 def test_stop_at_a_count_passed_early_fails_the_certificate_and_resumes():
@@ -915,16 +945,17 @@ def test_stop_at_a_count_passed_early_fails_the_certificate_and_resumes():
 
 
 # ---------------------------------------------------------------------------
-# the affine chart's point proof
+# the point proof
 # ---------------------------------------------------------------------------
 
-def _fallback_run(form):
-    """The affine _quotient of ``form``, the verdicts groebner() took from
-    the point proof (an exception in it reads False) and the certificate's."""
+def _fallback_run(form, chart="affine"):
+    """The _quotient of ``form`` on ``chart``, the verdicts groebner() took
+    from the point proof (an exception in it reads False) and the
+    certificate's."""
     proofs, recording_proofs = _recording("_proves")
     verdicts, recording = _recording()
     with recording_proofs, recording:
-        out = algsolver._quotient(form, "affine", algsolver.DEFAULT_REDUCTION_BUDGET)
+        out = algsolver._quotient(form, chart, algsolver.DEFAULT_REDUCTION_BUDGET)
     return out, proofs, verdicts
 
 
@@ -980,9 +1011,72 @@ def test_point_proof_rejects_damaged_candidates(name, damage):
     assert _terms(gb) == _terms(_heavy_basis(name))
 
 
+@pytest.mark.parametrize("damage", [_drop_middle, _shift_largest_tail_term],
+                         ids=["drop", "tail"])
+def test_sphere_point_proof_rejects_damaged_candidates(damage):
+    # the same mutation check on the sphere chart: the damaged candidate's
+    # points are not proved, the certificate rejects it, and the resumed
+    # run returns the exact basis
+    form, chart = _HEAVY["2x2x3-sphere"]
+    with _damaging_interreduce(damage):
+        (_, gb, ns, dim, _, _), proofs, verdicts = _fallback_run(form, chart)
+    assert (proofs, verdicts) == ([False], [False])
+    assert len(ns) == dim == _generic_dim(form, chart)
+    assert _terms(gb) == _terms(_heavy_basis("2x2x3-sphere"))
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3), (4, 4), (2, 2, 3)],
+                         ids=["2x2x2", "3x3", "4x4", "2x2x3"])
+def test_sphere_bases_are_proved_by_their_points(dims):
+    # the shapes solve_max's benchmark runs: each run stops at 2^r times
+    # the class count, its 2^r points per class prove the candidate, the
+    # certificate never runs, and the basis is the full run's, term for
+    # term; the ring the proof filled gives the float matrix of l that a
+    # fresh ring of the full run's basis gives, bit for bit
+    form = cli._random_integer_form(dims, np.random.default_rng(5))
+    proofs, recording_proofs = _recording("_prove_points")
+    verdicts, recording = _recording()
+    with recording_proofs, recording:
+        system, gb, ns, dim, _, ring = algsolver._quotient(
+            form, "sphere", algsolver.DEFAULT_REDUCTION_BUDGET)
+    assert (proofs, verdicts) == ([True], [])
+    assert len(ns) == dim == _generic_dim(form, "sphere")
+    full = groebner(system)
+    assert _terms(gb) == _terms(full)
+    lpoly = form_polynomial(form)
+    shared = algsolver._float_matrix(ring.mult_matrix_exact(lpoly), dim)
+    assert shared.tobytes() == mult_matrix(lpoly, full, normal_set(full)).array.tobytes()
+
+
+def test_point_proof_boxes_solutions_far_out_on_the_chart():
+    # one of this form's 24 solutions lies so far out on the affine chart
+    # that the constant coordinate of its eigenvector is below 1e-8 of the
+    # eigenvector's norm: the report leaves it unscored, with a flag, but
+    # the proof boxes all 24, so the certificate never runs, and the report
+    # is the one the certificate's path gives, bit for bit
+    form = cli._random_integer_form((2, 2, 2, 2), np.random.default_rng(522))
+    proofs, recording_proofs = _recording("_prove_points")
+    verdicts, recording = _recording()
+    with recording_proofs, recording:
+        report = solve_argmax(form)
+    assert (proofs, verdicts) == ([True], [])
+    assert report.quotient_dim == 24
+    assert report.genericity_flags == (
+        "eigenvectors with near-zero constant coordinate skipped: 1",)
+    with mock.patch.object(algsolver, "_proves", lambda proof, gb: False):
+        certified = solve_argmax(form)
+    assert report.eigenvalues == certified.eigenvalues
+    assert report.max_value == certified.max_value
+    assert len(report.points) == len(certified.points) > 0
+    for p, q in zip(report.points, certified.points):
+        assert (p.value, p.residual) == (q.value, q.residual)
+        assert all(u.tobytes() == v.tobytes() for u, v in zip(p.vectors, q.vectors))
+
+
 def test_point_proof_is_taken_by_every_exact_solver(quadlinear_form):
     # solve_argmax, _exact_max and the apps reach the affine chart through
-    # _quotient, so each takes the point proof; solve_max never does
+    # _quotient, and solve_max the sphere chart, so each takes the point
+    # proof
     for call in (solve_argmax, functools.partial(algsolver._exact_max, seed=0),
                  functools.partial(closest_rank_one, method="algebraic")):
         proofs, recording_proofs = _recording("_proves")
@@ -991,9 +1085,10 @@ def test_point_proof_is_taken_by_every_exact_solver(quadlinear_form):
             call(quadlinear_form)
         assert (proofs, verdicts) == ([True], [])
     proofs, recording_proofs = _recording("_proves")
-    with recording_proofs:
+    verdicts, recording = _recording()
+    with recording_proofs, recording:
         solve_max(MultilinearForm((2, 2), [3.0, 1.0, -2.0, 4.0]))
-    assert proofs == []
+    assert (proofs, verdicts) == ([True], [])
 
 
 def test_point_proof_needs_one_point_per_class(trilinear_form):
@@ -1023,6 +1118,37 @@ def test_krawczyk_boxes_distinct_zeros_only(points, proved):
     jac = algsolver._Discs(algsolver._jacobian(polys, 1), 1)
     x = np.array([points], dtype=complex)
     assert algsolver._krawczyk(f, jac, x) is proved
+
+
+def test_krawczyk_refuses_a_box_that_straddles_a_kept_away_coordinate():
+    # the box around the zero 0 of x^3 - x holds it, and holds x = 0: it
+    # passes, but not when x must stay away from zero, as the sphere
+    # chart's first coordinates must; the boxes around -1 and 1 do
+    polys = [{(3,): Fraction(1), (1,): Fraction(-1)}]
+    f = algsolver._Discs(polys, 1)
+    jac = algsolver._Discs(algsolver._jacobian(polys, 1), 1)
+    x = np.array([[1.0001, -0.9999, 2e-4]], dtype=complex)
+    assert algsolver._krawczyk(f, jac, x)
+    assert not algsolver._krawczyk(f, jac, x, away=[0])
+    assert algsolver._krawczyk(f, jac, x[:, :2], away=[0])
+
+
+def test_sphere_point_proof_refuses_boxes_on_a_first_coordinate_zero():
+    # diag(3, 1) has its 8 critical points at (+-e1, +-e1) and (+-e2, +-e2):
+    # the square subsystem boxes all 8, but the boxes around the e2 points
+    # hold x1 = 0 and y1 = 0, where the minors of (first, b) no longer
+    # imply the others, so the proof refuses them; the e1 points pass
+    form = MultilinearForm((2, 2), [3.0, 0.0, 0.0, 1.0])
+    system = build_critical_system(form, chart="sphere")
+    coords = np.array([np.concatenate([s * e, t * e]) for e in np.eye(2)
+                       for s in (1, -1) for t in (1, -1)], dtype=complex).T
+    polys, free, away = algsolver._square_subsystem(form, system, "sphere")
+    assert (free, away) == ([0, 1, 2, 3], [0, 2])
+    f = algsolver._Discs(polys, 4)
+    jac = algsolver._Discs(algsolver._jacobian(polys, 4), 4)
+    assert algsolver._krawczyk(f, jac, coords)
+    assert algsolver._krawczyk(f, jac, coords[:, :4], away)
+    assert not algsolver._prove_points(form, system, coords, 8, 8, "sphere")
 
 
 def _dyadic(k):
