@@ -24,7 +24,7 @@ and by the quotient ring (``ring_budget_used``), the S-pairs the mod-p zero
 test skipped or the count stop left queued, the certificate's verdicts as
 ``[proof, verdict]`` pairs in the order they ran (``points`` for
 ``_prove_points``, ``pairs`` for ``_certify``; the last one decided), the
-quotient dimension and the maximum.  They are checked to repeat exactly
+quotient dimension, the number of points reported and the maximum.  They are checked to repeat exactly
 over every repeat.
 
 Power rows (``kind: power``; the exact rows read ``kind: exact``) time the
@@ -232,6 +232,7 @@ class Probe:
             "pairs_skipped": rec.get("pairs_skipped", 0),
             "certificate": rec.get("verdicts", []),
             "quotient_dim": report.quotient_dim,
+            "points": len(report.points),
             "max_value": report.max_value.hex(),
         }
         return stages, counters

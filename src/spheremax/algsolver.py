@@ -52,6 +52,10 @@ sphere chart each box keeps every slot's first coordinate away from zero),
 so the ideal has at least D zeros and a quotient of dimension at least
 D = |std(G)|, and the leading ideals agree (see _prove_points).  A failed
 proof runs the certificate, and a failed certificate resumes the run.
+Proved points are every zero of the ideal, so they are the answer too:
+solve_argmax scores them, and solve_max reads l at them (the eigenvalues
+of M_l, by the Eigenvalue Theorem) and scores the real ones; it forms M_l
+only for a basis the certificate or a resumed run gave.
 """
 
 from __future__ import annotations
@@ -927,6 +931,8 @@ def mult_matrix(f: RationalPoly, gb: GroebnerBasis, ns: NormalSet,
 # ---------------------------------------------------------------------------
 
 def _variable_layout(dims):
+    if len(dims) > len(_SLOT_LETTERS):
+        raise DimensionMismatchError(f"at most {len(_SLOT_LETTERS)} slots supported")
     names = []
     slot_vars = []
     for s, d in enumerate(dims):
@@ -969,7 +975,8 @@ def _minor(lterms, a, b) -> dict:
     return minor
 
 
-def build_critical_system(form: MultilinearForm, chart: str = "sphere") -> PolySystem:
+def build_critical_system(form: MultilinearForm, chart: str = "sphere", *,
+                          _lterms=None) -> PolySystem:
     """The exact critical system of the form.
 
     Minor equations x_j dl/dx_i - x_i dl/dx_j = 0 for every slot and index
@@ -983,16 +990,17 @@ def build_critical_system(form: MultilinearForm, chart: str = "sphere") -> PolyS
     of x_i and x_j swapped, signed + for x_i and - for x_j.  The two sets
     of monomials never meet, so nothing cancels; a minor with no terms (no
     term of l holds x_i or x_j) is left out.
+
+    ``_lterms`` is form_polynomial(form).terms when the caller (_quotient)
+    has built it already.
     """
     if form.order < 2:
         raise DimensionMismatchError("critical system needs r >= 2 slots")
-    if form.order > len(_SLOT_LETTERS):
-        raise DimensionMismatchError(f"at most {len(_SLOT_LETTERS)} slots supported")
     if chart not in ("sphere", "affine"):
         raise ValueError(f"unknown chart {chart!r}")
     names, slot_vars = _variable_layout(form.dims)
     nvars = len(names)
-    lterms = form_polynomial(form).terms
+    lterms = form_polynomial(form).terms if _lterms is None else _lterms
     polys = []
     for svars in slot_vars:
         for a, b in itertools.combinations(svars, 2):
@@ -1042,10 +1050,11 @@ _UNDERFLOW = 2.0**-600   # absolute slack for underflow in every radius
 _ROUND_UP = 1 + 2.0**-30  # covers the roundings of the final comparisons
 
 
-def _square_subsystem(form, system, chart):
-    """The chart's square subsystem as {exponents: exact rational} over its
-    variables, those variables, and the indices among them of the
-    coordinates its boxes must keep away from zero.  Per slot: the minor of
+def _square_subsystem(lterms, system, chart):
+    """The chart's square subsystem of the form with terms ``lterms``, as
+    {exponents: exact rational} over its variables, those variables, and
+    the indices among them of the coordinates its boxes must keep away from
+    zero.  Per slot: the minor of
     (first, b) for each other b, and on the sphere chart ||x_s||^2 - 1.  On
     the affine chart every first coordinate is set to 1 and is no variable;
     on the sphere chart the first coordinates must stay away from zero.
@@ -1053,7 +1062,6 @@ def _square_subsystem(form, system, chart):
     x_first minor(a, b) = x_a minor(first, b) - x_b minor(first, a).
     Each term of a minor holds one variable of each slot, so its free
     exponents name it: setting the first coordinates to 1 merges no terms."""
-    lterms = form_polynomial(form).terms
     sphere = chart == "sphere"
     free = [v for svars in system.slot_vars for v in svars[not sphere:]]
     polys = []
@@ -1167,16 +1175,17 @@ def _krawczyk(f, jac, x, away=()) -> bool:
     return bool(apart.all())
 
 
-def _prove_points(form, system, coords, dim, generic_dim, chart="affine") -> bool:
+def _prove_points(lterms, system, coords, dim, generic_dim, chart="affine") -> bool:
     """The point proof of a basis that leaves ``dim`` standard monomials on
-    the chart of ``form``: its eigen-solve found ``coords`` (one column per
-    solution, one row per variable), and dim, the generic quotient
-    dimension and the number of solutions must agree, and Krawczyk's test
-    must box every solution of the square subsystem, disjointly, each box
-    clear of the zeros of the first coordinates it keeps."""
+    the chart of the form with terms ``lterms``: its eigen-solve found
+    ``coords`` (one column per solution, one row per variable), and dim,
+    the generic quotient dimension and the number of solutions must agree,
+    and Krawczyk's test must box every solution of the square subsystem,
+    disjointly, each box clear of the zeros of the first coordinates it
+    keeps."""
     if not dim == generic_dim == coords.shape[1]:
         return False
-    polys, free, away = _square_subsystem(form, system, chart)
+    polys, free, away = _square_subsystem(lterms, system, chart)
     f = _Discs(polys, len(free))
     jac = _Discs(_jacobian(polys, len(free)), len(free))
     if not (f.sound and jac.sound):
@@ -1199,21 +1208,25 @@ def _quotient(form: MultilinearForm, chart: str, budget: int, seed: int = 0):
     the perf_counter marks taken before and after each stage, and on the
     affine chart the solutions of the quotient (the eigenvalues, the
     coordinates of the solutions scored and the retry flags of _solutions,
-    with ``seed``), on the sphere chart its QuotientRing.
+    with ``seed``), on the sphere chart its QuotientRing and the
+    coordinates of every solution, or None.
 
     The solutions prove the basis on both charts: groebner()'s run stops at
     the generic dimension, and the normal set and solutions of its
     candidate basis go to _prove_points before the certificate would run.
     The ring and solutions returned are those of the basis groebner()
-    returns, found again only when it is not the candidate; the sphere
-    chart then needs no solutions."""
+    returns, found again only when it is not the candidate.  The sphere
+    chart returns coordinates only when its points proved that basis, and
+    then they are every critical point: the ideal has exactly D zeros, each
+    in its own box."""
     marks = [time.perf_counter()]
-    system = build_critical_system(form, chart=chart)
+    lterms = form_polynomial(form).terms
+    system = build_critical_system(form, chart=chart, _lterms=lterms)
     generic_dim = chowcount.count_extreme_classes(form.dims)
     if chart == "sphere":
         generic_dim <<= form.order
     marks.append(time.perf_counter())
-    found = []  # (basis, its normal set, marks, ring and solutions) of each proof
+    found = []  # [basis, (its normal set, marks, ring, solutions), proved] per proof
 
     def solve(gb, points):
         start = time.perf_counter()
@@ -1223,15 +1236,19 @@ def _quotient(form: MultilinearForm, chart: str, budget: int, seed: int = 0):
         return ns, [start, done], ring, _solutions(system, chart, ring, seed) if points else None
 
     def proof(gb):
-        found.append((gb, solve(gb, True)))
+        found.append([gb, solve(gb, True), False])
         ns, _, _, (_, coords, _, _) = found[-1][1]
-        return _prove_points(form, system, coords, len(ns), generic_dim, chart)
+        found[-1][2] = _prove_points(lterms, system, coords, len(ns), generic_dim, chart)
+        return found[-1][2]
 
     gb = groebner(system, budget=budget, quotient_dim=generic_dim, _proof=proof)
-    ns, stages, ring, solutions = (found[-1][1] if found and found[-1][0] is gb
-                                   else solve(gb, chart == "affine"))
+    if found and found[-1][0] is gb:
+        _, (ns, stages, ring, solutions), proved = found[-1]
+    else:
+        (ns, stages, ring, solutions), proved = solve(gb, chart == "affine"), False
     if chart == "sphere":
-        return system, gb, ns, generic_dim, marks + stages, ring
+        return system, gb, ns, generic_dim, marks + stages, (
+            ring, solutions[1] if proved else None)
     eigvals, _, scored, retries = solutions
     return system, gb, ns, generic_dim, marks + stages, (eigvals, scored, retries)
 
@@ -1249,41 +1266,91 @@ def solve_max(
     """Maximum of |l| over the product of spheres (sphere-chart pipeline
     of the eigenvalue method).
 
-    The eigenvalues of the multiplication-by-l matrix are the values of l at
-    the critical points; the answer is the largest magnitude among the real
-    ones within ||l||_F (1 + _NORM_TOL): |l(x)| <= ||l||_F (Frobenius) on
-    the spheres by Cauchy-Schwarz, so a real eigenvalue above it is the
-    value of no real critical point; those are dropped, and a flag counts
-    them.  The basis is proved by its points (see _quotient), but nothing
-    else backs the value.  The system is built from the form
-    at unit scale, t 2^-k (multiform._scaled), and the matrix scaled back by
-    2^k is exactly that of t, so realness reads |Im lambda| <= REALNESS_TOL
-    (2^k + |lambda|).
+    The eigenvalues of the multiplication-by-l matrix M_l are the values of
+    l at the critical points (Eigenvalue Theorem).  When the points of the
+    eigen-solve proved the basis (see _quotient), they are every critical
+    point, 2^r per class, and M_l is not formed: the eigenvalues are l at
+    each point, each slot first divided by its bilinear norm
+    sqrt(sum x_i^2), and the points are the real ones among the sign-orbit
+    representatives (each slot's first coordinate of positive real part;
+    the proof boxes every first coordinate away from zero, so each real
+    orbit has one), scored like solve_argmax's (_scored_points).  The
+    answer is the best point's |value|.
+
+    Otherwise (a basis the certificate proved, or a resumed run) the
+    eigenvalues are M_l's, the report has no points, and the answer is the
+    largest magnitude among the real eigenvalues within
+    ||l||_F (1 + _NORM_TOL): |l(x)| <= ||l||_F (Frobenius) on the spheres
+    by Cauchy-Schwarz, so a real eigenvalue above it is the value of no
+    real critical point; those are dropped, and a flag counts them.  The
+    system is built from the form at unit scale, t 2^-k
+    (multiform._scaled), and the matrix scaled back by 2^k is exactly that
+    of t, so realness reads |Im lambda| <= REALNESS_TOL (2^k + |lambda|).
     """
     form, k = multiform._scaled(form)
-    _, _, ns, _, marks, ring = _quotient(form, "sphere", budget)
-    m = _float_matrix(ring.mult_matrix_exact(form_polynomial(form)), len(ns))
-    eigenvalues = np.linalg.eigvals(np.ldexp(m, k))
-    flags = []
-    unit, norm = math.ldexp(1.0, k), math.ldexp(multiform.form_norm(form), k)
-    real = [abs(lam.real) for lam in eigenvalues
-            if abs(lam.imag) <= REALNESS_TOL * (unit + abs(lam))]
-    reachable = [v for v in real if v <= norm * (1.0 + _NORM_TOL)]
-    if len(reachable) < len(real):
-        flags.append(f"{len(real) - len(reachable)} real eigenvalue(s) above "
-                     f"||l||_F = {norm:.6e} dropped: no real point reaches them")
-    if not reachable:
-        flags.append("no real eigenvalues within tolerance")
-    max_value = max(reachable, default=float("nan"))
+    system, _, ns, _, marks, (ring, coords) = _quotient(form, "sphere", budget)
+    if coords is not None:
+        blocks = [coords[list(svars)] for svars in system.slot_vars]
+        blocks = [b / np.sqrt((b * b).sum(axis=0)) for b in blocks]
+        slots = [b.T for b in blocks]
+        subs = multiform._subscripts(form.order)
+        values = multiform._row_dots(multiform._partial(form.tensor, subs, slots, 0), slots[0])
+        eigenvalues = values * math.ldexp(1.0, k)
+        first = np.all([b[0].real > 0 for b in blocks], axis=0)
+        points, flags = _scored_points(form, k, [b[:, first] for b in blocks])
+        if not points:
+            flags.append("no real critical points recovered")
+        max_value = abs(points[0].value) if points else float("nan")
+    else:
+        m = _float_matrix(ring.mult_matrix_exact(form_polynomial(form)), len(ns))
+        eigenvalues = np.linalg.eigvals(np.ldexp(m, k))
+        points, flags = (), []
+        unit, norm = math.ldexp(1.0, k), math.ldexp(multiform.form_norm(form), k)
+        real = [abs(lam.real) for lam in eigenvalues
+                if abs(lam.imag) <= REALNESS_TOL * (unit + abs(lam))]
+        reachable = [v for v in real if v <= norm * (1.0 + _NORM_TOL)]
+        if len(reachable) < len(real):
+            flags.append(f"{len(real) - len(reachable)} real eigenvalue(s) above "
+                         f"||l||_F = {norm:.6e} dropped: no real point reaches them")
+        if not reachable:
+            flags.append("no real eigenvalues within tolerance")
+        max_value = max(reachable, default=float("nan"))
     order = np.argsort(-np.abs(eigenvalues))
     return SolveReport(
         quotient_dim=len(ns),
         eigenvalues=tuple(complex(eigenvalues[i]) for i in order),
         max_value=float(max_value),
-        points=(),
+        points=tuple(points),
         genericity_flags=tuple(flags),
         timings=_stage_times(marks),
     )
+
+
+def _scored_points(form: MultilinearForm, k: int, blocks):
+    """The real points among the columns of ``blocks`` (one complex array
+    per slot, a row per coordinate), each slot normalized to its sphere
+    with canonical signs and scored in one batch on the form at unit scale
+    (value and fixed-point residual), and the flags of those dropped for a
+    residual above RESIDUAL_TOL (1 + |value|): the points by _point_order,
+    value and residual times 2^k."""
+    real = np.all([
+        np.abs(b.imag).max(axis=0) <= REALNESS_TOL * (1.0 + np.linalg.norm(b, axis=0))
+        for b in blocks
+    ], axis=0)
+    slots = [b.real[:, real].T for b in blocks]
+    slots = [multiform.canonical_signs(s / np.linalg.norm(s, axis=1)[:, None]) for s in slots]
+    subs = multiform._subscripts(form.order)
+    values, residuals = multiform._assess(form.tensor, subs, slots)
+    dropped = residuals > RESIDUAL_TOL * (1.0 + np.abs(values))
+    flags = [f"discarded point with residual {math.ldexp(r, k):.3e} above tolerance"
+             for r in residuals[dropped]]
+    points = sorted((
+        CriticalPoint(tuple(s[j].copy() for s in slots), float(values[j]),
+                      float(residuals[j]))
+        for j in np.flatnonzero(~dropped)
+    ), key=functools.cmp_to_key(_point_order))
+    return [CriticalPoint(p.vectors, math.ldexp(p.value, k), math.ldexp(p.residual, k))
+            for p in points], flags
 
 
 def _point_order(a: CriticalPoint, b: CriticalPoint) -> int:
@@ -1408,25 +1475,8 @@ def _solve_argmax(form: MultilinearForm, budget: int, seed: int):
             f"{classes}: non-generic form, critical points may be missing"
         )
     flags += retries
-    blocks = [coords[list(svars)] for svars in system.slot_vars]
-    real = np.all([
-        np.abs(b.imag).max(axis=0) <= REALNESS_TOL * (1.0 + np.linalg.norm(b, axis=0))
-        for b in blocks
-    ], axis=0)
-    slots = [b.real[:, real].T for b in blocks]
-    slots = [multiform.canonical_signs(s / np.linalg.norm(s, axis=1)[:, None]) for s in slots]
-    subs = multiform._subscripts(form.order)
-    values, residuals = multiform._assess(form.tensor, subs, slots)
-    dropped = residuals > RESIDUAL_TOL * (1.0 + np.abs(values))
-    unscored = [f"discarded point with residual {math.ldexp(r, k):.3e} above tolerance"
-                for r in residuals[dropped]]
-    points = sorted((
-        CriticalPoint(tuple(s[j].copy() for s in slots), float(values[j]),
-                      float(residuals[j]))
-        for j in np.flatnonzero(~dropped)
-    ), key=functools.cmp_to_key(_point_order))
-    points = [CriticalPoint(p.vectors, math.ldexp(p.value, k), math.ldexp(p.residual, k))
-              for p in points]
+    points, unscored = _scored_points(
+        form, k, [coords[list(svars)] for svars in system.slot_vars])
     degenerate = dim - coords.shape[1]
     if degenerate:
         unscored.append(f"eigenvectors with near-zero constant coordinate skipped: {degenerate}")
@@ -1449,8 +1499,9 @@ def _exact_max(form: MultilinearForm, seed: int, budget: int = DEFAULT_REDUCTION
     its quotient holds every critical class and every solution was scored:
     for a generic form the quotient dimension is the class count (Friedland
     and Ottaviani, 2014), so every class is among its solutions.  Otherwise
-    the sphere chart answers (solve_max), its report carrying the affine
-    points and, first, the affine flags or refusal, which say why: the
+    the sphere chart answers (solve_max), its report carrying its own
+    points, or the affine points when it has none (a basis its points did
+    not prove), and, first, the affine flags or refusal, which say why: the
     flags of unscored solutions lead.  Its timings hold the affine stages
     too, as "affine.<stage>", or "affine.refused" for a refused attempt."""
     start = time.perf_counter()
@@ -1466,6 +1517,6 @@ def _exact_max(form: MultilinearForm, seed: int, budget: int = DEFAULT_REDUCTION
         flags = unscored + tuple(f for f in affine.genericity_flags if f not in unscored)
         timings = {f"affine.{stage}": t for stage, t in affine.timings.items()}
     sphere = solve_max(form, budget=budget)
-    return "sphere", replace(sphere, points=points,
+    return "sphere", replace(sphere, points=sphere.points or points,
                              genericity_flags=flags + sphere.genericity_flags,
                              timings={**timings, **sphere.timings})

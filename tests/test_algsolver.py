@@ -34,7 +34,7 @@ from spheremax import (
     solve_max,
     verify_buchberger_certificate,
 )
-from spheremax import algsolver, cli
+from spheremax import algsolver, cli, multiform
 from spheremax.apps import _separability_form
 from spheremax.algsolver import (
     RESIDUAL_TOL,
@@ -1031,21 +1031,102 @@ def test_sphere_bases_are_proved_by_their_points(dims):
     # the shapes solve_max's benchmark runs: each run stops at 2^r times
     # the class count, its 2^r points per class prove the candidate, the
     # certificate never runs, and the basis is the full run's, term for
-    # term; the ring the proof filled gives the float matrix of l that a
-    # fresh ring of the full run's basis gives, bit for bit
+    # term; _quotient returns the proved points, one column per standard
+    # monomial, and the ring the proof filled gives the float matrix of l
+    # that a fresh ring of the full run's basis gives, bit for bit
     form = cli._random_integer_form(dims, np.random.default_rng(5))
     proofs, recording_proofs = _recording("_prove_points")
     verdicts, recording = _recording()
     with recording_proofs, recording:
-        system, gb, ns, dim, _, ring = algsolver._quotient(
+        system, gb, ns, dim, _, (ring, coords) = algsolver._quotient(
             form, "sphere", algsolver.DEFAULT_REDUCTION_BUDGET)
     assert (proofs, verdicts) == ([True], [])
     assert len(ns) == dim == _generic_dim(form, "sphere")
+    assert coords.shape == (len(system.variables), dim)
     full = groebner(system)
     assert _terms(gb) == _terms(full)
     lpoly = form_polynomial(form)
     shared = algsolver._float_matrix(ring.mult_matrix_exact(lpoly), dim)
     assert shared.tobytes() == mult_matrix(lpoly, full, normal_set(full)).array.tobytes()
+
+
+def _matrix_path(form):
+    """solve_max's report when its points prove nothing: the certificate
+    proves the basis, and the report reads the multiplication matrix."""
+    with mock.patch.object(algsolver, "_prove_points", lambda *args: False):
+        return solve_max(form)
+
+
+def _matrix_reference(form):
+    """The eigenvalues, by decreasing |.|, and the maximum of solve_max's
+    multiplication-matrix rule, from a fresh ring of the full run's basis:
+    the real eigenvalues within ||l||_F (1 + 1e-9), read at the form's
+    unit scale."""
+    unit, k = multiform._scaled(form)
+    gb = groebner(build_critical_system(unit))
+    m = mult_matrix(form_polynomial(unit), gb, normal_set(gb)).array
+    eig = np.linalg.eigvals(np.ldexp(m, k))
+    scale, norm = math.ldexp(1.0, k), math.ldexp(multiform.form_norm(unit), k)
+    real = [abs(x.real) for x in eig if abs(x.imag) <= algsolver.REALNESS_TOL * (scale + abs(x))]
+    top = max(v for v in real if v <= norm * (1 + 1e-9))
+    return tuple(complex(eig[i]) for i in np.argsort(-np.abs(eig))), top
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3), (4, 4), (2, 2, 3)],
+                         ids=["2x2x2", "3x3", "4x4", "2x2x3"])
+def test_proved_sphere_report_reads_l_at_its_points(dims):
+    # a basis proved by its points gives every critical point, so solve_max
+    # reads l at each one in place of the eigenvalues of M_l: the same
+    # multiset, a maximum within 1e-14 of the affine chart's (of the top
+    # singular value on a matrix), and the real sign-orbit representatives
+    # as points, the first coordinate of each slot positive
+    form = cli._random_integer_form(dims, np.random.default_rng(5))
+    report = solve_max(form)
+    matrix = _matrix_path(form)
+    assert matrix.points == () and report.quotient_dim == matrix.quotient_dim
+    scale = abs(matrix.eigenvalues[0])
+    rest = list(matrix.eigenvalues)
+    for value in report.eigenvalues:
+        nearest = min(range(len(rest)), key=lambda i: abs(rest[i] - value))
+        assert abs(rest.pop(nearest) - value) <= 1e-9 * scale
+    magnitudes = np.abs(report.eigenvalues)
+    assert np.all(magnitudes[:-1] >= magnitudes[1:])
+    # l at the slot-normalized points: the 2^r sign images of the best
+    # point read its value within 1e-14 (at the raw eigenvector columns
+    # they read up to 1.3e-11 off here, and 6e-9 on criterion 3's form)
+    top = report.max_value
+    assert np.sum(np.abs(magnitudes - top) <= 1e-14 * top) == 2 ** form.order
+    affine = solve_argmax(form)
+    want = (np.linalg.svd(form.tensor, compute_uv=False)[0] if len(dims) == 2
+            else affine.max_value)
+    assert report.max_value == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert len(report.points) == len(affine.points) > 0
+    assert abs(report.points[0].value) == report.max_value
+    for p in report.points:
+        assert all(v[0] > 0 for v in p.vectors)
+        assert p.residual <= RESIDUAL_TOL
+    assert report.genericity_flags == ()
+
+
+@pytest.mark.parametrize("form, patched", [
+    *(pytest.param(cli._random_integer_form(dims, np.random.default_rng(5)), True,
+                   id="x".join(map(str, dims)))
+      for dims in [(2, 2, 2), (3, 3), (4, 4), (2, 2, 3)]),
+    *(pytest.param(MultilinearForm((2, 2, 2), _integer_form(16).coeffs * scale), False,
+                   id=f"16-{scale}")
+      for scale in (0.1, 1e-9)),
+])
+def test_unproved_sphere_report_reads_the_multiplication_matrix(form, patched):
+    # with no point proof (patched to fail on the generic forms; failing on
+    # its own on the decimal-perturbed default_rng(16) forms, whose systems
+    # carry spurious real eigenvalues) the report is the multiplication
+    # matrix's, as before: its eigenvalues bit for bit, its maximum, and no
+    # points
+    report = _matrix_path(form) if patched else solve_max(form)
+    eigenvalues, top = _matrix_reference(form)
+    assert report.eigenvalues == eigenvalues
+    assert report.max_value == top
+    assert report.points == ()
 
 
 def test_point_proof_boxes_solutions_far_out_on_the_chart():
@@ -1073,6 +1154,29 @@ def test_point_proof_boxes_solutions_far_out_on_the_chart():
         assert all(u.tobytes() == v.tobytes() for u, v in zip(p.vectors, q.vectors))
 
 
+@pytest.mark.parametrize("coeffs, count, top", [
+    # the affine chart cannot separate its solutions; the sphere chart's
+    # points prove its basis, so they back its value
+    pytest.param(_integer_form(9).coeffs * 1e-9, 6, 11.31196502654238e-9, id="refused"),
+    # the affine chart misses classes and the sphere chart's points prove
+    # nothing: its value 2 comes with the five affine points, the best 1.0
+    pytest.param([1, 0, 0, 0, 0, 0, 0, 2], 5, 1.0, id="sparse-2x2x2"),
+])
+def test_sphere_fallback_reports_its_own_points_else_the_affine_ones(coeffs, count, top):
+    form = MultilinearForm((2, 2, 2), coeffs)
+    chart, report = algsolver._exact_max(form, seed=0)
+    sphere = solve_max(form)
+    assert chart == "sphere" and report.max_value == sphere.max_value
+    assert len(report.points) == count
+    assert abs(report.points[0].value) == pytest.approx(top, rel=1e-12, abs=0.0)
+    if sphere.points:
+        assert [(p.value, [v.tobytes() for v in p.vectors]) for p in report.points] == [
+            (p.value, [v.tobytes() for v in p.vectors]) for p in sphere.points]
+        assert abs(report.points[0].value) == report.max_value
+    else:
+        assert len(solve_argmax(form).points) == count
+
+
 def test_point_proof_is_taken_by_every_exact_solver(quadlinear_form):
     # solve_argmax, _exact_max and the apps reach the affine chart through
     # _quotient, and solve_max the sphere chart, so each takes the point
@@ -1096,7 +1200,8 @@ def test_point_proof_needs_one_point_per_class(trilinear_form):
     # must agree, so one point short, or one class more, proves nothing
     system, _, ns, classes, _, (_, coords, _) = algsolver._quotient(
         trilinear_form, "affine", algsolver.DEFAULT_REDUCTION_BUDGET)
-    prove = functools.partial(algsolver._prove_points, trilinear_form, system)
+    prove = functools.partial(algsolver._prove_points,
+                              form_polynomial(trilinear_form).terms, system)
     assert prove(coords, len(ns), classes)
     assert not prove(coords[:, 1:], len(ns), classes)
     assert not prove(coords, len(ns) + 1, classes)
@@ -1142,13 +1247,14 @@ def test_sphere_point_proof_refuses_boxes_on_a_first_coordinate_zero():
     system = build_critical_system(form, chart="sphere")
     coords = np.array([np.concatenate([s * e, t * e]) for e in np.eye(2)
                        for s in (1, -1) for t in (1, -1)], dtype=complex).T
-    polys, free, away = algsolver._square_subsystem(form, system, "sphere")
+    lterms = form_polynomial(form).terms
+    polys, free, away = algsolver._square_subsystem(lterms, system, "sphere")
     assert (free, away) == ([0, 1, 2, 3], [0, 2])
     f = algsolver._Discs(polys, 4)
     jac = algsolver._Discs(algsolver._jacobian(polys, 4), 4)
     assert algsolver._krawczyk(f, jac, coords)
     assert algsolver._krawczyk(f, jac, coords[:, :4], away)
-    assert not algsolver._prove_points(form, system, coords, 8, 8, "sphere")
+    assert not algsolver._prove_points(lterms, system, coords, 8, 8, "sphere")
 
 
 def _dyadic(k):
