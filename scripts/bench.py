@@ -31,14 +31,17 @@ Power rows (``kind: power``; the exact rows read ``kind: exact``) time the
 two power kernels as iterations x cost per iteration: the joint iteration's
 six starts (``poweriter._joint``, capped at 2000 steps) on a 2x2x3 integer
 form on which no start settles and on the 2x2x2x2 form of the exact rows,
-and block power iteration (``bilinear_max``) on Gaussian 50x40 and 20x15
-matrices.  Two rows where the fixed cost of a call dominates time whole
-calls: ``multilinear_iterate`` (starts included, capped at 2000 steps) on a
-2x2x2 integer form whose six starts all end within two blocks of the joint
-kernel, and ``bilinear_max`` on a Gaussian 8x8 matrix that converges in 6
-steps, 5 of them Ritz checks.  Their counters are the steps taken (the last
-start's, for the ``joint`` rows; the answer's, for the whole calls) and the
-value, hex, and ``us_per_step`` is the CPU time over the steps.
+and block power iteration (``bilinear_max``, whole calls) on Gaussian
+200x150 and 50x40 matrices, which take many steps.  Three rows where the
+fixed cost of a call dominates also time whole calls: ``multilinear_iterate``
+(starts included, capped at 2000 steps) on a 2x2x2 integer form whose six
+starts all end within two blocks of the joint kernel, and ``bilinear_max``
+on Gaussian 20x15 and 8x8 matrices, no wider than its block, which converge
+at the first step and its one Ritz check.  Their counters are the steps
+taken (the last start's, for the ``joint`` rows; the answer's, for the
+whole calls) and the value, hex, and ``us_per_step`` is the CPU time over
+the steps.  The ``subspace`` rows also count their Ritz checks
+(``checks``: calls of ``poweriter._ritz_pair``, wrapped from here).
 
 Times are CPU seconds of this process (``time.process_time``), not scaled by
 any host calibration: the median and quartiles over ``--repeats`` solves.
@@ -53,7 +56,7 @@ answer counters (all but the path counters ``budget_used``,
 may move on purpose; each row keeps its own) equal the other one's.  The JSON goes to standard
 output, one line per row to standard error:
 
-    python3 scripts/bench.py --against parent=../parent/src --repeats 9 > BENCH_28.json
+    python3 scripts/bench.py --against parent=../parent/src --repeats 9 > BENCH_30.json
 
 BLAS threads are pinned to 1, so CPU time is one core's time.
 """
@@ -81,7 +84,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 STAGES = ("run", "interreduce", "certificate", "normal_set", "ring_and_eigen", "other",
           "total")
 POWER_STAGES = ("total", "us_per_step")
-PATH_COUNTERS = ("budget_used", "ring_budget_used", "pairs_skipped", "certificate")
+PATH_COUNTERS = ("budget_used", "ring_budget_used", "pairs_skipped", "certificate", "checks")
 
 
 def _load(name, src):
@@ -114,34 +117,53 @@ def cases(sm):
 
 def power_cases(sm):
     """(name, call) of each power case, built with package ``sm``; call()
-    runs it and returns the steps it took and its value."""
+    runs it and returns its counters: the steps it took, its value and, for
+    the subspace rows, the Ritz checks made."""
     integer_form = importlib.import_module(f"{sm.__name__}.cli")._random_integer_form
     pw = sm.poweriter
+    checks = [0]
+    ritz_pair = pw._ritz_pair
+
+    def counted(*args):
+        checks[0] += 1
+        return ritz_pair(*args)
+
+    pw._ritz_pair = counted
 
     def joint(form):
         form = pw._scaled(form)[0]
         starts = pw._random_starts(form, range(pw._STARTS))
-        return lambda: max((out.iterations, out.value) for out in pw._joint(
-            form, starts, pw.DEFAULT_TOL, 2000))
+
+        def call():
+            steps, value = max((out.iterations, out.value) for out in pw._joint(
+                form, starts, pw.DEFAULT_TOL, 2000))
+            return {"iterations": steps, "value": value.hex()}
+        return call
 
     def whole(run, form):
         def call():
             result = run(form)
-            return result.iterations, result.value
+            return {"iterations": result.iterations, "value": result.value.hex()}
         return call
 
-    def gaussian(shape, seed=0):
-        return sm.MultilinearForm(shape, np.random.default_rng(seed).standard_normal(
+    def subspace(shape, seed=0):
+        form = sm.MultilinearForm(shape, np.random.default_rng(seed).standard_normal(
             math.prod(shape)))
+
+        def call():
+            checks[0] = 0
+            return {**whole(pw.bilinear_max, form)(), "checks": checks[0]}
+        return call
 
     return [
         ("joint-2x2x3-unsettled", joint(integer_form((2, 2, 3), np.random.default_rng(9)))),
         ("joint-2x2x2x2", joint(integer_form((2, 2, 2, 2), np.random.default_rng(2)))),
         ("multilinear-2x2x2", whole(partial(pw.multilinear_iterate, max_iters=2000),
                                     integer_form((2, 2, 2), np.random.default_rng(0)))),
-        ("subspace-50x40", whole(pw.bilinear_max, gaussian((50, 40)))),
-        ("subspace-20x15", whole(pw.bilinear_max, gaussian((20, 15)))),
-        ("subspace-8x8", whole(pw.bilinear_max, gaussian((8, 8), seed=1))),
+        ("subspace-200x150", subspace((200, 150))),
+        ("subspace-50x40", subspace((50, 40))),
+        ("subspace-20x15", subspace((20, 15))),
+        ("subspace-8x8", subspace((8, 8), seed=1)),
     ]
 
 
@@ -149,10 +171,9 @@ def time_power(call):
     """(CPU seconds and us per step, counters) of one power run."""
     gc.collect()
     t = time.process_time()
-    steps, value = call()
+    counters = call()
     total = time.process_time() - t
-    return ({"total": total, "us_per_step": total / steps * 1e6},
-            {"iterations": steps, "value": value.hex()})
+    return {"total": total, "us_per_step": total / counters["iterations"] * 1e6}, counters
 
 
 class Probe:

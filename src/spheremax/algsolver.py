@@ -225,6 +225,16 @@ class RationalPoly:
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _trusted(cls, variables, terms):
+        """The poly of a tuple of names and a dict of nonzero Fractions keyed
+        by tuples of ints, as the solver builds them, without re-validating
+        them: what __post_init__ would return."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "variables", variables)
+        object.__setattr__(poly, "terms", terms)
+        return poly
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -277,8 +287,8 @@ class GroebnerBasis:
         if self._basis is None:
             mono = _Monomials(len(self.variables))
             self._basis = tuple(
-                RationalPoly(self.variables, {mono.unpack(m): Fraction(c, lc)
-                                              for m, c in {lm: lc, **tail}.items()})
+                RationalPoly._trusted(self.variables, {
+                    mono.unpack(m): Fraction(c, lc) for m, c in {lm: lc, **tail}.items()})
                 for _, lm, lc, tail in self._records)
         return self._basis
 
@@ -959,7 +969,7 @@ def form_polynomial(form: MultilinearForm) -> RationalPoly:
         for s, i in enumerate(index):
             exps[slot_vars[s][i]] = 1
         terms[tuple(exps)] = rationalize(c)
-    return RationalPoly(names, terms)
+    return RationalPoly._trusted(names, terms)
 
 
 def _minor(lterms, a, b) -> dict:
@@ -1006,12 +1016,12 @@ def build_critical_system(form: MultilinearForm, chart: str = "sphere", *,
         for a, b in itertools.combinations(svars, 2):
             minor = _minor(lterms, a, b)
             if minor:
-                polys.append(RationalPoly(names, minor))
+                polys.append(RationalPoly._trusted(names, minor))
     for svars in slot_vars:
         power, closed = (2, svars) if chart == "sphere" else (1, svars[:1])
         closure = {tuple(power * (i == v) for i in range(nvars)): _ONE for v in closed}
         closure[(0,) * nvars] = -_ONE
-        polys.append(RationalPoly(names, closure))
+        polys.append(RationalPoly._trusted(names, closure))
     return PolySystem(polys=tuple(polys), variables=names, slot_vars=slot_vars)
 
 
@@ -1428,14 +1438,14 @@ def _solutions(system, chart, ring, seed):
     for attempt in range(4):
         if attempt == 0 and chart == "affine":
             first = free[0] if free else (0,) * nvars
-            f = RationalPoly(system.variables, {first: _ONE})
+            f = RationalPoly._trusted(system.variables, {first: _ONE})
         else:
             coeffs = (rng.integers(-9, 10, size=len(free)) if chart == "affine"
                       else rng.choice(_NONZERO_DIGITS, size=len(free)))
             terms = {m: _Q(int(c)) for m, c in zip(free, coeffs) if c}
             if not terms:
                 continue
-            f = RationalPoly(system.variables, terms)
+            f = RationalPoly._trusted(system.variables, terms)
         marr = _float_matrix(ring.mult_matrix_exact(f), dim)
         vals, vecs = np.linalg.eig(marr.T)
         scale = 1.0 + float(np.abs(vals).max(initial=0.0))

@@ -3,15 +3,19 @@
 Bilinear forms x^T A y (``bilinear_max``, and ``multilinear_iterate`` for
 r = 2) run block power (subspace) iteration with a Rayleigh-Ritz step
 (Golub and Van Loan, Matrix Computations, sect. 8.2.4; Halko, Martinsson
-and Tropp, SIAM Rev. 2011).  The y slots of the random starts seed, ...,
-seed + k - 1, k = min(_STARTS, n, m), are the columns of one block Y, and a
-step is Y = qr(A^T (A Y)), one QR.  A step that checks the Ritz pair takes
-X = qr(A Y), then (Y, R) = qr(A^T X) instead: the top singular pair of the
-k x k matrix R^T = X^T A Y gives the Ritz pair, and one Gauss-Seidel
-half-step (x <- A y, then y <- A^T x, each normalized) polishes it.  The
-pair converges at rate sigma_(k+1) / sigma_1, where one vector converges at
-sigma_2 / sigma_1: ties and near-ties among the top k singular values cost
-nothing, and a matrix of rank or size at most k is answered in one step.
+and Tropp, SIAM Rev. 2011).  One standard normal draw of
+``np.random.default_rng(seed)`` gives the k = min(_WIDTH, n, m) columns of
+a block Y, and a step is Y = qr(A^T (A Y)), one QR.  _WIDTH = 16 is the
+kernel's own: up to about 16 columns a step costs about the same, its
+time being call overhead, while the rate below falls quickly with k.  A
+step that checks the Ritz pair takes X = qr(A Y), then (Y, R) = qr(A^T X)
+instead: the top singular pair of the k x k matrix R^T = X^T A Y gives the
+Ritz pair, and one Gauss-Seidel half-step (x <- A y, then y <- A^T x, each
+normalized) polishes it.  Checks come at steps 1 and 2, then where the
+residuals' decay predicts the stop test is met.  The pair converges at
+rate sigma_(k+1) / sigma_1, where one vector converges at sigma_2 /
+sigma_1: ties and near-ties among the top k singular values cost nothing,
+and a matrix of rank or smaller side at most k is answered in one step.
 A cluster of top singular values wider than the block widens it to
 min(n, m), where the Rayleigh-Ritz step is an exact SVD (``_subspace``).
 ``iterations`` counts block steps.
@@ -83,6 +87,7 @@ DEFAULT_TOL = 1e-14
 DEFAULT_MAX_ITERS = 100_000
 
 _STARTS = 6
+_WIDTH = 16            # bilinear block columns: a step costs about the same up to here
 _OSC_TOL = 1e-10
 _BLOCK = 32            # joint steps advanced between two judgements
 _ASCENT_SWEEPS = 500
@@ -383,55 +388,70 @@ def _ritz_pair(a, y, r, iterations, tol):
 
 
 def _subspace(form, seed, tol, max_iters):
-    """Block power (subspace) iteration for x^T A y from the y slots of the
-    random starts seed, seed + 1, ... (k = min(_STARTS, n, m) of them): the
-    polished top Ritz pair, CONVERGED at the first check it passes, else
-    NON_CONVERGED at the cap; ZeroGradientError if A Y = 0.
+    """Block power (subspace) iteration for x^T A y from a block Y of k =
+    min(_WIDTH, n, m) standard normal columns, one draw of
+    ``np.random.default_rng(seed)``: the polished top Ritz pair, CONVERGED
+    at the first check it passes, else NON_CONVERGED at the cap;
+    ZeroGradientError if A Y = 0.
 
     A step is Y = qr(A^T (A Y)): span Y is span((A^T A)^t Y_0), and the
-    Ritz pair converges at rate sigma_(k+1) / sigma_1.  The pair is checked
-    at steps 1 to 4, then each time the step count has grown by a quarter,
-    and at the cap; a check step takes X = qr(A Y), then (Y, R) = qr(A^T
-    X), whose R gives the Ritz values, so checks, widening and iterations
-    read as with two QRs on every step.  A check adds a QR, a k x k SVD
-    and a residual to its step; a Gaussian 50x40 run makes 14 checks in 59
-    steps.
+    Ritz pair converges at rate sigma_(k+1) / sigma_1.  A check step takes
+    X = qr(A Y), then (Y, R) = qr(A^T X), whose R gives the Ritz values,
+    so checks, widening and iterations read as with two QRs on every step.
+    A check adds a QR, a k x k SVD and a residual to its step, about as
+    much again as the step.  The pair is checked at steps 1 and 2 and at
+    the cap; after a later failed check the next one comes where the
+    geometric decay of the last two checks' residuals meets the stop test,
+    at least one step and at most as many steps on as taken so far, or
+    when the steps have grown by a quarter if the residual did not fall.
+    A Gaussian 50x40 run makes 6 checks in 21 steps, where checks at steps
+    1 to 4 and then at each growth by a quarter made 14 in 59 at k = 6.
 
     A check that fails with (sigma_k / sigma_1)^(max_iters - it) > tol
     finds every Ritz value of the block so close to sigma_1 that, should
-    sigma_(k+1) be as close, the steps left could not reach tol: the y
-    slots of the next seeds then widen the block to min(n, m).  A block
-    that wide spans the smaller side, so the next Rayleigh-Ritz step is an
-    exact SVD.  Gaussian matrices never widen: their sigma_6 / sigma_1 is
-    far below tol^(1 / max_iters).
+    sigma_(k+1) be as close, the steps left could not reach tol: columns
+    drawn next from the same generator then widen the block to min(n, m).
+    A block that wide spans the smaller side, so the next Rayleigh-Ritz
+    step is an exact SVD.  Gaussian matrices never widen: their
+    sigma_16 / sigma_1 is far below tol^(1 / max_iters).
     """
     a = form.tensor
-    width = min(a.shape)
-    k = min(_STARTS, width)
-    y = _random_starts(form, range(seed, seed + k))[1].T
-    due = 1
+    m, width = a.shape[1], min(a.shape)
+    k = min(_WIDTH, width)
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((m, k))
+    due, last = 1, None  # the next check's step; the last failed check's (step, residual)
     for it in range(1, max_iters + 1):
         z = a @ y
         if not np.count_nonzero(z):  # z.any(), at a third of its cost
             raise ZeroGradientError(f"A Y = 0 at iteration {it}")
         if it < due and it < max_iters:
             y = np.linalg.qr(a.T @ z)[0]
+            continue
+        y, r = np.linalg.qr(a.T @ np.linalg.qr(z)[0])
+        result, ratio = _ritz_pair(a, y, r, it, tol)
+        if result.status is Status.CONVERGED:
+            return result
+        residual = result.residual
+        if last is None:
+            due = it + 1
+        elif residual < last[1]:  # steps until the fitted decay meets _stopped's level
+            ahead = (it - last[0]) * math.log(10.0 * tol * (1.0 + result.value) / residual) / (
+                math.log(residual / last[1]))
+            due = it + min(max(math.ceil(ahead), 1), it)
         else:
-            y, r = np.linalg.qr(a.T @ np.linalg.qr(z)[0])
-            result, ratio = _ritz_pair(a, y, r, it, tol)
-            if result.status is Status.CONVERGED:
-                return result
             due = it + 1 + it // 4
-            if k < width and it < max_iters and ratio ** (max_iters - it) > tol:
-                y = np.hstack([y, _random_starts(form, range(seed + k, seed + width))[1].T])
-                k, due = width, it + 1
+        last = it, residual
+        if k < width and it < max_iters and ratio ** (max_iters - it) > tol:
+            y = np.hstack([y, rng.standard_normal((m, width - k))])
+            k, due = width, it + 1
     return result
 
 
 def _run_with_restarts(form, seed, tol, max_iters):
-    """r = 2: the y slots of the starts seed, seed + 1, ... (at most _STARTS,
-    n or m of them) as one block.  r >= 3: the restart rule over the _STARTS
-    starts seed, seed + 1, ..., all in one block."""
+    """r = 2: one block of min(_WIDTH, n, m) columns drawn from seed
+    (``_subspace``).  r >= 3: the restart rule over the _STARTS starts seed,
+    seed + 1, ..., all in one block."""
     (max_iters,) = integers((max_iters,), "max_iters", ValueError)
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
@@ -471,10 +491,12 @@ def bilinear_max(
     """Maximum of |l| over S^n x S^m for a bilinear form: the first singular
     value of the coefficient matrix A, by block power iteration.
 
-    The y slots of up to six random starts form one orthonormal block; each
-    step multiplies it by A^T A and a Rayleigh-Ritz step picks the best pair
-    in it, so the value converges at rate sigma_(k+1) / sigma_1 for a block
-    of width k, repeated or nearly repeated top singular values included.
+    Up to sixteen random columns, one draw from ``seed``, form one block;
+    each step multiplies it by A^T A and orthonormalizes it, and a
+    Rayleigh-Ritz step picks the best pair in it, so the value converges at
+    rate sigma_(k+1) / sigma_1 for a block of width k, repeated or nearly
+    repeated top singular values included; a matrix with at most sixteen
+    rows or columns is answered at the first step.
     When every Ritz value of the block sits too close to sigma_1 to resolve
     a wider cluster in the steps left, the block widens to min(n, m).
     ``max_iters`` counts block steps; a run that reaches it is NON_CONVERGED.

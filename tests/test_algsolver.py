@@ -245,6 +245,24 @@ def test_rational_poly_refuses_non_integral_exponents():
     assert all(type(e) is int for e in next(iter(p.terms)))
 
 
+@pytest.mark.parametrize("form", [
+    cli._random_integer_form((2, 2, 3), np.random.default_rng(1)),
+    MultilinearForm((3, 2), np.random.default_rng(2).standard_normal(6)),
+], ids=["int-2x2x3", "gauss-3x2"])
+def test_solver_built_polys_are_what_the_validating_constructor_gives(form):
+    # the solver builds its own polys unvalidated: each must equal, term
+    # for term and in order, the poly the public constructor makes of it
+    system = build_critical_system(form, chart="affine")
+    polys = [form_polynomial(form), *build_critical_system(form).polys, *system.polys,
+             *groebner(system).basis]
+    for p in polys:
+        want = RationalPoly(p.variables, p.terms)
+        assert type(p.variables) is tuple and p.variables == want.variables
+        assert list(p.terms.items()) == list(want.terms.items())
+        assert all(type(e) is int for exps in p.terms for e in exps)
+        assert all(type(c) is Fraction for c in p.terms.values())
+
+
 def test_spolynomial_cancels_leading_terms():
     # the integer S-polynomial that Buchberger's algorithm uses
     mono = _Monomials(2)

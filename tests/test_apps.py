@@ -73,9 +73,10 @@ def test_norm2_near_tied_top_singular_values():
 
 
 def test_norm2_cluster_wider_than_the_block():
-    # seven top singular values within 6e-6, one more than the first block
-    # holds: the block widens to 8 columns and the next step is an exact SVD
-    a = np.diag([1.0, 1 - 1e-6, 1 - 2e-6, 1 - 3e-6, 1 - 4e-6, 1 - 5e-6, 1 - 6e-6, 0.5])
+    # seventeen top singular values within 1.6e-5, one more than the first
+    # block holds: the block widens to 18 columns and the next step is an
+    # exact SVD
+    a = np.diag(np.r_[1.0 - 1e-6 * np.arange(17), 0.5])
     t0 = time.perf_counter()
     got = matrix_norm2(Matrix.from_array(a), method="power")
     assert time.perf_counter() - t0 < 0.05

@@ -356,11 +356,11 @@ def test_norm2_near_tied_top_singular_values(capsys, tmp_path):
 
 
 def test_norm2_cluster_wider_than_the_block(capsys, tmp_path):
-    # seven top singular values within 6e-6, one more than the power
+    # seventeen top singular values within 1.6e-5, one more than the power
     # method's first block holds: the block widens and the run converges
-    sigma = [1.0, 1 - 1e-6, 1 - 2e-6, 1 - 3e-6, 1 - 4e-6, 1 - 5e-6, 1 - 6e-6, 0.5]
+    sigma = np.r_[1.0 - 1e-6 * np.arange(17), 0.5]
     path = _write(tmp_path, "cluster.json",
-                  {"rows": 8, "cols": 8, "entries": np.diag(sigma).reshape(-1).tolist()})
+                  {"rows": 18, "cols": 18, "entries": np.diag(sigma).reshape(-1).tolist()})
     code, out = _run(capsys, ["norm2", path])
     assert code == EXIT_OK
     report = _strict_json(out)

@@ -69,13 +69,15 @@ def test_converged_results_have_small_residual():
 
 
 def test_seed_determinism_bitwise():
+    # one step at 3x4, many at 50x40 (and its block's one generator)
     rng = np.random.default_rng(3)
-    form = MultilinearForm(dims=(3, 4), coeffs=rng.standard_normal(12))
-    a = bilinear_max(form, seed=42)
-    b = bilinear_max(form, seed=42)
-    assert a.value == b.value and a.iterations == b.iterations
-    for u, v in zip(a.point, b.point):
-        assert np.array_equal(np.asarray(u), np.asarray(v))
+    for dims in [(3, 4), (50, 40)]:
+        form = MultilinearForm(dims=dims, coeffs=rng.standard_normal(math.prod(dims)))
+        a = bilinear_max(form, seed=42)
+        b = bilinear_max(form, seed=42)
+        assert a.value == b.value and a.iterations == b.iterations
+        for u, v in zip(a.point, b.point):
+            assert np.array_equal(np.asarray(u), np.asarray(v))
 
 
 def test_zero_form_raises():
@@ -182,10 +184,10 @@ def _non_generic_matrices():
         "scales-1e-8-to-1e8": rng.standard_normal((8, 8)) * 10.0 ** rng.uniform(-8, 8, (8, 8)),
         "tall-200x150": rng.standard_normal((200, 150)),
         "wide-150x200": rng.standard_normal((150, 200)),
-        # ten top singular values within 1e-7, more than the block holds:
+        # twenty top singular values within 2e-7, more than the block holds:
         # the block widens to the smaller side
-        "cluster-of-10-in-60x50": _with_singular_values(
-            rng, 60, 50, np.r_[1.0 - 1e-8 * np.arange(10), np.linspace(0.5, 0.1, 40)]),
+        "cluster-of-20-in-60x50": _with_singular_values(
+            rng, 60, 50, np.r_[1.0 - 1e-8 * np.arange(20), np.linspace(0.5, 0.1, 30)]),
     }
 
 
@@ -209,25 +211,115 @@ def test_block_kernel_matches_svd_on_non_generic_matrices(name):
     assert np.linalg.norm(a.T @ x - result.value * y) <= 1e-12 * s1
 
 
+def _counted_checks(monkeypatch):
+    """(step, block width) of each Ritz check of the runs that follow."""
+    checks = []
+    ritz_pair = poweriter._ritz_pair
+
+    def counted(a, y, r, iterations, tol):
+        checks.append((iterations, y.shape[1]))
+        return ritz_pair(a, y, r, iterations, tol)
+
+    monkeypatch.setattr(poweriter, "_ritz_pair", counted)
+    return checks
+
+
 def test_block_starts_in_the_null_space_raise(monkeypatch):
-    # A = e1 e1^T: every y start with a zero first entry gives A Y = 0
+    # A = e1 e1^T: a y block with a zero first row gives A Y = 0
     a = np.zeros((6, 6))
     a[0, 0] = 1.0
     form = MultilinearForm(dims=(6, 6), coeffs=a.reshape(-1))
-    null = np.random.default_rng(0).standard_normal((poweriter._STARTS, 6))
-    null[:, 0] = 0.0
-    monkeypatch.setattr(poweriter, "_random_starts", lambda form, seeds: [
-        np.tile(np.eye(6)[0], (len(seeds), 1)), null[:len(seeds)]])
-    with pytest.raises(ZeroGradientError):
+    default_rng = np.random.default_rng
+
+    class NullRows:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, shape):
+            y = self.rng.standard_normal(shape)
+            y[0] = 0.0
+            return y
+
+    monkeypatch.setattr(np.random, "default_rng", NullRows)
+    with pytest.raises(ZeroGradientError, match="A Y = 0"):
         bilinear_max(form)
+
+
+def _smaller_side_at_most_the_block():
+    rng = np.random.default_rng(7)
+    shapes = [(int(rng.integers(1, 41)), int(rng.integers(1, poweriter._WIDTH + 1)))
+              for _ in range(40)]
+    mats = {f"gauss-{n}x{m}": rng.standard_normal((n, m) if k % 2 else (m, n))
+            for k, (n, m) in enumerate(shapes)}
+    return {**mats, "I_2": np.eye(2), "I_10": np.eye(10), "diag-3-3-1": np.diag([3.0, 3.0, 1.0]),
+            "rank-1-16x30": np.outer(rng.standard_normal(16), rng.standard_normal(30)),
+            "16x16": rng.standard_normal((16, 16))}
+
+
+@pytest.mark.parametrize("a", list(_smaller_side_at_most_the_block().values()),
+                         ids=list(_smaller_side_at_most_the_block()))
+def test_matrices_no_wider_than_the_block_converge_at_step_one(a):
+    # a block of min(n, m) columns spans the smaller side, so the first
+    # Rayleigh-Ritz step is an exact SVD
+    result = bilinear_max(MultilinearForm(dims=a.shape, coeffs=a.reshape(-1)))
+    s1 = float(np.linalg.svd(a, compute_uv=False)[0])
+    assert (result.status, result.iterations) == (Status.CONVERGED, 1)
+    assert abs(result.value - s1) <= 1e-14 * s1
+
+
+@pytest.mark.parametrize("shape, steps, at", [
+    ((50, 40), 21, [1, 2, 4, 8, 16, 21]),
+    ((200, 150), 76, [1, 2, 4, 8, 16, 32, 64, 76]),
+])
+def test_checks_come_where_the_residual_decay_meets_the_stop_test(monkeypatch, shape, steps, at):
+    # checks at steps 1 and 2, then at the step the fitted decay of the
+    # last two residuals predicts, at most twice the steps so far: fewer
+    # than checking each time the steps grow by a quarter, as before
+    checks = _counted_checks(monkeypatch)
+    a = np.random.default_rng(0).standard_normal(shape)
+    result = bilinear_max(MultilinearForm(dims=a.shape, coeffs=a.reshape(-1)))
+    s1 = float(np.linalg.svd(a, compute_uv=False)[0])
+    assert (result.status, result.iterations) == (Status.CONVERGED, steps)
+    assert abs(result.value - s1) <= 1e-14 * s1
+    assert [it for it, _ in checks] == at
+    quarter, it = [], 1
+    while it <= steps:
+        quarter.append(it)
+        it += 1 + it // 4
+    assert len(checks) < len(quarter)
+
+
+@pytest.mark.parametrize("max_iters", [37, 100, 101])
+def test_capped_run_checks_at_the_cap(monkeypatch, max_iters):
+    # a stop test no float residual meets: the run goes to the cap, checks
+    # are spread out by then, and the last one comes at the cap all the same
+    checks = _counted_checks(monkeypatch)
+    a = np.random.default_rng(13).standard_normal((30, 20))
+    result = bilinear_max(MultilinearForm(dims=a.shape, coeffs=a.reshape(-1)),
+                          tol=1e-300, max_iters=max_iters)
+    assert (result.status, result.iterations) == (Status.NON_CONVERGED, max_iters)
+    steps = [it for it, _ in checks]
+    assert steps[-1] == max_iters and steps[-2] < max_iters - 1
+    assert len(steps) < 10
+
+
+def test_cluster_wider_than_the_block_widens_it(monkeypatch):
+    # twenty top singular values within 2e-7: the Ritz values of the
+    # 16-column block all sit at sigma_1, so it widens to the smaller side
+    checks = _counted_checks(monkeypatch)
+    a = _NON_GENERIC["cluster-of-20-in-60x50"]
+    result = bilinear_max(MultilinearForm(dims=a.shape, coeffs=a.reshape(-1)))
+    widths = [k for _, k in checks]
+    assert result.status is Status.CONVERGED
+    assert widths[0] == poweriter._WIDTH and widths[-1] == min(a.shape)
 
 
 @pytest.mark.parametrize("a, max_iters", [
     (np.random.default_rng(13).standard_normal((30, 30)), 1),
-    # seven singular values within 6e-6, one more than the block holds: a
-    # cap of one step ends the run before the block can widen
-    (np.diag([1.0, 1 - 1e-6, 1 - 2e-6, 1 - 3e-6, 1 - 4e-6, 1 - 5e-6, 1 - 6e-6, 0.5]), 1),
-], ids=["generic-30x30", "cluster-8x8"])
+    # seventeen singular values within 1.6e-5, one more than the block
+    # holds: a cap of one step ends the run before the block can widen
+    (np.diag(np.r_[1.0 - 1e-6 * np.arange(17), 0.5]), 1),
+], ids=["generic-30x30", "cluster-18x18"])
 def test_block_iteration_cap_ends_non_converged(a, max_iters):
     form = MultilinearForm(dims=a.shape, coeffs=a.reshape(-1))
     result = bilinear_max(form, max_iters=max_iters)
@@ -681,12 +773,13 @@ def test_badly_scaled_forms_keep_their_relative_accuracy(exp):
 def test_small_forms_stop_as_the_unscaled_form(scale):
     # the stop test reads relative to the form's own scale: a Gaussian 8x7
     # times a small factor ended at step 1, 2.4e-5 below sigma_1, when the
-    # test was absolute; now it takes the unscaled run's 8 steps
-    a = np.random.default_rng(0).standard_normal((8, 7))
+    # test was absolute; a 40x30, wider than the block, takes the unscaled
+    # run's 16 steps
+    a = np.random.default_rng(0).standard_normal((40, 30))
     s1 = float(np.linalg.svd(a, compute_uv=False)[0])
     want = bilinear_max(MultilinearForm(dims=a.shape, coeffs=a.reshape(-1)))
     got = bilinear_max(MultilinearForm(dims=a.shape, coeffs=a.reshape(-1) * scale))
     assert (got.status, got.iterations) == (want.status, want.iterations) == (
-        Status.CONVERGED, 8)
-    assert abs(got.value / scale - s1) <= 4e-16 * s1
+        Status.CONVERGED, 16)
+    assert abs(got.value / scale - s1) <= 2e-15 * s1
     assert got.residual <= 1e-13 * got.value
