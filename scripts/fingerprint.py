@@ -6,19 +6,21 @@ of all of them (``total``) and of each half: ``total exact`` over the exact
 cases (the critical systems, Groebner bases, ``solve_argmax`` and
 ``solve_max`` reports, scaled ones included) and ``total power`` over the
 power cases (``multilinear_iterate``, ``_joint``, ``bilinear_max`` and
-``_ascend``, scaled ones included).  Two checkouts whose totals agree
-return the same outputs bit for bit: every float is hashed by its bytes,
-every error by its repr.  Cases marked ``scaled`` run forms multiplied by
-huge or tiny powers of two; every form runs at unit scale, so they take the
-same path as the others and count in the totals.
+``_ascend``, scaled ones included).  The app cases, which run both, count
+in ``total`` only.  Two checkouts whose totals agree return the same
+outputs bit for bit: every float is hashed by its bytes, every error by its
+repr.  Cases marked ``scaled`` run forms multiplied by huge or tiny powers
+of two; every form runs at unit scale, so they take the same path as the
+others and count in the totals.
 
     python3 scripts/fingerprint.py
 
-It imports ``src/`` beside this script, takes no options, and runs in well
-under a minute on one core.  ``scripts/fingerprint.total`` holds the three
-expected ``total`` lines, and CI fails when either hash seed prints others;
-a change that moves an output on purpose commits the new lines with it, and
-one that changes only one path leaves the other half's line as it was.
+It imports ``src/`` and ``tests/conftest.py`` (so pytest too) beside this
+script, takes no options, and runs in well under a minute on one core.
+``scripts/fingerprint.total`` holds the three expected ``total`` lines, and
+CI fails when either hash seed prints others; a change that moves an output
+on purpose commits the new lines with it, and one that changes only one
+path leaves the other half's line as it was.
 
 Power cases: ``multilinear_iterate``, the outcome of each of the joint
 kernel's six starts under the restart rule (``_joint``), ``bilinear_max``
@@ -32,7 +34,10 @@ forms, plus the sphere chart's ``solve_max`` on the smallest ones, both
 reports of four 2x2x2 integer forms times powers of two (2^-45 and 2^40,
 2^-30 and 2^-40), which the exact solvers run at the form's unit scale, and
 ``solve_max`` of the ``default_rng(16)`` one times 1e-9 and 0.1, whose
-spurious real eigenvalues above ||l||_F it drops.
+spurious real eigenvalues above ||l||_F it drops.  App cases:
+``matrix_norm2``, ``closest_rank_one`` and ``separable_max`` with each
+method on the test suite's non-generic forms (``tests/conftest.py``),
+e2 (x) e2 (x) e2, whose algebraic answer raises, and the suite's states.
 """
 
 import hashlib
@@ -43,9 +48,12 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from spheremax import MultilinearForm, algsolver, cli, poweriter  # noqa: E402
+import conftest  # noqa: E402
+from spheremax import (DensityState, Matrix, MultilinearForm, algsolver, apps,  # noqa: E402
+                       cli, poweriter)
 
 TRILINEAR = [6, -14, -6, -11, 3, -15, 16, 8]
 QUADLINEAR = [4, 2, -5, -9, 1, -7, -5, -6, 6, -3, -6, -9, 7, 9, 0, 8]
@@ -239,15 +247,39 @@ def exact_cases():
             algsolver.solve_max, MultilinearForm(form.dims, form.coeffs * scale)))
 
 
+def _rank_one(approx):
+    if isinstance(approx, Exception):
+        return repr(approx)
+    return (approx.factors.factors, approx.max_value, approx.distance, approx.flags)
+
+
+def app_cases():
+    forms = {name: MultilinearForm(*form) for name, form in conftest.NON_GENERIC_FORMS.items()}
+    forms["e2xe2xe2"] = MultilinearForm((2, 2, 2), [0, 0, 0, 0, 0, 0, 0, 1])
+    states = {name: DensityState(2, 2, Matrix.from_array(np.array(getattr(conftest, name))))
+              for name in ("STATE_SEPARABLE", "STATE_ENTANGLED", "STATE_PURE_PRODUCT")}
+    for method in ("power", "algebraic"):
+        for name, form in forms.items():
+            if form.order == 2:
+                matrix = Matrix.from_array(form.tensor)
+                yield f"matrix_norm2 {method} {name}", _call(
+                    apps.matrix_norm2, matrix, method=method)
+            yield f"closest_rank_one {method} {name}", _rank_one(
+                _call(apps.closest_rank_one, form, method=method))
+        for name, state in states.items():
+            yield f"separable_max {method} {name}", _call(
+                apps.separable_max, state, method=method)
+
+
 def main():
     warnings.simplefilter("error", RuntimeWarning)
     totals = {key: hashlib.sha256() for key in ("total", "total exact", "total power")}
     counts = dict.fromkeys(totals, 0)
     for part, group in (("total power", power_cases), ("total power", scaled_cases),
-                        ("total exact", exact_cases)):
+                        ("total exact", exact_cases), ("total", app_cases)):
         for name, obj in group():
             digest = _digest(obj)
-            for key in ("total", part):
+            for key in dict.fromkeys(("total", part)):
                 totals[key].update(f"{name}:{digest}\n".encode())
                 counts[key] += 1
             print(f"{digest[:16]}  {name}")

@@ -33,29 +33,29 @@ basis is always the exact one.
 
 The solvers also pass groebner() the quotient dimension D of a generic
 form's system (the class count of Friedland and Ottaviani, 2^r times it on
-the sphere chart).  Once a run owes the certificate, it stops as soon as
-its live leading monomials leave exactly D standard monomials, and the
-pairs still queued join the skipped ones, unreduced (the Hilbert-driven
-stop of Traverso, 1996).  That is sound: every basis element is an exact
-reduction, so the basis lies in the ideal, and the certificate checks every
-surviving pair and every input, so a passing one proves a Groebner basis.
-For a generic form the leading ideal is then complete, as a smaller one
-would leave more than D standard monomials, and the certificate passes; a
-non-generic form can meet D early, fail it and resume.
+the sphere chart).  A run given D stops as soon as its live leading
+monomials leave exactly D standard monomials, and the pairs still queued
+join the skipped ones, unreduced (the Hilbert-driven stop of Traverso,
+1996).  That is sound: every basis element is an exact reduction, so the
+basis lies in the ideal, and the certificate checks every surviving pair
+and every input, so a passing one proves a Groebner basis.  For a generic
+form the leading ideal is then complete, as a smaller one would leave more
+than D standard monomials, and the certificate passes; a non-generic form
+can meet D early, fail it and resume.
 
 The solvers' runs (solve_argmax on the affine chart, solve_max on the
-sphere chart) stop at D, zero-tested or not, and their solutions prove the
-basis in place of the certificate: the eigen-solve of the candidate basis
-yields D points, and Krawczyk's test boxes each in its own polydisc around
-a zero of the chart's square subsystem that is a zero of the ideal (on the
-sphere chart each box keeps every slot's first coordinate away from zero),
-so the ideal has at least D zeros and a quotient of dimension at least
-D = |std(G)|, and the leading ideals agree (see _prove_points).  A failed
-proof runs the certificate, and a failed certificate resumes the run.
-Proved points are every zero of the ideal, so they are the answer too:
-solve_argmax scores them, and solve_max reads l at them (the eigenvalues
-of M_l, by the Eigenvalue Theorem) and scores the real ones; it forms M_l
-only for a basis the certificate or a resumed run gave.
+sphere chart) prove the basis by its solutions in place of the certificate:
+the eigen-solve of the candidate basis yields D points, and Krawczyk's test
+boxes each in its own polydisc around a zero of the chart's square
+subsystem that is a zero of the ideal (on the sphere chart each box keeps
+every slot's first coordinate away from zero), so the ideal has at least D
+zeros and a quotient of dimension at least D = |std(G)|, and the leading
+ideals agree (see _prove_points).  A failed proof runs the certificate, and
+a failed certificate resumes the run.  Proved points are every zero of the
+ideal, so they are the answer too: solve_argmax scores them, and solve_max
+reads l at them (the eigenvalues of M_l, by the Eigenvalue Theorem) and
+scores the real ones; it forms M_l only for a basis the certificate or a
+resumed run gave.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from . import chowcount, multiform
+from . import chowcount, multiform, poweriter
 from .errors import (BudgetExceededError, DimensionMismatchError, NotZeroDimensionalError,
                      SphereMaxError, integers)
 from .linalg import Matrix
@@ -86,6 +86,7 @@ REALNESS_TOL = 1e-8
 RESIDUAL_TOL = 1e-6
 _TIE_TOL = 1e-12
 _NORM_TOL = 1e-9
+_AGREE_TOL = 1e-9      # an ascent backs solve_max's value within this, relative
 
 _SLOT_LETTERS = "xyztuw"
 _NONZERO_DIGITS = [c for c in range(-9, 10) if c]
@@ -547,15 +548,14 @@ class _Engine:
     (minimal-lcm) selection.  Past ``line`` basis coefficient bits, run()
     skips the pairs that vanish mod _PRIME and keeps them in ``skipped``.
     Given the quotient dimension of a generic system, run() stops once the
-    live leading monomials leave exactly that many standard monomials, if a
-    pair was skipped or the run is ``eager`` (its caller can prove the basis
-    without the certificate); the pairs still queued join ``skipped``."""
+    live leading monomials leave exactly that many standard monomials; the
+    pairs still queued join ``skipped``, for the point proof or the
+    certificate to decide."""
 
-    def __init__(self, mono, budget, quotient_dim=None, eager=False):
+    def __init__(self, mono, budget, quotient_dim=None):
         self.mono = mono
         self.budget = budget
         self.quotient_dim = quotient_dim
-        self.eager = eager
         self.records = []  # _reducer record of each poly, by index
         self.live = []     # indices no later leading monomial divides, by lm
         self.reducers = []  # their records, in that order
@@ -566,7 +566,7 @@ class _Engine:
         self.live_images = None  # _image of each live poly, built at first use
         self.skipped = []  # pairs whose S-polynomial vanished mod _PRIME
         self.counted = 0   # the record count at the last count of the live set
-        self.standard = None  # an eager run's standard set, once a walk ends
+        self.standard = None  # the standard set, once a walk ends within 2 D
         self.unbounded = list(range(mono.nvars))  # variables with no pure power lm
 
     def add(self, p):
@@ -603,8 +603,8 @@ class _Engine:
 
     def run(self):
         while self.pairs:
-            if ((self.skipped or self.eager) and self.quotient_dim
-                    and self.counted != len(self.records) and self._meets_count()):
+            if (self.quotient_dim and self.counted != len(self.records)
+                    and self._meets_count()):
                 self.skipped += self.pairs
                 self.pairs = []
                 break
@@ -618,13 +618,11 @@ class _Engine:
     def _meets_count(self):
         """Whether the live leading monomials leave exactly quotient_dim
         standard monomials.  A new leading monomial removes its multiples
-        from the standard set and adds none, so once a walk of an eager run
-        ends within twice quotient_dim (the first finite walk of the
-        generic runs measured held at most 1.2 times it), the run keeps
-        that set and filters it by each new leading monomial, and once the
-        set is smaller than quotient_dim it stops counting.  A run that owes the
-        certificate counts only after it skipped a pair, and walks each
-        time."""
+        from the standard set and adds none, so once a walk ends within
+        twice quotient_dim (the first finite walk of the generic runs
+        measured held at most 1.2 times it), the run keeps that set and
+        filters it by each new leading monomial, and once the set is
+        smaller than quotient_dim it stops counting."""
         dim = self.quotient_dim
         new = self.records[self.counted:]
         self.counted = len(self.records)
@@ -638,7 +636,7 @@ class _Engine:
             if self.unbounded:
                 return False
             _, standard = _standard_monomials(self.reducers, self.mono, 2 * dim)
-            if self.eager and len(standard) <= 2 * dim:
+            if len(standard) <= 2 * dim:
                 self.standard = standard
         else:
             for probe, _, _, _ in new:
@@ -719,27 +717,25 @@ def groebner(system: PolySystem, budget: int = DEFAULT_REDUCTION_BUDGET,
     if it fails, the skipped pairs are reduced exactly and the run goes on.
 
     ``quotient_dim`` is the quotient dimension the system has when it is
-    generic.  Once the run owes the certificate and its live leading
-    monomials leave exactly that many standard monomials, it stops, and
-    the pairs still queued join the skipped ones.  The certificate makes
-    that sound: the basis lies in the ideal, and a passing certificate
-    proves it a Groebner basis.  On a generic system the leading ideal is
-    then complete, every queued pair reduces to zero, and the certificate
-    passes.  On any other it may fail, and the run resumes as above, so
-    the basis is always the exact one.  A positive-dimensional ideal
-    leaves infinitely many standard monomials, so its run never stops
-    early.
+    generic.  Once the live leading monomials leave exactly that many
+    standard monomials, the run stops, and the pairs still queued join the
+    skipped ones.  The certificate makes that sound: the basis lies in the
+    ideal, and a passing certificate proves it a Groebner basis.  On a
+    generic system the leading ideal is then complete, every queued pair
+    reduces to zero, and the certificate passes.  On any other it may fail,
+    and the run resumes as above, so the basis is always the exact one.  A
+    positive-dimensional ideal leaves infinitely many standard monomials,
+    so its run never stops early.
 
     ``_proof`` is the solvers' point proof (see _quotient): a callable
     that takes the candidate basis and returns True only if it proves it a
-    Groebner basis.  With it the run stops at the count whether or not it
-    owes the certificate, and the proof is tried before the certificate;
-    a solver error, a singular matrix or a float out of range in it counts
-    as a failure (_proves).
+    Groebner basis.  It is tried before the certificate; a solver error, a
+    singular matrix or a float out of range in it counts as a failure
+    (_proves).
     """
     variables = system.variables
     mono = _Monomials(len(variables))
-    eng = _Engine(mono, _Budget(budget), quotient_dim, eager=_proof is not None)
+    eng = _Engine(mono, _Budget(budget), quotient_dim)
     polys = sorted(
         (_to_integer_primitive(p.terms, mono) for p in system.polys if not p.is_zero()),
         key=max,
@@ -1505,28 +1501,37 @@ def _solve_argmax(form: MultilinearForm, budget: int, seed: int):
 
 
 def _exact_max(form: MultilinearForm, seed: int, budget: int = DEFAULT_REDUCTION_BUDGET):
-    """(chart, report) of the exact maximum.  The affine chart answers when
-    its quotient holds every critical class and every solution was scored:
-    for a generic form the quotient dimension is the class count (Friedland
-    and Ottaviani, 2014), so every class is among its solutions.  Otherwise
-    the sphere chart answers (solve_max), its report carrying its own
-    points, or the affine points when it has none (a basis its points did
-    not prove), and, first, the affine flags or refusal, which say why: the
-    flags of unscored solutions lead.  Its timings hold the affine stages
-    too, as "affine.<stage>", or "affine.refused" for a refused attempt."""
+    """(chart, report) of the exact maximum, whose first point backs its
+    value.  The affine chart answers when its quotient holds every critical
+    class and every solution was scored: for a generic form the quotient
+    dimension is the class count (Friedland and Ottaviani, 2014), so every
+    class is among its solutions.  Otherwise the sphere chart answers
+    (solve_max, its value bit for bit), after the affine flags or refusal,
+    which say why: the flags of unscored solutions lead.  Its points are its
+    own when they proved its basis; else its one point is the best of
+    poweriter._ascend(form, seed, _ASCENTS), the higher-order power method,
+    flagged when its |value| is more than _AGREE_TOL relative away from
+    solve_max's.  Its timings hold the affine stages too, as
+    "affine.<stage>", or "affine.refused" for a refused attempt."""
     start = time.perf_counter()
     try:
         affine, unscored, classes = _solve_argmax(form, budget, seed)
     except NotZeroDimensionalError as exc:
-        points, flags = (), (f"affine chart refused: {exc}",)
+        flags = (f"affine chart refused: {exc}",)
         timings = {"affine.refused": time.perf_counter() - start}
     else:
         if affine.points and not unscored and affine.quotient_dim == classes:
             return "affine", affine
-        points = affine.points
         flags = unscored + tuple(f for f in affine.genericity_flags if f not in unscored)
         timings = {f"affine.{stage}": t for stage, t in affine.timings.items()}
     sphere = solve_max(form, budget=budget)
-    return "sphere", replace(sphere, points=sphere.points or points,
-                             genericity_flags=flags + sphere.genericity_flags,
+    points, flags = sphere.points, flags + sphere.genericity_flags
+    if not points:
+        best = poweriter._ascend(form, seed, poweriter._ASCENTS)
+        points = (CriticalPoint(best.point, multiform.evaluate(form, best.point),
+                                best.residual),)
+        if abs(best.value - sphere.max_value) > _AGREE_TOL * sphere.max_value:
+            flags += (f"best ascent value {best.value:.12g} is more than {_AGREE_TOL:g} "
+                      f"relative away from the maximum {sphere.max_value:.12g}",)
+    return "sphere", replace(sphere, points=points, genericity_flags=flags,
                              timings={**timings, **sphere.timings})

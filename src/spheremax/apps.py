@@ -5,9 +5,12 @@ value as the maximum of the bilinear form x^T A y), the closest unit rank-one
 tensor (from the argmax of |l|), and the separable-state maximum for a
 bipartite density matrix with its one-sided entanglement criterion.
 
-The power method of the two r >= 3 applications is a multistart of the
-monotone Gauss-Seidel ascent (``poweriter._ascend``): they need only the
-maximum, and the paper's joint iteration typically oscillates there.
+All three take the maximum from one place (``_maximum``).  Its power method
+is ``bilinear_max`` for r = 2 and, for r >= 3, a multistart of the monotone
+Gauss-Seidel ascent (``poweriter._ascend``): the applications need only the
+maximum, and the paper's joint iteration typically oscillates there.  Its
+algebraic method is ``algsolver._exact_max``, the rule ``maximize`` follows
+too, whose first point backs its value.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algsolver, multiform, poweriter
-from .errors import NoConvergenceError, NotAStateError, PreconditionViolatedError, integers
+from .errors import NoConvergenceError, NotAStateError, integers
 from .linalg import Matrix
 from .multiform import MultilinearForm, RankOneForm
 
@@ -30,9 +33,6 @@ _UNCERTIFIED_VERDICT = (
     "is a lower bound"
 )
 _METHODS = ("algebraic", "power", "auto")
-# Gauss-Seidel starts of the r >= 3 power method: its maximum need not
-# attract every start
-_ASCENTS = 48
 
 
 @dataclass(frozen=True)
@@ -94,38 +94,37 @@ def _resolve_method(method: str, order: int) -> str:
     return method
 
 
-def _converged(result: poweriter.IterationResult) -> poweriter.IterationResult:
-    """The power result, or NoConvergenceError when the run ended without
-    converging: the value of such a run is not the maximum."""
-    if result.status is poweriter.Status.NON_CONVERGED:
-        raise NoConvergenceError(
-            f"power iteration did not converge in {result.iterations} iterations "
-            f"(residual {result.residual:.3e})"
-        )
-    return result
-
-
-def _argmax(form: MultilinearForm, seed: int) -> algsolver.SolveReport:
-    """solve_argmax's report; PreconditionViolatedError if it has no point."""
-    report = algsolver.solve_argmax(form, seed=seed)
-    if not report.points:
-        raise PreconditionViolatedError(
-            "no real critical point recovered: " + "; ".join(report.genericity_flags)
-        )
-    return report
+def _maximum(form: MultilinearForm, method: str, seed: int):
+    """(point, value, flags): a point where |l| is largest over the product
+    of spheres, the maximum, and the algebraic solve's genericity flags (()
+    for power).  The power method runs bilinear_max for r = 2 and the best
+    of poweriter._ASCENTS Gauss-Seidel ascents otherwise, and raises
+    NoConvergenceError when that run did not converge: its value is then
+    not the maximum.  The algebraic method is algsolver._exact_max."""
+    if _resolve_method(method, form.order) == "power":
+        if form.order == 2:
+            result = poweriter.bilinear_max(form, seed=seed)
+        else:
+            result = poweriter._ascend(form, seed, poweriter._ASCENTS)
+        if result.status is poweriter.Status.NON_CONVERGED:
+            raise NoConvergenceError(
+                f"power iteration did not converge in {result.iterations} iterations "
+                f"(residual {result.residual:.3e})"
+            )
+        return result.point, result.value, ()
+    _, report = algsolver._exact_max(form, seed)
+    return report.points[0].vectors, report.max_value, report.genericity_flags
 
 
 def matrix_norm2(a: Matrix, method: str = "auto", seed: int = 0) -> float:
     """First singular value of a, as the maximum of x^T a y over unit x, y.
     Raises NoConvergenceError when the power method does not converge."""
-    method = _resolve_method(method, 2)
+    _resolve_method(method, 2)  # a bad method raises on the zero matrix too
     entries = a.array
     if not np.any(entries):
         return 0.0
     form = MultilinearForm(dims=(a.rows, a.cols), coeffs=entries.reshape(-1))
-    if method == "power":
-        return _converged(poweriter.bilinear_max(form, seed=seed)).value
-    return algsolver._exact_max(form, seed)[1].max_value
+    return _maximum(form, method, seed)[1]
 
 
 def closest_rank_one(
@@ -133,28 +132,18 @@ def closest_rank_one(
 ) -> RankOneApproximation:
     """Closest unit rank-one form phi = <x_1 (x) ... (x) x_r, -> to l.
 
-    The factors are the argmax of |l| over the product of spheres with signs
-    arranged so l(factors) = +max_value; then ||l - phi||^2 =
-    ||l||^2 + 1 - 2*max_value.  For r >= 3 the power method takes the best
-    of _ASCENTS Gauss-Seidel ascents; a power result that did not converge
-    raises NoConvergenceError.  The algebraic method takes the best point of
-    algsolver.solve_argmax in every format, square or not; it raises
-    PreconditionViolatedError when no real critical point is recovered.
+    The factors are _maximum's argmax of |l| over the product of spheres,
+    with signs arranged so l(factors) = +max_value; then ||l - phi||^2 =
+    ||l||^2 + 1 - 2*max_value.  For the power method that point is
+    bilinear_max's (r = 2) or the best Gauss-Seidel ascent's (r >= 3), and
+    one that did not converge raises NoConvergenceError; for the algebraic
+    method it is the first point of algsolver._exact_max, which backs its
+    value on either chart.
     """
     if not np.any(form.coeffs):
         raise ValueError("closest_rank_one needs a nonzero form")
-    method = _resolve_method(method, form.order)
-    flags = ()
-    if method == "power":
-        if form.order == 2:
-            result = poweriter.bilinear_max(form, seed=seed)
-        else:
-            result = poweriter._ascend(form, seed, _ASCENTS)
-        vectors = [np.asarray(v, dtype=float) for v in _converged(result).point]
-    else:
-        report = _argmax(form, seed)
-        vectors = [np.asarray(v, dtype=float) for v in report.points[0].vectors]
-        flags = report.genericity_flags
+    point, _, flags = _maximum(form, method, seed)
+    vectors = [np.asarray(v, dtype=float) for v in point]
     value = multiform.evaluate(form, vectors)
     if value < 0.0:
         vectors[-1] = -vectors[-1]
@@ -209,22 +198,14 @@ def _separability_form(rho: DensityState) -> MultilinearForm:
     return MultilinearForm(dims=(rho.dim_a, rho.dim_b, keep.size), coeffs=coeffs)
 
 
-def _separable_max(rho: DensityState, method: str, seed: int):
-    """separable_max, and the flags of its algebraic solve (() for power)."""
-    method = _resolve_method(method, 3)
-    form = _separability_form(rho)
-    if method == "power":
-        return _converged(poweriter._ascend(form, seed, _ASCENTS)).value ** 2, ()
-    report = _argmax(form, seed)
-    return report.max_value ** 2, report.genericity_flags
-
-
 def separable_max(rho: DensityState, method: str = "auto", seed: int = 0) -> float:
     """max over product states xx^T (x) yy^T of <rho, ->, the separability
-    bound: <rho, rho> <= separable_max(rho) whenever rho is separable.  The
-    power method takes the best of _ASCENTS Gauss-Seidel ascents and raises
-    NoConvergenceError when that one did not converge."""
-    return _separable_max(rho, method, seed)[0]
+    bound: <rho, rho> <= separable_max(rho) whenever rho is separable.  It
+    is the square of _maximum's value on the separability form: for the
+    power method the best of poweriter._ASCENTS Gauss-Seidel ascents, which
+    raises NoConvergenceError when it did not converge, and for the
+    algebraic method algsolver._exact_max."""
+    return _maximum(_separability_form(rho), method, seed)[1] ** 2
 
 
 def self_overlap(rho: DensityState) -> float:
@@ -242,7 +223,8 @@ def entanglement_check(
     method's separable maximum is a lower bound, so its "entangled" verdict
     is not certified and carries a flag saying so."""
     overlap = self_overlap(rho)
-    sep, flags = _separable_max(rho, method, seed)
+    _, value, flags = _maximum(_separability_form(rho), method, seed)
+    sep = value ** 2
     verdict = "entangled" if overlap > sep + _ENTANGLEMENT_MARGIN else "separable-consistent"
     if verdict == "entangled" and _resolve_method(method, 3) == "power":
         flags = (_UNCERTIFIED_VERDICT,)

@@ -91,6 +91,9 @@ _WIDTH = 16            # bilinear block columns: a step costs about the same up 
 _OSC_TOL = 1e-10
 _BLOCK = 32            # joint steps advanced between two judgements
 _ASCENT_SWEEPS = 500
+# starts of the applications' ascent and of the exact fallback's backing
+# point: the maximum need not attract every start
+_ASCENTS = 48
 _PAIR = tuple(_subscripts(2))  # the einsum subscripts of a bilinear form's slots
 
 

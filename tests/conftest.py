@@ -54,18 +54,25 @@ STATE_ENTANGLED = [
 STATE_ENTANGLED_OVERLAP = 0.6620536187
 STATE_ENTANGLED_SEPMAX = 0.4862909489
 
-# Non-generic inputs whose affine-chart quotient falls short of the class
-# count, so every algebraic answer on them carries the class-count flag:
-# (dims, coeffs) of the sparse form with 1 at 000 and 2 at 111 (its maximum
-# 2 sits at x_1 = 0) and of e2 (x) e2, and the pure product state
-# e1 (x) (0.6, 0.8), whose separability form is 2x2x1.
+# Non-generic inputs on which the affine chart does not answer, so every
+# algebraic answer on them carries the flag that says why: the class-count
+# flag where its quotient falls short of the class count, the refusal on
+# the diagonal 3x3x3 form, whose solutions no multiplication matrix
+# separates.  (dims, coeffs) of the sparse forms (the 2x2x2 one with 1 at
+# 000 and 2 at 111: its maximum 2 sits at x_1 = 0; the 2x2x3 one with 1 at
+# 000, -2 at 011 and 3 at 112: maximum 3), of e2 (x) e2 and of the diagonal
+# 3x3x3 form (maximum 1), and the pure product state e1 (x) (0.6, 0.8),
+# whose separability form is 2x2x1.
 NON_GENERIC_FORMS = {
     "sparse-2x2x2": ((2, 2, 2), [1, 0, 0, 0, 0, 0, 0, 2]),
+    "sparse-2x2x3": ((2, 2, 3), [1, 0, 0, 0, -2, 0, 0, 0, 0, 0, 0, 3]),
     "e2xe2": ((2, 2), [0, 0, 0, 1]),
+    "diagonal-3x3x3": ((3, 3, 3), [float(i in (0, 13, 26)) for i in range(27)]),
 }
 _PRODUCT = np.kron([1.0, 0.0], [0.6, 0.8])
 STATE_PURE_PRODUCT = np.outer(_PRODUCT, _PRODUCT).tolist()
 CLASS_COUNT_FLAG = "differs from the extreme-class count"
+AFFINE_REFUSAL = "affine chart refused"
 # Substring of the flag on a power "entangled" verdict, which compares
 # <rho, rho> with a lower bound on the separable maximum.
 UNCERTIFIED_FLAG = "not certified"

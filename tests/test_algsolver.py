@@ -50,6 +50,7 @@ from spheremax.algsolver import (
 )
 
 from conftest import (
+    NON_GENERIC_FORMS,
     TRILINEAR_COEFFS,
     TRILINEAR_CRITICAL_VALUES,
     TRILINEAR_MAX,
@@ -618,13 +619,14 @@ def test_solve_argmax_flags_quotient_below_class_count(dims, coeffs, quotient):
 def test_solve_argmax_refuses_a_form_it_cannot_separate():
     # the diagonal 3x3x3 form: every multiplication matrix, of the first
     # free variable and of the random combinations after it, repeats an
-    # eigenvalue
-    coeffs = np.zeros(27)
-    coeffs[[0, 13, 26]] = 1.0
-    form = MultilinearForm(dims=(3, 3, 3), coeffs=coeffs)
-    for call in (solve_argmax, functools.partial(closest_rank_one, method="algebraic")):
-        with pytest.raises(NotZeroDimensionalError, match="could not separate"):
-            call(form)
+    # eigenvalue; the algebraic closest rank-one form takes the sphere
+    # chart after the refusal, and its distance is sqrt(3 + 1 - 2 * 1)
+    form = MultilinearForm(*NON_GENERIC_FORMS["diagonal-3x3x3"])
+    with pytest.raises(NotZeroDimensionalError, match="could not separate"):
+        solve_argmax(form)
+    approx = closest_rank_one(form, method="algebraic")
+    assert approx.distance == pytest.approx(math.sqrt(2.0), rel=1e-12, abs=0.0)
+    assert approx.flags[0].startswith("affine chart refused: could not separate")
 
 
 def _integer_form(seed):
@@ -909,11 +911,11 @@ def test_stop_at_the_generic_quotient_dim_leaves_heavy_bases_unchanged(name):
 
 @pytest.mark.parametrize("name", list(_HEAVY))
 def test_kept_standard_set_is_the_fresh_walks(name):
-    # an eager run walks the staircase once every variable has a pure power
-    # among its leading monomials, keeps the set once a walk ends within
-    # twice the generic dimension, and then filters it by each new leading
-    # monomial: at every count the kept set is what a fresh walk of the
-    # live leading monomials finds, and these runs walk once
+    # a run given the count walks the staircase once every variable has a
+    # pure power among its leading monomials, keeps the set once a walk ends
+    # within twice the generic dimension, and then filters it by each new
+    # leading monomial: at every count the kept set is what a fresh walk of
+    # the live leading monomials finds, and these runs walk once
     form, chart = _HEAVY[name]
     meets_count = algsolver._Engine._meets_count
     standard_monomials = algsolver._standard_monomials
@@ -942,22 +944,10 @@ def test_stop_at_a_count_passed_early_fails_the_certificate_and_resumes():
     # this run; told 71, the run stops before its basis is complete, the
     # certificate fails once, and the resumed run returns the exact basis
     form, chart = _HEAVY["2x2x3-sphere"]
-    system = build_critical_system(form, chart=chart)
-    counts = []
-    standard_monomials = algsolver._standard_monomials
-
-    def recording(records, mono, cap=math.inf):
-        missing, standard = standard_monomials(records, mono, cap)
-        if missing is None:
-            counts.append(len(standard))
-        return missing, standard
-
-    with mock.patch.object(algsolver, "_standard_monomials", recording):
-        groebner(system, quotient_dim=10**6)
-    assert counts[-1] == _generic_dim(form, chart) < counts[0]
+    assert _generic_dim(form, chart) == 64
     verdicts, recording_certificate = _recording()
     with recording_certificate:
-        gb = groebner(system, quotient_dim=counts[0])
+        gb = groebner(build_critical_system(form, chart=chart), quotient_dim=71)
     assert verdicts == [False]
     assert _terms(gb) == _terms(_heavy_basis("2x2x3-sphere"))
 
@@ -1177,10 +1167,11 @@ def test_point_proof_boxes_solutions_far_out_on_the_chart():
     # points prove its basis, so they back its value
     pytest.param(_integer_form(9).coeffs * 1e-9, 6, 11.31196502654238e-9, id="refused"),
     # the affine chart misses classes and the sphere chart's points prove
-    # nothing: its value 2 comes with the five affine points, the best 1.0
-    pytest.param([1, 0, 0, 0, 0, 0, 0, 2], 5, 1.0, id="sparse-2x2x2"),
+    # nothing: its value 2 comes with one point, the best ascent's, of
+    # value 2 (the affine chart's best point has value 1)
+    pytest.param(NON_GENERIC_FORMS["sparse-2x2x2"][1], 1, 2.0, id="sparse-2x2x2"),
 ])
-def test_sphere_fallback_reports_its_own_points_else_the_affine_ones(coeffs, count, top):
+def test_sphere_fallback_reports_its_own_points_else_the_best_ascent(coeffs, count, top):
     form = MultilinearForm((2, 2, 2), coeffs)
     chart, report = algsolver._exact_max(form, seed=0)
     sphere = solve_max(form)
@@ -1192,7 +1183,7 @@ def test_sphere_fallback_reports_its_own_points_else_the_affine_ones(coeffs, cou
             (p.value, [v.tobytes() for v in p.vectors]) for p in sphere.points]
         assert abs(report.points[0].value) == report.max_value
     else:
-        assert len(solve_argmax(form).points) == count
+        assert abs(solve_argmax(form).points[0].value) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_point_proof_is_taken_by_every_exact_solver(quadlinear_form):

@@ -32,6 +32,7 @@ from spheremax import (
 from spheremax.apps import _separability_form
 
 from conftest import (
+    AFFINE_REFUSAL,
     CLASS_COUNT_FLAG,
     NON_GENERIC_FORMS,
     STATE_PURE_PRODUCT,
@@ -199,15 +200,19 @@ def test_power_ascent_not_converged_raises(trilinear_form, entangled_state, monk
 
 @pytest.mark.parametrize("name", sorted(NON_GENERIC_FORMS))
 def test_rank_one_algebraic_passes_on_the_class_count_flag(name):
-    # the affine chart misses the maximum of these forms (the sparse form's
-    # answer is 1, not 2; e2 (x) e2 is its own closest rank-one form, yet the
-    # distance comes out sqrt(2)): the short answer says so
+    # the affine chart misses the maximum of these forms (its best point on
+    # the sparse 2x2x2 form has value 1, not 2; on e2 (x) e2 it has value 0)
+    # or refuses them: the answer says so, and is the sphere chart's, backed
+    # by the best ascent, so it agrees with the power method's
     dims, coeffs = NON_GENERIC_FORMS[name]
     form = MultilinearForm(dims=dims, coeffs=coeffs)
-    flags = closest_rank_one(form, method="algebraic").flags
-    assert sum(CLASS_COUNT_FLAG in f for f in flags) == 1
+    algebraic = closest_rank_one(form, method="algebraic")
+    why = AFFINE_REFUSAL if name == "diagonal-3x3x3" else CLASS_COUNT_FLAG
+    assert sum(why in f for f in algebraic.flags) == 1
     # a power answer carries no flags: a non-converged one raises
-    assert closest_rank_one(form, method="power").flags == ()
+    power = closest_rank_one(form, method="power")
+    assert power.flags == ()
+    assert algebraic.distance == pytest.approx(power.distance, rel=0.0, abs=1e-12)
 
 
 def test_rank_one_algebraic_on_generic_forms_has_no_flags(trilinear_form, quadlinear_form):

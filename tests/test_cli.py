@@ -14,6 +14,7 @@ from spheremax.apps import _separability_form
 from spheremax.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER
 
 from conftest import (
+    AFFINE_REFUSAL,
     CLASS_COUNT_FLAG,
     CLASS_COUNTS,
     NON_GENERIC_FORMS,
@@ -129,8 +130,8 @@ def _form_file(tmp_path, form, scale=1.0):
                   {"dims": list(form.dims), "coeffs": (form.coeffs * scale).tolist()})
 
 
-def _maximize_algebraic(capsys, path):
-    code, out = _run(capsys, ["maximize", path, "--method", "algebraic"])
+def _maximize_algebraic(capsys, path, *options):
+    code, out = _run(capsys, ["maximize", path, "--method", "algebraic", *options])
     assert code == EXIT_OK
     return json.loads(out)
 
@@ -154,34 +155,32 @@ def test_maximize_algebraic_separability_form_answers_from_the_affine_chart(
     assert report["maxValue"] ** 2 == pytest.approx(STATE_SEPARABLE_SEPMAX, abs=1e-6)
 
 
-_AFFINE_REFUSAL = "affine chart refused"
-
-
 @pytest.mark.parametrize("dims, coeffs, first_flag", [
     pytest.param(*NON_GENERIC_FORMS["sparse-2x2x2"], CLASS_COUNT_FLAG, id="sparse-2x2x2"),
-    pytest.param((2, 2, 3), [1, 0, 0, 0, -2, 0, 0, 0, 0, 0, 0, 3], CLASS_COUNT_FLAG,
-                 id="sparse-2x2x3"),
+    pytest.param(*NON_GENERIC_FORMS["sparse-2x2x3"], CLASS_COUNT_FLAG, id="sparse-2x2x3"),
     pytest.param(*NON_GENERIC_FORMS["e2xe2"], CLASS_COUNT_FLAG, id="e2xe2"),
     # its affine chart cannot separate the solutions
-    pytest.param((3, 3, 3), [float(i in (0, 13, 26)) for i in range(27)], _AFFINE_REFUSAL,
-                 id="diagonal-3x3x3"),
+    pytest.param(*NON_GENERIC_FORMS["diagonal-3x3x3"], AFFINE_REFUSAL, id="diagonal-3x3x3"),
     pytest.param((2, 2), [3, 0, 0, 2], CLASS_COUNT_FLAG, id="diag(3,2)"),
 ])
 def test_maximize_algebraic_non_generic_forms_answer_from_the_sphere_chart(
         capsys, tmp_path, full_precision, dims, coeffs, first_flag):
     # the affine quotient misses a class (or the chart refuses): solve_max's
-    # value, bit for bit, after the flag that says why the sphere answered
+    # value, bit for bit, after the flag that says why the sphere answered,
+    # and a first point that backs it
     form = MultilinearForm(dims=dims, coeffs=coeffs)
-    report = _maximize_algebraic(capsys, _form_file(tmp_path, form))
+    report = _maximize_algebraic(capsys, _form_file(tmp_path, form), "--points")
     sphere = solve_max(form)
     assert report["chart"] == "sphere"
     assert report["maxValue"] == sphere.max_value
+    top = abs(report["points"][0]["value"])
+    assert top == pytest.approx(report["maxValue"], rel=1e-9, abs=0.0)
     assert report["quotientDim"] == sphere.quotient_dim
     assert first_flag in report["flags"][0]
     # the stages account for the affine attempt too, so they add up to at
     # most the total
     timings = report["timings"]
-    affine = {"affine.refused"} if first_flag == _AFFINE_REFUSAL else {
+    affine = {"affine.refused"} if first_flag == AFFINE_REFUSAL else {
         f"affine.{stage}" for stage in sphere.timings}
     assert {k for k in timings if k.startswith("affine.")} == affine
     assert sum(t for k, t in timings.items() if k != "total") <= timings["total"]
@@ -227,7 +226,7 @@ def test_maximize_algebraic_falls_back_on_the_affine_refusal(capsys, tmp_path, f
     form = cli._random_integer_form((2, 2, 2), np.random.default_rng(9))
     report = _maximize_algebraic(capsys, _form_file(tmp_path, form, 1e-9))
     assert report["chart"] == "sphere"
-    assert report["flags"][0].startswith(_AFFINE_REFUSAL)
+    assert report["flags"][0].startswith(AFFINE_REFUSAL)
     assert report["maxValue"] == pytest.approx(11.31196502654238e-9, rel=1e-9, abs=0.0)
 
 
@@ -593,7 +592,7 @@ def test_report_is_strict_json_without_real_eigenvalue(capsys, trilinear_file, m
     assert report["chart"] == "sphere"
     assert report["maxValue"] is None
     assert report["flags"] == [
-        f"{_AFFINE_REFUSAL}: no pure power of x2 among leading terms",
+        f"{AFFINE_REFUSAL}: no pure power of x2 among leading terms",
         "no real eigenvalues within tolerance",
     ]
 
