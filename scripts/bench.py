@@ -3,9 +3,13 @@
 iterations and cost per iteration of the power kernels.
 
 Runs a fixed list of heavy exact cases, each a whole solve (``solve_argmax``
-on the affine chart, ``solve_max`` on the sphere chart), and splits its CPU
-time into stages by wrapping functions of ``algsolver`` from here; the
-library has no hooks for it:
+on the affine chart, ``solve_max`` on the rows named ``-sphere``), and
+splits its CPU time into stages by wrapping functions of ``algsolver`` from
+here; the library has no hooks for it.  ``solve_max`` lifts the affine
+chart's proved points, so ``2x2x3-sphere`` times the affine solve and the
+lift; ``diagonal-3x3x3-sphere``, whose affine chart cannot separate its
+solutions, times the sphere chart's own Groebner run, decided by the
+certificate, and its multiplication matrix.  The stages:
 
 - ``run``: Buchberger's loop (``_Engine.run``, its interreduction left out);
 - ``interreduce``: ``_Engine._interreduce``;
@@ -19,8 +23,9 @@ library has no hooks for it:
   eigenvalues and the point recovery), point proofs left out;
 - ``other``: the rest of ``total`` (the critical system, the class count).
 
-Counters per solve: the reduction budget spent by Groebner (``budget_used``)
-and by the quotient ring (``ring_budget_used``), the S-pairs the mod-p zero
+Counters per solve: the reduction budget spent by Groebner (``budget_used``,
+summed over the runs of a solve that tries both charts) and by the quotient
+rings (``ring_budget_used``), the S-pairs the mod-p zero
 test skipped or the count stop left queued, the certificate's verdicts as
 ``[proof, verdict]`` pairs in the order they ran (``points`` for
 ``_prove_points``, ``pairs`` for ``_certify``; the last one decided), the
@@ -101,7 +106,9 @@ def _load(name, src):
 def cases(sm):
     """(name, form, chart) of each heavy case, built with package ``sm``:
     the four forms whose bases pass the zero test's line in
-    tests/test_algsolver.py, and the 3x3x3 row of ``spheremax bench``."""
+    tests/test_algsolver.py, the 3x3x3 row of ``spheremax bench``, and the
+    3x3x3 form with ones on the diagonal, which solve_max answers on the
+    sphere chart."""
     integer_form = importlib.import_module(f"{sm.__name__}.cli")._random_integer_form
     g = np.random.default_rng(4).standard_normal((4, 4))
     rho = g @ g.T
@@ -112,6 +119,8 @@ def cases(sm):
         ("2x2x3-sphere", integer_form((2, 2, 3), np.random.default_rng(2)), "sphere"),
         ("separability-rank4", sm.apps._separability_form(state), "affine"),
         ("3x3x3-affine", integer_form((3, 3, 3), np.random.default_rng(0)), "affine"),
+        ("diagonal-3x3x3-sphere", sm.MultilinearForm((3, 3, 3), [
+            float(i == j == k) for i, j, k in np.ndindex(3, 3, 3)]), "sphere"),
     ]
 
 
@@ -184,7 +193,7 @@ class Probe:
         self.sm = sm
         self.alg = alg = sm.algsolver
         self.rec = {}
-        self.budgets = []
+        self.budgets = []  # (whether groebner() made it, budget), in order
         self._wrap(alg._Engine, "run", "run", self._count_skipped)
         self._wrap(alg._Engine, "_interreduce", "interreduce")
         self._wrap(alg, "_certify", "certificate", partial(self._verdict, "pairs"))
@@ -192,13 +201,21 @@ class Probe:
             self._wrap(alg, "_prove_points", "points", partial(self._verdict, "points"))
         self._wrap(alg, "normal_set", "normal_set", self._normal_set_end)
         budgets = self.budgets
+        groebner = alg.groebner
+        pending = [False]  # groebner() makes its budget first
 
         class Recording(alg._Budget):
             def __init__(self, limit):
                 super().__init__(limit)
-                budgets.append(self)
+                budgets.append((pending[0], self))
+                pending[0] = False
+
+        def starting(*args, **kwargs):
+            pending[0] = True
+            return groebner(*args, **kwargs)
 
         alg._Budget = Recording
+        alg.groebner = starting
 
     def _wrap(self, owner, name, stage, after=None):
         fn = getattr(owner, name)
@@ -248,8 +265,8 @@ class Probe:
         stages["total"] = end - t
         stages["other"] = stages["total"] - sum(stages[s] for s in STAGES[:5])
         counters = {
-            "budget_used": self.budgets[0].used,
-            "ring_budget_used": sum(b.used for b in self.budgets[1:]),
+            "budget_used": sum(b.used for run, b in self.budgets if run),
+            "ring_budget_used": sum(b.used for run, b in self.budgets if not run),
             "pairs_skipped": rec.get("pairs_skipped", 0),
             "certificate": rec.get("verdicts", []),
             "quotient_dim": report.quotient_dim,

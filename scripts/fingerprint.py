@@ -30,11 +30,13 @@ iteration caps.  Exact cases: the critical system on both charts (each
 polynomial's terms sorted), the affine-chart Groebner basis (terms in
 order), its certificate, the normal set, the ``mult_matrix_exact`` columns
 of l and of each variable, and the ``solve_argmax`` report of small integer
-forms, plus the sphere chart's ``solve_max`` on the smallest ones, both
-reports of four 2x2x2 integer forms times powers of two (2^-45 and 2^40,
-2^-30 and 2^-40), which the exact solvers run at the form's unit scale, and
-``solve_max`` of the ``default_rng(16)`` one times 1e-9 and 0.1, whose
-spurious real eigenvalues above ||l||_F it drops.  App cases:
+forms, plus ``solve_max`` (the critical values on the spheres) on the
+smallest ones, both reports of four 2x2x2 integer forms times powers of two
+(2^-45 and 2^40, 2^-30 and 2^-40), which the exact solvers run at the
+form's unit scale, and ``solve_max`` of the ``default_rng(16)`` one times
+1e-9 and 0.1, whose decimal reprs perturb the sphere chart's system (its
+spurious real eigenvalues lie above ||l||_F) but whose affine points are
+proved, so it lifts them.  App cases:
 ``matrix_norm2``, ``closest_rank_one`` and ``separable_max`` with each
 method on the test suite's non-generic forms (``tests/conftest.py``),
 e2 (x) e2 (x) e2, whose algebraic answer raises, and the suite's states.

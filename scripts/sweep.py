@@ -24,7 +24,7 @@ The JSON goes to standard output: the counts per method, family and
 outcome, and every answer that is not ``right``.  It holds no timings, so
 two runs print the same JSON.
 
-    python3 scripts/sweep.py > SWEEP_31.json
+    python3 scripts/sweep.py > SWEEP_32.json
     python3 scripts/sweep.py --smoke > /dev/null   # shapes up to 2x2x3
 
 It exits 1 when an answer is wrong, flagged or not.  It imports ``src/``

@@ -44,7 +44,6 @@ from .errors import (
     NoConvergenceError,
     NotAStateError,
     NotZeroDimensionalError,
-    PreconditionViolatedError,
     SphereMaxError,
     ZeroGradientError,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "NotAStateError",
     "NotZeroDimensionalError",
     "PolySystem",
-    "PreconditionViolatedError",
     "RankOneApproximation",
     "RankOneForm",
     "RationalPoly",

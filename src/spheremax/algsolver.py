@@ -2,9 +2,9 @@
 
 The critical points of a multilinear form over a product of unit spheres are
 the solutions of a polynomial system: the 2x2 minors x_j dl/dx_i = x_i dl/dx_j
-per slot, closed off either by sphere equations ||x||^2 = 1 (one per slot) or
-by affine chart equations x_first = 1.  The system is solved exactly: a
-reduced Groebner basis over Q, the standard-monomial basis of the quotient
+per slot, closed off either by affine chart equations x_first = 1 or by
+sphere equations ||x||^2 = 1 (one per slot).  The system is solved exactly:
+a reduced Groebner basis over Q, the standard-monomial basis of the quotient
 ring, and multiplication matrices whose eigenvalues are the values of a
 polynomial at the solutions (Eigenvalue Theorem).  Floating point enters only
 at the eigenvalue stage, and in the point proof of the basis, whose every
@@ -43,19 +43,24 @@ form the leading ideal is then complete, as a smaller one would leave more
 than D standard monomials, and the certificate passes; a non-generic form
 can meet D early, fail it and resume.
 
-The solvers' runs (solve_argmax on the affine chart, solve_max on the
-sphere chart) prove the basis by its solutions in place of the certificate:
-the eigen-solve of the candidate basis yields D points, and Krawczyk's test
-boxes each in its own polydisc around a zero of the chart's square
-subsystem that is a zero of the ideal (on the sphere chart each box keeps
-every slot's first coordinate away from zero), so the ideal has at least D
-zeros and a quotient of dimension at least D = |std(G)|, and the leading
-ideals agree (see _prove_points).  A failed proof runs the certificate, and
-a failed certificate resumes the run.  Proved points are every zero of the
-ideal, so they are the answer too: solve_argmax scores them, and solve_max
-reads l at them (the eigenvalues of M_l, by the Eigenvalue Theorem) and
-scores the real ones; it forms M_l only for a basis the certificate or a
-resumed run gave.
+The affine chart's runs prove the basis by its solutions in place of the
+certificate: the eigen-solve of the candidate basis yields D points, and
+Krawczyk's test boxes each in its own polydisc around a zero of the chart's
+square subsystem that is a zero of the ideal, every slot's x_s.x_s off zero
+over the box, so the ideal has at least D zeros and a quotient of dimension
+at least D = |std(G)|, and the leading ideals agree (see _prove_points).  A
+failed proof runs the certificate, and a failed certificate resumes the
+run; a basis groebner() gave without a proof gets its points proved after
+it.  Proved points are every zero of the ideal, each simple, so they are
+the answer too: solve_argmax scores them, and solve_max lifts them to the
+spheres, each slot divided by sqrt(x_s.x_s).  A proved quotient equal to
+the class count leaves no class off the chart, and where every x_s.x_s is
+nonzero the map from sphere points to classes is 2^r-to-1 and étale, so
+the lifts and their sign images are every zero of the sphere chart's ideal,
+each simple, and l at them is the spectrum of M_l there (Eigenvalue
+Theorem).  Only a form whose affine points are not proved runs the sphere
+chart's system, its basis proved by the count stop and the certificate, and
+reads the eigenvalues of M_l.
 """
 
 from __future__ import annotations
@@ -89,7 +94,6 @@ _NORM_TOL = 1e-9
 _AGREE_TOL = 1e-9      # an ascent backs solve_max's value within this, relative
 
 _SLOT_LETTERS = "xyztuw"
-_NONZERO_DIGITS = [c for c in range(-9, 10) if c]
 
 
 def rationalize(value) -> "_Q":
@@ -1025,17 +1029,18 @@ def build_critical_system(form: MultilinearForm, chart: str = "sphere", *,
 # the point proof.  A run that stops at the generic quotient dimension D
 # holds a basis G of exact reductions, so G lies in the ideal I and leaves
 # |std(G)| >= dim Q[x]/I standard monomials.  If |std(G)| = D and D
-# pairwise disjoint polydiscs each hold a zero of the chart's square
-# subsystem that is a zero of I (with x_first = 1 on the affine chart; on
-# the sphere chart each polydisc excludes x_first = 0, slot by slot), then
-# dim Q[x]/I >= |V(I)| >= D = |std(G)|, so the leading ideals agree and G,
-# interreduced, is the reduced Groebner basis.  Each polydisc is proved by
-# Krawczyk's test (Krawczyk, Computing 4, 1969; Rump, Acta Numerica 19,
-# 2010) in complex midpoint-radius arithmetic: with Y an approximate inverse
-# of the Jacobian at the center m and every rounding bounded outward,
+# pairwise disjoint polydiscs each hold a zero of the affine chart's square
+# subsystem that is a zero of I, then dim Q[x]/I >= |V(I)| >= D = |std(G)|,
+# so the leading ideals agree, G, interreduced, is the reduced Groebner
+# basis, and each zero is simple.  Each polydisc is proved by Krawczyk's
+# test (Krawczyk, Computing 4, 1969; Rump, Acta Numerica 19, 2010) in
+# complex midpoint-radius arithmetic: with Y an approximate inverse of the
+# Jacobian at the center m and every rounding bounded outward,
 #     |Y F(m)| + |I - Y J(X)| rho < rho, componentwise,
 # maps the polydisc X = {|x_i - m_i| <= rho_i} into its interior under
 # x -> x - Y F(x), so (Brouwer) X holds a zero of F, Y being nonsingular.
+# Each polydisc must also keep every slot's x_s.x_s off zero (its disc over
+# X misses 0), so that solve_max can lift the zero to the spheres.
 #
 # Rounding model: every complex +, -, *, abs of floats has relative error
 # at most 2^-51, four units of roundoff (a complex product by the standard
@@ -1056,20 +1061,17 @@ _UNDERFLOW = 2.0**-600   # absolute slack for underflow in every radius
 _ROUND_UP = 1 + 2.0**-30  # covers the roundings of the final comparisons
 
 
-def _square_subsystem(lterms, system, chart):
-    """The chart's square subsystem of the form with terms ``lterms``, as
-    {exponents: exact rational} over its variables, those variables, and
-    the indices among them of the coordinates its boxes must keep away from
-    zero.  Per slot: the minor of
-    (first, b) for each other b, and on the sphere chart ||x_s||^2 - 1.  On
-    the affine chart every first coordinate is set to 1 and is no variable;
-    on the sphere chart the first coordinates must stay away from zero.
-    Either way, a zero of it is a zero of the chart's ideal, since
-    x_first minor(a, b) = x_a minor(first, b) - x_b minor(first, a).
-    Each term of a minor holds one variable of each slot, so its free
-    exponents name it: setting the first coordinates to 1 merges no terms."""
-    sphere = chart == "sphere"
-    free = [v for svars in system.slot_vars for v in svars[not sphere:]]
+def _square_subsystem(lterms, system):
+    """The affine chart's square subsystem of the form with terms
+    ``lterms``, as {exponents: exact rational} over its variables, those
+    variables, and each slot's x_s.x_s, which its boxes must keep off zero.
+    Per slot: the minor of (first, b) for each other b, every first
+    coordinate set to 1 and no variable.  A zero of it is a zero of the
+    chart's ideal, since x_first minor(a, b) = x_a minor(first, b) - x_b
+    minor(first, a).  Each term of a minor holds one variable of each slot,
+    so its free exponents name it: setting the first coordinates to 1 merges
+    no terms."""
+    free = [v for svars in system.slot_vars for v in svars[1:]]
     polys = []
     for svars in system.slot_vars:
         for b in svars[1:]:
@@ -1077,11 +1079,10 @@ def _square_subsystem(lterms, system, chart):
             polys.append({tuple(e[v] for v in free): c for e, c in minor.items()})
             if len(polys[-1]) != len(minor):  # pragma: no cover - see above
                 raise ValueError("chart substitution merged terms")
-        if sphere:
-            polys.append({tuple(2 * (v == w) for w in free): _ONE for v in svars})
-            polys[-1][(0,) * len(free)] = -_ONE
-    away = [free.index(svars[0]) for svars in system.slot_vars] if sphere else []
-    return polys, free, away
+    norms = [{(0,) * len(free): _ONE, **{tuple(2 * (v == w) for w in free): _ONE
+                                          for v in svars[1:]}}
+             for svars in system.slot_vars]
+    return polys, free, norms
 
 
 def _jacobian(polys, n):
@@ -1145,14 +1146,14 @@ class _Discs:
         return self.center(x), (hi - lo) + 4 * self.gamma * (hi + lo) + _UNDERFLOW
 
 
-def _krawczyk(f, jac, x, away=()) -> bool:
+def _krawczyk(f, jac, x, nonzero=None) -> bool:
     """Whether disjoint polydiscs around the columns of x, each moved by one
-    Newton step, each hold a zero of f (Krawczyk's test) and exclude zero
-    in the coordinates ``away``; jac holds f's Jacobian, row-major.  Each
-    coordinate gets its own radius, twice its bound on |Y F(m)|: a solution
-    far out on the chart has one coordinate in the thousands, and one
-    radius for all would inflate every other one to that coordinate's
-    rounding error."""
+    Newton step, each hold a zero of f (Krawczyk's test), and the discs of
+    the polynomials ``nonzero`` (a _Discs, if any) over each of them miss
+    zero; jac holds f's Jacobian, row-major.  Each coordinate gets its own
+    radius, twice its bound on |Y F(m)|: a solution far out on the chart
+    has one coordinate in the thousands, and one radius for all would
+    inflate every other one to that coordinate's rounding error."""
     n, count = x.shape
     step = np.linalg.solve(jac.center(x).T.reshape(count, n, n), f.center(x).T[..., None])
     x = x - step[..., 0].T
@@ -1171,9 +1172,10 @@ def _krawczyk(f, jac, x, away=()) -> bool:
     k = e + ((np.abs(c) + r) @ rho[..., None])[..., 0]
     if not np.all(k * _ROUND_UP < rho):
         return False
-    away = list(away)
-    if not np.all(np.abs(x[away]) / _ROUND_UP > rho.T[away] * _ROUND_UP):
-        return False
+    if nonzero is not None:
+        nc, nr = nonzero.discs(x, rho.T)
+        if not np.all(np.abs(nc) / _ROUND_UP > nr * _ROUND_UP):
+            return False
     # two polydiscs are disjoint when their discs in one coordinate are
     reach = rho.T[:, :, None] + rho.T[:, None, :]
     apart = (np.abs(x[:, :, None] - x[:, None, :]) / _ROUND_UP > reach * _ROUND_UP).any(axis=0)
@@ -1181,23 +1183,21 @@ def _krawczyk(f, jac, x, away=()) -> bool:
     return bool(apart.all())
 
 
-def _prove_points(lterms, system, coords, dim, generic_dim, chart="affine") -> bool:
-    """The point proof of a basis that leaves ``dim`` standard monomials on
-    the chart of the form with terms ``lterms``: its eigen-solve found
+def _prove_points(lterms, system, coords, dim, generic_dim) -> bool:
+    """The point proof of an affine basis that leaves ``dim`` standard
+    monomials for the form with terms ``lterms``: its eigen-solve found
     ``coords`` (one column per solution, one row per variable), and dim,
     the generic quotient dimension and the number of solutions must agree,
     and Krawczyk's test must box every solution of the square subsystem,
-    disjointly, each box clear of the zeros of the first coordinates it
-    keeps."""
+    disjointly, every slot's x_s.x_s off zero over each box."""
     if not dim == generic_dim == coords.shape[1]:
         return False
-    polys, free, away = _square_subsystem(lterms, system, chart)
-    f = _Discs(polys, len(free))
-    jac = _Discs(_jacobian(polys, len(free)), len(free))
-    if not (f.sound and jac.sound):
+    polys, free, norms = _square_subsystem(lterms, system)
+    f, jac, nonzero = (_Discs(p, len(free)) for p in (polys, _jacobian(polys, len(free)), norms))
+    if not (f.sound and jac.sound and nonzero.sound):
         return False
     with np.errstate(all="ignore"):
-        return _krawczyk(f, jac, coords[free], away)
+        return _krawczyk(f, jac, coords[free], nonzero)
 
 
 # ---------------------------------------------------------------------------
@@ -1212,51 +1212,54 @@ def _quotient(form: MultilinearForm, chart: str, budget: int, seed: int = 0):
     the quotient dimension of a generic form (the class count on the affine
     chart, 2^r times it on the sphere chart, one point per sign pattern),
     the perf_counter marks taken before and after each stage, and on the
-    affine chart the solutions of the quotient (the eigenvalues, the
-    coordinates of the solutions scored and the retry flags of _solutions,
-    with ``seed``), on the sphere chart its QuotientRing and the
-    coordinates of every solution, or None.
+    sphere chart its QuotientRing, on the affine chart the solutions of the
+    quotient: the eigenvalues, the coordinates of the solutions scored and
+    the retry flags of _solutions (with ``seed``), and the coordinates of
+    every solution when the point proof passed, else None.
 
-    The solutions prove the basis on both charts: groebner()'s run stops at
-    the generic dimension, and the normal set and solutions of its
-    candidate basis go to _prove_points before the certificate would run.
+    The affine points prove the basis: groebner()'s run stops at the
+    generic dimension, and the normal set and solutions of its candidate
+    basis go to _prove_points before the certificate would run.  A basis
+    groebner() returned without that proof (it left no pair to prove, or
+    the run resumed) has its points proved after it, so proved coordinates
+    are every zero of the ideal, each simple, each off every x_s.x_s = 0.
     The ring and solutions returned are those of the basis groebner()
-    returns, found again only when it is not the candidate.  The sphere
-    chart returns coordinates only when its points proved that basis, and
-    then they are every critical point: the ideal has exactly D zeros, each
-    in its own box."""
+    returns.  The sphere chart runs no proof: the count stop and the
+    certificate decide its basis."""
     marks = [time.perf_counter()]
     lterms = form_polynomial(form).terms
     system = build_critical_system(form, chart=chart, _lterms=lterms)
-    generic_dim = chowcount.count_extreme_classes(form.dims)
-    if chart == "sphere":
-        generic_dim <<= form.order
+    affine = chart == "affine"
+    generic_dim = chowcount.count_extreme_classes(form.dims) << (0 if affine else form.order)
     marks.append(time.perf_counter())
-    found = []  # [basis, (its normal set, marks, ring, solutions), proved] per proof
+    found = []  # [basis, (its normal set, marks, ring, solutions), proved] per solve
 
-    def solve(gb, points):
+    def solve(gb):
         start = time.perf_counter()
         ns = normal_set(gb)
         done = time.perf_counter()
         ring = QuotientRing(gb, ns, budget)
-        return ns, [start, done], ring, _solutions(system, chart, ring, seed) if points else None
+        solutions = _solutions(system, ring, seed) if affine else None
+        found.append([gb, (ns, [start, done], ring, solutions), False])
 
     def proof(gb):
-        found.append([gb, solve(gb, True), False])
+        if not (found and found[-1][0] is gb):
+            solve(gb)
         ns, _, _, (_, coords, _, _) = found[-1][1]
-        found[-1][2] = _prove_points(lterms, system, coords, len(ns), generic_dim, chart)
+        found[-1][2] = _prove_points(lterms, system, coords, len(ns), generic_dim)
         return found[-1][2]
 
-    gb = groebner(system, budget=budget, quotient_dim=generic_dim, _proof=proof)
-    if found and found[-1][0] is gb:
-        _, (ns, stages, ring, solutions), proved = found[-1]
-    else:
-        (ns, stages, ring, solutions), proved = solve(gb, chart == "affine"), False
-    if chart == "sphere":
-        return system, gb, ns, generic_dim, marks + stages, (
-            ring, solutions[1] if proved else None)
-    eigvals, _, scored, retries = solutions
-    return system, gb, ns, generic_dim, marks + stages, (eigvals, scored, retries)
+    gb = groebner(system, budget=budget, quotient_dim=generic_dim,
+                  _proof=proof if affine else None)
+    if not (found and found[-1][0] is gb):
+        solve(gb)  # a refusal (an infinite normal set, inseparable solutions) raises here
+        _proves(proof if affine else None, gb)
+    _, (ns, stages, ring, solutions), proved = found[-1]
+    if not affine:
+        return system, gb, ns, generic_dim, marks + stages, ring
+    eigvals, coords, scored, retries = solutions
+    return system, gb, ns, generic_dim, marks + stages, (
+        eigvals, scored, retries, coords if proved else None)
 
 
 def _stage_times(marks) -> dict:
@@ -1269,45 +1272,50 @@ def solve_max(
     form: MultilinearForm,
     budget: int = DEFAULT_REDUCTION_BUDGET,
 ) -> SolveReport:
-    """Maximum of |l| over the product of spheres (sphere-chart pipeline
-    of the eigenvalue method).
+    """Maximum of |l| over the product of spheres (the eigenvalue method).
 
-    The eigenvalues of the multiplication-by-l matrix M_l are the values of
-    l at the critical points (Eigenvalue Theorem).  When the points of the
-    eigen-solve proved the basis (see _quotient), they are every critical
-    point, 2^r per class, and M_l is not formed: the eigenvalues are l at
-    each point, each slot first divided by its bilinear norm
-    sqrt(sum x_i^2), and the points are the real ones among the sign-orbit
-    representatives (each slot's first coordinate of positive real part;
-    the proof boxes every first coordinate away from zero, so each real
-    orbit has one), scored like solve_argmax's (_scored_points).  The
-    answer is the best point's |value|.
+    The affine chart runs first (_quotient), on the form at unit scale,
+    t 2^-k (multiform._scaled).  When its points are proved, they are every
+    critical class, one point each, with every x_s.x_s nonzero (see the
+    module docstring): each slot of each is divided by sqrt(x_s.x_s), l is
+    read at the D lifts, and each value is reported with both signs,
+    2^(r-1) times each, its values at the 2^r sign images, which are the
+    eigenvalues of M_l on the sphere chart (Eigenvalue Theorem).  The
+    quotient dimension is 2^r D, the real lifts are the points, scored like
+    solve_argmax's (_scored_points), and the answer is the best point's
+    |value|.
 
-    Otherwise (a basis the certificate proved, or a resumed run) the
-    eigenvalues are M_l's, the report has no points, and the answer is the
-    largest magnitude among the real eigenvalues within
-    ||l||_F (1 + _NORM_TOL): |l(x)| <= ||l||_F (Frobenius) on the spheres
-    by Cauchy-Schwarz, so a real eigenvalue above it is the value of no
-    real critical point; those are dropped, and a flag counts them.  The
-    system is built from the form at unit scale, t 2^-k
-    (multiform._scaled), and the matrix scaled back by 2^k is exactly that
-    of t, so realness reads |Im lambda| <= REALNESS_TOL (2^k + |lambda|).
+    Otherwise (the affine chart refused, or its points are not proved: a
+    class off the chart, an isotropic critical point, a proof that failed)
+    the sphere chart's system runs, ||x_s||^2 = 1 per slot, its basis
+    decided by the count stop and the certificate.  The eigenvalues are
+    M_l's, the report has no points, and the answer is the largest
+    magnitude among the real eigenvalues within ||l||_F (1 + _NORM_TOL):
+    |l(x)| <= ||l||_F (Frobenius) on the spheres by Cauchy-Schwarz, so a
+    real eigenvalue above it is the value of no real critical point; those
+    are dropped, and a flag counts them.  The matrix scaled back by 2^k is
+    exactly that of t, so realness reads |Im lambda| <= REALNESS_TOL
+    (2^k + |lambda|).
     """
     form, k = multiform._scaled(form)
-    system, _, ns, _, marks, (ring, coords) = _quotient(form, "sphere", budget)
+    try:
+        system, _, _, _, marks, (_, _, _, coords) = _quotient(form, "affine", budget)
+    except NotZeroDimensionalError:
+        coords = None
     if coords is not None:
         blocks = [coords[list(svars)] for svars in system.slot_vars]
         blocks = [b / np.sqrt((b * b).sum(axis=0)) for b in blocks]
         slots = [b.T for b in blocks]
         subs = multiform._subscripts(form.order)
         values = multiform._row_dots(multiform._partial(form.tensor, subs, slots, 0), slots[0])
-        eigenvalues = values * math.ldexp(1.0, k)
-        first = np.all([b[0].real > 0 for b in blocks], axis=0)
-        points, flags = _scored_points(form, k, [b[:, first] for b in blocks])
+        signed = np.concatenate([values, -values]) * math.ldexp(1.0, k)
+        eigenvalues = np.tile(signed, 1 << (form.order - 1))  # the 2^r sign images
+        points, flags = _scored_points(form, k, blocks)
         if not points:
             flags.append("no real critical points recovered")
         max_value = abs(points[0].value) if points else float("nan")
     else:
+        _, _, ns, _, marks, ring = _quotient(form, "sphere", budget)
         m = _float_matrix(ring.mult_matrix_exact(form_polynomial(form)), len(ns))
         eigenvalues = np.linalg.eigvals(np.ldexp(m, k))
         points, flags = (), []
@@ -1323,7 +1331,7 @@ def solve_max(
         max_value = max(reachable, default=float("nan"))
     order = np.argsort(-np.abs(eigenvalues))
     return SolveReport(
-        quotient_dim=len(ns),
+        quotient_dim=len(eigenvalues),
         eigenvalues=tuple(complex(eigenvalues[i]) for i in order),
         max_value=float(max_value),
         points=tuple(points),
@@ -1402,46 +1410,34 @@ def solve_argmax(
     return _solve_argmax(form, budget, seed)[0]
 
 
-def _solutions(system, chart, ring, seed):
-    """The eigen-solve of the chart's quotient ring: the eigenvalues of the
-    separating form's multiplication matrix, the coordinates of every
-    solution (one row per variable, one column per left eigenvector, scaled
-    to 1 at the constant monomial), the coordinates of the solutions scored
-    (those whose eigenvector's constant coordinate is not near zero),
-    computed from their columns alone, and the flags of the separating
-    form's retries.
-
-    On the affine chart the separating form is the first free variable, or
-    a random integer combination of the free variables when its
-    eigenvalues repeat (see solve_argmax).  On the sphere chart it is a
-    combination of each slot's first variable with random nonzero integer
-    coefficients: a form with no term in slot s takes one value at two
-    points that differ by the sign of x_s, and l itself one value at two
-    points that differ by the signs of two slots."""
+def _solutions(system, ring, seed):
+    """The eigen-solve of the affine chart's quotient ring: the eigenvalues
+    of the separating form's multiplication matrix, the coordinates of
+    every solution (one row per variable, one column per left eigenvector,
+    scaled to 1 at the constant monomial), the coordinates of the solutions
+    scored (those whose eigenvector's constant coordinate is not near
+    zero), computed from their columns alone, and the flags of the
+    separating form's retries.  The separating form is the first free
+    variable, or a random integer combination of the free variables when
+    its eigenvalues repeat (see solve_argmax)."""
     dim = len(ring.standard)
     flags = []
     nvars = len(system.variables)
     var_monomials = [tuple(int(i == v) for i in range(nvars)) for v in range(nvars)]
-    # the separating form's variables: on the affine chart all but each
-    # slot's chart coordinate, on the sphere chart each slot's first one
-    if chart == "affine":
-        free = [var_monomials[v] for svars in system.slot_vars for v in svars[1:]]
-    else:
-        free = [var_monomials[svars[0]] for svars in system.slot_vars]
+    # every variable but each slot's chart coordinate
+    free = [var_monomials[v] for svars in system.slot_vars for v in svars[1:]]
 
     rng = np.random.default_rng(seed)
     eigvals = eigvecs = None
     for attempt in range(4):
-        if attempt == 0 and chart == "affine":
-            first = free[0] if free else (0,) * nvars
-            f = RationalPoly._trusted(system.variables, {first: _ONE})
+        if attempt == 0:
+            terms = {free[0] if free else (0,) * nvars: _ONE}
         else:
-            coeffs = (rng.integers(-9, 10, size=len(free)) if chart == "affine"
-                      else rng.choice(_NONZERO_DIGITS, size=len(free)))
+            coeffs = rng.integers(-9, 10, size=len(free))
             terms = {m: _Q(int(c)) for m, c in zip(free, coeffs) if c}
             if not terms:
                 continue
-            f = RationalPoly._trusted(system.variables, terms)
+        f = RationalPoly._trusted(system.variables, terms)
         marr = _float_matrix(ring.mult_matrix_exact(f), dim)
         vals, vecs = np.linalg.eig(marr.T)
         scale = 1.0 + float(np.abs(vals).max(initial=0.0))
@@ -1471,7 +1467,7 @@ def _solve_argmax(form: MultilinearForm, budget: int, seed: int):
     """solve_argmax's report, the flags of the solutions it did not score
     (skipped eigenvectors, discarded points) and the class count."""
     form, k = multiform._scaled(form)
-    system, gb, ns, classes, marks, (eigvals, coords, retries) = _quotient(
+    system, gb, ns, classes, marks, (eigvals, coords, retries, _) = _quotient(
         form, "affine", budget, seed)
     dim = len(ns)
     flags = []
@@ -1508,12 +1504,15 @@ def _exact_max(form: MultilinearForm, seed: int, budget: int = DEFAULT_REDUCTION
     class is among its solutions.  Otherwise the sphere chart answers
     (solve_max, its value bit for bit), after the affine flags or refusal,
     which say why: the flags of unscored solutions lead.  Its points are its
-    own when they proved its basis; else its one point is the best of
-    poweriter._ascend(form, seed, _ASCENTS), the higher-order power method,
-    flagged when its |value| is more than _AGREE_TOL relative away from
-    solve_max's.  Its timings hold the affine stages too, as
-    "affine.<stage>", or "affine.refused" for a refused attempt."""
+    own when it lifted proved affine points; else its one point is the best
+    ascent (_ascent).  When solve_max refuses after the affine chart
+    answered with points, the affine report answers, "sphere chart
+    refused: ..." among its flags, its first point the better of its own
+    best and the best ascent.  Its timings hold the stages of the chart
+    that did not answer too, as "affine.<stage>", or "affine.refused" and
+    "sphere.refused" for a refused attempt."""
     start = time.perf_counter()
+    affine = None
     try:
         affine, unscored, classes = _solve_argmax(form, budget, seed)
     except NotZeroDimensionalError as exc:
@@ -1524,14 +1523,34 @@ def _exact_max(form: MultilinearForm, seed: int, budget: int = DEFAULT_REDUCTION
             return "affine", affine
         flags = unscored + tuple(f for f in affine.genericity_flags if f not in unscored)
         timings = {f"affine.{stage}": t for stage, t in affine.timings.items()}
-    sphere = solve_max(form, budget=budget)
+    start = time.perf_counter()
+    try:
+        sphere = solve_max(form, budget=budget)
+    except NotZeroDimensionalError as exc:
+        if affine is None or not affine.points:
+            raise
+        top = affine.points[0]
+        best, far = _ascent(form, seed, abs(top.value))
+        points = (best, *affine.points) if abs(best.value) > abs(top.value) else affine.points
+        return "affine", replace(
+            affine, max_value=abs(points[0].value), points=points,
+            genericity_flags=(*affine.genericity_flags, f"sphere chart refused: {exc}", *far),
+            timings={**affine.timings, "sphere.refused": time.perf_counter() - start})
     points, flags = sphere.points, flags + sphere.genericity_flags
     if not points:
-        best = poweriter._ascend(form, seed, poweriter._ASCENTS)
-        points = (CriticalPoint(best.point, multiform.evaluate(form, best.point),
-                                best.residual),)
-        if abs(best.value - sphere.max_value) > _AGREE_TOL * sphere.max_value:
-            flags += (f"best ascent value {best.value:.12g} is more than {_AGREE_TOL:g} "
-                      f"relative away from the maximum {sphere.max_value:.12g}",)
+        best, far = _ascent(form, seed, sphere.max_value)
+        points, flags = (best,), flags + far
     return "sphere", replace(sphere, points=points, genericity_flags=flags,
                              timings={**timings, **sphere.timings})
+
+
+def _ascent(form: MultilinearForm, seed: int, value: float):
+    """The best of poweriter._ascend(form, seed, _ASCENTS), the higher-order
+    power method, as a CriticalPoint, and its flag if its |value| is more
+    than _AGREE_TOL relative away from ``value``."""
+    best = poweriter._ascend(form, seed, poweriter._ASCENTS)
+    point = CriticalPoint(best.point, multiform.evaluate(form, best.point), best.residual)
+    if not abs(best.value - value) > _AGREE_TOL * value:  # a NaN maximum reads agreed
+        return point, ()
+    return point, (f"best ascent value {best.value:.12g} is more than {_AGREE_TOL:g} "
+                   f"relative away from the maximum {value:.12g}",)

@@ -26,10 +26,6 @@ class BudgetExceededError(SphereMaxError):
     pass
 
 
-class PreconditionViolatedError(SphereMaxError):
-    pass
-
-
 class NotAStateError(SphereMaxError):
     pass
 

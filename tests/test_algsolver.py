@@ -656,13 +656,21 @@ def test_solve_max_judges_realness_at_the_forms_scale(seed, scale, rel):
 @pytest.mark.parametrize("scale", [0.1, 1e-9], ids=["0.1", "1e-9"])
 def test_solve_max_drops_eigenvalues_no_point_reaches(scale):
     # neither scale is a power of two, so the decimal reprs perturb the
-    # system; the spurious real eigenvalues (2354.3 and 4744.9 times the
-    # scale against 9.9756) lie above ||l||_F, which bounds |l| on the spheres
+    # system.  The affine chart's points are proved, so solve_max lifts them
+    # and answers 9.9755848121 times the scale, with points and no flag.
+    # Forced to the sphere chart, it reads M_l, whose spurious real
+    # eigenvalues (2354.3 and 4744.9 times the scale) lie above ||l||_F,
+    # which bounds |l| on the spheres: they are dropped, with a flag
     form = _integer_form(16)
     small = MultilinearForm(form.dims, form.coeffs * scale)
     got = solve_max(small)
-    assert got.max_value == pytest.approx(solve_argmax(small).max_value, rel=1e-6, abs=0.0)
-    assert any("above ||l||_F" in f for f in got.genericity_flags)
+    assert got.max_value == pytest.approx(9.9755848121 * scale, rel=1e-10, abs=0.0)
+    assert got.points and got.genericity_flags == ()
+    assert got.max_value == pytest.approx(solve_argmax(small).max_value, rel=1e-12, abs=0.0)
+    fallback = _matrix_path(small)
+    assert fallback.quotient_dim == got.quotient_dim and fallback.points == ()
+    assert fallback.max_value == pytest.approx(got.max_value, rel=1e-6, abs=0.0)
+    assert any("above ||l||_F" in f for f in fallback.genericity_flags)
 
 
 @pytest.mark.parametrize("seed, scale", [
@@ -877,9 +885,10 @@ def test_zero_test_leaves_heavy_bases_unchanged(form, chart, used):
 
 # the budget each heavy run spends when it stops at the generic quotient
 # dimension: the mod-p tests of the pairs left then are not run.  The runs
-# stop at the count whether or not a pair was skipped, and their points
-# prove the basis, so no certificate runs
-_HEAVY_STOP_BUDGET = {"2x3x3-affine": 776, "2x2x2x2-affine": 893, "2x2x3-sphere": 2534,
+# stop at the count whether or not a pair was skipped; on the affine chart
+# their points prove the basis, so no certificate runs, and on the sphere
+# chart the certificate does
+_HEAVY_STOP_BUDGET = {"2x3x3-affine": 776, "2x2x2x2-affine": 893, "2x2x3-sphere": 2884,
                       "separability-rank4": 455}
 
 
@@ -893,9 +902,10 @@ def _generic_dim(form, chart):
 def test_stop_at_the_generic_quotient_dim_leaves_heavy_bases_unchanged(name):
     # _quotient passes the generic dimension to groebner, whose run stops
     # once the live leading monomials leave that many standard monomials:
-    # the point proof passes on both charts (the certificate never runs),
-    # the basis is the full run's, term for term, and the budget falls to
-    # its pin
+    # on the affine chart the point proof passes (the certificate never
+    # runs), on the sphere chart no point proof runs and the certificate
+    # passes; the basis is the full run's, term for term, and the budget
+    # falls to its pin
     form, chart = _HEAVY[name]
     verdicts, recording = _recording()
     proofs, recording_proofs = _recording("_prove_points")
@@ -904,7 +914,7 @@ def test_stop_at_the_generic_quotient_dim_leaves_heavy_bases_unchanged(name):
         _, gb, ns, dim, _, _ = algsolver._quotient(form, chart,
                                                    algsolver.DEFAULT_REDUCTION_BUDGET)
     assert dim == len(ns) == _generic_dim(form, chart)
-    assert (proofs, verdicts) == ([True], [])
+    assert (proofs, verdicts) == (([True], []) if chart == "affine" else ([], [True]))
     assert budgets[0].used == _HEAVY_STOP_BUDGET[name] < _HEAVY_BUDGET[name]
     assert _terms(gb) == _terms(_heavy_basis(name))
 
@@ -971,10 +981,11 @@ def test_point_proof_falls_back_on_a_form_that_meets_the_count_early():
     # a sparse 2x2x3 form with 7 solutions on the chart against 8 classes:
     # its run leaves 8 standard monomials before its basis is complete, so
     # its points cannot be boxed, the certificate fails and the resumed run
-    # returns the full run's basis
+    # returns the full run's basis, whose 7 points then prove nothing
     form = MultilinearForm((2, 2, 3), [2, -2, 1, 0, 0, 0, 0, 0, 1, 1, 1, -1])
-    (system, gb, ns, classes, _, _), proofs, verdicts = _fallback_run(form)
-    assert (proofs, verdicts) == ([False], [False])
+    (system, gb, ns, classes, _, solutions), proofs, verdicts = _fallback_run(form)
+    assert (proofs, verdicts) == ([False, False], [False])
+    assert solutions[3] is None
     assert len(ns) == 7 < classes == 8
     assert _terms(gb) == _terms(_exact(system))
     assert solve_argmax(form).quotient_dim == 7
@@ -1010,11 +1021,13 @@ def _shift_largest_tail_term(records):
 def test_point_proof_rejects_damaged_candidates(name, damage):
     # mutation check: a candidate basis with one element dropped, or one
     # tail coefficient moved, is not proved by its points; the certificate
-    # rejects it too, and the resumed run returns the exact basis
+    # rejects it too, and the resumed run returns the exact basis, whose
+    # points are then proved
     form, _ = _HEAVY[name]
     with _damaging_interreduce(damage):
-        (_, gb, ns, classes, _, _), proofs, verdicts = _fallback_run(form)
-    assert (proofs, verdicts) == ([False], [False])
+        (_, gb, ns, classes, _, solutions), proofs, verdicts = _fallback_run(form)
+    assert (proofs, verdicts) == ([False, True], [False])
+    assert solutions[3].shape[1] == classes
     assert len(ns) == classes
     assert _terms(gb) == _terms(_heavy_basis(name))
 
@@ -1022,40 +1035,60 @@ def test_point_proof_rejects_damaged_candidates(name, damage):
 @pytest.mark.parametrize("damage", [_drop_middle, _shift_largest_tail_term],
                          ids=["drop", "tail"])
 def test_sphere_point_proof_rejects_damaged_candidates(damage):
-    # the same mutation check on the sphere chart: the damaged candidate's
-    # points are not proved, the certificate rejects it, and the resumed
-    # run returns the exact basis
-    form, chart = _HEAVY["2x2x3-sphere"]
-    with _damaging_interreduce(damage):
-        (_, gb, ns, dim, _, _), proofs, verdicts = _fallback_run(form, chart)
-    assert (proofs, verdicts) == ([False], [False])
-    assert len(ns) == dim == _generic_dim(form, chart)
-    assert _terms(gb) == _terms(_heavy_basis("2x2x3-sphere"))
+    # the same mutation check for solve_max, whose sphere points are the
+    # affine chart's proved points lifted: the damaged candidate's points
+    # are not proved, the certificate rejects it, the resumed run's points
+    # are proved, and the report is the undamaged one, bit for bit
+    form, _ = _HEAVY["2x2x3-sphere"]
+    want = solve_max(form)
+    proofs, recording_proofs = _recording("_proves")
+    verdicts, recording = _recording()
+    with _damaging_interreduce(damage), recording_proofs, recording:
+        got = solve_max(form)
+    assert (proofs, verdicts) == ([False, True], [False])
+    assert got.quotient_dim == _generic_dim(form, "sphere") and got.points
+    assert _report_bits(got) == _report_bits(want)
+
+
+def _report_bits(report):
+    """A report's answer, every float as its bytes."""
+    return (report.quotient_dim, report.eigenvalues, report.max_value.hex(),
+            [(p.value, [v.tobytes() for v in p.vectors]) for p in report.points],
+            report.genericity_flags)
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3), (4, 4), (2, 2, 3)],
                          ids=["2x2x2", "3x3", "4x4", "2x2x3"])
 def test_sphere_bases_are_proved_by_their_points(dims):
-    # the shapes solve_max's benchmark runs: each run stops at 2^r times
-    # the class count, its 2^r points per class prove the candidate, the
-    # certificate never runs, and the basis is the full run's, term for
-    # term; _quotient returns the proved points, one column per standard
-    # monomial, and the ring the proof filled gives the float matrix of l
-    # that a fresh ring of the full run's basis gives, bit for bit
+    # the shapes solve_max's benchmark runs: the affine points prove the
+    # affine basis, the certificate never runs and no sphere-chart system
+    # is built; the lifts and their 2^r sign images are zeros of the sphere
+    # chart's system, 2^r D of them, the dimension of its quotient
     form = cli._random_integer_form(dims, np.random.default_rng(5))
     proofs, recording_proofs = _recording("_prove_points")
     verdicts, recording = _recording()
-    with recording_proofs, recording:
-        system, gb, ns, dim, _, (ring, coords) = algsolver._quotient(
-            form, "sphere", algsolver.DEFAULT_REDUCTION_BUDGET)
-    assert (proofs, verdicts) == ([True], [])
-    assert len(ns) == dim == _generic_dim(form, "sphere")
-    assert coords.shape == (len(system.variables), dim)
-    full = groebner(system)
-    assert _terms(gb) == _terms(full)
-    lpoly = form_polynomial(form)
-    shared = algsolver._float_matrix(ring.mult_matrix_exact(lpoly), dim)
-    assert shared.tobytes() == mult_matrix(lpoly, full, normal_set(full)).array.tobytes()
+    charts = []
+
+    def build(form, chart="sphere", **kwargs):
+        charts.append(chart)
+        return build_critical_system(form, chart, **kwargs)
+
+    with recording_proofs, recording, mock.patch.object(algsolver, "build_critical_system", build):
+        report = solve_max(form)
+    assert (proofs, verdicts, charts) == ([True], [], ["affine"])
+    system = build_critical_system(form, chart="sphere")
+    assert report.quotient_dim == len(normal_set(groebner(system))) == _generic_dim(form, "sphere")
+    affine_system, _, _, _, _, (_, _, _, coords) = algsolver._quotient(
+        form, "affine", algsolver.DEFAULT_REDUCTION_BUDGET)
+    blocks = [coords[list(svars)] for svars in affine_system.slot_vars]
+    lifts = [b / np.sqrt((b * b).sum(axis=0)) for b in blocks]
+    for signs in itertools.product((1, -1), repeat=form.order):
+        point = np.concatenate([s * b for s, b in zip(signs, lifts)])
+        bound = 1e-12 * np.abs(form.coeffs).max() * max(1.0, np.abs(point).max()) ** form.order
+        for p in system.polys:
+            value = sum(complex(c) * np.prod([point[v] ** e for v, e in enumerate(m) if e], axis=0)
+                        for m, c in p.terms.items())
+            assert np.abs(value).max() <= bound
 
 
 def _matrix_path(form):
@@ -1080,57 +1113,63 @@ def _matrix_reference(form):
     return tuple(complex(eig[i]) for i in np.argsort(-np.abs(eig))), top
 
 
-@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3), (4, 4), (2, 2, 3)],
-                         ids=["2x2x2", "3x3", "4x4", "2x2x3"])
-def test_proved_sphere_report_reads_l_at_its_points(dims):
-    # a basis proved by its points gives every critical point, so solve_max
-    # reads l at each one in place of the eigenvalues of M_l: the same
-    # multiset, a maximum within 1e-14 of the affine chart's (of the top
-    # singular value on a matrix), and the real sign-orbit representatives
-    # as points, the first coordinate of each slot positive
-    form = cli._random_integer_form(dims, np.random.default_rng(5))
+@pytest.mark.parametrize("form", [
+    *(pytest.param(cli._random_integer_form(dims, np.random.default_rng(5)),
+                   id="x".join(map(str, dims)))
+      for dims in [(2, 2), (3, 3), (4, 4), (2, 2, 2), (2, 2, 3)]),
+    # coefficients in -2..2: the sphere chart's own basis of a -9..9 form
+    # takes 5-20 s on these shapes
+    pytest.param(random_form(np.random.default_rng(4), (2, 2, 4), -2, 2), id="2x2x4"),
+    pytest.param(random_form(np.random.default_rng(1), (2, 2, 2, 2), -2, 2), id="2x2x2x2"),
+])
+def test_proved_sphere_report_reads_l_at_its_points(form):
+    # proved affine points are every critical class, so solve_max lifts
+    # them to the spheres and reads l there in place of the eigenvalues of
+    # M_l: the same multiset, within 1e-12 of the largest, as M_l on the
+    # sphere chart's own basis, with the same quotient; a maximum within
+    # 1e-14 of the affine chart's (of the top singular value on a matrix);
+    # and the real lifts as points
+    unit, k = multiform._scaled(form)
+    _, _, ns, _, _, ring = algsolver._quotient(unit, "sphere", algsolver.DEFAULT_REDUCTION_BUDGET)
+    m = algsolver._float_matrix(ring.mult_matrix_exact(form_polynomial(unit)), len(ns))
+    rest = list(np.linalg.eigvals(np.ldexp(m, k)))
     report = solve_max(form)
-    matrix = _matrix_path(form)
-    assert matrix.points == () and report.quotient_dim == matrix.quotient_dim
-    scale = abs(matrix.eigenvalues[0])
-    rest = list(matrix.eigenvalues)
+    assert report.quotient_dim == len(ns) == _generic_dim(form, "sphere")
+    scale = max(map(abs, rest))
     for value in report.eigenvalues:
         nearest = min(range(len(rest)), key=lambda i: abs(rest[i] - value))
-        assert abs(rest.pop(nearest) - value) <= 1e-9 * scale
+        assert abs(rest.pop(nearest) - value) <= 1e-12 * scale
     magnitudes = np.abs(report.eigenvalues)
     assert np.all(magnitudes[:-1] >= magnitudes[1:])
     # l at the slot-normalized points: the 2^r sign images of the best
-    # point read its value within 1e-14 (at the raw eigenvector columns
-    # they read up to 1.3e-11 off here, and 6e-9 on criterion 3's form)
+    # point read its value within 1e-14
     top = report.max_value
     assert np.sum(np.abs(magnitudes - top) <= 1e-14 * top) == 2 ** form.order
     affine = solve_argmax(form)
-    want = (np.linalg.svd(form.tensor, compute_uv=False)[0] if len(dims) == 2
+    want = (np.linalg.svd(form.tensor, compute_uv=False)[0] if form.order == 2
             else affine.max_value)
     assert report.max_value == pytest.approx(want, rel=1e-14, abs=0.0)
     assert len(report.points) == len(affine.points) > 0
     assert abs(report.points[0].value) == report.max_value
     for p in report.points:
-        assert all(v[0] > 0 for v in p.vectors)
         assert p.residual <= RESIDUAL_TOL
     assert report.genericity_flags == ()
 
 
-@pytest.mark.parametrize("form, patched", [
-    *(pytest.param(cli._random_integer_form(dims, np.random.default_rng(5)), True,
+@pytest.mark.parametrize("form", [
+    *(pytest.param(cli._random_integer_form(dims, np.random.default_rng(5)),
                    id="x".join(map(str, dims)))
       for dims in [(2, 2, 2), (3, 3), (4, 4), (2, 2, 3)]),
-    *(pytest.param(MultilinearForm((2, 2, 2), _integer_form(16).coeffs * scale), False,
+    *(pytest.param(MultilinearForm((2, 2, 2), _integer_form(16).coeffs * scale),
                    id=f"16-{scale}")
       for scale in (0.1, 1e-9)),
 ])
-def test_unproved_sphere_report_reads_the_multiplication_matrix(form, patched):
-    # with no point proof (patched to fail on the generic forms; failing on
-    # its own on the decimal-perturbed default_rng(16) forms, whose systems
-    # carry spurious real eigenvalues) the report is the multiplication
-    # matrix's, as before: its eigenvalues bit for bit, its maximum, and no
-    # points
-    report = _matrix_path(form) if patched else solve_max(form)
+def test_unproved_sphere_report_reads_the_multiplication_matrix(form):
+    # with no point proof (patched to fail; the decimal-perturbed
+    # default_rng(16) forms' sphere systems carry spurious real eigenvalues)
+    # the report is the sphere chart's multiplication matrix's: its
+    # eigenvalues bit for bit, its maximum, and no points
+    report = _matrix_path(form)
     eigenvalues, top = _matrix_reference(form)
     assert report.eigenvalues == eigenvalues
     assert report.max_value == top
@@ -1162,34 +1201,35 @@ def test_point_proof_boxes_solutions_far_out_on_the_chart():
         assert all(u.tobytes() == v.tobytes() for u, v in zip(p.vectors, q.vectors))
 
 
-@pytest.mark.parametrize("coeffs, count, top", [
-    # the affine chart cannot separate its solutions; the sphere chart's
-    # points prove its basis, so they back its value
-    pytest.param(_integer_form(9).coeffs * 1e-9, 6, 11.31196502654238e-9, id="refused"),
-    # the affine chart misses classes and the sphere chart's points prove
-    # nothing: its value 2 comes with one point, the best ascent's, of
-    # value 2 (the affine chart's best point has value 1)
-    pytest.param(NON_GENERIC_FORMS["sparse-2x2x2"][1], 1, 2.0, id="sparse-2x2x2"),
+@pytest.mark.parametrize("form, count, top", [
+    # the affine chart cannot separate its solutions, so nothing is lifted
+    # and the sphere chart reads M_l: its value comes with the best ascent
+    pytest.param(MultilinearForm((2, 2, 2), _integer_form(9).coeffs * 1e-9), 1,
+                 11.31196502654238e-9, id="refused"),
+    # the affine chart misses classes, so nothing is lifted: the value 2
+    # comes with one point, the best ascent's, of value 2 (the affine
+    # chart's best point has value 1)
+    pytest.param(MultilinearForm(*NON_GENERIC_FORMS["sparse-2x2x2"]), 1, 2.0,
+                 id="sparse-2x2x2"),
+    # one affine eigenvector is left unscored, so the affine report does not
+    # answer, but its points are proved: solve_max's lifts are the points
+    pytest.param(cli._random_integer_form((2, 2, 2, 2), np.random.default_rng(522)), 8,
+                 16.400611783894952, id="lifted"),
 ])
-def test_sphere_fallback_reports_its_own_points_else_the_best_ascent(coeffs, count, top):
-    form = MultilinearForm((2, 2, 2), coeffs)
+def test_sphere_fallback_reports_its_own_points_else_the_best_ascent(form, count, top):
     chart, report = algsolver._exact_max(form, seed=0)
     sphere = solve_max(form)
     assert chart == "sphere" and report.max_value == sphere.max_value
     assert len(report.points) == count
     assert abs(report.points[0].value) == pytest.approx(top, rel=1e-12, abs=0.0)
     if sphere.points:
-        assert [(p.value, [v.tobytes() for v in p.vectors]) for p in report.points] == [
-            (p.value, [v.tobytes() for v in p.vectors]) for p in sphere.points]
+        assert _report_bits(report)[3] == _report_bits(sphere)[3]
         assert abs(report.points[0].value) == report.max_value
-    else:
-        assert abs(solve_argmax(form).points[0].value) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_point_proof_is_taken_by_every_exact_solver(quadlinear_form):
-    # solve_argmax, _exact_max and the apps reach the affine chart through
-    # _quotient, and solve_max the sphere chart, so each takes the point
-    # proof
+    # solve_argmax, _exact_max, the apps and solve_max reach the affine
+    # chart through _quotient, so each takes the point proof
     for call in (solve_argmax, functools.partial(algsolver._exact_max, seed=0),
                  functools.partial(closest_rank_one, method="algebraic")):
         proofs, recording_proofs = _recording("_proves")
@@ -1207,7 +1247,7 @@ def test_point_proof_is_taken_by_every_exact_solver(quadlinear_form):
 def test_point_proof_needs_one_point_per_class(trilinear_form):
     # the proof counts: the normal set, the class count and the solutions
     # must agree, so one point short, or one class more, proves nothing
-    system, _, ns, classes, _, (_, coords, _) = algsolver._quotient(
+    system, _, ns, classes, _, (_, _, _, coords) = algsolver._quotient(
         trilinear_form, "affine", algsolver.DEFAULT_REDUCTION_BUDGET)
     prove = functools.partial(algsolver._prove_points,
                               form_polynomial(trilinear_form).terms, system)
@@ -1234,36 +1274,58 @@ def test_krawczyk_boxes_distinct_zeros_only(points, proved):
     assert algsolver._krawczyk(f, jac, x) is proved
 
 
-def test_krawczyk_refuses_a_box_that_straddles_a_kept_away_coordinate():
-    # the box around the zero 0 of x^3 - x holds it, and holds x = 0: it
-    # passes, but not when x must stay away from zero, as the sphere
-    # chart's first coordinates must; the boxes around -1 and 1 do
-    polys = [{(3,): Fraction(1), (1,): Fraction(-1)}]
+def test_krawczyk_refuses_a_box_whose_norm_disc_holds_zero():
+    # x^2 - x has the zeros 0 and 1, and Krawczyk's test boxes both.  Kept
+    # off the zeros of x.x = x^2, the box around 0 is refused, as its disc
+    # of x^2 holds 0, and the box beside it, around 1, passes; the affine
+    # chart's 1 + x^2 is off zero over both
+    polys = [{(2,): Fraction(1), (1,): Fraction(-1)}]
     f = algsolver._Discs(polys, 1)
     jac = algsolver._Discs(algsolver._jacobian(polys, 1), 1)
-    x = np.array([[1.0001, -0.9999, 2e-4]], dtype=complex)
-    assert algsolver._krawczyk(f, jac, x)
-    assert not algsolver._krawczyk(f, jac, x, away=[0])
-    assert algsolver._krawczyk(f, jac, x[:, :2], away=[0])
+    norm = algsolver._Discs([{(2,): Fraction(1)}], 1)
+    chart_norm = algsolver._Discs([{(0,): Fraction(1), (2,): Fraction(1)}], 1)
+    both = np.array([[1e-3, 1.0001]], dtype=complex)
+    assert algsolver._krawczyk(f, jac, both)
+    assert not algsolver._krawczyk(f, jac, both, norm)
+    assert not algsolver._krawczyk(f, jac, both[:, :1], norm)
+    assert algsolver._krawczyk(f, jac, both[:, 1:], norm)
+    assert algsolver._krawczyk(f, jac, both, chart_norm)
 
 
 def test_sphere_point_proof_refuses_boxes_on_a_first_coordinate_zero():
-    # diag(3, 1) has its 8 critical points at (+-e1, +-e1) and (+-e2, +-e2):
-    # the square subsystem boxes all 8, but the boxes around the e2 points
-    # hold x1 = 0 and y1 = 0, where the minors of (first, b) no longer
-    # imply the others, so the proof refuses them; the e1 points pass
+    # diag(3, 1) has its critical classes at (e1, e1) and (e2, e2): the
+    # second has x1 = y1 = 0, off the affine chart, which holds one point
+    # against two classes, so the proof refuses it and nothing is lifted;
+    # the sphere chart finds all 8 points
     form = MultilinearForm((2, 2), [3.0, 0.0, 0.0, 1.0])
-    system = build_critical_system(form, chart="sphere")
-    coords = np.array([np.concatenate([s * e, t * e]) for e in np.eye(2)
-                       for s in (1, -1) for t in (1, -1)], dtype=complex).T
-    lterms = form_polynomial(form).terms
-    polys, free, away = algsolver._square_subsystem(lterms, system, "sphere")
-    assert (free, away) == ([0, 1, 2, 3], [0, 2])
-    f = algsolver._Discs(polys, 4)
-    jac = algsolver._Discs(algsolver._jacobian(polys, 4), 4)
-    assert algsolver._krawczyk(f, jac, coords)
-    assert algsolver._krawczyk(f, jac, coords[:, :4], away)
-    assert not algsolver._prove_points(lterms, system, coords, 8, 8, "sphere")
+    proofs, recording_proofs = _recording("_prove_points")
+    with recording_proofs:
+        report = solve_max(form)
+    assert proofs == [False]
+    assert report.quotient_dim == 8 and report.points == ()
+    assert report.max_value == pytest.approx(3.0, rel=1e-14, abs=0.0)
+
+
+def test_affine_proof_refuses_isotropic_points():
+    # default_rng(1)'s 2x2x2x2 form has all 24 classes on the affine chart,
+    # but some with x_s.x_s = 0 (|x_s.x_s| about 4e-14 at their computed
+    # points): no sphere point lies over them.  Krawczyk's boxes hold them
+    # and are disjoint, but their x_s.x_s discs hold 0, so the proof is
+    # refused, nothing is lifted, and the sphere chart's quotient is 352 of
+    # the generic 384
+    form = cli._random_integer_form((2, 2, 2, 2), np.random.default_rng(1))
+    calls = []
+    krawczyk = algsolver._krawczyk
+
+    def recording(*args):
+        calls.append((args, krawczyk(*args)))
+        return calls[-1][1]
+
+    with mock.patch.object(algsolver, "_krawczyk", recording):
+        report = solve_max(form)
+    ((f, jac, x, nonzero), proved), = calls
+    assert not proved and krawczyk(f, jac, x)
+    assert report.quotient_dim == 352 < 384 and report.points == ()
 
 
 def _dyadic(k):
