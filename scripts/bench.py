@@ -46,7 +46,17 @@ at the first step and its one Ritz check.  Their counters are the steps
 taken (the last start's, for the ``joint`` rows; the answer's, for the
 whole calls) and the value, hex, and ``us_per_step`` is the CPU time over
 the steps.  The ``subspace`` rows also count their Ritz checks
-(``checks``: calls of ``poweriter._ritz_pair``, wrapped from here).
+(``checks``: calls of ``poweriter._ritz_pair``, wrapped from here).  Two
+rows time whole calls of the applications' ascent, ``_ascend(form, 0,
+48)``: ``ascend-4x4x4`` on the ten Gaussian 4x4x4 forms of
+``default_rng(100 + k)``, and ``ascend-separability-rank4`` on the
+separability form of the rank-4 state of the exact rows, a 2x2x4 form.
+They count over all their starts (wrapping ``poweriter._gauss_seidel`` and
+``_polish`` from here): ``iterations``, every start's steps; ``newton``,
+the Newton steps among them, a refused start charged every step of its
+polish; ``sweeps``, the rest; ``refused``, the starts a polish refused; and
+``value``, each form's maximum in hex.  A tree without ``_polish`` reads
+``newton`` and ``refused`` 0.
 
 Times are CPU seconds of this process (``time.process_time``), not scaled by
 any host calibration: the median and quartiles over ``--repeats`` solves.
@@ -89,7 +99,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 STAGES = ("run", "interreduce", "certificate", "normal_set", "ring_and_eigen", "other",
           "total")
 POWER_STAGES = ("total", "us_per_step")
-PATH_COUNTERS = ("budget_used", "ring_budget_used", "pairs_skipped", "certificate", "checks")
+PATH_COUNTERS = ("budget_used", "ring_budget_used", "pairs_skipped", "certificate", "checks",
+                 "sweeps", "newton", "refused")
 
 
 def _load(name, src):
@@ -103,6 +114,14 @@ def _load(name, src):
     return module
 
 
+def _separability_rank4(sm):
+    """The separability form, a 2x2x4 form, of a rank-4 two-qubit state."""
+    g = np.random.default_rng(4).standard_normal((4, 4))
+    rho = g @ g.T
+    state = sm.DensityState(2, 2, sm.Matrix.from_array(rho / np.trace(rho)))
+    return sm.apps._separability_form(state)
+
+
 def cases(sm):
     """(name, form, chart) of each heavy case, built with package ``sm``:
     the four forms whose bases pass the zero test's line in
@@ -110,14 +129,11 @@ def cases(sm):
     3x3x3 form with ones on the diagonal, which solve_max answers on the
     sphere chart."""
     integer_form = importlib.import_module(f"{sm.__name__}.cli")._random_integer_form
-    g = np.random.default_rng(4).standard_normal((4, 4))
-    rho = g @ g.T
-    state = sm.DensityState(2, 2, sm.Matrix.from_array(rho / np.trace(rho)))
     return [
         ("2x3x3-affine", integer_form((2, 3, 3), np.random.default_rng(1)), "affine"),
         ("2x2x2x2-affine", integer_form((2, 2, 2, 2), np.random.default_rng(2)), "affine"),
         ("2x2x3-sphere", integer_form((2, 2, 3), np.random.default_rng(2)), "sphere"),
-        ("separability-rank4", sm.apps._separability_form(state), "affine"),
+        ("separability-rank4", _separability_rank4(sm), "affine"),
         ("3x3x3-affine", integer_form((3, 3, 3), np.random.default_rng(0)), "affine"),
         ("diagonal-3x3x3-sphere", sm.MultilinearForm((3, 3, 3), [
             float(i == j == k) for i, j, k in np.ndindex(3, 3, 3)]), "sphere"),
@@ -155,6 +171,36 @@ def power_cases(sm):
             return {"iterations": result.iterations, "value": result.value.hex()}
         return call
 
+    polish = getattr(pw, "_polish", None)  # a tree without it takes no Newton steps
+    ascent = {"rows": 0, "newton": 0, "refused": 0}
+    gauss_seidel = pw._gauss_seidel
+
+    def counted_sweeps(*args):
+        outcomes = gauss_seidel(*args)
+        ascent["rows"] += sum(out.iterations for out in outcomes
+                              if isinstance(out, pw.IterationResult))
+        return outcomes
+
+    def counted_polish(t, subs, pairs, slots, steps, tol):
+        out = polish(t, subs, pairs, slots, steps, tol)
+        refused = int((out[0] == 0).sum())
+        ascent["newton"] += int(out[0].sum()) + steps * refused
+        ascent["refused"] += refused
+        return out
+
+    pw._gauss_seidel = counted_sweeps
+    if polish is not None:
+        pw._polish = counted_polish
+
+    def ascend(forms):
+        def call():
+            ascent.update(rows=0, newton=0, refused=0)
+            values = [pw._ascend(form, 0, pw._ASCENTS).value.hex() for form in forms]
+            return {"iterations": ascent["rows"], "sweeps": ascent["rows"] - ascent["newton"],
+                    "newton": ascent["newton"], "refused": ascent["refused"],
+                    "value": values if len(values) > 1 else values[0]}
+        return call
+
     def subspace(shape, seed=0):
         form = sm.MultilinearForm(shape, np.random.default_rng(seed).standard_normal(
             math.prod(shape)))
@@ -173,6 +219,9 @@ def power_cases(sm):
         ("subspace-50x40", subspace((50, 40))),
         ("subspace-20x15", subspace((20, 15))),
         ("subspace-8x8", subspace((8, 8), seed=1)),
+        ("ascend-4x4x4", ascend([sm.MultilinearForm((4, 4, 4), np.random.default_rng(
+            100 + k).standard_normal(64)) for k in range(10)])),
+        ("ascend-separability-rank4", ascend([_separability_rank4(sm)])),
     ]
 
 

@@ -1302,33 +1302,51 @@ def solve_max(
         system, _, _, _, marks, (_, _, _, coords) = _quotient(form, "affine", budget)
     except NotZeroDimensionalError:
         coords = None
-    if coords is not None:
-        blocks = [coords[list(svars)] for svars in system.slot_vars]
-        blocks = [b / np.sqrt((b * b).sum(axis=0)) for b in blocks]
-        slots = [b.T for b in blocks]
-        subs = multiform._subscripts(form.order)
-        values = multiform._row_dots(multiform._partial(form.tensor, subs, slots, 0), slots[0])
-        signed = np.concatenate([values, -values]) * math.ldexp(1.0, k)
-        eigenvalues = np.tile(signed, 1 << (form.order - 1))  # the 2^r sign images
-        points, flags = _scored_points(form, k, blocks)
-        if not points:
-            flags.append("no real critical points recovered")
-        max_value = abs(points[0].value) if points else float("nan")
-    else:
-        _, _, ns, _, marks, ring = _quotient(form, "sphere", budget)
-        m = _float_matrix(ring.mult_matrix_exact(form_polynomial(form)), len(ns))
-        eigenvalues = np.linalg.eigvals(np.ldexp(m, k))
-        points, flags = (), []
-        unit, norm = math.ldexp(1.0, k), math.ldexp(multiform.form_norm(form), k)
-        real = [abs(lam.real) for lam in eigenvalues
-                if abs(lam.imag) <= REALNESS_TOL * (unit + abs(lam))]
-        reachable = [v for v in real if v <= norm * (1.0 + _NORM_TOL)]
-        if len(reachable) < len(real):
-            flags.append(f"{len(real) - len(reachable)} real eigenvalue(s) above "
-                         f"||l||_F = {norm:.6e} dropped: no real point reaches them")
-        if not reachable:
-            flags.append("no real eigenvalues within tolerance")
-        max_value = max(reachable, default=float("nan"))
+    if coords is None:
+        return _sphere_max(form, k, budget)
+    return replace(_lifted_max(form, k, system, coords), timings=_stage_times(marks))
+
+
+def _lifted_max(form: MultilinearForm, k: int, system, coords) -> SolveReport:
+    """solve_max's report, without timings, from the affine chart's proved
+    solutions ``coords`` (one row per variable of ``system``) of the form
+    at unit scale, t 2^-k."""
+    blocks = [coords[list(svars)] for svars in system.slot_vars]
+    blocks = [b / np.sqrt((b * b).sum(axis=0)) for b in blocks]
+    slots = [b.T for b in blocks]
+    subs = multiform._subscripts(form.order)
+    values = multiform._row_dots(multiform._partial(form.tensor, subs, slots, 0), slots[0])
+    signed = np.concatenate([values, -values]) * math.ldexp(1.0, k)
+    eigenvalues = np.tile(signed, 1 << (form.order - 1))  # the 2^r sign images
+    points, flags = _scored_points(form, k, blocks)
+    if not points:
+        flags.append("no real critical points recovered")
+    max_value = abs(points[0].value) if points else float("nan")
+    return _max_report(eigenvalues, max_value, points, flags)
+
+
+def _sphere_max(form: MultilinearForm, k: int, budget: int) -> SolveReport:
+    """solve_max's report from the sphere chart's own Groebner basis and
+    M_l, for the form at unit scale, t 2^-k."""
+    _, _, ns, _, marks, ring = _quotient(form, "sphere", budget)
+    m = _float_matrix(ring.mult_matrix_exact(form_polynomial(form)), len(ns))
+    eigenvalues = np.linalg.eigvals(np.ldexp(m, k))
+    flags = []
+    unit, norm = math.ldexp(1.0, k), math.ldexp(multiform.form_norm(form), k)
+    real = [abs(lam.real) for lam in eigenvalues
+            if abs(lam.imag) <= REALNESS_TOL * (unit + abs(lam))]
+    reachable = [v for v in real if v <= norm * (1.0 + _NORM_TOL)]
+    if len(reachable) < len(real):
+        flags.append(f"{len(real) - len(reachable)} real eigenvalue(s) above "
+                     f"||l||_F = {norm:.6e} dropped: no real point reaches them")
+    if not reachable:
+        flags.append("no real eigenvalues within tolerance")
+    max_value = max(reachable, default=float("nan"))
+    return replace(_max_report(eigenvalues, max_value, (), flags), timings=_stage_times(marks))
+
+
+def _max_report(eigenvalues, max_value, points, flags) -> SolveReport:
+    """solve_max's report, its eigenvalues by decreasing |value|, without timings."""
     order = np.argsort(-np.abs(eigenvalues))
     return SolveReport(
         quotient_dim=len(eigenvalues),
@@ -1336,7 +1354,6 @@ def solve_max(
         max_value=float(max_value),
         points=tuple(points),
         genericity_flags=tuple(flags),
-        timings=_stage_times(marks),
     )
 
 
@@ -1465,9 +1482,11 @@ def _solutions(system, ring, seed):
 
 def _solve_argmax(form: MultilinearForm, budget: int, seed: int):
     """solve_argmax's report, the flags of the solutions it did not score
-    (skipped eigenvectors, discarded points) and the class count."""
+    (skipped eigenvectors, discarded points), the class count, and the
+    critical system with the coordinates of every solution when the point
+    proof passed, else None (_quotient)."""
     form, k = multiform._scaled(form)
-    system, gb, ns, classes, marks, (eigvals, coords, retries, _) = _quotient(
+    system, gb, ns, classes, marks, (eigvals, coords, retries, proved) = _quotient(
         form, "affine", budget, seed)
     dim = len(ns)
     flags = []
@@ -1493,7 +1512,7 @@ def _solve_argmax(form: MultilinearForm, budget: int, seed: int):
         points=tuple(points),
         genericity_flags=tuple(flags),
         timings=_stage_times(marks),
-    ), tuple(unscored), classes
+    ), tuple(unscored), classes, (system, proved)
 
 
 def _exact_max(form: MultilinearForm, seed: int, budget: int = DEFAULT_REDUCTION_BUDGET):
@@ -1502,19 +1521,23 @@ def _exact_max(form: MultilinearForm, seed: int, budget: int = DEFAULT_REDUCTION
     class and every solution was scored: for a generic form the quotient
     dimension is the class count (Friedland and Ottaviani, 2014), so every
     class is among its solutions.  Otherwise the sphere chart answers
-    (solve_max, its value bit for bit), after the affine flags or refusal,
-    which say why: the flags of unscored solutions lead.  Its points are its
-    own when it lifted proved affine points; else its one point is the best
-    ascent (_ascent).  When solve_max refuses after the affine chart
-    answered with points, the affine report answers, "sphere chart
-    refused: ..." among its flags, its first point the better of its own
-    best and the best ascent.  Its timings hold the stages of the chart
-    that did not answer too, as "affine.<stage>", or "affine.refused" and
-    "sphere.refused" for a refused attempt."""
+    with solve_max's report, after the affine flags or refusal, which say
+    why: the flags of unscored solutions lead.  The affine solve is not run
+    again: when its points are proved they are lifted (_lifted_max), else
+    the sphere chart's own basis runs (_sphere_max).  So the report is
+    solve_max's bit for bit at seed 0; at another seed a retried separating
+    form gives the same proved solutions to within rounding.  Its points are
+    its own when it lifted; else its one point is the best ascent (_ascent).
+    When the sphere chart refuses after the affine chart answered with
+    points, the affine report answers, "sphere chart refused: ..." among
+    its flags, its first point the better of its own best and the best
+    ascent.  Its timings hold the stages of the chart that did not answer
+    too, as "affine.<stage>", or "affine.refused" and "sphere.refused" for a
+    refused attempt; a lift's time is "lift"."""
     start = time.perf_counter()
-    affine = None
+    affine, proved = None, None
     try:
-        affine, unscored, classes = _solve_argmax(form, budget, seed)
+        affine, unscored, classes, (system, proved) = _solve_argmax(form, budget, seed)
     except NotZeroDimensionalError as exc:
         flags = (f"affine chart refused: {exc}",)
         timings = {"affine.refused": time.perf_counter() - start}
@@ -1524,18 +1547,24 @@ def _exact_max(form: MultilinearForm, seed: int, budget: int = DEFAULT_REDUCTION
         flags = unscored + tuple(f for f in affine.genericity_flags if f not in unscored)
         timings = {f"affine.{stage}": t for stage, t in affine.timings.items()}
     start = time.perf_counter()
-    try:
-        sphere = solve_max(form, budget=budget)
-    except NotZeroDimensionalError as exc:
-        if affine is None or not affine.points:
-            raise
-        top = affine.points[0]
-        best, far = _ascent(form, seed, abs(top.value))
-        points = (best, *affine.points) if abs(best.value) > abs(top.value) else affine.points
-        return "affine", replace(
-            affine, max_value=abs(points[0].value), points=points,
-            genericity_flags=(*affine.genericity_flags, f"sphere chart refused: {exc}", *far),
-            timings={**affine.timings, "sphere.refused": time.perf_counter() - start})
+    unit, k = multiform._scaled(form)
+    if proved is not None:
+        sphere = _lifted_max(unit, k, system, proved)
+        sphere = replace(sphere, timings={"lift": time.perf_counter() - start})
+    else:
+        try:
+            sphere = _sphere_max(unit, k, budget)
+        except NotZeroDimensionalError as exc:
+            if affine is None or not affine.points:
+                raise
+            top = affine.points[0]
+            best, far = _ascent(form, seed, abs(top.value))
+            points = (best, *affine.points) if abs(best.value) > abs(top.value) else affine.points
+            return "affine", replace(
+                affine, max_value=abs(points[0].value), points=points,
+                genericity_flags=(*affine.genericity_flags, f"sphere chart refused: {exc}",
+                                  *far),
+                timings={**affine.timings, "sphere.refused": time.perf_counter() - start})
     points, flags = sphere.points, flags + sphere.genericity_flags
     if not points:
         best, far = _ascent(form, seed, sphere.max_value)
@@ -1546,8 +1575,9 @@ def _exact_max(form: MultilinearForm, seed: int, budget: int = DEFAULT_REDUCTION
 
 def _ascent(form: MultilinearForm, seed: int, value: float):
     """The best of poweriter._ascend(form, seed, _ASCENTS), the higher-order
-    power method, as a CriticalPoint, and its flag if its |value| is more
-    than _AGREE_TOL relative away from ``value``."""
+    power method finished by Newton steps, from starts drawn by one
+    generator seeded with ``seed``, as a CriticalPoint, and its flag if its
+    |value| is more than _AGREE_TOL relative away from ``value``."""
     best = poweriter._ascend(form, seed, poweriter._ASCENTS)
     point = CriticalPoint(best.point, multiform.evaluate(form, best.point), best.residual)
     if not abs(best.value - value) > _AGREE_TOL * value:  # a NaN maximum reads agreed

@@ -7,7 +7,8 @@ bipartite density matrix with its one-sided entanglement criterion.
 
 All three take the maximum from one place (``_maximum``).  Its power method
 is ``bilinear_max`` for r = 2 and, for r >= 3, a multistart of the monotone
-Gauss-Seidel ascent (``poweriter._ascend``): the applications need only the
+Gauss-Seidel ascent finished by batched Newton steps (``poweriter._ascend``,
+its starts one draw from the seed): the applications need only the
 maximum, and the paper's joint iteration typically oscillates there.  Its
 algebraic method is ``algsolver._exact_max``, the rule ``maximize`` follows
 too, whose first point backs its value.
@@ -97,10 +98,12 @@ def _resolve_method(method: str, order: int) -> str:
 def _maximum(form: MultilinearForm, method: str, seed: int):
     """(point, value, flags): a point where |l| is largest over the product
     of spheres, the maximum, and the algebraic solve's genericity flags (()
-    for power).  The power method runs bilinear_max for r = 2 and the best
-    of poweriter._ASCENTS Gauss-Seidel ascents otherwise, and raises
-    NoConvergenceError when that run did not converge: its value is then
-    not the maximum.  The algebraic method is algsolver._exact_max."""
+    for power).  The power method runs bilinear_max for r = 2 and otherwise
+    the best of poweriter._ASCENTS Gauss-Seidel ascents, each finished by
+    Newton's method once near its end and drawn from one generator seeded
+    with ``seed``, and raises NoConvergenceError when that run did not
+    converge: its value is then not the maximum.  The algebraic method is
+    algsolver._exact_max."""
     if _resolve_method(method, form.order) == "power":
         if form.order == 2:
             result = poweriter.bilinear_max(form, seed=seed)
@@ -202,9 +205,9 @@ def separable_max(rho: DensityState, method: str = "auto", seed: int = 0) -> flo
     """max over product states xx^T (x) yy^T of <rho, ->, the separability
     bound: <rho, rho> <= separable_max(rho) whenever rho is separable.  It
     is the square of _maximum's value on the separability form: for the
-    power method the best of poweriter._ASCENTS Gauss-Seidel ascents, which
-    raises NoConvergenceError when it did not converge, and for the
-    algebraic method algsolver._exact_max."""
+    power method the best of poweriter._ASCENTS Gauss-Seidel ascents
+    finished by Newton steps, which raises NoConvergenceError when it did
+    not converge, and for the algebraic method algsolver._exact_max."""
     return _maximum(_separability_form(rho), method, seed)[1] ** 2
 
 

@@ -12,6 +12,7 @@ the unit scale every solver runs at (``_scaled``).  Everything is plain
 
 from __future__ import annotations
 
+import itertools
 import math
 import string
 from dataclasses import dataclass
@@ -168,6 +169,20 @@ def _subscripts(order):
     ]
 
 
+def _pair_subscripts(order):
+    """einsum subscripts of each block (i, j), i < j in the order of
+    ``itertools.combinations``, of l's Hessian over a block of points:
+    'acd,bd->bac' is block (0, 1) of a trilinear form.  A bilinear form's
+    one block, 'ac->ac', is its coefficient matrix, the same for every row."""
+    axes = string.ascii_letters.replace("b", "")[:order]
+    subs = []
+    for i, j in itertools.combinations(range(order), 2):
+        rest = [c for k, c in enumerate(axes) if k not in (i, j)]
+        subs.append(axes + "".join(",b" + c for c in rest) + "->"
+                    + "b" * bool(rest) + axes[i] + axes[j])
+    return subs
+
+
 def _partial(t, subs, slots, i, out=None):
     return np.einsum(subs[i], t, *slots[:i], *slots[i + 1 :], out=out)
 
@@ -187,10 +202,12 @@ def _scaled(form):
     return MultilinearForm(form.dims, np.ldexp(form.coeffs, -k)), k
 
 
-def _assess(t, subs, slots):
+def _assess(t, subs, slots, grads=None):
     """l (by the Euler identity) and the fixed-point residual of each row
-    of a block of points on the spheres."""
-    grads = [_partial(t, subs, slots, i) for i in range(len(slots))]
+    of a block of points on the spheres; ``grads``, when given, are the
+    slots' partial gradients there."""
+    if grads is None:
+        grads = [_partial(t, subs, slots, i) for i in range(len(slots))]
     value = _row_dots(grads[0], slots[0])
     residual = np.max(
         [_row_norms(g - value[:, None] * s) for g, s in zip(grads, slots)], axis=0

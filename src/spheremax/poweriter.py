@@ -23,14 +23,17 @@ min(n, m), where the Rayleigh-Ritz step is an exact SVD (``_subspace``).
 The two kernels for r >= 3 run a (B, n) block of starts side by side.  The
 Gauss-Seidel kernel contracts the coefficient tensor once per slot and
 step, with one ``np.einsum``, judges every step and drops a start when it
-ends.  The joint kernel forms every slot's partial gradient in one
+ends; near the end it polishes the whole block with batched Newton steps
+(below).  The joint kernel forms every slot's partial gradient in one
 ``np.einsum`` per step, the Khatri-Rao products of the other slots times a
 block-diagonal unfolding of the tensor (``_steps``).  One column gather of
 the iterate, by an index built once per call (``_gather_index``), lines up
 the factors of every product, and r - 2 products multiply them in slot
 order.  It advances _BLOCK steps at a time and then judges them all at
-once (``_joint``).  In both, a start's arithmetic does not depend on the
-others in its block, so it gets exactly the result it would get alone.
+once (``_joint``).  In the joint kernel a start's arithmetic does not
+depend on the others in its block, so it gets exactly the result it would
+get alone; in the Gauss-Seidel kernel the block decides when it is
+polished.
 
 Every form runs at unit scale: scaled by the power of two that puts its
 largest coefficient in [0.5, 1) (``multiform._scaled``), with value and
@@ -43,7 +46,17 @@ Gauss-Seidel kernel (the applications' multistart ascent): a step replaces
 slot 1, then slot 2, ..., by its normalized partial gradient at the latest
 other slots.  Each update maximizes l over its slot, so |l| never
 decreases: the higher-order power method of De Lathauwer, De Moor and
-Vandewalle (SIAM J. Matrix Anal. Appl. 2000).
+Vandewalle (SIAM J. Matrix Anal. Appl. 2000).  It converges linearly, so
+the steps are stopped once every row of the block moves each slot by
+less than _SWITCH = 1e-6 in cosine, and at most _NEWTON = 3 Newton steps
+on the Lagrange system dl/dx_s = lam_s x_s, x_s.x_s = 1 finish every row
+at once, one batched ``np.linalg.solve`` a step (``_polish``).  A row
+ends CONVERGED at the polished point only if it passes the same stop
+rule there and its |l| did not fall; the others (a singular system at a
+degenerate critical point, a non-finite step, a fall in |l|, too far
+for three steps) go on with Gauss-Seidel steps from where they were,
+and the block is polished again once every row moves ten times less.
+The cap counts sweeps and Newton steps together.
 
 Joint kernel: the literal iteration q <- grad l(q) / ||grad l(q)|| on the
 concatenated vector, the dynamics the paper studies.  Its status is
@@ -58,9 +71,10 @@ Only ``multilinear_iterate`` runs it.
 The joint kernel's _STARTS starts (seeds seed, seed + 1, ...) form one
 block and give the answer of a sequential run: the lowest seed that
 converges, else the best-valued start, lowest seed on ties.  A start is
-dropped once a lower seed has converged at an earlier step.  ``_ascend``
-keeps the best value of all its starts.  A start that meets a zero gradient
-is discarded.
+dropped once a lower seed has converged at an earlier step.  ``_ascend``'s
+starts are the rows of one standard normal draw of
+``np.random.default_rng(seed)`` (``_random_starts``), and it keeps the best
+value of all of them.  A start that meets a zero gradient is discarded.
 """
 
 from __future__ import annotations
@@ -76,6 +90,7 @@ from .errors import DimensionMismatchError, ZeroGradientError, integers
 from .multiform import (
     MultilinearForm,
     _assess,
+    _pair_subscripts,
     _partial,
     _row_dots,
     _row_norms,
@@ -90,7 +105,11 @@ _STARTS = 6
 _WIDTH = 16            # bilinear block columns: a step costs about the same up to here
 _OSC_TOL = 1e-10
 _BLOCK = 32            # joint steps advanced between two judgements
-_ASCENT_SWEEPS = 500
+_ASCENT_SWEEPS = 500   # the ascent's cap on Gauss-Seidel and Newton steps together
+_SWITCH = 1e-6         # the ascent polishes once every slot moves less than this in cosine
+_NEWTON = 3            # Newton steps of the polish
+_DROP = 1e-12          # the relative fall in |l| that refuses a polished row
+_RETRY = 0.1           # the gap of the next polish, relative to the last one's
 # starts of the applications' ascent and of the exact fallback's backing
 # point: the maximum need not attract every start
 _ASCENTS = 48
@@ -131,20 +150,18 @@ def _unscaled(result, k):
                    residual=math.ldexp(result.residual, k))
 
 
-def _random_starts(form, seeds):
-    """One random point per seed, as per-slot (B, d_i) blocks of unit rows:
-    one standard normal draw of sum(dims) entries per seed, cut into slots."""
+def _random_starts(form, seeds, count=1):
+    """``count`` random points per seed, as per-slot (B, d_i) blocks of unit
+    rows: the rows of one standard normal draw of (count, sum(dims))
+    entries per seed, each cut into slots."""
     offsets = np.cumsum((0,) + form.dims).tolist()
-    blocks = [np.empty((len(seeds), d)) for d in form.dims]
-    for row, seed in enumerate(seeds):
-        v = np.random.default_rng(seed).standard_normal(offsets[-1])
-        for block, a, b in zip(blocks, offsets, offsets[1:]):
-            s = v[a:b]
-            n = math.sqrt(s.dot(s))  # what np.linalg.norm computes
-            if n == 0.0:  # pragma: no cover - measure zero
-                raise ZeroGradientError("degenerate random start")
-            np.divide(s, n, out=block[row])
-    return blocks
+    draw = np.concatenate([np.random.default_rng(seed).standard_normal((count, offsets[-1]))
+                           for seed in seeds])
+    blocks = [draw[:, a:b] for a, b in zip(offsets, offsets[1:])]
+    norms = [np.sqrt(np.vecdot(s, s)) for s in blocks]  # row by row what np.linalg.norm computes
+    if not np.all(norms):  # pragma: no cover - measure zero
+        raise ZeroGradientError("degenerate random start")
+    return [s / n[:, None] for s, n in zip(blocks, norms)]
 
 
 def _stopped(value, residual, tol):
@@ -166,6 +183,15 @@ def _results(t, subs, slots, iterations, statuses):
             for k in range(len(value))]
 
 
+def _converged(outcomes, index, slots, value, residual, iterations):
+    """Set outcomes[index[k]] to a CONVERGED result at row k of ``slots``
+    (per-slot blocks of unit rows made for it, whose rows the results
+    keep), |value[k]|, iterations[k] steps and residual[k], for each k."""
+    for i, point, v, n, res in zip(index.tolist(), zip(*slots), np.abs(value).tolist(),
+                                   iterations.tolist(), residual.tolist()):
+        outcomes[i] = IterationResult(point, v, n, Status.CONVERGED, res)
+
+
 def _pick(outcomes):
     """The restart rule: first converged start, else the best-valued one
     (lowest seed on ties); raise when every start met a zero gradient."""
@@ -183,19 +209,109 @@ def _pick(outcomes):
     raise failure if failure is not None else ZeroGradientError("all restarts failed")
 
 
+def _solve(jac, rhs):
+    """Each row's Newton step, J x = rhs for every (J, rhs) of the block;
+    NaN for a row whose J is singular."""
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # one singular matrix fails the whole batch
+        steps = np.full_like(rhs, np.nan)
+        for k, (a, b) in enumerate(zip(jac, rhs)):
+            try:
+                steps[k] = np.linalg.solve(a, b)
+            except np.linalg.LinAlgError:
+                pass
+        return steps
+
+
+def _polish(t, subs, pairs, slots, steps, tol):
+    """At most ``steps`` Newton steps from every row of a block of points
+    (per-slot unit rows) on the Lagrange system dl/dx_s = lam_s x_s,
+    x_s.x_s = 1, all rows at once.  Its Jacobian is [[H - diag(lam_s I),
+    -X], [X^T, 0]], H the Hessian of l, whose (s, u) block contracts the
+    tensor with the other r - 2 slots (``pairs``, _pair_subscripts), and X
+    the block-diagonal matrix of the slots; lam_s = l at a point on the
+    spheres (the Euler identity).  One batched solve takes every row's
+    step, and each slot is then renormalized.
+
+    Returns (taken, point, value, residual), one entry per row: a row ends
+    at the first step where it passes the stop rule (``_assess``,
+    ``_stopped``) with |l| not below its value at entry by more than _DROP
+    relative, and not zero (a zero gradient, which Gauss-Seidel reports as
+    such); taken holds that step, point, value and residual what they are
+    there.  A row that does not (a singular matrix at a degenerate critical
+    point, a non-finite step, a fall in |l|, or the steps run out) reads
+    taken 0."""
+    r, dims = len(slots), [s.shape[1] for s in slots]
+    cols = np.cumsum([0] + dims).tolist()
+    n = cols[-1]
+    diag = np.arange(n)
+    blocks = list(zip(itertools.combinations(range(r), 2), pairs))
+    rows = len(slots[0])
+    taken = np.zeros(rows, dtype=int)
+    point = [np.empty_like(s) for s in slots]
+    value, residual = np.zeros(rows), np.zeros(rows)
+    live, at = np.arange(rows), list(slots)
+    with np.errstate(all="ignore"):  # a refused row may overflow: it ends below
+        for k in range(steps + 1):
+            grads = [_partial(t, subs, at, i) for i in range(r)]
+            lam, res = _assess(t, subs, at, grads)
+            if k == 0:
+                entry = np.abs(lam)
+            else:
+                ok = (_stopped(lam, res, tol) & (np.abs(lam) >= entry * (1.0 - _DROP))
+                      & (lam != 0.0))
+                done = live[ok]
+                taken[done], value[done], residual[done] = k, lam[ok], res[ok]
+                for p, a in zip(point, at):
+                    p[done] = a[ok]
+                keep = ~ok & np.isfinite(res)
+                live, entry, lam = live[keep], entry[keep], lam[keep]
+                at, grads = [a[keep] for a in at], [g[keep] for g in grads]
+            if k == steps or not live.size:
+                break
+            jac = np.zeros((live.size, n + r, n + r))
+            for (i, j), sub in blocks:
+                h = np.einsum(sub, t, *(a for m, a in enumerate(at) if m not in (i, j)))
+                jac[:, cols[i]:cols[i + 1], cols[j]:cols[j + 1]] = h
+                jac[:, cols[j]:cols[j + 1], cols[i]:cols[i + 1]] = h.swapaxes(-1, -2)
+            jac[:, diag, diag] = -lam[:, None]
+            rhs = np.zeros((live.size, n + r))
+            for i, (a, g) in enumerate(zip(at, grads)):
+                jac[:, cols[i]:cols[i + 1], n + i] = -a
+                jac[:, n + i, cols[i]:cols[i + 1]] = a
+                rhs[:, cols[i]:cols[i + 1]] = lam[:, None] * a - g
+            step = _solve(jac, rhs)
+            at = [a + step[:, c:d] for a, c, d in zip(at, cols, cols[1:])]
+            for a in at:
+                a /= _row_norms(a)[:, None]
+    return taken, point, value, residual
+
+
 def _gauss_seidel(form, starts, tol, max_iters):
     """Slot-wise (Gauss-Seidel) ascent of every start of ``starts`` (per-slot
-    blocks of unit rows); returns the outcome of each row.
+    blocks of unit rows), finished by Newton's method; returns the outcome
+    of each row.
 
     A step maps the point p to p'.  The start converges at p when every slot
     of p' is parallel to p's within tol and the residual at p is small.
+    Once every active row has every slot parallel to the last within
+    _SWITCH, the block is polished: at most _NEWTON Newton steps
+    (``_polish``), within the cap, which counts them as steps.  A row the
+    polish ends converges at the polished point; the others go on with
+    Gauss-Seidel steps from their point before it, and are polished again
+    once every one is parallel within _RETRY times the last gap.
     """
     t, subs = form.tensor, _subscripts(form.order)
+    pairs = _pair_subscripts(form.order)
     r = form.order
     slots = list(starts)
     outcomes = [None] * len(slots[0])
     index = np.arange(len(outcomes))        # the start of each active row
-    for it in range(1, max_iters + 1):
+    gap = _SWITCH                           # the cosine gap of the next polish
+    it = 0
+    while it < max_iters:
+        it += 1
         point = slots
         slots = list(slots)
         usable = np.ones(index.size, dtype=bool)
@@ -214,16 +330,25 @@ def _gauss_seidel(form, starts, tol, max_iters):
             at = [p[near] for p in point]
             value, residual = _assess(t, subs, at)
             done = _stopped(value, residual, tol)
-            for k in np.flatnonzero(done):
-                outcomes[index[near[k]]] = IterationResult(
-                    tuple(a[k].copy() for a in at), abs(float(value[k])), it,
-                    Status.CONVERGED, float(residual[k]),
-                )
+            _converged(outcomes, index[near[done]], [a[done] for a in at], value[done],
+                       residual[done], np.full(np.count_nonzero(done), it))
             ended += list(near[done])
         if ended:
             keep = np.ones(index.size, dtype=bool)
             keep[ended] = False
+            index, slots, cosine = index[keep], [s[keep] for s in slots], cosine[keep]
+            if not index.size:
+                break
+        if gap >= tol and it < max_iters and (cosine >= 1.0 - gap).all():
+            gap *= _RETRY
+            steps = min(_NEWTON, max_iters - it)
+            taken, at, value, residual = _polish(t, subs, pairs, slots, steps, tol)
+            done = taken > 0
+            _converged(outcomes, index[done], [a[done] for a in at], value[done],
+                       residual[done], it + taken[done])
+            keep = ~done
             index, slots = index[keep], [s[keep] for s in slots]
+            it += steps
             if not index.size:
                 break
     else:
@@ -470,14 +595,15 @@ def _run_with_restarts(form, seed, tol, max_iters):
 
 
 def _ascend(form, seed, count):
-    """Gauss-Seidel ascent from the random starts seed, ..., seed + count - 1,
-    all in one block, each until it converges or for _ASCENT_SWEEPS sweeps:
-    the best-valued result (lowest seed on ties).  Raises the
-    ZeroGradientError when every start meets a zero gradient."""
+    """Gauss-Seidel ascent, finished by Newton's method, from ``count``
+    random starts, the rows of one draw of ``default_rng(seed)``, all in one
+    block, each until it converges or for _ASCENT_SWEEPS steps: the
+    best-valued result (first row on ties).  Raises the ZeroGradientError
+    when every start meets a zero gradient."""
     if form.order < 2:
         raise DimensionMismatchError(f"the ascent needs r>=2, got r={form.order}")
     form, k = _scaled(form)
-    starts = _random_starts(form, range(seed, seed + count))
+    starts = _random_starts(form, [seed], count)
     outcomes = _gauss_seidel(form, starts, DEFAULT_TOL, _ASCENT_SWEEPS)
     results = [out for out in outcomes if isinstance(out, IterationResult)]
     if not results:

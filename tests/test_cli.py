@@ -198,8 +198,9 @@ def test_maximize_algebraic_falls_back_when_a_solution_went_unscored(
     form = MultilinearForm((2, 2, 2), TRILINEAR_COEFFS)
     retry = "repeated eigenvalue for multiplication matrix of 1*y2; retrying"
     affine = replace(solve_argmax(form), genericity_flags=(retry, unscored))
+    lift = cli.algsolver._solve_argmax(form, cli.algsolver.DEFAULT_REDUCTION_BUDGET, 0)[3]
     monkeypatch.setattr(cli.algsolver, "_solve_argmax", lambda form, budget, seed: (
-        affine, (unscored,), count_extreme_classes(form.dims)))
+        affine, (unscored,), count_extreme_classes(form.dims), lift))
     report = _maximize_algebraic(capsys, trilinear_file)
     sphere = solve_max(form)
     assert report["chart"] == "sphere"
@@ -585,7 +586,7 @@ def test_report_is_strict_json_without_real_eigenvalue(capsys, trilinear_file, m
 
     # the affine chart refuses, and the sphere chart finds no real value
     monkeypatch.setattr(cli.algsolver, "_solve_argmax", refuse)
-    monkeypatch.setattr(cli.algsolver, "solve_max", lambda form, budget: nan_report)
+    monkeypatch.setattr(cli.algsolver, "_sphere_max", lambda form, k, budget: nan_report)
     code, out = _run(capsys, ["maximize", trilinear_file, "--method", "algebraic"])
     assert code == EXIT_OK
     report = _strict_json(out)

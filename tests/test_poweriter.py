@@ -489,12 +489,167 @@ def test_ascent_raises_when_every_start_meets_zero_gradient(monkeypatch):
         np.multiply.outer(e1, e1), e1).reshape(-1))
     generic = poweriter._random_starts(form, [0])
     monkeypatch.setattr(poweriter, "_random_starts",
-                        lambda form, seeds: [np.tile(e2, (len(seeds), 1))] * 3)
+                        lambda form, seeds, count: [np.tile(e2, (count, 1))] * 3)
     with pytest.raises(ZeroGradientError):
         poweriter._ascend(form, 0, 4)
-    monkeypatch.setattr(poweriter, "_random_starts", lambda form, seeds: [
-        np.vstack([np.tile(e2, (len(seeds) - 1, 1)), g]) for g in generic])
+    monkeypatch.setattr(poweriter, "_random_starts", lambda form, seeds, count: [
+        np.vstack([np.tile(e2, (count - 1, 1)), g]) for g in generic])
     assert poweriter._ascend(form, 0, 4).value == pytest.approx(1.0, abs=1e-9)
+
+
+def _ascent_table_forms():
+    """The forms of _ASCENT_MAXIMA, in its order: Gaussian and integer forms
+    of seven shapes, seven of each; sparse, rank-one, rank-two and diagonal
+    integer forms of three shapes, three of each; then all-ones 2x2x2,
+    e2 (x) e2 (x) e2 and the 3x3x3 form with ones on the diagonal."""
+    for dims in ((2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3), (3, 3, 4), (4, 4, 4), (2, 2, 2, 2)):
+        for k in range(7):
+            gauss = np.random.default_rng((7, k)).standard_normal(math.prod(dims))
+            yield MultilinearForm(dims, gauss)
+            yield cli._random_integer_form(dims, np.random.default_rng((8, k)))
+    for dims in ((2, 2, 2), (2, 2, 3), (3, 3, 3)):
+        for k in range(3):
+            rng = np.random.default_rng((9, k, len(dims), dims[-1]))
+
+            def factor(d):
+                v = rng.integers(-2, 3, size=d)
+                v[0] = v[0] or 1
+                return v
+
+            def outer():
+                t = np.array(1.0)
+                for d in dims:
+                    t = np.multiply.outer(t, factor(d))
+                return t
+
+            sparse = rng.integers(-3, 4, size=dims) * (rng.random(dims) < 0.3)
+            sparse[(0,) * len(dims)] = 2
+            diagonal = np.zeros(dims)
+            for i in range(min(dims)):
+                diagonal[(i,) * len(dims)] = rng.choice([-3, -2, -1, 1, 2, 3])
+            for t in (sparse, outer(), outer() + outer(), diagonal):
+                yield MultilinearForm(dims, t.reshape(-1))
+    e2 = np.eye(2)[1]
+    yield MultilinearForm((2, 2, 2), np.ones(8))
+    yield MultilinearForm((2, 2, 2), np.multiply.outer(np.outer(e2, e2), e2).reshape(-1))
+    yield MultilinearForm((3, 3, 3), np.eye(27)[[0, 13, 26]].sum(axis=0))
+
+
+# The maximum of each form of _ascent_table_forms(): its exact maximum
+# (algsolver._exact_max, its first point within 1e-12) where that answered
+# within 6 s, else the best of the ascents from seeds 0-19.  The ascent
+# before the Newton polish (Gauss-Seidel alone, one generator per start)
+# reached every one from seed 0.
+_ASCENT_MAXIMA = (
+    1.9327874856631055, 11.604233366209165, 2.4571477448007983, 14.498619349174488,
+    1.572469200119987, 13.612829581349576, 2.5709876240059075, 12.315722248027674,
+    2.9228332883808217, 11.661903789690601, 1.9395787992842424, 14.468573091143897,
+    2.1191292856596737, 12.748606363937741, 1.513162437155942, 16.220000437845986,
+    3.267204941989645, 16.047422843691223, 2.003006341727991, 13.294619208269168,
+    3.30595039958751, 13.99576995833484, 3.4025433407207495, 12.96752312472387,
+    3.115602212875667, 14.50859280631385, 2.1391507949775215, 13.451182158511978,
+    2.1059879420620313, 15.924574997376327, 3.717569591571842, 16.457428134674842,
+    2.0199392810230057, 14.803150999392633, 3.3301970583695697, 14.48308056801919,
+    3.5418989014043802, 15.48247968539402, 3.1436012788702072, 13.809867802143199,
+    2.6450377433674723, 13.697853671196222, 3.5233497239273257, 16.927900576425614,
+    4.084909800910014, 19.501976670191596, 3.308820375400213, 17.33986921414045,
+    4.257211150849083, 15.37959194601778, 3.780082165138243, 19.77278546853805,
+    3.43760962534271, 15.311197812071923, 2.6761538706191583, 14.812120940014921,
+    3.561289735997681, 22.352437045061578, 3.9304737152785485, 23.102810197099437,
+    3.8083888379017514, 19.023370793463375, 3.322220331075437, 18.087746982202106,
+    3.9972498331797586, 22.383038876734865, 3.6603552709915026, 16.471369439588273,
+    3.3266868441478694, 18.00470213761157, 4.296625815520218, 24.60046580516336,
+    4.65770611385615, 27.142821521798407, 4.959005995322337, 20.479310873937507,
+    3.830763668598633, 24.190263612714272, 4.432101239045303, 22.9777112353006,
+    4.606917768128629, 23.059663597650886, 5.088551611271478, 22.120104280001797,
+    2.064523063549448, 12.369646960250897, 2.8327979900027986, 14.559323871627868,
+    1.8623370153611563, 13.639880255753049, 2.862557016076995, 12.812534536054722,
+    3.2722780483464495, 14.97598004614786, 2.4894414048102678, 15.384195602051966,
+    2.584807914463945, 14.814461302184174, 2.2978899527635286, 11.180339887498949,
+    18.102025133326652, 2.000000000000006, 2.828427124746197, 4.0, 16.085655387025987,
+    2.0000000000000036, 3.000000000000003, 11.180339887498949, 9.341660200712072,
+    3.0000000000000053, 4.8802309193717575, 6.70820393249937, 6.733066645378665,
+    2.000000000000002, 3.162277660168379, 15.491933384829668, 13.55260883340045,
+    3.0000000000000036, 3.6055512754639896, 16.970562748477143, 11.01904083579184,
+    3.000000000000005, 4.7719702256294, 29.393876913398145, 10.430723848324241,
+    3.0000000000000147, 3.8991103925992645, 7.3484692283495345, 13.440996699079813,
+    2.0000000000000098, 4.32114790810708, 6.9282032302755105, 16.040029311342337,
+    2.000000000000014, 2.8284271247461907, 1.0, 1.0000000000000073,
+)
+
+
+def test_ascent_reaches_every_maximum_of_its_table():
+    # the polish may end a start at another critical point than Gauss-Seidel
+    # would: the best of the 48 is never lower than the maximum all the
+    # same, and its point is a unit point that passes the stop rule
+    forms = list(_ascent_table_forms())
+    assert len(forms) == len(_ASCENT_MAXIMA) >= 100
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k, (form, top) in enumerate(zip(forms, _ASCENT_MAXIMA)):
+            result = poweriter._ascend(form, 0, poweriter._ASCENTS)
+            assert result.status is Status.CONVERGED, k
+            assert result.value >= top * (1.0 - 1e-12), k
+            unit, scale = poweriter._scaled(form)
+            value, residual = poweriter._assess(
+                unit.tensor, poweriter._subscripts(form.order), [v[None, :] for v in result.point])
+            assert abs(abs(value[0]) - math.ldexp(result.value, -scale)) <= 1e-15 * abs(value[0])
+            assert poweriter._stopped(value[0], residual[0], poweriter.DEFAULT_TOL), k
+            assert [abs(v @ v - 1.0) <= 1e-15 for v in result.point] == [True] * form.order, k
+
+
+def test_polish_refuses_a_fall_to_a_lower_critical_point():
+    # 1e-3 off the saddle (e1 + e2) / sqrt(2) of the diagonal 3x3x3 form,
+    # toward e1, |l| is above the saddle's value, where Newton's steps
+    # converge: the polish refuses the row, and Gauss-Seidel climbs from it
+    # to the maximum 1
+    form = MultilinearForm((3, 3, 3), np.eye(27)[[0, 13, 26]].sum(axis=0))
+    angle = math.pi / 4 + 1e-3
+    start = np.array([[math.cos(angle), math.sin(angle), 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        taken, *_ = poweriter._polish(form.tensor, poweriter._subscripts(3),
+                                      poweriter._pair_subscripts(3), [start] * 3,
+                                      poweriter._NEWTON, poweriter.DEFAULT_TOL)
+        (result,) = poweriter._gauss_seidel(form, [start] * 3, poweriter.DEFAULT_TOL,
+                                            poweriter._ASCENT_SWEEPS)
+    assert taken.tolist() == [0]
+    assert result.status is Status.CONVERGED
+    assert result.value == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("name", ["all-ones-2x2x2", "diagonal-3x3x3", "e1xe1xe1"])
+def test_polish_refuses_zero_gradient_rows(monkeypatch, name):
+    # each form's two points have a zero partial gradient: Newton's system
+    # there is singular, or its step stays at l = 0, and the polish refuses
+    # both rows without a warning; Gauss-Seidel ends them with
+    # ZeroGradientError, and a generic start beside them gives the maximum
+    e = np.eye(3)
+    u = np.array([1.0, -1.0]) / math.sqrt(2.0)
+    form, zero, top = {
+        "all-ones-2x2x2": (MultilinearForm((2, 2, 2), np.ones(8)),
+                           [(u, u, u), (e[0, :2], u, u)], math.sqrt(8.0)),
+        "diagonal-3x3x3": (MultilinearForm((3, 3, 3), np.eye(27)[[0, 13, 26]].sum(axis=0)),
+                           [(e[0], e[1], e[2]), (e[0], e[0], e[1])], 1.0),
+        "e1xe1xe1": (MultilinearForm((2, 2, 2), np.eye(8)[0]),
+                     [(e[1, :2],) * 3, (e[0, :2], e[1, :2], e[1, :2])], 1.0),
+    }[name]
+    slots = [np.array([p[i] for p in zero]) for i in range(3)]
+    generic = poweriter._random_starts(form, [0])
+    monkeypatch.setattr(poweriter, "_random_starts", lambda form, seeds, count: [
+        np.vstack([s, g]) for s, g in zip(slots, generic)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        taken, *_ = poweriter._polish(form.tensor, poweriter._subscripts(3),
+                                      poweriter._pair_subscripts(3), slots,
+                                      poweriter._NEWTON, poweriter.DEFAULT_TOL)
+        outcomes = poweriter._gauss_seidel(form, [np.vstack([s, g]) for s, g in zip(
+            slots, generic)], poweriter.DEFAULT_TOL, poweriter._ASCENT_SWEEPS)
+        result = poweriter._ascend(form, 0, 3)
+    assert taken.tolist() == [0, 0]
+    assert all(isinstance(out, ZeroGradientError) for out in outcomes[:2])
+    assert result.status is Status.CONVERGED
+    assert result.value == pytest.approx(top, rel=1e-12)
 
 
 # (status, iterations) and value of multilinear_iterate for seeds 0-9, as
