@@ -9,8 +9,16 @@ here; the library has no hooks for it.  ``solve_max`` lifts the affine
 chart's proved points, so ``2x2x3-sphere`` times the affine solve and the
 lift; ``diagonal-3x3x3-sphere``, whose affine chart cannot separate its
 solutions, times the sphere chart's own Groebner run, decided by the
-certificate, and its multiplication matrix.  The stages:
+certificate, and its multiplication matrix.  A bilinear form goes to the
+Gram kernel first: ``3x3-sphere`` and ``8x7-sphere`` time it alone, no
+Groebner basis, and ``e2xe2-sphere``, which it declines (a zero singular
+value), times the kernel's refusal and then the charts.  The stages:
 
+- ``gram``, ``charpoly``, ``sturm``, ``points``: the Gram kernel's
+  (``algsolver._gram``, the integer Gram matrix; ``intpoly.berkowitz``,
+  its characteristic polynomial; ``intpoly.sturm``, the Sturm sequence;
+  the rest of ``_gram_max``, the root count and the singular pairs of
+  ``np.linalg.svd`` lifted and scored);
 - ``run``: Buchberger's loop (``_Engine.run``, its interreduction left out);
 - ``interreduce``: ``_Engine._interreduce``;
 - ``certificate``: whichever proof of the basis ran: ``_prove_points``,
@@ -27,8 +35,9 @@ Counters per solve: the reduction budget spent by Groebner (``budget_used``,
 summed over the runs of a solve that tries both charts) and by the quotient
 rings (``ring_budget_used``), the S-pairs the mod-p zero
 test skipped or the count stop left queued, the certificate's verdicts as
-``[proof, verdict]`` pairs in the order they ran (``points`` for
-``_prove_points``, ``pairs`` for ``_certify``; the last one decided), the
+``[proof, verdict]`` pairs in the order they ran (``sturm`` for the Gram
+kernel's root count, ``points`` for ``_prove_points``, ``pairs`` for
+``_certify``; the last one decided), the
 quotient dimension, the number of points reported and the maximum.  They are checked to repeat exactly
 over every repeat.
 
@@ -96,8 +105,9 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-STAGES = ("run", "interreduce", "certificate", "normal_set", "ring_and_eigen", "other",
-          "total")
+GRAM_STAGES = ("gram", "charpoly", "sturm", "points")
+STAGES = (*GRAM_STAGES, "run", "interreduce", "certificate", "normal_set", "ring_and_eigen",
+          "other", "total")
 POWER_STAGES = ("total", "us_per_step")
 PATH_COUNTERS = ("budget_used", "ring_budget_used", "pairs_skipped", "certificate", "checks",
                  "sweeps", "newton", "refused")
@@ -125,9 +135,10 @@ def _separability_rank4(sm):
 def cases(sm):
     """(name, form, chart) of each heavy case, built with package ``sm``:
     the four forms whose bases pass the zero test's line in
-    tests/test_algsolver.py, the 3x3x3 row of ``spheremax bench``, and the
+    tests/test_algsolver.py, the 3x3x3 row of ``spheremax bench``, the
     3x3x3 form with ones on the diagonal, which solve_max answers on the
-    sphere chart."""
+    sphere chart, two integer matrices the Gram kernel certifies and e2 (x)
+    e2, which it declines."""
     integer_form = importlib.import_module(f"{sm.__name__}.cli")._random_integer_form
     return [
         ("2x3x3-affine", integer_form((2, 3, 3), np.random.default_rng(1)), "affine"),
@@ -137,6 +148,9 @@ def cases(sm):
         ("3x3x3-affine", integer_form((3, 3, 3), np.random.default_rng(0)), "affine"),
         ("diagonal-3x3x3-sphere", sm.MultilinearForm((3, 3, 3), [
             float(i == j == k) for i, j, k in np.ndindex(3, 3, 3)]), "sphere"),
+        ("3x3-sphere", integer_form((3, 3), np.random.default_rng(1)), "sphere"),
+        ("8x7-sphere", integer_form((8, 7), np.random.default_rng(0)), "sphere"),
+        ("e2xe2-sphere", sm.MultilinearForm((2, 2), [0.0, 0.0, 0.0, 1.0]), "sphere"),
     ]
 
 
@@ -247,7 +261,13 @@ class Probe:
         self._wrap(alg._Engine, "_interreduce", "interreduce")
         self._wrap(alg, "_certify", "certificate", partial(self._verdict, "pairs"))
         if hasattr(alg, "_prove_points"):  # a tree without it has no point proof
-            self._wrap(alg, "_prove_points", "points", partial(self._verdict, "points"))
+            self._wrap(alg, "_prove_points", "point_proof", partial(self._verdict, "points"))
+        if hasattr(alg, "_gram_max"):  # a tree without it has no Gram kernel
+            self._wrap(alg, "_gram_max", "kernel", lambda args, out: self._verdict(
+                "sturm", args, out is not None))
+            for owner, name, stage in zip((alg, sm.intpoly, sm.intpoly),
+                                          ("_gram", "berkowitz", "sturm"), GRAM_STAGES):
+                self._wrap(owner, name, stage)
         self._wrap(alg, "normal_set", "normal_set", self._normal_set_end)
         budgets = self.budgets
         groebner = alg.groebner
@@ -302,17 +322,20 @@ class Probe:
         report = solve(form)
         end = time.process_time()
         rec = self.rec
-        stages = {s: rec.get(s, 0.0) for s in ("run", "interreduce", "certificate",
-                                                "normal_set")}
+        stages = {s: rec.get(s, 0.0) for s in (*GRAM_STAGES, "run", "interreduce",
+                                                "certificate", "normal_set")}
         stages["run"] -= stages["interreduce"]  # run() calls _interreduce
-        stages["certificate"] += rec.get("points", 0.0)
+        stages["points"] = rec.get("kernel", 0.0) - sum(stages[s] for s in GRAM_STAGES[:3])
+        stages["certificate"] += rec.get("point_proof", 0.0)
         # a point proof runs after the normal set of the basis it proves, and
-        # a certificate after a failed one
-        stages["ring_and_eigen"] = end - rec["normal_set_end"] - sum(
-            d for stage, t, d in rec["calls"]
-            if stage in ("points", "certificate") and t >= rec["normal_set_end"])
+        # a certificate after a failed one; a solve the Gram kernel answers
+        # has no normal set
+        ring_start = rec.get("normal_set_end", end)
+        stages["ring_and_eigen"] = end - ring_start - sum(
+            d for stage, t, d in rec.get("calls", [])
+            if stage in ("point_proof", "certificate") and t >= ring_start)
         stages["total"] = end - t
-        stages["other"] = stages["total"] - sum(stages[s] for s in STAGES[:5])
+        stages["other"] = stages["total"] - sum(stages[s] for s in STAGES[:-2])
         counters = {
             "budget_used": sum(b.used for run, b in self.budgets if run),
             "ring_budget_used": sum(b.used for run, b in self.budgets if not run),

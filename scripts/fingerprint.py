@@ -31,7 +31,7 @@ polynomial's terms sorted), the affine-chart Groebner basis (terms in
 order), its certificate, the normal set, the ``mult_matrix_exact`` columns
 of l and of each variable, and the ``solve_argmax`` report of small integer
 forms, plus ``solve_max`` (the critical values on the spheres) on the
-smallest ones, both reports of four 2x2x2 integer forms times powers of two
+smallest ones (on the 2x2 and 2x3 ones the Gram kernel's), both reports of four 2x2x2 integer forms times powers of two
 (2^-45 and 2^40, 2^-30 and 2^-40), which the exact solvers run at the
 form's unit scale, and ``solve_max`` of the ``default_rng(16)`` one times
 1e-9 and 0.1, whose decimal reprs perturb the sphere chart's system (its

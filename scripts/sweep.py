@@ -3,15 +3,23 @@
 
 Sparse (about 30% of the entries nonzero, -3..3), exact rank-one and
 rank-two (integer factors in -2..2) and diagonal (-3..3, nonzero) integer
-forms over 2x2, 3x3, 2x2x2, 2x2x3 and 3x3x3, each drawn from the fixed seed
-``(family, shape, k)``, go through ``algsolver._exact_max`` and through
-``closest_rank_one`` with each method.  Each answer is held against a
-reference maximum: the first singular value (``np.linalg.svd``) for two
-slots, else the best of ``poweriter._ascend`` over the seeds 0 and 1000
-(48 starts each), which is only a lower bound.  The answer of
-``_exact_max`` is its maximum and its first point's |value| (NaN, written
-null, without a point), both of which must match; that of
-``closest_rank_one`` is l at its factors.  Outcomes:
+forms over 2x2, 3x3, 2x2x2, 2x2x3, 3x3x3 and 8x7, and four families of
+matrices whose top singular value is tied (``identity``: c I, c in 1..3;
+``signed-permutation``: c times a signed permutation; ``hadamard``: c
+times 2x2 blocks [[1, 1], [1, -1]] down the diagonal, a last odd row and
+column holding +-c; ``repeated-diagonal``: a diagonal in -3..3, nonzero,
+its largest |entry| at least twice; each with rows and columns permuted),
+each drawn from the fixed seed ``(family, shape, k)``, go through
+``algsolver._exact_max`` and through ``closest_rank_one`` with each
+method, and the matrices also through ``solve_max``, which raises where
+the critical set is not zero-dimensional (a tied or, on the smaller side,
+zero singular value).  Each answer is held against a reference maximum:
+the first singular value (``np.linalg.svd``) for two slots, else the best
+of ``poweriter._ascend`` over the seeds 0 and 1000 (48 starts each), which
+is only a lower bound.  The answer of ``_exact_max`` is its maximum and its
+first point's |value| (NaN, written null, without a point), both of which
+must match; that of ``solve_max`` its maximum; that of
+``closest_rank_one`` l at its factors.  Outcomes:
 
 - ``right``: within 1e-9 relative of the reference, with no flag;
 - ``right, flagged``: within it, with a genericity flag;
@@ -24,13 +32,14 @@ The JSON goes to standard output: the counts per method, family and
 outcome, and every answer that is not ``right``.  It holds no timings, so
 two runs print the same JSON.
 
-    python3 scripts/sweep.py > SWEEP_32.json
+    python3 scripts/sweep.py > SWEEP_34.json
     python3 scripts/sweep.py --smoke > /dev/null   # shapes up to 2x2x3
 
 It exits 1 when an answer is wrong, flagged or not.  It imports ``src/``
-beside this script.  On one core the full set of 60 forms runs in about
-14 s, most of it the sphere-chart solves of the diagonal 3x3x3 forms, and
-the smoke set of 48 in about 2 s.
+beside this script.  On one core the full set of 108 forms runs in about
+22 s, most of it the sphere-chart solves of the diagonal 3x3x3 forms and
+the charts' refusals of the rank-deficient 8x7 matrices, and the smoke set
+of 72 in about 2 s.
 """
 
 import argparse
@@ -46,7 +55,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from spheremax import (BudgetExceededError, MultilinearForm, SphereMaxError,  # noqa: E402
                        algsolver, closest_rank_one, poweriter)
 
-SHAPES = ((2, 2), (3, 3), (2, 2, 2), (2, 2, 3), (3, 3, 3))
+SHAPES = ((2, 2), (3, 3), (2, 2, 2), (2, 2, 3), (3, 3, 3), (8, 7))
 SMOKE_SHAPES = SHAPES[:4]
 FORMS_PER_CASE = 3     # seeds per family and shape
 TOL = 1e-9
@@ -91,8 +100,44 @@ def _diagonal(rng, dims):
     return t.reshape(-1)
 
 
+def _tied(core):
+    """Draw a matrix with rows and columns permuted whose pattern before
+    the permutation is core(rng, n, m); None for more than two slots."""
+    def draw(rng, dims):
+        if len(dims) != 2:
+            return None
+        t = core(rng, *dims)
+        return t[rng.permutation(dims[0])][:, rng.permutation(dims[1])].reshape(-1)
+    return draw
+
+
+def _scaled_eye(rng, n, m):
+    return rng.integers(1, 4) * np.eye(n, m)
+
+
+def _signed_permutation(rng, n, m):
+    return rng.integers(1, 4) * np.eye(n, m) * rng.choice([-1, 1], size=m)
+
+
+def _hadamard(rng, n, m):
+    t = np.zeros((n, m))
+    for i in range(0, min(n, m) - 1, 2):
+        t[i:i + 2, i:i + 2] = [[1, 1], [1, -1]]
+    if min(n, m) % 2:
+        t[min(n, m) - 1, min(n, m) - 1] = rng.choice([-1, 1])
+    return rng.integers(1, 4) * t
+
+
+def _repeated_diagonal(rng, n, m):
+    d = rng.choice([-3, -2, -1, 1, 2, 3], size=min(n, m))
+    d[rng.choice(d.size, size=2, replace=False)] = rng.choice([-1, 1], size=2) * np.abs(d).max()
+    return np.eye(n, m) * np.append(d, np.zeros(m - d.size))
+
+
 FAMILIES = {"sparse": _sparse, "rank-one": _rank(1), "rank-two": _rank(2),
-            "diagonal": _diagonal}
+            "diagonal": _diagonal, "identity": _tied(_scaled_eye),
+            "signed-permutation": _tied(_signed_permutation), "hadamard": _tied(_hadamard),
+            "repeated-diagonal": _tied(_repeated_diagonal)}
 
 
 def _forms(shapes):
@@ -101,8 +146,9 @@ def _forms(shapes):
             if dims not in shapes:
                 continue
             for k in range(FORMS_PER_CASE):
-                coeffs = draw(np.random.default_rng((f, s, k)), dims).astype(float)
-                yield family, (f, s, k), MultilinearForm(dims, coeffs)
+                coeffs = draw(np.random.default_rng((f, s, k)), dims)
+                if coeffs is not None:
+                    yield family, (f, s, k), MultilinearForm(dims, coeffs.astype(float))
 
 
 def _reference(form):
@@ -122,6 +168,12 @@ def _answers(form):
         yield "_exact_max", [report.max_value, point], report.genericity_flags
     except SphereMaxError as exc:
         yield "_exact_max", exc, ()
+    if form.order == 2:
+        try:
+            report = algsolver.solve_max(form)
+            yield "solve_max", [report.max_value], report.genericity_flags
+        except SphereMaxError as exc:
+            yield "solve_max", exc, ()
     for method in ("algebraic", "power"):
         try:
             approx = closest_rank_one(form, method=method)

@@ -61,6 +61,23 @@ each simple, and l at them is the spectrum of M_l there (Eigenvalue
 Theorem).  Only a form whose affine points are not proved runs the sphere
 chart's system, its basis proved by the count stop and the certificate, and
 reads the eigenvalues of M_l.
+
+A bilinear form l = x^T A y needs no Groebner basis when its singular values
+are distinct and nonzero.  Its critical values are +-sigma_i, and sigma_i^2
+are the roots of p = det(mu I - G), G the integer Gram matrix of A's
+smaller side (d = min(n, m) rows), read at unit scale through rationalize
+over one common denominator.  p comes from Berkowitz's division-free
+algorithm and its distinct roots in (0, infinity) are counted by one exact
+Sturm sequence, both over Python ints (intpoly).  When that count is d, the minors
+give A y = lambda x, A^T x = lambda y with lambda != 0, so G y = lambda^2 y
+on the smaller side: y = +-v_i, lambda = +-sigma_i and x = A y / lambda,
+exactly 4d zeros of the sphere chart's ideal, each simple, since a tangent
+vector (xi, eta) solves G eta = sigma^2 eta with v.eta = 0 (solve_max
+writes the proof out).  The quotient dimension is 4d, and the points are
+np.linalg.svd's pairs, scored like the lift's.  When the count is short (a
+tied or zero singular value) solve_max runs the charts as above; where both
+refuse, _exact_max answers from the largest root of p, which the Sturm
+counts locate whether roots repeat or not.
 """
 
 from __future__ import annotations
@@ -70,6 +87,7 @@ import functools
 import heapq
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -77,7 +95,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from . import chowcount, multiform, poweriter
+from . import chowcount, intpoly, multiform, poweriter
 from .errors import (BudgetExceededError, DimensionMismatchError, NotZeroDimensionalError,
                      SphereMaxError, integers)
 from .linalg import Matrix
@@ -1201,6 +1219,77 @@ def _prove_points(lterms, system, coords, dim, generic_dim) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# bilinear forms: the Gram kernel.  For r = 2 the critical points of
+# l = x^T A y are the singular pairs of A and the critical values +-sigma_i
+# (the eigenvalues of the Jordan-Wielandt matrix [[0, A], [A^T, 0]]; Golub
+# and Van Loan, Matrix Computations, 8.6), so sigma_i^2 are the roots of
+# p = det(mu I - G), G the Gram matrix of A's smaller side.  A is read at
+# unit scale through rationalize, like form_polynomial, over one common
+# denominator D, so G = (D A)(D A)^T is an integer matrix and p comes from
+# Berkowitz's algorithm over Python ints.  When p has d = min(n, m)
+# distinct positive roots (a Sturm count) the sphere chart's ideal has
+# exactly 4d zeros, all simple (see solve_max), the pairs of
+# np.linalg.svd, and no Groebner basis is needed.
+# ---------------------------------------------------------------------------
+
+_GRAM_STAGES = ("gram", "charpoly", "sturm", "points")
+
+
+def _gram(form: MultilinearForm):
+    """(D, G): the common denominator D of the bilinear form's coefficients
+    read through rationalize, and the integer Gram matrix of D A on its
+    smaller side, (D A)(D A)^T or (D A)^T (D A)."""
+    rows = [[rationalize(c) for c in row] for row in form.tensor.tolist()]
+    den = math.lcm(*(c.denominator for row in rows for c in row))
+    rows = [[c.numerator * (den // c.denominator) for c in row] for row in rows]
+    if len(rows) > len(rows[0]):
+        rows = [list(col) for col in zip(*rows)]
+    return den, [[sum(map(operator.mul, r, s)) for s in rows] for r in rows]
+
+
+def _gram_max(form: MultilinearForm, k: int):
+    """solve_max's report on a bilinear form at unit scale, t 2^-k, from the
+    Gram kernel when it certifies the form (p has d distinct roots in
+    (0, infinity)), its timings those of _GRAM_STAGES; None otherwise."""
+    marks = [time.perf_counter()]
+    _, gram = _gram(form)
+    marks.append(time.perf_counter())
+    p = intpoly.berkowitz(gram)
+    marks.append(time.perf_counter())
+    certified = p[-1] != 0 and intpoly.roots_above(intpoly.sturm(p), 0) == len(gram)
+    if not certified:
+        return None
+    marks.append(time.perf_counter())
+    u, _, vt = np.linalg.svd(form.tensor, full_matrices=False)
+    return replace(_lifted_max(form, k, [u, vt.T]), timings=_stage_times(marks, _GRAM_STAGES))
+
+
+def _gram_top(form: MultilinearForm, k: int, flags, timings) -> SolveReport:
+    """_exact_max's report on a bilinear form at unit scale, t 2^-k, that
+    both charts refused: the maximum is sqrt of the largest root of p
+    (intpoly.largest_root) over D, times 2^k, and its point
+    np.linalg.svd's top pair, scored.  The critical set is not
+    zero-dimensional (repeated or zero singular values), so there is no
+    quotient: quotient_dim is 0, no eigenvalues; a flag says so after
+    ``flags``."""
+    start = time.perf_counter()
+    den, gram = _gram(form)
+    lo, hi, e = intpoly.largest_root(intpoly.sturm(intpoly.berkowitz(gram)))
+    # sqrt(hi / 2^e) / D: the root's top 64 bits, rounded to the nearest float
+    root = math.isqrt((hi << 128) >> e)
+    value = math.ldexp(float(Fraction(root, den << 64)), k)
+    u, _, vt = np.linalg.svd(form.tensor)
+    points, dropped = _scored_points(form, k, [u[:, :1], vt[:1].T])
+    flags = [*flags, *dropped, "critical set is not zero-dimensional: the maximum is the "
+             "square root of the largest root of det(mu I - A A^T), by Sturm counts"]
+    if not points or abs(abs(points[0].value) - value) > _AGREE_TOL * value:
+        flags.append("the top singular pair does not reach the maximum")
+    return SolveReport(quotient_dim=0, eigenvalues=(), max_value=value, points=tuple(points),
+                       genericity_flags=tuple(flags),
+                       timings={**timings, "gram.top": time.perf_counter() - start})
+
+
+# ---------------------------------------------------------------------------
 # solve pipelines
 # ---------------------------------------------------------------------------
 
@@ -1262,28 +1351,60 @@ def _quotient(form: MultilinearForm, chart: str, budget: int, seed: int = 0):
         eigvals, scored, retries, coords if proved else None)
 
 
-def _stage_times(marks) -> dict:
-    """Seconds per stage of _STAGES; the last stage ends now."""
+def _stage_times(marks, stages=_STAGES) -> dict:
+    """Seconds per stage of ``stages``; the last stage ends now."""
     marks = marks + [time.perf_counter()]
-    return {s: b - a for s, a, b in zip(_STAGES, marks, marks[1:])}
+    return {s: b - a for s, a, b in zip(stages, marks, marks[1:])}
 
 
 def solve_max(
     form: MultilinearForm,
     budget: int = DEFAULT_REDUCTION_BUDGET,
 ) -> SolveReport:
-    """Maximum of |l| over the product of spheres (the eigenvalue method).
+    """Maximum of |l| over the product of spheres (the eigenvalue method),
+    on the form at unit scale, t 2^-k (multiform._scaled).
+
+    A bilinear form (r = 2) goes to the Gram kernel first (_gram_max),
+    which runs no Groebner basis.  Its certificate is a Sturm count: p =
+    det(mu I - G), G the integer Gram matrix of A's smaller side (d =
+    min(n, m) rows), has d distinct roots in (0, infinity).  Then the
+    sphere chart's ideal has exactly 4d zeros, each simple.  At a zero the
+    minors give A y = alpha x and A^T x = beta y (x and y are not 0, as
+    x.x = y.y = 1), so alpha = x^T A y = beta =: lambda, and lambda != 0,
+    since A y = A^T x = 0 would put a nonzero vector in the kernel of A or
+    A^T on the smaller side, where G is nonsingular.  Say y is that side's
+    slot (else swap the roles): G y = A^T A y = lambda^2 y, so y = +-v_i,
+    an eigenvector whose eigenspace is a line, lambda = +-sigma_i and
+    x = A y / lambda, 4d zeros.  A tangent vector (xi, eta) at one of them
+    satisfies sigma xi = A eta, sigma eta = A^T xi and v.eta = 0, so
+    G eta = sigma^2 eta with sigma^2 a simple root, and eta = xi = 0: the
+    zero is simple.  The quotient dimension is therefore exactly 4d = 2^r
+    times the class count, and the zeros are the singular pairs of
+    np.linalg.svd with both signs, whose values _lifted_max reads, its
+    flags and point scoring those of the lift below.
+
+    Otherwise, and for r >= 3, the affine chart and the sphere chart
+    answer as _charted_max says.
+    """
+    if form.order == 2:
+        report = _gram_max(*multiform._scaled(form))
+        if report is not None:
+            return report
+    return _charted_max(form, budget)
+
+
+def _charted_max(form: MultilinearForm, budget: int = DEFAULT_REDUCTION_BUDGET) -> SolveReport:
+    """solve_max's report from the charts.
 
     The affine chart runs first (_quotient), on the form at unit scale,
-    t 2^-k (multiform._scaled).  When its points are proved, they are every
-    critical class, one point each, with every x_s.x_s nonzero (see the
-    module docstring): each slot of each is divided by sqrt(x_s.x_s), l is
-    read at the D lifts, and each value is reported with both signs,
-    2^(r-1) times each, its values at the 2^r sign images, which are the
-    eigenvalues of M_l on the sphere chart (Eigenvalue Theorem).  The
-    quotient dimension is 2^r D, the real lifts are the points, scored like
-    solve_argmax's (_scored_points), and the answer is the best point's
-    |value|.
+    t 2^-k.  When its points are proved, they are every critical class, one
+    point each, with every x_s.x_s nonzero (see the module docstring): each
+    slot of each is divided by sqrt(x_s.x_s), l is read at the D lifts, and
+    each value is reported with both signs, 2^(r-1) times each, its values
+    at the 2^r sign images, which are the eigenvalues of M_l on the sphere
+    chart (Eigenvalue Theorem).  The quotient dimension is 2^r D, the real
+    lifts are the points, scored like solve_argmax's (_scored_points), and
+    the answer is the best point's |value|.
 
     Otherwise (the affine chart refused, or its points are not proved: a
     class off the chart, an isotropic critical point, a proof that failed)
@@ -1304,14 +1425,19 @@ def solve_max(
         coords = None
     if coords is None:
         return _sphere_max(form, k, budget)
-    return replace(_lifted_max(form, k, system, coords), timings=_stage_times(marks))
+    return replace(_lifted_max(form, k, _slots(system, coords)), timings=_stage_times(marks))
 
 
-def _lifted_max(form: MultilinearForm, k: int, system, coords) -> SolveReport:
-    """solve_max's report, without timings, from the affine chart's proved
-    solutions ``coords`` (one row per variable of ``system``) of the form
-    at unit scale, t 2^-k."""
-    blocks = [coords[list(svars)] for svars in system.slot_vars]
+def _slots(system, coords) -> list:
+    """The rows of ``coords`` (one per variable of ``system``) split by slot."""
+    return [coords[list(svars)] for svars in system.slot_vars]
+
+
+def _lifted_max(form: MultilinearForm, k: int, blocks) -> SolveReport:
+    """solve_max's report, without timings, from the D solutions whose
+    slots are the columns of ``blocks`` (one complex array per slot, a row
+    per coordinate), each slot off x_s.x_s = 0, of the form at unit scale,
+    t 2^-k."""
     blocks = [b / np.sqrt((b * b).sum(axis=0)) for b in blocks]
     slots = [b.T for b in blocks]
     subs = multiform._subscripts(form.order)
@@ -1496,8 +1622,7 @@ def _solve_argmax(form: MultilinearForm, budget: int, seed: int):
             f"{classes}: non-generic form, critical points may be missing"
         )
     flags += retries
-    points, unscored = _scored_points(
-        form, k, [coords[list(svars)] for svars in system.slot_vars])
+    points, unscored = _scored_points(form, k, _slots(system, coords))
     degenerate = dim - coords.shape[1]
     if degenerate:
         unscored.append(f"eigenvectors with near-zero constant coordinate skipped: {degenerate}")
@@ -1517,54 +1642,71 @@ def _solve_argmax(form: MultilinearForm, budget: int, seed: int):
 
 def _exact_max(form: MultilinearForm, seed: int, budget: int = DEFAULT_REDUCTION_BUDGET):
     """(chart, report) of the exact maximum, whose first point backs its
-    value.  The affine chart answers when its quotient holds every critical
-    class and every solution was scored: for a generic form the quotient
-    dimension is the class count (Friedland and Ottaviani, 2014), so every
-    class is among its solutions.  Otherwise the sphere chart answers
-    with solve_max's report, after the affine flags or refusal, which say
-    why: the flags of unscored solutions lead.  The affine solve is not run
-    again: when its points are proved they are lifted (_lifted_max), else
-    the sphere chart's own basis runs (_sphere_max).  So the report is
-    solve_max's bit for bit at seed 0; at another seed a retried separating
-    form gives the same proved solutions to within rounding.  Its points are
-    its own when it lifted; else its one point is the best ascent (_ascent).
-    When the sphere chart refuses after the affine chart answered with
-    points, the affine report answers, "sphere chart refused: ..." among
-    its flags, its first point the better of its own best and the best
-    ascent.  Its timings hold the stages of the chart that did not answer
-    too, as "affine.<stage>", or "affine.refused" and "sphere.refused" for a
-    refused attempt; a lift's time is "lift"."""
+    value.  A bilinear form the Gram kernel certifies answers from it, as
+    ("sphere", solve_max's report), and no chart runs.  Else the affine
+    chart answers when its quotient holds every critical class and every
+    solution was scored: for a generic form the quotient dimension is the
+    class count (Friedland and Ottaviani, 2014), so every class is among
+    its solutions.  Otherwise the sphere chart answers with solve_max's
+    report, after the affine flags or refusal, which say why: the flags of
+    unscored solutions lead.  The affine solve is not run again: when its
+    points are proved they are lifted (_lifted_max), else the sphere
+    chart's own basis runs (_sphere_max).  So the report is solve_max's bit
+    for bit at seed 0; at another seed a retried separating form gives the
+    same proved solutions to within rounding.  Its points are its own when
+    it lifted; else its one point is the best ascent (_ascent).  When the
+    sphere chart refuses after the affine chart answered with points, the
+    affine report answers, "sphere chart refused: ..." among its flags, its
+    first point the better of its own best and the best ascent; when it
+    refuses after the affine chart gave no point, a bilinear form answers
+    from the largest root of the Gram kernel's polynomial (_gram_top), and
+    a form of higher order raises.  Its timings hold the stages of the
+    charts and the kernel that did not answer too, as "affine.<stage>",
+    "gram.declined", or "affine.refused" and "sphere.refused" for a refused
+    attempt; a lift's time is "lift"."""
     start = time.perf_counter()
+    unit, k = multiform._scaled(form)
+    timings = {}
+    if form.order == 2:
+        gram = _gram_max(unit, k)
+        if gram is not None:
+            return "sphere", gram
+        timings["gram.declined"] = time.perf_counter() - start
+        start = time.perf_counter()
     affine, proved = None, None
     try:
         affine, unscored, classes, (system, proved) = _solve_argmax(form, budget, seed)
     except NotZeroDimensionalError as exc:
         flags = (f"affine chart refused: {exc}",)
-        timings = {"affine.refused": time.perf_counter() - start}
+        timings["affine.refused"] = time.perf_counter() - start
     else:
         if affine.points and not unscored and affine.quotient_dim == classes:
             return "affine", affine
         flags = unscored + tuple(f for f in affine.genericity_flags if f not in unscored)
-        timings = {f"affine.{stage}": t for stage, t in affine.timings.items()}
+        timings.update((f"affine.{stage}", t) for stage, t in affine.timings.items())
     start = time.perf_counter()
-    unit, k = multiform._scaled(form)
     if proved is not None:
-        sphere = _lifted_max(unit, k, system, proved)
+        sphere = _lifted_max(unit, k, _slots(system, proved))
         sphere = replace(sphere, timings={"lift": time.perf_counter() - start})
     else:
         try:
             sphere = _sphere_max(unit, k, budget)
         except NotZeroDimensionalError as exc:
-            if affine is None or not affine.points:
+            if affine is not None and affine.points:
+                top = affine.points[0]
+                best, far = _ascent(form, seed, abs(top.value))
+                points = ((best, *affine.points) if abs(best.value) > abs(top.value)
+                          else affine.points)
+                return "affine", replace(
+                    affine, max_value=abs(points[0].value), points=points,
+                    genericity_flags=(*affine.genericity_flags,
+                                      f"sphere chart refused: {exc}", *far),
+                    timings={**affine.timings, "sphere.refused": time.perf_counter() - start})
+            if form.order != 2:
                 raise
-            top = affine.points[0]
-            best, far = _ascent(form, seed, abs(top.value))
-            points = (best, *affine.points) if abs(best.value) > abs(top.value) else affine.points
-            return "affine", replace(
-                affine, max_value=abs(points[0].value), points=points,
-                genericity_flags=(*affine.genericity_flags, f"sphere chart refused: {exc}",
-                                  *far),
-                timings={**affine.timings, "sphere.refused": time.perf_counter() - start})
+            timings["sphere.refused"] = time.perf_counter() - start
+            return "sphere", _gram_top(unit, k, (*flags, f"sphere chart refused: {exc}"),
+                                       timings)
     points, flags = sphere.points, flags + sphere.genericity_flags
     if not points:
         best, far = _ascent(form, seed, sphere.max_value)

@@ -3,12 +3,13 @@
 import functools
 import itertools
 import math
+import time
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spheremax import (
@@ -34,7 +35,7 @@ from spheremax import (
     solve_max,
     verify_buchberger_certificate,
 )
-from spheremax import algsolver, cli, multiform
+from spheremax import algsolver, cli, intpoly, multiform
 from spheremax.apps import _separability_form
 from spheremax.algsolver import (
     RESIDUAL_TOL,
@@ -1060,10 +1061,13 @@ def _report_bits(report):
 @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3), (4, 4), (2, 2, 3)],
                          ids=["2x2x2", "3x3", "4x4", "2x2x3"])
 def test_sphere_bases_are_proved_by_their_points(dims):
-    # the shapes solve_max's benchmark runs: the affine points prove the
-    # affine basis, the certificate never runs and no sphere-chart system
-    # is built; the lifts and their 2^r sign images are zeros of the sphere
-    # chart's system, 2^r D of them, the dimension of its quotient
+    # the shapes solve_max's benchmark runs, through the charts (solve_max
+    # sends a matrix the Gram kernel certifies to it first, see
+    # test_gram_kernel_answers_without_a_groebner_basis): the affine points
+    # prove the affine basis, the certificate never runs and no
+    # sphere-chart system is built; the lifts and their 2^r sign images are
+    # zeros of the sphere chart's system, 2^r D of them, the dimension of
+    # its quotient
     form = cli._random_integer_form(dims, np.random.default_rng(5))
     proofs, recording_proofs = _recording("_prove_points")
     verdicts, recording = _recording()
@@ -1074,7 +1078,7 @@ def test_sphere_bases_are_proved_by_their_points(dims):
         return build_critical_system(form, chart, **kwargs)
 
     with recording_proofs, recording, mock.patch.object(algsolver, "build_critical_system", build):
-        report = solve_max(form)
+        report = algsolver._charted_max(form)
     assert (proofs, verdicts, charts) == ([True], [], ["affine"])
     system = build_critical_system(form, chart="sphere")
     assert report.quotient_dim == len(normal_set(groebner(system))) == _generic_dim(form, "sphere")
@@ -1092,10 +1096,11 @@ def test_sphere_bases_are_proved_by_their_points(dims):
 
 
 def _matrix_path(form):
-    """solve_max's report when its points prove nothing: the certificate
-    proves the basis, and the report reads the multiplication matrix."""
+    """The charts' report (solve_max's but for the Gram kernel) when its
+    points prove nothing: the certificate proves the basis, and the report
+    reads the multiplication matrix."""
     with mock.patch.object(algsolver, "_prove_points", lambda *args: False):
-        return solve_max(form)
+        return algsolver._charted_max(form)
 
 
 def _matrix_reference(form):
@@ -1237,11 +1242,17 @@ def test_point_proof_is_taken_by_every_exact_solver(quadlinear_form):
         with recording_proofs, recording:
             call(quadlinear_form)
         assert (proofs, verdicts) == ([True], [])
+    matrix = MultilinearForm((2, 2), [3.0, 1.0, -2.0, 4.0])
     proofs, recording_proofs = _recording("_proves")
     verdicts, recording = _recording()
     with recording_proofs, recording:
-        solve_max(MultilinearForm((2, 2), [3.0, 1.0, -2.0, 4.0]))
+        algsolver._charted_max(matrix)
     assert (proofs, verdicts) == ([True], [])
+    # solve_max answers that matrix from the Gram kernel: no chart, no proof
+    proofs, recording_proofs = _recording("_proves")
+    with recording_proofs:
+        assert solve_max(matrix).quotient_dim == 8
+    assert proofs == []
 
 
 def test_point_proof_needs_one_point_per_class(trilinear_form):
@@ -1296,11 +1307,12 @@ def test_sphere_point_proof_refuses_boxes_on_a_first_coordinate_zero():
     # diag(3, 1) has its critical classes at (e1, e1) and (e2, e2): the
     # second has x1 = y1 = 0, off the affine chart, which holds one point
     # against two classes, so the proof refuses it and nothing is lifted;
-    # the sphere chart finds all 8 points
+    # the sphere chart finds all 8 points.  (solve_max answers it from the
+    # Gram kernel, with both points: test_gram_kernel_gives_diag_3_1_both_points)
     form = MultilinearForm((2, 2), [3.0, 0.0, 0.0, 1.0])
     proofs, recording_proofs = _recording("_prove_points")
     with recording_proofs:
-        report = solve_max(form)
+        report = algsolver._charted_max(form)
     assert proofs == [False]
     assert report.quotient_dim == 8 and report.points == ()
     assert report.max_value == pytest.approx(3.0, rel=1e-14, abs=0.0)
@@ -1532,3 +1544,215 @@ def test_zero_test_with_a_small_prime_matches_exact_run():
         assert [_terms(gb) for gb in bases] == reference
     assert any(vanished)
     assert False in verdicts
+
+
+# ---------------------------------------------------------------------------
+# the Gram kernel: bilinear forms without a Groebner basis
+# ---------------------------------------------------------------------------
+
+def _det(m):
+    """Exact determinant by Gaussian elimination over Fractions."""
+    m = [[Fraction(c) for c in row] for row in m]
+    det = Fraction(1)
+    for i in range(len(m)):
+        pivot = next((r for r in range(i, len(m)) if m[r][i]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != i:
+            m[i], m[pivot] = m[pivot], m[i]
+            det = -det
+        det *= m[i][i]
+        for r in range(i + 1, len(m)):
+            f = m[r][i] / m[i][i]
+            m[r] = [a - f * b for a, b in zip(m[r], m[i])]
+    return det
+
+
+def test_berkowitz_is_the_characteristic_polynomial():
+    # det(mu I - a) at n + 1 integer points fixes the degree-n polynomial
+    rng = np.random.default_rng(0)
+    for n in range(1, 7):
+        for _ in range(5):
+            a = rng.integers(-9, 10, size=(n, n)).tolist()
+            p = intpoly.berkowitz(a)
+            assert len(p) == n + 1 and p[0] == 1
+            for mu in range(n + 1):
+                shifted = [[mu * (i == j) - a[i][j] for j in range(n)] for i in range(n)]
+                assert sum(c * mu ** (n - i) for i, c in enumerate(p)) == _det(shifted)
+
+
+def _expand(roots, extra):
+    """Integer coefficients, highest first, of prod (x - r) times extra."""
+    p = list(extra)
+    for r in roots:
+        p = [a - r * b for a, b in zip(p + [0], [0] + p)]
+    return p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=6),
+       st.sampled_from([[1], [3], [-2], [1, 0, 1], [1, 0, -2], [2, 0, 0, 0, 1]]))
+def test_sturm_counts_distinct_real_roots(roots, extra):
+    # roots repeat freely, and the extra factor adds a constant, no real
+    # root, or the irrational roots +-sqrt(2): the counts above each dyadic
+    # point that is not a root are the distinct real roots above it, and
+    # the largest is bracketed
+    p = _expand(roots, extra)
+    seq = intpoly.sturm(p)
+    real = set(roots) | ({math.sqrt(2), -math.sqrt(2)} if extra == [1, 0, -2] else set())
+    for num, e in itertools.product(range(-15, 16), (0, 1, 2)):
+        x = num / 2 ** e
+        if x in real or (extra == [1, 0, -2] and x * x == 2):
+            continue
+        assert intpoly.roots_above(seq, num, e) == sum(r > x for r in real)
+    lo, hi, e = intpoly.largest_root(seq)
+    if max(real) == math.sqrt(2):
+        assert 0 < lo and lo * lo < 2 << 2 * e < hi * hi
+    else:
+        assert lo < max(real) << e < hi
+    # 2^-64 relative, or 2^-64 from 0
+    assert (hi - lo) << 64 <= max(abs(lo), abs(hi), 1 << e)
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (4, 4), (2, 3), (8, 7)],
+                         ids=["3x3", "4x4", "2x3", "8x7"])
+def test_gram_kernel_answers_without_a_groebner_basis(dims):
+    # the kernel's counterpart of test_sphere_bases_are_proved_by_their_points:
+    # solve_max certifies the matrix by a Sturm count and runs no Groebner
+    # basis, nor does _exact_max, whose answer is solve_max's bit for bit;
+    # 4 min(n, m) is the sphere chart's quotient dimension, its points and
+    # their four sign images are zeros of the sphere chart's system, and
+    # its answer is the charts' and the top singular value's
+    form = cli._random_integer_form(dims, np.random.default_rng(5))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("groebner() ran")
+
+    with mock.patch.object(algsolver, "groebner", refuse):
+        report = solve_max(form)
+        chart, exact = algsolver._exact_max(form, seed=3)
+    assert chart == "sphere" and _report_bits(exact) == _report_bits(report)
+    d = min(dims)
+    assert report.quotient_dim == 4 * d == _generic_dim(form, "sphere")
+    assert set(report.timings) == set(algsolver._GRAM_STAGES)
+    assert report.genericity_flags == () and len(report.points) == d
+    sigma = np.linalg.svd(form.tensor, compute_uv=False)
+    assert report.max_value == pytest.approx(sigma[0], rel=1e-15, abs=0.0)
+    assert sorted(abs(p.value) for p in report.points) == pytest.approx(sorted(sigma), rel=1e-14)
+    if dims != (8, 7):  # the sphere chart's own basis takes minutes there
+        system = build_critical_system(form, chart="sphere")
+        assert report.quotient_dim == len(normal_set(groebner(system)))
+        for p, signs in itertools.product(report.points, itertools.product((1, -1), repeat=2)):
+            point = np.concatenate([s * v for s, v in zip(signs, p.vectors)])
+            for poly in system.polys:
+                value = sum(float(c) * np.prod([point[v] ** e for v, e in enumerate(m) if e])
+                            for m, c in poly.terms.items())
+                assert abs(value) <= 1e-12 * np.abs(form.coeffs).max()
+        charted = algsolver._charted_max(form)
+        assert report.max_value == pytest.approx(charted.max_value, rel=1e-15, abs=0.0)
+        scale = abs(charted.eigenvalues[0])
+        ours, theirs = (np.sort(np.real(r.eigenvalues)) for r in (report, charted))
+        assert np.abs(ours - theirs).max() <= 1e-13 * scale
+
+
+def test_gram_kernel_gives_diag_3_1_both_points():
+    # the charts lift nothing here (one class is off the affine chart) and
+    # report 3.000000000000001 with no point; the kernel reports both pairs
+    report = solve_max(MultilinearForm((2, 2), [3.0, 0.0, 0.0, 1.0]))
+    assert report.quotient_dim == 8 and report.genericity_flags == ()
+    assert [abs(p.value) for p in report.points] == [3.0, 1.0]
+    assert report.max_value == 3.0
+
+
+@pytest.mark.parametrize("coeffs, want", [
+    ([1, 0, 0, 1], 1.0), ([3, 0, 0, 0, 3, 0, 0, 0, 1], 3.0), ([1, 1, 1, -1], math.sqrt(2)),
+], ids=["I_2", "diag(3,3,1)", "hadamard-2x2"])
+def test_tied_top_singular_value_answers_from_the_largest_root(coeffs, want):
+    # the critical set is a circle: solve_max refuses, as it should, and
+    # _exact_max, where both charts refuse, answers from the largest root
+    # of det(mu I - G), with the top singular pair as its point, flagged
+    n = math.isqrt(len(coeffs))
+    form = MultilinearForm((n, n), coeffs)
+    with pytest.raises(NotZeroDimensionalError):
+        solve_max(form)
+    chart, report = algsolver._exact_max(form, seed=0)
+    assert chart == "sphere" and report.quotient_dim == 0
+    assert report.max_value == want
+    assert abs(report.points[0].value) == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert "not zero-dimensional" in report.genericity_flags[-1]
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Nonzero integer matrices, 1x1 to 6x6, entries in -9..9: dense, of
+    lower rank (factors in -1..1), or with a tied singular value (a signed
+    permutation of a diagonal with a repeated entry, or a 2x2 Hadamard
+    block beside one)."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    d = min(n, m)
+    ints = lambda size, lo, hi: np.array(draw(st.lists(
+        st.integers(lo, hi), min_size=size, max_size=size)), dtype=float)
+    kind = draw(st.sampled_from(["dense", "low-rank", "tied"]))
+    if kind == "dense":
+        a = ints(n * m, -9, 9).reshape(n, m)
+    elif kind == "low-rank":
+        r = draw(st.integers(1, max(1, d - 1)))
+        a = ints(n * r, -1, 1).reshape(n, r) @ ints(r * m, -1, 1).reshape(r, m)
+    else:
+        diag = ints(d, 1, 3)
+        diag[-1] = diag[0]
+        a = np.zeros((n, m))
+        a[range(d), range(d)] = diag * ints(d, -1, 1)
+        if d >= 2 and draw(st.booleans()):
+            a[:2, :2] = diag[0] * np.array([[1, 1], [1, -1]])
+        a = a[draw(st.permutations(range(n)))][:, draw(st.permutations(range(m)))]
+    assume(a.any())
+    return a
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_integer_matrices())
+@example(np.eye(2))
+@example(np.diag([3.0, 3.0, 1.0]))
+@example(np.array([[1.0, 1.0], [1.0, -1.0]]))
+@example(np.array([[3.0, -9.0, 4.0, 1.0, 7.0]]))
+@example(np.array([[3.0], [-9.0], [4.0]]))
+@example(np.kron(np.eye(3), np.ones((2, 2))))
+def test_gram_kernel_property(a):
+    # where the kernel certifies, solve_max's quotient is 4 min(n, m) and
+    # its maximum the top singular value within 1e-14; where it does not,
+    # solve_max is the charts' (_charted_max) untouched; _exact_max raises
+    # on none of them.  Well separated nonzero singular values are
+    # certified, and tied or zero ones never are.
+    form = MultilinearForm(a.shape, a.reshape(-1))
+    sigma = np.linalg.svd(a, compute_uv=False)
+    certified = algsolver._gram_max(*multiform._scaled(form)) is not None
+    charted = object()
+    with mock.patch.object(algsolver, "_charted_max", lambda form, budget: charted):
+        report = solve_max(form)
+    if certified:
+        assert report.quotient_dim == 4 * min(a.shape)
+        assert report.max_value == pytest.approx(sigma[0], rel=1e-14, abs=0.0)
+    else:
+        assert report is charted
+    gaps = np.append(-np.diff(sigma), sigma[-1]) / sigma[0]
+    if gaps.min() > 1e-8:
+        assert certified
+    if gaps.min() < 1e-12:
+        assert not certified
+    _, exact = algsolver._exact_max(form, seed=0)
+    assert exact.max_value == pytest.approx(sigma[0], rel=1e-12, abs=0.0)
+    assert abs(exact.points[0].value) == pytest.approx(sigma[0], rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("dims, seed, seconds", [((20, 15), 1, 0.5), ((8, 7), 0, 0.05)],
+                         ids=["20x15", "8x7"])
+def test_gram_kernel_answers_large_integer_matrices_quickly(dims, seed, seconds):
+    # 356 s and 86 ms through the charts
+    form = cli._random_integer_form(dims, np.random.default_rng(seed))
+    start = time.perf_counter()
+    report = solve_max(form)
+    assert time.perf_counter() - start < seconds
+    assert report.quotient_dim == 4 * min(dims)
+    sigma = np.linalg.svd(form.tensor, compute_uv=False)[0]
+    assert report.max_value == pytest.approx(sigma, rel=1e-15, abs=0.0)

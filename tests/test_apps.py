@@ -105,13 +105,17 @@ def test_norm2_tied_singular_values():
 
 
 def test_norm2_algebraic_falls_back_to_the_sphere_chart():
-    # e2 lies off the affine chart, so its quotient misses a class: the
-    # sphere chart answers; I_2's tied singular values leave every chart
-    # positive-dimensional
-    assert matrix_norm2(Matrix.from_array(np.diag([3.0, 2.0])), "algebraic") == pytest.approx(
-        3.0, abs=1e-12)
-    with pytest.raises(NotZeroDimensionalError):
-        matrix_norm2(Matrix.from_array(np.eye(2)), "algebraic")
+    # diag(3, 2) has distinct nonzero singular values, so the Gram kernel
+    # answers; e2 (x) e2 = diag(0, 1) does not, and e2 lies off the affine
+    # chart, so its quotient misses a class: the sphere chart answers.
+    # Tied top singular values leave every chart positive-dimensional: the
+    # largest root of the kernel's polynomial answers
+    for diag, want in (([3.0, 2.0], 3.0), ([0.0, 1.0], 1.0)):
+        assert matrix_norm2(Matrix.from_array(np.diag(diag)), "algebraic") == pytest.approx(
+            want, abs=1e-12)
+    for a, want in ((np.eye(2), 1.0), (np.diag([3.0, 3.0, 1.0]), 3.0),
+                    (np.array([[1.0, 1.0], [1.0, -1.0]]), math.sqrt(2))):
+        assert matrix_norm2(Matrix.from_array(a), "algebraic") == want
 
 
 def test_norm2_power_not_converged_raises(matrix_4x3, monkeypatch):

@@ -136,14 +136,47 @@ def _maximize_algebraic(capsys, path, *options):
     return json.loads(out)
 
 
+def _no_gram_kernel(monkeypatch):
+    """Every bilinear form goes to the charts, as if the Gram kernel had
+    not certified it."""
+    monkeypatch.setattr(cli.algsolver, "_gram_max", lambda form, k: None)
+
+
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3), (3, 3)], ids=["2x2x2", "2x3", "3x3"])
 def test_maximize_algebraic_generic_forms_answer_from_the_affine_chart(
-        capsys, tmp_path, full_precision, dims):
+        capsys, tmp_path, monkeypatch, full_precision, dims):
+    # a bilinear form reaches the charts only when the Gram kernel declines
+    # it (see test_maximize_algebraic_bilinear_forms_answer_from_the_gram_kernel)
+    _no_gram_kernel(monkeypatch)
     form = cli._random_integer_form(dims, np.random.default_rng(0))
     report = _maximize_algebraic(capsys, _form_file(tmp_path, form))
     assert (report["chart"], report["flags"]) == ("affine", [])
     assert report["quotientDim"] == count_extreme_classes(dims)
     assert report["maxValue"] == pytest.approx(solve_max(form).max_value, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("dims, coeffs", [
+    pytest.param((2, 3), None, id="2x3"),
+    pytest.param((3, 3), None, id="3x3"),
+    pytest.param((2, 2), [3, 0, 0, 2], id="diag(3,2)"),
+])
+def test_maximize_algebraic_bilinear_forms_answer_from_the_gram_kernel(
+        capsys, tmp_path, full_precision, dims, coeffs):
+    # distinct nonzero singular values: the Gram kernel answers, with no
+    # flag and no chart run (diag(3, 2) has a class off the affine chart),
+    # solve_max's report bit for bit, one point per singular pair
+    form = (cli._random_integer_form(dims, np.random.default_rng(0)) if coeffs is None
+            else MultilinearForm(dims=dims, coeffs=coeffs))
+    report = _maximize_algebraic(capsys, _form_file(tmp_path, form), "--points")
+    sphere = solve_max(form)
+    assert (report["chart"], report["flags"]) == ("sphere", [])
+    assert report["quotientDim"] == sphere.quotient_dim == 4 * min(dims)
+    assert report["maxValue"] == sphere.max_value
+    assert report["maxValue"] == pytest.approx(
+        np.linalg.svd(form.tensor, compute_uv=False)[0], rel=1e-15, abs=0.0)
+    assert len(report["points"]) == min(dims)
+    assert abs(report["points"][0]["value"]) == report["maxValue"]
+    assert set(report["timings"]) == {"gram", "charpoly", "sturm", "points", "total"}
 
 
 def test_maximize_algebraic_separability_form_answers_from_the_affine_chart(
@@ -164,10 +197,12 @@ def test_maximize_algebraic_separability_form_answers_from_the_affine_chart(
     pytest.param((2, 2), [3, 0, 0, 2], CLASS_COUNT_FLAG, id="diag(3,2)"),
 ])
 def test_maximize_algebraic_non_generic_forms_answer_from_the_sphere_chart(
-        capsys, tmp_path, full_precision, dims, coeffs, first_flag):
+        capsys, tmp_path, monkeypatch, full_precision, dims, coeffs, first_flag):
     # the affine quotient misses a class (or the chart refuses): solve_max's
     # value, bit for bit, after the flag that says why the sphere answered,
-    # and a first point that backs it
+    # and a first point that backs it.  The Gram kernel declines e2 (x) e2
+    # (a zero singular value) by itself, and diag(3, 2) here
+    _no_gram_kernel(monkeypatch)
     form = MultilinearForm(dims=dims, coeffs=coeffs)
     report = _maximize_algebraic(capsys, _form_file(tmp_path, form), "--points")
     sphere = solve_max(form)
@@ -234,15 +269,33 @@ def test_maximize_algebraic_falls_back_on_the_affine_refusal(capsys, tmp_path, f
 @pytest.mark.parametrize("dims, coeffs", [
     ((2, 2, 2), [0, 0, 0, 0, 0, 0, 0, 1]),
     ((2, 2, 2), [1] * 8),
-    ((2, 2), [1, 0, 0, 1]),
-    ((3, 3), [3, 0, 0, 0, 3, 0, 0, 0, 1]),
-], ids=["e2xe2xe2", "all-ones-2x2x2", "I_2", "diag(3,3,1)"])
+], ids=["e2xe2xe2", "all-ones-2x2x2"])
 def test_maximize_algebraic_positive_dimensional_form_is_solver_error(
         capsys, tmp_path, dims, coeffs):
     path = _form_file(tmp_path, MultilinearForm(dims=dims, coeffs=coeffs))
     code = cli.main(["maximize", path, "--method", "algebraic"])
     assert code == EXIT_SOLVER
     assert "NotZeroDimensionalError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dims, coeffs, want", [
+    ((2, 2), [1, 0, 0, 1], 1.0),
+    ((3, 3), [3, 0, 0, 0, 3, 0, 0, 0, 1], 3.0),
+    ((2, 2), [1, 1, 1, -1], math.sqrt(2)),
+], ids=["I_2", "diag(3,3,1)", "hadamard-2x2"])
+def test_tied_top_singular_value_answers_from_the_largest_root(
+        capsys, tmp_path, full_precision, dims, coeffs, want):
+    # a positive-dimensional bilinear form: both charts refuse, and the
+    # largest root of the Gram kernel's polynomial answers, flagged, its
+    # point the top singular pair; norm2 --method algebraic agrees
+    form = MultilinearForm(dims=dims, coeffs=coeffs)
+    report = _maximize_algebraic(capsys, _form_file(tmp_path, form), "--points")
+    assert (report["chart"], report["quotientDim"], report["maxValue"]) == ("sphere", 0, want)
+    assert "not zero-dimensional" in report["flags"][-1]
+    assert abs(report["points"][0]["value"]) == pytest.approx(want, rel=1e-15, abs=0.0)
+    path = _write(tmp_path, "matrix.json", {"rows": dims[0], "cols": dims[1], "entries": coeffs})
+    code, out = _run(capsys, ["norm2", path, "--method", "algebraic"])
+    assert code == EXIT_OK and json.loads(out)["norm2"] == want
 
 
 def test_maximize_algebraic_reads_a_tiny_form_at_its_scale(capsys, tmp_path):
