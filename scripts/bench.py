@@ -17,7 +17,7 @@ value), times the kernel's refusal and then the charts.  The stages:
 - ``gram``, ``charpoly``, ``sturm``, ``points``: the Gram kernel's
   (``algsolver._gram``, the integer Gram matrix; ``intpoly.berkowitz``,
   its characteristic polynomial; ``intpoly.sturm``, the Sturm sequence;
-  the rest of ``_gram_max``, the root count and the singular pairs of
+  ``_gram_max``, the root count and the singular pairs of
   ``np.linalg.svd`` lifted and scored);
 - ``run``: Buchberger's loop (``_Engine.run``, its interreduction left out);
 - ``interreduce``: ``_Engine._interreduce``;
@@ -325,7 +325,7 @@ class Probe:
         stages = {s: rec.get(s, 0.0) for s in (*GRAM_STAGES, "run", "interreduce",
                                                 "certificate", "normal_set")}
         stages["run"] -= stages["interreduce"]  # run() calls _interreduce
-        stages["points"] = rec.get("kernel", 0.0) - sum(stages[s] for s in GRAM_STAGES[:3])
+        stages["points"] = rec.get("kernel", 0.0)  # _gram_max runs after _gram_poly
         stages["certificate"] += rec.get("point_proof", 0.0)
         # a point proof runs after the normal set of the basis it proves, and
         # a certificate after a failed one; a solve the Gram kernel answers

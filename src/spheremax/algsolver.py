@@ -76,8 +76,8 @@ vector (xi, eta) solves G eta = sigma^2 eta with v.eta = 0 (solve_max
 writes the proof out).  The quotient dimension is 4d, and the points are
 np.linalg.svd's pairs, scored like the lift's.  When the count is short (a
 tied or zero singular value) solve_max runs the charts as above; where both
-refuse, _exact_max answers from the largest root of p, which the Sturm
-counts locate whether roots repeat or not.
+refuse a nonzero matrix, _exact_max answers from the largest root of p,
+which the Sturm counts locate whether roots repeat or not.
 """
 
 from __future__ import annotations
@@ -1247,37 +1247,48 @@ def _gram(form: MultilinearForm):
     return den, [[sum(map(operator.mul, r, s)) for s in rows] for r in rows]
 
 
-def _gram_max(form: MultilinearForm, k: int):
-    """solve_max's report on a bilinear form at unit scale, t 2^-k, from the
-    Gram kernel when it certifies the form (p has d distinct roots in
-    (0, infinity)), its timings those of _GRAM_STAGES; None otherwise."""
+def _gram_poly(form: MultilinearForm):
+    """(D, seq, marks): _gram's D, the Sturm sequence seq of p = det(mu I -
+    G), and the perf_counter at the start and at the end of each of the
+    first three _GRAM_STAGES.  The kernel's one exact computation on a
+    bilinear form, which _gram_max and _gram_top both read."""
     marks = [time.perf_counter()]
-    _, gram = _gram(form)
+    den, gram = _gram(form)
     marks.append(time.perf_counter())
     p = intpoly.berkowitz(gram)
     marks.append(time.perf_counter())
-    certified = p[-1] != 0 and intpoly.roots_above(intpoly.sturm(p), 0) == len(gram)
-    if not certified:
-        return None
+    seq = intpoly.sturm(p)
     marks.append(time.perf_counter())
+    return den, seq, marks
+
+
+def _gram_max(form: MultilinearForm, k: int, poly):
+    """solve_max's report on a bilinear form at unit scale, t 2^-k, from the
+    Gram kernel when it certifies the form (p, of degree d, has d distinct
+    roots in (0, infinity)), poly its _gram_poly, its timings those of
+    _GRAM_STAGES; None otherwise."""
+    _, seq, marks = poly
+    p = seq[0]
+    if not p[-1] or intpoly.roots_above(seq, 0) != len(p) - 1:
+        return None
     u, _, vt = np.linalg.svd(form.tensor, full_matrices=False)
     return replace(_lifted_max(form, k, [u, vt.T]), timings=_stage_times(marks, _GRAM_STAGES))
 
 
-def _gram_top(form: MultilinearForm, k: int, flags, timings) -> SolveReport:
-    """_exact_max's report on a bilinear form at unit scale, t 2^-k, that
-    both charts refused: the maximum is sqrt of the largest root of p
-    (intpoly.largest_root) over D, times 2^k, and its point
-    np.linalg.svd's top pair, scored.  The critical set is not
+def _gram_top(form: MultilinearForm, k: int, poly, flags, timings) -> SolveReport:
+    """_exact_max's report on a nonzero bilinear form at unit scale, t 2^-k,
+    that both charts refused, poly its _gram_poly: the maximum is sqrt of
+    the largest root of p (intpoly.largest_root) over D, times 2^k, and its
+    point np.linalg.svd's top pair, scored.  The critical set is not
     zero-dimensional (repeated or zero singular values), so there is no
     quotient: quotient_dim is 0, no eigenvalues; a flag says so after
     ``flags``."""
     start = time.perf_counter()
-    den, gram = _gram(form)
-    lo, hi, e = intpoly.largest_root(intpoly.sturm(intpoly.berkowitz(gram)))
-    # sqrt(hi / 2^e) / D: the root's top 64 bits, rounded to the nearest float
-    root = math.isqrt((hi << 128) >> e)
-    value = math.ldexp(float(Fraction(root, den << 64)), k)
+    den, seq, _ = poly
+    lo, hi, e = intpoly.largest_root(seq)
+    # sqrt(hi / 2^e) / D: the root's top BITS bits, rounded to the nearest float
+    root = math.isqrt((hi << 2 * intpoly.BITS) >> e)
+    value = math.ldexp(float(Fraction(root, den << intpoly.BITS)), k)
     u, _, vt = np.linalg.svd(form.tensor)
     points, dropped = _scored_points(form, k, [u[:, :1], vt[:1].T])
     flags = [*flags, *dropped, "critical set is not zero-dimensional: the maximum is the "
@@ -1387,7 +1398,8 @@ def solve_max(
     answer as _charted_max says.
     """
     if form.order == 2:
-        report = _gram_max(*multiform._scaled(form))
+        unit, k = multiform._scaled(form)
+        report = _gram_max(unit, k, _gram_poly(unit))
         if report is not None:
             return report
     return _charted_max(form, budget)
@@ -1660,15 +1672,16 @@ def _exact_max(form: MultilinearForm, seed: int, budget: int = DEFAULT_REDUCTION
     first point the better of its own best and the best ascent; when it
     refuses after the affine chart gave no point, a bilinear form answers
     from the largest root of the Gram kernel's polynomial (_gram_top), and
-    a form of higher order raises.  Its timings hold the stages of the
-    charts and the kernel that did not answer too, as "affine.<stage>",
-    "gram.declined", or "affine.refused" and "sphere.refused" for a refused
-    attempt; a lift's time is "lift"."""
+    the zero form and a form of higher order raise.  Its timings hold the
+    stages of the charts and the kernel that did not answer too, as
+    "affine.<stage>", "gram.declined", or "affine.refused" and
+    "sphere.refused" for a refused attempt; a lift's time is "lift"."""
     start = time.perf_counter()
     unit, k = multiform._scaled(form)
     timings = {}
     if form.order == 2:
-        gram = _gram_max(unit, k)
+        poly = _gram_poly(unit)
+        gram = _gram_max(unit, k, poly)
         if gram is not None:
             return "sphere", gram
         timings["gram.declined"] = time.perf_counter() - start
@@ -1702,10 +1715,10 @@ def _exact_max(form: MultilinearForm, seed: int, budget: int = DEFAULT_REDUCTION
                     genericity_flags=(*affine.genericity_flags,
                                       f"sphere chart refused: {exc}", *far),
                     timings={**affine.timings, "sphere.refused": time.perf_counter() - start})
-            if form.order != 2:
-                raise
+            if form.order != 2 or not form.coeffs.any():
+                raise  # every point of the zero form is critical, its maximum 0
             timings["sphere.refused"] = time.perf_counter() - start
-            return "sphere", _gram_top(unit, k, (*flags, f"sphere chart refused: {exc}"),
+            return "sphere", _gram_top(unit, k, poly, (*flags, f"sphere chart refused: {exc}"),
                                        timings)
     points, flags = sphere.points, flags + sphere.genericity_flags
     if not points:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 import operator
 
+BITS = 64  # largest_root's relative precision: its bracket is 2^-BITS of the root wide
+
 
 def berkowitz(a) -> list:
     """det(mu I - a) of a square matrix of ints, by Berkowitz's
@@ -95,10 +97,10 @@ def roots_above(seq, num, e=0) -> int:
             - _changes([1 if p[0] > 0 else -1 for p in seq]))
 
 
-def largest_root(seq, bits=64):
+def largest_root(seq):
     """(lo, hi, e): the largest real root of seq[0], seq its Sturm
     sequence, lies in (lo / 2^e, hi / 2^e), neither end a root, hi - lo at
-    most 2^-bits max(|lo|, |hi|) (or after a fixed number of halvings, for
+    most 2^-BITS max(|lo|, |hi|) (or after a fixed number of halvings, for
     a root at 0).  Bisection by Sturm counts, so repeated roots need no
     care; each cut is at one of the 2 deg + 1 points of a fine grid nearest
     the midpoint, the first that is not a root."""
@@ -110,8 +112,8 @@ def largest_root(seq, bits=64):
         raise ValueError("polynomial has no real root")
     step = (2 * deg + 2).bit_length()  # the grid holds 2 deg + 1 points inside
     offsets = sorted(range(-deg, deg + 1), key=abs)
-    for _ in range(bits + 2 * bound.bit_length() + 8):
-        if (hi - lo) << bits <= max(abs(lo), abs(hi)):
+    for _ in range(BITS + 2 * bound.bit_length() + 8):
+        if (hi - lo) << BITS <= max(abs(lo), abs(hi)):
             break
         lo, hi, e = lo << step, hi << step, e + step
         mid = next(m for m in ((lo + hi) // 2 + o for o in offsets) if _sign_at(p, m, e))

@@ -1670,12 +1670,15 @@ def test_gram_kernel_gives_diag_3_1_both_points():
 def test_tied_top_singular_value_answers_from_the_largest_root(coeffs, want):
     # the critical set is a circle: solve_max refuses, as it should, and
     # _exact_max, where both charts refuse, answers from the largest root
-    # of det(mu I - G), with the top singular pair as its point, flagged
+    # of det(mu I - G), with the top singular pair as its point, flagged;
+    # the polynomial is formed once, for the declined kernel and the root
     n = math.isqrt(len(coeffs))
     form = MultilinearForm((n, n), coeffs)
     with pytest.raises(NotZeroDimensionalError):
         solve_max(form)
-    chart, report = algsolver._exact_max(form, seed=0)
+    with mock.patch.object(intpoly, "berkowitz", wraps=intpoly.berkowitz) as berkowitz:
+        chart, report = algsolver._exact_max(form, seed=0)
+    assert berkowitz.call_count == 1
     assert chart == "sphere" and report.quotient_dim == 0
     assert report.max_value == want
     assert abs(report.points[0].value) == pytest.approx(want, rel=1e-15, abs=0.0)
@@ -1726,7 +1729,8 @@ def test_gram_kernel_property(a):
     # certified, and tied or zero ones never are.
     form = MultilinearForm(a.shape, a.reshape(-1))
     sigma = np.linalg.svd(a, compute_uv=False)
-    certified = algsolver._gram_max(*multiform._scaled(form)) is not None
+    unit, k = multiform._scaled(form)
+    certified = algsolver._gram_max(unit, k, algsolver._gram_poly(unit)) is not None
     charted = object()
     with mock.patch.object(algsolver, "_charted_max", lambda form, budget: charted):
         report = solve_max(form)

@@ -139,7 +139,7 @@ def _maximize_algebraic(capsys, path, *options):
 def _no_gram_kernel(monkeypatch):
     """Every bilinear form goes to the charts, as if the Gram kernel had
     not certified it."""
-    monkeypatch.setattr(cli.algsolver, "_gram_max", lambda form, k: None)
+    monkeypatch.setattr(cli.algsolver, "_gram_max", lambda form, k, poly: None)
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3), (3, 3)], ids=["2x2x2", "2x3", "3x3"])
@@ -269,7 +269,9 @@ def test_maximize_algebraic_falls_back_on_the_affine_refusal(capsys, tmp_path, f
 @pytest.mark.parametrize("dims, coeffs", [
     ((2, 2, 2), [0, 0, 0, 0, 0, 0, 0, 1]),
     ((2, 2, 2), [1] * 8),
-], ids=["e2xe2xe2", "all-ones-2x2x2"])
+    # every point is critical; the Gram kernel's largest root, 0, answers nothing
+    ((2, 2), [0] * 4),
+], ids=["e2xe2xe2", "all-ones-2x2x2", "zero-2x2"])
 def test_maximize_algebraic_positive_dimensional_form_is_solver_error(
         capsys, tmp_path, dims, coeffs):
     path = _form_file(tmp_path, MultilinearForm(dims=dims, coeffs=coeffs))
