@@ -135,7 +135,8 @@ def _separability_rank4(sm):
 def cases(sm):
     """(name, form, chart) of each heavy case, built with package ``sm``:
     the four forms whose bases pass the zero test's line in
-    tests/test_algsolver.py, the 3x3x3 row of ``spheremax bench``, the
+    tests/test_algsolver.py, a 2x3x4 integer form, whose slots the affine
+    chart's ring takes largest first, the 3x3x3 row of ``spheremax bench``, the
     3x3x3 form with ones on the diagonal, which solve_max answers on the
     sphere chart, two integer matrices the Gram kernel certifies and e2 (x)
     e2, which it declines."""
@@ -145,6 +146,7 @@ def cases(sm):
         ("2x2x2x2-affine", integer_form((2, 2, 2, 2), np.random.default_rng(2)), "affine"),
         ("2x2x3-sphere", integer_form((2, 2, 3), np.random.default_rng(2)), "sphere"),
         ("separability-rank4", _separability_rank4(sm), "affine"),
+        ("2x3x4-affine", integer_form((2, 3, 4), np.random.default_rng(0)), "affine"),
         ("3x3x3-affine", integer_form((3, 3, 3), np.random.default_rng(0)), "affine"),
         ("diagonal-3x3x3-sphere", sm.MultilinearForm((3, 3, 3), [
             float(i == j == k) for i, j, k in np.ndindex(3, 3, 3)]), "sphere"),
