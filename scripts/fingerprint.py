@@ -39,7 +39,7 @@ spurious real eigenvalues lie above ||l||_F) but whose affine points are
 proved, so it lifts them.  App cases:
 ``matrix_norm2``, ``closest_rank_one`` and ``separable_max`` with each
 method on the test suite's non-generic forms (``tests/conftest.py``),
-e2 (x) e2 (x) e2, whose algebraic answer raises, and the suite's states.
+e2 (x) e2 (x) e2, which the pencil kernel answers, and the suite's states.
 """
 
 import hashlib

@@ -75,9 +75,56 @@ exactly 4d zeros of the sphere chart's ideal, each simple, since a tangent
 vector (xi, eta) solves G eta = sigma^2 eta with v.eta = 0 (solve_max
 writes the proof out).  The quotient dimension is 4d, and the points are
 np.linalg.svd's pairs, scored like the lift's.  When the count is short (a
-tied or zero singular value) solve_max runs the charts as above; where both
-refuse a nonzero matrix, _exact_max answers from the largest root of p,
-which the Sturm counts locate whether roots repeat or not.
+tied or zero singular value) solve_max runs the charts as above, and
+_exact_max answers a nonzero matrix from the largest root of p, which the
+Sturm counts locate whether roots repeat or not, and runs no chart.
+
+A trilinear form with a slot of dimension 2 needs no Groebner basis
+either, generic or not (the pencil kernel, _pencil_max).  With that slot
+first, l(x, y, z) = y^T (x_1 a + x_2 b) z, so max |l| is the largest top
+singular value of the pencil x_1 a + x_2 b over the unit circle.  Read a
+and b through rationalize over one common denominator D, so A = D a and
+B = D b are integer, and take x = u / |u|, u = (1, t): G(t) = G_0 + t G_1 +
+t^2 G_2, the integer Gram matrix of A + t B on its smaller side (size k),
+is (1 + t^2) times that of D (x_1 a + x_2 b).  Let top(t) be the largest
+squared singular value of the latter, continuous on the circle (the real
+line and the point t = infinity, x = (0, 1), where it is G_2's largest
+eigenvalue), and mu* its maximum: the maximum of |l| is sqrt(mu*) / D.
+T(mu) asks whether mu is a squared singular value somewhere on the
+circle: whether P_mu(t) = det(mu (1 + t^2) I - G(t)), an integer polynomial
+of degree at most 2k whose t^2k coefficient is det(mu I - G_2), drops
+degree (a root at t = infinity, checked apart, as it is when P_mu vanishes
+identically) or else has a real root, which one Sturm sequence over the
+line counts (intpoly.real_roots).  Then:
+
+- T(mu) true gives mu <= mu*, as no squared singular value exceeds the top
+  one at its point.
+- T is monotone above the top branch's minimum.  The circle is connected,
+  so top takes every value between top(t0) and mu*, for any t0: T(mu) is
+  true on [top(t0), mu*] and false above mu*.  So T(mu) false and
+  mu >= top(t0) give mu > mu*.  The top(t0) check is needed, because
+  below the top branch's minimum T can read false in a gap between
+  branches.  A pencil whose top singular value is constant shows it: for
+  a = I and b a rotation by 90 degrees, P_mu = (mu - 1)^2 (1 + t^2)^2 has no
+  real root for mu < 1 = mu* and vanishes identically at mu = 1.
+- mu <= top(t0) is decided exactly too: at the direction (alpha, beta),
+  two ints, t0 = beta / alpha, the matrix mu (alpha^2 + beta^2) I -
+  (alpha^2 G_0 + alpha beta G_1 + beta^2 G_2) is not positive definite,
+  which the signs of its characteristic polynomial show (Berkowitz); the
+  point t = infinity is (0, 1) there, no special case.
+
+So every mu is decided: mu <= mu* when mu <= top(t0) or T(mu), else
+mu > mu*.  A float search gives the point (a batched eigh of the Gram
+matrix over a grid of angles, then Newton steps on the derivative of top in
+the angle); its |value| v, times D, squared, is mu-hat, and t0 is its
+direction.  The certificate: mu-hat (1 - 2^-44) <= top(t0), and mu-hat (1 +
+2^-44) > top(t0) with T false there, one Sturm test and two k x k
+Berkowitz runs in all; the lower end needs no Sturm test, and reads true
+below the top branch's minimum, where T might not.  Then v is the maximum
+within 2^-44 relative.  A failed certificate bisects on mu with the same
+two predicates, from the ends it established, to a bracket 2^-44 of its
+upper end wide.  No chart runs, so the critical set need not be
+zero-dimensional, and the report holds no quotient.
 """
 
 from __future__ import annotations
@@ -1244,16 +1291,33 @@ def _prove_points(lterms, system, coords, dim, generic_dim) -> bool:
 _GRAM_STAGES = ("gram", "charpoly", "sturm", "points")
 
 
+def _integer_slices(tensor):
+    """(D, slices): the common denominator D of the coefficients of a 2- or
+    3-way array read through rationalize, and D times each, exactly, as
+    integer matrices (one per leading index of a 3-way array), each
+    transposed when it has more rows than columns."""
+    flat = [rationalize(c) for c in tensor.reshape(-1).tolist()]
+    den = math.lcm(*(c.denominator for c in flat))
+    flat = [c.numerator * (den // c.denominator) for c in flat]
+    n, m = tensor.shape[-2:]
+    slices = [[flat[i:i + m] for i in range(start, start + n * m, m)]
+              for start in range(0, len(flat), n * m)]
+    if n > m:
+        slices = [[list(col) for col in zip(*rows)] for rows in slices]
+    return den, slices
+
+
+def _products(a, b):
+    """The integer matrix a b^T."""
+    return [[sum(map(operator.mul, r, s)) for s in b] for r in a]
+
+
 def _gram(form: MultilinearForm):
     """(D, G): the common denominator D of the bilinear form's coefficients
     read through rationalize, and the integer Gram matrix of D A on its
     smaller side, (D A)(D A)^T or (D A)^T (D A)."""
-    rows = [[rationalize(c) for c in row] for row in form.tensor.tolist()]
-    den = math.lcm(*(c.denominator for row in rows for c in row))
-    rows = [[c.numerator * (den // c.denominator) for c in row] for row in rows]
-    if len(rows) > len(rows[0]):
-        rows = [list(col) for col in zip(*rows)]
-    return den, [[sum(map(operator.mul, r, s)) for s in rows] for r in rows]
+    den, (rows,) = _integer_slices(form.tensor)
+    return den, _products(rows, rows)
 
 
 def _gram_poly(form: MultilinearForm):
@@ -1284,29 +1348,251 @@ def _gram_max(form: MultilinearForm, k: int, poly):
     return replace(_lifted_max(form, k, [u, vt.T]), timings=_stage_times(marks, _GRAM_STAGES))
 
 
-def _gram_top(form: MultilinearForm, k: int, poly, flags, timings) -> SolveReport:
+def _gram_top(form: MultilinearForm, k: int, poly) -> SolveReport:
     """_exact_max's report on a nonzero bilinear form at unit scale, t 2^-k,
-    that both charts refused, poly its _gram_poly: the maximum is sqrt of
-    the largest root of p (intpoly.largest_root) over D, times 2^k, and its
-    point np.linalg.svd's top pair, scored.  The critical set is not
+    that the Gram kernel declined, poly its _gram_poly: the maximum is sqrt
+    of the largest root of p (intpoly.largest_root) over D, times 2^k, and
+    its point np.linalg.svd's top pair, scored.  The critical set is not
     zero-dimensional (repeated or zero singular values), so there is no
-    quotient: quotient_dim is 0, no eigenvalues; a flag says so after
-    ``flags``."""
-    start = time.perf_counter()
-    den, seq, _ = poly
+    quotient: quotient_dim is 0, no eigenvalues; a flag says so.  Its
+    timings are those of _GRAM_STAGES, "points" the root and the pair."""
+    den, seq, marks = poly
     lo, hi, e = intpoly.largest_root(seq)
     # sqrt(hi / 2^e) / D: the root's top BITS bits, rounded to the nearest float
     root = math.isqrt((hi << 2 * intpoly.BITS) >> e)
     value = math.ldexp(float(Fraction(root, den << intpoly.BITS)), k)
     u, _, vt = np.linalg.svd(form.tensor)
     points, dropped = _scored_points(form, k, [u[:, :1], vt[:1].T])
-    flags = [*flags, *dropped, "critical set is not zero-dimensional: the maximum is the "
+    flags = [*dropped, "critical set is not zero-dimensional: the maximum is the "
              "square root of the largest root of det(mu I - A A^T), by Sturm counts"]
     if not points or abs(abs(points[0].value) - value) > _AGREE_TOL * value:
         flags.append("the top singular pair does not reach the maximum")
     return SolveReport(quotient_dim=0, eigenvalues=(), max_value=value, points=tuple(points),
+                       genericity_flags=tuple(flags), timings=_stage_times(marks, _GRAM_STAGES))
+
+
+# ---------------------------------------------------------------------------
+# trilinear forms with a slot of dimension 2: the pencil kernel.  max |l| is
+# the largest top singular value of the pencil cos(theta) a + sin(theta) b.
+# A float search finds the angle; Sturm counts over Z[t] certify the value
+# (see the module docstring), and no Groebner basis runs.
+# ---------------------------------------------------------------------------
+
+_PENCIL_STAGES = ("setup", "search", "certificate")
+_PENCIL_GRID = 64     # angles of the float search over the half circle
+_PENCIL_STARTS = 3    # grid peaks refined, the highest first
+_PENCIL_STEPS = 60    # Newton or bisection steps of each refinement
+_PENCIL_TOL = 2.0**-48  # the refinement's last step in theta, and its slope over lam
+_PENCIL_WIDTH = 44    # the certificate tries mu-hat (1 -+ 2^-44), and bisects to that width
+_PENCIL_BITS = 64     # significant bits of every mu tested
+
+
+def _pencil_slot(dims):
+    """The slot of dimension 2 whose pencil a trilinear form answers from,
+    the one whose other two slots have the smallest lesser dimension k
+    (the size of the Gram matrices), the first on ties; None without one."""
+    twos = [s for s, d in enumerate(dims) if d == 2] if len(dims) == 3 else []
+    return min(twos, key=lambda s: min(d for i, d in enumerate(dims) if i != s), default=None)
+
+
+def _pencil(form: MultilinearForm, slot: int):
+    """(pencil, gram, qs, D) of a trilinear form at unit scale: its two
+    slices along ``slot``, the other slots in order, as one float array of
+    shape (2, m, n); the integer Gram matrices G_0 = A A^T, G_1 = A B^T + B A^T and
+    G_2 = B B^T of A and B, D times the slices, on their smaller side, of
+    size k, D
+    the common denominator of the coefficients read through rationalize;
+    and q_j = c_j(t) (1 + t^2)^(k - j), j = 0..k, c_j the coefficient of
+    nu^(k - j) in det(nu I - G(t)), G(t) = G_0 + t G_1 + t^2 G_2, each
+    padded to 2k + 1 entries: P_mu = sum_j mu^(k - j) q_j."""
+    pencil = np.moveaxis(form.tensor, slot, 0)
+    den, (ai, bi) = _integer_slices(pencil)
+    ab = _products(ai, bi)
+    gram = (_products(ai, ai), [[x + y for x, y in zip(r, c)] for r, c in zip(ab, zip(*ab))],
+            _products(bi, bi))
+    qs = intpoly.pencil_charpoly(gram)
+    for j, q in enumerate(qs):
+        for _ in range(len(qs) - 1 - j):  # times 1 + t^2; q's top two entries are 0
+            q[:] = [u + v for u, v in zip(q[2:] + [0, 0], q)]
+    return pencil, gram, qs, den
+
+
+def _pencil_poly(qs, mu):
+    """d^k P_mu(t) = det(n (1 + t^2) I - d G(t)) for mu = n / d, from _pencil's
+    q_j: an integer polynomial of degree at most 2k."""
+    n, d, k = mu.numerator, mu.denominator, len(qs) - 1
+    weights = [n ** (k - j) * d ** j for j in range(k + 1)]
+    return [sum(w * q[i] for w, q in zip(weights, qs)) for i in range(2 * k + 1)]
+
+
+def _pencil_test(qs, mu) -> bool:
+    """T(mu): mu is a squared singular value of the pencil at a point of
+    the circle.  At t = infinity (x = (0, 1)) when P_mu's t^(2k)
+    coefficient, det(mu I - G_2), vanishes (as it does when P_mu vanishes
+    identically); else at a real t, by one Sturm count over the line."""
+    p = _pencil_poly(qs, mu)
+    return not p[0] or intpoly.real_roots(intpoly.sturm(p)) > 0
+
+
+def _above_top(gram, direction, mu) -> bool:
+    """Whether mu exceeds top(t0), the largest squared singular value of the
+    pencil at the direction (alpha, beta), two ints: whether
+    n (alpha^2 + beta^2) I - d (alpha^2 G_0 + alpha beta G_1 + beta^2 G_2),
+    mu = n / d, is positive definite, read off its characteristic
+    polynomial (intpoly.berkowitz), whose roots are real: they are all
+    positive iff its coefficients alternate strictly in sign."""
+    n, d = mu.numerator, mu.denominator
+    al, be = direction
+    weights = (al * al, al * be, be * be)
+    diag = n * (al * al + be * be)
+    size = range(len(gram[0]))
+    s = [[diag * (i == j) - d * sum(w * g[i][j] for w, g in zip(weights, gram)) for j in size]
+         for i in size]
+    return all(c * (-1) ** j > 0 for j, c in enumerate(intpoly.berkowitz(s)))
+
+
+def _pencil_curve(a, b, theta):
+    """(lam, slope, curvature, w) at each angle of ``theta``: the top
+    eigenvalue lam = sigma^2 of G = M M^T, M = cos(theta) a + sin(theta) b
+    (a and b with no more rows than columns), its first two derivatives in
+    theta and its unit eigenvector w, the left singular vector of sigma.
+    With M' = cos(theta) b - sin(theta) a, M'' = -M, G' = M' M^T + M M'^T
+    and G'' = 2 (M' M'^T - G): lam' = w^T G' w (Hellmann-Feynman) and
+    lam'' = w^T G'' w + 2 sum_i (w_i^T G' w)^2 / (lam - lam_i) over G's
+    other eigenpairs (lam_i, w_i), not finite where lam is tied."""
+    c, s = np.cos(theta)[:, None, None], np.sin(theta)[:, None, None]
+    mat, slope = c * a + s * b, c * b - s * a
+    cross = slope @ mat.transpose(0, 2, 1)
+    lam, vecs = np.linalg.eigh(mat @ mat.transpose(0, 2, 1))
+    top, lam_top = vecs[:, :, -1], lam[:, -1]
+    coupling = np.einsum("bji,bj->bi", vecs,
+                         np.einsum("bij,bj->bi", cross + cross.transpose(0, 2, 1), top))
+    turn = np.einsum("bij,bi->bj", slope, top)
+    with np.errstate(all="ignore"):
+        curvature = 2.0 * ((turn * turn).sum(axis=1) - lam_top) + 2.0 * (
+            coupling[:, :-1] ** 2 / (lam_top[:, None] - lam[:, :-1])).sum(axis=1)
+    return lam_top, coupling[:, -1], curvature, top
+
+
+def _pencil_climb(a, b, theta, step, slopes, at):
+    """The local maximum of lam within ``step`` of the grid angle
+    ``theta``, ``slopes`` lam' at theta - step, theta and theta + step,
+    ``at`` _pencil_curve's row at theta: Newton's method on lam' = 0,
+    kept inside the bracket where lam' goes from + to -, a step that
+    leaves it (or a curvature that is not negative) replaced by bisection,
+    until the slope is below _PENCIL_TOL lam, or a Newton step or the
+    bracket below _PENCIL_TOL.  (theta, lam, w) at its end; the grid
+    angle's when the slopes bracket no maximum."""
+    left, mid, right = slopes
+    if mid > 0 > right:
+        lo, hi = theta, theta + step
+    elif mid < 0 < left:
+        lo, hi = theta - step, theta
+    else:
+        return theta, at[0], at[3]
+    for _ in range(_PENCIL_STEPS):
+        _, slope, curvature, _ = at
+        if slope > 0:
+            lo = theta
+        elif slope < 0:
+            hi = theta
+        newton = -slope / curvature if curvature < 0 else math.nan
+        if (abs(slope) <= _PENCIL_TOL * at[0] or abs(newton) <= _PENCIL_TOL
+                or hi - lo <= _PENCIL_TOL):
+            break
+        theta = theta + newton if lo < theta + newton < hi else 0.5 * (lo + hi)
+        at = [v[0] for v in _pencil_curve(a, b, np.array([theta]))]
+    return theta, at[0], at[3]
+
+
+def _pencil_search(a, b):
+    """(theta, lam, w) of the float search: lam = sigma^2 of the pencil
+    (see _pencil_curve) on _PENCIL_GRID angles over the half circle (lam
+    has period pi), one batched np.linalg.eigh, and _pencil_climb from the
+    grid's highest peaks, at most _PENCIL_STARTS of them, each with sigma
+    within cos(pi / _PENCIL_GRID) of the best; the best climb."""
+    size = _PENCIL_GRID
+    step = math.pi / size
+    grid = np.arange(size) * step
+    rows = _pencil_curve(a, b, grid)
+    lam, slope = rows[0], rows[1]
+    peaks = [i for i in np.argsort(-lam, kind="stable").tolist()
+             if lam[i] >= max(lam[i - 1], lam[(i + 1) % size])
+             and lam[i] >= lam.max() * math.cos(step) ** 2]
+    best = None
+    for i in peaks[:_PENCIL_STARTS]:
+        found = _pencil_climb(a, b, grid[i], step, slope[[i - 1, i, (i + 1) % size]],
+                              [v[i] for v in rows])
+        if best is None or found[1] > best[1]:
+            best = found
+    return best
+
+
+def _rounded(q, up: bool):
+    """q > 0 rounded up or down to _PENCIL_BITS significant bits."""
+    scale = _Q(2) ** (_PENCIL_BITS - q.numerator.bit_length() + q.denominator.bit_length())
+    return (math.ceil(q * scale) if up else math.floor(q * scale)) / scale
+
+
+def _pencil_max(form: MultilinearForm, k: int, slot: int) -> SolveReport:
+    """_exact_max's report on a nonzero trilinear form at unit scale, t
+    2^-k, with a slot of dimension 2, ``slot``, from the pencil kernel.
+
+    The point is (cos theta, sin theta) in that slot and the top singular
+    pair of the pencil at theta in the others, from _pencil_search, scored
+    (_scored_points).  Its |value| v, times D, is mu-hat's square root, and
+    the certificate reads mu-hat (1 -+ 2^-44), each rounded inward to
+    _PENCIL_BITS bits: the lower end is at most top(t0), t0 the point's
+    direction as a rational, and the upper end is above top(t0) with
+    T false (_above_top, _pencil_test); then mu* lies between them and v is
+    the maximum within 2^-44 relative.  Otherwise the ends the certificate
+    did establish, else 0 and tr G_0 + tr G_2 (an upper bound: sigma_1^2 is
+    at most the Frobenius norm squared), are bisected with the same two
+    predicates to a bracket 2^-44 of its upper end wide, and the value is
+    the square root of its midpoint over D, a flag saying so when the
+    point's |value| is more than _AGREE_TOL relative away from it.  The
+    critical set need not be zero-dimensional, so there is no quotient:
+    quotient_dim is 0, no eigenvalues.  Timings: _PENCIL_STAGES."""
+    marks = [time.perf_counter()]
+    pencil, gram, qs, den = _pencil(form, slot)
+    marks.append(time.perf_counter())
+    swap = pencil.shape[1] > pencil.shape[2]
+    a, b = pencil.transpose(0, 2, 1) if swap else pencil
+    theta, lam, y = _pencil_search(a, b)
+    x = np.array([math.cos(theta), math.sin(theta)])
+    z = (x[0] * a + x[1] * b).T @ y
+    vectors = [y, z / np.linalg.norm(z)][::-1 if swap else 1]
+    vectors.insert(slot, x)
+    points, flags = _scored_points(form, k, [v[:, None] for v in vectors])
+    value = abs(points[0].value) if points else math.ldexp(math.sqrt(lam), k)
+    marks.append(time.perf_counter())
+    x = [_Q(float(c)) for c in x]
+    scale = math.lcm(*(c.denominator for c in x))
+    direction = [int(c * scale) for c in x]
+
+    def at_most(mu):  # mu <= mu*, else mu > mu*
+        return not _above_top(gram, direction, mu) or _pencil_test(qs, mu)
+
+    mu = (_Q(math.ldexp(value, -k)) * den) ** 2
+    lo, hi = (_rounded(mu * (1 + side * _Q(1, 1 << _PENCIL_WIDTH)), side > 0)
+              for side in (-1, 1))
+    if not at_most(lo):
+        lo, hi = _Q(0), lo
+    elif at_most(hi):
+        lo, hi = hi, _Q(sum(gram[0][i][i] + gram[2][i][i] for i in range(len(qs) - 1)))
+    else:
+        lo = hi = None  # certified
+    if lo is not None:
+        while (hi - lo) * (1 << _PENCIL_WIDTH) > hi:
+            mid = _rounded((lo + hi) / 2, False)
+            lo, hi = (mid, hi) if at_most(mid) else (lo, mid)
+        root = math.isqrt(math.floor((lo + hi) / 2 * 4 ** intpoly.BITS))
+        value = math.ldexp(float(_Q(root, den << intpoly.BITS)), k)
+        if not points or abs(abs(points[0].value) - value) > _AGREE_TOL * value:
+            flags.append("the pencil's top singular pair does not reach the maximum")
+    return SolveReport(quotient_dim=0, eigenvalues=(), max_value=value, points=tuple(points),
                        genericity_flags=tuple(flags),
-                       timings={**timings, "gram.top": time.perf_counter() - start})
+                       timings=_stage_times(marks, _PENCIL_STAGES))
 
 
 # ---------------------------------------------------------------------------
@@ -1681,39 +1967,43 @@ def _solve_argmax(form: MultilinearForm, budget: int, seed: int):
 
 def _exact_max(form: MultilinearForm, seed: int, budget: int = DEFAULT_REDUCTION_BUDGET):
     """(chart, report) of the exact maximum, whose first point backs its
-    value.  A bilinear form the Gram kernel certifies answers from it, as
-    ("sphere", solve_max's report), and no chart runs.  Else the affine
-    chart answers when its quotient holds every critical class and every
-    solution was scored: for a generic form the quotient dimension is the
-    class count (Friedland and Ottaviani, 2014), so every class is among
-    its solutions.  Otherwise the sphere chart answers with solve_max's
-    report, after the affine flags or refusal, which say why: the flags of
-    unscored solutions lead.  The affine solve is not run again: when its
-    points are proved they are lifted (_lifted_max), else the sphere
-    chart's own basis runs (_sphere_max).  So the report is solve_max's bit
-    for bit at seed 0; at another seed a retried separating form gives the
-    same proved solutions to within rounding.  Its points are its own when
-    it lifted; else its one point is the best ascent (_ascent).  When the
-    sphere chart refuses after the affine chart answered with points, the
-    affine report answers, "sphere chart refused: ..." among its flags, its
-    first point the better of its own best and the best ascent; when it
-    refuses after the affine chart gave no point, a bilinear form answers
-    from the largest root of the Gram kernel's polynomial (_gram_top), and
-    the zero form and a form of higher order raise.  Its timings hold the
-    stages of the charts and the kernel that did not answer too, as
-    "affine.<stage>", "gram.declined", or "affine.refused" and
-    "sphere.refused" for a refused attempt; a lift's time is "lift"."""
+    value.  The zero form raises (every point is critical, its maximum 0).
+    A bilinear form answers as ("sphere", report) from the Gram kernel's
+    polynomial alone, and no chart runs: solve_max's report when the
+    kernel certifies it (_gram_max), else the largest root of p
+    (_gram_top).  A trilinear form with a slot of dimension 2 answers as
+    ("pencil", report) from the pencil kernel (_pencil_max), and no
+    Groebner basis runs.  Else the affine chart answers when its quotient
+    holds every critical class and every solution was scored: for a
+    generic form the quotient dimension is the class count (Friedland and
+    Ottaviani, 2014), so every class is among its solutions.  Otherwise the
+    sphere chart answers with solve_max's report, after the affine flags or
+    refusal, which say why: the flags of unscored solutions lead.  The
+    affine solve is not run again: when its points are proved they are
+    lifted (_lifted_max), else the sphere chart's own basis runs
+    (_sphere_max).  So the report is solve_max's bit for bit at seed 0; at
+    another seed a retried separating form gives the same proved solutions
+    to within rounding.  Its points are its own when it lifted; else its
+    one point is the best ascent (_ascent), as it is for a kernel's report
+    without a point.  When the sphere chart refuses after the affine chart
+    answered with points, the affine report answers, "sphere chart
+    refused: ..." among its flags, its first point the better of its own
+    best and the best ascent; when it refuses after the affine chart gave
+    no point, the form raises.  Its timings hold the stages of the affine
+    chart that did not answer too, as "affine.<stage>", or
+    "affine.refused" for a refused attempt; a lift's time is "lift"."""
     start = time.perf_counter()
     unit, k = multiform._scaled(form)
-    timings = {}
+    slot = _pencil_slot(form.dims)
+    if (form.order == 2 or slot is not None) and not form.coeffs.any():
+        raise NotZeroDimensionalError("every point of the zero form is critical; its maximum is 0")
     if form.order == 2:
         poly = _gram_poly(unit)
         gram = _gram_max(unit, k, poly)
-        if gram is not None:
-            return "sphere", gram
-        timings["gram.declined"] = time.perf_counter() - start
-        start = time.perf_counter()
-    affine, proved = None, None
+        return "sphere", _backed(form, seed, gram if gram is not None else _gram_top(unit, k, poly))
+    if slot is not None:
+        return "pencil", _backed(form, seed, _pencil_max(unit, k, slot))
+    affine, proved, timings = None, None, {}
     try:
         affine, unscored, classes, (system, proved) = _solve_argmax(form, budget, seed)
     except NotZeroDimensionalError as exc:
@@ -1732,27 +2022,29 @@ def _exact_max(form: MultilinearForm, seed: int, budget: int = DEFAULT_REDUCTION
         try:
             sphere = _sphere_max(unit, k, budget)
         except NotZeroDimensionalError as exc:
-            if affine is not None and affine.points:
-                top = affine.points[0]
-                best, far = _ascent(form, seed, abs(top.value))
-                points = ((best, *affine.points) if abs(best.value) > abs(top.value)
-                          else affine.points)
-                return "affine", replace(
-                    affine, max_value=abs(points[0].value), points=points,
-                    genericity_flags=(*affine.genericity_flags,
-                                      f"sphere chart refused: {exc}", *far),
-                    timings={**affine.timings, "sphere.refused": time.perf_counter() - start})
-            if form.order != 2 or not form.coeffs.any():
-                raise  # every point of the zero form is critical, its maximum 0
-            timings["sphere.refused"] = time.perf_counter() - start
-            return "sphere", _gram_top(unit, k, poly, (*flags, f"sphere chart refused: {exc}"),
-                                       timings)
-    points, flags = sphere.points, flags + sphere.genericity_flags
-    if not points:
-        best, far = _ascent(form, seed, sphere.max_value)
-        points, flags = (best,), flags + far
-    return "sphere", replace(sphere, points=points, genericity_flags=flags,
-                             timings={**timings, **sphere.timings})
+            if affine is None or not affine.points:
+                raise
+            top = affine.points[0]
+            best, far = _ascent(form, seed, abs(top.value))
+            points = ((best, *affine.points) if abs(best.value) > abs(top.value)
+                      else affine.points)
+            return "affine", replace(
+                affine, max_value=abs(points[0].value), points=points,
+                genericity_flags=(*affine.genericity_flags,
+                                  f"sphere chart refused: {exc}", *far),
+                timings={**affine.timings, "sphere.refused": time.perf_counter() - start})
+    sphere = replace(sphere, genericity_flags=flags + sphere.genericity_flags,
+                     timings={**timings, **sphere.timings})
+    return "sphere", _backed(form, seed, sphere)
+
+
+def _backed(form: MultilinearForm, seed: int, report: SolveReport) -> SolveReport:
+    """The report, its one point the best ascent (_ascent) and the flag of
+    a disagreeing ascent after its flags when it has no point."""
+    if report.points:
+        return report
+    best, far = _ascent(form, seed, report.max_value)
+    return replace(report, points=(best,), genericity_flags=report.genericity_flags + far)
 
 
 def _ascent(form: MultilinearForm, seed: int, value: float):

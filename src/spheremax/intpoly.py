@@ -2,10 +2,14 @@
 
 A polynomial is a list of Python ints, highest degree first.  Berkowitz's
 division-free algorithm gives the characteristic polynomial of an integer
-matrix, and one Sturm sequence counts the distinct real roots of any
-integer polynomial above a dyadic point and brackets its largest root by
-bisection.  No rounding happens anywhere, so repeated roots need no care.
-algsolver's Gram kernel for bilinear forms uses all of it.
+matrix, and of a matrix whose entries are integer polynomials in t by
+Kronecker substitution (one Berkowitz run at t = 2^w, read back in balanced
+base-2^w digits).  One Sturm sequence counts the distinct real roots of any
+integer polynomial above a dyadic point or over the whole line, and
+brackets its largest root by bisection.  No rounding happens anywhere, so
+repeated roots need no care.  algsolver's Gram kernel for bilinear forms
+and its pencil kernel for trilinear forms with a slot of dimension 2 use
+all of it.
 """
 
 from __future__ import annotations
@@ -34,6 +38,33 @@ def berkowitz(a) -> list:
         p = [sum(toeplitz[i - j] * p[j] for j in range(max(0, i - k - 1), min(i, k) + 1))
              for i in range(k + 2)]
     return p
+
+
+def pencil_charpoly(mats) -> list:
+    """det(mu I - (M_0 + t M_1 + ... + t^d M_d)) of square integer matrices
+    of one size k, as k + 1 polynomials in t, the coefficients of mu^k, ...,
+    mu^0 (the j-th of degree at most d j, padded to d k + 1 entries).  Each
+    coefficient of the j-th is a signed sum of at most k! products of j
+    entries, so its magnitude is below k! S^k, S the sum of every matrix's
+    largest |entry|.  Berkowitz's algorithm at t = 2^w, 2^(w-1) above that
+    bound, gives each polynomial's value there, and its balanced base-2^w
+    digits are its coefficients (Kronecker substitution)."""
+    k, d = len(mats[0]), len(mats) - 1
+    bound = math.factorial(k) * max(1, sum(max(map(abs, sum(m, [])), default=0)
+                                          for m in mats)) ** k
+    w = bound.bit_length() + 1
+    at = [[sum(m[i][j] << (w * e) for e, m in enumerate(mats)) for j in range(k)]
+          for i in range(k)]
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    polys = []
+    for c in berkowitz(at):
+        digits = []
+        for _ in range(d * k + 1):
+            digit = ((c + half) & mask) - half
+            digits.append(digit)
+            c = (c - digit) >> w
+        polys.append(digits[::-1])
+    return polys
 
 
 def _primitive(p) -> list:
@@ -89,12 +120,23 @@ def _changes(signs) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
+def _changes_at_infinity(seq, side) -> int:
+    """The sign changes of seq at +infinity (side 1) or -infinity (side -1)."""
+    return _changes([(1 if p[0] > 0 else -1) * side ** (len(p) - 1) for p in seq])
+
+
 def roots_above(seq, num, e=0) -> int:
     """The number of distinct real roots of seq[0] above num / 2^e, which
     must not be a root, seq its Sturm sequence: the sign changes of the
     sequence there minus those at +infinity."""
-    return (_changes([_sign_at(p, num, e) for p in seq])
-            - _changes([1 if p[0] > 0 else -1 for p in seq]))
+    return _changes([_sign_at(p, num, e) for p in seq]) - _changes_at_infinity(seq, 1)
+
+
+def real_roots(seq) -> int:
+    """The number of distinct real roots of seq[0], seq its Sturm sequence:
+    the sign changes of the sequence at -infinity minus those at
+    +infinity."""
+    return _changes_at_infinity(seq, -1) - _changes_at_infinity(seq, 1)
 
 
 def largest_root(seq):

@@ -736,12 +736,13 @@ def test_exact_solvers_agree_on_every_slot_permutation(dims):
     # the ring order follows the slot sizes, not the caller's slot order: a
     # form with its slots permuted gets the same quotient dimension, the
     # same maximum and, permuted back, the same top point from each exact
-    # solver
+    # solver; _exact_max answers from the pencil of the slot of dimension 2
+    # wherever it sits, with no quotient
     form = cli._random_integer_form(dims, np.random.default_rng(0))
     solvers = (solve_argmax, solve_max, lambda f: algsolver._exact_max(f, seed=0)[1])
     want = [solve(form) for solve in solvers]
     classes = count_extreme_classes(dims)
-    assert [r.quotient_dim for r in want] == [classes, classes << 3, classes]
+    assert [r.quotient_dim for r in want] == [classes, classes << 3, 0]
     for perm in itertools.permutations(range(3)):
         permuted = MultilinearForm(tuple(dims[s] for s in perm),
                                    np.transpose(form.tensor, perm).ravel())
@@ -758,12 +759,13 @@ def test_ranked_affine_chart_keeps_the_callers_letters_and_the_sphere_maximum():
     # the sparse 2x2x3 form's affine chart retries its separating form, the
     # first free variable of the caller's slot 0, and its flag names that
     # variable by the caller's letter; the sphere chart, in slot order,
-    # reads the maximum 3
+    # reads the maximum 3 (solve_max), and so does the pencil (_exact_max)
     form = MultilinearForm(*NON_GENERIC_FORMS["sparse-2x2x3"])
     retry = "repeated eigenvalue for multiplication matrix of 1*x2; retrying with a random linear form"
     assert retry in solve_argmax(form).genericity_flags
+    assert solve_max(form).max_value == pytest.approx(3.0, rel=1e-12, abs=0.0)
     chart, report = algsolver._exact_max(form, seed=0)
-    assert chart == "sphere" and retry in report.genericity_flags
+    assert (chart, report.genericity_flags) == ("pencil", ())
     assert report.max_value == pytest.approx(3.0, rel=1e-12, abs=0.0)
 
 
@@ -1271,13 +1273,16 @@ def test_point_proof_boxes_solutions_far_out_on_the_chart():
 @pytest.mark.parametrize("form, count, top", [
     # the affine chart cannot separate its solutions, so nothing is lifted
     # and the sphere chart reads M_l: its value comes with the best ascent
-    pytest.param(MultilinearForm((2, 2, 2), _integer_form(9).coeffs * 1e-9), 1,
-                 11.31196502654238e-9, id="refused"),
-    # the affine chart misses classes, so nothing is lifted: the value 2
-    # comes with one point, the best ascent's, of value 2 (the affine
-    # chart's best point has value 1)
-    pytest.param(MultilinearForm(*NON_GENERIC_FORMS["sparse-2x2x2"]), 1, 2.0,
-                 id="sparse-2x2x2"),
+    # (2x2x2x2, 1e-9 at 0000 and 2e-9 at 1111; a form with a slot of
+    # dimension 2 and r = 3 answers from its pencil)
+    pytest.param(MultilinearForm((2, 2, 2, 2), [1e-9] + [0.0] * 14 + [2e-9]), 1, 2e-9,
+                 id="refused"),
+    # the affine chart misses classes (25 of 37), so nothing is lifted: the
+    # value 3 comes with one point, the best ascent's, of value 3 (3x3x3,
+    # diagonal 1, 2, 3)
+    pytest.param(MultilinearForm((3, 3, 3), [float(i // 13 + 1) * (i % 13 == 0)
+                                             for i in range(27)]), 1, 3.0,
+                 id="diagonal-1-2-3"),
     # one affine eigenvector is left unscored, so the affine report does not
     # answer, but its points are proved: solve_max's lifts are the points
     pytest.param(cli._random_integer_form((2, 2, 2, 2), np.random.default_rng(522)), 8,

@@ -14,7 +14,6 @@ from spheremax import (
     MultilinearForm,
     NoConvergenceError,
     NotAStateError,
-    NotZeroDimensionalError,
     RankOneForm,
     bilinear_max,
     closest_rank_one,
@@ -33,7 +32,6 @@ from spheremax.apps import _separability_form
 
 from conftest import (
     AFFINE_REFUSAL,
-    CLASS_COUNT_FLAG,
     NON_GENERIC_FORMS,
     STATE_PURE_PRODUCT,
     MATRIX_3X2_X,
@@ -206,13 +204,19 @@ def test_power_ascent_not_converged_raises(trilinear_form, entangled_state, monk
 def test_rank_one_algebraic_passes_on_the_class_count_flag(name):
     # the affine chart misses the maximum of these forms (its best point on
     # the sparse 2x2x2 form has value 1, not 2; on e2 (x) e2 it has value 0)
-    # or refuses them: the answer says so, and is the sphere chart's, backed
-    # by the best ascent, so it agrees with the power method's
+    # or refuses them.  The sparse forms answer from their pencil, with no
+    # flag; e2 (x) e2 from the largest root of its Gram polynomial, flagged
+    # as positive-dimensional; the diagonal 3x3x3 form from the sphere
+    # chart, backed by the best ascent, after the affine refusal.  Each
+    # answer agrees with the power method's
     dims, coeffs = NON_GENERIC_FORMS[name]
     form = MultilinearForm(dims=dims, coeffs=coeffs)
     algebraic = closest_rank_one(form, method="algebraic")
-    why = AFFINE_REFUSAL if name == "diagonal-3x3x3" else CLASS_COUNT_FLAG
-    assert sum(why in f for f in algebraic.flags) == 1
+    why = {"diagonal-3x3x3": AFFINE_REFUSAL, "e2xe2": "not zero-dimensional"}.get(name)
+    if why is None:
+        assert algebraic.flags == ()
+    else:
+        assert sum(why in f for f in algebraic.flags) == 1
     # a power answer carries no flags: a non-converged one raises
     power = closest_rank_one(form, method="power")
     assert power.flags == ()
@@ -352,9 +356,10 @@ def test_maximally_mixed_state():
     got = separable_max(mm, method="power")
     assert got == pytest.approx(0.25, abs=1e-10)
     assert entanglement_check(mm, method="power").verdict == "separable-consistent"
-    # the critical variety is positive-dimensional: the algebraic path refuses
-    with pytest.raises(NotZeroDimensionalError):
-        separable_max(mm, method="algebraic")
+    # the critical variety is positive-dimensional: the pencil's top
+    # singular value is 1/2 at every point of the circle, and P vanishes
+    # identically at mu = 1/4, which the certificate reads as attained
+    assert separable_max(mm, method="algebraic") == pytest.approx(0.25, rel=1e-15, abs=0.0)
 
 
 def test_pure_product_state_saturates_bound():
@@ -368,10 +373,11 @@ def test_pure_product_state_saturates_bound():
 
 def test_entanglement_check_passes_on_the_algebraic_flags(entangled_state):
     # the pure product state's separability form is 2x2x1, one class short
+    # on the affine chart; its pencil answers it with no flag
     product = DensityState(2, 2, Matrix.from_array(np.array(STATE_PURE_PRODUCT)))
     report = entanglement_check(product, method="algebraic")
     assert report.sep_max == pytest.approx(1.0, abs=1e-9)
-    assert sum(CLASS_COUNT_FLAG in f for f in report.flags) == 1
+    assert report.flags == ()
     assert entanglement_check(product, method="power").flags == ()
     assert entanglement_check(entangled_state, method="algebraic").flags == ()
 

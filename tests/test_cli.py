@@ -15,10 +15,10 @@ from spheremax.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER
 
 from conftest import (
     AFFINE_REFUSAL,
-    CLASS_COUNT_FLAG,
     CLASS_COUNTS,
     NON_GENERIC_FORMS,
     QUADLINEAR_COEFFS,
+    QUADLINEAR_MAX,
     STATE_PURE_PRODUCT,
     MATRIX_4X3,
     MATRIX_4X3_NORM2,
@@ -28,7 +28,6 @@ from conftest import (
     STATE_SEPARABLE,
     STATE_SEPARABLE_SEPMAX,
     TRILINEAR_COEFFS,
-    TRILINEAR_MAX,
     UNCERTIFIED_FLAG,
     non_converged_bilinear_max,
 )
@@ -44,6 +43,13 @@ def _run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+@pytest.fixture
+def quadlinear_file(tmp_path):
+    return _write(
+        tmp_path, "quadlinear.json", {"dims": [2, 2, 2, 2], "coeffs": QUADLINEAR_COEFFS}
+    )
 
 
 @pytest.fixture
@@ -106,17 +112,18 @@ def test_maximize_power_bilinear(capsys, bilinear_file, monkeypatch):
     assert [np.linalg.norm(v) for v in point["vectors"]] == pytest.approx([1.0, 1.0])
 
 
-def test_maximize_algebraic_generic_form_affine_chart(capsys, trilinear_file):
-    # the affine quotient of a generic form holds all 6 classes, so the
-    # affine chart answers without --points
+def test_maximize_algebraic_generic_form_affine_chart(capsys, quadlinear_file):
+    # the affine quotient of a generic form holds all 24 classes, so the
+    # affine chart answers without --points (a trilinear form with a slot of
+    # dimension 2 answers from its pencil instead)
     code, out = _run(
-        capsys, ["maximize", trilinear_file, "--method", "algebraic"]
+        capsys, ["maximize", quadlinear_file, "--method", "algebraic"]
     )
     assert code == EXIT_OK
     report = json.loads(out)
     assert report["chart"] == "affine"
-    assert report["maxValue"] == pytest.approx(TRILINEAR_MAX, abs=1e-6)
-    assert report["quotientDim"] == 6
+    assert report["maxValue"] == pytest.approx(QUADLINEAR_MAX, abs=1e-6)
+    assert report["quotientDim"] == 24
 
 
 @pytest.fixture
@@ -136,6 +143,10 @@ def _maximize_algebraic(capsys, path, *options):
     return json.loads(out)
 
 
+def _no_groebner(*args, **kwargs):
+    raise AssertionError("groebner() ran")
+
+
 def _no_gram_kernel(monkeypatch):
     """Every bilinear form goes to the charts, as if the Gram kernel had
     not certified it."""
@@ -145,14 +156,22 @@ def _no_gram_kernel(monkeypatch):
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3), (3, 3)], ids=["2x2x2", "2x3", "3x3"])
 def test_maximize_algebraic_generic_forms_answer_from_the_affine_chart(
         capsys, tmp_path, monkeypatch, full_precision, dims):
-    # a bilinear form reaches the charts only when the Gram kernel declines
-    # it (see test_maximize_algebraic_bilinear_forms_answer_from_the_gram_kernel)
+    # no chart answers these any more: the 2x2x2 form answers from its
+    # pencil, and a bilinear form the Gram kernel declines (here by force)
+    # from the largest root of its Gram polynomial, flagged; neither runs a
+    # Groebner basis, and each reads solve_max's maximum
     _no_gram_kernel(monkeypatch)
     form = cli._random_integer_form(dims, np.random.default_rng(0))
+    want = solve_max(form).max_value
+    monkeypatch.setattr(cli.algsolver, "groebner", _no_groebner)
     report = _maximize_algebraic(capsys, _form_file(tmp_path, form))
-    assert (report["chart"], report["flags"]) == ("affine", [])
-    assert report["quotientDim"] == count_extreme_classes(dims)
-    assert report["maxValue"] == pytest.approx(solve_max(form).max_value, rel=1e-12, abs=0.0)
+    if len(dims) == 3:
+        assert (report["chart"], report["flags"]) == ("pencil", [])
+    else:
+        assert report["chart"] == "sphere" and len(report["flags"]) == 1
+        assert "not zero-dimensional" in report["flags"][0]
+    assert report["quotientDim"] == 0
+    assert report["maxValue"] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("dims, coeffs", [
@@ -181,44 +200,58 @@ def test_maximize_algebraic_bilinear_forms_answer_from_the_gram_kernel(
 
 def test_maximize_algebraic_separability_form_answers_from_the_affine_chart(
         capsys, tmp_path, separable_state):
-    # the sphere chart did not finish on this form in 300 s
+    # the sphere chart did not finish on this form in 300 s, and the affine
+    # chart answered it; its pencil (the 2x2x4 form has a slot of dimension
+    # 2) now does, unflagged
     form = _separability_form(separable_state)
     report = _maximize_algebraic(capsys, _form_file(tmp_path, form))
-    assert (report["chart"], report["flags"]) == ("affine", [])
+    assert (report["chart"], report["flags"]) == ("pencil", [])
     assert report["maxValue"] ** 2 == pytest.approx(STATE_SEPARABLE_SEPMAX, abs=1e-6)
 
 
-@pytest.mark.parametrize("dims, coeffs, first_flag", [
-    pytest.param(*NON_GENERIC_FORMS["sparse-2x2x2"], CLASS_COUNT_FLAG, id="sparse-2x2x2"),
-    pytest.param(*NON_GENERIC_FORMS["sparse-2x2x3"], CLASS_COUNT_FLAG, id="sparse-2x2x3"),
-    pytest.param(*NON_GENERIC_FORMS["e2xe2"], CLASS_COUNT_FLAG, id="e2xe2"),
+_GRAM_TOP_FLAG = "not zero-dimensional"
+
+
+@pytest.mark.parametrize("dims, coeffs, chart, first_flag", [
+    pytest.param(*NON_GENERIC_FORMS["sparse-2x2x2"], "pencil", None, id="sparse-2x2x2"),
+    pytest.param(*NON_GENERIC_FORMS["sparse-2x2x3"], "pencil", None, id="sparse-2x2x3"),
+    pytest.param(*NON_GENERIC_FORMS["e2xe2"], "sphere", _GRAM_TOP_FLAG, id="e2xe2"),
     # its affine chart cannot separate the solutions
-    pytest.param(*NON_GENERIC_FORMS["diagonal-3x3x3"], AFFINE_REFUSAL, id="diagonal-3x3x3"),
-    pytest.param((2, 2), [3, 0, 0, 2], CLASS_COUNT_FLAG, id="diag(3,2)"),
+    pytest.param(*NON_GENERIC_FORMS["diagonal-3x3x3"], "sphere", AFFINE_REFUSAL,
+                 id="diagonal-3x3x3"),
+    pytest.param((2, 2), [3, 0, 0, 2], "sphere", _GRAM_TOP_FLAG, id="diag(3,2)"),
 ])
 def test_maximize_algebraic_non_generic_forms_answer_from_the_sphere_chart(
-        capsys, tmp_path, monkeypatch, full_precision, dims, coeffs, first_flag):
-    # the affine quotient misses a class (or the chart refuses): solve_max's
-    # value, bit for bit, after the flag that says why the sphere answered,
-    # and a first point that backs it.  The Gram kernel declines e2 (x) e2
-    # (a zero singular value) by itself, and diag(3, 2) here
+        capsys, tmp_path, monkeypatch, full_precision, dims, coeffs, chart, first_flag):
+    # the affine quotient misses a class of each (or the chart refuses).
+    # The trilinear forms with a slot of dimension 2 answer from their
+    # pencil, unflagged; the matrices the Gram kernel declines (e2 (x) e2 by
+    # itself, a zero singular value, and diag(3, 2) here) from the largest
+    # root of their Gram polynomial, flagged, no chart run; both read
+    # solve_max's value within 1e-12.  The diagonal 3x3x3 form answers from
+    # the sphere chart: solve_max's value, bit for bit, after the flag that
+    # says why.  Each first point backs the value
     _no_gram_kernel(monkeypatch)
     form = MultilinearForm(dims=dims, coeffs=coeffs)
     report = _maximize_algebraic(capsys, _form_file(tmp_path, form), "--points")
     sphere = solve_max(form)
-    assert report["chart"] == "sphere"
-    assert report["maxValue"] == sphere.max_value
+    assert report["chart"] == chart
     top = abs(report["points"][0]["value"])
     assert top == pytest.approx(report["maxValue"], rel=1e-9, abs=0.0)
+    timings = report["timings"]
+    assert sum(t for k, t in timings.items() if k != "total") <= timings["total"]
+    if first_flag != AFFINE_REFUSAL:
+        assert len(report["flags"]) == (first_flag is not None)
+        assert all(first_flag in f for f in report["flags"])
+        assert report["quotientDim"] == 0
+        assert report["maxValue"] == pytest.approx(sphere.max_value, rel=1e-12, abs=0.0)
+        return
+    assert report["maxValue"] == sphere.max_value
     assert report["quotientDim"] == sphere.quotient_dim
     assert first_flag in report["flags"][0]
     # the stages account for the affine attempt too, so they add up to at
     # most the total
-    timings = report["timings"]
-    affine = {"affine.refused"} if first_flag == AFFINE_REFUSAL else {
-        f"affine.{stage}" for stage in sphere.timings}
-    assert {k for k in timings if k.startswith("affine.")} == affine
-    assert sum(t for k, t in timings.items() if k != "total") <= timings["total"]
+    assert {k for k in timings if k.startswith("affine.")} == {"affine.refused"}
 
 
 @pytest.mark.parametrize("unscored", [
@@ -226,17 +259,17 @@ def test_maximize_algebraic_non_generic_forms_answer_from_the_sphere_chart(
     "discarded point with residual 1.000e-03 above tolerance",
 ], ids=["skipped-eigenvector", "discarded-point"])
 def test_maximize_algebraic_falls_back_when_a_solution_went_unscored(
-        capsys, monkeypatch, trilinear_file, full_precision, unscored):
+        capsys, monkeypatch, quadlinear_file, full_precision, unscored):
     # the affine quotient holds every class, but one solution was not
     # scored, so the maximum may be missing from its points: the sphere
     # chart answers, after the flag that says why
-    form = MultilinearForm((2, 2, 2), TRILINEAR_COEFFS)
+    form = MultilinearForm((2, 2, 2, 2), QUADLINEAR_COEFFS)
     retry = "repeated eigenvalue for multiplication matrix of 1*y2; retrying"
     affine = replace(solve_argmax(form), genericity_flags=(retry, unscored))
     lift = cli.algsolver._solve_argmax(form, cli.algsolver.DEFAULT_REDUCTION_BUDGET, 0)[3]
     monkeypatch.setattr(cli.algsolver, "_solve_argmax", lambda form, budget, seed: (
         affine, (unscored,), count_extreme_classes(form.dims), lift))
-    report = _maximize_algebraic(capsys, trilinear_file)
+    report = _maximize_algebraic(capsys, quadlinear_file)
     sphere = solve_max(form)
     assert report["chart"] == "sphere"
     assert report["maxValue"] == sphere.max_value
@@ -246,10 +279,14 @@ def test_maximize_algebraic_falls_back_when_a_solution_went_unscored(
 def test_maximize_algebraic_keeps_the_affine_answer_after_a_separation_retry(
         capsys, tmp_path, full_precision):
     # a retried separating form scores every solution, so the affine chart
-    # still answers: the retry flag alone sends nothing to the sphere chart
-    form = cli._random_integer_form((2, 2, 2), np.random.default_rng(63))
+    # still answers: the retry flag alone sends nothing to the sphere chart.
+    # The form is symmetric in its middle slots, so x2 takes each value
+    # twice; 10 of its 24 solutions are real
+    form = MultilinearForm((2, 2, 2, 2), [8, 4, -2, -8, -2, -8, -10, -10,
+                                          -8, 6, 2, 6, 2, 6, 10, 6])
     affine = solve_argmax(form)
-    assert affine.quotient_dim == count_extreme_classes((2, 2, 2)) == len(affine.points) == 6
+    assert affine.quotient_dim == count_extreme_classes((2, 2, 2, 2)) == 24
+    assert len(affine.points) == 10
     assert len(affine.genericity_flags) == 1
     assert affine.genericity_flags[0].startswith("repeated eigenvalue")
     report = _maximize_algebraic(capsys, _form_file(tmp_path, form))
@@ -259,19 +296,23 @@ def test_maximize_algebraic_keeps_the_affine_answer_after_a_separation_retry(
 
 
 def test_maximize_algebraic_falls_back_on_the_affine_refusal(capsys, tmp_path, full_precision):
-    form = cli._random_integer_form((2, 2, 2), np.random.default_rng(9))
+    # 2x2x2x2, 1 at 0000 and 2 at 1111, times 1e-9: no multiplication matrix
+    # separates the affine solutions
+    form = MultilinearForm((2, 2, 2, 2), [1.0] + [0.0] * 14 + [2.0])
     report = _maximize_algebraic(capsys, _form_file(tmp_path, form, 1e-9))
     assert report["chart"] == "sphere"
     assert report["flags"][0].startswith(AFFINE_REFUSAL)
-    assert report["maxValue"] == pytest.approx(11.31196502654238e-9, rel=1e-9, abs=0.0)
+    assert report["maxValue"] == pytest.approx(2e-9, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("dims, coeffs", [
-    ((2, 2, 2), [0, 0, 0, 0, 0, 0, 0, 1]),
-    ((2, 2, 2), [1] * 8),
+    # e2 = (0, 1, 0); on 2x2x2 the forms e2 (x) e2 (x) e2 and all-ones
+    # answer from their pencil (test_pencil_answers_the_non_generic_table)
+    ((3, 3, 3), [float(i == 13) for i in range(27)]),
+    ((3, 3, 3), [1] * 27),
     # every point is critical; the Gram kernel's largest root, 0, answers nothing
     ((2, 2), [0] * 4),
-], ids=["e2xe2xe2", "all-ones-2x2x2", "zero-2x2"])
+], ids=["e2xe2xe2", "all-ones-3x3x3", "zero-2x2"])
 def test_maximize_algebraic_positive_dimensional_form_is_solver_error(
         capsys, tmp_path, dims, coeffs):
     path = _form_file(tmp_path, MultilinearForm(dims=dims, coeffs=coeffs))
@@ -318,25 +359,26 @@ def test_maximize_algebraic_scaled_forms_are_exact(capsys, tmp_path, full_precis
     # the decimal reprs of this form times 0.1 perturb its exact system: on
     # the sphere chart spurious real eigenvalues up to 235.4 came out as the
     # maximum, unflagged, and then 5.3e-8 off once dropped, flagged; the
-    # affine chart holds every class of it
+    # affine chart held every class of it, and its pencil, read through the
+    # same decimals, answers it
     form = cli._random_integer_form((2, 2, 2), np.random.default_rng(16))
     report = _maximize_algebraic(capsys, _form_file(tmp_path, form, scale))
-    assert (report["chart"], report["flags"]) == ("affine", [])
+    assert (report["chart"], report["flags"]) == ("pencil", [])
     assert report["maxValue"] == pytest.approx(9.975584812060896 * scale, rel=1e-12, abs=0.0)
 
 
-def test_maximize_algebraic_affine_points(capsys, trilinear_file):
+def test_maximize_algebraic_affine_points(capsys, trilinear_file, quadlinear_file):
     code, out = _run(
         capsys,
-        ["maximize", trilinear_file, "--method", "algebraic", "--points"],
+        ["maximize", quadlinear_file, "--method", "algebraic", "--points"],
     )
     assert code == EXIT_OK
     report = json.loads(out)
     assert report["chart"] == "affine"
-    assert report["quotientDim"] == 6
-    assert report["maxValue"] == pytest.approx(TRILINEAR_MAX, abs=1e-6)
+    assert report["quotientDim"] == 24
+    assert report["maxValue"] == pytest.approx(QUADLINEAR_MAX, abs=1e-6)
     best = report["points"][0]
-    assert abs(best["value"]) == pytest.approx(TRILINEAR_MAX, abs=1e-6)
+    assert abs(best["value"]) == pytest.approx(QUADLINEAR_MAX, abs=1e-6)
     for v in best["vectors"]:
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-8)
     # the code picks the chart; no option does
@@ -432,23 +474,26 @@ _SPARSE_DIMS, _SPARSE_COEFFS = NON_GENERIC_FORMS["sparse-2x2x2"]
 _E2E2_DIMS, _E2E2_COEFFS = NON_GENERIC_FORMS["e2xe2"]
 
 
-@pytest.mark.parametrize("command, obj, flagged", [
-    ("rank1", {"dims": _SPARSE_DIMS, "coeffs": _SPARSE_COEFFS}, True),
-    ("rank1", {"dims": _E2E2_DIMS, "coeffs": _E2E2_COEFFS}, True),
-    ("separability", _state_obj(STATE_PURE_PRODUCT), True),
-    ("rank1", {"dims": [2, 2, 2], "coeffs": TRILINEAR_COEFFS}, False),
-    ("rank1", {"dims": [2, 2, 2, 2], "coeffs": QUADLINEAR_COEFFS}, False),
-    ("separability", _state_obj(STATE_ENTANGLED), False),
+@pytest.mark.parametrize("command, obj, flag", [
+    ("rank1", {"dims": _SPARSE_DIMS, "coeffs": _SPARSE_COEFFS}, None),
+    ("rank1", {"dims": _E2E2_DIMS, "coeffs": _E2E2_COEFFS}, _GRAM_TOP_FLAG),
+    ("separability", _state_obj(STATE_PURE_PRODUCT), None),
+    ("rank1", {"dims": [2, 2, 2], "coeffs": TRILINEAR_COEFFS}, None),
+    ("rank1", {"dims": [2, 2, 2, 2], "coeffs": QUADLINEAR_COEFFS}, None),
+    ("separability", _state_obj(STATE_ENTANGLED), None),
 ], ids=["sparse-2x2x2", "e2xe2", "pure-product", "trilinear", "quadlinear", "entangled"])
-def test_rank1_and_separability_report_flags(capsys, tmp_path, command, obj, flagged):
-    # the algebraic solve's flags reach the report, as in `maximize`: the
-    # non-generic inputs carry the class-count flag, the generic ones none
+def test_rank1_and_separability_report_flags(capsys, tmp_path, command, obj, flag):
+    # the algebraic solve's flags reach the report, as in `maximize`: e2 (x)
+    # e2 carries the Gram polynomial's positive-dimensional flag; the
+    # sparse form and the pure product state, which the affine chart
+    # flagged, answer from their pencil, and the generic inputs from theirs
+    # or from the affine chart, all with no flag
     path = _write(tmp_path, "input.json", obj)
     code, out = _run(capsys, [command, path, "--method", "algebraic"])
     assert code == EXIT_OK
     flags = json.loads(out)["flags"]
-    if flagged:
-        assert sum(CLASS_COUNT_FLAG in f for f in flags) == 1
+    if flag is not None:
+        assert sum(flag in f for f in flags) == 1
     else:
         assert flags == []
 
@@ -534,10 +579,12 @@ def test_missing_field_is_io_error(capsys, tmp_path):
     assert code == EXIT_IO
 
 
-def test_solver_budget_exhaustion_is_solver_error(capsys, trilinear_file):
+def test_solver_budget_exhaustion_is_solver_error(capsys, quadlinear_file):
+    # the kernels spend no reductions, so the form has no slot of dimension 2
+    # beside two others
     code, _ = _run(
         capsys,
-        ["maximize", trilinear_file, "--method", "algebraic",
+        ["maximize", quadlinear_file, "--method", "algebraic",
          "--budget-reductions", "50"],
     )
     assert code == EXIT_SOLVER
@@ -627,7 +674,7 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-def test_report_is_strict_json_without_real_eigenvalue(capsys, trilinear_file, monkeypatch):
+def test_report_is_strict_json_without_real_eigenvalue(capsys, quadlinear_file, monkeypatch):
     nan_report = SolveReport(
         quotient_dim=48,
         eigenvalues=(1j, -1j),
@@ -642,7 +689,7 @@ def test_report_is_strict_json_without_real_eigenvalue(capsys, trilinear_file, m
     # the affine chart refuses, and the sphere chart finds no real value
     monkeypatch.setattr(cli.algsolver, "_solve_argmax", refuse)
     monkeypatch.setattr(cli.algsolver, "_sphere_max", lambda form, k, budget: nan_report)
-    code, out = _run(capsys, ["maximize", trilinear_file, "--method", "algebraic"])
+    code, out = _run(capsys, ["maximize", quadlinear_file, "--method", "algebraic"])
     assert code == EXIT_OK
     report = _strict_json(out)
     assert report["chart"] == "sphere"
@@ -704,12 +751,16 @@ def test_norm2_power_not_converged_is_solver_error(capsys, matrix_file, monkeypa
     assert "NoConvergenceError" in captured.err
 
 
-def test_maximize_algebraic_reports_stage_times(capsys, trilinear_file):
-    code, out = _run(capsys, ["maximize", trilinear_file, "--method", "algebraic"])
-    assert code == EXIT_OK
-    timings = json.loads(out)["timings"]
-    assert set(timings) == {"system", "groebner", "normalSet", "eigen", "total"}
-    assert sum(timings[k] for k in timings if k != "total") <= timings["total"]
+def test_maximize_algebraic_reports_stage_times(capsys, quadlinear_file, trilinear_file):
+    # the affine chart's stages, and the pencil's on a trilinear form with a
+    # slot of dimension 2
+    for path, stages in ((quadlinear_file, {"system", "groebner", "normalSet", "eigen"}),
+                         (trilinear_file, {"setup", "search", "certificate"})):
+        code, out = _run(capsys, ["maximize", path, "--method", "algebraic"])
+        assert code == EXIT_OK
+        timings = json.loads(out)["timings"]
+        assert set(timings) == stages | {"total"}
+        assert sum(timings[k] for k in timings if k != "total") <= timings["total"]
 
 
 @pytest.mark.parametrize("command, fixture", [
