@@ -3,13 +3,16 @@
 
 Sparse (about 30% of the entries nonzero, -3..3), exact rank-one and
 rank-two (integer factors in -2..2) and diagonal (-3..3, nonzero) integer
-forms over 2x2, 3x3, 2x2x2, 2x2x3, 3x3x3 and 8x7, and four families of
+forms over 2x2, 3x3, 2x2x2, 2x2x3, 3x3x3, 8x7, 3x3x2 and 2x4x4, the
+separability forms (2x2x1) of seeded rank-one two-qubit states
+(``pure-state``: a standard normal 4-vector g, rho = g g^T / |g|^2), and four families of
 matrices whose top singular value is tied (``identity``: c I, c in 1..3;
 ``signed-permutation``: c times a signed permutation; ``hadamard``: c
 times 2x2 blocks [[1, 1], [1, -1]] down the diagonal, a last odd row and
 column holding +-c; ``repeated-diagonal``: a diagonal in -3..3, nonzero,
 its largest |entry| at least twice; each with rows and columns permuted),
-each drawn from the fixed seed ``(family, shape, k)``, go through
+each drawn from the fixed seed ``(family, shape, k)`` (a state from
+``(family, k)``), go through
 ``algsolver._exact_max`` and through ``closest_rank_one`` with each
 method, and the matrices also through ``solve_max``, which raises where
 the critical set is not zero-dimensional (a tied or, on the smaller side,
@@ -32,14 +35,14 @@ The JSON goes to standard output: the counts per method, family and
 outcome, and every answer that is not ``right``.  It holds no timings, so
 two runs print the same JSON.
 
-    python3 scripts/sweep.py > SWEEP_34.json
+    python3 scripts/sweep.py > SWEEP_36.json
     python3 scripts/sweep.py --smoke > /dev/null   # shapes up to 2x2x3
 
 It exits 1 when an answer is wrong, flagged or not.  It imports ``src/``
-beside this script.  On one core the full set of 108 forms runs in about
-22 s, most of it the sphere-chart solves of the diagonal 3x3x3 forms and
-the charts' refusals of the rank-deficient 8x7 matrices, and the smoke set
-of 72 in about 2 s.
+beside this script.  On one core the full set of 135 forms runs in about
+14 s, most of it the sphere-chart solves of the 3x3x3 forms and those of
+``solve_max`` on the matrices the Gram kernel declines, and the smoke set
+of 75 in under 1 s.
 """
 
 import argparse
@@ -52,10 +55,12 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from spheremax import (BudgetExceededError, MultilinearForm, SphereMaxError,  # noqa: E402
-                       algsolver, closest_rank_one, poweriter)
+from spheremax import (BudgetExceededError, DensityState, Matrix,  # noqa: E402
+                       MultilinearForm, SphereMaxError, algsolver, closest_rank_one,
+                       poweriter)
+from spheremax.apps import _separability_form  # noqa: E402
 
-SHAPES = ((2, 2), (3, 3), (2, 2, 2), (2, 2, 3), (3, 3, 3), (8, 7))
+SHAPES = ((2, 2), (3, 3), (2, 2, 2), (2, 2, 3), (3, 3, 3), (8, 7), (3, 3, 2), (2, 4, 4))
 SMOKE_SHAPES = SHAPES[:4]
 FORMS_PER_CASE = 3     # seeds per family and shape
 TOL = 1e-9
@@ -149,6 +154,11 @@ def _forms(shapes):
                 coeffs = draw(np.random.default_rng((f, s, k)), dims)
                 if coeffs is not None:
                     yield family, (f, s, k), MultilinearForm(dims, coeffs.astype(float))
+    f = len(FAMILIES)
+    for k in range(FORMS_PER_CASE):
+        g = np.random.default_rng((f, k)).standard_normal(4)
+        rho = DensityState(2, 2, Matrix.from_array(np.outer(g, g) / (g @ g)))
+        yield "pure-state", (f, k), _separability_form(rho)
 
 
 def _reference(form):

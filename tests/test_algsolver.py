@@ -35,7 +35,7 @@ from spheremax import (
     solve_max,
     verify_buchberger_certificate,
 )
-from spheremax import algsolver, cli, intpoly, multiform
+from spheremax import algsolver, cli, intpoly, multiform, poweriter
 from spheremax.apps import _separability_form
 from spheremax.algsolver import (
     RESIDUAL_TOL,
@@ -1672,6 +1672,7 @@ def test_sturm_counts_distinct_real_roots(roots, extra):
         if x in real or (extra == [1, 0, -2] and x * x == 2):
             continue
         assert intpoly.roots_above(seq, num, e) == sum(r > x for r in real)
+    assert intpoly.real_roots(seq) == len(real)
     lo, hi, e = intpoly.largest_root(seq)
     if max(real) == math.sqrt(2):
         assert 0 < lo and lo * lo < 2 << 2 * e < hi * hi
@@ -1811,7 +1812,8 @@ def test_gram_kernel_property(a):
         assert certified
     if gaps.min() < 1e-12:
         assert not certified
-    _, exact = algsolver._exact_max(form, seed=0)
+    with mock.patch.object(algsolver, "groebner", side_effect=AssertionError("groebner ran")):
+        _, exact = algsolver._exact_max(form, seed=0)
     assert exact.max_value == pytest.approx(sigma[0], rel=1e-12, abs=0.0)
     assert abs(exact.points[0].value) == pytest.approx(sigma[0], rel=1e-9, abs=0.0)
 
@@ -1827,3 +1829,180 @@ def test_gram_kernel_answers_large_integer_matrices_quickly(dims, seed, seconds)
     assert report.quotient_dim == 4 * min(dims)
     sigma = np.linalg.svd(form.tensor, compute_uv=False)[0]
     assert report.max_value == pytest.approx(sigma, rel=1e-15, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the pencil kernel: trilinear forms with a slot of dimension 2
+# ---------------------------------------------------------------------------
+
+def test_pencil_charpoly_is_the_characteristic_polynomial_in_t():
+    # at integer points t the k + 1 polynomials are the coefficients of
+    # det(mu I - G_0 - t G_1 - t^2 G_2), Berkowitz's at t, entries of either
+    # sign and of 4 to 40 bits alike
+    rng = np.random.default_rng(0)
+    for k, bound in itertools.product((1, 2, 3, 4), (9, 10**12)):
+        mats = [rng.integers(-bound, bound + 1, size=(k, k)).tolist() for _ in range(3)]
+        polys = intpoly.pencil_charpoly(mats)
+        assert [len(p) for p in polys] == [2 * k + 1] * (k + 1)
+        for t in (-3, 0, 1, 7):
+            at = [[sum(m[i][j] * t ** e for e, m in enumerate(mats)) for j in range(k)]
+                  for i in range(k)]
+            values = [sum(c * t ** (2 * k - i) for i, c in enumerate(p)) for p in polys]
+            assert values == intpoly.berkowitz(at)
+
+
+@pytest.mark.parametrize("p, count", [
+    ([1, 0, -2], 2), ([1, 0, 2], 0), ([-3, 0, 0, 1], 1), ([1, -2, 1], 1), ([1, 0, 0, 0], 1),
+    (_expand([2, 2, -1, -1, -1], [1, 0, 1]), 2),
+], ids=["two", "none", "odd-degree", "double", "triple-at-0", "repeated-and-complex"])
+def test_real_roots_counts_the_distinct_real_roots_on_the_line(p, count):
+    assert intpoly.real_roots(intpoly.sturm(p)) == count
+
+
+def _pencil_setup(form):
+    """(slot, gram, qs, D, k) of a form with a slot of dimension 2: the
+    slot its pencil takes, _pencil's integers on the form at unit scale,
+    t 2^-k, and k."""
+    unit, k = multiform._scaled(form)
+    slot = algsolver._pencil_slot(form.dims)
+    _, gram, qs, den = algsolver._pencil(unit, slot)
+    return slot, gram, qs, den, k
+
+
+def test_pencil_test_reads_a_constant_top_singular_value_as_attained():
+    # a = I, b a rotation by 90 degrees: a cos + b sin is a rotation, both
+    # singular values 1 on the whole circle, and P_mu = (mu - 1)^2 (1 + t^2)^2
+    # at unit scale vanishes identically at mu* = 1; it has no real root
+    # below it, where only the exact top(t0) check shows mu <= mu*
+    form = MultilinearForm((2, 2, 2), [1, 0, 0, 1, 0, -1, 1, 0])
+    slot, gram, qs, den, k = _pencil_setup(form)
+    star = Fraction(den, 2 ** k) ** 2
+    assert algsolver._pencil_poly(qs, star) == [0] * 5
+    assert algsolver._pencil_test(qs, star)
+    below, above = star * Fraction(99, 100), star * Fraction(101, 100)
+    assert not algsolver._pencil_test(qs, below) and not algsolver._pencil_test(qs, above)
+    assert not algsolver._above_top(gram, (1, 0), below)
+    assert algsolver._above_top(gram, (3, -7), above)
+    chart, report = algsolver._exact_max(form, seed=0)
+    assert (chart, report.genericity_flags) == ("pencil", ())
+    assert report.max_value == pytest.approx(1.0, rel=1e-15, abs=0.0)
+
+
+def test_pencil_test_reads_a_degree_drop_as_a_root_at_infinity():
+    # e2 (x) e2 (x) e2: the pencil is b alone, its maximum 1 at x = (0, 1),
+    # t = infinity, where P_mu's top coefficient det(mu I - G_2) vanishes;
+    # P_mu has no real root, so the Sturm count alone would read false
+    form = MultilinearForm((2, 2, 2), [0] * 7 + [1])
+    slot, gram, qs, den, k = _pencil_setup(form)
+    star = Fraction(den, 2 ** k) ** 2
+    p = algsolver._pencil_poly(qs, star)
+    assert p == [0, 0, 1, 0, 1]  # 1 + t^2, no real root
+    assert intpoly.real_roots(intpoly.sturm(p[2:])) == 0
+    assert algsolver._pencil_test(qs, star)
+    above = star * (1 + Fraction(1, 2**40))
+    assert not algsolver._pencil_test(qs, above) and algsolver._above_top(gram, (0, 1), above)
+
+
+def test_pencil_test_reads_a_repeated_root():
+    # the all-ones 2x2x2 form, exactly rank one: its maximum sqrt(8) sits at
+    # x = (1, 1) / sqrt(2), t = 1, a double root of P_mu* (the top branch
+    # touches mu* there); one Sturm sequence counts it once
+    form = MultilinearForm((2, 2, 2), [1.0] * 8)
+    slot, gram, qs, den, k = _pencil_setup(form)
+    star = Fraction(den, 2 ** k) ** 2 * 8
+    p = algsolver._pencil_poly(qs, star)
+    assert sum(c for c in p) == 0 and sum(c * (len(p) - 1 - i) for i, c in enumerate(p)) == 0
+    assert intpoly.real_roots(intpoly.sturm(p)) == 1
+    assert algsolver._pencil_test(qs, star)
+    assert not algsolver._pencil_test(qs, star * (1 + Fraction(1, 2**40)))
+
+
+@pytest.mark.parametrize("dims, coeffs, want", [
+    (*NON_GENERIC_FORMS["sparse-2x2x2"], 2.0),
+    (*NON_GENERIC_FORMS["sparse-2x2x3"], 3.0),
+    ((2, 2, 2), [0] * 7 + [1], 1.0),
+    ((2, 2, 2), [1] * 8, math.sqrt(8)),
+], ids=["sparse-2x2x2", "sparse-2x2x3", "e2xe2xe2", "all-ones-2x2x2"])
+def test_pencil_answers_the_non_generic_table(dims, coeffs, want):
+    # the affine chart flagged the sparse forms and refused the other two;
+    # the pencil answers each, with no flag and no Groebner basis
+    form = MultilinearForm(dims, coeffs)
+    with mock.patch.object(algsolver, "groebner", side_effect=AssertionError("groebner ran")):
+        chart, report = algsolver._exact_max(form, seed=0)
+    assert (chart, report.quotient_dim, report.genericity_flags) == ("pencil", 0, ())
+    assert report.max_value == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert abs(report.points[0].value) == report.max_value
+    assert report.points[0].residual <= 1e-14
+
+
+def test_pencil_bisects_when_the_search_misses_the_maximum(monkeypatch):
+    # 2 at 000 and 1 at 111: sigma is max(2 |cos|, |sin|), a local maximum
+    # 1 at x = (0, 1) beside the maximum 2 at x = (1, 0).  A search stopped
+    # at the lower one fails the certificate (T is true above its value), and
+    # the bisection brackets the maximum 2; the point says it misses it
+    form = MultilinearForm((2, 2, 2), [2.0] + [0.0] * 6 + [1.0])
+    monkeypatch.setattr(algsolver, "_pencil_search",
+                        lambda a, b: (math.pi / 2, b[1, 1] ** 2, np.array([0.0, 1.0])))
+    tests, counting = [0], algsolver._pencil_test
+
+    def counted(qs, mu):
+        tests[0] += 1
+        return counting(qs, mu)
+
+    monkeypatch.setattr(algsolver, "_pencil_test", counted)
+    chart, report = algsolver._exact_max(form, seed=0)
+    assert chart == "pencil" and tests[0] > 40
+    assert report.max_value == pytest.approx(2.0, rel=2.0**-44, abs=0.0)
+    assert report.genericity_flags == ("the pencil's top singular pair does not reach the maximum",)
+    assert abs(report.points[0].value) == 1.0
+
+
+@st.composite
+def _pencil_forms(draw):
+    """Nonzero integer forms 2 x m x n, m x 2 x n or m x n x 2, m, n in 1..4:
+    dense (-9..9), sparse (about one entry in three, -3..3), of rank one or
+    two (factors in -2..2), or diagonal (-3..3)."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    dims = [m, n]
+    dims.insert(draw(st.integers(0, 2)), 2)
+    size = math.prod(dims)
+    ints = lambda count, lo, hi: np.array(draw(st.lists(
+        st.integers(lo, hi), min_size=count, max_size=count)), dtype=float)
+    kind = draw(st.sampled_from(["dense", "sparse", "rank-deficient", "diagonal"]))
+    if kind == "dense":
+        t = ints(size, -9, 9)
+    elif kind == "sparse":
+        t = ints(size, -3, 3) * (ints(size, 0, 2) == 0)
+    elif kind == "rank-deficient":
+        t = sum(functools.reduce(np.multiply.outer, [ints(d, -2, 2) for d in dims]).reshape(-1)
+                for _ in range(draw(st.integers(1, 2))))
+    else:
+        t = np.zeros(dims)
+        for i in range(min(dims)):
+            t[(i,) * 3] = draw(st.integers(-3, 3))
+        t = t.reshape(-1)
+    assume(np.any(t))
+    return MultilinearForm(tuple(dims), t)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_pencil_forms())
+def test_pencil_property(form):
+    # every such form answers from its pencil, with no Groebner basis, at
+    # least the best ascent's value, and certified: mu-hat (1 - 2^-44) is at
+    # most the top branch at the point's direction, and mu-hat (1 + 2^-44)
+    # above it with T false, so the value is the maximum within 2^-44
+    with mock.patch.object(algsolver, "groebner", side_effect=AssertionError("groebner ran")):
+        chart, report = algsolver._exact_max(form, seed=0)
+    best = max(poweriter._ascend(form, seed, poweriter._ASCENTS).value for seed in (0, 1))
+    assert chart == "pencil" and report.genericity_flags == ()
+    assert report.max_value >= best * (1.0 - 1e-12)
+    assert abs(report.points[0].value) == report.max_value
+    slot, gram, qs, den, k = _pencil_setup(form)
+    x = [Fraction(float(c)) for c in report.points[0].vectors[slot]]
+    scale = math.lcm(*(c.denominator for c in x))
+    direction = [int(c * scale) for c in x]
+    mu = (Fraction(math.ldexp(report.max_value, -k)) * den) ** 2
+    lo, hi = mu * (1 - Fraction(1, 2**44)), mu * (1 + Fraction(1, 2**44))
+    assert not algsolver._above_top(gram, direction, lo)
+    assert algsolver._above_top(gram, direction, hi) and not algsolver._pencil_test(qs, hi)
