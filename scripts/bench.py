@@ -3,7 +3,8 @@
 iterations and cost per iteration of the power kernels.
 
 Runs a fixed list of heavy exact cases, each a whole solve (``solve_argmax``
-on the affine chart, ``solve_max`` on the rows named ``-sphere``), and
+on the affine chart, ``solve_max`` on the rows named ``-sphere``,
+``_exact_max`` on the rows named ``pencil-``), and
 splits its CPU time into stages by wrapping functions of ``algsolver`` from
 here; the library has no hooks for it.  ``solve_max`` lifts the affine
 chart's proved points, so ``2x2x3-sphere`` times the affine solve and the
@@ -12,13 +13,21 @@ solutions, times the sphere chart's own Groebner run, decided by the
 certificate, and its multiplication matrix.  A bilinear form goes to the
 Gram kernel first: ``3x3-sphere`` and ``8x7-sphere`` time it alone, no
 Groebner basis, and ``e2xe2-sphere``, which it declines (a zero singular
-value), times the kernel's refusal and then the charts.  The stages:
+value), times the kernel's refusal and then the charts.  A trilinear form
+with a slot of dimension 2 goes to the pencil kernel in ``_exact_max``:
+``pencil-separability-rank4`` (the separability form of the rank-4 state
+below, 2x2x4) and ``pencil-2x4x4`` time it, no Groebner basis (a tree
+without the kernel runs its charts there).  The stages:
 
 - ``gram``, ``charpoly``, ``sturm``, ``points``: the Gram kernel's
   (``algsolver._gram``, the integer Gram matrix; ``intpoly.berkowitz``,
   its characteristic polynomial; ``intpoly.sturm``, the Sturm sequence;
   ``_gram_max``, the root count and the singular pairs of
-  ``np.linalg.svd`` lifted and scored);
+  ``np.linalg.svd`` lifted and scored); on the pencil rows ``charpoly``
+  holds the Berkowitz runs of the pencil kernel (its characteristic
+  polynomial in t, and its exact top-branch checks) and ``sturm`` its Sturm
+  sequences;
+- ``search``: the pencil kernel's float search (``pencil.search``);
 - ``run``: Buchberger's loop (``_Engine.run``, its interreduction left out);
 - ``interreduce``: ``_Engine._interreduce``;
 - ``certificate``: whichever proof of the basis ran: ``_prove_points``,
@@ -38,8 +47,12 @@ test skipped or the count stop left queued, the certificate's verdicts as
 ``[proof, verdict]`` pairs in the order they ran (``sturm`` for the Gram
 kernel's root count, ``points`` for ``_prove_points``, ``pairs`` for
 ``_certify``; the last one decided), the
-quotient dimension, the number of points reported and the maximum.  They are checked to repeat exactly
-over every repeat.
+quotient dimension, the number of points reported and the maximum.  The
+pencil rows also count the kernel's Sturm tests (``sturm_tests``, calls of
+``pencil.test``), the largest degree of the polynomials P_mu it tested
+(``degree``) and their largest coefficient's bit length
+(``coefficient_bits``).  They are checked to repeat exactly over every
+repeat.
 
 Power rows (``kind: power``; the exact rows read ``kind: exact``) time the
 two power kernels as iterations x cost per iteration: the joint iteration's
@@ -106,11 +119,11 @@ import numpy as np  # noqa: E402
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GRAM_STAGES = ("gram", "charpoly", "sturm", "points")
-STAGES = (*GRAM_STAGES, "run", "interreduce", "certificate", "normal_set", "ring_and_eigen",
-          "other", "total")
+STAGES = (*GRAM_STAGES, "search", "run", "interreduce", "certificate", "normal_set",
+          "ring_and_eigen", "other", "total")
 POWER_STAGES = ("total", "us_per_step")
 PATH_COUNTERS = ("budget_used", "ring_budget_used", "pairs_skipped", "certificate", "checks",
-                 "sweeps", "newton", "refused")
+                 "sweeps", "newton", "refused", "sturm_tests", "degree", "coefficient_bits")
 
 
 def _load(name, src):
@@ -139,7 +152,7 @@ def cases(sm):
     chart's ring takes largest first, the 3x3x3 row of ``spheremax bench``, the
     3x3x3 form with ones on the diagonal, which solve_max answers on the
     sphere chart, two integer matrices the Gram kernel certifies and e2 (x)
-    e2, which it declines."""
+    e2, which it declines, and two forms the pencil kernel answers."""
     integer_form = importlib.import_module(f"{sm.__name__}.cli")._random_integer_form
     return [
         ("2x3x3-affine", integer_form((2, 3, 3), np.random.default_rng(1)), "affine"),
@@ -153,6 +166,8 @@ def cases(sm):
         ("3x3-sphere", integer_form((3, 3), np.random.default_rng(1)), "sphere"),
         ("8x7-sphere", integer_form((8, 7), np.random.default_rng(0)), "sphere"),
         ("e2xe2-sphere", sm.MultilinearForm((2, 2), [0.0, 0.0, 0.0, 1.0]), "sphere"),
+        ("pencil-separability-rank4", _separability_rank4(sm), "pencil"),
+        ("pencil-2x4x4", integer_form((2, 4, 4), np.random.default_rng(0)), "pencil"),
     ]
 
 
@@ -270,6 +285,11 @@ class Probe:
             for owner, name, stage in zip((alg, sm.intpoly, sm.intpoly),
                                           ("_gram", "berkowitz", "sturm"), GRAM_STAGES):
                 self._wrap(owner, name, stage)
+        pencil = getattr(sm, "pencil", None)  # a tree without it has no pencil kernel
+        if pencil is not None:
+            self._wrap(pencil, "search", "search")
+            self._wrap(pencil, "test", "pencil_test")
+            self._wrap(pencil, "poly", "pencil_poly", self._pencil_poly)
         self._wrap(alg, "normal_set", "normal_set", self._normal_set_end)
         budgets = self.budgets
         groebner = alg.groebner
@@ -311,6 +331,12 @@ class Probe:
     def _verdict(self, proof, args, out):
         self.rec.setdefault("verdicts", []).append([proof, out])
 
+    def _pencil_poly(self, args, out):
+        degree = len(out) - 1 - next((i for i, c in enumerate(out) if c), len(out))
+        self.rec["degree"] = max(self.rec.get("degree", 0), degree)
+        self.rec["coefficient_bits"] = max(self.rec.get("coefficient_bits", 0),
+                                           *(abs(c).bit_length() for c in out))
+
     def _normal_set_end(self, args, out):
         self.rec["normal_set_end"] = time.process_time()
 
@@ -319,12 +345,13 @@ class Probe:
         self.rec.clear()
         self.budgets.clear()
         gc.collect()
-        solve = self.alg.solve_argmax if chart == "affine" else self.alg.solve_max
+        solve = {"affine": self.alg.solve_argmax, "sphere": self.alg.solve_max,
+                 "pencil": lambda form: self.alg._exact_max(form, 0)[1]}[chart]
         t = time.process_time()
         report = solve(form)
         end = time.process_time()
         rec = self.rec
-        stages = {s: rec.get(s, 0.0) for s in (*GRAM_STAGES, "run", "interreduce",
+        stages = {s: rec.get(s, 0.0) for s in (*GRAM_STAGES, "search", "run", "interreduce",
                                                 "certificate", "normal_set")}
         stages["run"] -= stages["interreduce"]  # run() calls _interreduce
         stages["points"] = rec.get("kernel", 0.0)  # _gram_max runs after _gram_poly
@@ -347,6 +374,11 @@ class Probe:
             "points": len(report.points),
             "max_value": report.max_value.hex(),
         }
+        if chart == "pencil":
+            counters.update(sturm_tests=sum(stage == "pencil_test"
+                                            for stage, _, _ in rec.get("calls", [])),
+                            degree=rec.get("degree", 0),
+                            coefficient_bits=rec.get("coefficient_bits", 0))
         return stages, counters
 
 

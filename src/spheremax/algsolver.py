@@ -80,7 +80,8 @@ _exact_max answers a nonzero matrix from the largest root of p, which the
 Sturm counts locate whether roots repeat or not, and runs no chart.
 
 A trilinear form with a slot of dimension 2 needs no Groebner basis
-either, generic or not (the pencil kernel, _pencil_max).  With that slot
+either, generic or not (the pencil kernel: _pencil_max and the pencil
+module).  With that slot
 first, l(x, y, z) = y^T (x_1 a + x_2 b) z, so max |l| is the largest top
 singular value of the pencil x_1 a + x_2 b over the unit circle.  Read a
 and b through rationalize over one common denominator D, so A = D a and
@@ -142,7 +143,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from . import chowcount, intpoly, multiform, poweriter
+from . import chowcount, intpoly, multiform, pencil, poweriter
 from .errors import (BudgetExceededError, DimensionMismatchError, NotZeroDimensionalError,
                      SphereMaxError, integers)
 from .linalg import Matrix
@@ -1289,6 +1290,7 @@ def _prove_points(lterms, system, coords, dim, generic_dim) -> bool:
 # ---------------------------------------------------------------------------
 
 _GRAM_STAGES = ("gram", "charpoly", "sturm", "points")
+_PENCIL_STAGES = ("setup", "search", "certificate")
 
 
 def _integer_slices(tensor):
@@ -1307,17 +1309,12 @@ def _integer_slices(tensor):
     return den, slices
 
 
-def _products(a, b):
-    """The integer matrix a b^T."""
-    return [[sum(map(operator.mul, r, s)) for s in b] for r in a]
-
-
 def _gram(form: MultilinearForm):
     """(D, G): the common denominator D of the bilinear form's coefficients
     read through rationalize, and the integer Gram matrix of D A on its
     smaller side, (D A)(D A)^T or (D A)^T (D A)."""
     den, (rows,) = _integer_slices(form.tensor)
-    return den, _products(rows, rows)
+    return den, [[sum(map(operator.mul, r, s)) for s in rows] for r in rows]
 
 
 def _gram_poly(form: MultilinearForm):
@@ -1371,194 +1368,29 @@ def _gram_top(form: MultilinearForm, k: int, poly) -> SolveReport:
                        genericity_flags=tuple(flags), timings=_stage_times(marks, _GRAM_STAGES))
 
 
-# ---------------------------------------------------------------------------
-# trilinear forms with a slot of dimension 2: the pencil kernel.  max |l| is
-# the largest top singular value of the pencil cos(theta) a + sin(theta) b.
-# A float search finds the angle; Sturm counts over Z[t] certify the value
-# (see the module docstring), and no Groebner basis runs.
-# ---------------------------------------------------------------------------
-
-_PENCIL_STAGES = ("setup", "search", "certificate")
-_PENCIL_GRID = 64     # angles of the float search over the half circle
-_PENCIL_STARTS = 3    # grid peaks refined, the highest first
-_PENCIL_STEPS = 60    # Newton or bisection steps of each refinement
-_PENCIL_TOL = 2.0**-48  # the refinement's last step in theta, and its slope over lam
-_PENCIL_WIDTH = 44    # the certificate tries mu-hat (1 -+ 2^-44), and bisects to that width
-_PENCIL_BITS = 64     # significant bits of every mu tested
-
-
-def _pencil_slot(dims):
-    """The slot of dimension 2 whose pencil a trilinear form answers from,
-    the one whose other two slots have the smallest lesser dimension k
-    (the size of the Gram matrices), the first on ties; None without one."""
-    twos = [s for s, d in enumerate(dims) if d == 2] if len(dims) == 3 else []
-    return min(twos, key=lambda s: min(d for i, d in enumerate(dims) if i != s), default=None)
-
-
-def _pencil(form: MultilinearForm, slot: int):
-    """(pencil, gram, qs, D) of a trilinear form at unit scale: its two
-    slices along ``slot``, the other slots in order, as one float array of
-    shape (2, m, n); the integer Gram matrices G_0 = A A^T, G_1 = A B^T + B A^T and
-    G_2 = B B^T of A and B, D times the slices, on their smaller side, of
-    size k, D
-    the common denominator of the coefficients read through rationalize;
-    and q_j = c_j(t) (1 + t^2)^(k - j), j = 0..k, c_j the coefficient of
-    nu^(k - j) in det(nu I - G(t)), G(t) = G_0 + t G_1 + t^2 G_2, each
-    padded to 2k + 1 entries: P_mu = sum_j mu^(k - j) q_j."""
-    pencil = np.moveaxis(form.tensor, slot, 0)
-    den, (ai, bi) = _integer_slices(pencil)
-    ab = _products(ai, bi)
-    gram = (_products(ai, ai), [[x + y for x, y in zip(r, c)] for r, c in zip(ab, zip(*ab))],
-            _products(bi, bi))
-    qs = intpoly.pencil_charpoly(gram)
-    for j, q in enumerate(qs):
-        for _ in range(len(qs) - 1 - j):  # times 1 + t^2; q's top two entries are 0
-            q[:] = [u + v for u, v in zip(q[2:] + [0, 0], q)]
-    return pencil, gram, qs, den
-
-
-def _pencil_poly(qs, mu):
-    """d^k P_mu(t) = det(n (1 + t^2) I - d G(t)) for mu = n / d, from _pencil's
-    q_j: an integer polynomial of degree at most 2k."""
-    n, d, k = mu.numerator, mu.denominator, len(qs) - 1
-    weights = [n ** (k - j) * d ** j for j in range(k + 1)]
-    return [sum(w * q[i] for w, q in zip(weights, qs)) for i in range(2 * k + 1)]
-
-
-def _pencil_test(qs, mu) -> bool:
-    """T(mu): mu is a squared singular value of the pencil at a point of
-    the circle.  At t = infinity (x = (0, 1)) when P_mu's t^(2k)
-    coefficient, det(mu I - G_2), vanishes (as it does when P_mu vanishes
-    identically); else at a real t, by one Sturm count over the line."""
-    p = _pencil_poly(qs, mu)
-    return not p[0] or intpoly.real_roots(intpoly.sturm(p)) > 0
-
-
-def _above_top(gram, direction, mu) -> bool:
-    """Whether mu exceeds top(t0), the largest squared singular value of the
-    pencil at the direction (alpha, beta), two ints: whether
-    n (alpha^2 + beta^2) I - d (alpha^2 G_0 + alpha beta G_1 + beta^2 G_2),
-    mu = n / d, is positive definite, read off its characteristic
-    polynomial (intpoly.berkowitz), whose roots are real: they are all
-    positive iff its coefficients alternate strictly in sign."""
-    n, d = mu.numerator, mu.denominator
-    al, be = direction
-    weights = (al * al, al * be, be * be)
-    diag = n * (al * al + be * be)
-    size = range(len(gram[0]))
-    s = [[diag * (i == j) - d * sum(w * g[i][j] for w, g in zip(weights, gram)) for j in size]
-         for i in size]
-    return all(c * (-1) ** j > 0 for j, c in enumerate(intpoly.berkowitz(s)))
-
-
-def _pencil_curve(a, b, theta):
-    """(lam, slope, curvature, w) at each angle of ``theta``: the top
-    eigenvalue lam = sigma^2 of G = M M^T, M = cos(theta) a + sin(theta) b
-    (a and b with no more rows than columns), its first two derivatives in
-    theta and its unit eigenvector w, the left singular vector of sigma.
-    With M' = cos(theta) b - sin(theta) a, M'' = -M, G' = M' M^T + M M'^T
-    and G'' = 2 (M' M'^T - G): lam' = w^T G' w (Hellmann-Feynman) and
-    lam'' = w^T G'' w + 2 sum_i (w_i^T G' w)^2 / (lam - lam_i) over G's
-    other eigenpairs (lam_i, w_i), not finite where lam is tied."""
-    c, s = np.cos(theta)[:, None, None], np.sin(theta)[:, None, None]
-    mat, slope = c * a + s * b, c * b - s * a
-    cross = slope @ mat.transpose(0, 2, 1)
-    lam, vecs = np.linalg.eigh(mat @ mat.transpose(0, 2, 1))
-    top, lam_top = vecs[:, :, -1], lam[:, -1]
-    coupling = np.einsum("bji,bj->bi", vecs,
-                         np.einsum("bij,bj->bi", cross + cross.transpose(0, 2, 1), top))
-    turn = np.einsum("bij,bi->bj", slope, top)
-    with np.errstate(all="ignore"):
-        curvature = 2.0 * ((turn * turn).sum(axis=1) - lam_top) + 2.0 * (
-            coupling[:, :-1] ** 2 / (lam_top[:, None] - lam[:, :-1])).sum(axis=1)
-    return lam_top, coupling[:, -1], curvature, top
-
-
-def _pencil_climb(a, b, theta, step, slopes, at):
-    """The local maximum of lam within ``step`` of the grid angle
-    ``theta``, ``slopes`` lam' at theta - step, theta and theta + step,
-    ``at`` _pencil_curve's row at theta: Newton's method on lam' = 0,
-    kept inside the bracket where lam' goes from + to -, a step that
-    leaves it (or a curvature that is not negative) replaced by bisection,
-    until the slope is below _PENCIL_TOL lam, or a Newton step or the
-    bracket below _PENCIL_TOL.  (theta, lam, w) at its end; the grid
-    angle's when the slopes bracket no maximum."""
-    left, mid, right = slopes
-    if mid > 0 > right:
-        lo, hi = theta, theta + step
-    elif mid < 0 < left:
-        lo, hi = theta - step, theta
-    else:
-        return theta, at[0], at[3]
-    for _ in range(_PENCIL_STEPS):
-        _, slope, curvature, _ = at
-        if slope > 0:
-            lo = theta
-        elif slope < 0:
-            hi = theta
-        newton = -slope / curvature if curvature < 0 else math.nan
-        if (abs(slope) <= _PENCIL_TOL * at[0] or abs(newton) <= _PENCIL_TOL
-                or hi - lo <= _PENCIL_TOL):
-            break
-        theta = theta + newton if lo < theta + newton < hi else 0.5 * (lo + hi)
-        at = [v[0] for v in _pencil_curve(a, b, np.array([theta]))]
-    return theta, at[0], at[3]
-
-
-def _pencil_search(a, b):
-    """(theta, lam, w) of the float search: lam = sigma^2 of the pencil
-    (see _pencil_curve) on _PENCIL_GRID angles over the half circle (lam
-    has period pi), one batched np.linalg.eigh, and _pencil_climb from the
-    grid's highest peaks, at most _PENCIL_STARTS of them, each with sigma
-    within cos(pi / _PENCIL_GRID) of the best; the best climb."""
-    size = _PENCIL_GRID
-    step = math.pi / size
-    grid = np.arange(size) * step
-    rows = _pencil_curve(a, b, grid)
-    lam, slope = rows[0], rows[1]
-    peaks = [i for i in np.argsort(-lam, kind="stable").tolist()
-             if lam[i] >= max(lam[i - 1], lam[(i + 1) % size])
-             and lam[i] >= lam.max() * math.cos(step) ** 2]
-    best = None
-    for i in peaks[:_PENCIL_STARTS]:
-        found = _pencil_climb(a, b, grid[i], step, slope[[i - 1, i, (i + 1) % size]],
-                              [v[i] for v in rows])
-        if best is None or found[1] > best[1]:
-            best = found
-    return best
-
-
-def _rounded(q, up: bool):
-    """q > 0 rounded up or down to _PENCIL_BITS significant bits."""
-    scale = _Q(2) ** (_PENCIL_BITS - q.numerator.bit_length() + q.denominator.bit_length())
-    return (math.ceil(q * scale) if up else math.floor(q * scale)) / scale
-
-
 def _pencil_max(form: MultilinearForm, k: int, slot: int) -> SolveReport:
     """_exact_max's report on a nonzero trilinear form at unit scale, t
     2^-k, with a slot of dimension 2, ``slot``, from the pencil kernel.
 
-    The point is (cos theta, sin theta) in that slot and the top singular
-    pair of the pencil at theta in the others, from _pencil_search, scored
-    (_scored_points).  Its |value| v, times D, is mu-hat's square root, and
-    the certificate reads mu-hat (1 -+ 2^-44), each rounded inward to
-    _PENCIL_BITS bits: the lower end is at most top(t0), t0 the point's
-    direction as a rational, and the upper end is above top(t0) with
-    T false (_above_top, _pencil_test); then mu* lies between them and v is
-    the maximum within 2^-44 relative.  Otherwise the ends the certificate
-    did establish, else 0 and tr G_0 + tr G_2 (an upper bound: sigma_1^2 is
-    at most the Frobenius norm squared), are bisected with the same two
-    predicates to a bracket 2^-44 of its upper end wide, and the value is
-    the square root of its midpoint over D, a flag saying so when the
-    point's |value| is more than _AGREE_TOL relative away from it.  The
-    critical set need not be zero-dimensional, so there is no quotient:
-    quotient_dim is 0, no eigenvalues.  Timings: _PENCIL_STAGES."""
+    The form's two slices along that slot are read through rationalize over
+    one common denominator D (_integer_slices).  The point is (cos theta,
+    sin theta) in that slot and the top singular pair of the pencil at
+    theta in the others, from pencil.search, scored (_scored_points).  Its
+    |value| v is the maximum within 2^-44 relative when pencil.certify
+    passes on mu-hat = (D v)^2 at the point's direction.  Otherwise the
+    value is the square root of the midpoint of certify's bracket over D,
+    a flag saying so when the point's |value| is more than _AGREE_TOL
+    relative away from it.  The critical set need not be zero-dimensional,
+    so there is no quotient: quotient_dim is 0, no eigenvalues.  Timings:
+    _PENCIL_STAGES."""
     marks = [time.perf_counter()]
-    pencil, gram, qs, den = _pencil(form, slot)
+    slices = np.moveaxis(form.tensor, slot, 0)
+    den, ints = _integer_slices(slices)
+    gram, qs = pencil.setup(*ints)
     marks.append(time.perf_counter())
-    swap = pencil.shape[1] > pencil.shape[2]
-    a, b = pencil.transpose(0, 2, 1) if swap else pencil
-    theta, lam, y = _pencil_search(a, b)
+    swap = slices.shape[1] > slices.shape[2]
+    a, b = slices.transpose(0, 2, 1) if swap else slices
+    theta, lam, y = pencil.search(a, b)
     x = np.array([math.cos(theta), math.sin(theta)])
     z = (x[0] * a + x[1] * b).T @ y
     vectors = [y, z / np.linalg.norm(z)][::-1 if swap else 1]
@@ -1566,27 +1398,12 @@ def _pencil_max(form: MultilinearForm, k: int, slot: int) -> SolveReport:
     points, flags = _scored_points(form, k, [v[:, None] for v in vectors])
     value = abs(points[0].value) if points else math.ldexp(math.sqrt(lam), k)
     marks.append(time.perf_counter())
-    x = [_Q(float(c)) for c in x]
-    scale = math.lcm(*(c.denominator for c in x))
-    direction = [int(c * scale) for c in x]
-
-    def at_most(mu):  # mu <= mu*, else mu > mu*
-        return not _above_top(gram, direction, mu) or _pencil_test(qs, mu)
-
-    mu = (_Q(math.ldexp(value, -k)) * den) ** 2
-    lo, hi = (_rounded(mu * (1 + side * _Q(1, 1 << _PENCIL_WIDTH)), side > 0)
-              for side in (-1, 1))
-    if not at_most(lo):
-        lo, hi = _Q(0), lo
-    elif at_most(hi):
-        lo, hi = hi, _Q(sum(gram[0][i][i] + gram[2][i][i] for i in range(len(qs) - 1)))
-    else:
-        lo = hi = None  # certified
-    if lo is not None:
-        while (hi - lo) * (1 << _PENCIL_WIDTH) > hi:
-            mid = _rounded((lo + hi) / 2, False)
-            lo, hi = (mid, hi) if at_most(mid) else (lo, mid)
-        root = math.isqrt(math.floor((lo + hi) / 2 * 4 ** intpoly.BITS))
+    ratios = [_Q(float(c)) for c in x]
+    scale = math.lcm(*(c.denominator for c in ratios))
+    bracket = pencil.certify(gram, qs, [int(c * scale) for c in ratios],
+                             (_Q(math.ldexp(value, -k)) * den) ** 2)
+    if bracket is not None:
+        root = math.isqrt(math.floor(sum(bracket) / 2 * 4 ** intpoly.BITS))
         value = math.ldexp(float(_Q(root, den << intpoly.BITS)), k)
         if not points or abs(abs(points[0].value) - value) > _AGREE_TOL * value:
             flags.append("the pencil's top singular pair does not reach the maximum")
@@ -1994,9 +1811,9 @@ def _exact_max(form: MultilinearForm, seed: int, budget: int = DEFAULT_REDUCTION
     "affine.refused" for a refused attempt; a lift's time is "lift"."""
     start = time.perf_counter()
     unit, k = multiform._scaled(form)
-    slot = _pencil_slot(form.dims)
-    if (form.order == 2 or slot is not None) and not form.coeffs.any():
+    if not form.coeffs.any():
         raise NotZeroDimensionalError("every point of the zero form is critical; its maximum is 0")
+    slot = pencil.slot(form.dims)
     if form.order == 2:
         poly = _gram_poly(unit)
         gram = _gram_max(unit, k, poly)

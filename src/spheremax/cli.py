@@ -284,7 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_budget(p):
-        p.add_argument("--budget-reductions", type=int, default=algsolver.DEFAULT_REDUCTION_BUDGET)
+        p.add_argument("--budget-reductions", type=int, default=algsolver.DEFAULT_REDUCTION_BUDGET,
+                       help="cap on the Groebner engine's polynomial reductions; the Sturm "
+                            "kernels (bilinear forms, and trilinear forms with a slot of "
+                            "dimension 2) spend none")
 
     def add_common(p):
         p.add_argument("input", help="input JSON file")

@@ -35,7 +35,7 @@ from spheremax import (
     solve_max,
     verify_buchberger_certificate,
 )
-from spheremax import algsolver, cli, intpoly, multiform, poweriter
+from spheremax import algsolver, cli, intpoly, multiform, pencil, poweriter
 from spheremax.apps import _separability_form
 from spheremax.algsolver import (
     RESIDUAL_TOL,
@@ -1861,12 +1861,12 @@ def test_real_roots_counts_the_distinct_real_roots_on_the_line(p, count):
 
 def _pencil_setup(form):
     """(slot, gram, qs, D, k) of a form with a slot of dimension 2: the
-    slot its pencil takes, _pencil's integers on the form at unit scale,
-    t 2^-k, and k."""
+    slot its pencil takes, pencil.setup's integers and their denominator on
+    the form at unit scale, t 2^-k, and k."""
     unit, k = multiform._scaled(form)
-    slot = algsolver._pencil_slot(form.dims)
-    _, gram, qs, den = algsolver._pencil(unit, slot)
-    return slot, gram, qs, den, k
+    slot = pencil.slot(form.dims)
+    den, ints = algsolver._integer_slices(np.moveaxis(unit.tensor, slot, 0))
+    return (slot, *pencil.setup(*ints), den, k)
 
 
 def test_pencil_test_reads_a_constant_top_singular_value_as_attained():
@@ -1877,12 +1877,12 @@ def test_pencil_test_reads_a_constant_top_singular_value_as_attained():
     form = MultilinearForm((2, 2, 2), [1, 0, 0, 1, 0, -1, 1, 0])
     slot, gram, qs, den, k = _pencil_setup(form)
     star = Fraction(den, 2 ** k) ** 2
-    assert algsolver._pencil_poly(qs, star) == [0] * 5
-    assert algsolver._pencil_test(qs, star)
+    assert pencil.poly(qs, star) == [0] * 5
+    assert pencil.test(qs, star)
     below, above = star * Fraction(99, 100), star * Fraction(101, 100)
-    assert not algsolver._pencil_test(qs, below) and not algsolver._pencil_test(qs, above)
-    assert not algsolver._above_top(gram, (1, 0), below)
-    assert algsolver._above_top(gram, (3, -7), above)
+    assert not pencil.test(qs, below) and not pencil.test(qs, above)
+    assert not pencil.above_top(gram, (1, 0), below)
+    assert pencil.above_top(gram, (3, -7), above)
     chart, report = algsolver._exact_max(form, seed=0)
     assert (chart, report.genericity_flags) == ("pencil", ())
     assert report.max_value == pytest.approx(1.0, rel=1e-15, abs=0.0)
@@ -1895,12 +1895,12 @@ def test_pencil_test_reads_a_degree_drop_as_a_root_at_infinity():
     form = MultilinearForm((2, 2, 2), [0] * 7 + [1])
     slot, gram, qs, den, k = _pencil_setup(form)
     star = Fraction(den, 2 ** k) ** 2
-    p = algsolver._pencil_poly(qs, star)
+    p = pencil.poly(qs, star)
     assert p == [0, 0, 1, 0, 1]  # 1 + t^2, no real root
     assert intpoly.real_roots(intpoly.sturm(p[2:])) == 0
-    assert algsolver._pencil_test(qs, star)
+    assert pencil.test(qs, star)
     above = star * (1 + Fraction(1, 2**40))
-    assert not algsolver._pencil_test(qs, above) and algsolver._above_top(gram, (0, 1), above)
+    assert not pencil.test(qs, above) and pencil.above_top(gram, (0, 1), above)
 
 
 def test_pencil_test_reads_a_repeated_root():
@@ -1910,11 +1910,11 @@ def test_pencil_test_reads_a_repeated_root():
     form = MultilinearForm((2, 2, 2), [1.0] * 8)
     slot, gram, qs, den, k = _pencil_setup(form)
     star = Fraction(den, 2 ** k) ** 2 * 8
-    p = algsolver._pencil_poly(qs, star)
+    p = pencil.poly(qs, star)
     assert sum(c for c in p) == 0 and sum(c * (len(p) - 1 - i) for i, c in enumerate(p)) == 0
     assert intpoly.real_roots(intpoly.sturm(p)) == 1
-    assert algsolver._pencil_test(qs, star)
-    assert not algsolver._pencil_test(qs, star * (1 + Fraction(1, 2**40)))
+    assert pencil.test(qs, star)
+    assert not pencil.test(qs, star * (1 + Fraction(1, 2**40)))
 
 
 @pytest.mark.parametrize("dims, coeffs, want", [
@@ -1941,15 +1941,15 @@ def test_pencil_bisects_when_the_search_misses_the_maximum(monkeypatch):
     # at the lower one fails the certificate (T is true above its value), and
     # the bisection brackets the maximum 2; the point says it misses it
     form = MultilinearForm((2, 2, 2), [2.0] + [0.0] * 6 + [1.0])
-    monkeypatch.setattr(algsolver, "_pencil_search",
+    monkeypatch.setattr(pencil, "search",
                         lambda a, b: (math.pi / 2, b[1, 1] ** 2, np.array([0.0, 1.0])))
-    tests, counting = [0], algsolver._pencil_test
+    tests, counting = [0], pencil.test
 
     def counted(qs, mu):
         tests[0] += 1
         return counting(qs, mu)
 
-    monkeypatch.setattr(algsolver, "_pencil_test", counted)
+    monkeypatch.setattr(pencil, "test", counted)
     chart, report = algsolver._exact_max(form, seed=0)
     assert chart == "pencil" and tests[0] > 40
     assert report.max_value == pytest.approx(2.0, rel=2.0**-44, abs=0.0)
@@ -2003,6 +2003,4 @@ def test_pencil_property(form):
     scale = math.lcm(*(c.denominator for c in x))
     direction = [int(c * scale) for c in x]
     mu = (Fraction(math.ldexp(report.max_value, -k)) * den) ** 2
-    lo, hi = mu * (1 - Fraction(1, 2**44)), mu * (1 + Fraction(1, 2**44))
-    assert not algsolver._above_top(gram, direction, lo)
-    assert algsolver._above_top(gram, direction, hi) and not algsolver._pencil_test(qs, hi)
+    assert pencil.certify(gram, qs, direction, mu) is None
