@@ -81,9 +81,9 @@ Sturm counts locate whether roots repeat or not, and runs no chart.
 
 A trilinear form with a slot of dimension 2 needs no Groebner basis
 either, generic or not (the pencil kernel: _pencil_max and the pencil
-module).  With that slot
-first, l(x, y, z) = y^T (x_1 a + x_2 b) z, so max |l| is the largest top
-singular value of the pencil x_1 a + x_2 b over the unit circle.  Read a
+module).  With that slot first, l(x, y, z) = y^T (x_1 a + x_2 b) z, so
+max |l| is the largest top singular value of the pencil x_1 a + x_2 b over
+the unit circle.  Read a
 and b through rationalize over one common denominator D, so A = D a and
 B = D b are integer, and take x = u / |u|, u = (1, t): G(t) = G_0 + t G_1 +
 t^2 G_2, the integer Gram matrix of A + t B on its smaller side (size k),
