@@ -1737,8 +1737,8 @@ def test_gram_kernel_gives_diag_3_1_both_points():
 ], ids=["I_2", "diag(3,3,1)", "hadamard-2x2"])
 def test_tied_top_singular_value_answers_from_the_largest_root(coeffs, want):
     # the critical set is a circle: solve_max refuses, as it should, and
-    # _exact_max, where both charts refuse, answers from the largest root
-    # of det(mu I - G), with the top singular pair as its point, flagged;
+    # _exact_max, which runs no chart on a matrix, answers from the largest
+    # root of det(mu I - G), with the top singular pair as its point, flagged;
     # the polynomial is formed once, for the declined kernel and the root
     n = math.isqrt(len(coeffs))
     form = MultilinearForm((n, n), coeffs)

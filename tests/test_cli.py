@@ -328,8 +328,8 @@ def test_maximize_algebraic_positive_dimensional_form_is_solver_error(
 ], ids=["I_2", "diag(3,3,1)", "hadamard-2x2"])
 def test_tied_top_singular_value_answers_from_the_largest_root(
         capsys, tmp_path, full_precision, dims, coeffs, want):
-    # a positive-dimensional bilinear form: both charts refuse, and the
-    # largest root of the Gram kernel's polynomial answers, flagged, its
+    # a positive-dimensional bilinear form: the Gram kernel declines it, and
+    # the largest root of its polynomial answers, flagged, its
     # point the top singular pair; norm2 --method algebraic agrees
     form = MultilinearForm(dims=dims, coeffs=coeffs)
     report = _maximize_algebraic(capsys, _form_file(tmp_path, form), "--points")
